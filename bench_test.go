@@ -10,7 +10,6 @@ import (
 	"math/rand"
 	"sync"
 	"testing"
-	"time"
 
 	"env2vec"
 	"env2vec/internal/anomaly"
@@ -360,7 +359,7 @@ func benchServer(b *testing.B, maxBatch int) (*serve.Server, *serve.Request) {
 	if err != nil {
 		b.Fatal(err)
 	}
-	srv := serve.New(serve.Config{MaxBatch: maxBatch, MaxLinger: time.Millisecond, QueueDepth: 4096})
+	srv := serve.New(serve.Config{MaxBatch: maxBatch, QueueDepth: 4096})
 	srv.SetBundle(&serve.Bundle{
 		Name: "bench", Version: 1,
 		Model: tr.Model, Schema: tr.Schema, Std: tr.Standardizer, YScale: tr.YScale,

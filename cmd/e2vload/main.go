@@ -253,8 +253,8 @@ func run(args []string, w io.Writer) error {
 		if len(tgts) > 1 {
 			prefix = "server " + t.base
 		}
-		fmt.Fprintf(w, "%s p50=%.2fms p99=%.2fms (queue_wait p99=%.2fms, linger p99=%.2fms, forward p99=%.2fms)\n",
-			prefix, st.P50LatencyMS, st.P99LatencyMS, st.QueueWaitP99MS, st.LingerP99MS, st.ForwardP99MS)
+		fmt.Fprintf(w, "%s p50=%.2fms p99=%.2fms (queue_wait p99=%.2fms, forward p99=%.2fms)\n",
+			prefix, st.P50LatencyMS, st.P99LatencyMS, st.QueueWaitP99MS, st.ForwardP99MS)
 		fmt.Fprintf(w, "%s batches=%d max_batch_observed=%d rejected=%d\n",
 			prefix, st.Batches, st.MaxBatchObserved, st.Rejected)
 		if *slowTraces > 0 {

@@ -7,7 +7,6 @@ import (
 	"net/http/httptest"
 	"strings"
 	"testing"
-	"time"
 
 	"env2vec/internal/core"
 	"env2vec/internal/dataset"
@@ -33,7 +32,7 @@ func loadTestServer(t *testing.T) (*serve.Server, *httptest.Server) {
 		Baseline: &quality.Baseline{Mu: 0, Sigma: 5, Samples: 100},
 	}
 	s := serve.New(serve.Config{
-		MaxBatch: 8, MaxLinger: time.Millisecond, QueueDepth: 64, Workers: 2,
+		MaxBatch: 8, QueueDepth: 64, Workers: 2,
 		Quality: &quality.Config{},
 		// Keep every trace so the slow-trace report below is deterministic.
 		Trace: obs.TraceStoreConfig{Capacity: 256, SampleRate: 1},

@@ -83,8 +83,7 @@ func run(args []string) error {
 	precisionFlag := fs.String("precision", "float64", "serving forward-pass precision: float64 (tape-exact) or float32 (~2x faster, 1e-4 relative; see docs/performance.md)")
 	poll := fs.Duration("poll", 10*time.Second, "registry poll interval (long-poll fallback pacing)")
 	longPoll := fs.Duration("long-poll", 30*time.Second, "park registry polls server-side this long (?wait=), so new versions land in O(RTT); 0 = plain polling")
-	maxBatch := fs.Int("max-batch", 32, "max requests per forward pass")
-	linger := fs.Duration("linger", 2*time.Millisecond, "max time to wait filling a batch")
+	maxBatch := fs.Int("max-batch", 32, "max requests per forward pass (a free worker takes what is queued, up to this many)")
 	queue := fs.Int("queue", 256, "admission queue bound (overflow returns 429)")
 	workers := fs.Int("workers", 0, "forward-pass workers (0 = GOMAXPROCS)")
 	gamma := fs.Float64("gamma", 0, "enable inline anomaly verdicts with this γ threshold (0 disables)")
@@ -133,7 +132,6 @@ func run(args []string) error {
 	reg := obs.NewRegistry()
 	cfg := serve.Config{
 		MaxBatch:       *maxBatch,
-		MaxLinger:      *linger,
 		QueueDepth:     *queue,
 		Workers:        *workers,
 		MinCalibration: *minCal,

@@ -22,8 +22,17 @@ go test -race ./internal/obs/ ./internal/serve/ ./internal/modelserver/ \
 # concurrent publish/get/sync registry test.
 go test -run FuzzStoreReplay -fuzz FuzzStoreReplay -fuzztime 10s ./internal/modelserver/
 go test -run 'ReplicationEndToEnd|PublishThenServe' ./internal/pipeline/
-# The serve worker's forward stage stays allocation-free (PredictInto).
-go test -run 'ForwardStageAllocs' ./internal/serve/
+# The serve worker's forward stage stays allocation-free (PredictInto), and
+# a forward pass itself allocates nothing: n passes of 1 cost what one pass
+# of n costs (the workers own their scratch; docs/serving.md "Batching").
+go test -run 'ForwardStageAllocs|PassCostsNoAllocations' ./internal/serve/
+# Workers pull their own batches: a lone request is forwarded at once, a
+# wire frame is one pass at any GOMAXPROCS, overflow sheds only the tail,
+# Close answers the backlog, and a backlog behind a busy worker is one pass.
+go test -race -run 'TestIdleServerForwardsAtOnce|TestDoBatchFrameIsOnePass|TestDoBatchShedsOnlyTail|TestCloseAnswersQueuedRequests|TestBacklogBehindBusyWorkerIsOnePass' ./internal/serve/
+# The repository benchmark's harness is a nested module tier 1 does not
+# compile; it is built against serve.Config and the public constructors.
+(cd bench && go vet . && go test -short .)
 # Smoke-test the /metrics surface end to end: boot each daemon, scrape it.
 # The e2vserve scrape asserts the quality metrics; the serve suite's
 # /metrics round trip runs every exposition page (exemplar suffixes
@@ -80,11 +89,15 @@ go test -race ./internal/tsdb/
 go test -race -run 'TestMonitoringPlaneBurnRateE2E|TestQueryHTTPFixtures' ./internal/tsdb/
 go test -run 'TestTSDBDMonitoringEndpoints|TestLoadGeneratorAlertsGate' ./cmd/tsdbd/ ./cmd/e2vload/
 go test -run 'TestSourceFilter' ./internal/alarmstore/
-# Serving-path benchmark baseline (batch forward + /predict encode),
-# committed machine-readable for future serving PRs to diff against.
+# Serving-path benchmarks (a lone Do, parallel submitters, a saturated
+# worker with its mean batch size, the /predict edge), gated like
+# BENCH_infer.json: >10% slower than the committed baseline or any
+# allocs/op growth fails before the baseline is overwritten.
 go test -run '^$' -bench 'BenchmarkServe' -benchmem -count 1 ./internal/serve/ \
     | tee docs/outputs/bench_serve.txt \
-    | go run ./cmd/benchjson > docs/outputs/BENCH_serve.json
+    | go run ./cmd/benchjson -compare docs/outputs/BENCH_serve.json -max-regress 10 \
+    > docs/outputs/BENCH_serve.json.new
+mv docs/outputs/BENCH_serve.json.new docs/outputs/BENCH_serve.json
 # The binary wire protocol (docs/serving.md "Binary wire protocol"): fuzz
 # the frame + payload decoders (truncated / bit-flipped / oversized /
 # interleaved frames are typed errors, never panics), run the protocol

@@ -7,7 +7,6 @@ import (
 	"net/http"
 	"net/http/httptest"
 	"testing"
-	"time"
 
 	"env2vec/internal/dataset"
 	"env2vec/internal/modelserver"
@@ -53,7 +52,7 @@ func TestReplicationEndToEnd(t *testing.T) {
 	// Two serving daemons: one watching the primary (the reference), one
 	// watching the replica (the topology under test).
 	newServer := func(baseURL string) (*serve.Server, *modelserver.Watcher) {
-		srv := serve.New(serve.Config{MaxBatch: 8, MaxLinger: 5 * time.Millisecond, QueueDepth: 64, Workers: 2})
+		srv := serve.New(serve.Config{MaxBatch: 8, QueueDepth: 64, Workers: 2})
 		w := &modelserver.Watcher{
 			Client: &modelserver.Client{BaseURL: baseURL},
 			Name:   "env2vec",

@@ -6,7 +6,6 @@ import (
 	"net/http/httptest"
 	"sync"
 	"testing"
-	"time"
 
 	"env2vec/internal/dataset"
 	"env2vec/internal/modelserver"
@@ -36,7 +35,7 @@ func TestPublishThenServe(t *testing.T) {
 	}
 
 	// Serving daemon fed by a registry watcher.
-	srv := serve.New(serve.Config{MaxBatch: 16, MaxLinger: 20 * time.Millisecond, QueueDepth: 512, Workers: 2})
+	srv := serve.New(serve.Config{MaxBatch: 16, QueueDepth: 512, Workers: 2})
 	defer srv.Close()
 	watcher := &modelserver.Watcher{
 		Client: client,
@@ -81,8 +80,7 @@ func TestPublishThenServe(t *testing.T) {
 		}
 	}
 
-	// (a)+(b): concurrent traffic matches the offline model within 1e-9 and
-	// at least one forward pass combined multiple requests.
+	// (a): concurrent traffic matches the offline model within 1e-9.
 	var wg sync.WaitGroup
 	for i := range exs {
 		wg.Add(1)
@@ -102,8 +100,20 @@ func TestPublishThenServe(t *testing.T) {
 		}(i)
 	}
 	wg.Wait()
-	if st := srv.Stats(); st.MaxBatchObserved < 2 {
-		t.Fatalf("no forward pass combined requests: %+v", st)
+
+	// (b): a frame of MaxBatch requests is one forward pass, and batching
+	// does not change the numbers.
+	frame := make([]*serve.Request, 16)
+	for i := range frame {
+		frame[i] = makeReq(exs[i])
+	}
+	for i, r := range srv.DoBatch(frame) {
+		if r.Err != nil || r.Resp.BatchSize != len(frame) {
+			t.Fatalf("frame request %d: served in a pass of %+v (%v), want %d", i, r.Resp, r.Err, len(frame))
+		}
+		if math.Abs(r.Resp.Prediction-want[i]) > 1e-9 {
+			t.Errorf("frame request %d: served %v, offline %v", i, r.Resp.Prediction, want[i])
+		}
 	}
 
 	// (c): a registry re-publish reaches serving without dropping requests.
@@ -147,41 +157,23 @@ func TestPublishThenServe(t *testing.T) {
 		t.Fatalf("v2 not serving after republish: %+v %d %v", resp, code, err)
 	}
 
-	// (d): overload beyond the queue bound sheds load with 429, not a hang.
-	tiny := serve.New(serve.Config{MaxBatch: 16, MaxLinger: 50 * time.Millisecond, QueueDepth: 2, Workers: 1})
+	// (d): a frame beyond the queue bound keeps its head and sheds its
+	// tail with 429.
+	tiny := serve.New(serve.Config{MaxBatch: 16, QueueDepth: 2, Workers: 1})
 	defer tiny.Close()
 	tiny.SetBundle(srv.Bundle())
-	const burst = 512
-	codes := make(chan int, burst)
-	var burstWG sync.WaitGroup
-	for i := 0; i < burst; i++ {
-		burstWG.Add(1)
-		go func(i int) {
-			defer burstWG.Done()
-			_, code, _ := tiny.Do(makeReq(exs[i%len(exs)]))
-			codes <- code
-		}(i)
-	}
-	finished := make(chan struct{})
-	go func() { burstWG.Wait(); close(finished) }()
-	select {
-	case <-finished:
-	case <-time.After(60 * time.Second):
-		t.Fatal("overload burst hung")
-	}
-	close(codes)
 	var ok, rejected int
-	for c := range codes {
-		switch c {
+	for i, r := range tiny.DoBatch(frame) {
+		switch r.Code {
 		case http.StatusOK:
 			ok++
 		case http.StatusTooManyRequests:
 			rejected++
 		default:
-			t.Fatalf("unexpected status %d under overload", c)
+			t.Fatalf("request %d: unexpected status %d under overload", i, r.Code)
 		}
 	}
-	if rejected == 0 || ok == 0 {
-		t.Fatalf("overload handling wrong: %d ok, %d rejected of %d", ok, rejected, burst)
+	if ok != 2 || rejected != len(frame)-2 {
+		t.Fatalf("overload handling wrong: %d ok, %d rejected of %d with room for 2", ok, rejected, len(frame))
 	}
 }

@@ -39,7 +39,7 @@ func newE2EBackend(t *testing.T, seed int64) *e2eBackend {
 		Baseline: &quality.Baseline{Mu: 0, Sigma: 5, Samples: 100},
 	}
 	s := serve.New(serve.Config{
-		MaxBatch: 8, MaxLinger: time.Millisecond, QueueDepth: 256, Workers: 2,
+		MaxBatch: 8, QueueDepth: 256, Workers: 2,
 		Quality: &quality.Config{},
 	})
 	t.Cleanup(s.Close)
@@ -52,7 +52,7 @@ func newE2EBackend(t *testing.T, seed int64) *e2eBackend {
 // TestE2EStitchedTraceAcrossProcesses is the tracing acceptance test: one
 // request through proxy → real e2vserve yields one trace at the proxy's
 // GET /traces/{id} holding the proxy root, the forward attempt, and the
-// backend's serve.request root with its four stage spans — every parent
+// backend's serve.request root with its three stage spans — every parent
 // edge intact across the process boundary.
 func TestE2EStitchedTraceAcrossProcesses(t *testing.T) {
 	be := newE2EBackend(t, 3)
@@ -104,7 +104,7 @@ func TestE2EStitchedTraceAcrossProcesses(t *testing.T) {
 	if srvRoot.ParentID != att.SpanID {
 		t.Fatalf("backend root parents onto %q, want the attempt span %q", srvRoot.ParentID, att.SpanID)
 	}
-	for _, stage := range []string{"serve.queue_wait", "serve.linger", "serve.forward", "serve.encode"} {
+	for _, stage := range []string{"serve.queue_wait", "serve.forward", "serve.encode"} {
 		sp, ok := byName[stage]
 		if !ok {
 			t.Fatalf("stitched trace missing stage span %s: %+v", stage, tr.Spans)

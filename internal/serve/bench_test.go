@@ -4,8 +4,8 @@ import (
 	"bytes"
 	"encoding/json"
 	"net/http/httptest"
+	"sync"
 	"testing"
-	"time"
 
 	"env2vec/internal/core"
 	"env2vec/internal/dataset"
@@ -23,8 +23,7 @@ func benchServer(b *testing.B, workers int) *Server {
 	schema.Observe(envmeta.Environment{Testbed: "tb1", SUT: "fw", Testcase: "load", Build: "B1"})
 	schema.Freeze()
 	s := New(Config{
-		MaxBatch: 32, MaxLinger: 100 * time.Microsecond,
-		QueueDepth: 1024, Workers: workers,
+		MaxBatch: 32, QueueDepth: 1024, Workers: workers,
 		Quality: &quality.Config{},
 	})
 	b.Cleanup(s.Close)
@@ -35,6 +34,14 @@ func benchServer(b *testing.B, workers int) *Server {
 		YScale:   dataset.YScaler{Mu: 50, Sigma: 10},
 		Baseline: &quality.Baseline{Mu: 0, Sigma: 5, Samples: 100},
 	})
+	// Take the batch ids past strconv's preallocated small integers, so
+	// allocs/op does not depend on how many of b.N's passes came before
+	// id 100 — the benchjson gate fails on any allocs/op growth.
+	for req := benchRequest(); s.Stats().Batches < 100; {
+		if _, _, err := s.Do(req); err != nil {
+			b.Fatal(err)
+		}
+	}
 	return s
 }
 
@@ -53,8 +60,8 @@ func benchRequest() *Request {
 	}
 }
 
-// BenchmarkServeDo measures the in-process serving path: admission,
-// batching, model forward, and response assembly — no HTTP.
+// BenchmarkServeDo measures the in-process serving path one request at a
+// time: admission, a pass of one, and response assembly — no HTTP.
 func BenchmarkServeDo(b *testing.B) {
 	s := benchServer(b, 1)
 	req := benchRequest()
@@ -67,8 +74,8 @@ func BenchmarkServeDo(b *testing.B) {
 	}
 }
 
-// BenchmarkServeDoParallel drives the batcher from many goroutines, the
-// shape under which MaxBatch>1 actually forms batches.
+// BenchmarkServeDoParallel drives the queue from GOMAXPROCS goroutines
+// against two workers.
 func BenchmarkServeDoParallel(b *testing.B) {
 	s := benchServer(b, 2)
 	b.ReportAllocs()
@@ -81,6 +88,41 @@ func BenchmarkServeDoParallel(b *testing.B) {
 			}
 		}
 	})
+}
+
+// BenchmarkServeDoBacklog saturates one worker with 256 concurrent
+// submitters: the worker never finds the queue empty, so passes fill from
+// the backlog with no timer to wait for. Mean batch size is reported beside
+// ns/op, which is saturation throughput inverted.
+func BenchmarkServeDoBacklog(b *testing.B) {
+	s := benchServer(b, 1)
+	const submitters = 256
+	before := s.Stats().Batches
+	b.ReportAllocs()
+	b.ResetTimer()
+	var wg sync.WaitGroup
+	for g := 0; g < submitters; g++ {
+		n := b.N / submitters
+		if g < b.N%submitters {
+			n++
+		}
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			req := benchRequest()
+			for i := 0; i < n; i++ {
+				if _, code, err := s.Do(req); err != nil || code != 200 {
+					b.Errorf("do: code=%d err=%v", code, err)
+					return
+				}
+			}
+		}()
+	}
+	wg.Wait()
+	b.StopTimer()
+	if passes := s.Stats().Batches - before; passes > 0 {
+		b.ReportMetric(float64(b.N)/float64(passes), "reqs/pass")
+	}
 }
 
 // BenchmarkServePredictHTTP adds the /predict edge: JSON decode, the

@@ -9,7 +9,6 @@ import (
 	"net/http/httptest"
 	"strings"
 	"testing"
-	"time"
 
 	"env2vec/internal/quality"
 )
@@ -35,7 +34,7 @@ func postRaw(t *testing.T, url string, body []byte) (int, string) {
 }
 
 func TestBodyLimits(t *testing.T) {
-	s := New(Config{MaxBatch: 4, MaxLinger: time.Millisecond, QueueDepth: 16, Workers: 1, MaxBodyBytes: 1 << 10,
+	s := New(Config{MaxBatch: 4, QueueDepth: 16, Workers: 1, MaxBodyBytes: 1 << 10,
 		Quality: &quality.Config{Gamma: 3, Window: 8, MinSamples: 2, ExceedRate: 0.5}})
 	defer s.Close()
 	s.SetBundle(testBundle(1, 1))
@@ -60,7 +59,7 @@ func TestBodyLimits(t *testing.T) {
 }
 
 func TestStrictDecoding(t *testing.T) {
-	s := New(Config{MaxBatch: 4, MaxLinger: time.Millisecond, QueueDepth: 16, Workers: 1,
+	s := New(Config{MaxBatch: 4, QueueDepth: 16, Workers: 1,
 		Quality: &quality.Config{Gamma: 3, Window: 8, MinSamples: 2, ExceedRate: 0.5}})
 	defer s.Close()
 	s.SetBundle(testBundle(1, 1))
@@ -96,7 +95,7 @@ func TestStrictDecoding(t *testing.T) {
 // TestDoBatch checks the wire path's entry point: per-item validation and
 // shedding, predictions matching the single-request path exactly.
 func TestDoBatch(t *testing.T) {
-	s := New(Config{MaxBatch: 8, MaxLinger: time.Millisecond, QueueDepth: 64, Workers: 2})
+	s := New(Config{MaxBatch: 8, QueueDepth: 64, Workers: 2})
 	defer s.Close()
 	b := testBundle(5, 1)
 	s.SetBundle(b)

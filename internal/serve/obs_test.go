@@ -40,7 +40,7 @@ func postPredict(t *testing.T, url string, req *Request, requestID string) (*htt
 }
 
 func TestRequestIDPropagation(t *testing.T) {
-	s := New(Config{MaxBatch: 2, MaxLinger: time.Millisecond, QueueDepth: 8, Workers: 1})
+	s := New(Config{MaxBatch: 2, QueueDepth: 8, Workers: 1})
 	defer s.Close()
 	s.SetBundle(testBundle(1, 1))
 	srv := httptest.NewServer(s)
@@ -92,7 +92,7 @@ func TestRequestIDPropagation(t *testing.T) {
 // (and the trace block's forward span), not in queue-wait.
 func TestSlowForwardAttribution(t *testing.T) {
 	stall := make(chan struct{})
-	s := New(Config{MaxBatch: 1, MaxLinger: time.Millisecond, QueueDepth: 8, Workers: 1, stall: stall})
+	s := New(Config{MaxBatch: 1, QueueDepth: 8, Workers: 1, stall: stall})
 	defer s.Close()
 	s.SetBundle(testBundle(1, 1))
 
@@ -141,7 +141,7 @@ func TestSlowForwardAttribution(t *testing.T) {
 // exposition (parsed by our own tsdb parser, the same code path a scraper
 // would use) and carries the per-stage latency histograms.
 func TestMetricsEndpoint(t *testing.T) {
-	s := New(Config{MaxBatch: 4, MaxLinger: time.Millisecond, QueueDepth: 16, Workers: 1})
+	s := New(Config{MaxBatch: 4, QueueDepth: 16, Workers: 1})
 	defer s.Close()
 	s.SetBundle(testBundle(1, 1))
 	srv := httptest.NewServer(s)
@@ -190,7 +190,7 @@ func TestMetricsEndpoint(t *testing.T) {
 	if got := byKey["env2vec_serve_requests_total/served"]; got != n {
 		t.Fatalf("served counter %v, want %d (have %v)", got, n, byKey)
 	}
-	for _, stage := range []string{"queue_wait", "linger", "forward"} {
+	for _, stage := range []string{"queue_wait", "forward"} {
 		if c := byKey["env2vec_serve_stage_latency_ms_count/"+stage]; c != n {
 			t.Fatalf("stage %s histogram count %v, want %d", stage, c, n)
 		}

@@ -13,7 +13,6 @@ import (
 	"net/http/httptest"
 	"strings"
 	"testing"
-	"time"
 
 	"env2vec/internal/envmeta"
 	"env2vec/internal/nn"
@@ -107,7 +106,7 @@ func TestServerReportsPrecision(t *testing.T) {
 	if err := b.SetPrecision(PrecisionFloat32); err != nil {
 		t.Fatal(err)
 	}
-	s := New(Config{MaxBatch: 4, MaxLinger: time.Millisecond, QueueDepth: 16, Workers: 1})
+	s := New(Config{MaxBatch: 4, QueueDepth: 16, Workers: 1})
 	defer s.Close()
 	s.SetBundle(b)
 	srv := httptest.NewServer(s)

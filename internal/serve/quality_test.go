@@ -257,7 +257,7 @@ func TestQualityEndpointsDisabled(t *testing.T) {
 // TestPendingEviction: the pending map stays bounded, evicting oldest ids.
 func TestPendingEviction(t *testing.T) {
 	s := New(Config{
-		MaxBatch: 4, MaxLinger: time.Millisecond, QueueDepth: 64, Workers: 1,
+		MaxBatch: 4, QueueDepth: 64, Workers: 1,
 		Quality: &quality.Config{}, PendingCap: 4,
 	})
 	defer s.Close()

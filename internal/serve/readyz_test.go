@@ -4,14 +4,13 @@ import (
 	"net/http"
 	"net/http/httptest"
 	"testing"
-	"time"
 )
 
 // Liveness vs readiness: /readyz must gate on "can actually take traffic"
 // (bundle loaded, queue below the shed threshold) while /healthz keeps its
 // pre-split meaning for old health checkers.
 func TestReadyzGatesOnBundle(t *testing.T) {
-	s := New(Config{MaxBatch: 4, MaxLinger: time.Millisecond, QueueDepth: 8, Workers: 1})
+	s := New(Config{MaxBatch: 4, QueueDepth: 8, Workers: 1})
 	t.Cleanup(s.Close)
 
 	get := func(path string) int {
@@ -33,7 +32,7 @@ func TestReadyzGatesOnBundle(t *testing.T) {
 }
 
 func TestReadyDistinguishesOverloadFromNoModel(t *testing.T) {
-	s := New(Config{MaxBatch: 4, MaxLinger: time.Millisecond, QueueDepth: 8, Workers: 1})
+	s := New(Config{MaxBatch: 4, QueueDepth: 8, Workers: 1})
 	t.Cleanup(s.Close)
 
 	if err := s.Ready(); err != ErrNoModel {

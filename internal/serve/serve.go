@@ -26,10 +26,11 @@ import (
 // Config sizes the prediction service.
 type Config struct {
 	// MaxBatch caps how many queued requests one forward pass may combine
-	// (default 32).
+	// (default 32). A free worker takes whatever is queued up to this many,
+	// so passes grow only while every worker is busy.
 	MaxBatch int
-	// MaxLinger bounds how long an under-full batch waits for company
-	// (default 2ms). With MaxBatch 1 no lingering ever happens.
+	// Deprecated: ignored. No request waits for company any more; the
+	// field stays declared because bench/stack.go sets it by name.
 	MaxLinger time.Duration
 	// QueueDepth bounds the admission queue; requests arriving with the
 	// queue full are rejected with 429 (default 256).
@@ -139,13 +140,12 @@ type Response struct {
 
 // Trace is the per-request timing breakdown: where this request's latency
 // went, stage by stage. The same durations feed the per-stage histograms,
-// so an opaque p99 can be attributed to queue wait vs linger vs forward
-// pass in aggregate, and to one request here.
+// so an opaque p99 can be attributed to queue wait vs forward pass in
+// aggregate, and to one request here.
 type Trace struct {
 	RequestID   string  `json:"request_id"`
 	BatchID     uint64  `json:"batch_id"`            // forward pass that served this request
-	QueueWaitMS float64 `json:"queue_wait_ms"`       // admission queue → batcher pickup
-	LingerMS    float64 `json:"linger_ms"`           // batcher pickup → worker starts the batch
+	QueueWaitMS float64 `json:"queue_wait_ms"`       // admission → worker pickup
 	ForwardMS   float64 `json:"forward_ms"`          // batch assembly + shared forward pass
 	EncodeMS    float64 `json:"encode_ms,omitempty"` // response JSON encoding (HTTP path only)
 	TotalMS     float64 `json:"total_ms"`            // admission → response ready
@@ -162,7 +162,6 @@ type item struct {
 	req  *Request
 	id   string    // request id (trace correlation)
 	enq  time.Time // admission into the queue
-	deq  time.Time // pickup by the batcher
 	resp *Response
 	code int
 	err  error
@@ -194,24 +193,20 @@ func (c *calibration) sigma() float64 {
 // passes. Create with New, feed it bundles with SetBundle, and shut down
 // with Close (which drains in-flight work).
 type Server struct {
-	cfg     Config
-	bundle  atomic.Pointer[Bundle]
-	queue   chan *item
-	batches chan []*item
-	mux     *http.ServeMux
-	wg      sync.WaitGroup
-	reg     *obs.Registry
-	log     *slog.Logger
-
-	mu     sync.RWMutex // guards closed against concurrent enqueues
-	closed bool
+	cfg       Config
+	bundle    atomic.Pointer[Bundle]
+	queue     *queue
+	mux       *http.ServeMux
+	wg        sync.WaitGroup
+	closeOnce sync.Once
+	reg       *obs.Registry
+	log       *slog.Logger
 
 	batchSeq                          atomic.Uint64 // forward passes executed; also issues batch ids
 	served, rejected, failed, reloads *obs.Counter
 	batchSizes                        *obs.Histogram
 	latency                           *obs.Histogram // total admission→response
-	stageQueue, stageLinger, stageFwd *obs.Histogram
-	stageEncode                       *obs.Histogram
+	stageQueue, stageFwd, stageEncode *obs.Histogram
 
 	calMu sync.Mutex
 	cal   map[string]*calibration
@@ -237,14 +232,11 @@ type pendingPrediction struct {
 	pred float64
 }
 
-// New starts the batching and worker goroutines and returns a server with
-// no model loaded yet (healthz reports 503 until SetBundle).
+// New starts the worker goroutines and returns a server with no model
+// loaded yet (healthz reports 503 until SetBundle).
 func New(cfg Config) *Server {
 	if cfg.MaxBatch <= 0 {
 		cfg.MaxBatch = 32
-	}
-	if cfg.MaxLinger <= 0 {
-		cfg.MaxLinger = 2 * time.Millisecond
 	}
 	if cfg.QueueDepth <= 0 {
 		cfg.QueueDepth = 256
@@ -273,12 +265,11 @@ func New(cfg Config) *Server {
 		logger = obs.DiscardLogger()
 	}
 	s := &Server{
-		cfg:     cfg,
-		queue:   make(chan *item, cfg.QueueDepth),
-		batches: make(chan []*item),
-		cal:     make(map[string]*calibration),
-		reg:     reg,
-		log:     logger,
+		cfg:   cfg,
+		queue: newQueue(cfg.QueueDepth),
+		cal:   make(map[string]*calibration),
+		reg:   reg,
+		log:   logger,
 	}
 	s.served = reg.Counter("env2vec_serve_requests_total", "Prediction requests by outcome.", obs.Labels{"outcome": "served"})
 	s.rejected = reg.Counter("env2vec_serve_requests_total", "Prediction requests by outcome.", obs.Labels{"outcome": "rejected"})
@@ -289,10 +280,9 @@ func New(cfg Config) *Server {
 	s.latency = reg.Histogram("env2vec_serve_request_latency_ms", "End-to-end latency, admission to response.", obs.DefLatencyBuckets, nil)
 	stageHelp := "Per-stage request latency; stage attributes where time went."
 	s.stageQueue = reg.Histogram("env2vec_serve_stage_latency_ms", stageHelp, obs.DefLatencyBuckets, obs.Labels{"stage": "queue_wait"})
-	s.stageLinger = reg.Histogram("env2vec_serve_stage_latency_ms", stageHelp, obs.DefLatencyBuckets, obs.Labels{"stage": "linger"})
 	s.stageFwd = reg.Histogram("env2vec_serve_stage_latency_ms", stageHelp, obs.DefLatencyBuckets, obs.Labels{"stage": "forward"})
 	s.stageEncode = reg.Histogram("env2vec_serve_stage_latency_ms", stageHelp, obs.DefLatencyBuckets, obs.Labels{"stage": "encode"})
-	reg.GaugeFunc("env2vec_serve_queue_depth", "Requests waiting in the admission queue.", nil, func() float64 { return float64(len(s.queue)) })
+	reg.GaugeFunc("env2vec_serve_queue_depth", "Requests waiting in the admission queue.", nil, func() float64 { return float64(s.queue.len()) })
 	reg.Gauge("env2vec_serve_queue_capacity", "Admission queue bound; overflow is shed with 429.", nil).Set(float64(cfg.QueueDepth))
 	reg.Gauge("env2vec_serve_workers", "Concurrent forward-pass workers.", nil).Set(float64(cfg.Workers))
 	reg.GaugeFunc("env2vec_serve_model_version", "Version of the bundle currently served (0 = none).", nil, func() float64 {
@@ -335,8 +325,7 @@ func New(cfg Config) *Server {
 	if cfg.EnablePprof {
 		obs.RegisterPprof(s.mux)
 	}
-	s.wg.Add(1 + cfg.Workers)
-	go s.batcher()
+	s.wg.Add(cfg.Workers)
 	for i := 0; i < cfg.Workers; i++ {
 		go s.worker()
 	}
@@ -378,18 +367,13 @@ func (s *Server) Traces() *obs.TraceStore { return s.traces }
 // Close stops admission, drains every queued request through the workers,
 // and waits for them to finish. Safe to call once.
 func (s *Server) Close() {
-	s.mu.Lock()
-	if s.closed {
-		s.mu.Unlock()
-		return
-	}
-	s.closed = true
-	s.mu.Unlock()
-	close(s.queue)
-	s.wg.Wait()
-	if s.pusher != nil {
-		s.pusher.Close() // drain queued alarms after the last batch ran
-	}
+	s.closeOnce.Do(func() {
+		s.queue.close()
+		s.wg.Wait()
+		if s.pusher != nil {
+			s.pusher.Close() // drain queued alarms after the last batch ran
+		}
+	})
 }
 
 // Errors distinguishing Do outcomes; the HTTP handler maps them to codes.
@@ -399,10 +383,10 @@ var (
 	ErrClosed     = errors.New("serve: server shutting down")
 )
 
-// submit validates and enqueues one request without waiting for its
-// result. On success the returned item's done channel closes when a worker
+// prepare validates one request against the loaded bundle and wraps it
+// for the queue; on success the item's done channel closes when a worker
 // has served it.
-func (s *Server) submit(req *Request) (*item, int, error) {
+func (s *Server) prepare(req *Request, now time.Time) (*item, int, error) {
 	b := s.bundle.Load()
 	if b == nil {
 		return nil, http.StatusServiceUnavailable, ErrNoModel
@@ -413,31 +397,30 @@ func (s *Server) submit(req *Request) (*item, int, error) {
 	if req.RequestID == "" {
 		req.RequestID = obs.NewRequestID()
 	}
-	it := &item{req: req, id: req.RequestID, enq: time.Now(), done: make(chan struct{})}
-	s.mu.RLock()
-	if s.closed {
-		s.mu.RUnlock()
-		return nil, http.StatusServiceUnavailable, ErrClosed
+	return &item{req: req, id: req.RequestID, enq: now, done: make(chan struct{})}, 0, nil
+}
+
+// refuse maps the reason the queue did not admit an item to its status
+// code, counting and logging a shed.
+func (s *Server) refuse(it *item, why error) int {
+	if errors.Is(why, ErrClosed) {
+		return http.StatusServiceUnavailable
 	}
-	select {
-	case s.queue <- it:
-		s.mu.RUnlock()
-	default:
-		s.mu.RUnlock()
-		s.rejected.Inc()
-		s.log.Debug("request shed: queue full", "request_id", it.id, "queue_capacity", s.cfg.QueueDepth)
-		return nil, http.StatusTooManyRequests, ErrOverloaded
-	}
-	return it, 0, nil
+	s.rejected.Inc()
+	s.log.Debug("request shed: queue full", "request_id", it.id, "queue_capacity", s.cfg.QueueDepth)
+	return http.StatusTooManyRequests
 }
 
 // Do submits one request and blocks until a worker has served it (or it was
 // rejected). It returns the response and an HTTP-shaped status code; this is
 // also the non-HTTP entry point the benchmarks drive.
 func (s *Server) Do(req *Request) (*Response, int, error) {
-	it, code, err := s.submit(req)
+	it, code, err := s.prepare(req, time.Now())
 	if err != nil {
 		return nil, code, err
+	}
+	if n, why := s.queue.push([]*item{it}); n == 0 {
+		return nil, s.refuse(it, why), why
 	}
 	<-it.done
 	return it.resp, it.code, it.err
@@ -451,27 +434,34 @@ type BatchResult struct {
 }
 
 // DoBatch submits many requests in one admission pass and waits for all of
-// them. The requests enter the same bounded queue Do uses — they flow
-// straight into the micro-batcher as individual items, so a wire-protocol
-// batch maps 1:1 onto forward-pass batches with no re-marshal between
-// transport and batching. Each request is admitted (or shed) independently:
-// one oversized or invalid request fails alone, and queue overflow sheds
-// the tail of the batch, not the whole thing.
+// them. The valid ones enter the queue Do uses under a single lock
+// acquisition, so a free worker sees the whole frame at once: a wire batch
+// of at most MaxBatch windows is exactly one forward pass, with no
+// re-marshal between transport and batching. Each request is still admitted
+// (or refused) on its own: an invalid request fails alone, and queue
+// overflow sheds the tail of the batch, not the whole thing.
 func (s *Server) DoBatch(reqs []*Request) []BatchResult {
 	results := make([]BatchResult, len(reqs))
-	items := make([]*item, len(reqs))
+	items := make([]*item, len(reqs)) // nil where validation refused the request
+	now := time.Now()
 	for i, req := range reqs {
-		it, code, err := s.submit(req)
+		it, code, err := s.prepare(req, now)
 		if err != nil {
 			results[i] = BatchResult{Code: code, Err: err}
 			continue
 		}
 		items[i] = it
 	}
+	admitted, why := s.queue.push(items)
 	for i, it := range items {
 		if it == nil {
 			continue
 		}
+		if admitted == 0 {
+			results[i] = BatchResult{Code: s.refuse(it, why), Err: why}
+			continue
+		}
+		admitted--
 		<-it.done
 		results[i] = BatchResult{Resp: it.resp, Code: it.code, Err: it.err}
 	}
@@ -489,48 +479,61 @@ func validate(req *Request, b *Bundle) error {
 	return nil
 }
 
-// batcher assembles queued items into batches: a batch closes when it
-// reaches MaxBatch or when MaxLinger elapses after its first item.
-func (s *Server) batcher() {
-	defer s.wg.Done()
-	defer close(s.batches)
-	for {
-		first, ok := <-s.queue
-		if !ok {
-			return
+// scratch is everything one forward pass needs besides the requests. Each
+// worker owns one, sized to MaxBatch once, so what a pass allocates depends
+// on how many requests it answers and not on how they were grouped.
+type scratch struct {
+	items, valid []*item
+	batch        nn.Batch
+	preds        []float64
+}
+
+func newScratch(maxBatch int) *scratch {
+	w := &scratch{
+		items: make([]*item, 0, maxBatch),
+		valid: make([]*item, 0, maxBatch),
+		preds: make([]float64, maxBatch),
+	}
+	w.batch.EnvIDs = make([][]int, envmeta.NumFeatures)
+	for k := range w.batch.EnvIDs {
+		w.batch.EnvIDs[k] = make([]int, maxBatch)
+	}
+	return w
+}
+
+// shape sizes the pass's batch to n rows of the model's input widths,
+// on storage allocated once unless a reload changed a width.
+func (w *scratch) shape(n, in, window int) {
+	rows := func(m *tensor.Matrix, cols int) *tensor.Matrix {
+		if m == nil || m.Cols != cols {
+			m = tensor.New(len(w.preds), cols)
 		}
-		first.deq = time.Now()
-		batch := []*item{first}
-		timer := time.NewTimer(s.cfg.MaxLinger)
-	collect:
-		for len(batch) < s.cfg.MaxBatch {
-			select {
-			case it, ok := <-s.queue:
-				if !ok {
-					break collect // drained; flush what we have, exit next loop
-				}
-				it.deq = time.Now()
-				batch = append(batch, it)
-			case <-timer.C:
-				break collect
-			}
-		}
-		timer.Stop()
-		s.batches <- batch
+		m.Rows, m.Data = n, m.Data[:n*cols]
+		return m
+	}
+	w.batch.X, w.batch.Window = rows(w.batch.X, in), rows(w.batch.Window, window)
+	for k := range w.batch.EnvIDs {
+		w.batch.EnvIDs[k] = w.batch.EnvIDs[k][:n]
 	}
 }
 
 func (s *Server) worker() {
 	defer s.wg.Done()
-	for batch := range s.batches {
-		s.runBatch(batch)
+	w := newScratch(s.cfg.MaxBatch)
+	for {
+		items := s.queue.pull(w.items)
+		if items == nil {
+			return
+		}
+		s.runBatch(w, items)
 	}
 }
 
-// runBatch executes one shared forward pass for a batch of requests. The
-// forward span opens here: everything from worker pickup through the shared
-// Predict call is attributed to the forward stage.
-func (s *Server) runBatch(items []*item) {
+// runBatch executes one shared forward pass for the requests a worker just
+// pulled. Queue wait ends and the forward span opens here: everything from
+// worker pickup through the shared Predict call is attributed to the
+// forward stage.
+func (s *Server) runBatch(w *scratch, items []*item) {
 	start := time.Now()
 	finish := func(it *item, resp *Response, code int, err error) {
 		it.resp, it.code, it.err = resp, code, err
@@ -571,7 +574,7 @@ func (s *Server) runBatch(items []*item) {
 	}
 	// Revalidate against the loaded bundle: a hot reload between admission
 	// and execution could (in principle) change the model's shape.
-	valid := items[:0:0]
+	valid := w.valid[:0]
 	for _, it := range items {
 		if err := validate(it.req, b); err != nil {
 			finish(it, nil, http.StatusBadRequest, err)
@@ -585,14 +588,8 @@ func (s *Server) runBatch(items []*item) {
 
 	cfg := b.Model.Config()
 	n := len(valid)
-	batch := &nn.Batch{
-		X:      tensor.New(n, cfg.In),
-		Window: tensor.New(n, cfg.Window),
-		EnvIDs: make([][]int, envmeta.NumFeatures),
-	}
-	for k := range batch.EnvIDs {
-		batch.EnvIDs[k] = make([]int, n)
-	}
+	w.shape(n, cfg.In, cfg.Window)
+	batch := &w.batch
 	for i, it := range valid {
 		copy(batch.X.Row(i), it.req.CF)
 		copy(batch.Window.Row(i), it.req.Window)
@@ -604,7 +601,7 @@ func (s *Server) runBatch(items []*item) {
 			batch.EnvIDs[k][i] = ids[k]
 		}
 	}
-	preds := make([]float64, n)
+	preds := w.preds[:n]
 	b.PredictInto(preds, batch)
 
 	batchID := s.batchSeq.Add(1)
@@ -612,9 +609,8 @@ func (s *Server) runBatch(items []*item) {
 	fwdEnd := time.Now()
 	fwdMS := obs.MS(fwdEnd.Sub(start))
 	for i, it := range valid {
-		queueMS, lingerMS := obs.MS(it.deq.Sub(it.enq)), obs.MS(start.Sub(it.deq))
+		queueMS := obs.MS(start.Sub(it.enq))
 		s.stageQueue.ObserveExemplar(queueMS, it.id)
-		s.stageLinger.ObserveExemplar(lingerMS, it.id)
 		s.stageFwd.ObserveExemplar(fwdMS, it.id)
 		// The same stage timings, recast as a span tree: the root parents
 		// onto the caller's span when the request carried a traceparent
@@ -633,12 +629,10 @@ func (s *Server) runBatch(items []*item) {
 				RequestID:   it.id,
 				BatchID:     batchID,
 				QueueWaitMS: queueMS,
-				LingerMS:    lingerMS,
 				ForwardMS:   fwdMS,
 				Spans: []obs.Span{
 					root,
-					obs.NewSpan(it.id, root.SpanID, "serve.queue_wait", it.enq, it.deq),
-					obs.NewSpan(it.id, root.SpanID, "serve.linger", it.deq, start),
+					obs.NewSpan(it.id, root.SpanID, "serve.queue_wait", it.enq, start),
 					fwd,
 				},
 			},
@@ -893,7 +887,7 @@ func (s *Server) Ready() error {
 	if s.bundle.Load() == nil {
 		return ErrNoModel
 	}
-	if len(s.queue) >= s.cfg.QueueDepth {
+	if s.queue.len() >= s.cfg.QueueDepth {
 		return ErrOverloaded
 	}
 	return nil

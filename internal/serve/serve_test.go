@@ -7,6 +7,7 @@ import (
 	"math/rand"
 	"net/http"
 	"net/http/httptest"
+	"runtime"
 	"sync"
 	"testing"
 	"time"
@@ -114,13 +115,62 @@ func TestBundleSnapshotRoundTrip(t *testing.T) {
 	}
 }
 
+// enqueue admits reqs the way DoBatch does but returns without waiting for
+// the answers, so a test can build a backlog behind a stalled worker from
+// its own goroutine, in a known order.
+func enqueue(t *testing.T, s *Server, reqs ...*Request) []*item {
+	t.Helper()
+	items := make([]*item, len(reqs))
+	for i, req := range reqs {
+		it, code, err := s.prepare(req, time.Now())
+		if err != nil {
+			t.Fatalf("prepare request %d: %d %v", i, code, err)
+		}
+		items[i] = it
+	}
+	if n, err := s.queue.push(items); n != len(items) {
+		t.Fatalf("admitted %d of %d: %v", n, len(items), err)
+	}
+	return items
+}
+
+// holdWorker parks the single worker of a server built with the stall hook:
+// it admits one request and returns once the worker has pulled it, which
+// is where the hook blocks the pass.
+func holdWorker(t *testing.T, s *Server, req *Request) *item {
+	t.Helper()
+	held := enqueue(t, s, req)[0]
+	for deadline := time.Now().Add(30 * time.Second); s.queue.len() > 0; {
+		if time.Now().After(deadline) {
+			t.Fatal("worker never picked the held request up")
+		}
+		runtime.Gosched()
+	}
+	return held
+}
+
+// await blocks until a worker has answered it.
+func await(t *testing.T, it *item) *Response {
+	t.Helper()
+	select {
+	case <-it.done:
+	case <-time.After(30 * time.Second):
+		t.Fatal("request never answered")
+	}
+	if it.err != nil || it.code != http.StatusOK {
+		t.Fatalf("request failed: %d %v", it.code, it.err)
+	}
+	return it.resp
+}
+
 func TestServeMatchesDirectPredictAndBatches(t *testing.T) {
 	b := testBundle(1, 1)
-	s := New(Config{MaxBatch: 16, MaxLinger: 20 * time.Millisecond, QueueDepth: 256, Workers: 2})
+	const maxBatch, n = 16, 3*16 + 5
+	stall := make(chan struct{})
+	s := New(Config{MaxBatch: maxBatch, QueueDepth: 256, Workers: 1, stall: stall})
 	defer s.Close()
 	s.SetBundle(b)
 
-	const n = 64
 	rng := rand.New(rand.NewSource(9))
 	reqs := make([]*Request, n)
 	want := make([]float64, n)
@@ -128,39 +178,39 @@ func TestServeMatchesDirectPredictAndBatches(t *testing.T) {
 		reqs[i] = randomRequest(rng)
 		want[i] = directPredict(b, reqs[i])
 	}
-	var wg sync.WaitGroup
-	errs := make(chan error, n)
-	for i := range reqs {
-		wg.Add(1)
-		go func(i int) {
-			defer wg.Done()
-			resp, code, err := s.Do(reqs[i])
-			if err != nil || code != http.StatusOK {
-				errs <- err
-				return
-			}
-			if math.Abs(resp.Prediction-want[i]) > 1e-9 {
-				t.Errorf("request %d: got %v want %v", i, resp.Prediction, want[i])
-			}
-			if resp.ModelVersion != 1 || resp.Model != "test" {
-				t.Errorf("request %d: wrong model identity %s/v%d", i, resp.Model, resp.ModelVersion)
-			}
-		}(i)
+	// The backlog that builds while the only worker is busy is what a pass
+	// combines: n requests behind one held pass make ⌈n/MaxBatch⌉ more.
+	held := holdWorker(t, s, randomRequest(rng))
+	items := enqueue(t, s, reqs...)
+	close(stall)
+	if resp := await(t, held); resp.BatchSize != 1 {
+		t.Fatalf("held request served in a pass of %d, want 1", resp.BatchSize)
 	}
-	wg.Wait()
-	close(errs)
-	for err := range errs {
-		t.Fatalf("request failed: %v", err)
+	for i, it := range items {
+		resp := await(t, it)
+		if math.Abs(resp.Prediction-want[i]) > 1e-9 {
+			t.Errorf("request %d: got %v want %v", i, resp.Prediction, want[i])
+		}
+		if resp.ModelVersion != 1 || resp.Model != "test" {
+			t.Errorf("request %d: wrong model identity %s/v%d", i, resp.Model, resp.ModelVersion)
+		}
+		wantSize := maxBatch
+		if i >= n-n%maxBatch {
+			wantSize = n % maxBatch
+		}
+		if resp.BatchSize != wantSize {
+			t.Errorf("request %d: served in a pass of %d, want %d", i, resp.BatchSize, wantSize)
+		}
 	}
 	st := s.Stats()
-	if st.Served != n {
-		t.Fatalf("served %d, want %d", st.Served, n)
+	if st.Served != n+1 {
+		t.Fatalf("served %d, want %d", st.Served, n+1)
 	}
-	if st.MaxBatchObserved < 2 {
-		t.Fatalf("micro-batching never combined requests (max batch %d over %d batches)", st.MaxBatchObserved, st.Batches)
+	if wantPasses := uint64(1 + (n+maxBatch-1)/maxBatch); st.Batches != wantPasses {
+		t.Fatalf("%d forward passes for %d requests behind a held one, want %d", st.Batches, n, wantPasses)
 	}
-	if st.Batches >= n {
-		t.Fatalf("every request got its own forward pass (%d batches for %d requests)", st.Batches, n)
+	if st.MaxBatchObserved != maxBatch {
+		t.Fatalf("largest pass %d, want %d", st.MaxBatchObserved, maxBatch)
 	}
 }
 
@@ -169,7 +219,7 @@ func TestBackpressureRejectsInsteadOfHanging(t *testing.T) {
 	// genuinely fill: admitted requests block, everyone else must be
 	// rejected immediately rather than queued unboundedly.
 	stall := make(chan struct{})
-	s := New(Config{MaxBatch: 1, MaxLinger: time.Millisecond, QueueDepth: 4, Workers: 1, stall: stall})
+	s := New(Config{MaxBatch: 1, QueueDepth: 4, Workers: 1, stall: stall})
 	defer s.Close()
 	s.SetBundle(testBundle(1, 1))
 
@@ -230,7 +280,7 @@ func TestBackpressureRejectsInsteadOfHanging(t *testing.T) {
 
 func TestHotReloadSwapsVersions(t *testing.T) {
 	b1, b2 := testBundle(1, 1), testBundle(2, 2)
-	s := New(Config{MaxBatch: 4, MaxLinger: time.Millisecond, QueueDepth: 64, Workers: 2})
+	s := New(Config{MaxBatch: 4, QueueDepth: 64, Workers: 2})
 	defer s.Close()
 	s.SetBundle(b1)
 
@@ -292,7 +342,7 @@ func TestHotReloadSwapsVersions(t *testing.T) {
 }
 
 func TestRequestValidationAndLifecycle(t *testing.T) {
-	s := New(Config{MaxBatch: 2, MaxLinger: time.Millisecond, QueueDepth: 8, Workers: 1})
+	s := New(Config{MaxBatch: 2, QueueDepth: 8, Workers: 1})
 	// No model yet.
 	if _, code, err := s.Do(&Request{}); code != http.StatusServiceUnavailable || err != ErrNoModel {
 		t.Fatalf("expected 503/no-model, got %d %v", code, err)
@@ -377,7 +427,7 @@ func TestInlineAnomalyVerdicts(t *testing.T) {
 }
 
 func TestHTTPSurface(t *testing.T) {
-	s := New(Config{MaxBatch: 4, MaxLinger: time.Millisecond, QueueDepth: 16, Workers: 1})
+	s := New(Config{MaxBatch: 4, QueueDepth: 16, Workers: 1})
 	defer s.Close()
 	srv := httptest.NewServer(s)
 	defer srv.Close()

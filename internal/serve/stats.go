@@ -2,7 +2,6 @@ package serve
 
 import (
 	"strconv"
-	"time"
 
 	"env2vec/internal/obs"
 )
@@ -25,12 +24,11 @@ type Stats struct {
 	ModelWindow int `json:"model_window"`
 	// Precision is the numeric path the active bundle serves on ("float64"
 	// or "float32"); empty until a bundle is loaded.
-	Precision     string  `json:"precision,omitempty"`
-	Workers       int     `json:"workers"`
-	MaxBatch      int     `json:"max_batch"`
-	MaxLingerMS   float64 `json:"max_linger_ms"`
-	QueueDepth    int     `json:"queue_depth"`
-	QueueCapacity int     `json:"queue_capacity"`
+	Precision     string `json:"precision,omitempty"`
+	Workers       int    `json:"workers"`
+	MaxBatch      int    `json:"max_batch"`
+	QueueDepth    int    `json:"queue_depth"`
+	QueueCapacity int    `json:"queue_capacity"`
 
 	Served   uint64 `json:"requests_served"`
 	Rejected uint64 `json:"requests_rejected"` // 429s from the bounded queue
@@ -44,10 +42,9 @@ type Stats struct {
 	P99LatencyMS     float64           `json:"p99_latency_ms"`
 
 	// Per-stage p99s attribute the tail: a slow P99LatencyMS decomposes
-	// into time spent queued, lingering for batch-mates, or in the forward
-	// pass itself.
+	// into time spent queued behind busy workers or in the forward pass
+	// itself.
 	QueueWaitP99MS float64 `json:"queue_wait_p99_ms"`
-	LingerP99MS    float64 `json:"linger_p99_ms"`
 	ForwardP99MS   float64 `json:"forward_p99_ms"`
 
 	// LatencyExemplars link each end-to-end latency bucket to the request id
@@ -61,8 +58,7 @@ func (s *Server) Stats() Stats {
 	st := Stats{
 		Workers:        s.cfg.Workers,
 		MaxBatch:       s.cfg.MaxBatch,
-		MaxLingerMS:    float64(s.cfg.MaxLinger) / float64(time.Millisecond),
-		QueueDepth:     len(s.queue),
+		QueueDepth:     s.queue.len(),
 		QueueCapacity:  s.cfg.QueueDepth,
 		Served:         s.served.Value(),
 		Rejected:       s.rejected.Value(),
@@ -97,7 +93,6 @@ func (s *Server) Stats() Stats {
 	qs := s.latency.Quantiles(0.50, 0.99)
 	st.P50LatencyMS, st.P99LatencyMS = qs[0], qs[1]
 	st.QueueWaitP99MS = s.stageQueue.Quantile(0.99)
-	st.LingerP99MS = s.stageLinger.Quantile(0.99)
 	st.ForwardP99MS = s.stageFwd.Quantile(0.99)
 	st.LatencyExemplars = s.latency.Exemplars()
 	return st

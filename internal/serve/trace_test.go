@@ -26,10 +26,10 @@ func traceTestServer(t *testing.T, cfg Config) (*Server, *httptest.Server) {
 // TestPredictSpansParentOntoTraceparent is the serve-side half of the
 // cross-process story: a request arriving with a traceparent header must
 // come back with a span tree whose root parents onto the caller's span,
-// with the four stage timings recast as children — and the same tree must
+// with the three stage timings recast as children — and the same tree must
 // be retrievable from GET /traces/{id}.
 func TestPredictSpansParentOntoTraceparent(t *testing.T) {
-	s, srv := traceTestServer(t, Config{MaxBatch: 4, MaxLinger: time.Millisecond, QueueDepth: 16, Workers: 1})
+	s, srv := traceTestServer(t, Config{MaxBatch: 4, QueueDepth: 16, Workers: 1})
 	s.SetBundle(testBundle(1, 1))
 
 	const reqID, callerSpan = "feedcafe00000001", "aabbccdd00000001"
@@ -72,7 +72,7 @@ func TestPredictSpansParentOntoTraceparent(t *testing.T) {
 	if root.ParentID != callerSpan {
 		t.Fatalf("root parent = %q, want the caller's span %q", root.ParentID, callerSpan)
 	}
-	for _, stage := range []string{"serve.queue_wait", "serve.linger", "serve.forward", "serve.encode"} {
+	for _, stage := range []string{"serve.queue_wait", "serve.forward", "serve.encode"} {
 		sp, ok := byName[stage]
 		if !ok {
 			t.Fatalf("missing stage span %s in %v", stage, spans)
@@ -109,7 +109,7 @@ func TestPredictSpansParentOntoTraceparent(t *testing.T) {
 // trace in the store — the tail the sampler must never drop.
 func TestShedRequestTraceRetained(t *testing.T) {
 	stall := make(chan struct{})
-	s, srv := traceTestServer(t, Config{MaxBatch: 1, MaxLinger: time.Millisecond, QueueDepth: 1, Workers: 1, stall: stall})
+	s, srv := traceTestServer(t, Config{MaxBatch: 1, QueueDepth: 1, Workers: 1, stall: stall})
 	defer close(stall)
 	s.SetBundle(testBundle(1, 1))
 

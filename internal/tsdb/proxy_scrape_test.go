@@ -28,7 +28,7 @@ func newScrapeBackend(t *testing.T, seed int64) *httptest.Server {
 	schema := envmeta.NewSchema()
 	schema.Observe(envmeta.Environment{Testbed: "tb1", SUT: "fw", Testcase: "load", Build: "B1"})
 	schema.Freeze()
-	s := serve.New(serve.Config{MaxBatch: 8, MaxLinger: time.Millisecond, QueueDepth: 64, Workers: 1, Quality: &quality.Config{}})
+	s := serve.New(serve.Config{MaxBatch: 8, QueueDepth: 64, Workers: 1, Quality: &quality.Config{}})
 	t.Cleanup(s.Close)
 	s.SetBundle(&serve.Bundle{
 		Name: "test", Version: 1,

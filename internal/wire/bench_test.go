@@ -112,7 +112,7 @@ func benchServe(b *testing.B, in, window int) *serve.Server {
 		Schema: schema,
 		YScale: dataset.YScaler{Mu: 50, Sigma: 10},
 	}
-	s := serve.New(serve.Config{MaxBatch: 16, MaxLinger: 50 * time.Microsecond, QueueDepth: 1024, Workers: 2})
+	s := serve.New(serve.Config{MaxBatch: 16, QueueDepth: 1024, Workers: 2})
 	b.Cleanup(s.Close)
 	s.SetBundle(bundle)
 	return s

@@ -37,7 +37,7 @@ func newTestServe(t *testing.T, seed int64) *serve.Server {
 		Schema: schema,
 		YScale: dataset.YScaler{Mu: 50, Sigma: 10},
 	}
-	s := serve.New(serve.Config{MaxBatch: 8, MaxLinger: time.Millisecond, QueueDepth: 256, Workers: 2})
+	s := serve.New(serve.Config{MaxBatch: 8, QueueDepth: 256, Workers: 2})
 	t.Cleanup(s.Close)
 	s.SetBundle(b)
 	return s
