@@ -68,12 +68,21 @@ go test -race -run 'LongPoll' ./internal/modelserver/
 # tolerances), then fuzz the parity contract briefly.
 go test -race ./internal/infer/ ./internal/core/
 go test -run FuzzPredictParity -fuzz FuzzPredictParity -fuzztime 10s ./internal/core/
+# The float32 kernels: GEMM tiles and the logistic (tensor.SigmoidAdd32),
+# assembly against its scalar twin and both against float64; then the same
+# scalar code as the only path, built for 386 (runs natively on an amd64
+# box), so the !amd64 side of the CPUID selection is executed and not just
+# compiled. arm64 is vetted, which type-checks its build of both packages.
+go test -run 'TestBlocked|TestPair|TestF32|TestMatMul|TestSigmoid' ./internal/tensor/
+GOARCH=386 go test -run 'TestSigmoid|TestF32|TestBlocked|TestPair|TestCrossPrecisionParity|TestInfer' \
+    ./internal/tensor/ ./internal/infer/ ./internal/core/
+GOARCH=arm64 go vet ./internal/tensor/ ./internal/infer/
 # Commit machine-readable inference numbers (ns/op and allocs/op; fused vs
 # tape vs float32) AND gate them against the committed baseline: benchjson
 # -compare exits nonzero if any shared benchmark is >10% slower than
 # docs/outputs/BENCH_infer.json or grew its allocs/op, so a perf regression
 # fails reproduce.sh before the baseline is overwritten.
-go test -run '^$' -bench 'Forward(Tape|Infer)' -benchmem -count 1 ./internal/infer/ \
+go test -run '^$' -bench 'Forward(Tape|Infer)|SigmoidAdd32' -benchmem -count 1 ./internal/infer/ ./internal/tensor/ \
     | tee docs/outputs/bench_infer.txt \
     | go run ./cmd/benchjson -compare docs/outputs/BENCH_infer.json -max-regress 10 \
     > docs/outputs/BENCH_infer.json.new

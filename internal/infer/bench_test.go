@@ -74,10 +74,12 @@ func TestInferAllocations(t *testing.T) {
 }
 
 // TestInfer32Allocations holds the float32 path to the float64 path's
-// allocation guarantees: Predict allocates exactly the returned slice (1
-// alloc steady-state, with slack for GC stealing pooled arenas) and
-// PredictInto allocates nothing. The input conversion to float32 must come
-// from the arena, not the heap.
+// allocation guarantees at the pass sizes serving runs — a stream's lone
+// window, a backlog of 8, a full wire frame of 32: Predict allocates exactly
+// the returned slice (1 alloc steady-state, with slack for GC stealing
+// pooled arenas) and PredictInto allocates nothing. The input conversion to
+// float32 and every packed operand must come from the arena or from
+// NewPredictor32, not the heap.
 func TestInfer32Allocations(t *testing.T) {
 	if raceEnabled {
 		t.Skip("race-detector instrumentation allocates; gate runs in the non-race pass")
@@ -85,15 +87,17 @@ func TestInfer32Allocations(t *testing.T) {
 	m, schema := benchModel(20)
 	p32 := m.NewPredictor32()
 	rng := rand.New(rand.NewSource(2))
-	b := benchBatch(rng, schema, 8, 8, 20)
-	out := make([]float64, 8)
-	p32.PredictInto(out, b) // warm the arena pool
+	for _, n := range []int{1, 8, 32} {
+		b := benchBatch(rng, schema, n, 8, 20)
+		out := make([]float64, n)
+		p32.PredictInto(out, b) // warm the arena pool
 
-	if a := testing.AllocsPerRun(100, func() { p32.Predict(b) }); a > 1.5 {
-		t.Fatalf("float32 Predict allocates %.1f/op; want ≤1 (the result slice)", a)
-	}
-	if a := testing.AllocsPerRun(100, func() { p32.PredictInto(out, b) }); a > 0.5 {
-		t.Fatalf("float32 PredictInto allocates %.1f/op; want 0", a)
+		if a := testing.AllocsPerRun(100, func() { p32.Predict(b) }); a > 1.5 {
+			t.Fatalf("B%d: float32 Predict allocates %.1f/op; want ≤1 (the result slice)", n, a)
+		}
+		if a := testing.AllocsPerRun(100, func() { p32.PredictInto(out, b) }); a > 0.5 {
+			t.Fatalf("B%d: float32 PredictInto allocates %.1f/op; want 0", n, a)
+		}
 	}
 }
 
@@ -142,6 +146,10 @@ func benchForward32(b *testing.B, batch, window int) {
 // weights, AVX2+FMA tiles on amd64. The committed BENCH_infer.json numbers
 // for these are the ones the ≥2×-vs-float64 claim in docs/performance.md
 // rests on.
+func BenchmarkForwardInfer32_B1W20(b *testing.B) {
+	benchForward32(b, 1, 20)
+}
+
 func BenchmarkForwardInfer32_B8W20(b *testing.B) {
 	benchForward32(b, 8, 20)
 }

@@ -8,14 +8,18 @@
 // time. That is exactly the serving contract: bundles are immutable after
 // load, so the conversion cost is paid once per model version and the hot
 // loop touches half the memory the float64 path does. On amd64 the float32
-// GEMMs additionally dispatch to 8-lane AVX2+FMA tiles (internal/tensor),
-// which is where the ≥2× serving speedup comes from.
+// GEMMs and the logistic additionally dispatch to 8-lane AVX2+FMA kernels
+// (internal/tensor).
 //
-// Numerics: weights and arithmetic are float32, but the transcendentals
-// (sigmoid's exp, tanh, attention's softmax) evaluate in float64 and round
-// once, so each is accurate to one float32 ulp. End to end the path agrees
-// with the float64 tape reference to ~1e-6 relative in practice; the parity
-// battery in internal/core asserts a conservative 1e-4 — see
+// Numerics: weights and arithmetic are float32, and so is the logistic: the
+// GRU gates and the sigmoid dense layers go through tensor.SigmoidAdd32, a
+// float32 polynomial within 2 ulp of the float64 logistic that takes the
+// bias (or the input-side pre-activation) as its addend. A window is ~1 300
+// gate sigmoids per row, so that kernel, not the GEMMs, decides what this
+// path costs. tanh and the attention softmax evaluate in float64 and round
+// once; no default model puts them on the hot path. End to end the path
+// agrees with the float64 tape reference to ~1e-6 relative in practice; the
+// parity battery in internal/core asserts a conservative 1e-4 — see
 // docs/performance.md for the error budget.
 package infer
 
@@ -51,12 +55,9 @@ type Predictor32 struct {
 	dense dense32
 
 	gruH    int
-	fw      *tensor.Matrix32 // In×3H packed [Wz|Wr|Wh]
+	fw      *tensor.Matrix32 // 2×3H: packed [Wz|Wr|Wh] over packed [bz|br|bh]
 	uzr     *tensor.Matrix32 // H×2H packed [Uz|Ur] — the fused recurrent block
 	uh      *tensor.Matrix32
-	bz      []float32
-	br      []float32
-	bh      []float32
 	candAct nn.Activation
 
 	tables   []*tensor.Matrix32
@@ -87,18 +88,15 @@ func NewPredictor32(net Network) *Predictor32 {
 		dense:   newDense32(net.Dense),
 		gruH:    H,
 		uh:      g.Uh.Value32(),
-		bz:      g.Bz.Value32().Data,
-		br:      g.Br.Value32().Data,
-		bh:      g.Bh.Value32().Data,
 		candAct: g.CandidateAct,
 	}
-	p.fw = tensor.New32(g.In, 3*H)
-	wz, wr, wh := g.Wz.Value32(), g.Wr.Value32(), g.Wh.Value32()
-	for i := 0; i < g.In; i++ {
-		row := p.fw.Row(i)
-		copy(row[:H], wz.Row(i))
-		copy(row[H:2*H], wr.Row(i))
-		copy(row[2*H:], wh.Row(i))
+	// The GRU input is a scalar (validateNetwork), so the input-side product
+	// for all three gates is x·fw[0]; fw[1] holds the biases and meets a
+	// constant 1 beside x, which makes the input GEMM add them for free.
+	p.fw = tensor.New32(2, 3*H)
+	for k, part := range [][2]*nn.Param{{g.Wz, g.Bz}, {g.Wr, g.Br}, {g.Wh, g.Bh}} {
+		copy(p.fw.Row(0)[k*H:], part[0].Value32().Data)
+		copy(p.fw.Row(1)[k*H:], part[1].Value32().Data)
 	}
 	p.uzr = tensor.New32(H, 2*H)
 	uz, ur := g.Uz.Value32(), g.Ur.Value32()
@@ -160,10 +158,10 @@ func (p *Predictor32) PredictInto(out []float64, b *nn.Batch) {
 
 	var vts *tensor.Matrix32
 	if p.attnW != nil {
-		_, states := p.gruWindow32(a, a.from64(b.Window), true)
+		_, states := p.gruWindow32(a, b.Window, true)
 		vts = p.attentionMix32(a, states)
 	} else {
-		vts, _ = p.gruWindow32(a, a.from64(b.Window), false)
+		vts, _ = p.gruWindow32(a, b.Window, false)
 	}
 
 	vs := concatCols32(a, vts, vfs)
@@ -186,54 +184,45 @@ func (p *Predictor32) PredictInto(out []float64, b *nn.Batch) {
 	}
 }
 
-// gruWindow32 mirrors Predictor.gruWindow in float32. The recurrent z/r
-// products use the pre-packed [Uz|Ur] block, so each step runs exactly two
-// GEMMs: h·uzr and (r⊙h)·Uh.
-func (p *Predictor32) gruWindow32(a *arena32, w *tensor.Matrix32, all bool) (*tensor.Matrix32, []*tensor.Matrix32) {
+// gruWindow32 mirrors Predictor.gruWindow in float32. The input-side
+// products, biases included, are one GEMM for the whole window; a step is
+// then two GEMMs — h·[Uz|Ur] and (r⊙h)·Uh — and one logistic call
+// per row that turns the 2H-wide [z|r] pre-activations into gates in place.
+func (p *Predictor32) gruWindow32(a *arena32, w *tensor.Matrix, all bool) (*tensor.Matrix32, []*tensor.Matrix32) {
 	n, T, H := w.Rows, w.Cols, p.gruH
 	if T == 0 {
 		panic("infer: window has no timesteps")
 	}
-	xall := a.header()
-	xall.Rows, xall.Cols, xall.Data = n*T, 1, w.Data
+	xall := a.mat(n*T, 2)
+	for i, v := range w.Data {
+		xall.Data[2*i], xall.Data[2*i+1] = float32(v), 1
+	}
 	pre := a.mat(n*T, 3*H)
 	tensor.MatMulBlockedInto32(pre, xall, p.fw)
 
 	h := a.mat(n, H)
 	h.Zero()
-	ru := a.mat(n, H)
-	ru2 := a.mat(n, 2*H)
-	z := a.mat(n, H)
-	r := a.mat(n, H)
+	zr := a.mat(n, 2*H)
 	rh := a.mat(n, H)
 	hc := a.mat(n, H)
 
 	for t := 0; t < T; t++ {
-		tensor.MatMulBlockedInto32(ru2, h, p.uzr)
-		stride := pre.Cols
+		tensor.MatMulBlockedInto32(zr, h, p.uzr)
 		for i := 0; i < n; i++ {
-			prow := pre.Data[(i*T+t)*stride : (i*T+t)*stride+3*H]
-			rrow := ru2.Row(i)
-			zrow, rr := z.Row(i), r.Row(i)
-			for j := 0; j < H; j++ {
-				zrow[j] = sigmoid32(prow[j] + rrow[j] + p.bz[j])
-			}
-			for j := 0; j < H; j++ {
-				rr[j] = sigmoid32(prow[H+j] + rrow[H+j] + p.br[j])
+			gates := zr.Row(i)
+			tensor.SigmoidAdd32(gates, gates, pre.Row(i*T + t)[:2*H])
+			r, hrow, out := gates[H:][:H], h.Row(i)[:H], rh.Row(i)[:H]
+			for j, v := range r {
+				out[j] = v * hrow[j]
 			}
 		}
-		tensor.MulInto32(rh, r, h)
-		tensor.MatMulBlockedInto32(ru, rh, p.uh)
+		tensor.MatMulBlockedInto32(hc, rh, p.uh)
 		for i := 0; i < n; i++ {
-			prow := pre.Data[(i*T+t)*stride+2*H : (i*T+t)*stride+3*H]
-			hrow, rrow := hc.Row(i), ru.Row(i)
-			for j := 0; j < H; j++ {
-				hrow[j] = prow[j] + rrow[j] + p.bh[j]
+			z, hrow, crow := zr.Row(i)[:H], h.Row(i)[:H], hc.Row(i)[:H]
+			addAct32(crow, pre.Row(i*T + t)[2*H:], p.candAct)
+			for j, zj := range z {
+				hrow[j] = (1-zj)*crow[j] + zj*hrow[j]
 			}
-		}
-		applyAct32(hc, p.candAct)
-		for i := range h.Data {
-			h.Data[i] = (1-z.Data[i])*hc.Data[i] + z.Data[i]*h.Data[i]
 		}
 		if all {
 			st := a.mat(n, H)
@@ -305,12 +294,8 @@ func denseForward32(a *arena32, d dense32, x *tensor.Matrix32) *tensor.Matrix32 
 	out := a.mat(x.Rows, d.w.Cols)
 	tensor.MatMulBlockedInto32(out, x, d.w)
 	for i := 0; i < out.Rows; i++ {
-		row := out.Row(i)
-		for j := range row {
-			row[j] += d.b[j]
-		}
+		addAct32(out.Row(i), d.b, d.act)
 	}
-	applyAct32(out, d.act)
 	return out
 }
 
@@ -336,26 +321,27 @@ func rowDots32(out []float64, a, b *tensor.Matrix32) {
 	}
 }
 
-// sigmoid32 evaluates the logistic in float64 and rounds once, so it is
-// accurate to one float32 ulp while the surrounding arithmetic stays f32.
-func sigmoid32(x float32) float32 { return float32(1 / (1 + math.Exp(-float64(x)))) }
-
-func applyAct32(m *tensor.Matrix32, act nn.Activation) {
+// addAct32 computes row = act(row + addend) — a dense layer's bias, or the
+// input-side half of the GRU candidate. The logistic does both in one
+// float32 kernel; tanh evaluates in float64 and rounds once.
+func addAct32(row, addend []float32, act nn.Activation) {
+	if act == nn.Sigmoid {
+		tensor.SigmoidAdd32(row, row, addend)
+		return
+	}
+	addend = addend[:len(row)]
 	switch act {
 	case nn.Linear:
-	case nn.Sigmoid:
-		for i, v := range m.Data {
-			m.Data[i] = sigmoid32(v)
+		for j, v := range addend {
+			row[j] += v
 		}
 	case nn.Tanh:
-		for i, v := range m.Data {
-			m.Data[i] = float32(math.Tanh(float64(v)))
+		for j, v := range addend {
+			row[j] = float32(math.Tanh(float64(row[j] + v)))
 		}
 	case nn.ReLU:
-		for i, v := range m.Data {
-			if v < 0 {
-				m.Data[i] = 0
-			}
+		for j, v := range addend {
+			row[j] = max(row[j]+v, 0)
 		}
 	default:
 		panic(fmt.Sprintf("infer: unknown activation %d", int(act)))

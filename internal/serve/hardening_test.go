@@ -3,6 +3,7 @@ package serve
 import (
 	"bytes"
 	"encoding/json"
+	"errors"
 	"math"
 	"math/rand"
 	"net/http"
@@ -127,5 +128,65 @@ func TestDoBatch(t *testing.T) {
 	last := results[len(results)-1]
 	if last.Err == nil || last.Code != http.StatusBadRequest {
 		t.Fatalf("invalid item: code=%d err=%v, want 400", last.Code, last.Err)
+	}
+}
+
+// TestDoBatchRejectsNonFinite: a NaN or ±Inf input — which the binary
+// protocol can carry and JSON cannot — is refused at admission with a typed
+// 400, alone. At the parent commit it reached the forward pass and came back
+// as a NaN prediction; behind a clamping kernel it would come back finite
+// and wrong. The 31 neighbours of the poisoned item answer bit-equal to the
+// same frame without it, in both precisions.
+func TestDoBatchRejectsNonFinite(t *testing.T) {
+	actual := math.Inf(-1)
+	poisons := map[string]func(*Request){
+		"NaN window":  func(r *Request) { r.Window[1] = math.NaN() },
+		"+Inf cf":     func(r *Request) { r.CF[0] = math.Inf(1) },
+		"-Inf actual": func(r *Request) { r.Actual = &actual },
+	}
+	for _, prec := range []Precision{PrecisionFloat64, PrecisionFloat32} {
+		b := testBundle(5, 1)
+		if err := b.SetPrecision(prec); err != nil {
+			t.Fatal(err)
+		}
+		s := New(Config{MaxBatch: 32, QueueDepth: 64, Workers: 1})
+		s.SetBundle(b)
+
+		rng := rand.New(rand.NewSource(9))
+		frame := make([]*Request, 32)
+		for i := range frame {
+			frame[i] = randomRequest(rng)
+		}
+		clone := func() []*Request {
+			out := make([]*Request, len(frame))
+			for i, r := range frame {
+				cp := *r
+				cp.CF = append([]float64(nil), r.CF...)
+				cp.Window = append([]float64(nil), r.Window...)
+				out[i] = &cp
+			}
+			return out
+		}
+		clean := s.DoBatch(clone())
+		for name, poison := range poisons {
+			const bad = 13
+			reqs := clone()
+			poison(reqs[bad])
+			for i, res := range s.DoBatch(reqs) {
+				if i == bad {
+					if res.Code != http.StatusBadRequest || !errors.Is(res.Err, ErrNonFinite) {
+						t.Fatalf("%s/%s: poisoned item: code=%d err=%v, want 400 ErrNonFinite", prec, name, res.Code, res.Err)
+					}
+					continue
+				}
+				if res.Err != nil {
+					t.Fatalf("%s/%s: neighbour %d: %v", prec, name, i, res.Err)
+				}
+				if got, want := res.Resp.Prediction, clean[i].Resp.Prediction; math.Float64bits(got) != math.Float64bits(want) {
+					t.Fatalf("%s/%s: neighbour %d answered %v, %v without the poisoned item", prec, name, i, got, want)
+				}
+			}
+		}
+		s.Close()
 	}
 }

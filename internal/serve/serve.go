@@ -381,6 +381,10 @@ var (
 	ErrOverloaded = errors.New("serve: queue full")
 	ErrNoModel    = errors.New("serve: no model loaded")
 	ErrClosed     = errors.New("serve: server shutting down")
+	// ErrNonFinite rejects a NaN or ±Inf input value. JSON cannot carry
+	// one, the binary protocol can; it is refused at admission so it never
+	// reaches a forward pass shared with other requests.
+	ErrNonFinite = errors.New("serve: non-finite input value")
 )
 
 // prepare validates one request against the loaded bundle and wraps it
@@ -476,7 +480,27 @@ func validate(req *Request, b *Bundle) error {
 	if len(req.Window) != cfg.Window {
 		return fmt.Errorf("serve: request has window %d, model %s/v%d wants %d", len(req.Window), b.Name, b.Version, cfg.Window)
 	}
+	if !allFinite(req.CF) {
+		return fmt.Errorf("%w in cf", ErrNonFinite)
+	}
+	if !allFinite(req.Window) {
+		return fmt.Errorf("%w in window", ErrNonFinite)
+	}
+	if req.Actual != nil && !finite(*req.Actual) {
+		return fmt.Errorf("%w in actual", ErrNonFinite)
+	}
 	return nil
+}
+
+func finite(v float64) bool { return !math.IsNaN(v) && !math.IsInf(v, 0) }
+
+func allFinite(vs []float64) bool {
+	for _, v := range vs {
+		if !finite(v) {
+			return false
+		}
+	}
+	return true
 }
 
 // scratch is everything one forward pass needs besides the requests. Each

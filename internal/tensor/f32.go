@@ -79,17 +79,6 @@ func overlap32(a, b []float32) bool {
 	return alo < blo+uintptr(len(b))*sz && blo < alo+uintptr(len(a))*sz
 }
 
-// MulInto32 computes the Hadamard product a ⊙ b into out. Aliasing is safe
-// (each element depends only on its own position), mirroring MulInto.
-func MulInto32(out, a, b *Matrix32) {
-	if a.Rows != b.Rows || a.Cols != b.Cols || out.Rows != a.Rows || out.Cols != a.Cols {
-		panic(fmt.Sprintf("tensor: MulInto32 shape mismatch %dx%d vs %dx%d", a.Rows, a.Cols, b.Rows, b.Cols))
-	}
-	for i, v := range a.Data {
-		out.Data[i] = v * b.Data[i]
-	}
-}
-
 // MatMulBlockedInto32 computes a × b into out with the register-blocked
 // kernel, float32 throughout. Same contract as MatMulBlockedInto: out must
 // be preallocated a.Rows×b.Cols and must not alias an operand; every output

@@ -24,6 +24,9 @@ func gemm4x16f32(out, a, b *float32, k, an, bn, on uintptr)
 //go:noescape
 func gemm1x16f32(out, a, b *float32, k, bn uintptr)
 
+//go:noescape
+func sigmoidAdd8f32(dst, a, b *float32, n uintptr)
+
 // detectAVX2FMA checks CPU support for FMA3 and AVX2 plus OS support for
 // saving YMM state (OSXSAVE + XCR0), the full precondition for running the
 // vector tiles.
@@ -88,4 +91,14 @@ func scalarTail32(out, a, b []float32, i0, i1, j0, k, n, ostride, ooff int) {
 			or[j] = c
 		}
 	}
+}
+
+// sigmoidAddAsm32 runs the vector logistic kernel over the leading whole
+// groups of 8 and returns how many elements it wrote.
+func sigmoidAddAsm32(dst, a, b []float32) int {
+	n := len(dst) &^ 7
+	if n > 0 {
+		sigmoidAdd8f32(&dst[0], &a[0], &b[0], uintptr(n))
+	}
+	return n
 }

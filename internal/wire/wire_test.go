@@ -27,20 +27,23 @@ var testEnv = envmeta.Environment{Testbed: "tb1", SUT: "fw", Testcase: "load", B
 // JSON path uses.
 func newTestServe(t *testing.T, seed int64) *serve.Server {
 	t.Helper()
+	s := serve.New(serve.Config{MaxBatch: 8, QueueDepth: 256, Workers: 2})
+	t.Cleanup(s.Close)
+	s.SetBundle(testBundle(seed))
+	return s
+}
+
+func testBundle(seed int64) *serve.Bundle {
 	cfg := core.Config{In: 3, Hidden: 8, GRUHidden: 4, EmbedDim: 3, Window: 2, Seed: seed}
 	schema := envmeta.NewSchema()
 	schema.Observe(testEnv)
 	schema.Freeze()
-	b := &serve.Bundle{
+	return &serve.Bundle{
 		Name: "test", Version: 1,
 		Model:  core.New(cfg, schema),
 		Schema: schema,
 		YScale: dataset.YScaler{Mu: 50, Sigma: 10},
 	}
-	s := serve.New(serve.Config{MaxBatch: 8, QueueDepth: 256, Workers: 2})
-	t.Cleanup(s.Close)
-	s.SetBundle(b)
-	return s
 }
 
 // newTestWire wires a wire.Server to a TCP listener; returns its address.
@@ -399,6 +402,61 @@ func TestProtocolViolations(t *testing.T) {
 	for {
 		if _, err := g.Read(buf); err != nil {
 			break // closed (possibly after an error frame) — the point is it terminates
+		}
+	}
+}
+
+// TestNonFiniteWindowFailsAlone sends what only this protocol can: a frame
+// of 32 raw-bits windows, one of them NaN. That item answers 400, its 31
+// neighbours bit-equal to the same frame without it — in both precisions,
+// since a float32 kernel that clamps would otherwise make the NaN a finite
+// wrong answer.
+func TestNonFiniteWindowFailsAlone(t *testing.T) {
+	for _, prec := range []serve.Precision{serve.PrecisionFloat64, serve.PrecisionFloat32} {
+		b := testBundle(11)
+		if err := b.SetPrecision(prec); err != nil {
+			t.Fatal(err)
+		}
+		s := serve.New(serve.Config{MaxBatch: 32, QueueDepth: 256, Workers: 1})
+		t.Cleanup(s.Close)
+		s.SetBundle(b)
+		c, err := Dial(newTestWire(t, s, ServerConfig{}), ClientConfig{Timeout: 5 * time.Second})
+		if err != nil {
+			t.Fatal(err)
+		}
+		defer c.Close()
+
+		const bad = 20
+		frame := func(poisoned bool) []*serve.Request {
+			rng := rand.New(rand.NewSource(12))
+			reqs := make([]*serve.Request, 32)
+			for i := range reqs {
+				reqs[i] = testRequest(rng, "")
+			}
+			if poisoned {
+				reqs[bad].Window[0] = math.NaN()
+			}
+			return reqs
+		}
+		clean, err := c.Predict(frame(false))
+		if err != nil {
+			t.Fatal(err)
+		}
+		replies, err := c.Predict(frame(true))
+		if err != nil {
+			t.Fatal(err)
+		}
+		for i, rep := range replies {
+			if i == bad {
+				if rep.Status != http.StatusBadRequest || rep.Error == "" {
+					t.Fatalf("%s: NaN item got %d (%s), want 400", prec, rep.Status, rep.Error)
+				}
+				continue
+			}
+			if rep.Status != 200 || math.Float64bits(rep.Prediction) != math.Float64bits(clean[i].Prediction) {
+				t.Fatalf("%s: neighbour %d: status %d prediction %v, %v without the NaN item",
+					prec, i, rep.Status, rep.Prediction, clean[i].Prediction)
+			}
 		}
 	}
 }
