@@ -109,17 +109,31 @@ go test -run '^$' -bench 'BenchmarkServe' -benchmem -count 1 ./internal/serve/ \
 mv docs/outputs/BENCH_serve.json.new docs/outputs/BENCH_serve.json
 # The binary wire protocol (docs/serving.md "Binary wire protocol"): fuzz
 # the frame + payload decoders (truncated / bit-flipped / oversized /
-# interleaved frames are typed errors, never panics), run the protocol
-# battery under -race (codec round trips, client/server batch and
+# interleaved frames are typed errors, never panics; a span section the
+# decoder accepts always materialises), run the protocol battery under
+# -race (codec round trips, golden v1 frames, client/server batch and
 # subscribe modes, proxy wire front with the mixed JSON+binary+stream
-# kill-a-backend e2e), then commit the JSON-vs-binary codec and transport
-# numbers (encode+decode at B8W20, and live round trips with p99s).
+# kill-a-backend e2e, concurrent fan-out of mixed frames, wire trace
+# stitching, the JSON-vs-wire metric/span oracle, retained ids not pinning
+# frames), then the allocation budgets the race detector would trip (a
+# relayed frame costs a handful of allocations; a sampled-out trace
+# materialises no span), then commit the JSON-vs-binary codec and transport
+# numbers (encode+decode at B8W20, and live round trips with p99s) gated
+# against the committed baseline: any allocs/op growth fails, and ns/op gets
+# a wide 25% bound because live round trips ride the box's phases.
 go test -run FuzzWireDecode -fuzz FuzzWireDecode -fuzztime 10s ./internal/wire/
 go test -race ./internal/wire/
-go test -race -run 'TestE2EWireMixedProtocolFailover|TestProxyBodyLimit|TestProxyErrorBodyCap' ./internal/proxy/
+go test -race -run 'TestE2EWireMixedProtocolFailover|TestProxyBodyLimit|TestProxyErrorBodyCap|TestWireFanOut|TestProxyWireTraceStitchesBackendSpans|TestFrontsEmitSameFamiliesAndSpans|TestWireStickyIDsDoNotPinFrames' ./internal/proxy/
 go test -race -run 'TestBodyLimits|TestStrictDecoding|TestDoBatch' ./internal/serve/
+go test -run 'TestFrameAllocBudget|TestGoldenFrames|TestWireDroppedTraceMaterialisesNoSpans' ./internal/wire/ ./internal/proxy/
 go test -run '^$' -bench 'EncodeDecode|RoundTrip' -benchmem -count 1 ./internal/wire/ \
     | tee docs/outputs/bench_wire.txt \
-    | go run ./cmd/benchjson > docs/outputs/BENCH_wire.json
+    | go run ./cmd/benchjson -compare docs/outputs/BENCH_wire.json -max-regress 25 \
+    > docs/outputs/BENCH_wire.json.new
+mv docs/outputs/BENCH_wire.json.new docs/outputs/BENCH_wire.json
+# A setup_s or retrain_cycle delta between two builds of the benchmark means
+# nothing until this says SAME PHASE (docs/performance.md, "A measurement
+# trap"): print its verdict beside any such number.
+#   scripts/aligncheck.sh <parent>/.bench_build/e2vbench .bench_build/e2vbench
 go run ./cmd/kdnbench -seeds 2 | tee docs/outputs/kdnbench.txt
 go run ./cmd/telecombench -slow -csv docs/outputs/figures | tee docs/outputs/telecombench.txt

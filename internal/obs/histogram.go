@@ -45,13 +45,30 @@ type Histogram struct {
 	mu        sync.Mutex
 	bounds    []float64 // ascending upper bounds; +Inf implicit
 	counts    []uint64  // len(bounds)+1
-	exemplars []Exemplar
+	exemplars []exemplarSlot
 	sum       float64
 	count     uint64
 	max       float64
 	ring      [ringSize]float64
 	next      int
 	filled    int
+}
+
+// exemplarSlot is one bucket's exemplar, the request id copied into bytes
+// the slot owns and reuses: ids arrive as sub-slices of decoded wire frames,
+// and a slot that kept the string would keep its whole frame alive.
+type exemplarSlot struct {
+	value float64
+	id    []byte
+}
+
+// exemplarsLocked renders the slots as exemplars; callers hold mu.
+func (h *Histogram) exemplarsLocked() []Exemplar {
+	out := make([]Exemplar, len(h.exemplars))
+	for i, s := range h.exemplars {
+		out[i] = Exemplar{Value: s.value, RequestID: string(s.id)}
+	}
+	return out
 }
 
 func newHistogram(bounds []float64) *Histogram {
@@ -79,9 +96,10 @@ func (h *Histogram) ObserveExemplar(v float64, requestID string) {
 	h.counts[i]++
 	if requestID != "" {
 		if h.exemplars == nil {
-			h.exemplars = make([]Exemplar, len(h.bounds)+1)
+			h.exemplars = make([]exemplarSlot, len(h.bounds)+1)
 		}
-		h.exemplars[i] = Exemplar{Value: v, RequestID: requestID}
+		h.exemplars[i].value = v
+		h.exemplars[i].id = append(h.exemplars[i].id[:0], requestID...)
 	}
 	h.sum += v
 	h.count++
@@ -104,11 +122,8 @@ func (h *Histogram) Exemplars() []BucketExemplar {
 	}
 	h.mu.Lock()
 	defer h.mu.Unlock()
-	if h.exemplars == nil {
-		return nil
-	}
 	var out []BucketExemplar
-	for i, ex := range h.exemplars {
+	for i, ex := range h.exemplarsLocked() {
 		if ex.RequestID == "" {
 			continue
 		}
@@ -224,7 +239,7 @@ func (h *Histogram) write(w io.Writer, name string, lbls Labels) error {
 	h.mu.Lock()
 	bounds := append([]float64(nil), h.bounds...)
 	counts := append([]uint64(nil), h.counts...)
-	exemplars := append([]Exemplar(nil), h.exemplars...)
+	exemplars := h.exemplarsLocked()
 	sum, count := h.sum, h.count
 	h.mu.Unlock()
 	suffix := func(i int) string {

@@ -163,21 +163,35 @@ func (ts *TraceStore) keep(t *Trace) (bool, *Counter) {
 	return false, nil
 }
 
-// Add offers a completed trace to the store. The tail-sampling decision
-// happens here — at completion, when the outcome and duration are known —
-// which is what lets the slow and failed tail be kept preferentially
-// while the bulk is down-sampled.
+// Add offers a completed trace to the store: Sample, then Store if kept.
 func (ts *TraceStore) Add(t Trace) {
+	if ts.Sample(&t) {
+		ts.Store(t)
+	}
+}
+
+// Sample is the tail-sampling decision for a completed trace, counted as
+// completed and as kept or dropped. It happens at completion, when the
+// outcome and duration are known, which is what lets the slow and failed
+// tail be kept preferentially while the bulk is down-sampled. It reads
+// only t's Outcome, Retried and DurationMS, so a caller whose span list is
+// costly to build calls Sample first and builds it only for Store.
+func (ts *TraceStore) Sample(t *Trace) bool {
 	if ts == nil {
-		return
+		return false
 	}
 	ts.completed.Inc()
-	ok, kept := ts.keep(&t)
+	ok, kept := ts.keep(t)
 	if !ok {
 		ts.dropped.Inc()
-		return
+		return false
 	}
 	kept.Inc()
+	return true
+}
+
+// Store retains a trace Sample chose to keep, evicting by age and capacity.
+func (ts *TraceStore) Store(t Trace) {
 	now := ts.cfg.now()
 	ts.mu.Lock()
 	ts.purgeAgedLocked(now)

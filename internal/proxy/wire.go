@@ -8,6 +8,7 @@ import (
 	"net"
 	"net/http"
 	"strconv"
+	"strings"
 	"sync"
 	"time"
 
@@ -23,15 +24,9 @@ import (
 // off the client connection are re-framed (never re-marshalled through
 // JSON) onto pooled backend connections.
 type wireFront struct {
-	p *Proxy
-
-	mu        sync.Mutex
-	listeners map[net.Listener]struct{}
-	conns     map[net.Conn]struct{}
-	closed    bool
-	wg        sync.WaitGroup
-
-	pools map[string]*wirePool // keyed by backend wire address
+	p     *Proxy
+	conns wire.ConnSet
+	pools map[string]*wirePool // keyed by backend wire address; fixed after init
 
 	connsTotal, batches  *obs.Counter
 	subsTotal, relayErrs *obs.Counter
@@ -90,12 +85,7 @@ func (p *Proxy) initWireFront() *wireFront {
 		if len(p.cfg.WireBackends) == 0 {
 			panic("proxy: ServeWire requires Config.WireBackends")
 		}
-		wf := &wireFront{
-			p:         p,
-			listeners: make(map[net.Listener]struct{}),
-			conns:     make(map[net.Conn]struct{}),
-			pools:     make(map[string]*wirePool),
-		}
+		wf := &wireFront{p: p, pools: make(map[string]*wirePool)}
 		ccfg := wire.ClientConfig{Timeout: p.cfg.Timeout}
 		for _, b := range p.backends {
 			if b.wireAddr != "" {
@@ -116,71 +106,31 @@ func (p *Proxy) initWireFront() *wireFront {
 // it returns when ln or the proxy closes.
 func (p *Proxy) ServeWire(ln net.Listener) error {
 	wf := p.initWireFront()
-	wf.mu.Lock()
-	if wf.closed {
-		wf.mu.Unlock()
+	if wf == nil {
 		ln.Close()
-		return errors.New("proxy: wire front closed")
+		return errors.New("proxy: closed")
 	}
-	wf.listeners[ln] = struct{}{}
-	wf.mu.Unlock()
-	for {
-		conn, err := ln.Accept()
-		if err != nil {
-			wf.mu.Lock()
-			closed := wf.closed
-			delete(wf.listeners, ln)
-			wf.mu.Unlock()
-			if closed {
-				return nil
-			}
-			return err
-		}
-		wf.mu.Lock()
-		if wf.closed {
-			wf.mu.Unlock()
-			conn.Close()
-			return nil
-		}
-		wf.conns[conn] = struct{}{}
-		wf.wg.Add(1)
-		wf.mu.Unlock()
+	return wf.conns.Serve(ln, func(conn net.Conn) {
 		wf.connsTotal.Inc()
-		go func() {
-			defer wf.wg.Done()
-			wf.handleConn(conn)
-			wf.mu.Lock()
-			delete(wf.conns, conn)
-			wf.mu.Unlock()
-		}()
-	}
+		wf.handleConn(conn)
+	})
 }
 
-// closeWire tears down the wire front: listeners, live connections, idle
-// backend pools. Called from Proxy.Close.
+// closeWire tears down the wire front: listeners, live connections (the
+// backend side of spliced streams among them), idle backend pools. Called
+// from Proxy.Close.
 func (p *Proxy) closeWire() {
+	// Through the Once, so this read is ordered after a concurrent
+	// ServeWire's initialisation; a front never built stays nil for good.
+	p.wireOnce.Do(func() {})
 	wf := p.wire
 	if wf == nil {
 		return
 	}
-	wf.mu.Lock()
-	if wf.closed {
-		wf.mu.Unlock()
-		return
-	}
-	wf.closed = true
-	for ln := range wf.listeners {
-		ln.Close()
-	}
-	for conn := range wf.conns {
-		conn.Close()
-	}
-	pools := wf.pools
-	wf.mu.Unlock()
-	for _, wp := range pools {
+	wf.conns.Close()
+	for _, wp := range wf.pools {
 		wp.drain()
 	}
-	wf.wg.Wait()
 }
 
 // handleConn speaks the wire protocol with one client: handshake, then
@@ -199,12 +149,19 @@ func (wf *wireFront) handleConn(conn net.Conn) {
 	fail := func(code int, msg string) {
 		_ = write(wire.FrameError, wire.AppendError(nil, wire.ErrorFrame{Code: code, Message: msg}))
 	}
-
-	f, err := wire.ReadFrame(br, wire.DefaultMaxPayload)
-	if err != nil {
-		if !errors.Is(err, io.EOF) {
+	// One inbound and one reply buffer serve the whole connection: decoding
+	// copies what it keeps, and a reply is written before the next is built.
+	var rbuf, out []byte
+	read := func() (wire.Frame, bool) {
+		f, err := wire.ReadFrame(br, wire.DefaultMaxPayload, &rbuf)
+		if err != nil && !errors.Is(err, io.EOF) {
 			fail(http.StatusBadRequest, err.Error())
 		}
+		return f, err == nil
+	}
+
+	f, ok := read()
+	if !ok {
 		return
 	}
 	if f.Type != wire.FrameHello {
@@ -227,11 +184,8 @@ func (wf *wireFront) handleConn(conn net.Conn) {
 	}
 
 	for {
-		f, err := wire.ReadFrame(br, wire.DefaultMaxPayload)
-		if err != nil {
-			if !errors.Is(err, io.EOF) {
-				fail(http.StatusBadRequest, err.Error())
-			}
+		f, ok := read()
+		if !ok {
 			return
 		}
 		switch f.Type {
@@ -242,8 +196,8 @@ func (wf *wireFront) handleConn(conn net.Conn) {
 				return
 			}
 			wf.batches.Inc()
-			replies := wf.routeBatch(reqs)
-			if err := write(wire.FramePredictReply, wire.AppendPredictReplies(nil, replies)); err != nil {
+			out = wire.AppendPredictReplies(out[:0], wf.routeBatch(reqs))
+			if err := write(wire.FramePredictReply, out); err != nil {
 				return
 			}
 
@@ -255,7 +209,7 @@ func (wf *wireFront) handleConn(conn net.Conn) {
 			}
 			// The stream takes over the connection; splice returns when
 			// either side closes.
-			wf.splice(conn, br, bw, sub)
+			wf.splice(conn, br, sub, fail)
 			return
 
 		default:
@@ -265,76 +219,93 @@ func (wf *wireFront) handleConn(conn net.Conn) {
 	}
 }
 
-// routeBatch forwards one decoded batch to the ring. Requests are grouped
-// by environment key (scatter), each group rides the key's candidate list
-// with the usual retry budget, and replies land back in request order
-// (gather). Transport failures feed the health state machine exactly like
-// HTTP forward failures.
+// wireFanOut bounds how many environment groups of one frame are in flight
+// at once: a group holds one pooled connection, and a pool keeps
+// wirePoolIdleCap of them.
+const wireFanOut = wirePoolIdleCap
+
+func sameEnv(a, b *serve.Request) bool {
+	return a.Testbed == b.Testbed && a.SUT == b.SUT && a.Testcase == b.Testcase && a.Build == b.Build
+}
+
+func routeKey(r *serve.Request) string {
+	return envmeta.Environment{Testbed: r.Testbed, SUT: r.SUT, Testcase: r.Testcase, Build: r.Build}.String()
+}
+
+// routeBatch forwards one decoded batch to the ring. The frame every real
+// client sends is one environment, and goes to its candidates as it is. A
+// mixed frame is grouped by environment key (scatter), the groups ride
+// their candidate lists concurrently, each with the usual retry budget,
+// and the replies land back in request order (gather).
 func (wf *wireFront) routeBatch(reqs []*serve.Request) []wire.Reply {
 	p := wf.p
-	replies := make([]wire.Reply, len(reqs))
-
 	// Admission control shares the pool-wide in-flight bound with HTTP.
 	if p.totalInflight.Load() >= int64(p.cfg.MaxInflight) {
 		p.shed.Inc()
-		for i, r := range reqs {
-			replies[i] = wire.Reply{RequestID: r.RequestID, Status: http.StatusTooManyRequests, Error: "proxy: pool saturated"}
-		}
-		return replies
+		return errReplies(reqs, http.StatusTooManyRequests, "proxy: pool saturated")
 	}
-
-	// Scatter: group request indices by environment key, preserving order
-	// within a group.
-	groups := make(map[string][]int)
-	var order []string
-	for i, r := range reqs {
+	mixed := false
+	for _, r := range reqs {
 		if r.RequestID == "" {
 			r.RequestID = obs.NewRequestID()
 		}
-		key := envmeta.Environment{Testbed: r.Testbed, SUT: r.SUT, Testcase: r.Testcase, Build: r.Build}.String()
+		mixed = mixed || !sameEnv(r, reqs[0])
+	}
+	if !mixed {
+		return wf.forwardGroup(routeKey(reqs[0]), reqs)
+	}
+
+	groups := make(map[string][]int) // request indices by key, in order
+	var order []string
+	var key string
+	for i, r := range reqs {
+		if i == 0 || !sameEnv(r, reqs[i-1]) {
+			key = routeKey(r)
+		}
 		if _, seen := groups[key]; !seen {
 			order = append(order, key)
 		}
 		groups[key] = append(groups[key], i)
 	}
-
+	replies := make([]wire.Reply, len(reqs))
+	sem := make(chan struct{}, wireFanOut)
+	var wg sync.WaitGroup
 	for _, key := range order {
-		idxs := groups[key]
-		group := make([]*serve.Request, len(idxs))
-		for j, i := range idxs {
-			group[j] = reqs[i]
-		}
-		got := wf.forwardGroup(key, group)
-		for j, i := range idxs {
-			replies[i] = got[j]
-		}
+		sem <- struct{}{}
+		wg.Add(1)
+		go func(key string, idxs []int) {
+			defer wg.Done()
+			defer func() { <-sem }()
+			group := make([]*serve.Request, len(idxs))
+			for j, i := range idxs {
+				group[j] = reqs[i]
+			}
+			for j, rep := range wf.forwardGroup(key, group) {
+				replies[idxs[j]] = rep
+			}
+		}(key, groups[key])
 	}
+	wg.Wait()
 	return replies
 }
 
 // forwardGroup sends one same-environment slice of a batch along its
 // candidate backends. A conclusive answer (any non-retryable item) stops
 // the walk; a transport error or an all-shed reply tries the next
-// candidate after the usual backoff.
+// candidate after the usual backoff. Transport failures feed the health
+// state machine exactly like HTTP forward failures.
 func (wf *wireFront) forwardGroup(key string, group []*serve.Request) []wire.Reply {
 	p := wf.p
 	t0 := time.Now()
 	rootID := obs.NewSpanID()
-	traceID := group[0].RequestID
+	traceID := strings.Clone(group[0].RequestID) // a kept trace outlives the frame
 	var spans []obs.Span
 	attempts := 0
-	finish := func(outcome, errMsg string) {
+	// finish closes the group's trace. The tail-sampling decision comes
+	// first: only a kept trace builds its root span and turns the backend
+	// spans, which the replies carry as bytes, into a tree.
+	finish := func(outcome, errMsg string, got []wire.Reply) {
 		dur := obs.MS(time.Since(t0))
-		root := obs.Span{
-			TraceID: traceID, SpanID: rootID, Name: "proxy.request",
-			StartUnixUS: t0.UnixMicro(), DurationMS: dur,
-		}
-		root.SetAttr("outcome", outcome)
-		root.SetAttr("path", "wire:batch")
-		root.SetAttr("batch_size", strconv.Itoa(len(group)))
-		if errMsg != "" {
-			root.SetAttr("error", errMsg)
-		}
 		switch outcome {
 		case obs.OutcomeServed:
 			p.latServed.ObserveExemplar(dur, traceID)
@@ -343,11 +314,34 @@ func (wf *wireFront) forwardGroup(key string, group []*serve.Request) []wire.Rep
 		default:
 			p.latFailed.ObserveExemplar(dur, traceID)
 		}
-		p.traces.Add(obs.Trace{
-			TraceID: traceID, Root: root.Name, Outcome: outcome, Retried: attempts > 1,
-			StartUnixUS: root.StartUnixUS, DurationMS: dur,
-			Spans: append([]obs.Span{root}, spans...),
-		})
+		t := obs.Trace{
+			TraceID: traceID, Root: "proxy.request", Outcome: outcome, Retried: attempts > 1,
+			StartUnixUS: t0.UnixMicro(), DurationMS: dur,
+		}
+		if !p.traces.Sample(&t) {
+			return
+		}
+		root := obs.Span{
+			TraceID: traceID, SpanID: rootID, Name: t.Root,
+			StartUnixUS: t.StartUnixUS, DurationMS: dur,
+		}
+		root.SetAttr("outcome", outcome)
+		root.SetAttr("path", "wire:batch")
+		root.SetAttr("batch_size", strconv.Itoa(len(group)))
+		if errMsg != "" {
+			root.SetAttr("error", errMsg)
+		}
+		t.Spans = append(append(t.Spans, root), spans...)
+		for i := range got {
+			t.Spans = append(t.Spans, got[i].Spans()...)
+		}
+		p.traces.Store(t)
+	}
+	giveUp := func(outcome string, code int, msg string) []wire.Reply {
+		p.failed.Inc()
+		wf.relayErrs.Inc()
+		finish(outcome, msg, nil)
+		return errReplies(group, code, msg)
 	}
 
 	candidates := p.route(key)
@@ -360,10 +354,7 @@ func (wf *wireFront) forwardGroup(key string, group []*serve.Request) []wire.Rep
 	}
 	candidates = candidates[:n]
 	if len(candidates) == 0 {
-		p.failed.Inc()
-		wf.relayErrs.Inc()
-		finish(obs.OutcomeFailed, "proxy: no live wire backends")
-		return errReplies(group, http.StatusServiceUnavailable, "proxy: no live wire backends")
+		return giveUp(obs.OutcomeFailed, http.StatusServiceUnavailable, "proxy: no live wire backends")
 	}
 
 	backoff := p.cfg.RetryBackoff
@@ -407,8 +398,8 @@ func (wf *wireFront) forwardGroup(key string, group []*serve.Request) []wire.Rep
 		p.attemptOK.Observe(span.DurationMS)
 		b.latency.ObserveExemplar(span.DurationMS, traceID)
 		allShed = true
-		for _, rep := range got {
-			if !retryableStatus(rep.Status) {
+		for k := range got {
+			if !retryableStatus(got[k].Status) {
 				allShed = false
 				break
 			}
@@ -429,37 +420,33 @@ func (wf *wireFront) forwardGroup(key string, group []*serve.Request) []wire.Rep
 		}
 		spans = append(spans, span)
 		served := 0
-		for _, rep := range got {
-			if rep.Status < 300 {
+		for k := range got {
+			if got[k].Status < 300 {
 				served++
-				p.rememberSticky(rep.RequestID, b)
+				// The sticky map outlives the reply frame the id sub-slices.
+				p.rememberSticky(strings.Clone(got[k].RequestID), b)
 			}
-			spans = append(spans, rep.Spans...)
 		}
 		if served > 0 {
 			p.served.Inc()
 			b.served.Inc()
-			finish(obs.OutcomeServed, "")
+			finish(obs.OutcomeServed, "", got)
 		} else {
 			p.failed.Inc()
-			finish(obs.OutcomeFailed, "no item in batch served")
+			finish(obs.OutcomeFailed, "no item in batch served", got)
 		}
 		return got
 	}
 
-	p.failed.Inc()
-	wf.relayErrs.Inc()
 	if allShed {
 		p.shed.Inc()
-		finish(obs.OutcomeShed, "proxy: fleet saturated")
-		return errReplies(group, http.StatusTooManyRequests, "proxy: fleet saturated")
+		return giveUp(obs.OutcomeShed, http.StatusTooManyRequests, "proxy: fleet saturated")
 	}
 	msg := "proxy: all candidates unreachable"
 	if lastErr != nil {
 		msg += ": " + lastErr.Error()
 	}
-	finish(obs.OutcomeFailed, msg)
-	return errReplies(group, http.StatusBadGateway, msg)
+	return giveUp(obs.OutcomeFailed, http.StatusBadGateway, msg)
 }
 
 // attemptWire runs one batch against one backend over a pooled client.
@@ -467,9 +454,7 @@ func (wf *wireFront) forwardGroup(key string, group []*serve.Request) []wire.Rep
 // surfaced as errors too (the connection state is unknown, drop it).
 func (wf *wireFront) attemptWire(b *Backend, group []*serve.Request) ([]wire.Reply, error) {
 	p := wf.p
-	wf.mu.Lock()
 	wp := wf.pools[b.wireAddr]
-	wf.mu.Unlock()
 	if wp == nil {
 		return nil, fmt.Errorf("proxy: no wire pool for %s", b.name)
 	}
@@ -506,12 +491,8 @@ func errReplies(group []*serve.Request, code int, msg string) []wire.Reply {
 // error) relays to the client, after which the two connections are joined
 // until either side closes. Stream failover is reconnect-shaped by design:
 // the client redials the proxy and the ring picks the new home.
-func (wf *wireFront) splice(client net.Conn, br *bufio.Reader, bw *bufio.Writer, sub wire.Subscribe) {
+func (wf *wireFront) splice(client net.Conn, br *bufio.Reader, sub wire.Subscribe, fail func(code int, msg string)) {
 	p := wf.p
-	fail := func(code int, msg string) {
-		_ = wire.WriteFrame(bw, wire.FrameError, wire.AppendError(nil, wire.ErrorFrame{Code: code, Message: msg}))
-		_ = bw.Flush()
-	}
 	key := sub.Env.String()
 	candidates := p.route(key)
 	var backendConn net.Conn
@@ -540,18 +521,10 @@ func (wf *wireFront) splice(client net.Conn, br *bufio.Reader, bw *bufio.Writer,
 	p.log.Info("wire stream spliced", "backend", picked.name, "env", key)
 
 	// Track the backend conn so Close severs parked streams too.
-	wf.mu.Lock()
-	if wf.closed {
-		wf.mu.Unlock()
+	if !wf.conns.Add(backendConn) {
 		return
 	}
-	wf.conns[backendConn] = struct{}{}
-	wf.mu.Unlock()
-	defer func() {
-		wf.mu.Lock()
-		delete(wf.conns, backendConn)
-		wf.mu.Unlock()
-	}()
+	defer wf.conns.Remove(backendConn)
 
 	// Join the connections. backendBR holds the backend's SubscribeAck
 	// (already relayed? no — dialSubscribe leaves it buffered) plus any
@@ -594,11 +567,11 @@ func (wf *wireFront) dialSubscribe(b *Backend, sub wire.Subscribe) (net.Conn, *b
 	// Handshake under a deadline so a wedged backend cannot park the
 	// subscriber forever; cleared before the splice.
 	_ = conn.SetDeadline(time.Now().Add(p.cfg.Timeout))
-	if err := wire.WriteFrame(conn, wire.FrameHello, wire.AppendHello(nil, wire.Hello{Version: wire.ProtocolVersion})); err != nil {
+	if _, err := conn.Write(wire.AppendFrame(nil, wire.FrameHello, wire.AppendHello(nil, wire.Hello{Version: wire.ProtocolVersion}))); err != nil {
 		conn.Close()
 		return nil, nil, err
 	}
-	f, err := wire.ReadFrame(brd, wire.DefaultMaxPayload)
+	f, err := wire.ReadFrame(brd, wire.DefaultMaxPayload, nil)
 	if err != nil {
 		conn.Close()
 		return nil, nil, err
@@ -607,7 +580,7 @@ func (wf *wireFront) dialSubscribe(b *Backend, sub wire.Subscribe) (net.Conn, *b
 		conn.Close()
 		return nil, nil, fmt.Errorf("proxy: backend %s refused wire handshake", b.name)
 	}
-	if err := wire.WriteFrame(conn, wire.FrameSubscribe, wire.AppendSubscribe(nil, sub)); err != nil {
+	if _, err := conn.Write(wire.AppendFrame(nil, wire.FrameSubscribe, wire.AppendSubscribe(nil, sub))); err != nil {
 		conn.Close()
 		return nil, nil, err
 	}

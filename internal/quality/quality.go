@@ -14,6 +14,7 @@ package quality
 import (
 	"math"
 	"sort"
+	"strings"
 	"sync"
 
 	"env2vec/internal/anomaly"
@@ -280,7 +281,12 @@ func (m *Monitor) Observe(env envmeta.Environment, requestID string, pred, actua
 	st := m.envs[key]
 	newEnv := st == nil
 	if newEnv {
-		st = &envState{env: env, ring: make([]sample, m.cfg.Window)}
+		// The state outlives the request, whose strings may sub-slice a
+		// decoded wire frame: keep clones.
+		st = &envState{ring: make([]sample, m.cfg.Window), env: envmeta.Environment{
+			Testbed: strings.Clone(env.Testbed), SUT: strings.Clone(env.SUT),
+			Testcase: strings.Clone(env.Testcase), Build: strings.Clone(env.Build),
+		}}
 		m.envs[key] = st
 	}
 	wantGauges := newEnv && m.gauged < m.cfg.MaxEnvGauges

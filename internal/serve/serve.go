@@ -10,6 +10,7 @@ import (
 	"net/http"
 	"runtime"
 	"strconv"
+	"strings"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -224,6 +225,25 @@ type Server struct {
 	pendMu    sync.Mutex
 	pending   map[string]pendingPrediction
 	pendOrder []string
+	pendEnv   envmeta.Environment // the last environment stored, cloned once
+	pendIDs   idArena
+}
+
+// idArena copies the ids the pending map keeps into chunks of its own, so a
+// kept id costs its bytes and no allocation, and never the buffer it came
+// from. A chunk is freed once every id in it has been evicted or observed.
+type idArena struct{ chunk strings.Builder }
+
+func (a *idArena) clone(id string) string {
+	if a.chunk.Cap()-a.chunk.Len() < len(id) {
+		a.chunk = strings.Builder{}
+		a.chunk.Grow(max(4096, len(id)))
+	}
+	// The chunk never grows past its capacity, so the strings handed out
+	// earlier keep their bytes while later ones are appended behind them.
+	n := a.chunk.Len()
+	a.chunk.WriteString(id)
+	return a.chunk.String()[n:]
 }
 
 // pendingPrediction is one served prediction awaiting ground truth.
@@ -684,10 +704,21 @@ func (s *Server) runBatch(w *scratch, items []*item) {
 
 // rememberPending records a served-but-unobserved prediction so a later
 // POST /observe can attribute its ground truth; the map is bounded by
-// PendingCap with oldest-first eviction.
+// PendingCap with oldest-first eviction. What it keeps outlives the
+// request, whose strings may sub-slice a decoded wire frame, so it keeps
+// copies: the id's in pendIDs, the environment's cloned once per change,
+// not per window (the previous entry's is reused when equal).
 func (s *Server) rememberPending(id string, env envmeta.Environment, pred float64) {
 	s.pendMu.Lock()
 	defer s.pendMu.Unlock()
+	id = s.pendIDs.clone(id)
+	if env != s.pendEnv {
+		s.pendEnv = envmeta.Environment{
+			Testbed: strings.Clone(env.Testbed), SUT: strings.Clone(env.SUT),
+			Testcase: strings.Clone(env.Testcase), Build: strings.Clone(env.Build),
+		}
+	}
+	env = s.pendEnv
 	if _, exists := s.pending[id]; !exists {
 		for len(s.pending) >= s.cfg.PendingCap && len(s.pendOrder) > 0 {
 			old := s.pendOrder[0]
@@ -759,7 +790,7 @@ func (s *Server) scoreAnomaly(req *Request, pred float64, resp *Response) {
 	c := s.cal[key]
 	if c == nil {
 		c = &calibration{}
-		s.cal[key] = c
+		s.cal[strings.Clone(key)] = c // the key may sub-slice a decoded frame
 	}
 	if c.n < s.cfg.MinCalibration {
 		c.add(e) // still calibrating; no verdict yet

@@ -47,8 +47,9 @@ type Client struct {
 
 	features uint64
 
-	mu  sync.Mutex // serializes Predict exchanges and Stream sends
-	buf []byte     // encode scratch, reused across exchanges
+	mu   sync.Mutex // serializes Predict exchanges and Stream sends
+	buf  []byte     // encode scratch, reused across exchanges
+	rbuf []byte     // inbound payloads, reused frame after frame
 }
 
 // Dial connects, performs the Hello handshake, and returns a ready client.
@@ -87,7 +88,7 @@ func NewClient(conn net.Conn, cfg ClientConfig) (*Client, error) {
 	if err := c.writeFrame(FrameHello, AppendHello(nil, Hello{Version: ProtocolVersion})); err != nil {
 		return nil, err
 	}
-	f, err := ReadFrame(c.br, cfg.MaxPayload)
+	f, err := c.readFrame()
 	if err != nil {
 		return nil, err
 	}
@@ -122,6 +123,12 @@ func (c *Client) writeFrame(typ byte, payload []byte) error {
 	return c.bw.Flush()
 }
 
+// readFrame reads the next frame into the client's read buffer. Decoders
+// copy what they keep, so the payload only has to last until the next call.
+func (c *Client) readFrame() (Frame, error) {
+	return ReadFrame(c.br, c.cfg.MaxPayload, &c.rbuf)
+}
+
 // remoteError decodes a FrameError payload into a *RemoteError; payloads
 // that fail to decode still produce a usable error.
 func remoteError(payload []byte) error {
@@ -134,7 +141,8 @@ func remoteError(payload []byte) error {
 
 // Predict sends one batch of requests and waits for the batched replies,
 // in request order. The zero-JSON round trip: requests are framed binary,
-// replies decode straight into prediction values and stage spans.
+// replies decode straight into prediction values, their stage spans kept
+// encoded until Reply.Spans is called.
 func (c *Client) Predict(reqs []*serve.Request) ([]Reply, error) {
 	c.mu.Lock()
 	defer c.mu.Unlock()
@@ -146,7 +154,7 @@ func (c *Client) Predict(reqs []*serve.Request) ([]Reply, error) {
 	if err := c.writeFrame(FramePredictBatch, c.buf); err != nil {
 		return nil, err
 	}
-	f, err := ReadFrame(c.br, c.cfg.MaxPayload)
+	f, err := c.readFrame()
 	if err != nil {
 		return nil, err
 	}
@@ -189,7 +197,7 @@ func (c *Client) Subscribe(env envmeta.Environment, chainID string) (*Stream, er
 	if err := c.writeFrame(FrameSubscribe, AppendSubscribe(nil, Subscribe{Env: env, ChainID: chainID})); err != nil {
 		return nil, err
 	}
-	f, err := ReadFrame(c.br, c.cfg.MaxPayload)
+	f, err := c.readFrame()
 	if err != nil {
 		return nil, err
 	}
@@ -230,7 +238,7 @@ func (st *Stream) Send(w Window) error {
 // Recv blocks for the next prediction (or stream-level error frame, which
 // surfaces as *RemoteError).
 func (st *Stream) Recv() (Prediction, error) {
-	f, err := ReadFrame(st.c.br, st.c.cfg.MaxPayload)
+	f, err := st.c.readFrame()
 	if err != nil {
 		return Prediction{}, err
 	}

@@ -3,6 +3,7 @@ package wire
 import (
 	"bufio"
 	"bytes"
+	"encoding/binary"
 	"errors"
 	"io"
 	"testing"
@@ -24,6 +25,30 @@ func isTyped(err error) bool {
 	return false
 }
 
+// corruptSpanReplies are reply payloads whose only defect is the span
+// section: too many attributes, an id running past the payload, too many
+// spans. The reply decoder keeps spans as bytes, so it is the decoder that
+// must refuse them, not a later Reply.Spans.
+func corruptSpanReplies() [][]byte {
+	head := AppendPredictReplies(nil, []Reply{{RequestID: "0123456789abcdef", Status: 200, Model: "m"}})
+	head = head[:len(head)-1] // drop the span count
+	with := func(section ...byte) []byte { return append(append([]byte(nil), head...), section...) }
+	badAttrs := appendF64(with(1, 0, 0, 0, 0), 1.5) // one span: empty id, parent, name; start 0
+	return [][]byte{
+		append(badAttrs, maxAttrs+1),
+		with(1, 16, 'a', 'b'),
+		binary.AppendUvarint(with(), maxSpans+1),
+	}
+}
+
+func TestCorruptSpanSectionRejectedAtDecode(t *testing.T) {
+	for i, payload := range corruptSpanReplies() {
+		if _, err := DecodePredictReplies(payload); !errors.Is(err, ErrCorrupt) {
+			t.Errorf("corrupt span section %d: decode returned %v, want ErrCorrupt", i, err)
+		}
+	}
+}
+
 // FuzzWireDecode throws arbitrary bytes at the frame reader and every
 // payload decoder. Truncated, bit-flipped, oversized, and interleaved
 // frames must come back as typed errors — a panic or an untyped error
@@ -42,8 +67,8 @@ func FuzzWireDecode(f *testing.F) {
 	replies := []Reply{{
 		RequestID: "0123456789abcdef", Status: 200, Prediction: 49.5,
 		Model: "m", ModelVersion: 2, BatchSize: 4, Anomalous: &anom,
-		Spans: []obs.Span{{TraceID: "0123456789abcdef", SpanID: "aa", Name: "serve.request"}},
 	}}
+	replies[0].setSpans([]obs.Span{{TraceID: "0123456789abcdef", SpanID: "aa", Name: "serve.request"}})
 	seeds := [][]byte{
 		AppendFrame(nil, FrameHello, AppendHello(nil, Hello{Version: 1, Features: 3})),
 		AppendFrame(nil, FramePredictBatch, AppendPredictBatch(nil, reqs)),
@@ -55,6 +80,9 @@ func FuzzWireDecode(f *testing.F) {
 		AppendFrame(nil, FrameError, AppendError(nil, ErrorFrame{Code: 429, Seq: 7, Message: "shed"})),
 		{},
 		bytes.Repeat([]byte{0xFF}, 64),
+	}
+	for _, payload := range corruptSpanReplies() {
+		seeds = append(seeds, AppendFrame(nil, FramePredictReply, payload))
 	}
 	// Interleaved frames and a torn tail.
 	multi := append(append([]byte(nil), seeds[1]...), seeds[6]...)
@@ -88,7 +116,20 @@ func FuzzWireDecode(f *testing.F) {
 			case FramePredictBatch:
 				_, perr = DecodePredictBatch(fr.Payload)
 			case FramePredictReply:
-				_, perr = DecodePredictReplies(fr.Payload)
+				var replies []Reply
+				replies, perr = DecodePredictReplies(fr.Payload)
+				// What the decoder accepted must materialise: the lazy
+				// accessor re-walks the section and may not fail.
+				for i := range replies {
+					if replies[i].spans == "" {
+						continue
+					}
+					r := reader{b: []byte(replies[i].spans)}
+					spans, n := r.spans(replies[i].RequestID, true)
+					if err := r.finish(); err != nil || len(spans) != n || len(replies[i].Spans()) != n {
+						t.Fatalf("reply %d: span section accepted at decode fails to materialise: %v", i, err)
+					}
+				}
 			case FrameSubscribe:
 				_, perr = DecodeSubscribe(fr.Payload)
 			case FrameSubscribeAck:
@@ -109,7 +150,7 @@ func FuzzWireDecode(f *testing.F) {
 		// panicking; io.EOF only on a clean frame boundary.
 		br := bufio.NewReader(bytes.NewReader(data))
 		for i := 0; i < 64; i++ {
-			_, err := ReadFrame(br, maxPayload)
+			_, err := ReadFrame(br, maxPayload, nil)
 			if err == nil {
 				continue
 			}

@@ -4,6 +4,7 @@ import (
 	"encoding/binary"
 	"fmt"
 	"math"
+	"strings"
 
 	"env2vec/internal/envmeta"
 	"env2vec/internal/obs"
@@ -20,83 +21,159 @@ const (
 
 // ── primitive readers ──────────────────────────────────────────────────
 
-// reader walks a payload with bounds-checked reads; every failure is
-// ErrCorrupt-wrapped, never a panic.
+// reader walks a payload with bounds-checked reads. The first failure is
+// kept (ErrCorrupt-wrapped, never a panic) and empties b, so later reads
+// return zeros and a decoder checks once, in finish. What is decoded lands
+// in two slabs allocated on first use — one immutable string holding a copy
+// of the payload, which every decoded string sub-slices, and one []float64
+// that every float slice and optional scalar is carved from — so a payload
+// costs two allocations however many fields it carries, and nothing decoded
+// aliases the caller's bytes. The error context (what) is a constant and is
+// formatted on the failure path only.
 type reader struct {
-	b []byte
+	b     []byte
+	err   error
+	block string    // copy of the payload from the first string on
+	slab  []float64 // capacity bounds every float the rest of b can hold
 }
 
-func (r *reader) uvarint(what string) (uint64, error) {
+func (r *reader) failf(format string, args ...any) {
+	if r.err == nil {
+		r.err = fmt.Errorf("%w: "+format, append([]any{ErrCorrupt}, args...)...)
+	}
+	r.b = nil
+}
+
+// finish reports the walk's first failure, or trailing garbage: a payload
+// must be consumed exactly.
+func (r *reader) finish() error {
+	if r.err == nil && len(r.b) != 0 {
+		r.failf("%d trailing bytes", len(r.b))
+	}
+	return r.err
+}
+
+func (r *reader) uvarint(what string) uint64 {
 	v, n := binary.Uvarint(r.b)
 	if n <= 0 {
-		return 0, fmt.Errorf("%w: %s", ErrCorrupt, what)
+		r.failf("%s", what)
+		return 0
 	}
 	r.b = r.b[n:]
-	return v, nil
+	return v
 }
 
-func (r *reader) varint(what string) (int64, error) {
+// count reads a uvarint that may not exceed max.
+func (r *reader) count(what string, max uint64) int {
+	v := r.uvarint(what)
+	if v > max {
+		r.failf("%s %d", what, v)
+		return 0
+	}
+	return int(v)
+}
+
+func (r *reader) varint(what string) int64 {
 	v, n := binary.Varint(r.b)
 	if n <= 0 {
-		return 0, fmt.Errorf("%w: %s", ErrCorrupt, what)
+		r.failf("%s", what)
+		return 0
 	}
 	r.b = r.b[n:]
-	return v, nil
+	return v
 }
 
-func (r *reader) str(what string) (string, error) {
-	n, err := r.uvarint(what + " length")
-	if err != nil {
-		return "", err
+// mark returns the current position as an offset into block, for since.
+func (r *reader) mark() int {
+	if r.block == "" {
+		r.block = string(r.b)
 	}
+	return len(r.block) - len(r.b)
+}
+
+// since returns the bytes consumed after mark, as a sub-slice of block.
+func (r *reader) since(mark int) string {
+	return r.block[mark : len(r.block)-len(r.b)]
+}
+
+func (r *reader) str(what string) string {
+	n, k := binary.Uvarint(r.b)
+	if k <= 0 {
+		r.failf("%s length", what)
+		return ""
+	}
+	r.b = r.b[k:]
 	if n > maxStringLen || n > uint64(len(r.b)) {
-		return "", fmt.Errorf("%w: %s length %d", ErrCorrupt, what, n)
+		r.failf("%s length %d", what, n)
+		return ""
 	}
-	s := string(r.b[:n])
+	if n == 0 {
+		return ""
+	}
+	at := r.mark()
 	r.b = r.b[n:]
-	return s, nil
+	return r.since(at)
 }
 
-func (r *reader) f64(what string) (float64, error) {
+// take carves n floats off the slab. Callers have checked that n*8 bytes
+// remain, which the slab's capacity was sized to.
+func (r *reader) take(n int) []float64 {
+	if r.slab == nil {
+		r.slab = make([]float64, 0, len(r.b)/8)
+	}
+	k := len(r.slab)
+	r.slab = r.slab[:k+n]
+	return r.slab[k : k+n : k+n]
+}
+
+func (r *reader) f64(what string) float64 {
 	if len(r.b) < 8 {
-		return 0, fmt.Errorf("%w: %s", ErrCorrupt, what)
+		r.failf("%s", what)
+		return 0
 	}
 	v := math.Float64frombits(binary.LittleEndian.Uint64(r.b))
 	r.b = r.b[8:]
-	return v, nil
+	return v
 }
 
-func (r *reader) floats(what string) ([]float64, error) {
-	n, err := r.uvarint(what + " count")
-	if err != nil {
-		return nil, err
+// f64ptr decodes an optional scalar into the slab and points at it.
+func (r *reader) f64ptr(what string) *float64 {
+	if len(r.b) < 8 {
+		r.failf("%s", what)
+		return nil
 	}
-	if n*8 > uint64(len(r.b)) {
-		return nil, fmt.Errorf("%w: %s count %d", ErrCorrupt, what, n)
+	out := r.take(1)
+	out[0] = r.f64(what)
+	return &out[0]
+}
+
+func (r *reader) floats(what string) []float64 {
+	n, k := binary.Uvarint(r.b)
+	if k <= 0 {
+		r.failf("%s count", what)
+		return nil
 	}
-	out := make([]float64, n)
+	r.b = r.b[k:]
+	if n > uint64(len(r.b))/8 {
+		r.failf("%s count %d", what, n)
+		return nil
+	}
+	out := r.take(int(n))
 	for i := range out {
 		out[i] = math.Float64frombits(binary.LittleEndian.Uint64(r.b[i*8:]))
 	}
 	r.b = r.b[n*8:]
-	return out, nil
+	return out
 }
 
-func (r *reader) byteVal(what string) (byte, error) {
+func (r *reader) byteVal(what string) byte {
 	if len(r.b) == 0 {
-		return 0, fmt.Errorf("%w: %s", ErrCorrupt, what)
+		r.failf("%s", what)
+		return 0
 	}
 	v := r.b[0]
 	r.b = r.b[1:]
-	return v, nil
-}
-
-// done rejects trailing garbage: a payload must be consumed exactly.
-func (r *reader) done() error {
-	if len(r.b) != 0 {
-		return fmt.Errorf("%w: %d trailing bytes", ErrCorrupt, len(r.b))
-	}
-	return nil
+	return v
 }
 
 // ── primitive writers ──────────────────────────────────────────────────
@@ -135,19 +212,9 @@ func AppendHello(dst []byte, h Hello) []byte {
 
 // DecodeHello parses a Hello/HelloAck payload.
 func DecodeHello(p []byte) (Hello, error) {
-	r := reader{p}
-	v, err := r.uvarint("hello version")
-	if err != nil {
-		return Hello{}, err
-	}
-	f, err := r.uvarint("hello features")
-	if err != nil {
-		return Hello{}, err
-	}
-	if v > math.MaxInt32 {
-		return Hello{}, fmt.Errorf("%w: hello version %d", ErrCorrupt, v)
-	}
-	return Hello{Version: int(v), Features: f}, r.done()
+	r := reader{b: p}
+	h := Hello{Version: r.count("hello version", math.MaxInt32), Features: r.uvarint("hello features")}
+	return h, r.finish()
 }
 
 // ── Error frame ────────────────────────────────────────────────────────
@@ -169,23 +236,9 @@ func AppendError(dst []byte, e ErrorFrame) []byte {
 
 // DecodeError parses a FrameError payload.
 func DecodeError(p []byte) (ErrorFrame, error) {
-	r := reader{p}
-	code, err := r.uvarint("error code")
-	if err != nil {
-		return ErrorFrame{}, err
-	}
-	if code > 599 {
-		return ErrorFrame{}, fmt.Errorf("%w: error code %d", ErrCorrupt, code)
-	}
-	seq, err := r.uvarint("error seq")
-	if err != nil {
-		return ErrorFrame{}, err
-	}
-	msg, err := r.str("error message")
-	if err != nil {
-		return ErrorFrame{}, err
-	}
-	return ErrorFrame{Code: int(code), Seq: seq, Message: msg}, r.done()
+	r := reader{b: p}
+	e := ErrorFrame{Code: r.count("error code", 599), Seq: r.uvarint("error seq"), Message: r.str("error message")}
+	return e, r.finish()
 }
 
 // ── PredictBatch ───────────────────────────────────────────────────────
@@ -222,60 +275,44 @@ func AppendPredictBatch(dst []byte, reqs []*serve.Request) []byte {
 	return dst
 }
 
-// DecodePredictBatch parses a FramePredictBatch payload.
+// DecodePredictBatch parses a FramePredictBatch payload into per-frame
+// slabs: the returned pointers index one []serve.Request, every CF, Window
+// and Actual is carved from one []float64, and every string sub-slices one
+// immutable copy of the payload — four allocations whatever the batch size.
+// Nothing aliases p, so the caller may reuse it at once; the flip side is
+// that any one string keeps the whole copy alive, so code that retains an
+// id or an environment field past the request clones it.
 func DecodePredictBatch(p []byte) ([]*serve.Request, error) {
-	r := reader{p}
-	n, err := r.uvarint("batch count")
-	if err != nil {
+	r := reader{b: p}
+	n := r.count("batch count", MaxBatchItems)
+	// A request is at least 10 bytes, so a count beyond the bytes left is
+	// corrupt before it can size the slab.
+	if r.err == nil && (n == 0 || n > len(r.b)) {
+		r.failf("batch count %d", n)
+		n = 0
+	}
+	slab := make([]serve.Request, n)
+	reqs := make([]*serve.Request, n)
+	for i := 0; i < n && r.err == nil; i++ {
+		req := &slab[i]
+		reqs[i] = req
+		req.RequestID = r.str("request id")
+		req.TraceParent = r.str("traceparent")
+		req.Testbed = r.str("testbed")
+		req.SUT = r.str("sut")
+		req.Testcase = r.str("testcase")
+		req.Build = r.str("build")
+		req.ChainID = r.str("chain id")
+		req.CF = r.floats("cf")
+		req.Window = r.floats("window")
+		if r.byteVal("request flags")&reqHasActual != 0 {
+			req.Actual = r.f64ptr("actual")
+		}
+	}
+	if err := r.finish(); err != nil {
 		return nil, err
 	}
-	if n == 0 || n > MaxBatchItems {
-		return nil, fmt.Errorf("%w: batch count %d", ErrCorrupt, n)
-	}
-	reqs := make([]*serve.Request, 0, n)
-	for i := uint64(0); i < n; i++ {
-		req := &serve.Request{}
-		if req.RequestID, err = r.str("request id"); err != nil {
-			return nil, err
-		}
-		if req.TraceParent, err = r.str("traceparent"); err != nil {
-			return nil, err
-		}
-		if req.Testbed, err = r.str("testbed"); err != nil {
-			return nil, err
-		}
-		if req.SUT, err = r.str("sut"); err != nil {
-			return nil, err
-		}
-		if req.Testcase, err = r.str("testcase"); err != nil {
-			return nil, err
-		}
-		if req.Build, err = r.str("build"); err != nil {
-			return nil, err
-		}
-		if req.ChainID, err = r.str("chain id"); err != nil {
-			return nil, err
-		}
-		if req.CF, err = r.floats("cf"); err != nil {
-			return nil, err
-		}
-		if req.Window, err = r.floats("window"); err != nil {
-			return nil, err
-		}
-		flags, err := r.byteVal("request flags")
-		if err != nil {
-			return nil, err
-		}
-		if flags&reqHasActual != 0 {
-			a, err := r.f64("actual")
-			if err != nil {
-				return nil, err
-			}
-			req.Actual = &a
-		}
-		reqs = append(reqs, req)
-	}
-	return reqs, r.done()
+	return reqs, nil
 }
 
 // ── PredictReplies ─────────────────────────────────────────────────────
@@ -288,9 +325,12 @@ const (
 )
 
 // Reply is one request's outcome within a batched exchange: either a
-// served prediction (Status 200) or an HTTP-shaped error. Spans carry the
-// server's stage span tree so a front tier stitches wire responses into
-// distributed traces exactly like JSON ones.
+// served prediction (Status 200) or an HTTP-shaped error. A served reply
+// also carries the server's stage span tree, so a front tier stitches wire
+// responses into distributed traces exactly like JSON ones — but it carries
+// it still encoded: the bytes were bounds-checked when the reply was
+// decoded, AppendPredictReplies re-emits them verbatim, and only Spans
+// turns them into a tree, for the few callers that keep a trace.
 type Reply struct {
 	RequestID    string
 	Status       int
@@ -301,11 +341,26 @@ type Reply struct {
 	BatchSize    int
 	Anomalous    *bool
 	Deviation    *float64
-	Spans        []obs.Span
+
+	spans string // validated span section, count included; "" = no spans
 }
 
-// ReplyFromResult converts one serve outcome into a wire reply.
-func ReplyFromResult(id string, resp *serve.Response, code int, err error) Reply {
+// Spans materialises the reply's span tree, the trace id restored from the
+// request id. The result owns its memory (it does not keep the decoded
+// frame alive), so a trace store may retain it.
+func (rep *Reply) Spans() []obs.Span {
+	if rep.spans == "" {
+		return nil
+	}
+	r := reader{b: []byte(rep.spans)}
+	spans, _ := r.spans(strings.Clone(rep.RequestID), true) // cannot fail: validated at decode
+	return spans
+}
+
+// replyFromResult converts one serve outcome into a wire reply, without
+// its spans: AppendResults streams those from the response straight into
+// the frame rather than through a Reply.
+func replyFromResult(id string, resp *serve.Response, code int, err error) Reply {
 	rep := Reply{RequestID: id, Status: code}
 	if err != nil || resp == nil {
 		if err != nil {
@@ -325,125 +380,122 @@ func ReplyFromResult(id string, resp *serve.Response, code int, err error) Reply
 	rep.BatchSize = resp.BatchSize
 	rep.Anomalous = resp.Anomalous
 	rep.Deviation = resp.Deviation
-	if resp.Trace != nil {
-		rep.Spans = resp.Trace.Spans
-	}
 	return rep
+}
+
+// appendReplyHead renders everything of rep that precedes its span section
+// and reports whether one follows (only a served reply has one).
+func appendReplyHead(dst []byte, rep *Reply) ([]byte, bool) {
+	dst = appendString(dst, rep.RequestID)
+	dst = binary.AppendUvarint(dst, uint64(rep.Status))
+	if rep.Status != 200 {
+		return appendString(dst, rep.Error), false
+	}
+	dst = appendF64(dst, rep.Prediction)
+	dst = appendString(dst, rep.Model)
+	dst = binary.AppendUvarint(dst, uint64(rep.ModelVersion))
+	dst = binary.AppendUvarint(dst, uint64(rep.BatchSize))
+	var flags byte
+	if rep.Anomalous != nil {
+		flags |= replyHasAnomalous
+		if *rep.Anomalous {
+			flags |= replyAnomalous
+		}
+	}
+	if rep.Deviation != nil {
+		flags |= replyHasDeviation
+	}
+	dst = append(dst, flags)
+	if rep.Deviation != nil {
+		dst = appendF64(dst, *rep.Deviation)
+	}
+	return dst, true
 }
 
 // AppendPredictReplies renders replies as a FramePredictReply payload.
 func AppendPredictReplies(dst []byte, replies []Reply) []byte {
 	dst = binary.AppendUvarint(dst, uint64(len(replies)))
-	for _, rep := range replies {
-		dst = appendString(dst, rep.RequestID)
-		dst = binary.AppendUvarint(dst, uint64(rep.Status))
-		if rep.Status != 200 {
-			dst = appendString(dst, rep.Error)
+	for i := range replies {
+		var served bool
+		if dst, served = appendReplyHead(dst, &replies[i]); !served {
 			continue
 		}
-		dst = appendF64(dst, rep.Prediction)
-		dst = appendString(dst, rep.Model)
-		dst = binary.AppendUvarint(dst, uint64(rep.ModelVersion))
-		dst = binary.AppendUvarint(dst, uint64(rep.BatchSize))
-		var flags byte
-		if rep.Anomalous != nil {
-			flags |= replyHasAnomalous
-			if *rep.Anomalous {
-				flags |= replyAnomalous
-			}
+		if replies[i].spans == "" {
+			dst = append(dst, 0) // span count 0
+		} else {
+			dst = append(dst, replies[i].spans...)
 		}
-		if rep.Deviation != nil {
-			flags |= replyHasDeviation
-		}
-		dst = append(dst, flags)
-		if rep.Deviation != nil {
-			dst = appendF64(dst, *rep.Deviation)
-		}
-		dst = appendSpans(dst, rep.Spans)
 	}
 	return dst
 }
 
-// DecodePredictReplies parses a FramePredictReply payload.
-func DecodePredictReplies(p []byte) ([]Reply, error) {
-	r := reader{p}
-	n, err := r.uvarint("reply count")
-	if err != nil {
-		return nil, err
-	}
-	if n > MaxBatchItems {
-		return nil, fmt.Errorf("%w: reply count %d", ErrCorrupt, n)
-	}
-	replies := make([]Reply, 0, n)
-	for i := uint64(0); i < n; i++ {
-		var rep Reply
-		if rep.RequestID, err = r.str("reply id"); err != nil {
-			return nil, err
-		}
-		status, err := r.uvarint("reply status")
-		if err != nil {
-			return nil, err
-		}
-		if status > 599 {
-			return nil, fmt.Errorf("%w: reply status %d", ErrCorrupt, status)
-		}
-		rep.Status = int(status)
-		if rep.Status != 200 {
-			if rep.Error, err = r.str("reply error"); err != nil {
-				return nil, err
-			}
-			replies = append(replies, rep)
+// AppendResults renders a DoBatch outcome as a FramePredictReply payload,
+// reply i answering reqs[i]. It is AppendPredictReplies for the process
+// that produced the spans: they are encoded from the responses directly.
+func AppendResults(dst []byte, reqs []*serve.Request, results []serve.BatchResult) []byte {
+	dst = binary.AppendUvarint(dst, uint64(len(results)))
+	for i, res := range results {
+		rep := replyFromResult(reqs[i].RequestID, res.Resp, res.Code, res.Err)
+		var served bool
+		if dst, served = appendReplyHead(dst, &rep); !served {
 			continue
 		}
-		if rep.Prediction, err = r.f64("prediction"); err != nil {
-			return nil, err
+		var spans []obs.Span
+		if res.Resp.Trace != nil {
+			spans = res.Resp.Trace.Spans
 		}
-		if rep.Model, err = r.str("model"); err != nil {
-			return nil, err
+		dst = appendSpans(dst, spans)
+	}
+	return dst
+}
+
+// DecodePredictReplies parses a FramePredictReply payload into per-frame
+// slabs like DecodePredictBatch. Span sections are bounds-checked here, by
+// the same walk Reply.Spans later decodes them with, and kept as bytes.
+func DecodePredictReplies(p []byte) ([]Reply, error) {
+	r := reader{b: p}
+	n := r.count("reply count", MaxBatchItems)
+	if n > len(r.b) { // a reply is at least 3 bytes
+		r.failf("reply count %d", n)
+		n = 0
+	}
+	replies := make([]Reply, n)
+	for i := 0; i < n && r.err == nil; i++ {
+		rep := &replies[i]
+		rep.RequestID = r.str("reply id")
+		rep.Status = r.count("reply status", 599)
+		if rep.Status != 200 {
+			rep.Error = r.str("reply error")
+			continue
 		}
-		ver, err := r.uvarint("model version")
-		if err != nil {
-			return nil, err
-		}
-		if ver > math.MaxInt32 {
-			return nil, fmt.Errorf("%w: model version %d", ErrCorrupt, ver)
-		}
-		rep.ModelVersion = int(ver)
-		bs, err := r.uvarint("batch size")
-		if err != nil {
-			return nil, err
-		}
-		if bs > MaxBatchItems {
-			return nil, fmt.Errorf("%w: batch size %d", ErrCorrupt, bs)
-		}
-		rep.BatchSize = int(bs)
-		flags, err := r.byteVal("reply flags")
-		if err != nil {
-			return nil, err
-		}
+		rep.Prediction = r.f64("prediction")
+		rep.Model = r.str("model")
+		rep.ModelVersion = r.count("model version", math.MaxInt32)
+		rep.BatchSize = r.count("batch size", MaxBatchItems)
+		flags := r.byteVal("reply flags")
 		if flags&replyHasAnomalous != 0 {
 			a := flags&replyAnomalous != 0
 			rep.Anomalous = &a
 		}
 		if flags&replyHasDeviation != 0 {
-			d, err := r.f64("deviation")
-			if err != nil {
-				return nil, err
-			}
-			rep.Deviation = &d
+			rep.Deviation = r.f64ptr("deviation")
 		}
-		if rep.Spans, err = decodeSpans(&r, rep.RequestID); err != nil {
-			return nil, err
+		at := r.mark()
+		if _, count := r.spans("", false); count > 0 {
+			rep.spans = r.since(at)
 		}
-		replies = append(replies, rep)
 	}
-	return replies, r.done()
+	if err := r.finish(); err != nil {
+		return nil, err
+	}
+	return replies, nil
 }
 
 // ── span encoding ──────────────────────────────────────────────────────
 
 // appendSpans renders a span tree compactly: the trace id is implied by
-// the enclosing reply's request id and restored on decode.
+// the enclosing reply's request id and restored on decode. Attributes go
+// out in sorted key order, so one tree has one encoding (and one CRC).
 func appendSpans(dst []byte, spans []obs.Span) []byte {
 	dst = binary.AppendUvarint(dst, uint64(len(spans)))
 	for _, sp := range spans {
@@ -453,64 +505,49 @@ func appendSpans(dst []byte, spans []obs.Span) []byte {
 		dst = binary.AppendVarint(dst, sp.StartUnixUS)
 		dst = appendF64(dst, sp.DurationMS)
 		dst = binary.AppendUvarint(dst, uint64(len(sp.Attrs)))
-		for k, v := range sp.Attrs {
+		var stack [8]string // a span sets at most 4 attributes; more spill to the heap
+		keys := stack[:0]
+		for k := range sp.Attrs {
+			keys = append(keys, k)
+			for i := len(keys) - 1; i > 0 && keys[i] < keys[i-1]; i-- {
+				keys[i], keys[i-1] = keys[i-1], keys[i]
+			}
+		}
+		for _, k := range keys {
 			dst = appendString(dst, k)
-			dst = appendString(dst, v)
+			dst = appendString(dst, sp.Attrs[k])
 		}
 	}
 	return dst
 }
 
-func decodeSpans(r *reader, traceID string) ([]obs.Span, error) {
-	n, err := r.uvarint("span count")
-	if err != nil {
-		return nil, err
+// spans walks one span section — the bounds checks of a decode and, with
+// keep, also its result — and returns the section's span count alongside.
+// DecodePredictReplies runs it without keep (no allocation, the section
+// stays bytes) and Reply.Spans with it, so what was accepted at decode can
+// never fail to materialise.
+func (r *reader) spans(traceID string, keep bool) ([]obs.Span, int) {
+	n := r.count("span count", maxSpans)
+	var spans []obs.Span
+	if keep {
+		spans = make([]obs.Span, 0, n)
 	}
-	if n > maxSpans {
-		return nil, fmt.Errorf("%w: span count %d", ErrCorrupt, n)
-	}
-	if n == 0 {
-		return nil, nil
-	}
-	spans := make([]obs.Span, 0, n)
-	for i := uint64(0); i < n; i++ {
-		sp := obs.Span{TraceID: traceID}
-		if sp.SpanID, err = r.str("span id"); err != nil {
-			return nil, err
+	for i := 0; i < n && r.err == nil; i++ {
+		sp := obs.Span{
+			TraceID: traceID, SpanID: r.str("span id"), ParentID: r.str("span parent"), Name: r.str("span name"),
+			StartUnixUS: r.varint("span start"), DurationMS: r.f64("span duration"),
 		}
-		if sp.ParentID, err = r.str("span parent"); err != nil {
-			return nil, err
-		}
-		if sp.Name, err = r.str("span name"); err != nil {
-			return nil, err
-		}
-		if sp.StartUnixUS, err = r.varint("span start"); err != nil {
-			return nil, err
-		}
-		if sp.DurationMS, err = r.f64("span duration"); err != nil {
-			return nil, err
-		}
-		na, err := r.uvarint("span attr count")
-		if err != nil {
-			return nil, err
-		}
-		if na > maxAttrs {
-			return nil, fmt.Errorf("%w: span attr count %d", ErrCorrupt, na)
-		}
-		for j := uint64(0); j < na; j++ {
-			k, err := r.str("span attr key")
-			if err != nil {
-				return nil, err
+		for j := r.count("span attr count", maxAttrs); j > 0 && r.err == nil; j-- {
+			k, v := r.str("span attr key"), r.str("span attr value")
+			if keep {
+				sp.SetAttr(k, v)
 			}
-			v, err := r.str("span attr value")
-			if err != nil {
-				return nil, err
-			}
-			sp.SetAttr(k, v)
 		}
-		spans = append(spans, sp)
+		if keep {
+			spans = append(spans, sp)
+		}
 	}
-	return spans, nil
+	return spans, n
 }
 
 // ── Subscribe / SubscribeAck ───────────────────────────────────────────
@@ -533,25 +570,14 @@ func AppendSubscribe(dst []byte, s Subscribe) []byte {
 
 // DecodeSubscribe parses a FrameSubscribe payload.
 func DecodeSubscribe(p []byte) (Subscribe, error) {
-	r := reader{p}
+	r := reader{b: p}
 	var s Subscribe
-	var err error
-	if s.Env.Testbed, err = r.str("testbed"); err != nil {
-		return s, err
-	}
-	if s.Env.SUT, err = r.str("sut"); err != nil {
-		return s, err
-	}
-	if s.Env.Testcase, err = r.str("testcase"); err != nil {
-		return s, err
-	}
-	if s.Env.Build, err = r.str("build"); err != nil {
-		return s, err
-	}
-	if s.ChainID, err = r.str("chain id"); err != nil {
-		return s, err
-	}
-	return s, r.done()
+	s.Env.Testbed = r.str("testbed")
+	s.Env.SUT = r.str("sut")
+	s.Env.Testcase = r.str("testcase")
+	s.Env.Build = r.str("build")
+	s.ChainID = r.str("chain id")
+	return s, r.finish()
 }
 
 // SubscribeAck is the FrameSubscribeAck payload: the served model's
@@ -574,26 +600,12 @@ func AppendSubscribeAck(dst []byte, a SubscribeAck) []byte {
 
 // DecodeSubscribeAck parses a FrameSubscribeAck payload.
 func DecodeSubscribeAck(p []byte) (SubscribeAck, error) {
-	r := reader{p}
-	var a SubscribeAck
-	var err error
-	if a.Model, err = r.str("model"); err != nil {
-		return a, err
+	r := reader{b: p}
+	a := SubscribeAck{
+		Model: r.str("model"), Version: r.count("version", math.MaxInt32),
+		In: r.count("in", math.MaxInt32), Window: r.count("window", math.MaxInt32),
 	}
-	for _, f := range []struct {
-		what string
-		dst  *int
-	}{{"version", &a.Version}, {"in", &a.In}, {"window", &a.Window}} {
-		v, err := r.uvarint(f.what)
-		if err != nil {
-			return a, err
-		}
-		if v > math.MaxInt32 {
-			return a, fmt.Errorf("%w: %s %d", ErrCorrupt, f.what, v)
-		}
-		*f.dst = int(v)
-	}
-	return a, r.done()
+	return a, r.finish()
 }
 
 // ── Window / Prediction (stream mode) ──────────────────────────────────
@@ -629,33 +641,15 @@ func AppendWindow(dst []byte, w Window) []byte {
 
 // DecodeWindow parses a FrameWindow payload.
 func DecodeWindow(p []byte) (Window, error) {
-	r := reader{p}
-	var w Window
-	var err error
-	if w.Seq, err = r.uvarint("window seq"); err != nil {
-		return w, err
+	r := reader{b: p}
+	w := Window{
+		Seq: r.uvarint("window seq"), RequestID: r.str("window request id"),
+		CF: r.floats("window cf"), Window: r.floats("window values"),
 	}
-	if w.RequestID, err = r.str("window request id"); err != nil {
-		return w, err
+	if r.byteVal("window flags")&reqHasActual != 0 {
+		w.Actual = r.f64ptr("window actual")
 	}
-	if w.CF, err = r.floats("window cf"); err != nil {
-		return w, err
-	}
-	if w.Window, err = r.floats("window values"); err != nil {
-		return w, err
-	}
-	flags, err := r.byteVal("window flags")
-	if err != nil {
-		return w, err
-	}
-	if flags&reqHasActual != 0 {
-		a, err := r.f64("window actual")
-		if err != nil {
-			return w, err
-		}
-		w.Actual = &a
-	}
-	return w, r.done()
+	return w, r.finish()
 }
 
 // Prediction is one streamed answer, correlated to its Window by Seq.
@@ -697,51 +691,21 @@ func AppendPrediction(dst []byte, p Prediction) []byte {
 
 // DecodePrediction parses a FramePrediction payload.
 func DecodePrediction(b []byte) (Prediction, error) {
-	r := reader{b}
-	var p Prediction
-	var err error
-	if p.Seq, err = r.uvarint("prediction seq"); err != nil {
-		return p, err
-	}
-	status, err := r.uvarint("prediction status")
-	if err != nil {
-		return p, err
-	}
-	if status > 599 {
-		return p, fmt.Errorf("%w: prediction status %d", ErrCorrupt, status)
-	}
-	p.Status = int(status)
+	r := reader{b: b}
+	p := Prediction{Seq: r.uvarint("prediction seq"), Status: r.count("prediction status", 599)}
 	if p.Status != 200 {
-		if p.Error, err = r.str("prediction error"); err != nil {
-			return p, err
-		}
-		return p, r.done()
+		p.Error = r.str("prediction error")
+		return p, r.finish()
 	}
-	if p.Value, err = r.f64("prediction value"); err != nil {
-		return p, err
-	}
-	ver, err := r.uvarint("prediction model version")
-	if err != nil {
-		return p, err
-	}
-	if ver > math.MaxInt32 {
-		return p, fmt.Errorf("%w: prediction model version %d", ErrCorrupt, ver)
-	}
-	p.ModelVersion = int(ver)
-	flags, err := r.byteVal("prediction flags")
-	if err != nil {
-		return p, err
-	}
+	p.Value = r.f64("prediction value")
+	p.ModelVersion = r.count("prediction model version", math.MaxInt32)
+	flags := r.byteVal("prediction flags")
 	if flags&replyHasAnomalous != 0 {
 		a := flags&replyAnomalous != 0
 		p.Anomalous = &a
 	}
 	if flags&replyHasDeviation != 0 {
-		d, err := r.f64("prediction deviation")
-		if err != nil {
-			return p, err
-		}
-		p.Deviation = &d
+		p.Deviation = r.f64ptr("prediction deviation")
 	}
-	return p, r.done()
+	return p, r.finish()
 }

@@ -38,11 +38,7 @@ type Server struct {
 	cfg      ServerConfig
 	log      *slog.Logger
 
-	mu        sync.Mutex
-	listeners map[net.Listener]struct{}
-	conns     map[net.Conn]struct{}
-	closed    bool
-	wg        sync.WaitGroup
+	conns ConnSet
 
 	connsTotal, subsTotal    *obs.Counter
 	framesIn, framesOut      *obs.Counter
@@ -69,13 +65,7 @@ func NewServer(dispatch *serve.Server, cfg ServerConfig) *Server {
 	if logger == nil {
 		logger = obs.DiscardLogger()
 	}
-	s := &Server{
-		dispatch:  dispatch,
-		cfg:       cfg,
-		log:       logger,
-		listeners: make(map[net.Listener]struct{}),
-		conns:     make(map[net.Conn]struct{}),
-	}
+	s := &Server{dispatch: dispatch, cfg: cfg, log: logger}
 	s.connsTotal = reg.Counter("env2vec_wire_connections_total", "Wire-protocol connections accepted.", nil)
 	s.subsTotal = reg.Counter("env2vec_wire_subscriptions_total", "Subscribe-mode sessions opened.", nil)
 	s.framesIn = reg.Counter("env2vec_wire_frames_total", "Wire frames by direction.", obs.Labels{"dir": "in"})
@@ -88,64 +78,107 @@ func NewServer(dispatch *serve.Server, cfg ServerConfig) *Server {
 
 // Serve accepts connections on ln until the listener or the server closes.
 func (s *Server) Serve(ln net.Listener) error {
-	s.mu.Lock()
-	if s.closed {
-		s.mu.Unlock()
-		ln.Close()
-		return errors.New("wire: server closed")
-	}
-	s.listeners[ln] = struct{}{}
-	s.mu.Unlock()
-	for {
-		conn, err := ln.Accept()
-		if err != nil {
-			s.mu.Lock()
-			closed := s.closed
-			delete(s.listeners, ln)
-			s.mu.Unlock()
-			if closed {
-				return nil
-			}
-			return err
-		}
-		s.mu.Lock()
-		if s.closed {
-			s.mu.Unlock()
-			conn.Close()
-			return nil
-		}
-		s.conns[conn] = struct{}{}
-		s.wg.Add(1)
-		s.mu.Unlock()
+	return s.conns.Serve(ln, func(conn net.Conn) {
 		s.connsTotal.Inc()
-		go func() {
-			defer s.wg.Done()
-			s.handleConn(conn)
-			s.mu.Lock()
-			delete(s.conns, conn)
-			s.mu.Unlock()
-		}()
-	}
+		s.handleConn(conn)
+	})
 }
 
 // Close stops the listeners, severs live connections, and waits for
 // connection handlers to unwind. In-flight forward passes complete inside
 // the serve.Server; this only tears down the transport.
-func (s *Server) Close() {
-	s.mu.Lock()
-	if s.closed {
-		s.mu.Unlock()
-		return
-	}
-	s.closed = true
-	for ln := range s.listeners {
+func (s *Server) Close() { s.conns.Close() }
+
+// ConnSet is the connection bookkeeping of a wire-protocol endpoint — the
+// Server here, the proxy's wire front: it accepts on any number of
+// listeners, runs one handler goroutine per connection, and on Close stops
+// the listeners, severs the live connections and waits for the handlers.
+// The zero value is ready to use.
+type ConnSet struct {
+	mu        sync.Mutex
+	listeners map[net.Listener]struct{}
+	conns     map[net.Conn]struct{}
+	closed    bool
+	wg        sync.WaitGroup
+}
+
+// Serve accepts connections on ln until the listener or the set closes,
+// handling each on its own goroutine.
+func (cs *ConnSet) Serve(ln net.Listener, handle func(net.Conn)) error {
+	cs.mu.Lock()
+	if cs.closed {
+		cs.mu.Unlock()
 		ln.Close()
+		return errors.New("wire: endpoint closed")
 	}
-	for conn := range s.conns {
-		conn.Close()
+	if cs.listeners == nil {
+		cs.listeners = make(map[net.Listener]struct{})
 	}
-	s.mu.Unlock()
-	s.wg.Wait()
+	cs.listeners[ln] = struct{}{}
+	cs.mu.Unlock()
+	for {
+		conn, err := ln.Accept()
+		if err != nil {
+			cs.mu.Lock()
+			closed := cs.closed
+			delete(cs.listeners, ln)
+			cs.mu.Unlock()
+			if closed {
+				return nil
+			}
+			return err
+		}
+		if !cs.Add(conn) {
+			conn.Close()
+			return nil
+		}
+		go func() {
+			defer cs.Remove(conn)
+			handle(conn)
+		}()
+	}
+}
+
+// Add registers a live connection for Close to sever and wait on; it
+// reports false, registering nothing, once the set has closed. The caller
+// pairs it with Remove.
+func (cs *ConnSet) Add(conn net.Conn) bool {
+	cs.mu.Lock()
+	defer cs.mu.Unlock()
+	if cs.closed {
+		return false
+	}
+	if cs.conns == nil {
+		cs.conns = make(map[net.Conn]struct{})
+	}
+	cs.conns[conn] = struct{}{}
+	cs.wg.Add(1)
+	return true
+}
+
+// Remove forgets a connection registered with Add.
+func (cs *ConnSet) Remove(conn net.Conn) {
+	cs.mu.Lock()
+	delete(cs.conns, conn)
+	cs.mu.Unlock()
+	cs.wg.Done()
+}
+
+// Close stops the listeners, severs the live connections and waits until
+// every one has been removed. Closing twice is harmless.
+func (cs *ConnSet) Close() {
+	cs.mu.Lock()
+	if !cs.closed {
+		cs.closed = true
+		for ln := range cs.listeners {
+			ln.Close()
+		}
+		for conn := range cs.conns {
+			conn.Close()
+		}
+	}
+	cs.mu.Unlock()
+	cs.wg.Wait()
 }
 
 // connWriter serializes frame writes from the read loop and the pipelined
@@ -154,16 +187,30 @@ type connWriter struct {
 	mu  sync.Mutex
 	bw  *bufio.Writer
 	out *obs.Counter
+	buf []byte // prediction encode scratch, guarded by mu
 }
 
 func (cw *connWriter) write(typ byte, payload []byte) error {
 	cw.mu.Lock()
 	defer cw.mu.Unlock()
+	return cw.writeLocked(typ, payload)
+}
+
+func (cw *connWriter) writeLocked(typ byte, payload []byte) error {
 	if err := WriteFrame(cw.bw, typ, payload); err != nil {
 		return err
 	}
 	cw.out.Inc()
 	return cw.bw.Flush()
+}
+
+// writePrediction encodes and writes one streamed answer under the lock,
+// so the responders share one scratch buffer.
+func (cw *connWriter) writePrediction(p Prediction) error {
+	cw.mu.Lock()
+	defer cw.mu.Unlock()
+	cw.buf = AppendPrediction(cw.buf[:0], p)
+	return cw.writeLocked(FramePrediction, cw.buf)
 }
 
 // handleConn speaks the protocol on one connection: Hello negotiation,
@@ -177,8 +224,12 @@ func (s *Server) handleConn(conn net.Conn) {
 		_ = cw.write(FrameError, AppendError(nil, ErrorFrame{Code: code, Message: msg}))
 	}
 
+	// One inbound and one reply buffer serve the whole connection: decoding
+	// copies what it keeps, and a reply is written before the next is built.
+	var rbuf, out []byte
+
 	// Handshake: the first frame must be a Hello whose version we speak.
-	f, err := ReadFrame(br, s.cfg.MaxPayload)
+	f, err := ReadFrame(br, s.cfg.MaxPayload, &rbuf)
 	if err != nil {
 		if !errors.Is(err, io.EOF) {
 			fail(http.StatusBadRequest, err.Error())
@@ -214,7 +265,7 @@ func (s *Server) handleConn(conn net.Conn) {
 	defer wg.Wait()
 
 	for {
-		f, err := ReadFrame(br, s.cfg.MaxPayload)
+		f, err := ReadFrame(br, s.cfg.MaxPayload, &rbuf)
 		if err != nil {
 			if !errors.Is(err, io.EOF) {
 				fail(http.StatusBadRequest, err.Error())
@@ -230,12 +281,8 @@ func (s *Server) handleConn(conn net.Conn) {
 				return
 			}
 			s.batchReqs.Add(uint64(len(reqs)))
-			results := s.dispatch.DoBatch(reqs)
-			replies := make([]Reply, len(results))
-			for i, res := range results {
-				replies[i] = ReplyFromResult(reqs[i].RequestID, res.Resp, res.Code, res.Err)
-			}
-			if err := cw.write(FramePredictReply, AppendPredictReplies(nil, replies)); err != nil {
+			out = AppendResults(out[:0], reqs, s.dispatch.DoBatch(reqs))
+			if err := cw.write(FramePredictReply, out); err != nil {
 				return
 			}
 
@@ -298,7 +345,7 @@ func (s *Server) handleConn(conn net.Conn) {
 					pred.Anomalous = resp.Anomalous
 					pred.Deviation = resp.Deviation
 				}
-				_ = cw.write(FramePrediction, AppendPrediction(nil, pred))
+				_ = cw.writePrediction(pred)
 			}()
 
 		default:

@@ -95,27 +95,53 @@ type Frame struct {
 	Payload []byte
 }
 
-// AppendFrame renders one frame (header + payload) onto dst.
-func AppendFrame(dst []byte, typ byte, payload []byte) []byte {
-	var hdr [frameHeaderSize]byte
+// putHeader fills hdr with the frame header for payload.
+func putHeader(hdr []byte, typ byte, payload []byte) {
 	binary.BigEndian.PutUint32(hdr[0:4], frameMagic)
 	hdr[4] = typ
 	hdr[5] = 0
 	binary.BigEndian.PutUint32(hdr[6:10], uint32(len(payload)))
 	binary.BigEndian.PutUint32(hdr[10:14], crc32.Checksum(payload, castagnoli))
+}
+
+// AppendFrame renders one frame (header + payload) onto dst.
+func AppendFrame(dst []byte, typ byte, payload []byte) []byte {
+	var hdr [frameHeaderSize]byte
+	putHeader(hdr[:], typ, payload)
 	return append(append(dst, hdr[:]...), payload...)
 }
 
-// WriteFrame writes one frame to w.
-func WriteFrame(w io.Writer, typ byte, payload []byte) error {
-	_, err := w.Write(AppendFrame(nil, typ, payload))
+// WriteFrame writes one frame into w: the header is built in w's own spare
+// buffer space and the payload follows it, so framing copies the payload
+// once (into w) and allocates nothing. The caller flushes.
+func WriteFrame(w *bufio.Writer, typ byte, payload []byte) error {
+	if w.Available() < frameHeaderSize {
+		if err := w.Flush(); err != nil {
+			return err
+		}
+	}
+	hdr := w.AvailableBuffer()[:frameHeaderSize]
+	putHeader(hdr, typ, payload)
+	if _, err := w.Write(hdr); err != nil {
+		return err
+	}
+	_, err := w.Write(payload)
 	return err
 }
 
+// maxKeptBuffer bounds the read buffer a connection holds between frames:
+// a larger frame gets storage of its own, so one hostile 16 MiB frame does
+// not cost its connection 16 MiB for good.
+const maxKeptBuffer = 1 << 20
+
 // ReadFrame reads exactly one frame from r, enforcing maxPayload (≤ 0
-// means DefaultMaxPayload). io.EOF is returned untouched on a clean
-// boundary; a partial frame surfaces as ErrTruncated.
-func ReadFrame(r *bufio.Reader, maxPayload int) (Frame, error) {
+// means DefaultMaxPayload). A connection passes the same buf for every
+// frame: the payload is read into *buf (which grows to the largest frame
+// seen, up to maxKeptBuffer) and is valid until the next call with it —
+// decoders copy what they keep. A nil buf gets a fresh allocation per
+// frame. io.EOF is returned untouched on a clean boundary; a partial frame
+// surfaces as ErrTruncated.
+func ReadFrame(r *bufio.Reader, maxPayload int, buf *[]byte) (Frame, error) {
 	if maxPayload <= 0 {
 		maxPayload = DefaultMaxPayload
 	}
@@ -136,7 +162,15 @@ func ReadFrame(r *bufio.Reader, maxPayload int) (Frame, error) {
 	if length > maxPayload {
 		return Frame{}, fmt.Errorf("%w: %d bytes (cap %d)", ErrTooLarge, length, maxPayload)
 	}
-	payload := make([]byte, length)
+	var payload []byte
+	if buf != nil && length <= cap(*buf) {
+		payload = (*buf)[:length]
+	} else {
+		payload = make([]byte, length)
+		if buf != nil && length <= maxKeptBuffer {
+			*buf = payload
+		}
+	}
 	if _, err := io.ReadFull(r, payload); err != nil {
 		return Frame{}, fmt.Errorf("%w: %v", ErrTruncated, err)
 	}

@@ -81,7 +81,7 @@ func TestFrameRoundTrip(t *testing.T) {
 			t.Fatalf("round trip mismatch: type=%#x payload=%d rest=%d", f.Type, len(f.Payload), len(rest))
 		}
 		// The streaming reader agrees with the bytes decoder.
-		rf, err := ReadFrame(bufio.NewReader(bytes.NewReader(raw)), 0)
+		rf, err := ReadFrame(bufio.NewReader(bytes.NewReader(raw)), 0, nil)
 		if err != nil || rf.Type != f.Type || !bytes.Equal(rf.Payload, p) {
 			t.Fatalf("ReadFrame disagrees: %v", err)
 		}
@@ -121,7 +121,7 @@ func TestFrameDecodeErrors(t *testing.T) {
 		t.Fatalf("oversize: %v", err)
 	}
 	// Streaming reader classifies the same defects.
-	if _, err := ReadFrame(bufio.NewReader(bytes.NewReader(good[:7])), 0); !errors.Is(err, ErrTruncated) {
+	if _, err := ReadFrame(bufio.NewReader(bytes.NewReader(good[:7])), 0, nil); !errors.Is(err, ErrTruncated) {
 		t.Fatalf("streaming truncation: %v", err)
 	}
 }
@@ -164,20 +164,27 @@ func TestPredictRepliesRoundTrip(t *testing.T) {
 			RequestID: "0123456789abcdef", Status: 200,
 			Prediction: 49.75, Model: "env2vec", ModelVersion: 7, BatchSize: 8,
 			Anomalous: &anom, Deviation: &dev,
-			Spans: []obs.Span{
-				{TraceID: "0123456789abcdef", SpanID: "aa", Name: "serve.request", StartUnixUS: 123456, DurationMS: 1.5,
-					Attrs: map[string]string{"outcome": "served"}},
-				{TraceID: "0123456789abcdef", SpanID: "bb", ParentID: "aa", Name: "serve.forward", StartUnixUS: 123460, DurationMS: 0.5},
-			},
 		},
 		{RequestID: "ffff", Status: 429, Error: "serve: queue full"},
 	}
+	spans := []obs.Span{
+		{TraceID: "0123456789abcdef", SpanID: "aa", Name: "serve.request", StartUnixUS: 123456, DurationMS: 1.5,
+			Attrs: map[string]string{"outcome": "served"}},
+		{TraceID: "0123456789abcdef", SpanID: "bb", ParentID: "aa", Name: "serve.forward", StartUnixUS: 123460, DurationMS: 0.5},
+	}
+	replies[0].setSpans(spans)
 	got, err := DecodePredictReplies(AppendPredictReplies(nil, replies))
 	if err != nil {
 		t.Fatal(err)
 	}
 	if !reflect.DeepEqual(got, replies) {
 		t.Fatalf("round trip mismatch:\n got %+v\nwant %+v", got, replies)
+	}
+	if tree := got[0].Spans(); !reflect.DeepEqual(tree, spans) {
+		t.Fatalf("materialised spans:\n got %+v\nwant %+v", tree, spans)
+	}
+	if got[1].Spans() != nil {
+		t.Fatalf("error reply materialised spans: %+v", got[1].Spans())
 	}
 }
 
@@ -255,8 +262,8 @@ func TestClientServerBatch(t *testing.T) {
 		if rep.RequestID == "" {
 			t.Fatalf("reply %d: empty request id", i)
 		}
-		if len(rep.Spans) == 0 || rep.Spans[0].Name != "serve.request" {
-			t.Fatalf("reply %d: missing stage spans: %+v", i, rep.Spans)
+		if spans := rep.Spans(); len(spans) == 0 || spans[0].Name != "serve.request" || spans[0].TraceID != rep.RequestID {
+			t.Fatalf("reply %d: missing stage spans: %+v", i, spans)
 		}
 	}
 
@@ -362,10 +369,10 @@ func TestProtocolViolations(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer conn.Close()
-	if err := WriteFrame(conn, FrameHello, AppendHello(nil, Hello{Version: 99})); err != nil {
+	if _, err := conn.Write(AppendFrame(nil, FrameHello, AppendHello(nil, Hello{Version: 99}))); err != nil {
 		t.Fatal(err)
 	}
-	f, err := ReadFrame(bufio.NewReader(conn), 0)
+	f, err := ReadFrame(bufio.NewReader(conn), 0, nil)
 	if err != nil || f.Type != FrameError {
 		t.Fatalf("version mismatch answer: %+v %v", f, err)
 	}
@@ -382,7 +389,7 @@ func TestProtocolViolations(t *testing.T) {
 	if err := c.writeFrame(FrameWindow, AppendWindow(nil, Window{Seq: 1, CF: []float64{1}, Window: []float64{1, 2}})); err != nil {
 		t.Fatal(err)
 	}
-	rf, err := ReadFrame(c.br, 0)
+	rf, err := c.readFrame()
 	if err != nil || rf.Type != FrameError {
 		t.Fatalf("window-before-subscribe answer: %+v %v", rf, err)
 	}

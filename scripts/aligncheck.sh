@@ -1,0 +1,49 @@
+#!/bin/sh
+# aligncheck.sh <parent-binary> <change-binary>
+#
+# Go aligns functions to 32 bytes and the linker lays packages out in
+# dependency order, so a change to anything linked early shifts everything
+# after it; the float64 tape's hot loops (internal/tensor, autodiff, nn)
+# lose or gain ~12 % when their address modulo 64 flips (docs/performance.md,
+# "A measurement trap"). This compares the two binaries' symbol tables and
+# reports the shared symbols of those packages whose address mod 64 differs.
+# Print its verdict next to any setup_s / retrain_cycle delta: a move there
+# with shifted symbols and no float64 code in the diff is alignment, not a
+# regression (and not a gain).
+#
+#   bash bench/run.sh ...            # builds .bench_build/e2vbench
+#   scripts/aligncheck.sh /root/scratch/parent/.bench_build/e2vbench .bench_build/e2vbench
+set -eu
+if [ $# -ne 2 ]; then
+    echo "usage: $0 <parent-binary> <change-binary>" >&2
+    exit 2
+fi
+syms() {
+    # address size type name  ->  name phase   (text symbols of the hot packages)
+    # The last two hex digits of an address decide it modulo 64.
+    go tool nm -size "$1" | awk '
+        function hexdigit(s, i) { return index("0123456789abcdef", substr(s, i, 1)) - 1 }
+        ($3 == "T" || $3 == "t") && $4 ~ /internal\/(tensor|autodiff|nn)\./ {
+            n = length($1)
+            printf "%s %d\n", $4, (hexdigit($1, n - 1) * 16 + hexdigit($1, n)) % 64
+        }' | sort
+}
+tmp=$(mktemp -d)
+trap 'rm -rf "$tmp"' EXIT
+syms "$1" > "$tmp/parent"
+syms "$2" > "$tmp/change"
+join "$tmp/parent" "$tmp/change" > "$tmp/shared"
+shared=$(wc -l < "$tmp/shared")
+awk '$2 != $3 { printf "  %-72s %2d -> %2d\n", $1, $2, $3 }' "$tmp/shared" > "$tmp/moved"
+moved=$(wc -l < "$tmp/moved")
+if [ "$shared" -eq 0 ]; then
+    echo "aligncheck: no shared internal/tensor|autodiff|nn symbols (stripped binaries?)" >&2
+    exit 2
+fi
+if [ "$moved" -eq 0 ]; then
+    echo "aligncheck: SAME PHASE — all $shared shared tensor/autodiff/nn symbols keep their address mod 64"
+else
+    echo "aligncheck: SHIFTED — $moved of $shared shared tensor/autodiff/nn symbols changed address mod 64:"
+    head -20 "$tmp/moved"
+    [ "$moved" -le 20 ] || echo "  ... and $((moved - 20)) more"
+fi
