@@ -114,18 +114,20 @@ mv docs/outputs/BENCH_serve.json.new docs/outputs/BENCH_serve.json
 # -race (codec round trips, golden v1 frames, client/server batch and
 # subscribe modes, proxy wire front with the mixed JSON+binary+stream
 # kill-a-backend e2e, concurrent fan-out of mixed frames, wire trace
-# stitching, the JSON-vs-wire metric/span oracle, retained ids not pinning
-# frames), then the allocation budgets the race detector would trip (a
-# relayed frame costs a handful of allocations; a sampled-out trace
-# materialises no span), then commit the JSON-vs-binary codec and transport
+# stitching, the verdict table both fronts must answer alike, the one
+# server-side preamble behind both listeners, subscribe failover and error
+# relay through the splice, retained ids not pinning frames), then the
+# allocation budgets the race detector would trip (a relayed frame costs a
+# handful of allocations; a sampled-out trace materialises no span on either
+# front), then commit the JSON-vs-binary codec and transport
 # numbers (encode+decode at B8W20, and live round trips with p99s) gated
 # against the committed baseline: any allocs/op growth fails, and ns/op gets
 # a wide 25% bound because live round trips ride the box's phases.
 go test -run FuzzWireDecode -fuzz FuzzWireDecode -fuzztime 10s ./internal/wire/
 go test -race ./internal/wire/
-go test -race -run 'TestE2EWireMixedProtocolFailover|TestProxyBodyLimit|TestProxyErrorBodyCap|TestWireFanOut|TestProxyWireTraceStitchesBackendSpans|TestFrontsEmitSameFamiliesAndSpans|TestWireStickyIDsDoNotPinFrames' ./internal/proxy/
+go test -race -run 'TestE2EWireMixedProtocolFailover|TestProxyBodyLimit|TestProxyErrorBodyCap|TestWireFanOut|TestProxyWireTraceStitchesBackendSpans|TestFrontsEmitSameFamiliesAndSpans|TestWireStickyIDsDoNotPinFrames|TestPreambleOneBehaviour|TestWireSubscribe' ./internal/proxy/
 go test -race -run 'TestBodyLimits|TestStrictDecoding|TestDoBatch' ./internal/serve/
-go test -run 'TestFrameAllocBudget|TestGoldenFrames|TestWireDroppedTraceMaterialisesNoSpans' ./internal/wire/ ./internal/proxy/
+go test -run 'TestFrameAllocBudget|TestGoldenFrames|TestWireDroppedTraceMaterialisesNoSpans|TestJSONDroppedTraceMaterialisesNoSpans' ./internal/wire/ ./internal/proxy/
 go test -run '^$' -bench 'EncodeDecode|RoundTrip' -benchmem -count 1 ./internal/wire/ \
     | tee docs/outputs/bench_wire.txt \
     | go run ./cmd/benchjson -compare docs/outputs/BENCH_wire.json -max-regress 25 \
@@ -135,5 +137,8 @@ mv docs/outputs/BENCH_wire.json.new docs/outputs/BENCH_wire.json
 # nothing until this says SAME PHASE (docs/performance.md, "A measurement
 # trap"): print its verdict beside any such number.
 #   scripts/aligncheck.sh <parent>/.bench_build/e2vbench .bench_build/e2vbench
+# Non-test lines per package, raw and code (ROADMAP aim 2: every PR reports
+# its net; `scripts/loc.sh HEAD~1` prints the delta against the parent).
+scripts/loc.sh
 go run ./cmd/kdnbench -seeds 2 | tee docs/outputs/kdnbench.txt
 go run ./cmd/telecombench -slow -csv docs/outputs/figures | tee docs/outputs/telecombench.txt

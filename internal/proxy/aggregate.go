@@ -115,7 +115,7 @@ type FleetQualityCounters struct {
 // handleQuality serves the fleet /quality union.
 func (p *Proxy) handleQuality(w http.ResponseWriter, r *http.Request) {
 	if r.Method != http.MethodGet {
-		jsonError(w, http.StatusMethodNotAllowed, "method not allowed")
+		jsonError(w, "method not allowed", http.StatusMethodNotAllowed)
 		return
 	}
 	snaps := make(map[string]quality.Snapshot)

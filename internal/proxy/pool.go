@@ -9,15 +9,17 @@ import (
 	"time"
 
 	"env2vec/internal/obs"
+	"env2vec/internal/wire"
 )
 
 // Backend is one e2vserve instance in the pool. Aliveness is owned by the
 // health checker (plus passive marks from failed forwards); in-flight
 // counts feed the bounded-load walk.
 type Backend struct {
-	URL      string // base URL, no trailing slash
-	name     string // host:port, the value of the backend metric label
-	wireAddr string // binary-protocol listener (host:port); "" = HTTP only
+	URL      string            // base URL, no trailing slash
+	name     string            // host:port, the value of the backend metric label
+	wireAddr string            // binary-protocol listener (host:port); "" = HTTP only
+	idle     chan *wire.Client // idle wire clients to it, kept for reuse
 
 	alive    atomic.Bool
 	inflight atomic.Int64

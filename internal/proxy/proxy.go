@@ -10,7 +10,6 @@ import (
 	"log/slog"
 	"math"
 	"net/http"
-	"strconv"
 	"strings"
 	"sync"
 	"sync/atomic"
@@ -19,6 +18,7 @@ import (
 	"env2vec/internal/envmeta"
 	"env2vec/internal/obs"
 	"env2vec/internal/serve"
+	"env2vec/internal/wire"
 )
 
 // Config sizes the front tier.
@@ -120,9 +120,8 @@ type Proxy struct {
 	// served at GET /traces and GET /traces/{id}.
 	traces *obs.TraceStore
 
-	// wire is the binary-protocol front, built lazily by ServeWire.
-	wire     *wireFront
-	wireOnce sync.Once
+	// wire is the binary-protocol front; nil without WireBackends.
+	wire *wireFront
 
 	healthCancel         context.CancelFunc
 	healthDone           chan struct{}
@@ -216,6 +215,7 @@ func New(cfg Config) *Proxy {
 		b := &Backend{URL: url, name: backendName(url)}
 		if len(cfg.WireBackends) > 0 {
 			b.wireAddr = cfg.WireBackends[i]
+			b.idle = make(chan *wire.Client, wirePoolIdleCap)
 		}
 		b.alive.Store(true) // optimistic until the first probe pass
 		lbls := obs.Labels{"backend": b.name}
@@ -231,6 +231,9 @@ func New(cfg Config) *Proxy {
 		})
 		reg.GaugeFunc("env2vec_proxy_backend_inflight", "In-flight forwards per backend.", lbls, func() float64 { return float64(b.Inflight()) })
 		p.backends = append(p.backends, b)
+	}
+	if len(cfg.WireBackends) > 0 {
+		p.wire = newWireFront(p)
 	}
 	p.ring = newRing(p.backends, cfg.VNodes)
 	p.health = &health{
@@ -290,7 +293,9 @@ func (p *Proxy) Close() {
 			p.healthCancel()
 			<-p.healthDone
 		}
-		p.closeWire()
+		if p.wire != nil {
+			p.wire.close()
+		}
 	})
 }
 
@@ -358,33 +363,18 @@ func (p *Proxy) ServeHTTP(w http.ResponseWriter, r *http.Request) { p.mux.ServeH
 
 // predictKey is the slice of the /predict body the router needs.
 type predictKey struct {
-	Testbed   string `json:"testbed"`
-	SUT       string `json:"sut"`
-	Testcase  string `json:"testcase"`
-	Build     string `json:"build"`
+	// testbed, sut, testcase, build: a JSON key matches its field whatever
+	// the case.
+	envmeta.Environment
 	RequestID string `json:"request_id"`
 }
 
 func (p *Proxy) handlePredict(w http.ResponseWriter, r *http.Request) {
-	if r.Method != http.MethodPost {
-		http.Error(w, "method not allowed", http.StatusMethodNotAllowed)
-		return
-	}
-	body, err := p.readBody(w, r)
-	if err != nil {
-		status := http.StatusBadRequest
-		if isBodyTooLarge(err) {
-			status = http.StatusRequestEntityTooLarge
-		}
-		http.Error(w, "read body: "+err.Error(), status)
-		return
-	}
 	var key predictKey
-	if err := json.Unmarshal(body, &key); err != nil {
-		http.Error(w, "invalid request: "+err.Error(), http.StatusBadRequest)
+	body, ok := p.readPost(w, r, &key, http.Error)
+	if !ok {
 		return
 	}
-	env := envmeta.Environment{Testbed: key.Testbed, SUT: key.SUT, Testcase: key.Testcase, Build: key.Build}
 	reqID := r.Header.Get(obs.RequestIDHeader)
 	if reqID == "" {
 		reqID = key.RequestID
@@ -392,30 +382,36 @@ func (p *Proxy) handlePredict(w http.ResponseWriter, r *http.Request) {
 	if reqID == "" {
 		reqID = obs.NewRequestID()
 	}
-	p.forward(w, env.String(), "/predict", body, reqID, func(b *Backend) {
+	// The JSON adapter owns only its transport: the POST that tries one
+	// backend, the body the kept trace's backend spans are parsed out of, and
+	// the relay of whatever the core settled on.
+	var hdr http.Header
+	var resp []byte
+	b, code, msg := p.forward(key.Environment.String(), "/predict", reqID, 0,
+		func(b *Backend, attemptSpanID string) (status int, err error) {
+			status, hdr, resp, err = p.post(b, "/predict", body, reqID, attemptSpanID)
+			return status, err
+		},
+		func(dst []obs.Span) []obs.Span { return append(dst, backendSpans(resp)...) })
+	if b == nil {
+		if code == http.StatusTooManyRequests {
+			w.Header().Set("Retry-After", "1")
+		}
+		http.Error(w, msg, code)
+		return
+	}
+	if code < 300 {
 		p.rememberSticky(reqID, b)
-	})
+	}
+	relay(w, code, hdr, resp, b)
 }
 
 func (p *Proxy) handleObserve(w http.ResponseWriter, r *http.Request) {
-	if r.Method != http.MethodPost {
-		jsonError(w, http.StatusMethodNotAllowed, "method not allowed")
-		return
-	}
-	body, err := p.readBody(w, r)
-	if err != nil {
-		status := http.StatusBadRequest
-		if isBodyTooLarge(err) {
-			status = http.StatusRequestEntityTooLarge
-		}
-		jsonError(w, status, "read body: "+err.Error())
-		return
-	}
 	var req struct {
 		RequestID string `json:"request_id"`
 	}
-	if err := json.Unmarshal(body, &req); err != nil {
-		jsonError(w, http.StatusBadRequest, "invalid request: "+err.Error())
+	body, ok := p.readPost(w, r, &req, jsonError)
+	if !ok {
 		return
 	}
 	b, ok := p.takeSticky(req.RequestID)
@@ -424,160 +420,20 @@ func (p *Proxy) handleObserve(w http.ResponseWriter, r *http.Request) {
 		// gone; its pending entry died with it. 404 matches the backend's
 		// own unknown-id answer.
 		p.stickyMiss.Inc()
-		jsonError(w, http.StatusNotFound, "unknown or expired request id")
+		jsonError(w, "unknown or expired request id", http.StatusNotFound)
 		return
 	}
-	status, hdr, respBody, err := p.attempt(b, "/observe", body, req.RequestID, "")
+	var hdr http.Header
+	var resp []byte
+	status, _, err := p.attempt(b, req.RequestID, "", func(b *Backend, _ string) (status int, err error) {
+		status, hdr, resp, err = p.post(b, "/observe", body, req.RequestID, "")
+		return status, err
+	})
 	if err != nil {
-		jsonError(w, http.StatusBadGateway, "backend "+b.name+": "+err.Error())
+		jsonError(w, "backend "+b.name+": "+err.Error(), http.StatusBadGateway)
 		return
 	}
-	relay(w, status, hdr, respBody, b)
-}
-
-// forward routes one request along its ring candidates with the retry
-// budget and exponential backoff, relaying the first conclusive response.
-// onServed runs with the backend that produced a 2xx (sticky bookkeeping).
-//
-// Every terminal path records a trace: a proxy.request root span, one
-// proxy.attempt child per forward try (backend, attempt number, backoff
-// wait, outcome), and — on a conclusive answer — the backend's own stage
-// spans stitched out of its response body, parented onto the attempt that
-// carried them via the traceparent header.
-func (p *Proxy) forward(w http.ResponseWriter, key, path string, body []byte, reqID string, onServed func(*Backend)) {
-	t0 := time.Now()
-	rootID := obs.NewSpanID()
-	var spans []obs.Span
-	attempts := 0
-	finish := func(outcome, errMsg string) {
-		dur := obs.MS(time.Since(t0))
-		root := obs.Span{
-			TraceID: reqID, SpanID: rootID, Name: "proxy.request",
-			StartUnixUS: t0.UnixMicro(), DurationMS: dur,
-		}
-		root.SetAttr("outcome", outcome)
-		root.SetAttr("path", path)
-		if errMsg != "" {
-			root.SetAttr("error", errMsg)
-		}
-		switch outcome {
-		case obs.OutcomeServed:
-			p.latServed.ObserveExemplar(dur, reqID)
-		case obs.OutcomeShed:
-			p.latShed.ObserveExemplar(dur, reqID)
-		default:
-			p.latFailed.ObserveExemplar(dur, reqID)
-		}
-		p.traces.Add(obs.Trace{
-			TraceID: reqID, Root: root.Name, Outcome: outcome, Retried: attempts > 1,
-			StartUnixUS: root.StartUnixUS, DurationMS: dur,
-			Spans: append([]obs.Span{root}, spans...),
-		})
-	}
-	if p.totalInflight.Load() >= int64(p.cfg.MaxInflight) {
-		p.shed.Inc()
-		finish(obs.OutcomeShed, "proxy: pool saturated")
-		w.Header().Set("Retry-After", "1")
-		http.Error(w, "proxy: pool saturated", http.StatusTooManyRequests)
-		return
-	}
-	candidates := p.route(key)
-	if len(candidates) == 0 {
-		p.failed.Inc()
-		finish(obs.OutcomeFailed, "proxy: no live backends")
-		http.Error(w, "proxy: no live backends", http.StatusServiceUnavailable)
-		return
-	}
-	backoff := p.cfg.RetryBackoff
-	var lastStatus int
-	var lastErr error
-	for i, b := range candidates {
-		waited := time.Duration(0)
-		if i > 0 {
-			p.retries.Inc()
-			waited = backoff
-			time.Sleep(backoff)
-			p.backoffWait.Observe(obs.MS(waited))
-			backoff *= 2
-		}
-		attempts++
-		span := obs.Span{TraceID: reqID, SpanID: obs.NewSpanID(), ParentID: rootID, Name: "proxy.attempt"}
-		span.SetAttr("backend", b.name)
-		span.SetAttr("attempt", strconv.Itoa(attempts))
-		if waited > 0 {
-			span.SetAttr("backoff_wait_ms", strconv.FormatFloat(obs.MS(waited), 'g', -1, 64))
-		}
-		aStart := time.Now()
-		span.StartUnixUS = aStart.UnixMicro()
-		status, hdr, respBody, err := p.attempt(b, path, body, reqID, span.SpanID)
-		span.DurationMS = obs.MS(time.Since(aStart))
-		if err != nil {
-			// Transport-level failure: the backend is suspect. Report it to
-			// the health state machine so the ring converges faster than the
-			// next probe tick, and try the next candidate.
-			span.SetAttr("outcome", "failed")
-			span.SetAttr("error", err.Error())
-			spans = append(spans, span)
-			p.health.reportFailure(b)
-			lastErr = err
-			p.log.Debug("forward failed, failing over", "backend", b.name, "path", path, "err", err)
-			continue
-		}
-		if retryableStatus(status) {
-			// 429: the backend's queue is full — spill clockwise (the
-			// bounded-load escape hatch). 502/503: it is up but cannot serve
-			// (no model yet, shutting down); the next candidate might.
-			if status == http.StatusTooManyRequests {
-				span.SetAttr("outcome", "shed")
-			} else {
-				span.SetAttr("outcome", "refused")
-			}
-			span.SetAttr("status", strconv.Itoa(status))
-			spans = append(spans, span)
-			lastStatus = status
-			p.log.Debug("backend refused, failing over", "backend", b.name, "status", status)
-			continue
-		}
-		outcome := obs.OutcomeServed
-		if i > 0 {
-			p.failovers.Inc()
-			span.SetAttr("outcome", "failover")
-		} else {
-			span.SetAttr("outcome", "served")
-		}
-		if status < 300 {
-			p.served.Inc()
-			b.served.Inc()
-			if onServed != nil {
-				onServed(b)
-			}
-		} else {
-			p.failed.Inc() // conclusive client error (400 etc.) — relay, don't mask
-			outcome = obs.OutcomeFailed
-			span.SetAttr("outcome", "error")
-			span.SetAttr("status", strconv.Itoa(status))
-		}
-		spans = append(spans, span)
-		spans = append(spans, backendSpans(respBody)...)
-		finish(outcome, "")
-		relay(w, status, hdr, respBody, b)
-		return
-	}
-	// Retry budget exhausted.
-	p.failed.Inc()
-	switch {
-	case lastStatus == http.StatusTooManyRequests:
-		p.shed.Inc()
-		finish(obs.OutcomeShed, "proxy: fleet saturated")
-		w.Header().Set("Retry-After", "1")
-		http.Error(w, "proxy: fleet saturated", http.StatusTooManyRequests)
-	case lastStatus != 0:
-		finish(obs.OutcomeFailed, fmt.Sprintf("all candidates refused (last status %d)", lastStatus))
-		http.Error(w, fmt.Sprintf("proxy: all candidates refused (last status %d)", lastStatus), http.StatusServiceUnavailable)
-	default:
-		finish(obs.OutcomeFailed, "all candidates unreachable: "+lastErr.Error())
-		http.Error(w, "proxy: all candidates unreachable: "+lastErr.Error(), http.StatusBadGateway)
-	}
+	relay(w, status, hdr, resp, b)
 }
 
 // backendSpans extracts the backend's span tree from a forwarded response
@@ -595,17 +451,11 @@ func backendSpans(body []byte) []obs.Span {
 	return resp.Trace.Spans
 }
 
-// attempt forwards one request to one backend, returning its status,
-// headers of interest, and body. Transport errors are returned as err.
-// parentSpanID, when set, rides the traceparent header so the backend's
-// spans parent onto this attempt.
-func (p *Proxy) attempt(b *Backend, path string, body []byte, reqID, parentSpanID string) (int, http.Header, []byte, error) {
-	b.inflight.Add(1)
-	p.totalInflight.Add(1)
-	defer func() {
-		b.inflight.Add(-1)
-		p.totalInflight.Add(-1)
-	}()
+// post is the JSON transport's try: one POST to one backend, returning its
+// status, headers of interest, and body. Transport errors are returned as
+// err. parentSpanID, when set, rides the traceparent header so the
+// backend's spans parent onto the attempt that carried them.
+func (p *Proxy) post(b *Backend, path string, body []byte, reqID, parentSpanID string) (int, http.Header, []byte, error) {
 	req, err := http.NewRequest(http.MethodPost, b.URL+path, bytes.NewReader(body))
 	if err != nil {
 		return 0, nil, nil, err
@@ -617,11 +467,8 @@ func (p *Proxy) attempt(b *Backend, path string, body []byte, reqID, parentSpanI
 			req.Header.Set(obs.TraceParentHeader, obs.FormatTraceParent(reqID, parentSpanID))
 		}
 	}
-	t0 := time.Now()
 	resp, err := p.client.Do(req)
 	if err != nil {
-		b.failed.Inc()
-		p.attemptErr.Observe(obs.MS(time.Since(t0)))
 		return 0, nil, nil, err
 	}
 	defer resp.Body.Close()
@@ -635,25 +482,9 @@ func (p *Proxy) attempt(b *Backend, path string, body []byte, reqID, parentSpanI
 	}
 	respBody, err := io.ReadAll(bodyReader)
 	if err != nil {
-		b.failed.Inc()
-		p.attemptErr.Observe(obs.MS(time.Since(t0)))
 		return 0, nil, nil, err
 	}
-	ms := obs.MS(time.Since(t0))
-	p.attemptOK.Observe(ms)
-	b.latency.ObserveExemplar(ms, reqID)
 	return resp.StatusCode, resp.Header, respBody, nil
-}
-
-// retryableStatus reports whether a backend status means "try the next
-// candidate": overload (429) and transient unavailability (502/503/504).
-func retryableStatus(code int) bool {
-	switch code {
-	case http.StatusTooManyRequests, http.StatusBadGateway,
-		http.StatusServiceUnavailable, http.StatusGatewayTimeout:
-		return true
-	}
-	return false
 }
 
 // relay writes a backend response through to the client, preserving the
@@ -694,7 +525,7 @@ func (p *Proxy) handleStatz(w http.ResponseWriter, r *http.Request) {
 		relay(w, resp.StatusCode, resp.Header, body, b)
 		return
 	}
-	jsonError(w, http.StatusServiceUnavailable, "no live backends")
+	jsonError(w, "no live backends", http.StatusServiceUnavailable)
 }
 
 // FleetState is the GET /fleet payload: the proxy's routing view.
@@ -788,21 +619,34 @@ func (p *Proxy) takeSticky(id string) (*Backend, bool) {
 // proxy reads before relaying it.
 const maxErrorBodyBytes = 64 << 10
 
-// readBody drains one inbound request body under the configured cap.
-// Exceeding it surfaces as *http.MaxBytesError (and MaxBytesReader has
-// already stamped Connection: close on the response).
-func (p *Proxy) readBody(w http.ResponseWriter, r *http.Request) ([]byte, error) {
-	return io.ReadAll(http.MaxBytesReader(w, r.Body, p.cfg.MaxBodyBytes))
+// readPost admits one POST: the body, read under the configured cap, and
+// its routing slice decoded into v. A refusal — wrong method, unreadable or
+// oversized body (413; MaxBytesReader has already stamped Connection: close
+// on the response), invalid JSON — has been answered through fail.
+func (p *Proxy) readPost(w http.ResponseWriter, r *http.Request, v any, fail func(w http.ResponseWriter, msg string, code int)) ([]byte, bool) {
+	if r.Method != http.MethodPost {
+		fail(w, "method not allowed", http.StatusMethodNotAllowed)
+		return nil, false
+	}
+	body, err := io.ReadAll(http.MaxBytesReader(w, r.Body, p.cfg.MaxBodyBytes))
+	if err != nil {
+		status := http.StatusBadRequest
+		var mbe *http.MaxBytesError
+		if errors.As(err, &mbe) {
+			status = http.StatusRequestEntityTooLarge
+		}
+		fail(w, "read body: "+err.Error(), status)
+		return nil, false
+	}
+	if err := json.Unmarshal(body, v); err != nil {
+		fail(w, "invalid request: "+err.Error(), http.StatusBadRequest)
+		return nil, false
+	}
+	return body, true
 }
 
-// isBodyTooLarge reports whether err came from MaxBytesReader's cap.
-func isBodyTooLarge(err error) bool {
-	var mbe *http.MaxBytesError
-	return errors.As(err, &mbe)
-}
-
-// jsonError mirrors serve's error body shape.
-func jsonError(w http.ResponseWriter, code int, msg string) {
+// jsonError mirrors serve's error body shape, with http.Error's signature.
+func jsonError(w http.ResponseWriter, msg string, code int) {
 	w.Header().Set("Content-Type", "application/json")
 	w.WriteHeader(code)
 	_ = json.NewEncoder(w).Encode(map[string]string{"error": msg})

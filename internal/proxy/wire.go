@@ -2,12 +2,9 @@ package proxy
 
 import (
 	"bufio"
-	"errors"
-	"fmt"
 	"io"
 	"net"
 	"net/http"
-	"strconv"
 	"strings"
 	"sync"
 	"time"
@@ -18,118 +15,55 @@ import (
 	"env2vec/internal/wire"
 )
 
-// wireFront is the proxy's binary-protocol face: the same ring, health
-// hysteresis, retry budget, sticky bookkeeping, and trace stitching as the
-// JSON handlers, but speaking wire frames end to end — requests decoded
-// off the client connection are re-framed (never re-marshalled through
-// JSON) onto pooled backend connections.
+// wireFront is the proxy's binary-protocol face: the forwarding core the
+// JSON handlers run, fed by a wire transport — requests decoded off the
+// client connection are re-framed (never re-marshalled through JSON) onto
+// pooled backend connections. New builds it when WireBackends are configured.
 type wireFront struct {
 	p     *Proxy
 	conns wire.ConnSet
-	pools map[string]*wirePool // keyed by backend wire address; fixed after init
+	ccfg  wire.ClientConfig
 
 	connsTotal, batches  *obs.Counter
 	subsTotal, relayErrs *obs.Counter
 }
 
-// wirePool keeps idle wire clients to one backend for reuse. Checked-out
-// clients that hit a transport error are discarded, not returned.
-type wirePool struct {
-	addr string
-	cfg  wire.ClientConfig
-
-	mu   sync.Mutex
-	idle []*wire.Client
-}
-
+// wirePoolIdleCap is how many idle wire clients a backend keeps for reuse
+// (Backend.idle). A client that hit a transport error is discarded, not
+// returned; one that finds the pool full is closed.
 const wirePoolIdleCap = 8
 
-func (wp *wirePool) get() (*wire.Client, error) {
-	wp.mu.Lock()
-	if n := len(wp.idle); n > 0 {
-		c := wp.idle[n-1]
-		wp.idle = wp.idle[:n-1]
-		wp.mu.Unlock()
-		return c, nil
+func newWireFront(p *Proxy) *wireFront {
+	return &wireFront{
+		p: p, ccfg: wire.ClientConfig{Timeout: p.cfg.Timeout},
+		connsTotal: p.reg.Counter("env2vec_proxy_wire_connections_total", "Wire-protocol client connections accepted by the proxy.", nil),
+		batches:    p.reg.Counter("env2vec_proxy_wire_batches_total", "Predict batch frames routed by the wire front.", nil),
+		subsTotal:  p.reg.Counter("env2vec_proxy_wire_subscriptions_total", "Subscribe streams spliced through to backends.", nil),
+		relayErrs:  p.reg.Counter("env2vec_proxy_wire_relay_errors_total", "Wire batches or streams the proxy had to answer itself: no candidate gave a conclusive reply.", nil),
 	}
-	wp.mu.Unlock()
-	return wire.Dial(wp.addr, wp.cfg)
-}
-
-func (wp *wirePool) put(c *wire.Client) {
-	wp.mu.Lock()
-	if len(wp.idle) < wirePoolIdleCap {
-		wp.idle = append(wp.idle, c)
-		wp.mu.Unlock()
-		return
-	}
-	wp.mu.Unlock()
-	c.Close()
-}
-
-func (wp *wirePool) drain() {
-	wp.mu.Lock()
-	idle := wp.idle
-	wp.idle = nil
-	wp.mu.Unlock()
-	for _, c := range idle {
-		c.Close()
-	}
-}
-
-// initWireFront builds the front lazily on the first ServeWire call; it
-// panics when the proxy was configured without WireBackends because a wire
-// listener with no wire backends cannot route anything.
-func (p *Proxy) initWireFront() *wireFront {
-	p.wireOnce.Do(func() {
-		if len(p.cfg.WireBackends) == 0 {
-			panic("proxy: ServeWire requires Config.WireBackends")
-		}
-		wf := &wireFront{p: p, pools: make(map[string]*wirePool)}
-		ccfg := wire.ClientConfig{Timeout: p.cfg.Timeout}
-		for _, b := range p.backends {
-			if b.wireAddr != "" {
-				wf.pools[b.wireAddr] = &wirePool{addr: b.wireAddr, cfg: ccfg}
-			}
-		}
-		wf.connsTotal = p.reg.Counter("env2vec_proxy_wire_connections_total", "Wire-protocol client connections accepted by the proxy.", nil)
-		wf.batches = p.reg.Counter("env2vec_proxy_wire_batches_total", "Predict batch frames routed by the wire front.", nil)
-		wf.subsTotal = p.reg.Counter("env2vec_proxy_wire_subscriptions_total", "Subscribe streams spliced through to backends.", nil)
-		wf.relayErrs = p.reg.Counter("env2vec_proxy_wire_relay_errors_total", "Wire batches or streams that failed against every candidate.", nil)
-		p.wire = wf
-	})
-	return p.wire
 }
 
 // ServeWire accepts binary-protocol connections on ln and routes them over
 // the same backend pool as the HTTP handlers. Call from its own goroutine;
-// it returns when ln or the proxy closes.
+// it returns when ln or the proxy closes. It panics when the proxy was
+// configured without WireBackends: a wire listener with no wire backends
+// cannot route anything.
 func (p *Proxy) ServeWire(ln net.Listener) error {
-	wf := p.initWireFront()
-	if wf == nil {
-		ln.Close()
-		return errors.New("proxy: closed")
-	}
-	return wf.conns.Serve(ln, func(conn net.Conn) {
-		wf.connsTotal.Inc()
-		wf.handleConn(conn)
-	})
-}
-
-// closeWire tears down the wire front: listeners, live connections (the
-// backend side of spliced streams among them), idle backend pools. Called
-// from Proxy.Close.
-func (p *Proxy) closeWire() {
-	// Through the Once, so this read is ordered after a concurrent
-	// ServeWire's initialisation; a front never built stays nil for good.
-	p.wireOnce.Do(func() {})
 	wf := p.wire
 	if wf == nil {
-		return
+		panic("proxy: ServeWire requires Config.WireBackends")
 	}
-	wf.conns.Close()
-	for _, wp := range wf.pools {
-		wp.drain()
+	return wf.conns.Serve(ln, wf.handleConn)
+}
+
+// close tears down the wire front: listeners, live connections (the backend
+// side of spliced streams among them), idle backend clients.
+func (wf *wireFront) close() {
+	wf.conns.Close() // returns once no handler is left to check a client in
+	for _, b := range wf.p.backends {
+		for len(b.idle) > 0 {
+			(<-b.idle).Close()
+		}
 	}
 }
 
@@ -138,53 +72,14 @@ func (p *Proxy) closeWire() {
 // through to its home backend.
 func (wf *wireFront) handleConn(conn net.Conn) {
 	defer conn.Close()
-	br := bufio.NewReaderSize(conn, 64<<10)
-	bw := bufio.NewWriterSize(conn, 64<<10)
-	write := func(typ byte, payload []byte) error {
-		if err := wire.WriteFrame(bw, typ, payload); err != nil {
-			return err
-		}
-		return bw.Flush()
-	}
-	fail := func(code int, msg string) {
-		_ = write(wire.FrameError, wire.AppendError(nil, wire.ErrorFrame{Code: code, Message: msg}))
-	}
-	// One inbound and one reply buffer serve the whole connection: decoding
-	// copies what it keeps, and a reply is written before the next is built.
-	var rbuf, out []byte
-	read := func() (wire.Frame, bool) {
-		f, err := wire.ReadFrame(br, wire.DefaultMaxPayload, &rbuf)
-		if err != nil && !errors.Is(err, io.EOF) {
-			fail(http.StatusBadRequest, err.Error())
-		}
-		return f, err == nil
-	}
-
-	f, ok := read()
-	if !ok {
+	wf.connsTotal.Inc()
+	c := wire.NewConn(conn, 0)
+	if !c.ServeHello() {
 		return
 	}
-	if f.Type != wire.FrameHello {
-		fail(http.StatusBadRequest, "wire: expected Hello")
-		return
-	}
-	hello, err := wire.DecodeHello(f.Payload)
-	if err != nil {
-		fail(http.StatusBadRequest, err.Error())
-		return
-	}
-	if hello.Version != wire.ProtocolVersion {
-		fail(http.StatusHTTPVersionNotSupported, wire.ErrVersion.Error())
-		return
-	}
-	if err := write(wire.FrameHelloAck, wire.AppendHello(nil, wire.Hello{
-		Version: wire.ProtocolVersion, Features: wire.FeatureBatch | wire.FeatureSubscribe,
-	})); err != nil {
-		return
-	}
-
+	var out []byte // reply scratch: a reply is written before the next is built
 	for {
-		f, ok := read()
+		f, ok := c.Read()
 		if !ok {
 			return
 		}
@@ -192,28 +87,28 @@ func (wf *wireFront) handleConn(conn net.Conn) {
 		case wire.FramePredictBatch:
 			reqs, err := wire.DecodePredictBatch(f.Payload)
 			if err != nil {
-				fail(http.StatusBadRequest, err.Error())
+				c.Fail(http.StatusBadRequest, err.Error())
 				return
 			}
 			wf.batches.Inc()
 			out = wire.AppendPredictReplies(out[:0], wf.routeBatch(reqs))
-			if err := write(wire.FramePredictReply, out); err != nil {
+			if err := c.Write(wire.FramePredictReply, out); err != nil {
 				return
 			}
 
 		case wire.FrameSubscribe:
 			sub, err := wire.DecodeSubscribe(f.Payload)
 			if err != nil {
-				fail(http.StatusBadRequest, err.Error())
+				c.Fail(http.StatusBadRequest, err.Error())
 				return
 			}
 			// The stream takes over the connection; splice returns when
 			// either side closes.
-			wf.splice(conn, br, sub, fail)
+			wf.splice(conn, c, sub)
 			return
 
 		default:
-			fail(http.StatusBadRequest, "wire: unexpected frame type")
+			c.Fail(http.StatusBadRequest, "wire: unexpected frame type")
 			return
 		}
 	}
@@ -238,12 +133,6 @@ func routeKey(r *serve.Request) string {
 // their candidate lists concurrently, each with the usual retry budget,
 // and the replies land back in request order (gather).
 func (wf *wireFront) routeBatch(reqs []*serve.Request) []wire.Reply {
-	p := wf.p
-	// Admission control shares the pool-wide in-flight bound with HTTP.
-	if p.totalInflight.Load() >= int64(p.cfg.MaxInflight) {
-		p.shed.Inc()
-		return errReplies(reqs, http.StatusTooManyRequests, "proxy: pool saturated")
-	}
 	mixed := false
 	for _, r := range reqs {
 		if r.RequestID == "" {
@@ -289,191 +178,87 @@ func (wf *wireFront) routeBatch(reqs []*serve.Request) []wire.Reply {
 	return replies
 }
 
-// forwardGroup sends one same-environment slice of a batch along its
-// candidate backends. A conclusive answer (any non-retryable item) stops
-// the walk; a transport error or an all-shed reply tries the next
-// candidate after the usual backoff. Transport failures feed the health
-// state machine exactly like HTTP forward failures.
+// forwardGroup is the wire adapter over the forwarding core: one
+// same-environment slice of a batch is one forwarded unit. It owns only the
+// transport — a pooled Predict with the attempt's traceparent stamped on
+// every request, the frame's status folded from its items, the backend
+// spans the replies carry as bytes — and the per-item sticky bookkeeping.
 func (wf *wireFront) forwardGroup(key string, group []*serve.Request) []wire.Reply {
-	p := wf.p
-	t0 := time.Now()
-	rootID := obs.NewSpanID()
 	traceID := strings.Clone(group[0].RequestID) // a kept trace outlives the frame
-	var spans []obs.Span
-	attempts := 0
-	// finish closes the group's trace. The tail-sampling decision comes
-	// first: only a kept trace builds its root span and turns the backend
-	// spans, which the replies carry as bytes, into a tree.
-	finish := func(outcome, errMsg string, got []wire.Reply) {
-		dur := obs.MS(time.Since(t0))
-		switch outcome {
-		case obs.OutcomeServed:
-			p.latServed.ObserveExemplar(dur, traceID)
-		case obs.OutcomeShed:
-			p.latShed.ObserveExemplar(dur, traceID)
-		default:
-			p.latFailed.ObserveExemplar(dur, traceID)
-		}
-		t := obs.Trace{
-			TraceID: traceID, Root: "proxy.request", Outcome: outcome, Retried: attempts > 1,
-			StartUnixUS: t0.UnixMicro(), DurationMS: dur,
-		}
-		if !p.traces.Sample(&t) {
-			return
-		}
-		root := obs.Span{
-			TraceID: traceID, SpanID: rootID, Name: t.Root,
-			StartUnixUS: t.StartUnixUS, DurationMS: dur,
-		}
-		root.SetAttr("outcome", outcome)
-		root.SetAttr("path", "wire:batch")
-		root.SetAttr("batch_size", strconv.Itoa(len(group)))
-		if errMsg != "" {
-			root.SetAttr("error", errMsg)
-		}
-		t.Spans = append(append(t.Spans, root), spans...)
-		for i := range got {
-			t.Spans = append(t.Spans, got[i].Spans()...)
-		}
-		p.traces.Store(t)
-	}
-	giveUp := func(outcome string, code int, msg string) []wire.Reply {
-		p.failed.Inc()
+	var got []wire.Reply
+	b, code, msg := wf.p.forward(key, "wire:batch", traceID, len(group),
+		func(b *Backend, attemptSpanID string) (status int, err error) {
+			for _, r := range group {
+				r.TraceParent = obs.FormatTraceParent(r.RequestID, attemptSpanID)
+			}
+			got, err = wf.predict(b, group)
+			return frameStatus(got), err
+		},
+		func(dst []obs.Span) []obs.Span {
+			for i := range got {
+				dst = append(dst, got[i].Spans()...)
+			}
+			return dst
+		})
+	if b == nil {
 		wf.relayErrs.Inc()
-		finish(outcome, msg, nil)
 		return errReplies(group, code, msg)
 	}
-
-	candidates := p.route(key)
-	n := 0
-	for _, b := range candidates {
-		if b.wireAddr != "" {
-			candidates[n] = b
-			n++
+	for k := range got {
+		if got[k].Status < 300 {
+			// The sticky map outlives the reply frame the id sub-slices.
+			wf.p.rememberSticky(strings.Clone(got[k].RequestID), b)
 		}
 	}
-	candidates = candidates[:n]
-	if len(candidates) == 0 {
-		return giveUp(obs.OutcomeFailed, http.StatusServiceUnavailable, "proxy: no live wire backends")
-	}
-
-	backoff := p.cfg.RetryBackoff
-	var lastErr error
-	allShed := false
-	for i, b := range candidates {
-		waited := time.Duration(0)
-		if i > 0 {
-			p.retries.Inc()
-			waited = backoff
-			time.Sleep(backoff)
-			p.backoffWait.Observe(obs.MS(waited))
-			backoff *= 2
-		}
-		attempts++
-		span := obs.Span{TraceID: traceID, SpanID: obs.NewSpanID(), ParentID: rootID, Name: "proxy.attempt"}
-		span.SetAttr("backend", b.name)
-		span.SetAttr("attempt", strconv.Itoa(attempts))
-		if waited > 0 {
-			span.SetAttr("backoff_wait_ms", strconv.FormatFloat(obs.MS(waited), 'g', -1, 64))
-		}
-		// Backend spans parent onto this attempt, as on the HTTP path.
-		for _, r := range group {
-			r.TraceParent = obs.FormatTraceParent(r.RequestID, span.SpanID)
-		}
-		aStart := time.Now()
-		span.StartUnixUS = aStart.UnixMicro()
-		got, err := wf.attemptWire(b, group)
-		span.DurationMS = obs.MS(time.Since(aStart))
-		if err != nil {
-			span.SetAttr("outcome", "failed")
-			span.SetAttr("error", err.Error())
-			spans = append(spans, span)
-			p.attemptErr.Observe(span.DurationMS)
-			b.failed.Inc()
-			p.health.reportFailure(b)
-			lastErr = err
-			p.log.Debug("wire forward failed, failing over", "backend", b.name, "err", err)
-			continue
-		}
-		p.attemptOK.Observe(span.DurationMS)
-		b.latency.ObserveExemplar(span.DurationMS, traceID)
-		allShed = true
-		for k := range got {
-			if !retryableStatus(got[k].Status) {
-				allShed = false
-				break
-			}
-		}
-		if allShed {
-			// The whole slice bounced (queue full, no model) — the next
-			// candidate might hold it, same spill the HTTP path does on 429.
-			span.SetAttr("outcome", "shed")
-			spans = append(spans, span)
-			p.log.Debug("wire backend refused batch, failing over", "backend", b.name)
-			continue
-		}
-		if i > 0 {
-			p.failovers.Inc()
-			span.SetAttr("outcome", "failover")
-		} else {
-			span.SetAttr("outcome", "served")
-		}
-		spans = append(spans, span)
-		served := 0
-		for k := range got {
-			if got[k].Status < 300 {
-				served++
-				// The sticky map outlives the reply frame the id sub-slices.
-				p.rememberSticky(strings.Clone(got[k].RequestID), b)
-			}
-		}
-		if served > 0 {
-			p.served.Inc()
-			b.served.Inc()
-			finish(obs.OutcomeServed, "", got)
-		} else {
-			p.failed.Inc()
-			finish(obs.OutcomeFailed, "no item in batch served", got)
-		}
-		return got
-	}
-
-	if allShed {
-		p.shed.Inc()
-		return giveUp(obs.OutcomeShed, http.StatusTooManyRequests, "proxy: fleet saturated")
-	}
-	msg := "proxy: all candidates unreachable"
-	if lastErr != nil {
-		msg += ": " + lastErr.Error()
-	}
-	return giveUp(obs.OutcomeFailed, http.StatusBadGateway, msg)
+	return got
 }
 
-// attemptWire runs one batch against one backend over a pooled client.
-// Transport errors discard the client; protocol-level remote errors are
-// surfaced as errors too (the connection state is unknown, drop it).
-func (wf *wireFront) attemptWire(b *Backend, group []*serve.Request) ([]wire.Reply, error) {
-	p := wf.p
-	wp := wf.pools[b.wireAddr]
-	if wp == nil {
-		return nil, fmt.Errorf("proxy: no wire pool for %s", b.name)
+// frameStatus folds a reply frame into the one status the core judges: a
+// frame is as conclusive as its best item. Any served item makes it a 200,
+// failing that any conclusive item lends its status; a frame that bounced
+// whole is a 429 only if every item was shed, else the 5xx that refused it.
+func frameStatus(got []wire.Reply) int {
+	conclusive, refused := 0, 0
+	for k := range got {
+		switch s := got[k].Status; {
+		case s < 300:
+			return http.StatusOK
+		case !retryableStatus(s):
+			conclusive = s
+		case refused == 0 || refused == http.StatusTooManyRequests:
+			refused = s
+		}
 	}
-	b.inflight.Add(1)
-	p.totalInflight.Add(1)
-	defer func() {
-		b.inflight.Add(-1)
-		p.totalInflight.Add(-1)
-	}()
-	c, err := wp.get()
-	if err != nil {
-		return nil, err
+	if conclusive != 0 {
+		return conclusive
+	}
+	return refused
+}
+
+// predict runs one batch against one backend over a pooled client, dialling
+// when the pool is empty. Transport errors discard the client; protocol-level
+// remote errors are surfaced as errors too (the connection state is unknown,
+// drop it).
+func (wf *wireFront) predict(b *Backend, group []*serve.Request) ([]wire.Reply, error) {
+	var c *wire.Client
+	select {
+	case c = <-b.idle:
+	default:
+		var err error
+		if c, err = wire.Dial(b.wireAddr, wf.ccfg); err != nil {
+			return nil, err
+		}
 	}
 	replies, err := c.Predict(group)
 	if err != nil {
 		c.Close()
 		return nil, err
 	}
-	wp.put(c)
+	select {
+	case b.idle <- c:
+	default:
+		c.Close()
+	}
 	return replies, nil
 }
 
@@ -491,7 +276,7 @@ func errReplies(group []*serve.Request, code int, msg string) []wire.Reply {
 // error) relays to the client, after which the two connections are joined
 // until either side closes. Stream failover is reconnect-shaped by design:
 // the client redials the proxy and the ring picks the new home.
-func (wf *wireFront) splice(client net.Conn, br *bufio.Reader, sub wire.Subscribe, fail func(code int, msg string)) {
+func (wf *wireFront) splice(client net.Conn, c *wire.Conn, sub wire.Subscribe) {
 	p := wf.p
 	key := sub.Env.String()
 	candidates := p.route(key)
@@ -499,9 +284,6 @@ func (wf *wireFront) splice(client net.Conn, br *bufio.Reader, sub wire.Subscrib
 	var backendBR *bufio.Reader
 	var picked *Backend
 	for _, b := range candidates {
-		if b.wireAddr == "" {
-			continue
-		}
 		conn, brd, err := wf.dialSubscribe(b, sub)
 		if err != nil {
 			p.health.reportFailure(b)
@@ -513,7 +295,7 @@ func (wf *wireFront) splice(client net.Conn, br *bufio.Reader, sub wire.Subscrib
 	}
 	if backendConn == nil {
 		wf.relayErrs.Inc()
-		fail(http.StatusServiceUnavailable, "proxy: no live wire backends")
+		c.Fail(http.StatusServiceUnavailable, "proxy: no live wire backends")
 		return
 	}
 	defer backendConn.Close()
@@ -526,14 +308,14 @@ func (wf *wireFront) splice(client net.Conn, br *bufio.Reader, sub wire.Subscrib
 	}
 	defer wf.conns.Remove(backendConn)
 
-	// Join the connections. backendBR holds the backend's SubscribeAck
-	// (already relayed? no — dialSubscribe leaves it buffered) plus any
-	// early predictions; br may hold pipelined windows the client sent
-	// before our ack. Both buffered remainders must flow first.
+	// Join the connections. backendBR holds the backend's answer to the
+	// Subscribe, which dialSubscribe left buffered, plus any early
+	// predictions; c's reader may hold pipelined windows the client sent before
+	// that answer reached it. Both buffered remainders must flow first.
 	done := make(chan struct{}, 2)
 	go func() {
 		// client → backend: anything the client buffered, then the raw conn.
-		_, _ = io.Copy(backendConn, io.MultiReader(br, client))
+		_, _ = io.Copy(backendConn, io.MultiReader(c.Reader(), client))
 		// Half-close toward the backend if possible so its responder drain
 		// still reaches the client.
 		if tc, ok := backendConn.(*net.TCPConn); ok {
@@ -553,40 +335,25 @@ func (wf *wireFront) splice(client net.Conn, br *bufio.Reader, sub wire.Subscrib
 	<-done
 }
 
-// dialSubscribe opens a raw wire connection to b, performs the handshake,
-// and forwards sub. The backend's answer (SubscribeAck or FrameError) is
-// left buffered in the returned reader for the splice to relay verbatim.
+// dialSubscribe dials b through wire.Dial's handshake, takes the connection
+// over, and forwards sub. The backend's answer (SubscribeAck or FrameError)
+// is left buffered in the returned reader for the splice to relay verbatim.
 func (wf *wireFront) dialSubscribe(b *Backend, sub wire.Subscribe) (net.Conn, *bufio.Reader, error) {
-	p := wf.p
-	d := net.Dialer{Timeout: 5 * time.Second}
-	conn, err := d.Dial("tcp", b.wireAddr)
+	c, err := wire.Dial(b.wireAddr, wf.ccfg)
 	if err != nil {
 		return nil, nil, err
 	}
-	brd := bufio.NewReaderSize(conn, 64<<10)
-	// Handshake under a deadline so a wedged backend cannot park the
-	// subscriber forever; cleared before the splice.
-	_ = conn.SetDeadline(time.Now().Add(p.cfg.Timeout))
-	if _, err := conn.Write(wire.AppendFrame(nil, wire.FrameHello, wire.AppendHello(nil, wire.Hello{Version: wire.ProtocolVersion}))); err != nil {
-		conn.Close()
-		return nil, nil, err
+	conn, brd := c.Hijack()
+	// Under a deadline so a wedged backend cannot park the subscriber
+	// forever; cleared before the splice.
+	_ = conn.SetDeadline(time.Now().Add(wf.p.cfg.Timeout))
+	_, err = conn.Write(wire.AppendFrame(nil, wire.FrameSubscribe, wire.AppendSubscribe(nil, sub)))
+	if err == nil {
+		// Peek one byte of the answer so a dead backend fails the candidate
+		// walk here, not after the splice started.
+		_, err = brd.Peek(1)
 	}
-	f, err := wire.ReadFrame(brd, wire.DefaultMaxPayload, nil)
 	if err != nil {
-		conn.Close()
-		return nil, nil, err
-	}
-	if f.Type != wire.FrameHelloAck {
-		conn.Close()
-		return nil, nil, fmt.Errorf("proxy: backend %s refused wire handshake", b.name)
-	}
-	if _, err := conn.Write(wire.AppendFrame(nil, wire.FrameSubscribe, wire.AppendSubscribe(nil, sub))); err != nil {
-		conn.Close()
-		return nil, nil, err
-	}
-	// Peek one byte of the answer so a dead backend fails the candidate
-	// walk here, not after the splice started.
-	if _, err := brd.Peek(1); err != nil {
 		conn.Close()
 		return nil, nil, err
 	}

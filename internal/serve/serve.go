@@ -814,7 +814,9 @@ func (s *Server) scoreAnomaly(req *Request, pred float64, resp *Response) {
 // handler buffer gigabytes.
 const DefaultMaxBodyBytes int64 = 4 << 20
 
-// ServeHTTP implements http.Handler: POST /predict, GET /healthz, GET /statz.
+// ServeHTTP implements http.Handler over the routes New mounts: POST
+// /predict and /observe, GET /quality, /traces, /healthz, /readyz, /statz
+// and /metrics.
 func (s *Server) ServeHTTP(w http.ResponseWriter, r *http.Request) { s.mux.ServeHTTP(w, r) }
 
 // limitBody wraps the request body with http.MaxBytesReader so a hostile

@@ -72,42 +72,25 @@ func Dial(addr string, cfg ClientConfig) (*Client, error) {
 
 // NewClient performs the Hello handshake over an existing connection.
 func NewClient(conn net.Conn, cfg ClientConfig) (*Client, error) {
-	if cfg.MaxPayload <= 0 {
-		cfg.MaxPayload = DefaultMaxPayload
-	}
 	c := &Client{
 		conn: conn,
 		br:   bufio.NewReaderSize(conn, 64<<10),
 		bw:   bufio.NewWriterSize(conn, 64<<10),
 		cfg:  cfg,
 	}
-	if cfg.Timeout > 0 {
-		_ = conn.SetDeadline(time.Now().Add(cfg.Timeout))
-		defer conn.SetDeadline(time.Time{})
-	}
-	if err := c.writeFrame(FrameHello, AppendHello(nil, Hello{Version: ProtocolVersion})); err != nil {
-		return nil, err
-	}
-	f, err := c.readFrame()
+	payload, err := c.exchange(FrameHello, AppendHello(nil, Hello{Version: ProtocolVersion}), FrameHelloAck)
 	if err != nil {
 		return nil, err
 	}
-	switch f.Type {
-	case FrameHelloAck:
-		ack, err := DecodeHello(f.Payload)
-		if err != nil {
-			return nil, err
-		}
-		if ack.Version != ProtocolVersion {
-			return nil, fmt.Errorf("%w: server speaks v%d", ErrVersion, ack.Version)
-		}
-		c.features = ack.Features
-		return c, nil
-	case FrameError:
-		return nil, remoteError(f.Payload)
-	default:
-		return nil, fmt.Errorf("%w: unexpected frame 0x%02x in handshake", ErrCorrupt, f.Type)
+	ack, err := DecodeHello(payload)
+	if err != nil {
+		return nil, err
 	}
+	if ack.Version != ProtocolVersion {
+		return nil, fmt.Errorf("%w: server speaks v%d", ErrVersion, ack.Version)
+	}
+	c.features = ack.Features
+	return c, nil
 }
 
 // Features returns the server's advertised feature bits.
@@ -115,6 +98,11 @@ func (c *Client) Features() uint64 { return c.features }
 
 // Close severs the connection.
 func (c *Client) Close() error { return c.conn.Close() }
+
+// Hijack hands the handshaken connection and its buffered reader over to the
+// caller (the proxy splices a subscribe stream over them); the Client must
+// not be used afterwards.
+func (c *Client) Hijack() (net.Conn, *bufio.Reader) { return c.conn, c.br }
 
 func (c *Client) writeFrame(typ byte, payload []byte) error {
 	if err := WriteFrame(c.bw, typ, payload); err != nil {
@@ -129,14 +117,37 @@ func (c *Client) readFrame() (Frame, error) {
 	return ReadFrame(c.br, c.cfg.MaxPayload, &c.rbuf)
 }
 
-// remoteError decodes a FrameError payload into a *RemoteError; payloads
-// that fail to decode still produce a usable error.
-func remoteError(payload []byte) error {
-	ef, err := DecodeError(payload)
-	if err != nil {
-		return fmt.Errorf("wire: undecodable remote error: %w", err)
+// exchange is one request/answer turn bounded by cfg.Timeout: write one
+// frame, then expect one of type want. Callers hold c.mu.
+func (c *Client) exchange(typ byte, payload []byte, want byte) ([]byte, error) {
+	if c.cfg.Timeout > 0 {
+		_ = c.conn.SetDeadline(time.Now().Add(c.cfg.Timeout))
+		defer c.conn.SetDeadline(time.Time{})
 	}
-	return &RemoteError{Code: ef.Code, Message: ef.Message}
+	if err := c.writeFrame(typ, payload); err != nil {
+		return nil, err
+	}
+	return c.expect(want)
+}
+
+// expect reads the next frame and returns its payload when it is of type
+// want. A FrameError surfaces as *RemoteError (an undecodable one still as a
+// usable error), any other type as ErrCorrupt.
+func (c *Client) expect(want byte) ([]byte, error) {
+	f, err := c.readFrame()
+	switch {
+	case err != nil:
+		return nil, err
+	case f.Type == want:
+		return f.Payload, nil
+	case f.Type != FrameError:
+		return nil, fmt.Errorf("%w: unexpected frame 0x%02x", ErrCorrupt, f.Type)
+	}
+	ef, err := DecodeError(f.Payload)
+	if err != nil {
+		return nil, fmt.Errorf("wire: undecodable remote error: %w", err)
+	}
+	return nil, &RemoteError{Code: ef.Code, Message: ef.Message}
 }
 
 // Predict sends one batch of requests and waits for the batched replies,
@@ -146,33 +157,19 @@ func remoteError(payload []byte) error {
 func (c *Client) Predict(reqs []*serve.Request) ([]Reply, error) {
 	c.mu.Lock()
 	defer c.mu.Unlock()
-	if c.cfg.Timeout > 0 {
-		_ = c.conn.SetDeadline(time.Now().Add(c.cfg.Timeout))
-		defer c.conn.SetDeadline(time.Time{})
-	}
 	c.buf = AppendPredictBatch(c.buf[:0], reqs)
-	if err := c.writeFrame(FramePredictBatch, c.buf); err != nil {
-		return nil, err
-	}
-	f, err := c.readFrame()
+	payload, err := c.exchange(FramePredictBatch, c.buf, FramePredictReply)
 	if err != nil {
 		return nil, err
 	}
-	switch f.Type {
-	case FramePredictReply:
-		replies, err := DecodePredictReplies(f.Payload)
-		if err != nil {
-			return nil, err
-		}
-		if len(replies) != len(reqs) {
-			return nil, fmt.Errorf("%w: %d replies for %d requests", ErrCorrupt, len(replies), len(reqs))
-		}
-		return replies, nil
-	case FrameError:
-		return nil, remoteError(f.Payload)
-	default:
-		return nil, fmt.Errorf("%w: unexpected frame 0x%02x", ErrCorrupt, f.Type)
+	replies, err := DecodePredictReplies(payload)
+	if err != nil {
+		return nil, err
 	}
+	if len(replies) != len(reqs) {
+		return nil, fmt.Errorf("%w: %d replies for %d requests", ErrCorrupt, len(replies), len(reqs))
+	}
+	return replies, nil
 }
 
 // Stream is a subscribe-mode session: one persistent connection pinned to
@@ -190,29 +187,15 @@ type Stream struct {
 func (c *Client) Subscribe(env envmeta.Environment, chainID string) (*Stream, error) {
 	c.mu.Lock()
 	defer c.mu.Unlock()
-	if c.cfg.Timeout > 0 {
-		_ = c.conn.SetDeadline(time.Now().Add(c.cfg.Timeout))
-		defer c.conn.SetDeadline(time.Time{})
-	}
-	if err := c.writeFrame(FrameSubscribe, AppendSubscribe(nil, Subscribe{Env: env, ChainID: chainID})); err != nil {
-		return nil, err
-	}
-	f, err := c.readFrame()
+	payload, err := c.exchange(FrameSubscribe, AppendSubscribe(nil, Subscribe{Env: env, ChainID: chainID}), FrameSubscribeAck)
 	if err != nil {
 		return nil, err
 	}
-	switch f.Type {
-	case FrameSubscribeAck:
-		ack, err := DecodeSubscribeAck(f.Payload)
-		if err != nil {
-			return nil, err
-		}
-		return &Stream{c: c, ack: ack}, nil
-	case FrameError:
-		return nil, remoteError(f.Payload)
-	default:
-		return nil, fmt.Errorf("%w: unexpected frame 0x%02x", ErrCorrupt, f.Type)
+	ack, err := DecodeSubscribeAck(payload)
+	if err != nil {
+		return nil, err
 	}
+	return &Stream{c: c, ack: ack}, nil
 }
 
 // Ack returns the subscription acknowledgement: the served model's
@@ -238,18 +221,11 @@ func (st *Stream) Send(w Window) error {
 // Recv blocks for the next prediction (or stream-level error frame, which
 // surfaces as *RemoteError).
 func (st *Stream) Recv() (Prediction, error) {
-	f, err := st.c.readFrame()
+	payload, err := st.c.expect(FramePrediction)
 	if err != nil {
 		return Prediction{}, err
 	}
-	switch f.Type {
-	case FramePrediction:
-		return DecodePrediction(f.Payload)
-	case FrameError:
-		return Prediction{}, remoteError(f.Payload)
-	default:
-		return Prediction{}, fmt.Errorf("%w: unexpected frame 0x%02x", ErrCorrupt, f.Type)
-	}
+	return DecodePrediction(payload)
 }
 
 // Close severs the underlying connection.

@@ -51,9 +51,6 @@ func NewServer(dispatch *serve.Server, cfg ServerConfig) *Server {
 	if dispatch == nil {
 		panic("wire: NewServer(nil dispatcher)")
 	}
-	if cfg.MaxPayload <= 0 {
-		cfg.MaxPayload = DefaultMaxPayload
-	}
 	if cfg.StreamInflight <= 0 {
 		cfg.StreamInflight = 64
 	}
@@ -78,10 +75,7 @@ func NewServer(dispatch *serve.Server, cfg ServerConfig) *Server {
 
 // Serve accepts connections on ln until the listener or the server closes.
 func (s *Server) Serve(ln net.Listener) error {
-	return s.conns.Serve(ln, func(conn net.Conn) {
-		s.connsTotal.Inc()
-		s.handleConn(conn)
-	})
+	return s.conns.Serve(ln, s.handleConn)
 }
 
 // Close stops the listeners, severs live connections, and waits for
@@ -181,78 +175,120 @@ func (cs *ConnSet) Close() {
 	cs.wg.Wait()
 }
 
-// connWriter serializes frame writes from the read loop and the pipelined
-// stream responders onto one buffered connection.
-type connWriter struct {
+// Conn is the accepting side of one protocol connection, shared by Server
+// and the proxy's wire front: buffered framing over one reusable read
+// buffer, writes serialized (the read loop and pipelined stream responders
+// share the connection) and flushed, violations answered with a typed
+// FrameError, and the Hello preamble.
+type Conn struct {
+	br         *bufio.Reader
+	maxPayload int
+	rbuf       []byte // inbound payloads: decoding copies what it keeps
+
 	mu  sync.Mutex
 	bw  *bufio.Writer
-	out *obs.Counter
 	buf []byte // prediction encode scratch, guarded by mu
+
+	// Frames read and written, and violations answered; nil counts nothing.
+	in, out, violations *obs.Counter
 }
 
-func (cw *connWriter) write(typ byte, payload []byte) error {
-	cw.mu.Lock()
-	defer cw.mu.Unlock()
-	return cw.writeLocked(typ, payload)
+// NewConn wraps an accepted connection; frames beyond maxPayload (≤ 0 means
+// DefaultMaxPayload) are violations.
+func NewConn(conn net.Conn, maxPayload int) *Conn {
+	return &Conn{
+		br: bufio.NewReaderSize(conn, 64<<10), bw: bufio.NewWriterSize(conn, 64<<10),
+		maxPayload: maxPayload,
+	}
 }
 
-func (cw *connWriter) writeLocked(typ byte, payload []byte) error {
-	if err := WriteFrame(cw.bw, typ, payload); err != nil {
+// Reader hands over the buffered read side, for a caller that takes the
+// connection over (the proxy's subscribe splice); Read must not be used after.
+func (c *Conn) Reader() *bufio.Reader { return c.br }
+
+// Read returns the next frame, its payload valid until the following Read.
+// ok is false when the connection is over: the peer left on a frame
+// boundary, or sent a malformed frame, which has been answered with a 400.
+func (c *Conn) Read() (f Frame, ok bool) {
+	f, err := ReadFrame(c.br, c.maxPayload, &c.rbuf)
+	if err != nil {
+		if !errors.Is(err, io.EOF) {
+			c.Fail(http.StatusBadRequest, err.Error())
+		}
+		return f, false
+	}
+	c.in.Inc()
+	return f, true
+}
+
+// Write sends one frame and flushes it.
+func (c *Conn) Write(typ byte, payload []byte) error {
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	return c.writeLocked(typ, payload)
+}
+
+func (c *Conn) writeLocked(typ byte, payload []byte) error {
+	if err := WriteFrame(c.bw, typ, payload); err != nil {
 		return err
 	}
-	cw.out.Inc()
-	return cw.bw.Flush()
+	c.out.Inc()
+	return c.bw.Flush()
 }
 
 // writePrediction encodes and writes one streamed answer under the lock,
 // so the responders share one scratch buffer.
-func (cw *connWriter) writePrediction(p Prediction) error {
-	cw.mu.Lock()
-	defer cw.mu.Unlock()
-	cw.buf = AppendPrediction(cw.buf[:0], p)
-	return cw.writeLocked(FramePrediction, cw.buf)
+func (c *Conn) writePrediction(p Prediction) error {
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	c.buf = AppendPrediction(c.buf[:0], p)
+	return c.writeLocked(FramePrediction, c.buf)
+}
+
+// Fail answers a protocol violation with a connection-level FrameError; the
+// caller then drops the connection.
+func (c *Conn) Fail(code int, msg string) {
+	c.violations.Inc()
+	_ = c.Write(FrameError, AppendError(nil, ErrorFrame{Code: code, Message: msg}))
+}
+
+// ServeHello is the server side of the connection preamble: the first frame
+// must be a Hello whose version this side speaks, and is answered with a
+// HelloAck advertising batch and subscribe. It reports whether the
+// connection may proceed; a violation has been answered with Fail — 400, or
+// 505 for a foreign version — and a peer that left before its Hello with
+// nothing.
+func (c *Conn) ServeHello() bool {
+	f, ok := c.Read()
+	if !ok {
+		return false
+	}
+	if f.Type != FrameHello {
+		c.Fail(http.StatusBadRequest, "wire: expected Hello")
+		return false
+	}
+	hello, err := DecodeHello(f.Payload)
+	if err != nil {
+		c.Fail(http.StatusBadRequest, err.Error())
+		return false
+	}
+	if hello.Version != ProtocolVersion {
+		c.Fail(http.StatusHTTPVersionNotSupported, ErrVersion.Error())
+		return false
+	}
+	return c.Write(FrameHelloAck, AppendHello(nil, Hello{
+		Version: ProtocolVersion, Features: FeatureBatch | FeatureSubscribe,
+	})) == nil
 }
 
 // handleConn speaks the protocol on one connection: Hello negotiation,
 // then batch predicts and/or one subscribe-mode stream.
 func (s *Server) handleConn(conn net.Conn) {
 	defer conn.Close()
-	br := bufio.NewReaderSize(conn, 64<<10)
-	cw := &connWriter{bw: bufio.NewWriterSize(conn, 64<<10), out: s.framesOut}
-	fail := func(code int, msg string) {
-		s.protoErrors.Inc()
-		_ = cw.write(FrameError, AppendError(nil, ErrorFrame{Code: code, Message: msg}))
-	}
-
-	// One inbound and one reply buffer serve the whole connection: decoding
-	// copies what it keeps, and a reply is written before the next is built.
-	var rbuf, out []byte
-
-	// Handshake: the first frame must be a Hello whose version we speak.
-	f, err := ReadFrame(br, s.cfg.MaxPayload, &rbuf)
-	if err != nil {
-		if !errors.Is(err, io.EOF) {
-			fail(http.StatusBadRequest, err.Error())
-		}
-		return
-	}
-	s.framesIn.Inc()
-	if f.Type != FrameHello {
-		fail(http.StatusBadRequest, "wire: expected Hello")
-		return
-	}
-	hello, err := DecodeHello(f.Payload)
-	if err != nil {
-		fail(http.StatusBadRequest, err.Error())
-		return
-	}
-	if hello.Version != ProtocolVersion {
-		fail(http.StatusHTTPVersionNotSupported, ErrVersion.Error())
-		return
-	}
-	if err := cw.write(FrameHelloAck, AppendHello(nil, Hello{
-		Version: ProtocolVersion, Features: FeatureBatch | FeatureSubscribe,
-	})); err != nil {
+	s.connsTotal.Inc()
+	c := NewConn(conn, s.cfg.MaxPayload)
+	c.in, c.out, c.violations = s.framesIn, s.framesOut, s.protoErrors
+	if !c.ServeHello() {
 		return
 	}
 
@@ -264,47 +300,44 @@ func (s *Server) handleConn(conn net.Conn) {
 	var wg sync.WaitGroup
 	defer wg.Wait()
 
+	var out []byte // reply scratch: a reply is written before the next is built
 	for {
-		f, err := ReadFrame(br, s.cfg.MaxPayload, &rbuf)
-		if err != nil {
-			if !errors.Is(err, io.EOF) {
-				fail(http.StatusBadRequest, err.Error())
-			}
+		f, ok := c.Read()
+		if !ok {
 			return
 		}
-		s.framesIn.Inc()
 		switch f.Type {
 		case FramePredictBatch:
 			reqs, err := DecodePredictBatch(f.Payload)
 			if err != nil {
-				fail(http.StatusBadRequest, err.Error())
+				c.Fail(http.StatusBadRequest, err.Error())
 				return
 			}
 			s.batchReqs.Add(uint64(len(reqs)))
 			out = AppendResults(out[:0], reqs, s.dispatch.DoBatch(reqs))
-			if err := cw.write(FramePredictReply, out); err != nil {
+			if err := c.Write(FramePredictReply, out); err != nil {
 				return
 			}
 
 		case FrameSubscribe:
 			req, err := DecodeSubscribe(f.Payload)
 			if err != nil {
-				fail(http.StatusBadRequest, err.Error())
+				c.Fail(http.StatusBadRequest, err.Error())
 				return
 			}
 			if sub != nil {
-				fail(http.StatusBadRequest, "wire: already subscribed")
+				c.Fail(http.StatusBadRequest, "wire: already subscribed")
 				return
 			}
 			b := s.dispatch.Bundle()
 			if b == nil {
-				fail(http.StatusServiceUnavailable, serve.ErrNoModel.Error())
+				c.Fail(http.StatusServiceUnavailable, serve.ErrNoModel.Error())
 				return
 			}
 			sub = &req
 			s.subsTotal.Inc()
 			cfg := b.Model.Config()
-			if err := cw.write(FrameSubscribeAck, AppendSubscribeAck(nil, SubscribeAck{
+			if err := c.Write(FrameSubscribeAck, AppendSubscribeAck(nil, SubscribeAck{
 				Model: b.Name, Version: b.Version, In: cfg.In, Window: cfg.Window,
 			})); err != nil {
 				return
@@ -312,12 +345,12 @@ func (s *Server) handleConn(conn net.Conn) {
 
 		case FrameWindow:
 			if sub == nil {
-				fail(http.StatusBadRequest, "wire: Window before Subscribe")
+				c.Fail(http.StatusBadRequest, "wire: Window before Subscribe")
 				return
 			}
 			wnd, err := DecodeWindow(f.Payload)
 			if err != nil {
-				fail(http.StatusBadRequest, err.Error())
+				c.Fail(http.StatusBadRequest, err.Error())
 				return
 			}
 			s.streamWindows.Inc()
@@ -345,11 +378,11 @@ func (s *Server) handleConn(conn net.Conn) {
 					pred.Anomalous = resp.Anomalous
 					pred.Deviation = resp.Deviation
 				}
-				_ = cw.writePrediction(pred)
+				_ = c.writePrediction(pred)
 			}()
 
 		default:
-			fail(http.StatusBadRequest, "wire: unexpected frame type")
+			c.Fail(http.StatusBadRequest, "wire: unexpected frame type")
 			return
 		}
 	}
