@@ -246,9 +246,11 @@ func BenchmarkEnv2VecTrainStep(b *testing.B) {
 	tr, batch := benchModelAndBatch(b, 32)
 	opt := nn.NewAdam(0.001)
 	rng := rand.New(rand.NewSource(1))
+	tape := autodiff.NewTape()
+	defer tape.Release()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		tape := autodiff.NewTape()
+		tape.Reset()
 		loss := tr.Model.Loss(tape, batch, true, rng)
 		tape.Backward(loss)
 		opt.Step(tr.Model.Params())
@@ -260,9 +262,11 @@ func BenchmarkGRUForwardWindow(b *testing.B) {
 	g := nn.NewGRU("g", 1, 32, rng)
 	window := tensor.New(32, 4)
 	window.RandNormal(rng, 1)
+	tape := autodiff.NewTape()
+	defer tape.Release()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		tape := autodiff.NewTape()
+		tape.Reset()
 		_ = g.ForwardWindow(tape, tape.Constant(window))
 	}
 }
@@ -271,11 +275,12 @@ func BenchmarkMatMul128(b *testing.B) {
 	rng := rand.New(rand.NewSource(1))
 	x := tensor.New(128, 128)
 	y := tensor.New(128, 128)
+	out := tensor.New(128, 128)
 	x.RandNormal(rng, 1)
 	y.RandNormal(rng, 1)
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		_ = tensor.MatMul(x, y)
+		tensor.MatMulBlockedInto(out, x, y)
 	}
 }
 

@@ -32,7 +32,9 @@ go test -run 'ForwardStageAllocs|PassCostsNoAllocations' ./internal/serve/
 go test -race -run 'TestIdleServerForwardsAtOnce|TestDoBatchFrameIsOnePass|TestDoBatchShedsOnlyTail|TestCloseAnswersQueuedRequests|TestBacklogBehindBusyWorkerIsOnePass' ./internal/serve/
 # The repository benchmark's harness is a nested module tier 1 does not
 # compile; it is built against serve.Config and the public constructors.
-(cd bench && go vet . && go test -short .)
+# Vet it, short-test it, and run each of the four workloads for two seconds:
+# a tree the harness cannot run is rejected with no numbers at all.
+scripts/benchsmoke.sh
 # Smoke-test the /metrics surface end to end: boot each daemon, scrape it.
 # The e2vserve scrape asserts the quality metrics; the serve suite's
 # /metrics round trip runs every exposition page (exemplar suffixes
@@ -68,21 +70,27 @@ go test -race -run 'LongPoll' ./internal/modelserver/
 # tolerances), then fuzz the parity contract briefly.
 go test -race ./internal/infer/ ./internal/core/
 go test -run FuzzPredictParity -fuzz FuzzPredictParity -fuzztime 10s ./internal/core/
-# The float32 kernels: GEMM tiles and the logistic (tensor.SigmoidAdd32),
-# assembly against its scalar twin and both against float64; then the same
-# scalar code as the only path, built for 386 (runs natively on an amd64
-# box), so the !amd64 side of the CPUID selection is executed and not just
-# compiled. arm64 is vetted, which type-checks its build of both packages.
-go test -run 'TestBlocked|TestPair|TestF32|TestMatMul|TestSigmoid' ./internal/tensor/
-GOARCH=386 go test -run 'TestSigmoid|TestF32|TestBlocked|TestPair|TestCrossPrecisionParity|TestInfer' \
-    ./internal/tensor/ ./internal/infer/ ./internal/core/
-GOARCH=arm64 go vet ./internal/tensor/ ./internal/infer/
-# Commit machine-readable inference numbers (ns/op and allocs/op; fused vs
-# tape vs float32) AND gate them against the committed baseline: benchjson
+# The vector kernels: the float64 tile bit for bit against the scalar kernel
+# and the naive reference (TestF64TileMatchesScalar), the float32 GEMM tiles
+# and the logistic (tensor.SigmoidAdd32) against their scalar twins and
+# float64; then the same scalar code as the only path, built for 386 (runs
+# natively on an amd64 box), so the !amd64 side of the CPUID selection is
+# executed and not just compiled — the tape, its arena and the layers with
+# it. arm64 is vetted, which type-checks its build of the packages.
+go test -run 'TestBlocked|TestPair|TestF32|TestF64|TestMatMul|TestSigmoid' ./internal/tensor/
+GOARCH=386 go test ./internal/tensor/ ./internal/infer/ ./internal/core/ ./internal/autodiff/ ./internal/nn/
+GOARCH=arm64 go vet ./internal/tensor/ ./internal/infer/ ./internal/autodiff/ ./internal/nn/
+# The tape's arena: a reused tape is a fresh tape (bit for bit, at op and at
+# model scale), the pool is race-free, and the allocation pins hold.
+go test -race ./internal/autodiff/ ./internal/nn/ ./internal/pipeline/
+go test -run 'TestTrainStepAllocs|TestInferAllocations|TestInfer32Allocations' ./internal/infer/
+# Commit machine-readable inference and training numbers (ns/op and
+# allocs/op; fused vs tape vs float32, one train step, the float64 kernel at
+# the training shapes) AND gate them against the committed baseline: benchjson
 # -compare exits nonzero if any shared benchmark is >10% slower than
 # docs/outputs/BENCH_infer.json or grew its allocs/op, so a perf regression
 # fails reproduce.sh before the baseline is overwritten.
-go test -run '^$' -bench 'Forward(Tape|Infer)|SigmoidAdd32' -benchmem -count 1 ./internal/infer/ ./internal/tensor/ \
+go test -run '^$' -bench 'Forward(Tape|Infer)|TrainStep|MatMulBlocked_32|SigmoidAdd32' -benchmem -count 1 ./internal/infer/ ./internal/tensor/ \
     | tee docs/outputs/bench_infer.txt \
     | go run ./cmd/benchjson -compare docs/outputs/BENCH_infer.json -max-regress 10 \
     > docs/outputs/BENCH_infer.json.new

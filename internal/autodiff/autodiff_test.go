@@ -27,48 +27,63 @@ func numericalGrad(param *tensor.Matrix, loss func() float64) *tensor.Matrix {
 	return g
 }
 
+// recycledTape returns t emptied after another graph, with every float of
+// its arena set to NaN first: a gradient the tape fails to zero, or a value
+// an operation only partly overwrites, poisons whatever is computed from it.
+// The arena is grown beforehand so that no graph in these tests is served
+// from a fresh, zeroed chunk.
+func recycledTape(t *Tape) *Tape {
+	t.mem.take(1 << 14)
+	for _, c := range t.mem.chunks {
+		for i := range c {
+			c[i] = math.NaN()
+		}
+	}
+	t.Reset()
+	return t
+}
+
+// tapeSources is what every gradient check runs over: brand-new tapes, and
+// one tape recycled before each use.
+func tapeSources() map[string]func() *Tape {
+	shared := NewTape()
+	return map[string]func() *Tape{
+		"fresh":    NewTape,
+		"recycled": func() *Tape { return recycledTape(shared) },
+	}
+}
+
 // checkGrad builds the graph via build (which must register params on the
-// tape it is given and return the scalar loss node), and compares analytic
-// gradients against finite differences for every parameter.
+// tape it is given, in order, and return the scalar loss node), and compares
+// analytic gradients against finite differences for every parameter — once
+// on fresh tapes and once on a recycled one.
 func checkGrad(t *testing.T, params []*tensor.Matrix, build func(tp *Tape) *Node) {
 	t.Helper()
-	tape := NewTape()
-	loss := build(tape)
-	tape.Backward(loss)
-	analytic := make([]*tensor.Matrix, len(params))
-	// Re-run to find each param node's grad: we require build to call
-	// tape.Param on params in order, so capture via a fresh tape.
-	tape2 := NewTape()
-	var nodes []*Node
-	orig := tape2.Param
-	_ = orig
-	// Instead of hooking, rebuild and track: build must use tp.Param for
-	// each matrix in params, in order. We verify by matching pointers.
-	loss2 := build(tape2)
-	tape2.Backward(loss2)
-	for _, n := range tape2.nodes {
-		if n.back == nil && n.requiresGrad {
-			nodes = append(nodes, n)
+	for name, newTape := range tapeSources() {
+		tape := newTape()
+		tape.Backward(build(tape))
+		var analytic []*tensor.Matrix
+		for _, n := range tape.nodes {
+			if n.back == nil && n.requiresGrad {
+				if len(analytic) == len(params) || n.Value != params[len(analytic)] {
+					t.Fatalf("%s: param %d not registered in order", name, len(analytic))
+				}
+				// Cloned: the next newTape may recycle this very tape.
+				analytic = append(analytic, n.Grad.Clone())
+			}
 		}
-	}
-	if len(nodes) != len(params) {
-		t.Fatalf("expected %d params on tape, found %d", len(params), len(nodes))
-	}
-	for i, n := range nodes {
-		if n.Value != params[i] {
-			t.Fatalf("param %d not registered in order", i)
+		if len(analytic) != len(params) {
+			t.Fatalf("%s: expected %d params on tape, found %d", name, len(params), len(analytic))
 		}
-		analytic[i] = n.Grad
-	}
-	for pi, p := range params {
-		numeric := numericalGrad(p, func() float64 {
-			tp := NewTape()
-			return build(tp).Value.Data[0]
-		})
-		for i := range p.Data {
-			a, n := analytic[pi].Data[i], numeric.Data[i]
-			if math.Abs(a-n) > 1e-4*(1+math.Abs(n)) {
-				t.Fatalf("param %d elem %d: analytic %g vs numeric %g", pi, i, a, n)
+		for pi, p := range params {
+			numeric := numericalGrad(p, func() float64 {
+				return build(newTape()).Value.Data[0]
+			})
+			for i := range p.Data {
+				a, n := analytic[pi].Data[i], numeric.Data[i]
+				if !(math.Abs(a-n) <= 1e-4*(1+math.Abs(n))) {
+					t.Fatalf("%s: param %d elem %d: analytic %g vs numeric %g", name, pi, i, a, n)
+				}
 			}
 		}
 	}
@@ -308,27 +323,109 @@ func TestGradLinearRegressionProperty(t *testing.T) {
 		build := func(tp *Tape) *Node {
 			return tp.MSE(tp.MatMul(tp.Constant(x), tp.Param(w)), y)
 		}
-		tape := NewTape()
-		loss := build(tape)
-		tape.Backward(loss)
-		var wnode *Node
-		for _, nd := range tape.nodes {
-			if nd.Value == w {
-				wnode = nd
+		for _, newTape := range tapeSources() {
+			tape := newTape()
+			loss := build(tape)
+			tape.Backward(loss)
+			var grad *tensor.Matrix
+			for _, nd := range tape.nodes {
+				if nd.Value == w {
+					grad = nd.Grad.Clone()
+				}
 			}
-		}
-		numeric := numericalGrad(w, func() float64 {
-			tp := NewTape()
-			return build(tp).Value.Data[0]
-		})
-		for i := range w.Data {
-			if math.Abs(wnode.Grad.Data[i]-numeric.Data[i]) > 1e-4*(1+math.Abs(numeric.Data[i])) {
-				return false
+			numeric := numericalGrad(w, func() float64 {
+				return build(newTape()).Value.Data[0]
+			})
+			for i := range w.Data {
+				if !(math.Abs(grad.Data[i]-numeric.Data[i]) <= 1e-4*(1+math.Abs(numeric.Data[i]))) {
+					return false
+				}
 			}
 		}
 		return true
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 30}); err != nil {
 		t.Fatal(err)
+	}
+}
+
+// everyOp builds a graph through every operation the tape has, over batch
+// rows, and returns its loss and parameter leaves.
+func everyOp(tp *Tape, rng *rand.Rand, batch int) (loss *Node, params []*Node) {
+	const in, hid = 3, 5
+	x, y := randMat(rng, batch, in), randMat(rng, batch, 1)
+	w, b, u := tp.Param(randMat(rng, in, hid)), tp.Param(randMat(rng, 1, hid)), tp.Param(randMat(rng, hid, hid))
+	table := tp.Param(randMat(rng, 4, hid))
+	idx := make([]int, batch)
+	mask := tensor.New(batch, hid)
+	for i := range idx {
+		idx[i] = rng.Intn(4)
+		mask.Data[i*hid+rng.Intn(hid)] = 1
+	}
+	h0 := tp.Scratch(batch, hid)
+	h0.Zero()
+	h := tp.Sigmoid(tp.AddRowBroadcast(tp.Add(tp.MatMul(tp.Constant(x), w), tp.MatMul(tp.Constant(h0), u)), b))
+	h = tp.Add(tp.Mul(tp.OneMinus(h), tp.ReLU(tp.MatMul(h, u))), tp.Mul(h, tp.Tanh(tp.MatMul(h, u))))
+	h = tp.Dropout(tp.Sub(h, tp.Scale(tp.GatherRows(table, idx), 0.5)), mask, 0.8)
+	wide := tp.ConcatCols(h, tp.Reciprocal(tp.Exp(tp.SliceColsNode(h, 1, 3))))
+	return tp.Add(tp.MSE(tp.SumRows(wide), y), tp.Mean(wide)), []*Node{w, b, u, table}
+}
+
+// TestResetTapeIsFreshTape runs one step on a tape, resets it and runs a
+// second step of other shapes: loss and every gradient must equal, bit for
+// bit, the same second step on a tape nothing has used.
+func TestResetTapeIsFreshTape(t *testing.T) {
+	reused := NewTape()
+	loss, _ := everyOp(reused, rand.New(rand.NewSource(1)), 7)
+	reused.Backward(loss)
+	recycledTape(reused)
+	for step := 2; step <= 3; step++ { // the third reuses the second's memory unpoisoned
+		gotLoss, gotParams := everyOp(reused, rand.New(rand.NewSource(int64(step))), 3+step)
+		reused.Backward(gotLoss)
+		fresh := &Tape{}
+		wantLoss, wantParams := everyOp(fresh, rand.New(rand.NewSource(int64(step))), 3+step)
+		fresh.Backward(wantLoss)
+		if g, w := gotLoss.Value.Data[0], wantLoss.Value.Data[0]; math.Float64bits(g) != math.Float64bits(w) || math.IsNaN(w) {
+			t.Fatalf("step %d: loss %v on the reused tape, %v on a fresh one", step, g, w)
+		}
+		for pi, p := range wantParams {
+			for i, w := range p.Grad.Data {
+				if g := gotParams[pi].Grad.Data[i]; math.Float64bits(g) != math.Float64bits(w) {
+					t.Fatalf("step %d: param %d gradient elem %d: %v on the reused tape, %v on a fresh one", step, pi, i, g, w)
+				}
+			}
+		}
+		reused.Reset()
+	}
+}
+
+// TestBackwardTemporariesAreReleased pins the arena discipline of the
+// backward sweep: what a closure takes is given back when it returns, so a
+// graph's footprint is its values and gradients, not its transposes.
+func TestBackwardTemporariesAreReleased(t *testing.T) {
+	tape := &Tape{}
+	loss, _ := everyOp(tape, rand.New(rand.NewSource(1)), 6)
+	before := tape.mem.mark()
+	tape.Backward(loss)
+	if after := tape.mem.mark(); after != before {
+		t.Fatalf("backward sweep moved the arena from %+v to %+v", before, after)
+	}
+}
+
+// TestReleasedTapeComesBackEmpty checks the pool round trip in both modes.
+func TestReleasedTapeComesBackEmpty(t *testing.T) {
+	tape := NewTape()
+	loss, _ := everyOp(tape, rand.New(rand.NewSource(1)), 4)
+	tape.Backward(loss)
+	tape.Release()
+	for _, next := range []*Tape{NewInferenceTape(), NewTape()} {
+		if len(next.nodes) != 0 || next.mem.mark() != (arenaMark{}) {
+			t.Fatalf("a tape from the pool still holds %d nodes at %+v", len(next.nodes), next.mem.mark())
+		}
+		p := next.Param(tensor.New(2, 2))
+		if got := next.Sum(p); next.Inference() != (got.Grad == nil) {
+			t.Fatalf("inference=%v tape: gradient allocated = %v", next.Inference(), got.Grad != nil)
+		}
+		next.Release()
 	}
 }

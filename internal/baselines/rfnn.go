@@ -64,6 +64,7 @@ func (m *RFNN) Loss(t *autodiff.Tape, b *nn.Batch, train bool, rng *rand.Rand) *
 // and is safe for concurrent use.
 func (m *RFNN) Predict(b *nn.Batch) []float64 {
 	t := autodiff.NewInferenceTape()
+	defer t.Release()
 	pred := m.forward(t, b, false, nil)
 	out := make([]float64, pred.Value.Rows)
 	copy(out, pred.Value.Data)

@@ -47,6 +47,51 @@ func TestPredictConcurrent(t *testing.T) {
 	}
 }
 
+// TestPredictTapeConcurrent is the race gate for the tape pool: goroutines
+// run the reference forward pass at different batch sizes while another
+// trains a second model, so tapes of every size and both modes keep changing
+// hands through autodiff's pool. Each prediction must equal, bit for bit,
+// what the same call gave before any tape had been recycled (run with
+// -race).
+func TestPredictTapeConcurrent(t *testing.T) {
+	rng := rand.New(rand.NewSource(7))
+	schema := envmeta.NewSchema()
+	batches := []*nn.Batch{twoEnvBatch(rng, schema, 3, 1.5), twoEnvBatch(rng, schema, 64, 1.5), twoEnvBatch(rng, schema, 17, 1.5)}
+	m, trained := New(smallConfig(), schema), New(smallConfig(), schema)
+	want := make([][]float64, len(batches))
+	for i, b := range batches {
+		want[i] = m.PredictTape(b)
+	}
+	const goroutines = 8
+	var wg sync.WaitGroup
+	errs := make(chan string, goroutines)
+	for g := 0; g < goroutines; g++ {
+		wg.Add(1)
+		go func(g int) {
+			defer wg.Done()
+			for iter := 0; iter < 24; iter++ {
+				k := (g + iter) % len(batches)
+				for i, v := range m.PredictTape(batches[k]) {
+					if math.Float64bits(v) != math.Float64bits(want[k][i]) {
+						errs <- "a pooled tape changed a prediction"
+						return
+					}
+				}
+			}
+		}(g)
+	}
+	wg.Add(1)
+	go func() {
+		defer wg.Done()
+		nn.Train(trained, nn.NewAdam(0.01), batches[1], nil, nn.TrainConfig{Epochs: 6, BatchSize: 16, Seed: 1})
+	}()
+	wg.Wait()
+	close(errs)
+	if msg, ok := <-errs; ok {
+		t.Fatal(msg)
+	}
+}
+
 // TestPredictConcurrentMixedPrecisionTraining is the race gate for the
 // float32 serving path: Adam keeps stepping the model's float64 weights
 // while float32 predictors — frozen snapshots taken before training — keep

@@ -285,6 +285,7 @@ func (m *Model) NewPredictor32() *infer.Predictor32 {
 // hold the fused path to it.
 func (m *Model) PredictTape(b *nn.Batch) []float64 {
 	t := autodiff.NewInferenceTape()
+	defer t.Release()
 	pred := m.forward(t, b, false, nil)
 	out := make([]float64, pred.Value.Rows)
 	copy(out, pred.Value.Data)

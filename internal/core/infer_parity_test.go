@@ -6,6 +6,7 @@ import (
 	"math/rand"
 	"testing"
 
+	"env2vec/internal/autodiff"
 	"env2vec/internal/envmeta"
 	"env2vec/internal/nn"
 	"env2vec/internal/tensor"
@@ -159,4 +160,35 @@ func b2i(b bool) int {
 		return 1
 	}
 	return 0
+}
+
+// TestNonFiniteWeightReachesEveryPath is the regression for a reference that
+// disagreed with what is served: the tape's old matrix product skipped zero
+// operands, so with h₀ = 0 — every first GRU step — a NaN in a recurrent
+// weight never reached a one-step window's tape prediction, while the fused
+// paths, which multiply everything, answered NaN. A diverged model must not
+// score "finite" on any path.
+func TestNonFiniteWeightReachesEveryPath(t *testing.T) {
+	rng := rand.New(rand.NewSource(5))
+	schema := envmeta.NewSchema()
+	batch := twoEnvBatch(rng, schema, 4, 1.0)
+	batch.Window = tensor.New(4, 1) // one step: the only recurrent product is h₀·U
+	cfg := smallConfig()
+	cfg.Window = 1
+	m := New(cfg, schema)
+	m.gru.Uz.Value.Data[0] = math.NaN()
+
+	tape := autodiff.NewTape()
+	defer tape.Release()
+	paths := map[string]float64{
+		"PredictTape":              m.PredictTape(batch)[0],
+		"Predict":                  m.Predict(batch)[0],
+		"NewPredictor32().Predict": m.NewPredictor32().Predict(batch)[0],
+		"Loss":                     m.Loss(tape, batch, false, nil).Value.Data[0],
+	}
+	for name, v := range paths {
+		if !math.IsNaN(v) {
+			t.Errorf("%s = %v with a NaN recurrent weight; want NaN", name, v)
+		}
+	}
 }

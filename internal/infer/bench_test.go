@@ -5,7 +5,7 @@
 //
 // Run with:
 //
-//	go test -bench 'Forward(Tape|Infer)' -benchmem ./internal/infer/
+//	go test -bench 'Forward(Tape|Infer)|TrainStep' -benchmem ./internal/infer/
 package infer_test
 
 import (
@@ -13,6 +13,7 @@ import (
 	"math/rand"
 	"testing"
 
+	"env2vec/internal/autodiff"
 	"env2vec/internal/core"
 	"env2vec/internal/envmeta"
 	"env2vec/internal/nn"
@@ -101,6 +102,59 @@ func TestInfer32Allocations(t *testing.T) {
 	}
 }
 
+// trainStep returns one steady-state step of nn.Train on the paper-sized
+// net at batch 32, window 20 — reset the tape, build the loss, sweep back,
+// step Adam — and the function that gives the tape back.
+func trainStep() (step, release func()) {
+	m, schema := benchModel(20)
+	rng := rand.New(rand.NewSource(2))
+	bt := benchBatch(rng, schema, 32, 8, 20)
+	tape, opt := autodiff.NewTape(), nn.NewAdam(1e-3)
+	step = func() {
+		tape.Reset()
+		tape.Backward(m.Loss(tape, bt, true, rng))
+		opt.Step(m.Params())
+	}
+	return step, tape.Release
+}
+
+// TestTrainStepAllocs pins what the tape's arena bought. Before it a train
+// step allocated 4 162 objects (node, closure, captured variable, and a
+// header plus storage for every value, gradient, transpose and product) and
+// a tape forward 2 208; what is left is one closure per operation and the
+// layers' own slices. The pins are the measured counts (451 and 442) plus
+// 10 %.
+func TestTrainStepAllocs(t *testing.T) {
+	if raceEnabled {
+		t.Skip("race-detector instrumentation allocates; gate runs in the non-race pass")
+	}
+	step, release := trainStep()
+	defer release()
+	step() // grow the arena
+	if a := testing.AllocsPerRun(20, step); a > 496 {
+		t.Fatalf("one B32W20 train step allocates %.0f objects; want ≤ 496", a)
+	}
+	m, schema := benchModel(20)
+	b := benchBatch(rand.New(rand.NewSource(2)), schema, 32, 8, 20)
+	m.PredictTape(b) // warm the tape pool
+	if a := testing.AllocsPerRun(20, func() { m.PredictTape(b) }); a > 486 {
+		t.Fatalf("PredictTape B32W20 allocates %.0f objects; want ≤ 486", a)
+	}
+}
+
+// BenchmarkTrainStep is the model owner's inner loop: tape, backward and
+// Adam, reusing one tape as nn.Train does.
+func BenchmarkTrainStep_B32W20(b *testing.B) {
+	step, release := trainStep()
+	defer release()
+	step()
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		step()
+	}
+}
+
 func benchForward(b *testing.B, batch int, window int, predict func(m *core.Model, bt *nn.Batch) []float64) {
 	m, schema := benchModel(window)
 	rng := rand.New(rand.NewSource(2))
@@ -127,6 +181,11 @@ func BenchmarkForwardTape_B32W20(b *testing.B) {
 
 func BenchmarkForwardInfer_B32W20(b *testing.B) {
 	benchForward(b, 32, 20, (*core.Model).Predict)
+}
+
+// One execution's windows in one pass: the shape pipeline.Workflow scores.
+func BenchmarkForwardInfer_B64W20(b *testing.B) {
+	benchForward(b, 64, 20, (*core.Model).Predict)
 }
 
 func benchForward32(b *testing.B, batch, window int) {

@@ -7,9 +7,9 @@
 //
 //   - the input-side GRU gate contributions for the whole window are
 //     precomputed in one shot — X·[Wz|Wr|Wh] is a single (batch·n)×in by
-//     in×(3·hidden) MatMulInto (for the paper's scalar-RU windows the window
-//     matrix reshapes into the step sequence without copying, and the matmul
-//     degenerates to an outer product) — leaving only the recurrent h·U*
+//     in×(3·hidden) MatMulBlockedInto (for the paper's scalar-RU windows the
+//     window matrix reshapes into the step sequence without copying, and the
+//     matmul degenerates to an outer product) — leaving only the recurrent h·U*
 //     matmuls inside the sequential loop;
 //   - every temporary comes from a per-pass scratch arena recycled through a
 //     sync.Pool, so steady-state prediction does no heap allocation beyond

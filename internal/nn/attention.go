@@ -131,7 +131,7 @@ func (g *GRU) ForwardWindowAll(t *autodiff.Tape, window *autodiff.Node) []*autod
 	wz, uz, bz := g.Wz.Bind(t), g.Uz.Bind(t), g.Bz.Bind(t)
 	wr, ur, br := g.Wr.Bind(t), g.Ur.Bind(t), g.Br.Bind(t)
 	wh, uh, bh := g.Wh.Bind(t), g.Uh.Bind(t), g.Bh.Bind(t)
-	h := t.Constant(tensor.New(batch, g.Hidden))
+	h := t.Constant(zeroState(t, batch, g.Hidden))
 	out := make([]*autodiff.Node, 0, n)
 	for j := 0; j < n; j++ {
 		// As in ForwardWindow, slice through the tape so gradients reach a

@@ -52,6 +52,7 @@ func (m *MLP) Loss(t *autodiff.Tape, b *Batch, train bool, rng *rand.Rand) *auto
 // call concurrently from multiple goroutines.
 func (m *MLP) Predict(b *Batch) []float64 {
 	t := autodiff.NewInferenceTape()
+	defer t.Release()
 	pred := m.Forward(t, t.Constant(b.X), false, nil)
 	out := make([]float64, pred.Value.Rows)
 	copy(out, pred.Value.Data)

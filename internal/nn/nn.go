@@ -49,7 +49,9 @@ func (p *Param) Bind(t *autodiff.Tape) *autodiff.Node {
 func (p *Param) Value32() *tensor.Matrix32 { return p.Value.To32() }
 
 // Grad returns the gradient from the most recent bound backward pass, or
-// nil if the parameter was never bound.
+// nil if the parameter was never bound. The matrix belongs to the tape the
+// parameter was bound on and is valid until that tape is Reset or Released:
+// step the optimizer first (Train does).
 func (p *Param) Grad() *tensor.Matrix {
 	if p.node == nil {
 		return nil
@@ -166,13 +168,20 @@ func (g *GRU) Forward(t *autodiff.Tape, steps []*autodiff.Node) *autodiff.Node {
 	wz, uz, bz := g.Wz.Bind(t), g.Uz.Bind(t), g.Bz.Bind(t)
 	wr, ur, br := g.Wr.Bind(t), g.Ur.Bind(t), g.Br.Bind(t)
 	wh, uh, bh := g.Wh.Bind(t), g.Uh.Bind(t), g.Bh.Bind(t)
-	h := t.Constant(tensor.New(batch, g.Hidden))
+	h := t.Constant(zeroState(t, batch, g.Hidden))
 	for _, x := range steps {
 		z := t.Sigmoid(t.AddRowBroadcast(t.Add(t.MatMul(x, wz), t.MatMul(h, uz)), bz))
 		r := t.Sigmoid(t.AddRowBroadcast(t.Add(t.MatMul(x, wr), t.MatMul(h, ur)), br))
 		hc := g.CandidateAct.Apply(t, t.AddRowBroadcast(t.Add(t.MatMul(x, wh), t.MatMul(t.Mul(r, h), uh)), bh))
 		h = t.Add(t.Mul(t.OneMinus(z), hc), t.Mul(z, h))
 	}
+	return h
+}
+
+// zeroState is h₀, from the tape's own memory.
+func zeroState(t *autodiff.Tape, batch, hidden int) *tensor.Matrix {
+	h := t.Scratch(batch, hidden)
+	h.Zero()
 	return h
 }
 

@@ -25,10 +25,19 @@ type Batch struct {
 func (b *Batch) Len() int { return b.X.Rows }
 
 // Subset extracts the examples at idx into a new batch.
-func (b *Batch) Subset(idx []int) *Batch {
-	sub := &Batch{X: tensor.GatherRows(b.X, idx), Y: tensor.GatherRows(b.Y, idx)}
+func (b *Batch) Subset(idx []int) *Batch { return b.subset(idx, tensor.New) }
+
+// subset gathers the examples at idx into matrices from alloc; Train hands
+// it the step's tape, so a mini-batch lives and dies with its graph.
+func (b *Batch) subset(idx []int, alloc func(rows, cols int) *tensor.Matrix) *Batch {
+	gather := func(m *tensor.Matrix) *tensor.Matrix {
+		out := alloc(len(idx), m.Cols)
+		tensor.GatherRowsInto(out, m, idx)
+		return out
+	}
+	sub := &Batch{X: gather(b.X), Y: gather(b.Y)}
 	if b.Window != nil {
-		sub.Window = tensor.GatherRows(b.Window, idx)
+		sub.Window = gather(b.Window)
 	}
 	if b.EnvIDs != nil {
 		sub.EnvIDs = make([][]int, len(b.EnvIDs))
@@ -92,7 +101,9 @@ type TrainResult struct {
 
 // Train fits the model on train, early-stopping on val (val may be nil to
 // disable validation; then the loop runs all epochs). The best-validation
-// weights are restored before returning.
+// weights are restored before returning. One tape serves every step: each
+// step steps the optimizer and reads its loss before the next one resets
+// the tape, and the parameters' gradients die with the tape on return.
 func Train(m Model, opt Optimizer, train, val *Batch, cfg TrainConfig) TrainResult {
 	if cfg.BatchSize <= 0 {
 		cfg.BatchSize = 32
@@ -111,6 +122,8 @@ func Train(m Model, opt Optimizer, train, val *Batch, cfg TrainConfig) TrainResu
 	bad := 0
 	var bestSnapshot [][]float64
 	res := TrainResult{BestValLoss: math.Inf(1), FinalValLoss: math.Inf(1)}
+	tape := autodiff.NewTape()
+	defer tape.Release()
 
 	for epoch := 0; epoch < cfg.Epochs; epoch++ {
 		epochStart := time.Now()
@@ -121,8 +134,8 @@ func Train(m Model, opt Optimizer, train, val *Batch, cfg TrainConfig) TrainResu
 			if end > n {
 				end = n
 			}
-			mb := train.Subset(order[start:end])
-			tape := autodiff.NewTape()
+			tape.Reset()
+			mb := train.subset(order[start:end], tape.Scratch)
 			loss := m.Loss(tape, mb, true, rng)
 			tape.Backward(loss)
 			opt.Step(m.Params())

@@ -15,6 +15,7 @@
 package pipeline
 
 import (
+	"errors"
 	"fmt"
 	"log/slog"
 	"math"
@@ -367,6 +368,12 @@ func EarlyTerminationStep(alarms []anomaly.Alarm, p TerminationPolicy) (int, boo
 // so genuinely new metadata values keep flowing through <unk>; the existing
 // standardizer and target scale are reused so old and new data stay
 // commensurable.
+//
+// A fit whose last training loss is not finite has overwritten the weights
+// with NaN or Inf; IncrementalTrain then puts back the weights the model had
+// on entry and returns ErrDiverged, so the model a Workflow keeps scoring
+// with is the one that worked. The returned nn.TrainResult still carries the
+// loss that was seen.
 func IncrementalTrain(tr *TrainResult, newSeries []*dataset.Series, epochs int, lr float64) (nn.TrainResult, error) {
 	window := tr.Model.Config().Window
 	var examples []dataset.Example
@@ -380,10 +387,22 @@ func IncrementalTrain(tr *TrainResult, newSeries []*dataset.Series, epochs int, 
 	tr.Standardizer.Apply(batch.X)
 	scaled := tr.YScale.Scale(batch)
 	cfg := nn.TrainConfig{Epochs: epochs, BatchSize: 32, Seed: 1}
+	params := tr.Model.Params()
+	before := nn.TakeSnapshot(params, nil)
 	fit := nn.Train(tr.Model, nn.NewAdam(lr), scaled, nil, cfg)
+	if math.IsNaN(fit.TrainLossLast) || math.IsInf(fit.TrainLossLast, 0) {
+		if err := before.Restore(params); err != nil {
+			return fit, err
+		}
+		return fit, fmt.Errorf("%w: last training loss %v", ErrDiverged, fit.TrainLossLast)
+	}
 	tr.Examples += len(examples)
 	return fit, nil
 }
+
+// ErrDiverged reports an incremental fit that ended on a non-finite loss.
+// The model is back at the weights it had before the fit.
+var ErrDiverged = errors.New("pipeline: incremental fit diverged, weights restored")
 
 // PublishModel uploads the trained model to the registry (step 2 → 5).
 func PublishModel(client *modelserver.Client, name string, tr *TrainResult) (int, error) {

@@ -2,7 +2,9 @@ package pipeline
 
 import (
 	"context"
+	"errors"
 	"io"
+	"math"
 	"net/http"
 	"net/http/httptest"
 	"path/filepath"
@@ -398,5 +400,40 @@ func TestProcessExecutionWithPolicy(t *testing.T) {
 	all, stopAt2, term2 := wf.ProcessExecutionWithPolicy("env2vec", s, TerminationPolicy{MinPeakDev: 1e9, MinDuration: 1})
 	if term2 || stopAt2 != -1 || len(all) != len(full) {
 		t.Fatalf("impossible policy should be a no-op")
+	}
+}
+
+// TestIncrementalTrainDivergedRestores drives a fit that overflows — a
+// learning rate of 1e160; at 1e6 the saturating gates hold the loss at a
+// finite 1e30 on this corpus — and holds IncrementalTrain to its promise:
+// a typed error, the loss it saw still reported, and the model the Workflow
+// scores with left exactly as it was, not full of NaN.
+func TestIncrementalTrainDivergedRestores(t *testing.T) {
+	c := smallCorpus(t)
+	tr, err := Train(c.Dataset, nil, quickTrainerConfig())
+	if err != nil {
+		t.Fatal(err)
+	}
+	var before [][]float64
+	for _, p := range tr.Model.Params() {
+		before = append(before, append([]float64(nil), p.Value.Data...))
+	}
+	examples := tr.Examples
+	fit, err := IncrementalTrain(tr, c.Dataset.Series[:2], 4, 1e160)
+	if !errors.Is(err, ErrDiverged) {
+		t.Fatalf("err = %v, want ErrDiverged (last loss %v)", err, fit.TrainLossLast)
+	}
+	if !math.IsNaN(fit.TrainLossLast) && !math.IsInf(fit.TrainLossLast, 0) {
+		t.Fatalf("TrainLossLast = %v, want the non-finite loss the fit ended on", fit.TrainLossLast)
+	}
+	if tr.Examples != examples {
+		t.Fatalf("a fit that was rolled back counted its examples: %d -> %d", examples, tr.Examples)
+	}
+	for pi, p := range tr.Model.Params() {
+		for i, v := range p.Value.Data {
+			if math.Float64bits(v) != math.Float64bits(before[pi][i]) {
+				t.Fatalf("%s[%d] = %v after a diverged fit, was %v", p.Name, i, v, before[pi][i])
+			}
+		}
 	}
 }

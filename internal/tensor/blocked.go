@@ -1,9 +1,12 @@
-// Register-blocked GEMM kernels, unrolled to the SIMD register width.
+// Register-blocked GEMM kernels, unrolled to the SIMD register width. Every
+// float64 product in the repository — the training tape's forward and
+// backward, the fused scorer, the baselines — runs through matMulBlocked.
 //
-// The naive MatMul/MatMulInto kernels stream one output row at a time with a
-// read-modify-write of the output slice on every multiply-add — one load, one
-// FMA-able op, one store per element, so the CPU's superscalar units sit
-// mostly idle. The blocked kernels here process a 2×4 output tile per
+// A naive kernel streams one output row at a time with a read-modify-write
+// of the output slice on every multiply-add — one load, one FMA-able op, one
+// store per element, so the CPU's superscalar units sit mostly idle (it
+// survives as the bit-exact reference in blocked_test.go). The portable
+// blocked kernel here processes a 2×4 output tile per
 // micro-kernel iteration: 8 independent accumulators live in registers for
 // the whole k-loop, every loaded b value is reused twice and every a value
 // four times, and the store traffic drops from k·8 to 8 per tile. Four lanes
@@ -13,19 +16,28 @@
 // into — a 4×4 tile measurably loses to 2×4 from spilling. The b-row offset
 // is strength-reduced (off += n) so the inner loop carries no multiply.
 //
+// On amd64 with AVX2 the whole groups of 8 columns run in assembly first
+// (f64gemm_amd64.s: a 4×8 tile and a 1×8 row tail, VMULPD then VADDPD), and
+// the Go code below finishes the ragged right edge.
+//
 // Numerics: for each output element the k-accumulation order is IDENTICAL to
-// the naive kernel (k ascending), so the blocked kernels are bit-compatible
-// with MatMulInto for finite inputs — blocking reorders which elements are
-// computed together, never the order of additions within one element. The
-// parity tests in internal/core lean on this: routing the fused inference
-// path through the blocked kernels kept its ≤1e-12 tape tolerance intact.
+// the naive kernel (k ascending, one rounding per multiply and one per add),
+// so the blocked kernel and the tile are bit-compatible with it for finite
+// inputs — blocking reorders which elements are computed together, never the
+// order of additions within one element. Unlike the naive kernel, nothing
+// skips a zero operand: 0·NaN and 0·Inf reach the output. The parity tests
+// in internal/core lean on the bit-identity: the tape and the fused path
+// share this kernel and keep their ≤1e-12 tolerance by construction.
+// Bit-identity between the tile and the Go tails is a GOAMD64=v1 property:
+// at v3 the compiler may fuse the scalar `c += a*b` into an FMA, and the
+// tile never fuses.
 //
 // Tails: row and column counts that are not multiples of the block width
 // fall through to 1×4 and scalar edge kernels, so ragged shapes (prime
 // dimensions, 1×1) are first-class — see blocked_test.go.
 //
 // The float32 twins of these kernels live in f32.go; on amd64 with AVX2+FMA
-// they dispatch to real 8-lane vector tiles (f32gemm_amd64.s).
+// they dispatch to 8-lane fused vector tiles (f32gemm_amd64.s).
 package tensor
 
 import "fmt"
@@ -34,18 +46,22 @@ import "fmt"
 // register). Exported so tests can probe non-multiple "tail" shapes.
 const BlockLanes = 4
 
-// MatMulBlocked returns a × b using the register-blocked kernel.
-func MatMulBlocked(a, b *Matrix) *Matrix {
+// MatMul returns a × b, where a is r×k and b is k×c.
+func MatMul(a, b *Matrix) *Matrix {
+	if a.Cols != b.Rows {
+		panic(fmt.Sprintf("tensor: MatMul inner dims %dx%d × %dx%d", a.Rows, a.Cols, b.Rows, b.Cols))
+	}
 	out := New(a.Rows, b.Cols)
 	MatMulBlockedInto(out, a, b)
 	return out
 }
 
 // MatMulBlockedInto computes a × b into out with the register-blocked
-// kernel. The contract matches MatMulInto exactly: out must be preallocated
-// a.Rows×b.Cols and must not alias either operand (every element of out is
-// fully overwritten, so stale contents never leak through — including the
-// k=0 case, which zero-fills).
+// kernel. out must be preallocated a.Rows×b.Cols and must not alias either
+// operand: the callers hand it arena-recycled scratch, where silent aliasing
+// corruption would be near-impossible to trace, so it fails loudly. Every
+// element of out is fully overwritten, so stale contents never leak through
+// — including the k=0 case, which zero-fills.
 func MatMulBlockedInto(out, a, b *Matrix) {
 	if a.Cols != b.Rows || out.Rows != a.Rows || out.Cols != b.Cols {
 		panic(fmt.Sprintf("tensor: MatMulBlockedInto shape %dx%d × %dx%d into %dx%d",
@@ -102,15 +118,21 @@ func MatMulPairInto(out, a, b1, b2 *Matrix) {
 // matMulBlocked is the strided kernel body shared by the public entry
 // points; all shape/aliasing validation happens before it. It writes the
 // m×n product into out columns [ooff, ooff+n) with row stride ostride,
-// which is how MatMulPairInto packs two products into one matrix.
+// which is how MatMulPairInto packs two products into one matrix. The
+// vector tiles take the leading whole groups of 8 columns where they exist;
+// the loops below compute columns [j0, n).
 func matMulBlocked(out, a, b []float64, m, k, n, ostride, ooff int) {
+	j0 := matMulAsm64(out, a, b, m, k, n, ostride, ooff)
+	if j0 == n {
+		return
+	}
 	i := 0
 	for ; i+2 <= m; i += 2 {
 		a0 := a[(i+0)*k : (i+0)*k+k]
 		a1 := a[(i+1)*k : (i+1)*k+k]
 		o0 := out[(i+0)*ostride+ooff : (i+0)*ostride+ooff+n]
 		o1 := out[(i+1)*ostride+ooff : (i+1)*ostride+ooff+n]
-		j := 0
+		j := j0
 		for ; j+4 <= n; j += 4 {
 			var c00, c01, c02, c03 float64
 			var c10, c11, c12, c13 float64
@@ -148,7 +170,7 @@ func matMulBlocked(out, a, b []float64, m, k, n, ostride, ooff int) {
 	for ; i < m; i++ { // row tail: 1 row, 4 lanes then scalar
 		ar := a[i*k : i*k+k]
 		or := out[i*ostride+ooff : i*ostride+ooff+n]
-		j := 0
+		j := j0
 		for ; j+4 <= n; j += 4 {
 			var c0, c1, c2, c3 float64
 			off := j

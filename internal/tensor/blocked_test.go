@@ -22,6 +22,41 @@ func randMat(rng *rand.Rand, rows, cols int) *Matrix {
 	return m
 }
 
+// MatMulInto is the naive triple loop the blocked kernel and the vector tile
+// replaced, kept here as their bit-exact reference: one output row at a
+// time, k ascending, a read-modify-write of out per multiply-add. It skips
+// zero a values, which changes nothing for finite operands. No non-test
+// code calls it.
+func MatMulInto(out, a, b *Matrix) {
+	if a.Cols != b.Rows || out.Rows != a.Rows || out.Cols != b.Cols {
+		panic("tensor: MatMulInto shape mismatch")
+	}
+	if overlap(out.Data, a.Data) || overlap(out.Data, b.Data) {
+		panic("tensor: MatMulInto out aliases an operand")
+	}
+	out.Zero()
+	for i := 0; i < a.Rows; i++ {
+		arow := a.Data[i*a.Cols : (i+1)*a.Cols]
+		orow := out.Data[i*b.Cols : (i+1)*b.Cols]
+		for k, av := range arow {
+			if av == 0 {
+				continue
+			}
+			brow := b.Data[k*b.Cols : (k+1)*b.Cols]
+			for j, bv := range brow {
+				orow[j] += av * bv
+			}
+		}
+	}
+}
+
+// matMulNaive is the allocating form of the reference.
+func matMulNaive(a, b *Matrix) *Matrix {
+	out := New(a.Rows, b.Cols)
+	MatMulInto(out, a, b)
+	return out
+}
+
 // TestBlockedMatchesNaive drives the blocked kernel across ragged shapes —
 // 1×1, primes, dimensions straddling every tail path — and demands
 // bit-identical agreement with the naive reference. The two kernels share
@@ -41,7 +76,7 @@ func TestBlockedMatchesNaive(t *testing.T) {
 		m, k, n := s[0], s[1], s[2]
 		t.Run(fmt.Sprintf("%dx%dx%d", m, k, n), func(t *testing.T) {
 			a, b := randMat(rng, m, k), randMat(rng, k, n)
-			want := MatMul(a, b)
+			want := matMulNaive(a, b)
 			got := New(m, n)
 			got.Fill(math.NaN()) // any element the kernel misses survives as NaN
 			MatMulBlockedInto(got, a, b)
@@ -50,8 +85,8 @@ func TestBlockedMatchesNaive(t *testing.T) {
 					t.Fatalf("element %d: blocked %v vs naive %v", i, got.Data[i], want.Data[i])
 				}
 			}
-			if conv := MatMulBlocked(a, b); !Equal(conv, want, 0) {
-				t.Fatalf("MatMulBlocked convenience form diverges")
+			if conv := MatMul(a, b); !Equal(conv, want, 0) {
+				t.Fatalf("MatMul convenience form diverges")
 			}
 		})
 	}
@@ -67,7 +102,7 @@ func TestBlocked32MatchesFloat64(t *testing.T) {
 		m, k, n := s[0], s[1], s[2]
 		a, b := randMat(rng, m, k), randMat(rng, k, n)
 		a32, b32 := a.To32(), b.To32()
-		want := MatMul(a.Round32(), b.Round32())
+		want := matMulNaive(a.Round32(), b.Round32())
 		got := New32(m, n)
 		MatMulBlockedInto32(got, a32, b32)
 		tol := float64(k+4) * 1.2e-7
@@ -98,7 +133,7 @@ func TestPairMatchesSeparate(t *testing.T) {
 			got := New(m, n1+n2)
 			got.Fill(math.NaN())
 			MatMulPairInto(got, a, b1, b2)
-			w1, w2 := MatMul(a, b1), MatMul(a, b2)
+			w1, w2 := matMulNaive(a, b1), matMulNaive(a, b2)
 			for i := 0; i < m; i++ {
 				row := got.Row(i)
 				for j := 0; j < n1; j++ {
@@ -157,6 +192,86 @@ func TestBlockedZeroK(t *testing.T) {
 	}
 }
 
+// edgeMat fills a rows×cols matrix with the values that separate a fused
+// multiply-add from a multiply then an add, and a skipped term from a
+// computed one: exact zeros of either sign, subnormals, ±1e300 (products
+// overflow, sums of opposite infinities go NaN) and ordinary normals.
+func edgeMat(rng *rand.Rand, rows, cols int) *Matrix {
+	m := New(rows, cols)
+	for i := range m.Data {
+		sign := float64(1 - 2*rng.Intn(2))
+		switch rng.Intn(12) {
+		case 0:
+			m.Data[i] = 0 * sign
+		case 1:
+			m.Data[i] = sign * 5e-324 * float64(1+rng.Intn(1000))
+		case 2:
+			m.Data[i] = sign * 1e300
+		default:
+			m.Data[i] = rng.NormFloat64()
+		}
+	}
+	return m
+}
+
+// TestF64TileMatchesScalar is the bit-identity contract of the float64 tile:
+// over every tile boundary (full 4×8 tiles, 1×8 row tails, the Go column
+// tails beside them, k from 0 up) and every shape the model multiplies, the
+// assembly path, the scalar path and the naive reference produce the same
+// math.Float64bits in every element — including MatMulPairInto's strided
+// output. A VFMADD in the tile fails this on the first shape with k > 1.
+func TestF64TileMatchesScalar(t *testing.T) {
+	if !useAsm {
+		t.Log("no AVX2 tiles on this CPU: comparing the scalar kernel with the naive reference only")
+	}
+	defer func(old bool) { useAsm = old }(useAsm)
+	hasAsm := useAsm
+	rng := rand.New(rand.NewSource(46))
+	ms := []int{1, 2, 3, 4, 5, 6, 7, 8, 9, 32, 64}
+	ns := []int{32, 40, 64, 96}
+	for n := 1; n <= 19; n++ {
+		ns = append(ns, n)
+	}
+	sameBits := func(what string, got, want *Matrix) {
+		t.Helper()
+		for i := range want.Data {
+			if math.Float64bits(got.Data[i]) != math.Float64bits(want.Data[i]) {
+				t.Fatalf("%s element %d: %x (%v) vs %x (%v)", what, i,
+					math.Float64bits(got.Data[i]), got.Data[i], math.Float64bits(want.Data[i]), want.Data[i])
+			}
+		}
+	}
+	for _, m := range ms {
+		for _, n := range ns {
+			for _, k := range []int{0, 1, 2, 5, 32, 33, 96} {
+				a, b, b2 := edgeMat(rng, m, k), edgeMat(rng, k, n), edgeMat(rng, k, 8+n%5)
+				naive := matMulNaive(a, b)
+				naive2 := matMulNaive(a, b2)
+				wantPair := New(m, n+b2.Cols)
+				for i := 0; i < m; i++ {
+					copy(wantPair.Row(i), naive.Row(i))
+					copy(wantPair.Row(i)[n:], naive2.Row(i))
+				}
+				for _, asm := range []bool{false, true} {
+					if asm && !hasAsm {
+						continue
+					}
+					useAsm = asm
+					what := fmt.Sprintf("%dx%dx%d asm=%v", m, k, n, asm)
+					got := New(m, n)
+					got.Fill(math.NaN())
+					MatMulBlockedInto(got, a, b)
+					sameBits(what, got, naive)
+					pair := New(m, n+b2.Cols)
+					pair.Fill(math.NaN())
+					MatMulPairInto(pair, a, b, b2)
+					sameBits(what+" pair", pair, wantPair)
+				}
+			}
+		}
+	}
+}
+
 // TestF32VectorMatchesScalar cross-checks the AVX2+FMA tile driver against
 // the portable scalar kernel on shapes that exercise every tile boundary:
 // full 4×16 tiles, 1×16 row tails, sub-16 column tails, and single-row
@@ -164,7 +279,7 @@ func TestBlockedZeroK(t *testing.T) {
 // vector tiles fuse each multiply-add, so agreement is to float32 round-off
 // rather than bitwise.
 func TestF32VectorMatchesScalar(t *testing.T) {
-	if !f32UseAsm {
+	if !useAsm {
 		t.Skip("no AVX2+FMA vector tiles on this CPU")
 	}
 	rng := rand.New(rand.NewSource(45))
@@ -262,6 +377,20 @@ func BenchmarkMatMulBlocked_8x32x64(b *testing.B) {
 		MatMulBlockedInto(out, x, w)
 	}
 }
+
+// The training step's shapes at batch 32: a recurrent product h·U and the
+// dense layer [v_ts|v_fs]·W.
+func benchMatMulBlocked(b *testing.B, m, k, n int) {
+	rng := rand.New(rand.NewSource(1))
+	out, x, w := New(m, n), randMat(rng, m, k), randMat(rng, k, n)
+	b.ReportAllocs()
+	for i := 0; i < b.N; i++ {
+		MatMulBlockedInto(out, x, w)
+	}
+}
+
+func BenchmarkMatMulBlocked_32x32x32(b *testing.B) { benchMatMulBlocked(b, 32, 32, 32) }
+func BenchmarkMatMulBlocked_32x96x40(b *testing.B) { benchMatMulBlocked(b, 32, 96, 40) }
 
 func BenchmarkMatMulBlocked32_8x32x64(b *testing.B) {
 	_, x, w := benchOperands(rand.New(rand.NewSource(1)))

@@ -134,7 +134,7 @@ func MatMulPairInto32(out, a, b1, b2 *Matrix32) {
 // matMulBlocked32 dispatches one strided m×k×n float32 product: the AVX2+FMA
 // tile driver when the CPU supports it, otherwise the scalar 2×4 blocking.
 func matMulBlocked32(out, a, b []float32, m, k, n, ostride, ooff int) {
-	if f32UseAsm {
+	if useAsm {
 		matMulAsm32(out, a, b, m, k, n, ostride, ooff)
 		return
 	}

@@ -2,15 +2,16 @@
 
 package tensor
 
-// Feature detection and the Go-side tile driver for the AVX2+FMA float32
-// GEMM in f32gemm_amd64.s. The assembly handles full 4-row × 16-column
-// tiles (and 1×16 row tails); ragged edges — fewer than 16 remaining
-// columns or a final odd row block — run through the scalar kernels, which
-// produce the same ascending-k accumulation per element.
+// Feature detection and the Go-side tile drivers for the vector GEMMs:
+// AVX2+FMA float32 (f32gemm_amd64.s) and AVX2 float64 (f64gemm_amd64.s).
+// The assembly handles full tiles — 4×16 and 1×16 in float32, 4×8 and 1×8
+// in float64; ragged edges run through the scalar kernels, which produce
+// the same ascending-k accumulation per element.
 
-// f32UseAsm is true when the CPU and OS support AVX2 and FMA. Tests may
-// flip it to force the scalar path; it is otherwise set once at init.
-var f32UseAsm = detectAVX2FMA()
+// useAsm is true when the CPU and OS support AVX2 and FMA; every vector
+// kernel of either precision sits behind it. Tests may flip it to force the
+// scalar paths; it is otherwise set once at init.
+var useAsm = detectAVX2FMA()
 
 //go:noescape
 func f32cpuid(leaf, sub uint32) (eax, ebx, ecx, edx uint32)
@@ -26,6 +27,12 @@ func gemm1x16f32(out, a, b *float32, k, bn uintptr)
 
 //go:noescape
 func sigmoidAdd8f32(dst, a, b *float32, n uintptr)
+
+//go:noescape
+func gemm4x8f64(out, a, b *float64, k, an, bn, on uintptr)
+
+//go:noescape
+func gemm1x8f64(out, a, b *float64, k, bn uintptr)
 
 // detectAVX2FMA checks CPU support for FMA3 and AVX2 plus OS support for
 // saving YMM state (OSXSAVE + XCR0), the full precondition for running the
@@ -91,6 +98,30 @@ func scalarTail32(out, a, b []float32, i0, i1, j0, k, n, ostride, ooff int) {
 			or[j] = c
 		}
 	}
+}
+
+// matMulAsm64 runs the float64 tiles over every whole group of 8 columns
+// of a strided m×k×n product and returns how many leading columns it
+// finished (0 without AVX2); matMulBlocked's scalar code takes the columns
+// from there. Callers guarantee k ≥ 1, m ≥ 1, n ≥ 1 and no aliasing.
+func matMulAsm64(out, a, b []float64, m, k, n, ostride, ooff int) int {
+	n8 := n &^ 7
+	if !useAsm || n8 == 0 {
+		return 0
+	}
+	uk, ubn, uon := uintptr(k), uintptr(n), uintptr(ostride)
+	i := 0
+	for ; i+4 <= m; i += 4 {
+		for j := 0; j < n8; j += 8 {
+			gemm4x8f64(&out[i*ostride+ooff+j], &a[i*k], &b[j], uk, uk, ubn, uon)
+		}
+	}
+	for ; i < m; i++ {
+		for j := 0; j < n8; j += 8 {
+			gemm1x8f64(&out[i*ostride+ooff+j], &a[i*k], &b[j], uk, ubn)
+		}
+	}
+	return n8
 }
 
 // sigmoidAddAsm32 runs the vector logistic kernel over the leading whole

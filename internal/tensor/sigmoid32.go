@@ -52,7 +52,7 @@ func SigmoidAdd32(dst, a, b []float32) {
 		panic("tensor: SigmoidAdd32 dst overlaps an operand")
 	}
 	done := 0
-	if f32UseAsm {
+	if useAsm {
 		done = sigmoidAddAsm32(dst, a, b)
 	}
 	for i := done; i < len(dst); i++ {

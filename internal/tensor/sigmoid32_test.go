@@ -11,16 +11,16 @@ import (
 const minNormal32 = 0x1p-126
 
 // onBothSigmoidPaths runs f against the vector kernel (when the CPU has it)
-// and again with f32UseAsm forced off, so the scalar twin faces the same
+// and again with useAsm forced off, so the scalar twin faces the same
 // table on every platform.
 func onBothSigmoidPaths(t *testing.T, f func(t *testing.T)) {
 	t.Helper()
-	if f32UseAsm {
+	if useAsm {
 		t.Run("asm", f)
 	}
 	t.Run("scalar", func(t *testing.T) {
-		defer func(old bool) { f32UseAsm = old }(f32UseAsm)
-		f32UseAsm = false
+		defer func(old bool) { useAsm = old }(useAsm)
+		useAsm = false
 		f(t)
 	})
 }
@@ -86,7 +86,7 @@ func TestSigmoidAdd32Accuracy(t *testing.T) {
 		t.Logf("%s: %d points, max relative error %.3g", name, len(got), worst)
 	}
 	check("scalar", scalar)
-	if !f32UseAsm {
+	if !useAsm {
 		return
 	}
 	asm := make([]float32, len(a))

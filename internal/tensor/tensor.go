@@ -111,28 +111,6 @@ func (m *Matrix) String() string {
 	return fmt.Sprintf("Matrix(%dx%d)%v", m.Rows, m.Cols, m.Data)
 }
 
-// MatMul returns a × b, where a is r×k and b is k×c.
-func MatMul(a, b *Matrix) *Matrix {
-	if a.Cols != b.Rows {
-		panic(fmt.Sprintf("tensor: MatMul inner dims %dx%d × %dx%d", a.Rows, a.Cols, b.Rows, b.Cols))
-	}
-	out := New(a.Rows, b.Cols)
-	for i := 0; i < a.Rows; i++ {
-		arow := a.Data[i*a.Cols : (i+1)*a.Cols]
-		orow := out.Data[i*b.Cols : (i+1)*b.Cols]
-		for k, av := range arow {
-			if av == 0 {
-				continue
-			}
-			brow := b.Data[k*b.Cols : (k+1)*b.Cols]
-			for j, bv := range brow {
-				orow[j] += av * bv
-			}
-		}
-	}
-	return out
-}
-
 // overlap reports whether two float64 slices share any backing memory. The
 // pointer comparison covers only the addressable [0,len) ranges, so disjoint
 // views carved from one arena chunk are correctly reported as non-overlapping.
@@ -146,78 +124,73 @@ func overlap(a, b []float64) bool {
 	return alo < blo+uintptr(len(b))*sz && blo < alo+uintptr(len(a))*sz
 }
 
-// MatMulInto computes a × b into out, which must be preallocated a.Rows×b.Cols.
-// out must not alias a or b: the kernel zeroes out before accumulating, so an
-// aliased operand would be read after it was overwritten. The fused inference
-// kernels lean on this op heavily with arena-recycled scratch, where silent
-// aliasing corruption would be near-impossible to trace — so it fails loudly.
-func MatMulInto(out, a, b *Matrix) {
-	if a.Cols != b.Rows || out.Rows != a.Rows || out.Cols != b.Cols {
-		panic("tensor: MatMulInto shape mismatch")
-	}
-	if overlap(out.Data, a.Data) || overlap(out.Data, b.Data) {
-		panic("tensor: MatMulInto out aliases an operand")
-	}
-	out.Zero()
-	for i := 0; i < a.Rows; i++ {
-		arow := a.Data[i*a.Cols : (i+1)*a.Cols]
-		orow := out.Data[i*b.Cols : (i+1)*b.Cols]
-		for k, av := range arow {
-			if av == 0 {
-				continue
-			}
-			brow := b.Data[k*b.Cols : (k+1)*b.Cols]
-			for j, bv := range brow {
-				orow[j] += av * bv
-			}
-		}
-	}
-}
-
 // Transpose returns mᵀ.
 func (m *Matrix) Transpose() *Matrix {
 	t := New(m.Cols, m.Rows)
-	for i := 0; i < m.Rows; i++ {
-		for j := 0; j < m.Cols; j++ {
-			t.Data[j*m.Rows+i] = m.Data[i*m.Cols+j]
-		}
-	}
+	m.TransposeInto(t)
 	return t
 }
 
+// TransposeInto writes mᵀ into dst, which must be m.Cols×m.Rows and must not
+// alias m; every element of dst is overwritten.
+func (m *Matrix) TransposeInto(dst *Matrix) {
+	if dst.Rows != m.Cols || dst.Cols != m.Rows {
+		panic(fmt.Sprintf("tensor: TransposeInto %dx%d into %dx%d", m.Rows, m.Cols, dst.Rows, dst.Cols))
+	}
+	for i := 0; i < m.Rows; i++ {
+		row := m.Data[i*m.Cols : (i+1)*m.Cols]
+		for j, v := range row {
+			dst.Data[j*m.Rows+i] = v
+		}
+	}
+}
+
+// The elementwise operations come in pairs: an Into form that writes a
+// preallocated out — every element, so recycled storage is fine — and an
+// allocating form on top of it. Unlike the matrix products, aliasing is safe
+// for the elementwise Into forms (each element depends only on its own
+// position), so out may be an operand for an in-place result.
+
 // Add returns a + b elementwise.
 func Add(a, b *Matrix) *Matrix {
-	a.shapeCheck(b, "Add")
 	out := New(a.Rows, a.Cols)
+	AddInto(out, a, b)
+	return out
+}
+
+// AddInto computes a + b into out.
+func AddInto(out, a, b *Matrix) {
+	a.shapeCheck(b, "Add")
+	a.shapeCheck(out, "Add")
 	for i, v := range a.Data {
 		out.Data[i] = v + b.Data[i]
 	}
-	return out
 }
 
 // Sub returns a − b elementwise.
 func Sub(a, b *Matrix) *Matrix {
-	a.shapeCheck(b, "Sub")
 	out := New(a.Rows, a.Cols)
+	SubInto(out, a, b)
+	return out
+}
+
+// SubInto computes a − b into out.
+func SubInto(out, a, b *Matrix) {
+	a.shapeCheck(b, "Sub")
+	a.shapeCheck(out, "Sub")
 	for i, v := range a.Data {
 		out.Data[i] = v - b.Data[i]
 	}
-	return out
 }
 
 // Mul returns the Hadamard (elementwise) product a ⊙ b.
 func Mul(a, b *Matrix) *Matrix {
-	a.shapeCheck(b, "Mul")
 	out := New(a.Rows, a.Cols)
-	for i, v := range a.Data {
-		out.Data[i] = v * b.Data[i]
-	}
+	MulInto(out, a, b)
 	return out
 }
 
-// MulInto computes the Hadamard product a ⊙ b into out. Unlike MatMulInto,
-// aliasing is safe here (each element depends only on its own position), so
-// out may be a or b for an in-place product.
+// MulInto computes the Hadamard product a ⊙ b into out.
 func MulInto(out, a, b *Matrix) {
 	a.shapeCheck(b, "MulInto")
 	a.shapeCheck(out, "MulInto")
@@ -229,10 +202,16 @@ func MulInto(out, a, b *Matrix) {
 // Scale returns s·m.
 func Scale(m *Matrix, s float64) *Matrix {
 	out := New(m.Rows, m.Cols)
+	ScaleInto(out, m, s)
+	return out
+}
+
+// ScaleInto computes s·m into out.
+func ScaleInto(out, m *Matrix, s float64) {
+	m.shapeCheck(out, "Scale")
 	for i, v := range m.Data {
 		out.Data[i] = v * s
 	}
-	return out
 }
 
 // AddInPlace adds o into m.
@@ -252,10 +231,18 @@ func (m *Matrix) ScaleInPlace(s float64) {
 
 // AddRowBroadcast returns m with the 1×cols row vector b added to every row.
 func AddRowBroadcast(m, b *Matrix) *Matrix {
+	out := New(m.Rows, m.Cols)
+	AddRowBroadcastInto(out, m, b)
+	return out
+}
+
+// AddRowBroadcastInto adds the 1×cols row vector b to every row of m, into
+// out.
+func AddRowBroadcastInto(out, m, b *Matrix) {
 	if b.Rows != 1 || b.Cols != m.Cols {
 		panic(fmt.Sprintf("tensor: AddRowBroadcast %dx%d + %dx%d", m.Rows, m.Cols, b.Rows, b.Cols))
 	}
-	out := New(m.Rows, m.Cols)
+	m.shapeCheck(out, "AddRowBroadcast")
 	for i := 0; i < m.Rows; i++ {
 		row := m.Row(i)
 		orow := out.Row(i)
@@ -263,16 +250,21 @@ func AddRowBroadcast(m, b *Matrix) *Matrix {
 			orow[j] = v + b.Data[j]
 		}
 	}
-	return out
 }
 
 // Apply returns f applied elementwise to m.
 func Apply(m *Matrix, f func(float64) float64) *Matrix {
 	out := New(m.Rows, m.Cols)
+	ApplyInto(out, m, f)
+	return out
+}
+
+// ApplyInto computes f of every element of m into out.
+func ApplyInto(out, m *Matrix, f func(float64) float64) {
+	m.shapeCheck(out, "Apply")
 	for i, v := range m.Data {
 		out.Data[i] = f(v)
 	}
-	return out
 }
 
 // Sum returns the sum of all elements.
@@ -321,11 +313,19 @@ func ConcatCols(a, b *Matrix) *Matrix {
 		panic(fmt.Sprintf("tensor: ConcatCols rows %d vs %d", a.Rows, b.Rows))
 	}
 	out := New(a.Rows, a.Cols+b.Cols)
+	ConcatColsInto(out, a, b)
+	return out
+}
+
+// ConcatColsInto writes [a | b] into out, which must be a.Rows×(a.Cols+b.Cols).
+func ConcatColsInto(out, a, b *Matrix) {
+	if a.Rows != b.Rows || out.Rows != a.Rows || out.Cols != a.Cols+b.Cols {
+		panic(fmt.Sprintf("tensor: ConcatCols %dx%d | %dx%d into %dx%d", a.Rows, a.Cols, b.Rows, b.Cols, out.Rows, out.Cols))
+	}
 	for i := 0; i < a.Rows; i++ {
 		copy(out.Row(i)[:a.Cols], a.Row(i))
 		copy(out.Row(i)[a.Cols:], b.Row(i))
 	}
-	return out
 }
 
 // SliceCols returns the column range [from, to) of m as a new matrix.
@@ -334,10 +334,19 @@ func (m *Matrix) SliceCols(from, to int) *Matrix {
 		panic(fmt.Sprintf("tensor: SliceCols [%d,%d) of %d cols", from, to, m.Cols))
 	}
 	out := New(m.Rows, to-from)
+	m.SliceColsInto(out, from, to)
+	return out
+}
+
+// SliceColsInto copies the column range [from, to) of m into out, which
+// must be m.Rows×(to−from).
+func (m *Matrix) SliceColsInto(out *Matrix, from, to int) {
+	if from < 0 || to > m.Cols || from > to || out.Rows != m.Rows || out.Cols != to-from {
+		panic(fmt.Sprintf("tensor: SliceCols [%d,%d) of %dx%d into %dx%d", from, to, m.Rows, m.Cols, out.Rows, out.Cols))
+	}
 	for i := 0; i < m.Rows; i++ {
 		copy(out.Row(i), m.Row(i)[from:to])
 	}
-	return out
 }
 
 // SliceRows returns the row range [from, to) of m as a new matrix.
@@ -353,13 +362,22 @@ func (m *Matrix) SliceRows(from, to int) *Matrix {
 // GatherRows returns a matrix whose i-th row is m.Row(idx[i]).
 func GatherRows(m *Matrix, idx []int) *Matrix {
 	out := New(len(idx), m.Cols)
+	GatherRowsInto(out, m, idx)
+	return out
+}
+
+// GatherRowsInto copies m.Row(idx[i]) into row i of out, which must be
+// len(idx)×m.Cols; every element of out is overwritten.
+func GatherRowsInto(out, m *Matrix, idx []int) {
+	if out.Rows != len(idx) || out.Cols != m.Cols {
+		panic(fmt.Sprintf("tensor: GatherRowsInto %d rows of %d cols into %dx%d", len(idx), m.Cols, out.Rows, out.Cols))
+	}
 	for i, r := range idx {
 		if r < 0 || r >= m.Rows {
 			panic(fmt.Sprintf("tensor: GatherRows index %d out of %d rows", r, m.Rows))
 		}
 		copy(out.Row(i), m.Row(r))
 	}
-	return out
 }
 
 // RandUniform fills m with samples from U(−scale, scale).

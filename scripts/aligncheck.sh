@@ -3,13 +3,19 @@
 #
 # Go aligns functions to 32 bytes and the linker lays packages out in
 # dependency order, so a change to anything linked early shifts everything
-# after it; the float64 tape's hot loops (internal/tensor, autodiff, nn)
-# lose or gain ~12 % when their address modulo 64 flips (docs/performance.md,
-# "A measurement trap"). This compares the two binaries' symbol tables and
+# after it. Until PR 21 the float64 tape's hot loops were Go-compiled code in
+# internal/tensor, autodiff and nn, and lost or gained ~12 % when their
+# address modulo 64 flipped (docs/performance.md, "A measurement trap").
+# The hottest of them — every float64 product, training and scoring — now
+# lives in tensor.gemm4x8f64, whose loop head sits behind PCALIGN $32
+# whatever precedes it; what a phase flip still moves is the elementwise Go
+# loops around it — about 3 % of training time, and nothing the closed-loop
+# rate resolves (docs/performance.md, "The alignment trap, revisited", is the
+# one measurement made). This compares the two binaries' symbol tables and
 # reports the shared symbols of those packages whose address mod 64 differs.
-# Print its verdict next to any setup_s / retrain_cycle delta: a move there
-# with shifted symbols and no float64 code in the diff is alignment, not a
-# regression (and not a gain).
+# Print its verdict next to any setup_s / retrain_cycle delta: a small move
+# there with shifted symbols and no float64 code in the diff is alignment,
+# not a regression (and not a gain).
 #
 #   bash bench/run.sh ...            # builds .bench_build/e2vbench
 #   scripts/aligncheck.sh /root/scratch/parent/.bench_build/e2vbench .bench_build/e2vbench
