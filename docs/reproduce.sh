@@ -109,7 +109,9 @@ go test -run 'TestSourceFilter' ./internal/alarmstore/
 # Serving-path benchmarks (a lone Do, parallel submitters, a saturated
 # worker with its mean batch size, the /predict edge), gated like
 # BENCH_infer.json: >10% slower than the committed baseline or any
-# allocs/op growth fails before the baseline is overwritten.
+# allocs/op growth fails before the baseline is overwritten. CI runs the
+# same gate with ns/op at 100% (its runners are not this box). The
+# benchmark servers drop every trace, so allocs/op is not a coin's.
 go test -run '^$' -bench 'BenchmarkServe' -benchmem -count 1 ./internal/serve/ \
     | tee docs/outputs/bench_serve.txt \
     | go run ./cmd/benchjson -compare docs/outputs/BENCH_serve.json -max-regress 10 \
@@ -124,18 +126,22 @@ mv docs/outputs/BENCH_serve.json.new docs/outputs/BENCH_serve.json
 # kill-a-backend e2e, concurrent fan-out of mixed frames, wire trace
 # stitching, the verdict table both fronts must answer alike, the one
 # server-side preamble behind both listeners, subscribe failover and error
-# relay through the splice, retained ids not pinning frames), then the
-# allocation budgets the race detector would trip (a relayed frame costs a
-# handful of allocations; a sampled-out trace materialises no span on either
-# front), then commit the JSON-vs-binary codec and transport
+# relay through the splice, retained ids not pinning frames, the pending and
+# sticky maps staying bounded when predictions are observed promptly), then
+# the allocation budgets the race detector would trip (a relayed frame costs
+# a handful of allocations, a served frame four and a lone Do one; one stage
+# record renders one tree on the wire, in JSON and in the store; a
+# sampled-out trace materialises no span on either front or on the backend),
+# then commit the JSON-vs-binary codec and transport
 # numbers (encode+decode at B8W20, and live round trips with p99s) gated
 # against the committed baseline: any allocs/op growth fails, and ns/op gets
 # a wide 25% bound because live round trips ride the box's phases.
 go test -run FuzzWireDecode -fuzz FuzzWireDecode -fuzztime 10s ./internal/wire/
+go test -run FuzzParseTraceParent -fuzz FuzzParseTraceParent -fuzztime 10s ./internal/obs/
 go test -race ./internal/wire/
-go test -race -run 'TestE2EWireMixedProtocolFailover|TestProxyBodyLimit|TestProxyErrorBodyCap|TestWireFanOut|TestProxyWireTraceStitchesBackendSpans|TestFrontsEmitSameFamiliesAndSpans|TestWireStickyIDsDoNotPinFrames|TestPreambleOneBehaviour|TestWireSubscribe' ./internal/proxy/
-go test -race -run 'TestBodyLimits|TestStrictDecoding|TestDoBatch' ./internal/serve/
-go test -run 'TestFrameAllocBudget|TestGoldenFrames|TestWireDroppedTraceMaterialisesNoSpans|TestJSONDroppedTraceMaterialisesNoSpans' ./internal/wire/ ./internal/proxy/
+go test -race -run 'TestE2EWireMixedProtocolFailover|TestProxyBodyLimit|TestProxyErrorBodyCap|TestWireFanOut|TestProxyWireTraceStitchesBackendSpans|TestFrontsEmitSameFamiliesAndSpans|TestWireStickyIDsDoNotPinFrames|TestPreambleOneBehaviour|TestWireSubscribe|TestStickyStaysBoundedWhenObserved' ./internal/proxy/
+go test -race -run 'TestBodyLimits|TestStrictDecoding|TestDoBatch|TestPendingStaysBoundedWhenObserved|TestIDMap' ./internal/serve/
+go test -run 'TestFrameAllocBudget|TestGoldenFrames|TestStageRecordRendersOneTree|TestWireDroppedTraceMaterialisesNoSpans|TestJSONDroppedTraceMaterialisesNoSpans|TestBackendDroppedTraceMaterialisesNoSpans|TestServeDoAllocs|TestDoBatchAllocs|TestPassCostsNoAllocations|TestIDsAllocateWhatTheyReturn' ./internal/wire/ ./internal/proxy/ ./internal/serve/ ./internal/obs/
 go test -run '^$' -bench 'EncodeDecode|RoundTrip' -benchmem -count 1 ./internal/wire/ \
     | tee docs/outputs/bench_wire.txt \
     | go run ./cmd/benchjson -compare docs/outputs/BENCH_wire.json -max-regress 25 \

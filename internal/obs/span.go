@@ -30,15 +30,36 @@ func FormatTraceParent(traceID, spanID string) string {
 	return traceParentVersion + "-" + traceID + "-" + spanID + "-" + traceParentFlags
 }
 
+// AppendTraceParent appends what FormatTraceParent returns, for a caller
+// that stamps many requests out of one buffer.
+func AppendTraceParent(dst []byte, traceID, spanID string) []byte {
+	dst = append(dst, traceParentVersion+"-"...)
+	dst = append(dst, traceID...)
+	dst = append(dst, '-')
+	dst = append(dst, spanID...)
+	return append(dst, "-"+traceParentFlags...)
+}
+
 // ParseTraceParent extracts the trace id and parent span id from a
-// traceparent-style header value. ok is false for anything malformed —
-// callers then start a fresh root rather than failing the request.
+// traceparent-style header value: exactly four dash-separated fields, the
+// middle two non-empty. ok is false for anything malformed — callers then
+// start a fresh root rather than failing the request. The ids sub-slice v.
 func ParseTraceParent(v string) (traceID, spanID string, ok bool) {
-	parts := strings.Split(v, "-")
-	if len(parts) != 4 || parts[1] == "" || parts[2] == "" {
+	a := strings.IndexByte(v, '-')
+	if a < 0 {
 		return "", "", false
 	}
-	return parts[1], parts[2], true
+	rest := v[a+1:]
+	b := strings.IndexByte(rest, '-')
+	if b <= 0 {
+		return "", "", false
+	}
+	traceID, rest = rest[:b], rest[b+1:]
+	c := strings.IndexByte(rest, '-')
+	if c <= 0 || strings.IndexByte(rest[c+1:], '-') >= 0 {
+		return "", "", false
+	}
+	return traceID, rest[:c], true
 }
 
 // Span is one timed operation within a request's trace: a node in the span

@@ -2,6 +2,7 @@ package obs
 
 import (
 	crand "crypto/rand"
+	"encoding/binary"
 	"encoding/hex"
 	"sync/atomic"
 	"time"
@@ -20,12 +21,20 @@ func NewRequestID() string {
 	if _, err := crand.Read(b[:]); err != nil {
 		// Entropy exhaustion is effectively unreachable on Linux; degrade to
 		// a unique-but-guessable id rather than failing the request.
-		n := fallbackSeq.Add(1)
-		for i := 0; i < 8; i++ {
-			b[i] = byte(n >> (8 * i))
-		}
+		binary.LittleEndian.PutUint64(b[:], fallbackSeq.Add(1))
 	}
-	return hex.EncodeToString(b[:])
+	var id [16]byte // encoded on the stack: the id costs the string it returns
+	hex.Encode(id[:], b[:])
+	return string(id[:])
+}
+
+// AppendID appends v as a 16-hex-character id. Ids derived from one random
+// draw this way (v, v+1, …) key nothing; they only have to differ within a
+// trace.
+func AppendID(dst []byte, v uint64) []byte {
+	var b [8]byte
+	binary.BigEndian.PutUint64(b[:], v)
+	return hex.AppendEncode(dst, b[:])
 }
 
 // MS converts a duration to float64 milliseconds, the unit every latency

@@ -19,7 +19,8 @@ import (
 	"env2vec/internal/serve"
 )
 
-// e2eBackend hosts a real serve.Server (quality monitor on) behind httptest.
+// e2eBackend hosts a real serve.Server (quality monitor on, every trace
+// kept) behind httptest.
 type e2eBackend struct {
 	s   *serve.Server
 	srv *httptest.Server
@@ -40,7 +41,7 @@ func newE2EBackend(t *testing.T, seed int64) *e2eBackend {
 	}
 	s := serve.New(serve.Config{
 		MaxBatch: 8, QueueDepth: 256, Workers: 2,
-		Quality: &quality.Config{},
+		Quality: &quality.Config{}, Trace: keepAllTraces(),
 	})
 	t.Cleanup(s.Close)
 	s.SetBundle(b)

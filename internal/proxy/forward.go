@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"net/http"
 	"strconv"
+	"strings"
 	"time"
 
 	"env2vec/internal/obs"
@@ -129,6 +130,10 @@ func (p *Proxy) forward(key, path, traceID string, batch int, try tryFunc, stitc
 	if !p.traces.Sample(&t) {
 		return served, code, msg
 	}
+	// A kept trace outlives the request: on the wire front its id sub-slices
+	// the decoded frame.
+	traceID = strings.Clone(traceID)
+	t.TraceID = traceID
 	root := obs.Span{
 		TraceID: traceID, SpanID: obs.NewSpanID(), Name: t.Root,
 		StartUnixUS: t.StartUnixUS, DurationMS: dur,

@@ -99,10 +99,9 @@ type Proxy struct {
 
 	// sticky maps request ids of proxied predictions to the backend that
 	// served them, so a later POST /observe lands on the process holding
-	// the pending entry. Bounded FIFO, like serve's own pending map.
-	stickyMu    sync.Mutex
-	sticky      map[string]*Backend
-	stickyOrder []string
+	// the pending entry: the last PendingCap of them, in the bounded map
+	// serve keeps its own pending predictions in.
+	sticky *serve.IDMap[*Backend]
 
 	served, shed, failed *obs.Counter
 	retries, failovers   *obs.Counter
@@ -188,7 +187,7 @@ func New(cfg Config) *Proxy {
 		client: client,
 		reg:    reg,
 		log:    logger,
-		sticky: make(map[string]*Backend),
+		sticky: serve.NewIDMap[*Backend](cfg.PendingCap),
 	}
 	p.served = reg.Counter("env2vec_proxy_requests_total", "Proxied requests by outcome.", obs.Labels{"outcome": "served"})
 	p.shed = reg.Counter("env2vec_proxy_requests_total", "Proxied requests by outcome.", obs.Labels{"outcome": "shed"})
@@ -401,7 +400,7 @@ func (p *Proxy) handlePredict(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	if code < 300 {
-		p.rememberSticky(reqID, b)
+		p.sticky.Put(reqID, b)
 	}
 	relay(w, code, hdr, resp, b)
 }
@@ -414,7 +413,7 @@ func (p *Proxy) handleObserve(w http.ResponseWriter, r *http.Request) {
 	if !ok {
 		return
 	}
-	b, ok := p.takeSticky(req.RequestID)
+	b, ok := p.sticky.Take(req.RequestID)
 	if !ok || !b.Alive() {
 		// The prediction's backend is unknown (evicted, proxy restart) or
 		// gone; its pending entry died with it. 404 matches the backend's
@@ -587,32 +586,6 @@ func (p *Proxy) handleHealthz(w http.ResponseWriter, r *http.Request) {
 		}
 	}
 	http.Error(w, "no live backends", http.StatusServiceUnavailable)
-}
-
-// rememberSticky records which backend served a prediction id (bounded
-// FIFO), so the ground truth for it can find the same pending map.
-func (p *Proxy) rememberSticky(id string, b *Backend) {
-	p.stickyMu.Lock()
-	defer p.stickyMu.Unlock()
-	if _, exists := p.sticky[id]; !exists {
-		for len(p.sticky) >= p.cfg.PendingCap && len(p.stickyOrder) > 0 {
-			old := p.stickyOrder[0]
-			p.stickyOrder = p.stickyOrder[1:]
-			delete(p.sticky, old)
-		}
-		p.stickyOrder = append(p.stickyOrder, id)
-	}
-	p.sticky[id] = b
-}
-
-func (p *Proxy) takeSticky(id string) (*Backend, bool) {
-	p.stickyMu.Lock()
-	defer p.stickyMu.Unlock()
-	b, ok := p.sticky[id]
-	if ok {
-		delete(p.sticky, id)
-	}
-	return b, ok
 }
 
 // maxErrorBodyBytes caps how much of a backend's error-status body the

@@ -487,17 +487,67 @@ func TestStickyMapBounded(t *testing.T) {
 	for i := 0; i < 10; i++ {
 		doPredict(t, p, "B1", map[string]string{"X-Request-ID": fmt.Sprintf("rid-%d", i)})
 	}
-	p.stickyMu.Lock()
-	n := len(p.sticky)
-	p.stickyMu.Unlock()
-	if n > 4 {
+	if n, _ := p.sticky.Size(); n > 4 {
 		t.Fatalf("sticky map grew to %d entries, cap is 4", n)
 	}
 	// Oldest ids evicted, newest retained.
-	if _, ok := p.takeSticky("rid-9"); !ok {
+	if _, ok := p.sticky.Take("rid-9"); !ok {
 		t.Fatal("newest sticky entry evicted")
 	}
-	if _, ok := p.takeSticky("rid-0"); ok {
+	if _, ok := p.sticky.Take("rid-0"); ok {
 		t.Fatal("oldest sticky entry survived past the cap")
+	}
+}
+
+// TestStickyStaysBoundedWhenObserved: the sticky map's twin of serve's
+// TestPendingStaysBoundedWhenObserved. Observed promptly, the map is empty
+// most of the time; at PendingCap 16, 5 000 × (predict, observe) used to
+// leave 5 000 ids queued for an eviction that never ran. Observed, evicted
+// and re-predicted ids behave as they always did.
+func TestStickyStaysBoundedWhenObserved(t *testing.T) {
+	const pendingCap = 16
+	a, b := newStub(t), newStub(t)
+	p := newTestProxy(t, Config{PendingCap: pendingCap}, a, b)
+	predict := func(id, build string) string {
+		t.Helper()
+		w := doPredict(t, p, build, map[string]string{"X-Request-ID": id})
+		if w.Code != http.StatusOK {
+			t.Fatalf("predict %s: status %d", id, w.Code)
+		}
+		return w.Header().Get("X-Backend")
+	}
+	observe := func(id string) *httptest.ResponseRecorder {
+		w := httptest.NewRecorder()
+		p.ServeHTTP(w, httptest.NewRequest(http.MethodPost, "/observe", strings.NewReader(fmt.Sprintf(`{"request_id":%q,"actual":49.5}`, id))))
+		return w
+	}
+	for i := 0; i < 5000; i++ {
+		id := fmt.Sprintf("%016x", i)
+		if served, w := predict(id, "B1"), observe(id); w.Code != http.StatusOK || w.Header().Get("X-Backend") != served {
+			t.Fatalf("request %d: observe answered %d from %q, prediction came from %q", i, w.Code, w.Header().Get("X-Backend"), served)
+		}
+	}
+	if entries, slots := p.sticky.Size(); entries != 0 || slots > pendingCap {
+		t.Fatalf("after 5000 observed predictions: %d sticky entries, %d order slots, PendingCap %d", entries, slots, pendingCap)
+	}
+
+	builds := buildsHomedOn(t, p)
+	predict("kept", builds[0])
+	predict("again", builds[0])
+	last := predict("again", builds[1]) // the same id served twice: the last write wins
+	if w := observe("again"); w.Code != http.StatusOK || w.Header().Get("X-Backend") != last {
+		t.Fatalf("re-predicted id observed at %q (status %d), last served by %q", w.Header().Get("X-Backend"), w.Code, last)
+	}
+	for i := 0; i < pendingCap-1; i++ {
+		predict(fmt.Sprintf("fill-%d", i), "B1")
+	}
+	if w := observe("kept"); w.Code != http.StatusNotFound {
+		t.Fatalf("observe after %d later predictions: status %d, want 404 (evicted)", pendingCap+1, w.Code)
+	}
+	if w := observe("fill-0"); w.Code != http.StatusOK {
+		t.Fatalf("observe of a prediction inside the bound: status %d", w.Code)
+	}
+	if w := observe("fill-0"); w.Code != http.StatusNotFound {
+		t.Fatalf("second observe of one prediction: status %d, want 404", w.Code)
 	}
 }

@@ -36,7 +36,7 @@ func newKindBackend(t *testing.T, kind backendKind) (url, wireAddr string) {
 			http.Error(w, http.StatusText(status), status)
 		}))
 		t.Cleanup(srv.Close)
-		fw := newFakeWire(t, 0, 0)
+		fw := newFakeWire(t, 0)
 		fw.status = status
 		return srv.URL, fw.addr
 	}
@@ -97,10 +97,9 @@ const verdictID = "0123456789abcdef"
 // protocols' own, listed in only.
 func TestFrontsEmitSameFamiliesAndSpans(t *testing.T) {
 	only := map[string]string{
-		"env2vec_proxy_wire_connections_total":  "wire", // transport counters with no HTTP twin
-		"env2vec_proxy_wire_batches_total":      "wire",
-		"env2vec_proxy_wire_relay_errors_total": "wire", // batches and streams alike; never moves on a served row
-		"serve.encode":                          "json", // a wire reply has no JSON encode stage
+		"env2vec_proxy_wire_connections_total": "wire", // transport counters with no HTTP twin
+		"env2vec_proxy_wire_batches_total":     "wire",
+		"serve.encode":                         "json", // a wire reply has no JSON encode stage
 	}
 	rows := []struct {
 		name        string

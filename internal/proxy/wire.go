@@ -24,8 +24,7 @@ type wireFront struct {
 	conns wire.ConnSet
 	ccfg  wire.ClientConfig
 
-	connsTotal, batches  *obs.Counter
-	subsTotal, relayErrs *obs.Counter
+	connsTotal, batches, subsTotal *obs.Counter
 }
 
 // wirePoolIdleCap is how many idle wire clients a backend keeps for reuse
@@ -39,7 +38,6 @@ func newWireFront(p *Proxy) *wireFront {
 		connsTotal: p.reg.Counter("env2vec_proxy_wire_connections_total", "Wire-protocol client connections accepted by the proxy.", nil),
 		batches:    p.reg.Counter("env2vec_proxy_wire_batches_total", "Predict batch frames routed by the wire front.", nil),
 		subsTotal:  p.reg.Counter("env2vec_proxy_wire_subscriptions_total", "Subscribe streams spliced through to backends.", nil),
-		relayErrs:  p.reg.Counter("env2vec_proxy_wire_relay_errors_total", "Wire batches or streams the proxy had to answer itself: no candidate gave a conclusive reply.", nil),
 	}
 }
 
@@ -182,14 +180,21 @@ func (wf *wireFront) routeBatch(reqs []*serve.Request) []wire.Reply {
 // same-environment slice of a batch is one forwarded unit. It owns only the
 // transport — a pooled Predict with the attempt's traceparent stamped on
 // every request, the frame's status folded from its items, the backend
-// spans the replies carry as bytes — and the per-item sticky bookkeeping.
+// spans the replies carry as bytes — and the group's sticky bookkeeping.
 func (wf *wireFront) forwardGroup(key string, group []*serve.Request) []wire.Reply {
-	traceID := strings.Clone(group[0].RequestID) // a kept trace outlives the frame
 	var got []wire.Reply
-	b, code, msg := wf.p.forward(key, "wire:batch", traceID, len(group),
+	b, code, msg := wf.p.forward(key, "wire:batch", group[0].RequestID, len(group),
 		func(b *Backend, attemptSpanID string) (status int, err error) {
+			// One block holds the attempt's traceparents, each request's a slice
+			// of it. (Should ids outgrow the estimate, the builder moves on to a
+			// new block and the slices handed out keep the old one.)
+			var block strings.Builder
+			block.Grow(len(group) * (len(group[0].RequestID) + len(attemptSpanID) + 8))
+			var one [96]byte
 			for _, r := range group {
-				r.TraceParent = obs.FormatTraceParent(r.RequestID, attemptSpanID)
+				at := block.Len()
+				block.Write(obs.AppendTraceParent(one[:0], r.RequestID, attemptSpanID))
+				r.TraceParent = block.String()[at:]
 			}
 			got, err = wf.predict(b, group)
 			return frameStatus(got), err
@@ -201,15 +206,12 @@ func (wf *wireFront) forwardGroup(key string, group []*serve.Request) []wire.Rep
 			return dst
 		})
 	if b == nil {
-		wf.relayErrs.Inc()
 		return errReplies(group, code, msg)
 	}
-	for k := range got {
-		if got[k].Status < 300 {
-			// The sticky map outlives the reply frame the id sub-slices.
-			wf.p.rememberSticky(strings.Clone(got[k].RequestID), b)
-		}
-	}
+	// The sticky map outlives the reply frame the ids sub-slice; it keeps copies.
+	wf.p.sticky.PutAll(len(got), func(k int) (string, *Backend, bool) {
+		return got[k].RequestID, b, got[k].Status < 300
+	})
 	return got
 }
 
@@ -294,7 +296,7 @@ func (wf *wireFront) splice(client net.Conn, c *wire.Conn, sub wire.Subscribe) {
 		break
 	}
 	if backendConn == nil {
-		wf.relayErrs.Inc()
+		p.log.Warn("wire subscribe refused: no candidate accepted the stream", "env", key, "candidates", len(candidates))
 		c.Fail(http.StatusServiceUnavailable, "proxy: no live wire backends")
 		return
 	}

@@ -2,12 +2,16 @@ package proxy
 
 import (
 	"bufio"
+	"encoding/json"
 	"errors"
 	"fmt"
+	"math/rand/v2"
 	"net"
 	"net/http"
+	"reflect"
 	"runtime"
 	"sort"
+	"strings"
 	"sync"
 	"testing"
 	"time"
@@ -18,31 +22,33 @@ import (
 )
 
 // fakeWire is a wire backend with canned behaviour: it answers every batch,
-// after delay, with 200s that echo CF[0] as the prediction and carry
-// spansPerReply spans parented onto the caller's attempt span — or, when
-// status is set, with that status and its text on every item. kill, when
-// set, makes it die on its next batch instead: the frame is read, then the
-// listener and the connection close without an answer.
+// after delay, with 200s that echo CF[0] as the prediction and carry a
+// stage record, so each reply has a backend's stageSpans spans, the root
+// parented onto the caller's attempt span — or, when status is set, with
+// that status and its text on every item. kill, when set, makes it die on
+// its next batch instead: the frame is read, then the listener and the
+// connection close without an answer.
 type fakeWire struct {
-	addr          string
-	ln            net.Listener
-	delay         time.Duration
-	spansPerReply int
-	status        int
+	addr   string
+	ln     net.Listener
+	delay  time.Duration
+	status int
 
 	mu   sync.Mutex
 	kill bool
 }
 
-var servedAttr = map[string]string{"outcome": "served"} // shared, read-only
+// stageSpans is how many spans a served reply carries: serve.request,
+// serve.queue_wait, serve.forward.
+const stageSpans = 3
 
-func newFakeWire(t *testing.T, delay time.Duration, spansPerReply int) *fakeWire {
+func newFakeWire(t *testing.T, delay time.Duration) *fakeWire {
 	t.Helper()
 	ln, err := net.Listen("tcp", "127.0.0.1:0")
 	if err != nil {
 		t.Fatal(err)
 	}
-	fw := &fakeWire{addr: ln.Addr().String(), ln: ln, delay: delay, spansPerReply: spansPerReply}
+	fw := &fakeWire{addr: ln.Addr().String(), ln: ln, delay: delay}
 	t.Cleanup(func() { ln.Close() })
 	go func() {
 		for {
@@ -82,6 +88,7 @@ func (fw *fakeWire) serve(conn net.Conn) {
 		if err != nil {
 			return
 		}
+		picked := time.Now()
 		time.Sleep(fw.delay)
 		results := make([]serve.BatchResult, len(reqs))
 		for i, r := range reqs {
@@ -89,13 +96,12 @@ func (fw *fakeWire) serve(conn net.Conn) {
 				results[i] = serve.BatchResult{Code: fw.status, Err: errors.New(http.StatusText(fw.status))}
 				continue
 			}
-			_, parent, _ := obs.ParseTraceParent(r.TraceParent)
-			spans := make([]obs.Span, fw.spansPerReply)
-			for k := range spans {
-				spans[k] = obs.Span{SpanID: obs.NewSpanID(), ParentID: parent, Name: "serve.request", DurationMS: 1, Attrs: servedAttr}
-			}
 			results[i] = serve.BatchResult{Code: 200, Resp: &serve.Response{
-				Prediction: r.CF[0], Model: "fake", ModelVersion: 1, BatchSize: len(reqs), Trace: &serve.Trace{Spans: spans},
+				Prediction: r.CF[0], Model: "fake", ModelVersion: 1, BatchSize: len(reqs),
+				Record: serve.StageRecord{
+					Enqueue: picked, Pickup: picked, ForwardEnd: time.Now(),
+					BatchID: 1, BatchSize: len(reqs), Seed: rand.Uint64(),
+				},
 			}}
 		}
 		if !send(wire.FramePredictReply, wire.AppendResults(nil, reqs, results)) {
@@ -166,7 +172,7 @@ func alternating(builds [2]string, n int) []*serve.Request {
 // each group leaving its own intact proxy.request trace.
 func TestWireFanOutConcurrent(t *testing.T) {
 	const delay = 30 * time.Millisecond
-	p, c := newWireProxy(t, keepAllTraces(), newFakeWire(t, delay, 1), newFakeWire(t, delay, 1))
+	p, c := newWireProxy(t, keepAllTraces(), newFakeWire(t, delay), newFakeWire(t, delay))
 	builds := buildsHomedOn(t, p)
 	if _, err := c.Predict(alternating(builds, 2)); err != nil { // dial both pools outside the timing
 		t.Fatal(err)
@@ -217,7 +223,7 @@ func TestWireFanOutConcurrent(t *testing.T) {
 // frame in hand; the other group's answers are untouched, and the orphaned
 // group fails over to the survivor.
 func TestWireFanOutSurvivesBackendDeath(t *testing.T) {
-	healthy, dying := newFakeWire(t, 0, 1), newFakeWire(t, 0, 1)
+	healthy, dying := newFakeWire(t, 0), newFakeWire(t, 0)
 	p, c := newWireProxy(t, keepAllTraces(), healthy, dying)
 	builds := buildsHomedOn(t, p)
 	if _, err := c.Predict(alternating(builds, 2)); err != nil {
@@ -295,6 +301,29 @@ func TestProxyWireTraceStitchesBackendSpans(t *testing.T) {
 			t.Fatalf("serve.request %d has stages %v, want forward and queue_wait", i, stages)
 		}
 	}
+	// A wire request leaves a trace on the backend too, rendered from the
+	// same record as the section the proxy stitched: the same spans, id for id.
+	for _, req := range reqs {
+		var stitched []obs.Span
+		for _, sp := range tr.Spans {
+			if strings.HasPrefix(sp.Name, "serve.") && sp.TraceID == req.RequestID {
+				stitched = append(stitched, sp)
+			}
+		}
+		resp, err := http.Get(be.srv.URL + "/traces/" + req.RequestID)
+		if err != nil {
+			t.Fatal(err)
+		}
+		var own obs.Trace
+		err = json.NewDecoder(resp.Body).Decode(&own)
+		resp.Body.Close()
+		if err != nil || resp.StatusCode != http.StatusOK {
+			t.Fatalf("backend GET /traces/%s: status %d, err %v", req.RequestID, resp.StatusCode, err)
+		}
+		if own.Outcome != obs.OutcomeServed || len(own.Spans) != stageSpans || !reflect.DeepEqual(own.Spans, stitched) {
+			t.Fatalf("backend's own trace of %s is\n %+v\nthe proxy stitched\n %+v", req.RequestID, own, stitched)
+		}
+	}
 }
 
 func wireRequest(id string) *serve.Request {
@@ -305,17 +334,17 @@ func wireRequest(id string) *serve.Request {
 }
 
 // TestWireDroppedTraceMaterialisesNoSpans: backend spans travel through the
-// proxy as bytes and become a tree only for a trace the store keeps: every
-// span of a tree costs at least its attribute map, so a kept frame of
-// 32 replies × 20 spans allocates that many more objects than a dropped
-// one, which builds none of them.
+// proxy as bytes and become a tree only for a trace the store keeps: a
+// reply's tree costs at least its slice and the attribute maps of two of
+// its three spans, so a kept frame of 32 replies allocates at least a
+// span's worth more per span than a dropped one, which builds none of them.
 func TestWireDroppedTraceMaterialisesNoSpans(t *testing.T) {
 	if raceEnabled {
 		t.Skip("race-detector instrumentation allocates; gate runs in the non-race pass")
 	}
-	const windows, spansPerReply, frames = 32, 20, 20
+	const windows, frames = 32, 20
 	perFrame := func(trace obs.TraceStoreConfig) (float64, *Proxy) {
-		p, c := newWireProxy(t, trace, newFakeWire(t, 0, spansPerReply))
+		p, c := newWireProxy(t, trace, newFakeWire(t, 0))
 		reqs := make([]*serve.Request, windows)
 		for i := range reqs {
 			reqs[i] = wireRequest(fmt.Sprintf("%016x", i))
@@ -344,9 +373,9 @@ func TestWireDroppedTraceMaterialisesNoSpans(t *testing.T) {
 	if n := p.Traces().Len(); n != 1 { // one trace id, stored over and over
 		t.Fatalf("sampling at 1, yet %d traces stored", n)
 	}
-	if kept-dropped < windows*spansPerReply {
+	if kept-dropped < windows*stageSpans {
 		t.Fatalf("a kept frame allocates %.0f, a dropped one %.0f: the %d spans were materialised either way",
-			kept, dropped, windows*spansPerReply)
+			kept, dropped, windows*stageSpans)
 	}
 }
 
@@ -356,9 +385,9 @@ func TestWireDroppedTraceMaterialisesNoSpans(t *testing.T) {
 // grow the live heap by the frames relayed.
 func TestWireStickyIDsDoNotPinFrames(t *testing.T) {
 	const windows, frames = 32, 600
-	p, c := newWireProxy(t, obs.TraceStoreConfig{SampleRate: -1, SlowMS: -1}, newFakeWire(t, 0, 20))
-	for i := 0; i < p.cfg.PendingCap; i++ { // fill the map with ids that own their bytes
-		p.rememberSticky(obs.NewRequestID(), p.Backends()[0])
+	p, c := newWireProxy(t, obs.TraceStoreConfig{SampleRate: -1, SlowMS: -1}, newFakeWire(t, 0))
+	for i := 0; i < p.cfg.PendingCap; i++ { // fill the map to its bound
+		p.sticky.Put(obs.NewRequestID(), p.Backends()[0])
 	}
 	reqs := make([]*serve.Request, windows)
 	heap := func() uint64 {

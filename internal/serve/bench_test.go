@@ -22,9 +22,12 @@ func benchServer(b *testing.B, workers int) *Server {
 	schema := envmeta.NewSchema()
 	schema.Observe(envmeta.Environment{Testbed: "tb1", SUT: "fw", Testcase: "load", Build: "B1"})
 	schema.Freeze()
+	// Every trace is dropped: one the sampler keeps is built (a dozen
+	// objects, TestBackendDroppedTraceMaterialisesNoSpans), and a coin would
+	// make allocs/op, which the benchjson gate holds exactly, a matter of luck.
 	s := New(Config{
 		MaxBatch: 32, QueueDepth: 1024, Workers: workers,
-		Quality: &quality.Config{},
+		Quality: &quality.Config{}, Trace: noTraces,
 	})
 	b.Cleanup(s.Close)
 	s.SetBundle(&Bundle{
@@ -35,8 +38,9 @@ func benchServer(b *testing.B, workers int) *Server {
 		Baseline: &quality.Baseline{Mu: 0, Sigma: 5, Samples: 100},
 	})
 	// Take the batch ids past strconv's preallocated small integers, so
-	// allocs/op does not depend on how many of b.N's passes came before
-	// id 100 — the benchjson gate fails on any allocs/op growth.
+	// the allocs/op of a JSON reply (whose trace block prints the id) does
+	// not depend on how many of b.N's passes came before id 100 — the
+	// benchjson gate fails on any allocs/op growth.
 	for req := benchRequest(); s.Stats().Batches < 100; {
 		if _, _, err := s.Do(req); err != nil {
 			b.Fatal(err)

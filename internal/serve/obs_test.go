@@ -82,8 +82,8 @@ func TestRequestIDPropagation(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if req.RequestID == "" || r2.Trace == nil || r2.Trace.RequestID != req.RequestID {
-		t.Fatalf("Do path id mismatch: req=%q trace=%+v", req.RequestID, r2.Trace)
+	if tr := r2.Record.Trace(req.RequestID, req.TraceParent); len(req.RequestID) != 16 || r2.Trace != nil || tr.RequestID != req.RequestID || tr.Spans[0].TraceID != req.RequestID {
+		t.Fatalf("Do path id mismatch: req=%q trace=%+v (Do itself builds none: %+v)", req.RequestID, tr, r2.Trace)
 	}
 }
 
@@ -114,10 +114,7 @@ func TestSlowForwardAttribution(t *testing.T) {
 		t.Fatal(res.err)
 	}
 
-	tr := res.resp.Trace
-	if tr == nil {
-		t.Fatal("no trace block")
-	}
+	tr := res.resp.Record.Trace(req.RequestID, req.TraceParent)
 	if tr.ForwardMS < 40 {
 		t.Fatalf("slow forward not attributed to the forward span: %+v", tr)
 	}

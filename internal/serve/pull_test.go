@@ -9,6 +9,7 @@ import (
 	"time"
 
 	"env2vec/internal/core"
+	"env2vec/internal/obs"
 )
 
 // oldLingerMS is the wait the timer-driven batcher imposed on a lone
@@ -29,14 +30,15 @@ func TestIdleServerForwardsAtOnce(t *testing.T) {
 	// design could make none of them fast.
 	best := 1e9
 	for try := 0; try < 10 && best >= oldLingerMS; try++ {
-		resp, code, err := s.Do(randomRequest(rng))
+		req := randomRequest(rng)
+		resp, code, err := s.Do(req)
 		if err != nil || code != http.StatusOK {
 			t.Fatalf("do: %d %v", code, err)
 		}
 		if resp.BatchSize != 1 {
 			t.Fatalf("lone request served in a pass of %d", resp.BatchSize)
 		}
-		spans := resp.Trace.Spans
+		spans := resp.Record.Trace(req.RequestID, req.TraceParent).Spans
 		if len(spans) != 3 || spans[0].Name != "serve.request" || spans[1].Name != "serve.queue_wait" || spans[2].Name != "serve.forward" {
 			t.Fatalf("spans = %+v, want serve.request, serve.queue_wait, serve.forward", spans)
 		}
@@ -242,48 +244,43 @@ func TestReloadToAnotherShapeResizesScratch(t *testing.T) {
 }
 
 // TestPassCostsNoAllocations: what serving allocates depends on how many
-// requests were answered, not on how they were grouped into passes. n lone
-// requests are n passes of one; a frame of n is one pass of n.
+// requests were answered, not on how they were grouped into passes. The
+// same frame of n costs the same at MaxBatch 1, where it is n passes of
+// one, and at MaxBatch n, where it is one pass of n.
 func TestPassCostsNoAllocations(t *testing.T) {
 	if raceEnabled {
 		t.Skip("race-detector instrumentation allocates; gate runs in the non-race pass")
 	}
 	const n = 8
-	s := New(Config{MaxBatch: n, Workers: 1})
-	defer s.Close()
-	s.SetBundle(testBundle(1, 1))
-
 	rng := rand.New(rand.NewSource(6))
 	reqs := make([]*Request, n)
 	for i := range reqs {
 		reqs[i] = randomRequest(rng)
 		reqs[i].RequestID = "feedcafe0000000" + string(rune('0'+i)) // generating an id allocates the same either way
 	}
-	lone := func() {
-		for _, req := range reqs {
-			if resp, _, err := s.Do(req); err != nil || resp.BatchSize != 1 {
-				t.Fatalf("lone request: %+v %v", resp, err)
+	frameAllocs := func(maxBatch int) float64 {
+		// No trace is kept, so none is built: what is left is the frame's own cost.
+		s := New(Config{MaxBatch: maxBatch, Workers: 1, Trace: obs.TraceStoreConfig{SampleRate: -1, SlowMS: -1}})
+		defer s.Close()
+		s.SetBundle(testBundle(1, 1))
+		frame := func() {
+			for _, r := range s.DoBatch(reqs) {
+				if r.Err != nil || r.Resp.BatchSize > maxBatch {
+					t.Fatalf("frame request: %+v", r)
+				}
 			}
 		}
-	}
-	frame := func() {
-		for _, r := range s.DoBatch(reqs) {
-			if r.Err != nil || r.Resp.BatchSize != n {
-				t.Fatalf("frame request: %+v", r)
-			}
+		frame() // warm the arena pool and the worker's scratch
+		before := s.Stats().Batches
+		allocs := testing.AllocsPerRun(100, frame)
+		if passes := float64(s.Stats().Batches-before) / 101; maxBatch == n && passes != 1 || maxBatch == 1 && passes != n {
+			t.Fatalf("MaxBatch %d: %.2f passes a frame", maxBatch, passes)
 		}
+		return allocs
 	}
-	// Warm the arena pool and the worker's scratch, and take the batch ids
-	// past strconv's preallocated small integers so every one allocates.
-	for frame(); s.Stats().Batches < 100; {
-		lone()
-	}
-	// DoBatch's own two slices (results, items) are per call, not per pass.
-	const perCall = 2
-	loneAllocs := testing.AllocsPerRun(100, lone)
-	frameAllocs := testing.AllocsPerRun(100, frame) - perCall
-	t.Logf("%d passes of 1: %.0f allocs; 1 pass of %d: %.0f allocs", n, loneAllocs, n, frameAllocs)
-	if loneAllocs != frameAllocs {
-		t.Fatalf("%d passes of 1 allocate %.0f, one pass of %d allocates %.0f: a pass costs allocations", n, loneAllocs, n, frameAllocs)
+	lone, full := frameAllocs(1), frameAllocs(n)
+	t.Logf("a frame of %d as %d passes of 1: %.0f allocs; as 1 pass of %d: %.0f allocs", n, n, lone, n, full)
+	if lone != full {
+		t.Fatalf("%d passes of 1 allocate %.0f, one pass of %d allocates %.0f: a pass costs allocations", n, lone, n, full)
 	}
 }

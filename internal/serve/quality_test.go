@@ -3,6 +3,7 @@ package serve
 import (
 	"bytes"
 	"encoding/json"
+	"fmt"
 	"io"
 	"math/rand"
 	"net/http"
@@ -266,17 +267,80 @@ func TestPendingEviction(t *testing.T) {
 	rng := rand.New(rand.NewSource(17))
 	var ids []string
 	for i := 0; i < 8; i++ {
-		resp, code, err := s.Do(randomRequest(rng))
-		if err != nil || code != http.StatusOK {
+		req := randomRequest(rng)
+		if _, code, err := s.Do(req); err != nil || code != http.StatusOK {
 			t.Fatalf("request %d: %d %v", i, code, err)
 		}
-		ids = append(ids, resp.Trace.RequestID)
+		ids = append(ids, req.RequestID)
 	}
 	// The four oldest ids are evicted, the four newest observable.
 	for i, id := range ids {
-		_, ok := s.takePending(id)
+		_, ok := s.pending.Take(id)
 		if want := i >= 4; ok != want {
 			t.Fatalf("pending[%d] present=%v, want %v", i, ok, want)
 		}
+	}
+}
+
+// TestPendingStaysBoundedWhenObserved: in the closed quality loop — predict,
+// then observe promptly — the pending map is empty most of the time, and
+// what it keeps to order its evictions must stay bounded all the same. At
+// PendingCap 16, 5 000 × (Do, observe) used to leave 5 000 ids queued for
+// an eviction that never ran. Observed, evicted and re-predicted ids behave
+// as they always did.
+func TestPendingStaysBoundedWhenObserved(t *testing.T) {
+	const pendingCap = 16
+	s := New(Config{
+		MaxBatch: 4, QueueDepth: 64, Workers: 1,
+		Quality: &quality.Config{}, PendingCap: pendingCap,
+	})
+	defer s.Close()
+	s.SetBundle(testBundle(1, 1))
+	srv := httptest.NewServer(s)
+	defer srv.Close()
+
+	rng := rand.New(rand.NewSource(19))
+	req := randomRequest(rng)
+	predict := func(id string) float64 {
+		t.Helper()
+		req.RequestID = id
+		resp, code, err := s.Do(req)
+		if err != nil || code != http.StatusOK {
+			t.Fatalf("request %s: %d %v", id, code, err)
+		}
+		return resp.Prediction
+	}
+	for i := 0; i < 5000; i++ {
+		id := fmt.Sprintf("%016x", i)
+		pred := predict(id)
+		if p, ok := s.pending.Take(id); !ok || p.pred != pred {
+			t.Fatalf("request %d: pending prediction %+v, %v", i, p, ok)
+		}
+	}
+	if entries, slots := s.pending.Size(); entries != 0 || slots > pendingCap {
+		t.Fatalf("after 5000 observed predictions: %d pending, %d order slots, PendingCap %d", entries, slots, pendingCap)
+	}
+
+	observe := func(id string) int {
+		return postJSON(t, srv.URL+"/observe", &ObserveRequest{RequestID: id, Actual: 50}, nil)
+	}
+	predict("kept")
+	predict("again")
+	req.CF[0]++
+	last := predict("again") // the same id predicted twice: the last write wins
+	if p, ok := s.pending.Take("again"); !ok || p.pred != last {
+		t.Fatalf("re-predicted id holds %+v, %v; want the last prediction %v", p, ok, last)
+	}
+	for i := 0; i < pendingCap-1; i++ {
+		predict(fmt.Sprintf("fill-%d", i))
+	}
+	if code := observe("kept"); code != http.StatusNotFound {
+		t.Fatalf("observe after %d later predictions: status %d, want 404 (evicted)", pendingCap+1, code)
+	}
+	if code := observe("fill-0"); code != http.StatusOK {
+		t.Fatalf("observe of a prediction inside the bound: status %d", code)
+	}
+	if code := observe("fill-0"); code != http.StatusNotFound {
+		t.Fatalf("second observe of one prediction: status %d, want 404", code)
 	}
 }

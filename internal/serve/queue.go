@@ -20,31 +20,33 @@ func newQueue(depth int) *queue {
 	return q
 }
 
-// push appends the non-nil items, in order, under one lock acquisition, so
-// a worker sees none of a frame or all of what fit. It reports how many
-// were admitted — always a prefix: overflow sheds the tail — and why the
-// rest were not (ErrOverloaded or ErrClosed).
-func (q *queue) push(items []*item) (admitted int, err error) {
+// push appends the items not yet refused (admission sets err on an invalid
+// one, and it takes no slot), in order, under one lock acquisition, so a
+// worker sees none of a frame or all of what fit. What is admitted is always
+// a prefix: items[from:] were not — overflow sheds the tail — and err says
+// why (ErrOverloaded or ErrClosed); from is len(items) when all got in.
+func (q *queue) push(items []item) (from int, err error) {
 	q.mu.Lock()
 	defer q.mu.Unlock()
 	if q.closed {
 		return 0, ErrClosed
 	}
-	for _, it := range items {
-		if it == nil {
+	before := len(q.items)
+	from = len(items)
+	for i := range items {
+		if items[i].err != nil {
 			continue
 		}
 		if len(q.items) == cap(q.items) {
-			err = ErrOverloaded
+			from, err = i, ErrOverloaded
 			break
 		}
-		q.items = append(q.items, it)
-		admitted++
+		q.items = append(q.items, &items[i])
 	}
-	if admitted > 0 {
+	if len(q.items) > before {
 		q.ready.Signal()
 	}
-	return admitted, err
+	return from, err
 }
 
 // pull blocks until at least one item is queued, then moves up to cap(dst)

@@ -7,6 +7,7 @@ import (
 	"io"
 	"log/slog"
 	"math"
+	"math/rand/v2"
 	"net/http"
 	"runtime"
 	"strconv"
@@ -136,7 +137,63 @@ type Response struct {
 	// Quality is the model-quality monitor's verdict, present when the
 	// monitor is enabled and the request carried an inline Actual.
 	Quality *quality.Verdict `json:"quality,omitempty"`
-	Trace   *Trace           `json:"trace,omitempty"`
+	// Trace is the JSON reply's trace block. Do and DoBatch leave it nil:
+	// what they report is Record, and Record.Trace builds the block for
+	// whoever reads one.
+	Trace *Trace `json:"trace,omitempty"`
+
+	// Record is the worker's account of how the request was served.
+	Record StageRecord `json:"-"`
+}
+
+// StageRecord is what a worker leaves behind for a served request instead of
+// a span tree: one fixed-size value — no ids, no maps, no strings. Every
+// rendering of the request's spans is made from it, where someone reads
+// them: the wire reply's span section (wire.AppendResults), the JSON reply's
+// trace block and a trace the server's own store keeps (both through Trace).
+// They all name the same spans, because span ids derive from Seed.
+type StageRecord struct {
+	Enqueue    time.Time // admission into the queue
+	Pickup     time.Time // a worker pulled the request: queue wait ends, the forward stage opens
+	ForwardEnd time.Time // the shared forward pass returned
+	BatchID    uint64    // forward pass that served this request
+	BatchSize  int
+	// Seed is one random draw; the spans' ids are Seed, Seed+1, … in tree
+	// order (obs.AppendID). They key nothing and only have to differ within
+	// a trace.
+	Seed uint64
+	// Kept reports that the server's trace store retained this request's
+	// trace, so an adapter with a later stage (JSON encoding) knows to
+	// store the longer tree over it.
+	Kept bool
+}
+
+// Trace materialises the record as the trace block of the request served
+// under id: the flat stage timings and the span tree — a serve.request root,
+// parented onto the caller's span when traceParent names one, with
+// serve.queue_wait and serve.forward beneath it.
+func (r *StageRecord) Trace(id, traceParent string) *Trace {
+	_, parent, _ := obs.ParseTraceParent(traceParent) // absent or malformed: a fresh root
+	root := r.span(id, 0, parent, "serve.request", r.Enqueue, r.ForwardEnd)
+	root.Attrs = map[string]string{"outcome": obs.OutcomeServed}
+	fwd := r.span(id, 2, root.SpanID, "serve.forward", r.Pickup, r.ForwardEnd)
+	fwd.Attrs = map[string]string{"batch_id": strconv.FormatUint(r.BatchID, 10), "batch_size": strconv.Itoa(r.BatchSize)}
+	spans := make([]obs.Span, 3, 4) // room for the JSON adapter's serve.encode
+	spans[0], spans[1], spans[2] = root, r.span(id, 1, root.SpanID, "serve.queue_wait", r.Enqueue, r.Pickup), fwd
+	return &Trace{
+		RequestID: id, BatchID: r.BatchID,
+		QueueWaitMS: spans[1].DurationMS, ForwardMS: fwd.DurationMS, TotalMS: root.DurationMS,
+		Spans: spans,
+	}
+}
+
+// span is the n-th span of the record's tree.
+func (r *StageRecord) span(traceID string, n uint64, parent, name string, start, end time.Time) obs.Span {
+	var id [16]byte
+	return obs.Span{
+		TraceID: traceID, SpanID: string(obs.AppendID(id[:0], r.Seed+n)), ParentID: parent, Name: name,
+		StartUnixUS: start.UnixMicro(), DurationMS: obs.MS(end.Sub(start)),
+	}
 }
 
 // Trace is the per-request timing breakdown: where this request's latency
@@ -149,7 +206,7 @@ type Trace struct {
 	QueueWaitMS float64 `json:"queue_wait_ms"`       // admission → worker pickup
 	ForwardMS   float64 `json:"forward_ms"`          // batch assembly + shared forward pass
 	EncodeMS    float64 `json:"encode_ms,omitempty"` // response JSON encoding (HTTP path only)
-	TotalMS     float64 `json:"total_ms"`            // admission → response ready
+	TotalMS     float64 `json:"total_ms"`            // admission → answer, before encoding
 
 	// Spans recasts the stage timings above as a span tree: a serve.request
 	// root (parented onto the caller's span when the request carried a
@@ -158,15 +215,19 @@ type Trace struct {
 	Spans []obs.Span `json:"spans,omitempty"`
 }
 
-// item is one in-flight request inside the batching machinery.
+// item is one in-flight request inside the batching machinery. The caller
+// owns its storage (Do one, DoBatch a slab per frame) and reads it back
+// only after wg has counted every item of the call down.
 type item struct {
 	req  *Request
-	id   string    // request id (trace correlation)
 	enq  time.Time // admission into the queue
-	resp *Response
+	resp *Response // where the worker writes the answer
 	code int
 	err  error
-	done chan struct{}
+	// answered is the worker's own note that it has counted the item down,
+	// so a panicking pass answers each of its items exactly once.
+	answered bool
+	wg       *sync.WaitGroup
 }
 
 // calibration is an online Gaussian (Welford) over a chain's prediction
@@ -221,29 +282,9 @@ type Server struct {
 	traces *obs.TraceStore
 
 	// pending maps request ids of unobserved predictions to what POST
-	// /observe needs to close the loop; bounded FIFO eviction at PendingCap.
-	pendMu    sync.Mutex
-	pending   map[string]pendingPrediction
-	pendOrder []string
-	pendEnv   envmeta.Environment // the last environment stored, cloned once
-	pendIDs   idArena
-}
-
-// idArena copies the ids the pending map keeps into chunks of its own, so a
-// kept id costs its bytes and no allocation, and never the buffer it came
-// from. A chunk is freed once every id in it has been evicted or observed.
-type idArena struct{ chunk strings.Builder }
-
-func (a *idArena) clone(id string) string {
-	if a.chunk.Cap()-a.chunk.Len() < len(id) {
-		a.chunk = strings.Builder{}
-		a.chunk.Grow(max(4096, len(id)))
-	}
-	// The chunk never grows past its capacity, so the strings handed out
-	// earlier keep their bytes while later ones are appended behind them.
-	n := a.chunk.Len()
-	a.chunk.WriteString(id)
-	return a.chunk.String()[n:]
+	// /observe needs to close the loop, the last PendingCap of them (nil
+	// when Config.Quality is nil).
+	pending *IDMap[pendingPrediction]
 }
 
 // pendingPrediction is one served prediction awaiting ground truth.
@@ -329,7 +370,7 @@ func New(cfg Config) *Server {
 			s.pusher = quality.NewAsync(cfg.AlarmSink, ac, reg)
 		}
 		s.monitor = quality.NewMonitor(*cfg.Quality, reg, s.pusher)
-		s.pending = make(map[string]pendingPrediction)
+		s.pending = NewIDMap[pendingPrediction](cfg.PendingCap)
 	}
 	s.traces = obs.NewTraceStore(cfg.Trace, reg)
 	s.mux = http.NewServeMux()
@@ -407,47 +448,23 @@ var (
 	ErrNonFinite = errors.New("serve: non-finite input value")
 )
 
-// prepare validates one request against the loaded bundle and wraps it
-// for the queue; on success the item's done channel closes when a worker
-// has served it.
-func (s *Server) prepare(req *Request, now time.Time) (*item, int, error) {
-	b := s.bundle.Load()
-	if b == nil {
-		return nil, http.StatusServiceUnavailable, ErrNoModel
-	}
-	if err := validate(req, b); err != nil {
-		return nil, http.StatusBadRequest, err
-	}
-	if req.RequestID == "" {
-		req.RequestID = obs.NewRequestID()
-	}
-	return &item{req: req, id: req.RequestID, enq: now, done: make(chan struct{})}, 0, nil
-}
-
-// refuse maps the reason the queue did not admit an item to its status
-// code, counting and logging a shed.
-func (s *Server) refuse(it *item, why error) int {
-	if errors.Is(why, ErrClosed) {
-		return http.StatusServiceUnavailable
-	}
-	s.rejected.Inc()
-	s.log.Debug("request shed: queue full", "request_id", it.id, "queue_capacity", s.cfg.QueueDepth)
-	return http.StatusTooManyRequests
-}
-
 // Do submits one request and blocks until a worker has served it (or it was
 // rejected). It returns the response and an HTTP-shaped status code; this is
 // also the non-HTTP entry point the benchmarks drive.
 func (s *Server) Do(req *Request) (*Response, int, error) {
-	it, code, err := s.prepare(req, time.Now())
-	if err != nil {
-		return nil, code, err
+	c := &struct { // the request's one allocation
+		items [1]item
+		resp  Response
+		wg    sync.WaitGroup
+	}{}
+	it := &c.items[0]
+	it.req, it.enq, it.resp, it.wg = req, time.Now(), &c.resp, &c.wg
+	s.admit(c.items[:])
+	c.wg.Wait()
+	if it.err != nil {
+		return nil, it.code, it.err
 	}
-	if n, why := s.queue.push([]*item{it}); n == 0 {
-		return nil, s.refuse(it, why), why
-	}
-	<-it.done
-	return it.resp, it.code, it.err
+	return it.resp, it.code, nil
 }
 
 // BatchResult is one request's outcome in a DoBatch call.
@@ -463,33 +480,94 @@ type BatchResult struct {
 // of at most MaxBatch windows is exactly one forward pass, with no
 // re-marshal between transport and batching. Each request is still admitted
 // (or refused) on its own: an invalid request fails alone, and queue
-// overflow sheds the tail of the batch, not the whole thing.
+// overflow sheds the tail of the batch, not the whole thing. The frame is
+// admitted on one slab of items and answered into one slab of responses,
+// with one completion for all of it, so what the call allocates does not
+// depend on how many requests it carries.
 func (s *Server) DoBatch(reqs []*Request) []BatchResult {
 	results := make([]BatchResult, len(reqs))
-	items := make([]*item, len(reqs)) // nil where validation refused the request
+	f := &struct {
+		items []item
+		resps []Response
+		wg    sync.WaitGroup
+	}{items: make([]item, len(reqs)), resps: make([]Response, len(reqs))}
 	now := time.Now()
 	for i, req := range reqs {
-		it, code, err := s.prepare(req, now)
-		if err != nil {
-			results[i] = BatchResult{Code: code, Err: err}
-			continue
-		}
-		items[i] = it
+		f.items[i] = item{req: req, enq: now, resp: &f.resps[i], wg: &f.wg}
 	}
-	admitted, why := s.queue.push(items)
-	for i, it := range items {
-		if it == nil {
-			continue
+	s.admit(f.items)
+	f.wg.Wait()
+	for i := range f.items {
+		if it := &f.items[i]; it.err != nil {
+			results[i] = BatchResult{Code: it.code, Err: it.err}
+		} else {
+			results[i] = BatchResult{Resp: it.resp, Code: it.code}
 		}
-		if admitted == 0 {
-			results[i] = BatchResult{Code: s.refuse(it, why), Err: why}
-			continue
-		}
-		admitted--
-		<-it.done
-		results[i] = BatchResult{Resp: it.resp, Code: it.code, Err: it.err}
 	}
 	return results
+}
+
+// admit is the way in for every request: each item is validated against the
+// loaded bundle, the valid ones are queued under one lock acquisition, and
+// the rest are refused on the spot — an invalid request alone, queue
+// overflow from the first item that did not fit to the end. The items' wait
+// group counts exactly the queued ones, so the caller's Wait returns when a
+// worker has answered the last of them (at once, when none got in).
+func (s *Server) admit(items []item) {
+	if len(items) == 0 {
+		return
+	}
+	b := s.bundle.Load()
+	valid := 0
+	for i := range items {
+		it := &items[i]
+		if code, err := check(it.req, b); err != nil {
+			s.refuse(it, code, err)
+			continue
+		}
+		if it.req.RequestID == "" {
+			it.req.RequestID = obs.NewRequestID()
+		}
+		valid++
+	}
+	// Counted before a worker can see them; the refused tail, which no worker
+	// ever will, is counted back down.
+	wg := items[0].wg
+	wg.Add(valid)
+	from, why := s.queue.push(items)
+	code := http.StatusTooManyRequests
+	if errors.Is(why, ErrClosed) {
+		code = http.StatusServiceUnavailable
+	}
+	for i := from; i < len(items); i++ {
+		if it := &items[i]; it.err == nil {
+			s.refuse(it, code, why)
+			wg.Done()
+		}
+	}
+}
+
+// refuse answers a request that never reached a worker. A shed is counted
+// and logged; whatever the reason, the refusal leaves a trace.
+func (s *Server) refuse(it *item, code int, why error) {
+	it.code, it.err = code, why
+	if code == http.StatusTooManyRequests {
+		s.rejected.Inc()
+		s.log.Debug("request shed: queue full", "request_id", it.req.RequestID, "queue_capacity", s.cfg.QueueDepth)
+	}
+	s.traceFailure(it)
+}
+
+// check is what admission and the worker both ask of a request: is there a
+// model, and does the request fit it.
+func check(req *Request, b *Bundle) (int, error) {
+	if b == nil {
+		return http.StatusServiceUnavailable, ErrNoModel
+	}
+	if err := validate(req, b); err != nil {
+		return http.StatusBadRequest, err
+	}
+	return 0, nil
 }
 
 func validate(req *Request, b *Bundle) error {
@@ -530,6 +608,7 @@ type scratch struct {
 	items, valid []*item
 	batch        nn.Batch
 	preds        []float64
+	env          envmeta.Environment // the last environment a pending prediction kept, cloned once
 }
 
 func newScratch(maxBatch int) *scratch {
@@ -573,34 +652,25 @@ func (s *Server) worker() {
 	}
 }
 
+func envOf(req *Request) envmeta.Environment {
+	return envmeta.Environment{Testbed: req.Testbed, SUT: req.SUT, Testcase: req.Testcase, Build: req.Build}
+}
+
 // runBatch executes one shared forward pass for the requests a worker just
-// pulled. Queue wait ends and the forward span opens here: everything from
-// worker pickup through the shared Predict call is attributed to the
-// forward stage.
+// pulled: answer each into its caller's storage, record the pass once, and
+// only then count the items down — their callers read the instant the count
+// reaches zero, so every write comes first. Queue wait ends and the forward
+// stage opens here: everything from worker pickup through the shared
+// Predict call is attributed to the forward stage.
 func (s *Server) runBatch(w *scratch, items []*item) {
 	start := time.Now()
-	finish := func(it *item, resp *Response, code int, err error) {
-		it.resp, it.code, it.err = resp, code, err
-		if err != nil {
-			s.failed.Inc()
-			s.log.Warn("request failed", "request_id", it.id, "code", code, "err", err)
-		} else {
-			s.served.Inc()
-			total := time.Since(it.enq)
-			s.latency.ObserveExemplar(obs.MS(total), it.id)
-			if resp.Trace != nil {
-				resp.Trace.TotalMS = obs.MS(total)
-			}
-		}
-		close(it.done)
-	}
 	defer func() {
 		if r := recover(); r != nil {
 			err := fmt.Errorf("serve: forward pass panicked: %v", r)
 			s.log.Error("forward pass panicked", "err", r, "batch_size", len(items))
 			for _, it := range items {
-				if it.done != nil && !done(it) {
-					finish(it, nil, http.StatusInternalServerError, err)
+				if !it.answered {
+					s.fail(it, http.StatusInternalServerError, err)
 				}
 			}
 		}
@@ -609,19 +679,13 @@ func (s *Server) runBatch(w *scratch, items []*item) {
 		<-s.cfg.stall
 	}
 
+	// Checked again against the bundle loaded now: a hot reload between
+	// admission and execution could (in principle) change the model's shape.
 	b := s.bundle.Load()
-	if b == nil {
-		for _, it := range items {
-			finish(it, nil, http.StatusServiceUnavailable, ErrNoModel)
-		}
-		return
-	}
-	// Revalidate against the loaded bundle: a hot reload between admission
-	// and execution could (in principle) change the model's shape.
 	valid := w.valid[:0]
 	for _, it := range items {
-		if err := validate(it.req, b); err != nil {
-			finish(it, nil, http.StatusBadRequest, err)
+		if code, err := check(it.req, b); err != nil {
+			s.fail(it, code, err)
 			continue
 		}
 		valid = append(valid, it)
@@ -637,10 +701,7 @@ func (s *Server) runBatch(w *scratch, items []*item) {
 	for i, it := range valid {
 		copy(batch.X.Row(i), it.req.CF)
 		copy(batch.Window.Row(i), it.req.Window)
-		ids := b.Schema.Encode(envmeta.Environment{
-			Testbed: it.req.Testbed, SUT: it.req.SUT,
-			Testcase: it.req.Testcase, Build: it.req.Build,
-		})
+		ids := b.Schema.Encode(envOf(it.req))
 		for k := range batch.EnvIDs {
 			batch.EnvIDs[k][i] = ids[k]
 		}
@@ -651,129 +712,121 @@ func (s *Server) runBatch(w *scratch, items []*item) {
 	batchID := s.batchSeq.Add(1)
 	s.batchSizes.Observe(float64(n))
 	fwdEnd := time.Now()
-	fwdMS := obs.MS(fwdEnd.Sub(start))
 	for i, it := range valid {
-		queueMS := obs.MS(start.Sub(it.enq))
-		s.stageQueue.ObserveExemplar(queueMS, it.id)
-		s.stageFwd.ObserveExemplar(fwdMS, it.id)
-		// The same stage timings, recast as a span tree: the root parents
-		// onto the caller's span when the request carried a traceparent
-		// header, so a front tier can stitch these into its own trace.
-		root := obs.NewSpan(it.id, parentSpan(it.req), "serve.request", it.enq, fwdEnd)
-		root.SetAttr("outcome", obs.OutcomeServed)
-		fwd := obs.NewSpan(it.id, root.SpanID, "serve.forward", start, fwdEnd)
-		fwd.SetAttr("batch_id", strconv.FormatUint(batchID, 10))
-		fwd.SetAttr("batch_size", strconv.Itoa(n))
-		resp := &Response{
-			Prediction:   preds[i],
-			Model:        b.Name,
-			ModelVersion: b.Version,
-			BatchSize:    n,
-			Trace: &Trace{
-				RequestID:   it.id,
-				BatchID:     batchID,
-				QueueWaitMS: queueMS,
-				ForwardMS:   fwdMS,
-				Spans: []obs.Span{
-					root,
-					obs.NewSpan(it.id, root.SpanID, "serve.queue_wait", it.enq, start),
-					fwd,
-				},
+		*it.resp = Response{
+			Prediction: preds[i], Model: b.Name, ModelVersion: b.Version, BatchSize: n,
+			Record: StageRecord{
+				Enqueue: it.enq, Pickup: start, ForwardEnd: fwdEnd,
+				BatchID: batchID, BatchSize: n, Seed: rand.Uint64(),
 			},
 		}
-		if s.cfg.Detect != nil && it.req.Actual != nil {
-			s.scoreAnomaly(it.req, preds[i], resp)
+		if it.req.Actual == nil {
+			continue
+		}
+		if s.cfg.Detect != nil {
+			s.scoreAnomaly(it.req, preds[i], it.resp)
 		}
 		if s.monitor != nil {
-			env := envmeta.Environment{
-				Testbed: it.req.Testbed, SUT: it.req.SUT,
-				Testcase: it.req.Testcase, Build: it.req.Build,
-			}
-			if it.req.Actual != nil {
-				// Ground truth arrived inline: feed the monitor now, no
-				// pending entry to keep.
-				v := s.monitor.Observe(env, it.id, preds[i], *it.req.Actual, time.Now().Unix())
-				resp.Quality = &v
-			} else {
-				s.rememberPending(it.id, env, preds[i])
-			}
-		}
-		finish(it, resp, http.StatusOK, nil)
-	}
-}
-
-// rememberPending records a served-but-unobserved prediction so a later
-// POST /observe can attribute its ground truth; the map is bounded by
-// PendingCap with oldest-first eviction. What it keeps outlives the
-// request, whose strings may sub-slice a decoded wire frame, so it keeps
-// copies: the id's in pendIDs, the environment's cloned once per change,
-// not per window (the previous entry's is reused when equal).
-func (s *Server) rememberPending(id string, env envmeta.Environment, pred float64) {
-	s.pendMu.Lock()
-	defer s.pendMu.Unlock()
-	id = s.pendIDs.clone(id)
-	if env != s.pendEnv {
-		s.pendEnv = envmeta.Environment{
-			Testbed: strings.Clone(env.Testbed), SUT: strings.Clone(env.SUT),
-			Testcase: strings.Clone(env.Testcase), Build: strings.Clone(env.Build),
+			// Ground truth arrived inline: feed the monitor now, no pending
+			// entry to keep.
+			v := s.monitor.Observe(envOf(it.req), it.req.RequestID, preds[i], *it.req.Actual, fwdEnd.Unix())
+			it.resp.Quality = &v
 		}
 	}
-	env = s.pendEnv
-	if _, exists := s.pending[id]; !exists {
-		for len(s.pending) >= s.cfg.PendingCap && len(s.pendOrder) > 0 {
-			old := s.pendOrder[0]
-			s.pendOrder = s.pendOrder[1:]
-			delete(s.pending, old) // no-op if already observed
+	s.record(w, valid, start, fwdEnd)
+	for _, it := range valid {
+		it.code = http.StatusOK
+		it.answered = true
+		it.wg.Done()
+	}
+}
+
+// record is a served pass's account of itself, taken once: counters, the
+// stage histograms with their exemplars, the tail-sampling decision for
+// each request — made on its outcome and duration before anything is built,
+// so a dropped trace costs nothing — and the pass's unobserved predictions
+// under one lock.
+func (s *Server) record(w *scratch, valid []*item, start, fwdEnd time.Time) {
+	s.served.Add(uint64(len(valid)))
+	fwdMS := obs.MS(fwdEnd.Sub(start))
+	now := time.Now()
+	for _, it := range valid {
+		id := it.req.RequestID
+		s.stageQueue.ObserveExemplar(obs.MS(start.Sub(it.enq)), id)
+		s.stageFwd.ObserveExemplar(fwdMS, id)
+		s.latency.ObserveExemplar(obs.MS(now.Sub(it.enq)), id)
+		t := obs.Trace{Outcome: obs.OutcomeServed, DurationMS: obs.MS(fwdEnd.Sub(it.enq))}
+		if s.traces.Sample(&t) {
+			// A kept tree outlives the request, whose strings may sub-slice
+			// a decoded wire frame: it is built over copies.
+			id = strings.Clone(id)
+			s.storeTrace(id, t.Outcome, it.resp.Record.Trace(id, strings.Clone(it.req.TraceParent)).Spans)
+			it.resp.Record.Kept = true
 		}
-		s.pendOrder = append(s.pendOrder, id)
 	}
-	s.pending[id] = pendingPrediction{env: env, pred: pred}
-}
-
-// takePending removes and returns the pending prediction for a request id.
-func (s *Server) takePending(id string) (pendingPrediction, bool) {
-	s.pendMu.Lock()
-	defer s.pendMu.Unlock()
-	p, ok := s.pending[id]
-	if ok {
-		delete(s.pending, id)
-	}
-	return p, ok
-}
-
-// parentSpan extracts the caller-side parent span id from a request's
-// traceparent header, empty when absent or malformed (fresh root).
-func parentSpan(req *Request) string {
-	if req.TraceParent == "" {
-		return ""
-	}
-	_, spanID, ok := obs.ParseTraceParent(req.TraceParent)
-	if !ok {
-		return ""
-	}
-	return spanID
-}
-
-// storeTrace offers one completed span tree to the tail-sampled store.
-func (s *Server) storeTrace(id, outcome string, spans []obs.Span) {
-	if len(spans) == 0 {
+	if s.pending == nil {
 		return
 	}
-	root := spans[0]
-	s.traces.Add(obs.Trace{
-		TraceID: id, Root: root.Name, Outcome: outcome,
-		StartUnixUS: root.StartUnixUS, DurationMS: root.DurationMS,
-		Spans: append([]obs.Span(nil), spans...),
+	// What the map keeps outlives the request too. It copies the ids; the
+	// environment is cloned here, once per change rather than per window.
+	s.pending.PutAll(len(valid), func(i int) (string, pendingPrediction, bool) {
+		req := valid[i].req
+		if req.Actual != nil {
+			return "", pendingPrediction{}, false
+		}
+		if env := envOf(req); env != w.env {
+			w.env = envmeta.Environment{
+				Testbed: strings.Clone(env.Testbed), SUT: strings.Clone(env.SUT),
+				Testcase: strings.Clone(env.Testcase), Build: strings.Clone(env.Build),
+			}
+		}
+		return req.RequestID, pendingPrediction{env: w.env, pred: valid[i].resp.Prediction}, true
 	})
 }
 
-func done(it *item) bool {
-	select {
-	case <-it.done:
-		return true
-	default:
-		return false
+// fail answers a request a worker could not serve.
+func (s *Server) fail(it *item, code int, err error) {
+	it.code, it.err = code, err
+	s.failed.Inc()
+	s.log.Warn("request failed", "request_id", it.req.RequestID, "code", code, "err", err)
+	s.traceFailure(it)
+	it.answered = true
+	it.wg.Done()
+}
+
+// traceFailure leaves the root-only trace of a request that was shed or
+// failed — the tail the trace store always keeps.
+func (s *Server) traceFailure(it *item) {
+	if it.req.RequestID == "" {
+		return // refused before it had an id to be found under
 	}
+	outcome := obs.OutcomeFailed
+	if it.code == http.StatusTooManyRequests {
+		outcome = obs.OutcomeShed
+	}
+	t := obs.Trace{Outcome: outcome, DurationMS: obs.MS(time.Since(it.enq))}
+	if !s.traces.Sample(&t) {
+		return
+	}
+	id := strings.Clone(it.req.RequestID)
+	_, parent, _ := obs.ParseTraceParent(it.req.TraceParent)
+	root := obs.Span{
+		TraceID: id, SpanID: obs.NewSpanID(), ParentID: strings.Clone(parent), Name: "serve.request",
+		StartUnixUS: it.enq.UnixMicro(), DurationMS: t.DurationMS,
+		Attrs: map[string]string{"outcome": outcome, "error": it.err.Error()},
+	}
+	s.storeTrace(id, outcome, []obs.Span{root})
+}
+
+// storeTrace retains a span tree the sampler chose to keep; the store takes
+// the slice over.
+func (s *Server) storeTrace(id, outcome string, spans []obs.Span) {
+	root := &spans[0]
+	s.traces.Store(obs.Trace{
+		TraceID: id, Root: root.Name, Outcome: outcome,
+		StartUnixUS: root.StartUnixUS, DurationMS: root.DurationMS,
+		Spans: spans,
+	})
 }
 
 // scoreAnomaly thresholds the prediction error against the chain's online
@@ -782,7 +835,7 @@ func done(it *item) bool {
 func (s *Server) scoreAnomaly(req *Request, pred float64, resp *Response) {
 	key := req.ChainID
 	if key == "" {
-		key = envmeta.Environment{Testbed: req.Testbed, SUT: req.SUT, Testcase: req.Testcase, Build: req.Build}.String()
+		key = envOf(req).String()
 	}
 	e := pred - *req.Actual
 	s.calMu.Lock()
@@ -856,7 +909,6 @@ func (s *Server) handlePredict(w http.ResponseWriter, r *http.Request) {
 		http.Error(w, "method not allowed", http.StatusMethodNotAllowed)
 		return
 	}
-	t0 := time.Now()
 	s.limitBody(w, r)
 	var req Request
 	if err := decodeStrict(r.Body, &req); err != nil {
@@ -882,24 +934,12 @@ func (s *Server) handlePredict(w http.ResponseWriter, r *http.Request) {
 		if code == http.StatusTooManyRequests {
 			w.Header().Set("Retry-After", "1")
 		}
-		// Shed and failed requests are exactly the tail the trace store
-		// keeps preferentially; record a root-only trace for them.
-		if req.RequestID != "" {
-			outcome := obs.OutcomeFailed
-			if code == http.StatusTooManyRequests {
-				outcome = obs.OutcomeShed
-			}
-			root := obs.NewSpan(req.RequestID, parentSpan(&req), "serve.request", t0, time.Now())
-			root.SetAttr("outcome", outcome)
-			root.SetAttr("error", err.Error())
-			s.storeTrace(req.RequestID, outcome, []obs.Span{root})
-		}
 		http.Error(w, err.Error(), code)
 		return
 	}
-	// Encode span: marshal once to measure, fold the measurement into the
-	// trace block, marshal again. Responses are small, so the second pass
-	// costs little and keeps the reported trace self-consistent.
+	// The encode stage is the marshal of the answer itself. The trace block
+	// reports that stage, so it is built from the record afterwards, marshalled
+	// on its own and spliced in as the last member: every byte is encoded once.
 	encStart := time.Now()
 	buf, merr := json.Marshal(resp)
 	encEnd := time.Now()
@@ -909,18 +949,19 @@ func (s *Server) handlePredict(w http.ResponseWriter, r *http.Request) {
 		http.Error(w, merr.Error(), http.StatusInternalServerError)
 		return
 	}
-	if resp.Trace != nil {
-		resp.Trace.EncodeMS = encMS
-		if len(resp.Trace.Spans) > 0 {
-			root := &resp.Trace.Spans[0]
-			root.DurationMS += encMS // the root covers encoding too
-			resp.Trace.Spans = append(resp.Trace.Spans,
-				obs.NewSpan(req.RequestID, root.SpanID, "serve.encode", encStart, encEnd))
-		}
-		if buf2, err2 := json.Marshal(resp); err2 == nil {
-			buf = buf2
-		}
-		s.storeTrace(req.RequestID, obs.OutcomeServed, resp.Trace.Spans)
+	block := resp.Record.Trace(req.RequestID, req.TraceParent)
+	block.EncodeMS = encMS
+	root := &block.Spans[0]
+	root.DurationMS += encMS // the root covers encoding too
+	block.Spans = append(block.Spans, resp.Record.span(req.RequestID, 3, root.SpanID, "serve.encode", encStart, encEnd))
+	if tb, err := json.Marshal(block); err == nil {
+		buf = append(buf[:len(buf)-1], `,"trace":`...) // over the closing brace
+		buf = append(append(buf, tb...), '}')
+	}
+	if resp.Record.Kept {
+		// The worker stored the tree as it stood when the pass ended; the
+		// same spans plus this stage replace it.
+		s.storeTrace(req.RequestID, obs.OutcomeServed, block.Spans)
 	}
 	w.Header().Set("Content-Type", "application/json")
 	_, _ = w.Write(append(buf, '\n'))
@@ -1003,7 +1044,7 @@ func (s *Server) handleObserve(w http.ResponseWriter, r *http.Request) {
 		jsonError(w, http.StatusBadRequest, "request_id is required")
 		return
 	}
-	p, ok := s.takePending(req.RequestID)
+	p, ok := s.pending.Take(req.RequestID)
 	if !ok {
 		jsonError(w, http.StatusNotFound, "unknown or expired request id")
 		return

@@ -17,6 +17,7 @@ import (
 	"env2vec/internal/dataset"
 	"env2vec/internal/envmeta"
 	"env2vec/internal/nn"
+	"env2vec/internal/obs"
 	"env2vec/internal/quality"
 	"env2vec/internal/tensor"
 )
@@ -117,19 +118,22 @@ func TestBundleSnapshotRoundTrip(t *testing.T) {
 
 // enqueue admits reqs the way DoBatch does but returns without waiting for
 // the answers, so a test can build a backlog behind a stalled worker from
-// its own goroutine, in a known order.
+// its own goroutine, in a known order. The items of one call share a wait
+// group: await on any of them returns once all of them are answered.
 func enqueue(t *testing.T, s *Server, reqs ...*Request) []*item {
 	t.Helper()
+	slab, resps, wg := make([]item, len(reqs)), make([]Response, len(reqs)), new(sync.WaitGroup)
 	items := make([]*item, len(reqs))
 	for i, req := range reqs {
-		it, code, err := s.prepare(req, time.Now())
-		if err != nil {
-			t.Fatalf("prepare request %d: %d %v", i, code, err)
+		if req.RequestID == "" {
+			req.RequestID = obs.NewRequestID()
 		}
-		items[i] = it
+		slab[i] = item{req: req, enq: time.Now(), resp: &resps[i], wg: wg}
+		items[i] = &slab[i]
 	}
-	if n, err := s.queue.push(items); n != len(items) {
-		t.Fatalf("admitted %d of %d: %v", n, len(items), err)
+	wg.Add(len(slab))
+	if from, err := s.queue.push(slab); from != len(slab) {
+		t.Fatalf("admitted %d of %d: %v", from, len(slab), err)
 	}
 	return items
 }
@@ -152,8 +156,10 @@ func holdWorker(t *testing.T, s *Server, req *Request) *item {
 // await blocks until a worker has answered it.
 func await(t *testing.T, it *item) *Response {
 	t.Helper()
+	done := make(chan struct{})
+	go func() { it.wg.Wait(); close(done) }()
 	select {
-	case <-it.done:
+	case <-done:
 	case <-time.After(30 * time.Second):
 		t.Fatal("request never answered")
 	}

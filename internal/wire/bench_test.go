@@ -14,6 +14,7 @@ import (
 	"env2vec/internal/core"
 	"env2vec/internal/dataset"
 	"env2vec/internal/envmeta"
+	"env2vec/internal/obs"
 	"env2vec/internal/serve"
 )
 
@@ -112,7 +113,13 @@ func benchServe(b *testing.B, in, window int) *serve.Server {
 		Schema: schema,
 		YScale: dataset.YScaler{Mu: 50, Sigma: 10},
 	}
-	s := serve.New(serve.Config{MaxBatch: 16, QueueDepth: 1024, Workers: 2})
+	// Every trace is dropped: a kept one is built, a dozen objects a window,
+	// and the sampler's coin would make allocs/op — which the benchjson gate
+	// holds exactly — a matter of luck.
+	s := serve.New(serve.Config{
+		MaxBatch: 16, QueueDepth: 1024, Workers: 2,
+		Trace: obs.TraceStoreConfig{SampleRate: -1, SlowMS: -1},
+	})
 	b.Cleanup(s.Close)
 	s.SetBundle(bundle)
 	return s

@@ -2,14 +2,24 @@ package wire
 
 import (
 	"bytes"
+	"encoding/binary"
 	"encoding/hex"
+	"encoding/json"
 	"fmt"
+	"io"
+	"math"
 	"math/rand"
+	"net/http"
+	"net/http/httptest"
 	"reflect"
 	"runtime"
+	"sort"
+	"strconv"
 	"strings"
 	"testing"
+	"time"
 
+	"env2vec/internal/anomaly"
 	"env2vec/internal/obs"
 	"env2vec/internal/quality"
 	"env2vec/internal/serve"
@@ -65,6 +75,34 @@ func goldenSpans(id string) []obs.Span {
 			StartUnixUS: 1700000000000250, DurationMS: 0.5,
 			Attrs: map[string]string{"batch_id": "9", "batch_size": "32", "precision": "float32", "worker": "0"}},
 	}
+}
+
+// appendSpans renders a span tree compactly: the trace id is implied by
+// the enclosing reply's request id and restored on decode. Attributes go
+// out in sorted key order, so one tree has one encoding (and one CRC). No
+// server builds a tree to encode any more — AppendResults writes the section
+// from the stage record, a proxy relays it as bytes — so this is the
+// reference both are held to.
+func appendSpans(dst []byte, spans []obs.Span) []byte {
+	dst = binary.AppendUvarint(dst, uint64(len(spans)))
+	for _, sp := range spans {
+		dst = appendString(dst, sp.SpanID)
+		dst = appendString(dst, sp.ParentID)
+		dst = appendString(dst, sp.Name)
+		dst = binary.AppendVarint(dst, sp.StartUnixUS)
+		dst = appendF64(dst, sp.DurationMS)
+		dst = binary.AppendUvarint(dst, uint64(len(sp.Attrs)))
+		keys := make([]string, 0, len(sp.Attrs))
+		for k := range sp.Attrs {
+			keys = append(keys, k)
+		}
+		sort.Strings(keys)
+		for _, k := range keys {
+			dst = appendString(dst, k)
+			dst = appendString(dst, sp.Attrs[k])
+		}
+	}
+	return dst
 }
 
 // setSpans encodes a span tree as the reply's span section, the way a
@@ -136,11 +174,16 @@ func TestGoldenFrames(t *testing.T) {
 
 // TestSpanEncodingDeterministic: attributes live in a map, and the encoder
 // used to range over it — the same reply then framed to different bytes and
-// a different CRC from one call to the next.
+// a different CRC from one call to the next. One stage record has one
+// encoding too: its span ids derive from its seed.
 func TestSpanEncodingDeterministic(t *testing.T) {
+	t0 := time.UnixMicro(1700000000000000)
 	res := []serve.BatchResult{{Code: 200, Resp: &serve.Response{
 		Prediction: 49.75, Model: "env2vec", ModelVersion: 7, BatchSize: 32,
-		Trace: &serve.Trace{Spans: goldenSpans("0123456789abcdef")},
+		Record: serve.StageRecord{
+			Enqueue: t0, Pickup: t0.Add(250 * time.Microsecond), ForwardEnd: t0.Add(750 * time.Microsecond),
+			BatchID: 9, BatchSize: 32, Seed: 0x1111111111111111,
+		},
 	}}}
 	distinct := map[string]bool{}
 	for i := 0; i < 100; i++ {
@@ -255,10 +298,11 @@ func liveHeap() uint64 {
 }
 
 // TestRetainedIDsDoNotPinFrames: every string of a decoded frame shares
-// one block, so what keeps an id past its frame keeps a clone. Two keepers
+// one block, so what keeps an id past its frame keeps a clone. Three keepers
 // sit behind this package: a trace store holding a reply's materialised
-// spans, and serve's pending-prediction map holding a request's id and
-// environment until /observe. One id kept per frame, over 2 000 distinct
+// spans, serve's pending-prediction map holding a request's id and
+// environment until /observe, and serve's own trace store holding the tree
+// of a wire request it sampled. One id kept per frame, over 2 000 distinct
 // frames, must cost its own bytes, not the frames'.
 func TestRetainedIDsDoNotPinFrames(t *testing.T) {
 	const frames = 2000
@@ -278,11 +322,15 @@ func TestRetainedIDsDoNotPinFrames(t *testing.T) {
 		t.Fatalf("%d trace ids kept from materialised spans hold %d KB live, want < 200 (a frame is %d KB)", len(kept), grew>>10, len(repRaw)>>10)
 	}
 
-	// The pending map: the quality monitor is on and no request carries its
-	// actual, so serve remembers every window until /observe. Fill it to its
-	// cap with requests that own their strings, then push 2 000 decoded
-	// frames of one window through it: each replaces a pending entry.
-	s := serve.New(serve.Config{MaxBatch: 32, Workers: 1, PendingCap: frames, Quality: &quality.Config{}})
+	// The pending map and the backend's trace store: the quality monitor is
+	// on and no request carries its actual, so serve remembers every window
+	// until /observe, and every trace is kept. Fill both to their caps with
+	// requests that own their strings, then push 2 000 decoded frames of one
+	// window through: each replaces a pending entry and a stored trace.
+	s := serve.New(serve.Config{
+		MaxBatch: 32, Workers: 1, PendingCap: frames, Quality: &quality.Config{},
+		Trace: obs.TraceStoreConfig{Capacity: 64, SampleRate: 1},
+	})
 	defer s.Close()
 	b := testBundle(5)
 	b.Baseline = &quality.Baseline{Mu: 0, Sigma: 5, Samples: 100}
@@ -302,6 +350,7 @@ func TestRetainedIDsDoNotPinFrames(t *testing.T) {
 	before = liveHeap()
 	for f := 0; f < frames; f++ {
 		batch[0].RequestID = fmt.Sprintf("%016x", f)
+		batch[0].TraceParent = obs.FormatTraceParent(batch[0].RequestID, "00000000000000aa")
 		reqs, err := DecodePredictBatch(AppendPredictBatch(reqRaw[:0], batch))
 		if err != nil {
 			t.Fatal(err)
@@ -310,7 +359,157 @@ func TestRetainedIDsDoNotPinFrames(t *testing.T) {
 			t.Fatal(res[0].Err)
 		}
 	}
+	if n := s.Traces().Len(); n != 64 {
+		t.Fatalf("backend trace store holds %d traces, want its capacity of 64", n)
+	}
 	if grew := int64(liveHeap()) - int64(before); grew > 200<<10 {
-		t.Fatalf("%d pending predictions from decoded frames grew the live heap %d KB, want < 200 (a frame is %d KB)", frames, grew>>10, len(batch[0].ChainID)>>10)
+		t.Fatalf("%d pending predictions and 64 kept traces from decoded frames grew the live heap %d KB, want < 200 (a frame is %d KB)", frames, grew>>10, len(batch[0].ChainID)>>10)
+	}
+}
+
+// TestStageRecordRendersOneTree: a served request is accounted for by one
+// stage record, and every rendering of it names the same spans. The span
+// section AppendResults writes decodes to exactly the tree the materialiser
+// returns and is byte for byte what encoding that tree gives; the trace the
+// backend's own store keeps is that tree; the JSON reply's is that tree plus
+// serve.encode, the root extended by it, and is what the store keeps for it.
+func TestStageRecordRendersOneTree(t *testing.T) {
+	s := serve.New(serve.Config{
+		MaxBatch: 8, Workers: 1, MinCalibration: 1,
+		Detect: &anomaly.Config{Gamma: 2}, Quality: &quality.Config{},
+		Trace: obs.TraceStoreConfig{Capacity: 64, SampleRate: 1},
+	})
+	defer s.Close()
+	b := testBundle(5)
+	b.Baseline = &quality.Baseline{Mu: 0, Sigma: 5, Samples: 100}
+	s.SetBundle(b)
+	srv := httptest.NewServer(s)
+	defer srv.Close()
+
+	rng := rand.New(rand.NewSource(8))
+	actual := 50.5
+	n := 0
+	for _, traceParent := range []string{"", "00-0123456789abcdef-00000000000000aa-01", "not-a-traceparent"} {
+		for _, withActual := range []bool{false, true, true} { // the second inline actual gets a verdict
+			n++
+			req := testRequest(rng, fmt.Sprintf("%016x", n))
+			req.TraceParent = traceParent
+			if withActual {
+				req.Actual = &actual
+			}
+			wantParent := ""
+			if strings.HasPrefix(traceParent, "00-") {
+				wantParent = "00000000000000aa"
+			}
+
+			// Wire: the section is the tree, decoded and as bytes.
+			reqs := []*serve.Request{req}
+			results := s.DoBatch(reqs)
+			if results[0].Err != nil {
+				t.Fatal(results[0].Err)
+			}
+			resp := results[0].Resp
+			if resp.Trace != nil {
+				t.Fatalf("DoBatch built a trace block: %+v", resp.Trace)
+			}
+			tree := resp.Record.Trace(req.RequestID, req.TraceParent).Spans
+			checkStageTree(t, tree, req.RequestID, wantParent, resp.Record.BatchID, resp.BatchSize)
+			if d := tree[0].DurationMS - tree[1].DurationMS - tree[2].DurationMS; d < -1e-9 || d > 1e-9 {
+				t.Fatalf("stages do not tile the request: %v = %v + %v + %v", tree[0].DurationMS, tree[1].DurationMS, tree[2].DurationMS, d)
+			}
+			replies, err := DecodePredictReplies(AppendResults(nil, reqs, results))
+			if err != nil {
+				t.Fatal(err)
+			}
+			if (replies[0].Deviation != nil) != (resp.Deviation != nil) {
+				t.Fatalf("verdict lost on the wire: %+v vs %+v", replies[0], resp)
+			}
+			if got := replies[0].Spans(); !reflect.DeepEqual(got, tree) {
+				t.Fatalf("span section decodes to\n %+v\nthe record materialises as\n %+v", got, tree)
+			}
+			if want := string(appendSpans(nil, tree)); replies[0].spans != want {
+				t.Fatalf("span section is\n%x\nthe tree encodes as\n%x", replies[0].spans, want)
+			}
+			stored, ok := s.Traces().Get(req.RequestID)
+			if !ok || stored.Outcome != obs.OutcomeServed || !reflect.DeepEqual(stored.Spans, tree) {
+				t.Fatalf("backend store holds %v %+v\nthe record materialises as\n %+v", ok, stored, tree)
+			}
+
+			// JSON: the same tree, plus the encode stage.
+			n++
+			req.RequestID = fmt.Sprintf("%016x", n)
+			body, _ := json.Marshal(req)
+			hreq, _ := http.NewRequest(http.MethodPost, srv.URL+"/predict", bytes.NewReader(body))
+			hreq.Header.Set(obs.TraceParentHeader, traceParent)
+			hresp, err := http.DefaultClient.Do(hreq)
+			if err != nil {
+				t.Fatal(err)
+			}
+			reply, err := io.ReadAll(hresp.Body)
+			hresp.Body.Close()
+			var out serve.Response
+			if err == nil {
+				err = json.Unmarshal(reply, &out)
+			}
+			if err != nil || hresp.StatusCode != http.StatusOK || out.Trace == nil || len(out.Trace.Spans) != 4 {
+				t.Fatalf("JSON reply: status %d, err %v, trace %+v", hresp.StatusCode, err, out.Trace)
+			}
+			// The block is spliced into the marshalled answer; the bytes are
+			// those of marshalling the two together.
+			if whole, _ := json.Marshal(&out); string(reply) != string(whole)+"\n" {
+				t.Fatalf("JSON reply is\n%s\nmarshalled in one piece it is\n%s", reply, whole)
+			}
+			if (out.Quality != nil) != withActual || out.Model != "test" || out.BatchSize != 1 {
+				t.Fatalf("JSON reply lost members beside the spliced trace block: %+v", out)
+			}
+			tr := out.Trace
+			checkStageTree(t, tr.Spans[:3], req.RequestID, wantParent, tr.BatchID, out.BatchSize)
+			root, enc := tr.Spans[0], tr.Spans[3]
+			if enc.Name != "serve.encode" || enc.ParentID != root.SpanID || enc.SpanID != spanIDAfter(t, root.SpanID, 3) || enc.Attrs != nil {
+				t.Fatalf("encode span %+v under root %+v", enc, root)
+			}
+			sum := tr.Spans[1].DurationMS + tr.Spans[2].DurationMS + enc.DurationMS
+			if d := root.DurationMS - sum; d < -1e-9 || d > 1e-9 || enc.DurationMS <= 0 {
+				t.Fatalf("root %v ms is not queue wait + forward + encode = %v ms", root.DurationMS, sum)
+			}
+			if tr.RequestID != req.RequestID || tr.QueueWaitMS != tr.Spans[1].DurationMS || tr.ForwardMS != tr.Spans[2].DurationMS ||
+				tr.EncodeMS != enc.DurationMS || math.Abs(tr.TotalMS-tr.QueueWaitMS-tr.ForwardMS) > 1e-9 {
+				t.Fatalf("flat fields disagree with the spans: %+v", tr)
+			}
+			stored, ok = s.Traces().Get(req.RequestID)
+			if !ok || !reflect.DeepEqual(stored.Spans, tr.Spans) || stored.DurationMS != root.DurationMS {
+				t.Fatalf("backend store holds %v %+v\nthe JSON reply carried\n %+v", ok, stored, tr.Spans)
+			}
+		}
+	}
+}
+
+func spanIDAfter(t *testing.T, id string, n uint64) string {
+	t.Helper()
+	v, err := strconv.ParseUint(id, 16, 64)
+	if err != nil || len(id) != 16 {
+		t.Fatalf("span id %q is not 16 hex characters", id)
+	}
+	return fmt.Sprintf("%016x", v+n)
+}
+
+// checkStageTree holds a three-span tree to the shape every rendering shares.
+func checkStageTree(t *testing.T, tree []obs.Span, traceID, parent string, batchID uint64, batchSize int) {
+	t.Helper()
+	if len(tree) != 3 {
+		t.Fatalf("%d spans, want 3: %+v", len(tree), tree)
+	}
+	root := tree[0]
+	want := []obs.Span{
+		{SpanID: root.SpanID, ParentID: parent, Name: "serve.request", Attrs: map[string]string{"outcome": "served"}},
+		{SpanID: spanIDAfter(t, root.SpanID, 1), ParentID: root.SpanID, Name: "serve.queue_wait"},
+		{SpanID: spanIDAfter(t, root.SpanID, 2), ParentID: root.SpanID, Name: "serve.forward",
+			Attrs: map[string]string{"batch_id": strconv.FormatUint(batchID, 10), "batch_size": strconv.Itoa(batchSize)}},
+	}
+	for i, sp := range tree {
+		want[i].TraceID, want[i].StartUnixUS, want[i].DurationMS = traceID, sp.StartUnixUS, sp.DurationMS
+		if !reflect.DeepEqual(sp, want[i]) || sp.StartUnixUS < 1e15 || sp.DurationMS < 0 {
+			t.Fatalf("span %d is\n %+v\nwant\n %+v", i, sp, want[i])
+		}
 	}
 }

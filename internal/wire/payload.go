@@ -4,7 +4,9 @@ import (
 	"encoding/binary"
 	"fmt"
 	"math"
+	"strconv"
 	"strings"
+	"time"
 
 	"env2vec/internal/envmeta"
 	"env2vec/internal/obs"
@@ -358,8 +360,8 @@ func (rep *Reply) Spans() []obs.Span {
 }
 
 // replyFromResult converts one serve outcome into a wire reply, without
-// its spans: AppendResults streams those from the response straight into
-// the frame rather than through a Reply.
+// its spans: AppendResults renders those from the response's stage record
+// straight into the frame rather than through a Reply.
 func replyFromResult(id string, resp *serve.Response, code int, err error) Reply {
 	rep := Reply{RequestID: id, Status: code}
 	if err != nil || resp == nil {
@@ -431,22 +433,54 @@ func AppendPredictReplies(dst []byte, replies []Reply) []byte {
 
 // AppendResults renders a DoBatch outcome as a FramePredictReply payload,
 // reply i answering reqs[i]. It is AppendPredictReplies for the process
-// that produced the spans: they are encoded from the responses directly.
+// that served the requests: it has no span tree to encode, only each
+// response's stage record, and writes the span section from that.
 func AppendResults(dst []byte, reqs []*serve.Request, results []serve.BatchResult) []byte {
 	dst = binary.AppendUvarint(dst, uint64(len(results)))
 	for i, res := range results {
 		rep := replyFromResult(reqs[i].RequestID, res.Resp, res.Code, res.Err)
 		var served bool
-		if dst, served = appendReplyHead(dst, &rep); !served {
-			continue
+		if dst, served = appendReplyHead(dst, &rep); served {
+			dst = appendStageSpans(dst, reqs[i].TraceParent, &res.Resp.Record)
 		}
-		var spans []obs.Span
-		if res.Resp.Trace != nil {
-			spans = res.Resp.Trace.Spans
-		}
-		dst = appendSpans(dst, spans)
 	}
 	return dst
+}
+
+// appendStageSpans renders the span section of a request served as rec says,
+// byte for byte what encoding the tree rec.Trace materialises would give
+// (TestStageRecordRendersOneTree holds the two together) — three spans, ids
+// derived from the record's seed, attributes in sorted key order, the trace
+// id implied by the enclosing reply's request id — without building it.
+func appendStageSpans(dst []byte, traceParent string, rec *serve.StageRecord) []byte {
+	_, parent, _ := obs.ParseTraceParent(traceParent)
+	var id [16]byte
+	root := string(obs.AppendID(id[:0], rec.Seed)) // stays on the stack: the frame gets copies
+	dst = append(dst, 3)
+	dst = appendStageSpan(dst, rec.Seed, parent, "serve.request", rec.Enqueue, rec.ForwardEnd, 1)
+	dst = appendString(appendString(dst, "outcome"), obs.OutcomeServed)
+	dst = appendStageSpan(dst, rec.Seed+1, root, "serve.queue_wait", rec.Enqueue, rec.Pickup, 0)
+	dst = appendStageSpan(dst, rec.Seed+2, root, "serve.forward", rec.Pickup, rec.ForwardEnd, 2)
+	dst = appendNumberAttr(dst, "batch_id", rec.BatchID)
+	return appendNumberAttr(dst, "batch_size", uint64(rec.BatchSize))
+}
+
+// appendStageSpan renders one span up to and including its attribute count;
+// the caller appends that many attributes, keys ascending.
+func appendStageSpan(dst []byte, id uint64, parent, name string, start, end time.Time, attrs byte) []byte {
+	var hex [16]byte
+	dst = appendString(dst, string(obs.AppendID(hex[:0], id)))
+	dst = appendString(dst, parent)
+	dst = appendString(dst, name)
+	dst = binary.AppendVarint(dst, start.UnixMicro())
+	dst = appendF64(dst, obs.MS(end.Sub(start)))
+	return append(dst, attrs)
+}
+
+func appendNumberAttr(dst []byte, key string, v uint64) []byte {
+	var num [20]byte
+	dst = appendString(dst, key)
+	return appendString(dst, string(strconv.AppendUint(num[:0], v, 10)))
 }
 
 // DecodePredictReplies parses a FramePredictReply payload into per-frame
@@ -492,34 +526,6 @@ func DecodePredictReplies(p []byte) ([]Reply, error) {
 }
 
 // ── span encoding ──────────────────────────────────────────────────────
-
-// appendSpans renders a span tree compactly: the trace id is implied by
-// the enclosing reply's request id and restored on decode. Attributes go
-// out in sorted key order, so one tree has one encoding (and one CRC).
-func appendSpans(dst []byte, spans []obs.Span) []byte {
-	dst = binary.AppendUvarint(dst, uint64(len(spans)))
-	for _, sp := range spans {
-		dst = appendString(dst, sp.SpanID)
-		dst = appendString(dst, sp.ParentID)
-		dst = appendString(dst, sp.Name)
-		dst = binary.AppendVarint(dst, sp.StartUnixUS)
-		dst = appendF64(dst, sp.DurationMS)
-		dst = binary.AppendUvarint(dst, uint64(len(sp.Attrs)))
-		var stack [8]string // a span sets at most 4 attributes; more spill to the heap
-		keys := stack[:0]
-		for k := range sp.Attrs {
-			keys = append(keys, k)
-			for i := len(keys) - 1; i > 0 && keys[i] < keys[i-1]; i-- {
-				keys[i], keys[i-1] = keys[i-1], keys[i]
-			}
-		}
-		for _, k := range keys {
-			dst = appendString(dst, k)
-			dst = appendString(dst, sp.Attrs[k])
-		}
-	}
-	return dst
-}
 
 // spans walks one span section — the bounds checks of a decode and, with
 // keep, also its result — and returns the section's span count alongside.
