@@ -66,18 +66,29 @@ go test -race -run 'TestScrapeProxyMergedExposition' ./internal/tsdb/
 go test -race -run 'LongPoll' ./internal/modelserver/
 # The fused inference path: race-prove the scratch-arena pool, the
 # tape/infer parity property, and the cross-precision battery (tape vs
-# blocked float64 vs float32 — docs/performance.md documents the per-path
-# tolerances), then fuzz the parity contract briefly.
+# float64 predictor vs float32 predictor — docs/performance.md documents the
+# per-path tolerances), then fuzz the parity contract briefly. One generic
+# predictor serves both precisions, so the battery is joined by what pins it
+# to the two it replaced: the float32 answers bit for bit against a golden
+# written before the collapse, the exact malloc count of a pass, a finite
+# input the model answers with NaN as a typed per-item 422 on every entry
+# point, and the quick-scale science numbers at 1e-9 (the -race pass skips
+# the allocation counts, so they run plain too).
 go test -race ./internal/infer/ ./internal/core/
+go test -run 'TestFloat32BitIdenticalToGolden|TestInferTracksWeightMutation' ./internal/core/
+go test -run 'TestExactZeroMallocsPerPass' ./internal/infer/
+go test -run 'TestNonFinitePredictionIsTypedError|TestNonFiniteWindowFailsAlone' ./internal/wire/
+go test -run 'TestQuickScienceNumbersPinned' ./internal/experiments/
 go test -run FuzzPredictParity -fuzz FuzzPredictParity -fuzztime 10s ./internal/core/
 # The vector kernels: the float64 tile bit for bit against the scalar kernel
 # and the naive reference (TestF64TileMatchesScalar), the float32 GEMM tiles
-# and the logistic (tensor.SigmoidAdd32) against their scalar twins and
+# and the logistic (tensor.SigmoidAdd) against their scalar twins and
 # float64; then the same scalar code as the only path, built for 386 (runs
-# natively on an amd64 box), so the !amd64 side of the CPUID selection is
-# executed and not just compiled — the tape, its arena and the layers with
-# it. arm64 is vetted, which type-checks its build of the packages.
-go test -run 'TestBlocked|TestPair|TestF32|TestF64|TestMatMul|TestSigmoid' ./internal/tensor/
+# natively on an amd64 box), so the !amd64 side of the CPUID selection —
+# matMulScalar[T] for both element types — is executed and not just
+# compiled, the tape, the arena and the layers with it. arm64 is vetted,
+# which type-checks its build of the packages.
+go test -run 'TestBlocked|TestF32|TestF64|TestMatMul|TestSigmoid|TestArena' ./internal/tensor/
 GOARCH=386 go test ./internal/tensor/ ./internal/infer/ ./internal/core/ ./internal/autodiff/ ./internal/nn/
 GOARCH=arm64 go vet ./internal/tensor/ ./internal/infer/ ./internal/autodiff/ ./internal/nn/
 # The tape's arena: a reused tape is a fresh tape (bit for bit, at op and at

@@ -16,7 +16,7 @@
 //
 // One graph per tape at a time: build it, run Backward once, read the
 // gradients. A tape owns the memory of its graph — nodes, values, gradients
-// and backward temporaries (arena.go) — so a loop that calls Reset between
+// and backward temporaries (one tensor.Arena) — so a loop that calls Reset between
 // steps, or Release when it is done, rebuilds graph after graph without
 // allocating. A caller that does neither pays for a fresh arena per tape and
 // is otherwise unaffected.
@@ -55,7 +55,7 @@ type Tape struct {
 	// nodes is the graph in execution order. Reset truncates it and leaves
 	// the old nodes in its backing array, where node() finds them again.
 	nodes     []*Node
-	mem       arena
+	mem       tensor.Arena[float64]
 	inference bool
 }
 
@@ -94,7 +94,7 @@ func (t *Tape) Reset() {
 		*n = Node{} // drop the references a pooled tape would otherwise pin
 	}
 	t.nodes = t.nodes[:0]
-	t.mem.reset()
+	t.mem.Reset()
 }
 
 // Release resets the tape and hands it back for NewTape and
@@ -144,7 +144,7 @@ func (t *Tape) leaf(v *tensor.Matrix, requiresGrad bool) *Node {
 // gradient if one is needed, and the closure that propagates it.
 func (t *Tape) newNode(rows, cols int, requiresGrad bool, back func(out *Node)) *Node {
 	n := t.node()
-	n.val = tensor.Matrix{Rows: rows, Cols: cols, Data: t.mem.take(rows * cols)}
+	n.val = tensor.Matrix{Rows: rows, Cols: cols, Data: t.mem.Take(rows * cols)}
 	n.Value, n.back = &n.val, back
 	t.initGrad(n, requiresGrad)
 	return n
@@ -157,7 +157,7 @@ func (t *Tape) initGrad(n *Node, requiresGrad bool) {
 		n.back = nil
 		return
 	}
-	g := t.mem.take(len(n.Value.Data))
+	g := t.mem.Take(len(n.Value.Data))
 	clear(g)
 	n.grad = tensor.Matrix{Rows: n.Value.Rows, Cols: n.Value.Cols, Data: g}
 	n.Grad = &n.grad
@@ -183,9 +183,9 @@ func (t *Tape) Backward(out *Node) {
 	for i := out.id; i >= 0; i-- {
 		n := t.nodes[i]
 		if n.requiresGrad && n.back != nil {
-			m := t.mem.mark()
+			m := t.mem.Mark()
 			n.back(n)
-			t.mem.release(m) // a closure's temporaries die with it
+			t.mem.Release(m) // a closure's temporaries die with it
 		}
 	}
 }
@@ -193,7 +193,7 @@ func (t *Tape) Backward(out *Node) {
 // temp returns an uninitialized rows×cols matrix that lives until the
 // running backward closure returns.
 func (t *Tape) temp(rows, cols int) tensor.Matrix {
-	return tensor.Matrix{Rows: rows, Cols: cols, Data: t.mem.take(rows * cols)}
+	return tensor.Matrix{Rows: rows, Cols: cols, Data: t.mem.Take(rows * cols)}
 }
 
 // transposed packs mᵀ into a temporary.

@@ -27,17 +27,17 @@ func numericalGrad(param *tensor.Matrix, loss func() float64) *tensor.Matrix {
 	return g
 }
 
-// recycledTape returns t emptied after another graph, with every float of
-// its arena set to NaN first: a gradient the tape fails to zero, or a value
-// an operation only partly overwrites, poisons whatever is computed from it.
-// The arena is grown beforehand so that no graph in these tests is served
-// from a fresh, zeroed chunk.
+// recycledTape returns t emptied after another graph, with the first 64 Ki
+// floats of its arena — several times what any graph in these tests takes —
+// set to NaN first: a gradient the tape fails to zero, or a value an
+// operation only partly overwrites, poisons whatever is computed from it.
+// Taking one float at a time skips no chunk tail, so the poison has no gaps,
+// and it grows the arena so that no graph here is served from a fresh,
+// zeroed chunk.
 func recycledTape(t *Tape) *Tape {
-	t.mem.take(1 << 14)
-	for _, c := range t.mem.chunks {
-		for i := range c {
-			c[i] = math.NaN()
-		}
+	t.Reset()
+	for i := 0; i < 1<<16; i++ {
+		t.mem.Take(1)[0] = math.NaN()
 	}
 	t.Reset()
 	return t
@@ -405,9 +405,9 @@ func TestResetTapeIsFreshTape(t *testing.T) {
 func TestBackwardTemporariesAreReleased(t *testing.T) {
 	tape := &Tape{}
 	loss, _ := everyOp(tape, rand.New(rand.NewSource(1)), 6)
-	before := tape.mem.mark()
+	before := tape.mem.Mark()
 	tape.Backward(loss)
-	if after := tape.mem.mark(); after != before {
+	if after := tape.mem.Mark(); after != before {
 		t.Fatalf("backward sweep moved the arena from %+v to %+v", before, after)
 	}
 }
@@ -419,8 +419,8 @@ func TestReleasedTapeComesBackEmpty(t *testing.T) {
 	tape.Backward(loss)
 	tape.Release()
 	for _, next := range []*Tape{NewInferenceTape(), NewTape()} {
-		if len(next.nodes) != 0 || next.mem.mark() != (arenaMark{}) {
-			t.Fatalf("a tape from the pool still holds %d nodes at %+v", len(next.nodes), next.mem.mark())
+		if len(next.nodes) != 0 || next.mem.Mark() != (tensor.ArenaMark{}) {
+			t.Fatalf("a tape from the pool still holds %d nodes at %+v", len(next.nodes), next.mem.Mark())
 		}
 		p := next.Param(tensor.New(2, 2))
 		if got := next.Sum(p); next.Inference() != (got.Grad == nil) {

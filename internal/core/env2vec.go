@@ -107,7 +107,7 @@ type Model struct {
 	// pred is the tape-free fused forward path used by Predict. It reads
 	// the live layer weights on every call, so it needs no refresh after
 	// optimizer steps or snapshot restores.
-	pred *infer.Predictor
+	pred *infer.Predictor[float64]
 }
 
 // New builds the model. Vocabulary sizes are taken from the schema, which
@@ -244,12 +244,12 @@ func (m *Model) Loss(t *autodiff.Tape, b *nn.Batch, train bool, rng *rand.Rand) 
 }
 
 // Predict implements nn.Model. It runs the tape-free fused forward path
-// (internal/infer), which reads the layer weights in place and recycles its
-// scratch space, so one trained model may be shared by any number of
+// (internal/infer), which reads the layer weights on every call and recycles
+// its scratch space, so one trained model may be shared by any number of
 // concurrently predicting goroutines — the online serving path batches many
 // requests into a single call here. PredictTape keeps the graph-based path
 // available as the reference implementation; the two agree to float64
-// round-off (see the parity tests).
+// round-off (≤ 1e-12 relative, see the parity tests).
 func (m *Model) Predict(b *nn.Batch) []float64 {
 	if b.EnvIDs == nil {
 		panic("core: Env2Vec requires environment ids in the batch")
@@ -269,13 +269,13 @@ func (m *Model) PredictInto(out []float64, b *nn.Batch) {
 }
 
 // NewPredictor32 exports the model's current weights into a frozen float32
-// predictor (see infer.Predictor32). The snapshot is taken once, at call
+// predictor (see infer.NewPredictor32). The snapshot is taken once, at call
 // time: later training steps or restores on this model are not reflected,
 // so serving rebuilds it per published model version — which is exactly the
 // immutable-bundle contract internal/serve already enforces. The returned
 // predictor keeps the Predict/PredictInto float64 API; only the internal
 // arithmetic and weight storage narrow to float32.
-func (m *Model) NewPredictor32() *infer.Predictor32 {
+func (m *Model) NewPredictor32() *infer.Predictor[float32] {
 	return infer.NewPredictor32(m.network())
 }
 

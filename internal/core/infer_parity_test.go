@@ -102,9 +102,11 @@ func TestInferMatchesTape(t *testing.T) {
 	}
 }
 
-// TestInferTracksWeightMutation guards the no-caching contract: Predict must
-// see optimizer-style in-place weight updates and snapshot restores without
-// any predictor rebuild.
+// TestInferTracksWeightMutation guards both liveness contracts. The live
+// float64 predictor caches nothing: Predict must see optimizer-style in-place
+// weight updates and snapshot restores without any predictor rebuild. The
+// frozen float32 predictor reads nothing again: one taken before the
+// mutation answers the same bits after it and after the restore.
 func TestInferTracksWeightMutation(t *testing.T) {
 	rng := rand.New(rand.NewSource(11))
 	schema := envmeta.NewSchema()
@@ -113,6 +115,16 @@ func TestInferTracksWeightMutation(t *testing.T) {
 
 	before := m.Predict(batch)
 	snap := m.Snapshot()
+	frozen := m.NewPredictor32()
+	frozenBefore := frozen.Predict(batch)
+	frozenUnmoved := func(when string) {
+		t.Helper()
+		for i, v := range frozen.Predict(batch) {
+			if math.Float64bits(v) != math.Float64bits(frozenBefore[i]) {
+				t.Fatalf("%s: frozen float32 prediction %d moved from %v to %v", when, i, frozenBefore[i], v)
+			}
+		}
+	}
 
 	// Mutate every weight in place, the way Adam steps and Restore do.
 	for _, p := range m.Params() {
@@ -134,6 +146,7 @@ func TestInferTracksWeightMutation(t *testing.T) {
 	if !changed {
 		t.Fatalf("weight mutation did not affect predictions — predictor is caching weights")
 	}
+	frozenUnmoved("after the mutation")
 
 	if err := m.Restore(snap); err != nil {
 		t.Fatalf("restore: %v", err)
@@ -141,6 +154,7 @@ func TestInferTracksWeightMutation(t *testing.T) {
 	if restored := m.Predict(batch); !closeTo(restored, before, 1e-12) {
 		t.Fatalf("post-restore predictions differ from pre-snapshot predictions")
 	}
+	frozenUnmoved("after the restore")
 }
 
 func closeTo(a, b []float64, tol float64) bool {

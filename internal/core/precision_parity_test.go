@@ -17,9 +17,13 @@
 package core
 
 import (
+	"flag"
 	"fmt"
 	"math"
 	"math/rand"
+	"os"
+	"runtime"
+	"strings"
 	"testing"
 
 	"env2vec/internal/envmeta"
@@ -42,6 +46,10 @@ func randomizeParamsScaled(m *Model, rng *rand.Rand) {
 	}
 }
 
+// worstGap is the largest relative distance from the tape each path has
+// shown in this test binary: what the contracts' margins are measured by.
+var worstGap struct{ fused, f32 float64 }
+
 // assertParity checks one batch across all three paths.
 func assertParity(t *testing.T, m *Model, b *nn.Batch, label string) {
 	t.Helper()
@@ -53,19 +61,22 @@ func assertParity(t *testing.T, m *Model, b *nn.Batch, label string) {
 	}
 	for i := range tape {
 		scale := math.Max(1, math.Abs(tape[i]))
-		if d := math.Abs(fused[i] - tape[i]); d > 1e-12*scale {
+		d, d32 := math.Abs(fused[i]-tape[i]), math.Abs(f32[i]-tape[i])
+		if d > 1e-12*scale {
 			t.Fatalf("%s row %d: fused f64 %v vs tape %v (diff %g > 1e-12 rel)", label, i, fused[i], tape[i], d)
 		}
-		if d := math.Abs(f32[i] - tape[i]); d > 1e-4*scale {
-			t.Fatalf("%s row %d: f32 %v vs tape %v (diff %g > 1e-4 rel)", label, i, f32[i], tape[i], d)
+		if d32 > 1e-4*scale {
+			t.Fatalf("%s row %d: f32 %v vs tape %v (diff %g > 1e-4 rel)", label, i, f32[i], tape[i], d32)
 		}
+		worstGap.fused, worstGap.f32 = math.Max(worstGap.fused, d/scale), math.Max(worstGap.f32, d32/scale)
 	}
 }
 
-// TestCrossPrecisionParity is the table-driven battery: all heads ×
-// attention on/off × tail-heavy hidden sizes × batch sizes 1..32 × window
-// lengths 1..20.
-func TestCrossPrecisionParity(t *testing.T) {
+// forEachParityCase walks the battery's table — all heads × attention on/off
+// × tail-heavy hidden sizes × window lengths 1..20 × batch sizes 1..32, every
+// model and batch seeded — and hands each (model, batch) to visit inside a
+// subtest per architecture.
+func forEachParityCase(t *testing.T, visit func(t *testing.T, m *Model, b *nn.Batch, label string)) {
 	schema := envmeta.NewSchema()
 	for i := 0; i < 3; i++ {
 		schema.Observe(envmeta.Environment{
@@ -101,11 +112,58 @@ func TestCrossPrecisionParity(t *testing.T) {
 						randomizeParamsScaled(m, rng)
 						for _, n := range []int{1, 3, 8, 32} {
 							b := randomParityBatch(rng, sizes, n, cfg.In, window)
-							assertParity(t, m, b, fmt.Sprintf("window=%d n=%d", window, n))
+							visit(t, m, b, fmt.Sprintf("%s window=%d n=%d", name, window, n))
 						}
 					}
 				})
 			}
+		}
+	}
+}
+
+// TestCrossPrecisionParity is the table-driven battery: every case of
+// forEachParityCase across all three paths.
+func TestCrossPrecisionParity(t *testing.T) {
+	forEachParityCase(t, assertParity)
+	t.Logf("worst relative gap to the tape: fused float64 %.2g (contract 1e-12), float32 %.2g (contract 1e-4)", worstGap.fused, worstGap.f32)
+}
+
+var updateGolden = flag.Bool("update", false, "rewrite testdata/f32_golden.txt from this build's float32 predictor")
+
+// TestFloat32BitIdenticalToGolden holds the float32 serving path to the bits
+// it answered when testdata/f32_golden.txt was written (the commit before the
+// two predictors became one): the whole parity table through
+// NewPredictor32().Predict, compared by math.Float64bits. amd64 only — the
+// scalar tiles of other platforms round differently from FMA by design.
+func TestFloat32BitIdenticalToGolden(t *testing.T) {
+	if runtime.GOARCH != "amd64" {
+		t.Skip("the golden was written by the amd64 FMA tiles")
+	}
+	const path = "testdata/f32_golden.txt"
+	var got, labels []string
+	forEachParityCase(t, func(t *testing.T, m *Model, b *nn.Batch, label string) {
+		for i, v := range m.NewPredictor32().Predict(b) {
+			got = append(got, fmt.Sprintf("%016x", math.Float64bits(v)))
+			labels = append(labels, fmt.Sprintf("%s row=%d", label, i))
+		}
+	})
+	if *updateGolden {
+		if err := os.WriteFile(path, []byte(strings.Join(got, "\n")+"\n"), 0o644); err != nil {
+			t.Fatal(err)
+		}
+		return
+	}
+	data, err := os.ReadFile(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	want := strings.Split(strings.TrimSuffix(string(data), "\n"), "\n")
+	if len(got) != len(want) {
+		t.Fatalf("%d outputs, golden has %d", len(got), len(want))
+	}
+	for i := range want {
+		if got[i] != want[i] {
+			t.Fatalf("output %d (%s): got %s, golden %s", i, labels[i], got[i], want[i])
 		}
 	}
 }

@@ -21,6 +21,9 @@ func quickLab() *Lab {
 	return ql
 }
 
+// quickTable4 runs the quick KDN study once for every test that reads it.
+var quickTable4 = sync.OnceValues(func() (*Table4Result, error) { return RunTable4(QuickTable4Options()) })
+
 func TestTable3Content(t *testing.T) {
 	out := Table3()
 	for _, want := range []string{"1359", "1191", "755", "900", "259", "141", "100", "200", "150"} {
@@ -31,7 +34,7 @@ func TestTable3Content(t *testing.T) {
 }
 
 func TestRunTable4Quick(t *testing.T) {
-	res, err := RunTable4(QuickTable4Options())
+	res, err := quickTable4()
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -11,6 +11,8 @@ package infer_test
 import (
 	"fmt"
 	"math/rand"
+	"runtime"
+	"runtime/debug"
 	"testing"
 
 	"env2vec/internal/autodiff"
@@ -98,6 +100,56 @@ func TestInfer32Allocations(t *testing.T) {
 		}
 		if a := testing.AllocsPerRun(100, func() { p32.PredictInto(out, b) }); a > 0.5 {
 			t.Fatalf("B%d: float32 PredictInto allocates %.1f/op; want 0", n, a)
+		}
+	}
+}
+
+// TestExactZeroMallocsPerPass counts what testing.AllocsPerRun rounds away
+// (0.6 allocations a pass reads as 0 there): runtime.MemStats.Mallocs over
+// 5 000 warm PredictInto calls is exactly 0 for both precisions at the pass
+// sizes serving runs, and a cold pass — a predictor's first, which grows the
+// arena — costs no more than the 28 objects it did when each precision had
+// its own predictor and arena.
+func TestExactZeroMallocsPerPass(t *testing.T) {
+	if raceEnabled {
+		t.Skip("race-detector instrumentation allocates; gate runs in the non-race pass")
+	}
+	// A collection empties the arena pool, and a goroutine that changes
+	// processor misses what it put back on the last one: neither is the
+	// predictor allocating, so neither may happen mid-count.
+	defer debug.SetGCPercent(debug.SetGCPercent(-1))
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(1))
+	mallocs := func(n int, f func()) uint64 {
+		var before, after runtime.MemStats
+		runtime.ReadMemStats(&before)
+		for i := 0; i < n; i++ {
+			f()
+		}
+		runtime.ReadMemStats(&after)
+		return after.Mallocs - before.Mallocs
+	}
+	rng := rand.New(rand.NewSource(2))
+	for _, n := range []int{1, 8, 32} {
+		m, schema := benchModel(4) // the paper's window: a count does not depend on it, the test's wall time does
+		p32 := m.NewPredictor32()
+		b := benchBatch(rng, schema, n, 8, 4)
+		out := make([]float64, n)
+		for _, pass := range []struct {
+			name string
+			run  func()
+		}{
+			{"float64", func() { m.PredictInto(out, b) }},
+			{"float32", func() { p32.PredictInto(out, b) }},
+		} {
+			cold := mallocs(1, pass.run)
+			warm := mallocs(5000, pass.run)
+			t.Logf("B%d %s: cold pass %d objects, 5000 warm passes %d", n, pass.name, cold, warm)
+			if cold > 28 {
+				t.Errorf("B%d %s: a cold pass allocates %d objects; want ≤ 28", n, pass.name, cold)
+			}
+			if warm != 0 {
+				t.Errorf("B%d %s: 5000 warm passes allocate %d objects; want exactly 0", n, pass.name, warm)
+			}
 		}
 	}
 }

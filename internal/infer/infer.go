@@ -1,31 +1,48 @@
-// Package infer is the tape-free serving forward path. The autodiff tape in
-// internal/autodiff is the right tool for training — every op records a
-// backward closure — but the serving hot loop pays those training-time costs
-// on every prediction: node and matrix allocations per op, per-timestep
-// column slices of the RU window, and six small matmuls per GRU step. This
-// package re-implements the Env2Vec forward pass as straight-line kernels:
+// Package infer is the tape-free forward pass that scores and serves. The
+// autodiff tape in internal/autodiff is the right tool for training — every
+// op records a backward closure — but a prediction pays those training-time
+// costs for nothing: node and matrix allocations per op, per-timestep column
+// slices of the RU window, and six small matmuls per GRU step. Predictor[T]
+// writes the Env2Vec forward pass once, as straight-line kernels over
+// tensor.Mat[T], for both precisions:
 //
-//   - the input-side GRU gate contributions for the whole window are
-//     precomputed in one shot — X·[Wz|Wr|Wh] is a single (batch·n)×in by
-//     in×(3·hidden) MatMulBlockedInto (for the paper's scalar-RU windows the
-//     window matrix reshapes into the step sequence without copying, and the
-//     matmul degenerates to an outer product) — leaving only the recurrent h·U*
-//     matmuls inside the sequential loop;
-//   - every temporary comes from a per-pass scratch arena recycled through a
+//   - the weights are packed for the kernels: [Wz|Wr|Wh] over [bz|br|bh] as
+//     one 2×3H matrix, so the input-side gate contributions of the whole
+//     window, biases included, are ONE (batch·n)×2 by 2×3H product against
+//     the window laid out as (x, 1) pairs; [Uz|Ur] as one H×2H matrix, so a
+//     GRU step is two products — h·[Uz|Ur] and (r⊙h)·Uh — and one logistic
+//     call per row that turns the 2H-wide [z|r] pre-activations into gates
+//     in place;
+//   - every temporary comes from a per-pass tensor.Arena recycled through a
 //     sync.Pool, so steady-state prediction does no heap allocation beyond
-//     the returned slice;
+//     the slice Predict returns;
 //   - bias addition and activations fuse into the loops that consume them.
 //
-// The arithmetic replicates the tape path operation-for-operation in the
-// same order, so the two paths agree to float64 round-off (the parity tests
-// in internal/core assert far tighter than the documented 1e-9). The tape
-// path remains the reference implementation: training and gradient checks
-// use it, and core.Model.PredictTape keeps it callable for parity testing.
+// Exactly two configurations exist, chosen by the constructor and nothing
+// else. NewPredictor is float64 and LIVE: it packs at the top of every pass,
+// into the pass's arena, and every matrix that needs no repacking is viewed
+// in place — only the two packed GRU blocks (2·3H + 2H² floats) are copied —
+// so it tracks optimizer steps and snapshot restores with no refresh call,
+// and any number of goroutines may predict over a shared model.
+// NewPredictor32 is float32 and FROZEN: it rounds and packs once, at
+// construction — the serving contract, where a bundle is immutable after
+// load — never reads the source layers again, and so does not race with
+// training of the model it came from.
 //
-// Weights are read live from the layer parameters on every pass — nothing
-// weight-derived is cached — so a Predictor stays correct across optimizer
-// steps and snapshot restores, and any number of goroutines may predict
-// concurrently over a shared model.
+// Numerics. The tape (core.Model.PredictTape) stays the separately written
+// reference: training and gradient checks use it and the parity batteries
+// in internal/core compare against it. float64: same kernels, same
+// accumulation order and the tape's exact 1/(1+exp(−x)), but one different
+// association — a gate here is σ(h·U + (x·W + b)) where the tape computes
+// σ((x·W + h·U) + b) — so the two agree to round-off, not bit for bit: the
+// contract is ≤ 1e-12 relative, the battery's worst case is 1.4e-15. float32:
+// weights round once at construction and inputs once per call; the logistic
+// is tensor.SigmoidAdd's float32 polynomial (≤ 2 ulp; a window is ~1 300
+// gate sigmoids per row, so that kernel, not the GEMMs, decides what the
+// path costs); tanh and the attention softmax evaluate in float64 and round
+// once (no default model puts them on the hot path). End to end float32
+// agrees with the tape to ~1e-6 relative; the battery asserts a conservative
+// 1e-4 — docs/performance.md has the error budget.
 package infer
 
 import (
@@ -48,9 +65,10 @@ const (
 	HeadMLP                  // y′ = MLP([v_d, C])
 )
 
-// Network references the layers of an assembled Env2Vec model. The Predictor
-// reads weights through these references at call time, so the caller may
-// keep training or restoring the same layers without rebuilding anything.
+// Network references the layers of an assembled Env2Vec model. The live
+// predictor reads weights through these references at call time, so the
+// caller may keep training or restoring the same layers without rebuilding
+// anything.
 type Network struct {
 	FNNHidden  *nn.Dense       // contextual tower hidden layer → v_fs
 	GRU        *nn.GRU         // scalar-input GRU over the RU window → v_ts
@@ -62,22 +80,34 @@ type Network struct {
 	HeadMLP    *nn.MLP        // required when Head == HeadMLP
 }
 
-// Predictor runs the fused forward pass. Create once per model with
-// NewPredictor; it is safe for concurrent use.
-type Predictor struct {
-	net  Network
-	pool sync.Pool // of *arena
+// Predictor runs the fused forward pass in precision T. It is safe for
+// concurrent use. Inputs arrive and results leave as float64 — precision is
+// an implementation detail of whoever built the predictor, invisible in the
+// API.
+type Predictor[T tensor.Float] struct {
+	net    Network     // read on every pass when frozen is nil
+	frozen *weights[T] // packed once by NewPredictor32; nil means live
+	pool   sync.Pool   // of *scratch[T]
 }
 
-// NewPredictor validates the network wiring and returns a ready predictor.
-func NewPredictor(net Network) *Predictor {
+// NewPredictor validates the network wiring and returns the live float64
+// predictor over it.
+func NewPredictor(net Network) *Predictor[float64] {
 	validateNetwork(net)
-	p := &Predictor{net: net}
-	p.pool.New = func() any { return &arena{} }
+	return &Predictor[float64]{net: net}
+}
+
+// NewPredictor32 validates the network wiring and snapshots its weights into
+// a frozen float32 predictor. The conversion rounds every weight exactly
+// once; later optimizer steps or restores on the source layers are NOT
+// reflected — build another to pick up new weights.
+func NewPredictor32(net Network) *Predictor[float32] {
+	validateNetwork(net)
+	p := &Predictor[float32]{frozen: new(weights[float32])}
+	p.frozen.pack(net, new(tensor.Arena[float32])) // an arena nobody rewinds: the heap
 	return p
 }
 
-// validateNetwork checks the wiring shared by both precision paths.
 func validateNetwork(net Network) {
 	if net.FNNHidden == nil || net.GRU == nil || net.Dense == nil {
 		panic("infer: network is missing a layer")
@@ -103,8 +133,104 @@ func validateNetwork(net Network) {
 	}
 }
 
+// scratch is what one forward pass owns: the arena its temporaries are
+// carved from, the per-step hidden states the attention variant keeps, and
+// — for the live predictor — the pass's packed weights.
+type scratch[T tensor.Float] struct {
+	tensor.Arena[T]
+	states []*tensor.Mat[T]
+	live   weights[T]
+}
+
+// dense is one packed dense layer: act(x·W + b).
+type dense[T tensor.Float] struct {
+	w   *tensor.Mat[T]
+	b   []T
+	act nn.Activation
+}
+
+// weights is the network as the kernels read it.
+type weights[T tensor.Float] struct {
+	head Head
+
+	fnn, dense dense[T]
+
+	fw      *tensor.Mat[T] // 2×3H: [Wz|Wr|Wh] over [bz|br|bh]
+	uzr     *tensor.Mat[T] // H×2H: [Uz|Ur], the fused recurrent block
+	uh      *tensor.Mat[T]
+	candAct nn.Activation
+
+	tables []*tensor.Mat[T]
+
+	attnW        *tensor.Mat[T] // nil when the model has no attention
+	attnB, attnV []T
+
+	bilinear   *tensor.Mat[T]
+	mlpH, mlpO dense[T]
+}
+
+// load makes a float64 matrix readable as a Mat[T]: in place under a
+// recycled header when T is float64, as a copy rounded once when it is not.
+func load[T tensor.Float](a *tensor.Arena[T], src *tensor.Matrix) *tensor.Mat[T] {
+	if same, ok := any(src).(*tensor.Mat[T]); ok {
+		return a.View(same.Rows, same.Cols, same.Data)
+	}
+	m := a.Mat(src.Rows, src.Cols)
+	convert(m.Data, src.Data)
+	return m
+}
+
+func convert[T tensor.Float](dst []T, src []float64) {
+	for i, v := range src {
+		dst[i] = T(v)
+	}
+}
+
+func loadDense[T tensor.Float](a *tensor.Arena[T], d *nn.Dense) dense[T] {
+	return dense[T]{w: load(a, d.W.Value), b: load(a, d.B.Value).Data, act: d.Act}
+}
+
+// pack reads the network's current weights into w, carving from a whatever
+// has to be copied. It allocates nothing once a and w.tables are warm.
+func (w *weights[T]) pack(net Network, a *tensor.Arena[T]) {
+	g := net.GRU
+	H := g.Hidden
+	w.head = net.Head
+	w.fnn, w.dense = loadDense(a, net.FNNHidden), loadDense(a, net.Dense)
+
+	// The GRU input is a scalar (validateNetwork), so the input-side product
+	// for all three gates is x·fw[0]; fw[1] holds the biases and meets a
+	// constant 1 beside x, which makes the input GEMM add them for free.
+	w.fw = a.Mat(2, 3*H)
+	for k, part := range [3][2]*nn.Param{{g.Wz, g.Bz}, {g.Wr, g.Br}, {g.Wh, g.Bh}} {
+		convert(w.fw.Row(0)[k*H:], part[0].Value.Data)
+		convert(w.fw.Row(1)[k*H:], part[1].Value.Data)
+	}
+	w.uzr = a.Mat(H, 2*H)
+	for i := 0; i < H; i++ {
+		row := w.uzr.Row(i)
+		convert(row[:H], g.Uz.Value.Row(i))
+		convert(row[H:], g.Ur.Value.Row(i))
+	}
+	w.uh, w.candAct = load(a, g.Uh.Value), g.CandidateAct
+
+	w.tables = w.tables[:0]
+	for _, e := range net.Embeddings {
+		w.tables = append(w.tables, load(a, e.Table.Value))
+	}
+	if at := net.Attention; at != nil {
+		w.attnW, w.attnB, w.attnV = load(a, at.W.Value), load(a, at.B.Value).Data, load(a, at.V.Value).Data
+	}
+	switch net.Head {
+	case HeadBilinear:
+		w.bilinear = load(a, net.Bilinear)
+	case HeadMLP:
+		w.mlpH, w.mlpO = loadDense(a, net.HeadMLP.Hidden), loadDense(a, net.HeadMLP.Out)
+	}
+}
+
 // Predict returns one prediction per batch row.
-func (p *Predictor) Predict(b *nn.Batch) []float64 {
+func (p *Predictor[T]) Predict(b *nn.Batch) []float64 {
 	out := make([]float64, b.X.Rows)
 	p.PredictInto(out, b)
 	return out
@@ -113,12 +239,9 @@ func (p *Predictor) Predict(b *nn.Batch) []float64 {
 // PredictInto writes one prediction per batch row into out, which must be
 // batch-sized. This is the zero-allocation entry point for callers that
 // manage their own result storage.
-func (p *Predictor) PredictInto(out []float64, b *nn.Batch) {
+func (p *Predictor[T]) PredictInto(out []float64, b *nn.Batch) {
 	if b.Window == nil {
 		panic("infer: batch has no RU-history window")
-	}
-	if len(b.EnvIDs) != len(p.net.Embeddings) {
-		panic(fmt.Sprintf("infer: batch has %d env id features, model wants %d", len(b.EnvIDs), len(p.net.Embeddings)))
 	}
 	n := b.X.Rows
 	if b.Window.Rows != n {
@@ -127,162 +250,127 @@ func (p *Predictor) PredictInto(out []float64, b *nn.Batch) {
 	if len(out) != n {
 		panic(fmt.Sprintf("infer: out has %d slots for %d examples", len(out), n))
 	}
-	a := p.pool.Get().(*arena)
-	defer p.pool.Put(a)
-	a.reset()
-
-	vfs := denseForward(a, p.net.FNNHidden, b.X)
-
-	var vts *tensor.Matrix
-	if p.net.Attention != nil {
-		_, states := p.gruWindow(a, b.Window, true)
-		vts = attentionMix(a, p.net.Attention, states)
-	} else {
-		vts, _ = p.gruWindow(a, b.Window, false)
+	s, _ := p.pool.Get().(*scratch[T])
+	if s == nil {
+		s = new(scratch[T])
+	}
+	defer p.pool.Put(s)
+	a := &s.Arena
+	a.Reset()
+	s.states = s.states[:0]
+	w := p.frozen
+	if w == nil {
+		w = &s.live
+		w.pack(p.net, a)
+	}
+	if len(b.EnvIDs) != len(w.tables) {
+		panic(fmt.Sprintf("infer: batch has %d env id features, model wants %d", len(b.EnvIDs), len(w.tables)))
 	}
 
-	vs := concatCols(a, vts, vfs)
-	vd := denseForward(a, p.net.Dense, vs)
-	c := p.gatherEmbeddings(a, b.EnvIDs, n)
+	vfs := denseForward(a, w.fnn, load(a, b.X))
+	vts := w.gruWindow(s, b.Window)
+	if w.attnW != nil {
+		vts = w.attentionMix(s)
+	}
+	vd := denseForward(a, w.dense, concatCols(a, vts, vfs))
+	c := w.gatherEmbeddings(a, b.EnvIDs, n)
 
-	switch p.net.Head {
+	switch w.head {
 	case HeadBilinear:
-		vr := a.mat(n, p.net.Bilinear.Cols)
-		tensor.MatMulBlockedInto(vr, vd, p.net.Bilinear)
+		vr := a.Mat(n, w.bilinear.Cols)
+		tensor.MatMulBlockedInto(vr, vd, w.bilinear)
 		rowDots(out, vr, c)
 	case HeadMLP:
-		x := concatCols(a, vd, c)
-		y := denseForward(a, p.net.HeadMLP.Out, denseForward(a, p.net.HeadMLP.Hidden, x))
-		copy(out, y.Data)
+		y := denseForward(a, w.mlpO, denseForward(a, w.mlpH, concatCols(a, vd, c)))
+		for i, v := range y.Data {
+			out[i] = float64(v)
+		}
 	default:
 		rowDots(out, vd, c)
 	}
 }
 
-// gruWindow runs the fused GRU over a batch×T scalar window, returning the
-// final hidden state and, when all is set, every step's state (arena-owned).
-func (p *Predictor) gruWindow(a *arena, w *tensor.Matrix, all bool) (*tensor.Matrix, []*tensor.Matrix) {
-	g := p.net.GRU
-	n, T, H := w.Rows, w.Cols, g.Hidden
-	if T == 0 {
+// gruWindow runs the fused GRU over a batch×steps scalar window and returns
+// the final hidden state; with attention it also leaves every step's state
+// in s.states.
+func (w *weights[T]) gruWindow(s *scratch[T], win *tensor.Matrix) *tensor.Mat[T] {
+	n, steps, H := win.Rows, win.Cols, w.uh.Rows
+	if steps == 0 {
 		panic("infer: window has no timesteps")
 	}
-
-	// Input-side gate contributions for the whole window in one shot. The
-	// row-major batch×T window IS the (batch·T)×1 step-input matrix, so the
-	// reshape is free, and [Wz|Wr|Wh] packs into one 1×3H row. Row i·T+t of
-	// pre then holds [x·Wz | x·Wr | x·Wh] for example i at step t.
-	fw := a.mat(g.In, 3*H)
-	for i := 0; i < g.In; i++ {
-		row := fw.Row(i)
-		copy(row[:H], g.Wz.Value.Row(i))
-		copy(row[H:2*H], g.Wr.Value.Row(i))
-		copy(row[2*H:], g.Wh.Value.Row(i))
+	// The row-major batch×steps window IS the step-input sequence: row
+	// i·steps+t of pre holds [x·Wz+bz | x·Wr+br | x·Wh+bh] for example i at
+	// step t.
+	xall := s.Mat(n*steps, 2)
+	for i, v := range win.Data {
+		xall.Data[2*i], xall.Data[2*i+1] = T(v), 1
 	}
-	xall := a.view(n*T, 1, w.Data)
-	pre := a.mat(n*T, 3*H)
-	tensor.MatMulBlockedInto(pre, xall, fw)
+	pre := s.Mat(n*steps, 3*H)
+	tensor.MatMulBlockedInto(pre, xall, w.fw)
 
-	h := a.mat(n, H)
+	h := s.Mat(n, H)
 	h.Zero()
-	ru := a.mat(n, H)    // candidate recurrent matmul scratch
-	ru2 := a.mat(n, 2*H) // fused z|r recurrent matmul scratch
-	z := a.mat(n, H)
-	r := a.mat(n, H)
-	rh := a.mat(n, H)
-	hc := a.mat(n, H)
-	bz, br, bh := g.Bz.Value.Data, g.Br.Value.Data, g.Bh.Value.Data
+	zr := s.Mat(n, 2*H)
+	rh := s.Mat(n, H)
+	hc := s.Mat(n, H)
 
-	for t := 0; t < T; t++ {
-		// z = σ(x·Wz + h·Uz + bz) and r = σ(x·Wr + h·Ur + br): both gates
-		// multiply the same h, so one fused kernel computes h·[Uz|Ur] and
-		// one pass applies biases and sigmoids to both.
-		tensor.MatMulPairInto(ru2, h, g.Uz.Value, g.Ur.Value)
-		gateRows2(z, r, pre, ru2, bz, br, t, T, H)
-		// h' = act(x·Wh + (r ⊙ h)·Uh + bh)
-		tensor.MulInto(rh, r, h)
-		tensor.MatMulBlockedInto(ru, rh, g.Uh.Value)
-		gateRows(hc, pre, ru, bh, t, T, 2*H, H, false)
-		applyAct(hc, g.CandidateAct)
-		// h = (1−z) ⊙ h' + z ⊙ h, elementwise so updating in place is safe.
-		for i := range h.Data {
-			h.Data[i] = (1-z.Data[i])*hc.Data[i] + z.Data[i]*h.Data[i]
+	for t := 0; t < steps; t++ {
+		// z = σ(h·Uz + x·Wz + bz) and r = σ(h·Ur + x·Wr + br), side by side.
+		tensor.MatMulBlockedInto(zr, h, w.uzr)
+		for i := 0; i < n; i++ {
+			gates := zr.Row(i)
+			tensor.SigmoidAdd(gates, gates, pre.Row(i*steps + t)[:2*H])
+			r, hrow, out := gates[H:][:H], h.Row(i)[:H], rh.Row(i)[:H]
+			for j, v := range r {
+				out[j] = v * hrow[j]
+			}
 		}
-		if all {
-			st := a.mat(n, H)
+		// h′ = act((r ⊙ h)·Uh + x·Wh + bh), then h = (1−z) ⊙ h′ + z ⊙ h —
+		// elementwise, so updating in place is safe.
+		tensor.MatMulBlockedInto(hc, rh, w.uh)
+		for i := 0; i < n; i++ {
+			z, hrow, crow := zr.Row(i)[:H], h.Row(i)[:H], hc.Row(i)[:H]
+			addAct(crow, pre.Row(i*steps + t)[2*H:], w.candAct)
+			for j, zj := range z {
+				hrow[j] = (1-zj)*crow[j] + zj*hrow[j]
+			}
+		}
+		if w.attnW != nil {
+			st := s.Mat(n, H)
 			copy(st.Data, h.Data)
-			a.states = append(a.states, st)
+			s.states = append(s.states, st)
 		}
 	}
-	return h, a.states
+	return h
 }
 
-// gateRows computes dst = pre[·, off:off+width at step t] + ru + bias, with
-// the same (input + recurrent) + bias association the tape path uses, and
-// optionally applies the sigmoid in the same pass.
-func gateRows(dst, pre, ru *tensor.Matrix, bias []float64, t, T, off, width int, sig bool) {
-	stride := pre.Cols
-	for i := 0; i < dst.Rows; i++ {
-		prow := pre.Data[(i*T+t)*stride+off:]
-		drow, rrow := dst.Row(i), ru.Row(i)
-		if sig {
-			for j := 0; j < width; j++ {
-				drow[j] = sigmoid(prow[j] + rrow[j] + bias[j])
-			}
-		} else {
-			for j := 0; j < width; j++ {
-				drow[j] = prow[j] + rrow[j] + bias[j]
-			}
-		}
-	}
-}
+// attentionMix replicates nn.Attention.Forward over s.states: additive
+// scores, an exp/sum softmax accumulated in step order, and the weighted
+// state mixture. The transcendentals evaluate in float64 and round once.
+func (w *weights[T]) attentionMix(s *scratch[T]) *tensor.Mat[T] {
+	n, H := s.states[0].Rows, s.states[0].Cols
+	attn := w.attnW.Cols
 
-// gateRows2 applies both update-gate and reset-gate rows in one pass over
-// the fused recurrent product: ru2's left H columns hold h·Uz, its right H
-// columns h·Ur (see tensor.MatMulPairInto). Per element the association is
-// identical to two gateRows calls: (input + recurrent) + bias, then σ.
-func gateRows2(z, r, pre, ru2 *tensor.Matrix, bz, br []float64, t, T, H int) {
-	stride := pre.Cols
-	for i := 0; i < z.Rows; i++ {
-		prow := pre.Data[(i*T+t)*stride : (i*T+t)*stride+2*H]
-		rrow := ru2.Row(i)
-		zrow, rr := z.Row(i), r.Row(i)
-		for j := 0; j < H; j++ {
-			zrow[j] = sigmoid(prow[j] + rrow[j] + bz[j])
-		}
-		for j := 0; j < H; j++ {
-			rr[j] = sigmoid(prow[H+j] + rrow[H+j] + br[j])
-		}
-	}
-}
-
-// attentionMix replicates nn.Attention.Forward: additive scores, an exp/sum
-// softmax accumulated in step order, and the weighted state mixture.
-func attentionMix(a *arena, at *nn.Attention, states []*tensor.Matrix) *tensor.Matrix {
-	n, H := states[0].Rows, states[0].Cols
-	attn := at.W.Value.Cols
-	bias, v := at.B.Value.Data, at.V.Value.Data
-
-	st := a.mat(n, attn)
-	exps := a.mat(n, len(states)) // exps[i][t] = exp(score of state t, row i)
-	total := a.mat(n, 1)
+	st := s.Mat(n, attn)
+	exps := s.Mat(n, len(s.states)) // exps[i][t] = exp(score of state t, row i)
+	total := s.Mat(n, 1)
 	total.Zero()
-	for t, ht := range states {
-		tensor.MatMulBlockedInto(st, ht, at.W.Value)
+	for t, ht := range s.states {
+		tensor.MatMulBlockedInto(st, ht, w.attnW)
 		for i := 0; i < n; i++ {
 			row := st.Row(i)
-			s := 0.0
+			sum := 0.0
 			for j := 0; j < attn; j++ {
-				s += math.Tanh(row[j]+bias[j]) * v[j]
+				sum += math.Tanh(float64(row[j]+w.attnB[j])) * float64(w.attnV[j])
 			}
-			e := math.Exp(s)
+			e := T(math.Exp(sum))
 			exps.Set(i, t, e)
 			total.Data[i] += e
 		}
 	}
-	out := a.mat(n, H)
+	out := s.Mat(n, H)
 	out.Zero()
-	for t, ht := range states {
+	for t, ht := range s.states {
 		for i := 0; i < n; i++ {
 			alpha := exps.At(i, t) * (1 / total.Data[i])
 			hrow, orow := ht.Row(i), out.Row(i)
@@ -297,11 +385,10 @@ func attentionMix(a *arena, at *nn.Attention, states []*tensor.Matrix) *tensor.M
 // gatherEmbeddings fuses the per-feature table gathers and the column
 // concatenation of Equation 1 into direct row copies, clamping unseen or
 // out-of-range ids to the <unk> row exactly like nn.Embedding.Forward.
-func (p *Predictor) gatherEmbeddings(a *arena, envIDs [][]int, n int) *tensor.Matrix {
-	dim := p.net.Embeddings[0].Dim
-	c := a.mat(n, len(p.net.Embeddings)*dim)
-	for k, emb := range p.net.Embeddings {
-		tbl := emb.Table.Value
+func (w *weights[T]) gatherEmbeddings(a *tensor.Arena[T], envIDs [][]int, n int) *tensor.Mat[T] {
+	dim := w.tables[0].Cols
+	c := a.Mat(n, len(w.tables)*dim)
+	for k, tbl := range w.tables {
 		ids := envIDs[k]
 		if len(ids) != n {
 			panic(fmt.Sprintf("infer: env feature %d has %d ids for %d examples", k, len(ids), n))
@@ -319,22 +406,17 @@ func (p *Predictor) gatherEmbeddings(a *arena, envIDs [][]int, n int) *tensor.Ma
 
 // denseForward is act(x·W + b) with the bias fold and activation fused into
 // one pass over the output.
-func denseForward(a *arena, d *nn.Dense, x *tensor.Matrix) *tensor.Matrix {
-	out := a.mat(x.Rows, d.W.Value.Cols)
-	tensor.MatMulBlockedInto(out, x, d.W.Value)
-	bias := d.B.Value.Data
+func denseForward[T tensor.Float](a *tensor.Arena[T], d dense[T], x *tensor.Mat[T]) *tensor.Mat[T] {
+	out := a.Mat(x.Rows, d.w.Cols)
+	tensor.MatMulBlockedInto(out, x, d.w)
 	for i := 0; i < out.Rows; i++ {
-		row := out.Row(i)
-		for j := range row {
-			row[j] += bias[j]
-		}
+		addAct(out.Row(i), d.b, d.act)
 	}
-	applyAct(out, d.Act)
 	return out
 }
 
-func concatCols(a *arena, l, r *tensor.Matrix) *tensor.Matrix {
-	out := a.mat(l.Rows, l.Cols+r.Cols)
+func concatCols[T tensor.Float](a *tensor.Arena[T], l, r *tensor.Mat[T]) *tensor.Mat[T] {
+	out := a.Mat(l.Rows, l.Cols+r.Cols)
 	for i := 0; i < out.Rows; i++ {
 		row := out.Row(i)
 		copy(row[:l.Cols], l.Row(i))
@@ -344,37 +426,39 @@ func concatCols(a *arena, l, r *tensor.Matrix) *tensor.Matrix {
 }
 
 // rowDots writes the per-row inner product of two equal-shape matrices —
-// SumRows(Mul(a, b)) without the intermediate.
-func rowDots(out []float64, a, b *tensor.Matrix) {
+// SumRows(Mul(a, b)) without the intermediate — accumulated in T.
+func rowDots[T tensor.Float](out []float64, a, b *tensor.Mat[T]) {
 	for i := range out {
 		arow, brow := a.Row(i), b.Row(i)
-		s := 0.0
+		var s T
 		for j, v := range arow {
 			s += v * brow[j]
 		}
-		out[i] = s
+		out[i] = float64(s)
 	}
 }
 
-// sigmoid matches the autodiff tape's formulation exactly.
-func sigmoid(x float64) float64 { return 1 / (1 + math.Exp(-x)) }
-
-func applyAct(m *tensor.Matrix, act nn.Activation) {
+// addAct computes row = act(row + addend) — a dense layer's bias, or the
+// input-side half of the GRU candidate. The logistic does both in one
+// kernel; tanh evaluates in float64 and rounds once.
+func addAct[T tensor.Float](row, addend []T, act nn.Activation) {
+	if act == nn.Sigmoid {
+		tensor.SigmoidAdd(row, row, addend)
+		return
+	}
+	addend = addend[:len(row)]
 	switch act {
 	case nn.Linear:
-	case nn.Sigmoid:
-		for i, v := range m.Data {
-			m.Data[i] = sigmoid(v)
+		for j, v := range addend {
+			row[j] += v
 		}
 	case nn.Tanh:
-		for i, v := range m.Data {
-			m.Data[i] = math.Tanh(v)
+		for j, v := range addend {
+			row[j] = T(math.Tanh(float64(row[j] + v)))
 		}
 	case nn.ReLU:
-		for i, v := range m.Data {
-			if v < 0 {
-				m.Data[i] = 0
-			}
+		for j, v := range addend {
+			row[j] = max(row[j]+v, 0)
 		}
 	default:
 		panic(fmt.Sprintf("infer: unknown activation %d", int(act)))

@@ -4,7 +4,6 @@ import (
 	"math/rand"
 
 	"env2vec/internal/autodiff"
-	"env2vec/internal/tensor"
 )
 
 // MLP is a one-hidden-layer feed-forward regressor with dropout on the
@@ -61,8 +60,3 @@ func (m *MLP) Predict(b *Batch) []float64 {
 
 // Params implements Model.
 func (m *MLP) Params() []*Param { return CollectParams(m.Hidden, m.Out) }
-
-// PredictMatrix is a convenience that predicts for a plain feature matrix.
-func (m *MLP) PredictMatrix(x *tensor.Matrix) []float64 {
-	return m.Predict(&Batch{X: x, Y: tensor.New(x.Rows, 1)})
-}

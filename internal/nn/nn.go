@@ -42,12 +42,6 @@ func (p *Param) Bind(t *autodiff.Tape) *autodiff.Node {
 	return n
 }
 
-// Value32 exports a float32 snapshot of the parameter's current value —
-// the load-time weight conversion of the float32 serving path. The copy is
-// independent: later optimizer steps or restores do not touch it, which is
-// what lets a frozen float32 predictor run concurrently with training.
-func (p *Param) Value32() *tensor.Matrix32 { return p.Value.To32() }
-
 // Grad returns the gradient from the most recent bound backward pass, or
 // nil if the parameter was never bound. The matrix belongs to the tape the
 // parameter was bound on and is valid until that tape is Reset or Released:

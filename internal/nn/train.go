@@ -198,16 +198,6 @@ func EvalMSE(m Model, b *Batch) float64 {
 	return s / float64(len(preds))
 }
 
-// EvalMAE computes the mean absolute error of the model on the batch.
-func EvalMAE(m Model, b *Batch) float64 {
-	preds := m.Predict(b)
-	s := 0.0
-	for i, p := range preds {
-		s += math.Abs(p - b.Y.Data[i])
-	}
-	return s / float64(len(preds))
-}
-
 func snapshot(params []*Param) [][]float64 {
 	out := make([][]float64, len(params))
 	for i, p := range params {

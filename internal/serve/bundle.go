@@ -108,7 +108,7 @@ type Bundle struct {
 	// pred32 is the frozen float32 predictor when the bundle was configured
 	// with PrecisionFloat32; nil means the float64 path. Set once by
 	// SetPrecision before the bundle is swapped in, never after.
-	pred32 *infer.Predictor32
+	pred32 *infer.Predictor[float32]
 }
 
 // SetPrecision fixes the numeric path the bundle serves on. For float32 it

@@ -442,10 +442,14 @@ var (
 	ErrOverloaded = errors.New("serve: queue full")
 	ErrNoModel    = errors.New("serve: no model loaded")
 	ErrClosed     = errors.New("serve: server shutting down")
-	// ErrNonFinite rejects a NaN or ±Inf input value. JSON cannot carry
-	// one, the binary protocol can; it is refused at admission so it never
-	// reaches a forward pass shared with other requests.
-	ErrNonFinite = errors.New("serve: non-finite input value")
+	// ErrNonFinite refuses a value that is not a number anyone can act on.
+	// A NaN or ±Inf input — JSON cannot carry one, the binary protocol can —
+	// is refused at admission (400), so it never reaches a forward pass
+	// shared with other requests. A finite input the model answers with NaN
+	// or ±Inf — a magnitude beyond float32 narrows to ±Inf inside the frozen
+	// path, and Inf·0 in the GRU is NaN — is refused after the pass (422):
+	// that item fails alone, its neighbours in the pass are served.
+	ErrNonFinite = errors.New("serve: non-finite value")
 )
 
 // Do submits one request and blocks until a worker has served it (or it was
@@ -708,6 +712,20 @@ func (s *Server) runBatch(w *scratch, items []*item) {
 	}
 	preds := w.preds[:n]
 	b.PredictInto(preds, batch)
+	// A prediction that is not finite is not an answer (ErrNonFinite): that
+	// item fails, the rest of the pass closes ranks behind it.
+	k := 0
+	for i, it := range valid {
+		if !finite(preds[i]) {
+			s.fail(it, http.StatusUnprocessableEntity, fmt.Errorf("%w: the %s model answers %v for this input", ErrNonFinite, b.ActivePrecision(), preds[i]))
+			continue
+		}
+		valid[k], preds[k] = it, preds[i]
+		k++
+	}
+	if valid = valid[:k]; k == 0 {
+		return
+	}
 
 	batchID := s.batchSeq.Add(1)
 	s.batchSizes.Observe(float64(n))

@@ -22,6 +22,32 @@ func randMat(rng *rand.Rand, rows, cols int) *Matrix {
 	return m
 }
 
+// fill sets every element of m to v.
+func fill[T Float](m *Mat[T], v T) {
+	for i := range m.Data {
+		m.Data[i] = v
+	}
+}
+
+// to32 returns a float32 copy of m, rounding every element once, and round32
+// that copy widened back — "what the float32 weights actually are" as a
+// float64 reference.
+func to32(m *Matrix) *Matrix32 {
+	out := New32(m.Rows, m.Cols)
+	for i, v := range m.Data {
+		out.Data[i] = float32(v)
+	}
+	return out
+}
+
+func round32(m *Matrix) *Matrix {
+	out := New(m.Rows, m.Cols)
+	for i, v := range m.Data {
+		out.Data[i] = float64(float32(v))
+	}
+	return out
+}
+
 // MatMulInto is the naive triple loop the blocked kernel and the vector tile
 // replaced, kept here as their bit-exact reference: one output row at a
 // time, k ascending, a read-modify-write of out per multiply-add. It skips
@@ -78,7 +104,7 @@ func TestBlockedMatchesNaive(t *testing.T) {
 			a, b := randMat(rng, m, k), randMat(rng, k, n)
 			want := matMulNaive(a, b)
 			got := New(m, n)
-			got.Fill(math.NaN()) // any element the kernel misses survives as NaN
+			fill(got, math.NaN()) // any element the kernel misses survives as NaN
 			MatMulBlockedInto(got, a, b)
 			for i := range want.Data {
 				if got.Data[i] != want.Data[i] {
@@ -101,8 +127,8 @@ func TestBlocked32MatchesFloat64(t *testing.T) {
 	for _, s := range [][3]int{{1, 1, 1}, {3, 7, 11}, {8, 32, 96}, {5, 13, 3}, {33, 31, 5}} {
 		m, k, n := s[0], s[1], s[2]
 		a, b := randMat(rng, m, k), randMat(rng, k, n)
-		a32, b32 := a.To32(), b.To32()
-		want := matMulNaive(a.Round32(), b.Round32())
+		a32, b32 := to32(a), to32(b)
+		want := matMulNaive(round32(a), round32(b))
 		got := New32(m, n)
 		MatMulBlockedInto32(got, a32, b32)
 		tol := float64(k+4) * 1.2e-7
@@ -116,64 +142,12 @@ func TestBlocked32MatchesFloat64(t *testing.T) {
 	}
 }
 
-// TestPairMatchesSeparate pins the fused recurrent-gate kernel: packing
-// a·b1 and a·b2 side by side must be bit-identical to two separate blocked
-// products, including ragged widths on either half and b1/b2 widths of 0.
-func TestPairMatchesSeparate(t *testing.T) {
-	rng := rand.New(rand.NewSource(44))
-	cases := [][3]int{ // {k, n1, n2}
-		{32, 32, 32}, // the GRU [Uz|Ur] shape
-		{7, 5, 3}, {1, 1, 1}, {13, 4, 9}, {6, 0, 8}, {6, 8, 0},
-	}
-	for _, c := range cases {
-		k, n1, n2 := c[0], c[1], c[2]
-		for _, m := range []int{1, 2, 5, 8} {
-			a := randMat(rng, m, k)
-			b1, b2 := randMat(rng, k, n1), randMat(rng, k, n2)
-			got := New(m, n1+n2)
-			got.Fill(math.NaN())
-			MatMulPairInto(got, a, b1, b2)
-			w1, w2 := matMulNaive(a, b1), matMulNaive(a, b2)
-			for i := 0; i < m; i++ {
-				row := got.Row(i)
-				for j := 0; j < n1; j++ {
-					if row[j] != w1.At(i, j) {
-						t.Fatalf("m=%d k=%d n1=%d n2=%d: left half (%d,%d) = %v, want %v", m, k, n1, n2, i, j, row[j], w1.At(i, j))
-					}
-				}
-				for j := 0; j < n2; j++ {
-					if row[n1+j] != w2.At(i, j) {
-						t.Fatalf("m=%d k=%d n1=%d n2=%d: right half (%d,%d) = %v, want %v", m, k, n1, n2, i, j, row[n1+j], w2.At(i, j))
-					}
-				}
-			}
-			// float32 twin, against the strided scalar reference.
-			got32 := New32(m, n1+n2)
-			MatMulPairInto32(got32, a.To32(), b1.To32(), b2.To32())
-			want32 := New32(m, n1+n2)
-			if n1 > 0 {
-				matMulScalar32(want32.Data, a.To32().Data, b1.To32().Data, m, k, n1, n1+n2, 0)
-			}
-			if n2 > 0 {
-				matMulScalar32(want32.Data, a.To32().Data, b2.To32().Data, m, k, n2, n1+n2, n1)
-			}
-			tol := float64(k+4) * 1.2e-7
-			for i := range want32.Data {
-				scale := math.Max(1, math.Abs(float64(want32.Data[i])))
-				if d := math.Abs(float64(got32.Data[i] - want32.Data[i])); d > tol*scale {
-					t.Fatalf("m=%d k=%d n1=%d n2=%d: f32 pair element %d diff %g", m, k, n1, n2, i, d)
-				}
-			}
-		}
-	}
-}
-
 // TestBlockedZeroK pins the k=0 guard: the inner dimension collapses to
 // nothing, so the kernel must zero-fill out rather than leave stale scratch.
 func TestBlockedZeroK(t *testing.T) {
 	a, b := New(3, 0), New(0, 5)
 	out := New(3, 5)
-	out.Fill(7)
+	fill(out, 7)
 	MatMulBlockedInto(out, a, b)
 	for i, v := range out.Data {
 		if v != 0 {
@@ -218,8 +192,8 @@ func edgeMat(rng *rand.Rand, rows, cols int) *Matrix {
 // over every tile boundary (full 4×8 tiles, 1×8 row tails, the Go column
 // tails beside them, k from 0 up) and every shape the model multiplies, the
 // assembly path, the scalar path and the naive reference produce the same
-// math.Float64bits in every element — including MatMulPairInto's strided
-// output. A VFMADD in the tile fails this on the first shape with k > 1.
+// math.Float64bits in every element. A VFMADD in the tile fails this on the
+// first shape with k > 1.
 func TestF64TileMatchesScalar(t *testing.T) {
 	if !useAsm {
 		t.Log("no AVX2 tiles on this CPU: comparing the scalar kernel with the naive reference only")
@@ -244,14 +218,8 @@ func TestF64TileMatchesScalar(t *testing.T) {
 	for _, m := range ms {
 		for _, n := range ns {
 			for _, k := range []int{0, 1, 2, 5, 32, 33, 96} {
-				a, b, b2 := edgeMat(rng, m, k), edgeMat(rng, k, n), edgeMat(rng, k, 8+n%5)
+				a, b := edgeMat(rng, m, k), edgeMat(rng, k, n)
 				naive := matMulNaive(a, b)
-				naive2 := matMulNaive(a, b2)
-				wantPair := New(m, n+b2.Cols)
-				for i := 0; i < m; i++ {
-					copy(wantPair.Row(i), naive.Row(i))
-					copy(wantPair.Row(i)[n:], naive2.Row(i))
-				}
 				for _, asm := range []bool{false, true} {
 					if asm && !hasAsm {
 						continue
@@ -259,13 +227,9 @@ func TestF64TileMatchesScalar(t *testing.T) {
 					useAsm = asm
 					what := fmt.Sprintf("%dx%dx%d asm=%v", m, k, n, asm)
 					got := New(m, n)
-					got.Fill(math.NaN())
+					fill(got, math.NaN())
 					MatMulBlockedInto(got, a, b)
 					sameBits(what, got, naive)
-					pair := New(m, n+b2.Cols)
-					pair.Fill(math.NaN())
-					MatMulPairInto(pair, a, b, b2)
-					sameBits(what+" pair", pair, wantPair)
 				}
 			}
 		}
@@ -290,10 +254,10 @@ func TestF32VectorMatchesScalar(t *testing.T) {
 	for _, s := range shapes {
 		m, k, n := s[0], s[1], s[2]
 		a, b := randMat(rng, m, k), randMat(rng, k, n)
-		a32, b32 := a.To32(), b.To32()
+		a32, b32 := to32(a), to32(b)
 		asm, sc := New32(m, n), New32(m, n)
-		matMulAsm32(asm.Data, a32.Data, b32.Data, m, k, n, n, 0)
-		matMulScalar32(sc.Data, a32.Data, b32.Data, m, k, n, n, 0)
+		MatMulBlockedInto(asm, a32, b32)
+		matMulScalar(sc.Data, a32.Data, b32.Data, m, k, n, 0)
 		tol := float64(k+4) * 2.4e-7
 		for i := range asm.Data {
 			scale := math.Max(1, math.Abs(float64(sc.Data[i])))
@@ -343,8 +307,6 @@ func TestBlockedAliasPanics(t *testing.T) {
 		a := FromSlice(4, 4, backing[:16])
 		MatMulBlockedInto(out, a, New(4, 4))
 	})
-	sq8 := New(4, 8)
-	expectPanic("pair out==b2", func() { MatMulPairInto(sq8, New(4, 4), New(4, 4), FromSlice(4, 4, sq8.Data[:16])) })
 	sq32 := New32(4, 4)
 	expectPanic("f32 out==a", func() { MatMulBlockedInto32(sq32, sq32, New32(4, 4)) })
 	expectPanic("f32 out==b", func() { MatMulBlockedInto32(sq32, New32(4, 4), sq32) })
@@ -394,7 +356,7 @@ func BenchmarkMatMulBlocked_32x96x40(b *testing.B) { benchMatMulBlocked(b, 32, 9
 
 func BenchmarkMatMulBlocked32_8x32x64(b *testing.B) {
 	_, x, w := benchOperands(rand.New(rand.NewSource(1)))
-	out32, x32, w32 := New32(8, 64), x.To32(), w.To32()
+	out32, x32, w32 := New32(8, 64), to32(x), to32(w)
 	b.ReportAllocs()
 	for i := 0; i < b.N; i++ {
 		MatMulBlockedInto32(out32, x32, w32)

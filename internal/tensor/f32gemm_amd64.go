@@ -5,8 +5,8 @@ package tensor
 // Feature detection and the Go-side tile drivers for the vector GEMMs:
 // AVX2+FMA float32 (f32gemm_amd64.s) and AVX2 float64 (f64gemm_amd64.s).
 // The assembly handles full tiles — 4×16 and 1×16 in float32, 4×8 and 1×8
-// in float64; ragged edges run through the scalar kernels, which produce
-// the same ascending-k accumulation per element.
+// in float64; the ragged right edge runs through matMulScalar, which
+// produces the same ascending-k accumulation per element.
 
 // useAsm is true when the CPU and OS support AVX2 and FMA; every vector
 // kernel of either precision sits behind it. Tests may flip it to force the
@@ -57,79 +57,58 @@ func detectAVX2FMA() bool {
 	return ebx7&avx2 != 0
 }
 
-// matMulAsm32 drives the vector tiles over a strided m×k×n product.
-// Callers guarantee k ≥ 1, m ≥ 1, n ≥ 1 and no aliasing.
-func matMulAsm32(out, a, b []float32, m, k, n, ostride, ooff int) {
-	uk, ubn, uon := uintptr(k), uintptr(n), uintptr(ostride)
+// matMulAsm32 runs the float32 tiles over every whole group of 16 columns
+// of an m×k×n product and returns how many leading columns it finished (0
+// without AVX2+FMA); matMulScalar takes the columns from there. Callers
+// guarantee k ≥ 1, m ≥ 1, n ≥ 1 and no aliasing.
+func matMulAsm32(out, a, b []float32, m, k, n int) int {
+	n16 := n &^ 15
+	if !useAsm || n16 == 0 {
+		return 0
+	}
+	uk, un := uintptr(k), uintptr(n)
 	i := 0
 	for ; i+4 <= m; i += 4 {
-		j := 0
-		for ; j+16 <= n; j += 16 {
-			gemm4x16f32(&out[i*ostride+ooff+j], &a[i*k], &b[j], uk, uk, ubn, uon)
-		}
-		if j < n {
-			scalarTail32(out, a, b, i, i+4, j, k, n, ostride, ooff)
+		for j := 0; j < n16; j += 16 {
+			gemm4x16f32(&out[i*n+j], &a[i*k], &b[j], uk, uk, un, un)
 		}
 	}
 	for ; i < m; i++ {
-		j := 0
-		for ; j+16 <= n; j += 16 {
-			gemm1x16f32(&out[i*ostride+ooff+j], &a[i*k], &b[j], uk, ubn)
-		}
-		if j < n {
-			scalarTail32(out, a, b, i, i+1, j, k, n, ostride, ooff)
+		for j := 0; j < n16; j += 16 {
+			gemm1x16f32(&out[i*n+j], &a[i*k], &b[j], uk, un)
 		}
 	}
+	return n16
 }
 
-// scalarTail32 finishes rows [i0,i1) over columns [j0,n) in plain scalar
-// code — the ragged right edge of the tile grid.
-func scalarTail32(out, a, b []float32, i0, i1, j0, k, n, ostride, ooff int) {
-	for i := i0; i < i1; i++ {
-		ar := a[i*k : i*k+k]
-		or := out[i*ostride+ooff : i*ostride+ooff+n]
-		for j := j0; j < n; j++ {
-			var c float32
-			off := j
-			for p := 0; p < k; p++ {
-				c += ar[p] * b[off]
-				off += n
-			}
-			or[j] = c
-		}
-	}
-}
-
-// matMulAsm64 runs the float64 tiles over every whole group of 8 columns
-// of a strided m×k×n product and returns how many leading columns it
-// finished (0 without AVX2); matMulBlocked's scalar code takes the columns
-// from there. Callers guarantee k ≥ 1, m ≥ 1, n ≥ 1 and no aliasing.
-func matMulAsm64(out, a, b []float64, m, k, n, ostride, ooff int) int {
+// matMulAsm64 is the same driver over the float64 tiles, 8 columns wide.
+func matMulAsm64(out, a, b []float64, m, k, n int) int {
 	n8 := n &^ 7
 	if !useAsm || n8 == 0 {
 		return 0
 	}
-	uk, ubn, uon := uintptr(k), uintptr(n), uintptr(ostride)
+	uk, un := uintptr(k), uintptr(n)
 	i := 0
 	for ; i+4 <= m; i += 4 {
 		for j := 0; j < n8; j += 8 {
-			gemm4x8f64(&out[i*ostride+ooff+j], &a[i*k], &b[j], uk, uk, ubn, uon)
+			gemm4x8f64(&out[i*n+j], &a[i*k], &b[j], uk, uk, un, un)
 		}
 	}
 	for ; i < m; i++ {
 		for j := 0; j < n8; j += 8 {
-			gemm1x8f64(&out[i*ostride+ooff+j], &a[i*k], &b[j], uk, ubn)
+			gemm1x8f64(&out[i*n+j], &a[i*k], &b[j], uk, un)
 		}
 	}
 	return n8
 }
 
 // sigmoidAddAsm32 runs the vector logistic kernel over the leading whole
-// groups of 8 and returns how many elements it wrote.
+// groups of 8 and returns how many elements it wrote (0 without AVX2+FMA).
 func sigmoidAddAsm32(dst, a, b []float32) int {
 	n := len(dst) &^ 7
-	if n > 0 {
-		sigmoidAdd8f32(&dst[0], &a[0], &b[0], uintptr(n))
+	if !useAsm || n == 0 {
+		return 0
 	}
+	sigmoidAdd8f32(&dst[0], &a[0], &b[0], uintptr(n))
 	return n
 }

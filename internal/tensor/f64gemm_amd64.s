@@ -1,4 +1,4 @@
-// AVX2 float64 GEMM tiles beneath matMulBlocked.
+// AVX2 float64 GEMM tiles beneath MatMulBlockedInto.
 //
 // Each function computes one output tile of a row-major product
 // out[r][c] = Σ_p a[r][p]·b[p][c] with all accumulators held in YMM

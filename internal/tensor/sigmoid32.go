@@ -1,4 +1,5 @@
-// The float32 logistic kernel of the serving path: dst[i] = σ(a[i]+b[i]).
+// The logistic of the fused predictor, dst[i] = σ(a[i]+b[i]), and its float32
+// kernel.
 //
 // A GRU window is ~1 300 gate sigmoids per row, so this is the one
 // transcendental the float32 forward pass cannot afford to evaluate through
@@ -37,26 +38,33 @@ const (
 	sigD5 = -0.008297242933
 )
 
-// SigmoidAdd32 computes dst[i] = σ(a[i]+b[i]). All three slices must have
-// the same length. dst may be a itself (in place); any other overlap between
-// dst and an operand panics, like the GEMMs. NaN in gives NaN out; ±Inf and
-// anything beyond ±87 saturate to 1 and ≈1.6e-38 — never a subnormal.
-func SigmoidAdd32(dst, a, b []float32) {
+// SigmoidAdd computes dst[i] = σ(a[i]+b[i]). All three slices must have the
+// same length. dst may be a itself (in place); any other overlap between dst
+// and an operand panics, like the GEMMs. In float32 it is the kernel above:
+// NaN in gives NaN out; ±Inf and anything beyond ±87 saturate to 1 and
+// ≈1.6e-38 — never a subnormal. In float64 it is the exact 1/(1+exp(−x)) of
+// the autodiff tape, which the ≤1e-12 parity of the float64 predictor needs.
+func SigmoidAdd[T Float](dst, a, b []T) {
 	if len(a) != len(dst) || len(b) != len(dst) {
-		panic(fmt.Sprintf("tensor: SigmoidAdd32 lengths %d, %d into %d", len(a), len(b), len(dst)))
+		panic(fmt.Sprintf("tensor: SigmoidAdd lengths %d, %d into %d", len(a), len(b), len(dst)))
 	}
 	if len(dst) == 0 {
 		return
 	}
-	if (&dst[0] != &a[0] && overlap32(dst, a)) || overlap32(dst, b) {
-		panic("tensor: SigmoidAdd32 dst overlaps an operand")
+	if (&dst[0] != &a[0] && overlap(dst, a)) || overlap(dst, b) {
+		panic("tensor: SigmoidAdd dst overlaps an operand")
 	}
-	done := 0
-	if useAsm {
-		done = sigmoidAddAsm32(dst, a, b)
-	}
-	for i := done; i < len(dst); i++ {
-		dst[i] = sigmoidAddScalar32(a[i], b[i])
+	switch d := any(dst).(type) {
+	case []float32:
+		a, b := any(a).([]float32), any(b).([]float32)
+		for i := sigmoidAddAsm32(d, a, b); i < len(d); i++ {
+			d[i] = sigmoidAddScalar32(a[i], b[i])
+		}
+	case []float64:
+		a, b := any(a).([]float64)[:len(d)], any(b).([]float64)[:len(d)]
+		for i, x := range a {
+			d[i] = 1 / (1 + math.Exp(-(x + b[i])))
+		}
 	}
 }
 

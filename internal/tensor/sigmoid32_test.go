@@ -116,7 +116,7 @@ func TestSigmoidAdd32Tails(t *testing.T) {
 				for i := range dst {
 					dst[i] = -7
 				}
-				SigmoidAdd32(dst[off:off+n], a[off:off+n], b[off:off+n])
+				SigmoidAdd(dst[off:off+n], a[off:off+n], b[off:off+n])
 				for i := 0; i < n; i++ {
 					if want := sigmoidAddScalar32(a[off+i], b[off+i]); ulps32(dst[off+i], want) > 2 {
 						t.Fatalf("off %d len %d element %d: %v, want %v", off, n, i, dst[off+i], want)
@@ -141,7 +141,7 @@ func TestSigmoidAdd32Special(t *testing.T) {
 		a := []float32{nan, inf, -inf, -200, 200, 0, 3, -87.5, nan}
 		b := []float32{1, 1, 1, 0, 0, 0, nan, 0, nan}
 		dst := make([]float32, len(a))
-		SigmoidAdd32(dst, a, b)
+		SigmoidAdd(dst, a, b)
 		for _, i := range []int{0, 6, 8} {
 			if dst[i] == dst[i] {
 				t.Errorf("σ(%v+%v) = %v, want NaN", a[i], b[i], dst[i])
@@ -174,8 +174,8 @@ func TestSigmoidAdd32Alias(t *testing.T) {
 			a[i], b[i] = float32(rng.NormFloat64()*4), float32(rng.NormFloat64()*4)
 		}
 		want := make([]float32, len(a))
-		SigmoidAdd32(want, a, b)
-		SigmoidAdd32(a, a, b)
+		SigmoidAdd(want, a, b)
+		SigmoidAdd(a, a, b)
 		for i := range a {
 			if a[i] != want[i] {
 				t.Fatalf("in place element %d: %v, out of place %v", i, a[i], want[i])
@@ -192,11 +192,11 @@ func TestSigmoidAdd32Alias(t *testing.T) {
 			f()
 		}
 		buf := make([]float32, 48)
-		expectPanic("dst is b", func() { SigmoidAdd32(buf[:16], buf[16:32], buf[:16]) })
-		expectPanic("dst overlaps a, shifted", func() { SigmoidAdd32(buf[4:20], buf[:16], buf[32:48]) })
-		expectPanic("dst overlaps b, shifted", func() { SigmoidAdd32(buf[:16], buf[32:48], buf[8:24]) })
-		expectPanic("short a", func() { SigmoidAdd32(buf[:16], buf[16:31], buf[32:48]) })
-		expectPanic("long b", func() { SigmoidAdd32(buf[:15], buf[16:31], buf[32:48]) })
+		expectPanic("dst is b", func() { SigmoidAdd(buf[:16], buf[16:32], buf[:16]) })
+		expectPanic("dst overlaps a, shifted", func() { SigmoidAdd(buf[4:20], buf[:16], buf[32:48]) })
+		expectPanic("dst overlaps b, shifted", func() { SigmoidAdd(buf[:16], buf[32:48], buf[8:24]) })
+		expectPanic("short a", func() { SigmoidAdd(buf[:16], buf[16:31], buf[32:48]) })
+		expectPanic("long b", func() { SigmoidAdd(buf[:15], buf[16:31], buf[32:48]) })
 	})
 }
 
@@ -211,7 +211,7 @@ func BenchmarkSigmoidAdd32(b *testing.B) {
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		SigmoidAdd32(dst, x, y)
+		SigmoidAdd(dst, x, y)
 	}
 	b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N)/float64(len(dst)), "ns/elem")
 }

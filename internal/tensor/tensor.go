@@ -1,10 +1,19 @@
-// Package tensor provides dense float64 matrices and the linear-algebra
-// primitives used by the autodiff engine and the classical baselines.
+// Package tensor provides dense matrices and the linear-algebra primitives
+// used by the autodiff engine, the fused predictor and the classical
+// baselines.
 //
-// A Matrix is stored in row-major order. Operations that could only fail
-// through programmer error (shape mismatches) panic with a descriptive
-// message, mirroring how the standard library treats misuse (e.g. slice
-// bounds); recoverable conditions return errors.
+// There is one matrix type, Mat[T], over float64 or float32, stored in
+// row-major order; Matrix and Matrix32 are its two instantiations by name.
+// Training, the tape and the baselines are float64 throughout; float32 exists
+// so serving can hold a converted copy of the weights and run the forward
+// pass at half the memory traffic. There is one validated matrix product,
+// MatMulBlockedInto (blocked.go), and one bump allocator for scratch
+// matrices, Arena[T] (arena.go), under both the tape and the predictor.
+//
+// Operations that could only fail through programmer error (shape
+// mismatches) panic with a descriptive message, mirroring how the standard
+// library treats misuse (e.g. slice bounds); recoverable conditions return
+// errors.
 package tensor
 
 import (
@@ -14,18 +23,35 @@ import (
 	"unsafe"
 )
 
-// Matrix is a dense row-major matrix of float64 values.
-type Matrix struct {
+// Float is the element types a matrix can hold. The two are named exactly
+// (no ~) so the kernels can tell them apart by a type switch on the matrix
+// pointer.
+type Float interface{ float32 | float64 }
+
+// Mat is a dense row-major matrix.
+type Mat[T Float] struct {
 	Rows, Cols int
-	Data       []float64
+	Data       []T
 }
 
-// New returns a zero-initialized matrix with the given shape.
-func New(rows, cols int) *Matrix {
+// Matrix is the float64 matrix of training, the tape and the baselines;
+// Matrix32 the float32 one of the frozen serving path.
+type (
+	Matrix   = Mat[float64]
+	Matrix32 = Mat[float32]
+)
+
+// New returns a zero-initialized float64 matrix with the given shape.
+func New(rows, cols int) *Matrix { return newMat[float64](rows, cols) }
+
+// New32 returns a zero-initialized float32 matrix with the given shape.
+func New32(rows, cols int) *Matrix32 { return newMat[float32](rows, cols) }
+
+func newMat[T Float](rows, cols int) *Mat[T] {
 	if rows < 0 || cols < 0 {
 		panic(fmt.Sprintf("tensor: negative shape %dx%d", rows, cols))
 	}
-	return &Matrix{Rows: rows, Cols: cols, Data: make([]float64, rows*cols)}
+	return &Mat[T]{Rows: rows, Cols: cols, Data: make([]T, rows*cols)}
 }
 
 // FromSlice wraps data (row-major) in a Matrix. The slice is used directly,
@@ -53,87 +79,62 @@ func FromRows(rows [][]float64) *Matrix {
 	return m
 }
 
-// RowVector returns a 1×len(v) matrix copying v.
-func RowVector(v []float64) *Matrix {
-	m := New(1, len(v))
-	copy(m.Data, v)
-	return m
-}
-
-// ColVector returns a len(v)×1 matrix copying v.
-func ColVector(v []float64) *Matrix {
-	m := New(len(v), 1)
-	copy(m.Data, v)
-	return m
-}
-
 // At returns the element at row i, column j.
-func (m *Matrix) At(i, j int) float64 { return m.Data[i*m.Cols+j] }
+func (m *Mat[T]) At(i, j int) T { return m.Data[i*m.Cols+j] }
 
 // Set assigns the element at row i, column j.
-func (m *Matrix) Set(i, j int, v float64) { m.Data[i*m.Cols+j] = v }
+func (m *Mat[T]) Set(i, j int, v T) { m.Data[i*m.Cols+j] = v }
 
 // Row returns row i as a slice aliasing the matrix storage.
-func (m *Matrix) Row(i int) []float64 { return m.Data[i*m.Cols : (i+1)*m.Cols] }
+func (m *Mat[T]) Row(i int) []T { return m.Data[i*m.Cols : (i+1)*m.Cols] }
 
 // Clone returns a deep copy of m.
-func (m *Matrix) Clone() *Matrix {
-	c := New(m.Rows, m.Cols)
+func (m *Mat[T]) Clone() *Mat[T] {
+	c := newMat[T](m.Rows, m.Cols)
 	copy(c.Data, m.Data)
 	return c
 }
 
 // Zero sets all elements of m to zero.
-func (m *Matrix) Zero() {
-	for i := range m.Data {
-		m.Data[i] = 0
-	}
-}
-
-// Fill sets every element of m to v.
-func (m *Matrix) Fill(v float64) {
-	for i := range m.Data {
-		m.Data[i] = v
-	}
-}
+func (m *Mat[T]) Zero() { clear(m.Data) }
 
 // SameShape reports whether m and o have identical dimensions.
-func (m *Matrix) SameShape(o *Matrix) bool { return m.Rows == o.Rows && m.Cols == o.Cols }
+func (m *Mat[T]) SameShape(o *Mat[T]) bool { return m.Rows == o.Rows && m.Cols == o.Cols }
 
-func (m *Matrix) shapeCheck(o *Matrix, op string) {
+func (m *Mat[T]) shapeCheck(o *Mat[T], op string) {
 	if !m.SameShape(o) {
 		panic(fmt.Sprintf("tensor: %s shape mismatch %dx%d vs %dx%d", op, m.Rows, m.Cols, o.Rows, o.Cols))
 	}
 }
 
 // String implements fmt.Stringer with a compact shape-prefixed rendering.
-func (m *Matrix) String() string {
+func (m *Mat[T]) String() string {
 	return fmt.Sprintf("Matrix(%dx%d)%v", m.Rows, m.Cols, m.Data)
 }
 
-// overlap reports whether two float64 slices share any backing memory. The
-// pointer comparison covers only the addressable [0,len) ranges, so disjoint
-// views carved from one arena chunk are correctly reported as non-overlapping.
-func overlap(a, b []float64) bool {
+// overlap reports whether two slices share any backing memory. The pointer
+// comparison covers only the addressable [0,len) ranges, so disjoint views
+// carved from one arena chunk are correctly reported as non-overlapping.
+func overlap[T Float](a, b []T) bool {
 	if len(a) == 0 || len(b) == 0 {
 		return false
 	}
-	const sz = unsafe.Sizeof(float64(0))
+	sz := unsafe.Sizeof(a[0])
 	alo := uintptr(unsafe.Pointer(&a[0]))
 	blo := uintptr(unsafe.Pointer(&b[0]))
 	return alo < blo+uintptr(len(b))*sz && blo < alo+uintptr(len(a))*sz
 }
 
 // Transpose returns mᵀ.
-func (m *Matrix) Transpose() *Matrix {
-	t := New(m.Cols, m.Rows)
+func (m *Mat[T]) Transpose() *Mat[T] {
+	t := newMat[T](m.Cols, m.Rows)
 	m.TransposeInto(t)
 	return t
 }
 
 // TransposeInto writes mᵀ into dst, which must be m.Cols×m.Rows and must not
 // alias m; every element of dst is overwritten.
-func (m *Matrix) TransposeInto(dst *Matrix) {
+func (m *Mat[T]) TransposeInto(dst *Mat[T]) {
 	if dst.Rows != m.Cols || dst.Cols != m.Rows {
 		panic(fmt.Sprintf("tensor: TransposeInto %dx%d into %dx%d", m.Rows, m.Cols, dst.Rows, dst.Cols))
 	}
@@ -145,18 +146,10 @@ func (m *Matrix) TransposeInto(dst *Matrix) {
 	}
 }
 
-// The elementwise operations come in pairs: an Into form that writes a
-// preallocated out — every element, so recycled storage is fine — and an
-// allocating form on top of it. Unlike the matrix products, aliasing is safe
-// for the elementwise Into forms (each element depends only on its own
-// position), so out may be an operand for an in-place result.
-
-// Add returns a + b elementwise.
-func Add(a, b *Matrix) *Matrix {
-	out := New(a.Rows, a.Cols)
-	AddInto(out, a, b)
-	return out
-}
+// The elementwise operations write a preallocated out — every element, so
+// recycled storage is fine. Unlike the matrix products, aliasing is safe for
+// them (each element depends only on its own position), so out may be an
+// operand for an in-place result.
 
 // AddInto computes a + b into out.
 func AddInto(out, a, b *Matrix) {
@@ -165,13 +158,6 @@ func AddInto(out, a, b *Matrix) {
 	for i, v := range a.Data {
 		out.Data[i] = v + b.Data[i]
 	}
-}
-
-// Sub returns a − b elementwise.
-func Sub(a, b *Matrix) *Matrix {
-	out := New(a.Rows, a.Cols)
-	SubInto(out, a, b)
-	return out
 }
 
 // SubInto computes a − b into out.
@@ -183,13 +169,6 @@ func SubInto(out, a, b *Matrix) {
 	}
 }
 
-// Mul returns the Hadamard (elementwise) product a ⊙ b.
-func Mul(a, b *Matrix) *Matrix {
-	out := New(a.Rows, a.Cols)
-	MulInto(out, a, b)
-	return out
-}
-
 // MulInto computes the Hadamard product a ⊙ b into out.
 func MulInto(out, a, b *Matrix) {
 	a.shapeCheck(b, "MulInto")
@@ -197,13 +176,6 @@ func MulInto(out, a, b *Matrix) {
 	for i, v := range a.Data {
 		out.Data[i] = v * b.Data[i]
 	}
-}
-
-// Scale returns s·m.
-func Scale(m *Matrix, s float64) *Matrix {
-	out := New(m.Rows, m.Cols)
-	ScaleInto(out, m, s)
-	return out
 }
 
 // ScaleInto computes s·m into out.
@@ -215,7 +187,7 @@ func ScaleInto(out, m *Matrix, s float64) {
 }
 
 // AddInPlace adds o into m.
-func (m *Matrix) AddInPlace(o *Matrix) {
+func (m *Mat[T]) AddInPlace(o *Mat[T]) {
 	m.shapeCheck(o, "AddInPlace")
 	for i, v := range o.Data {
 		m.Data[i] += v
@@ -223,17 +195,10 @@ func (m *Matrix) AddInPlace(o *Matrix) {
 }
 
 // ScaleInPlace multiplies m by s in place.
-func (m *Matrix) ScaleInPlace(s float64) {
+func (m *Mat[T]) ScaleInPlace(s T) {
 	for i := range m.Data {
 		m.Data[i] *= s
 	}
-}
-
-// AddRowBroadcast returns m with the 1×cols row vector b added to every row.
-func AddRowBroadcast(m, b *Matrix) *Matrix {
-	out := New(m.Rows, m.Cols)
-	AddRowBroadcastInto(out, m, b)
-	return out
 }
 
 // AddRowBroadcastInto adds the 1×cols row vector b to every row of m, into
@@ -252,13 +217,6 @@ func AddRowBroadcastInto(out, m, b *Matrix) {
 	}
 }
 
-// Apply returns f applied elementwise to m.
-func Apply(m *Matrix, f func(float64) float64) *Matrix {
-	out := New(m.Rows, m.Cols)
-	ApplyInto(out, m, f)
-	return out
-}
-
 // ApplyInto computes f of every element of m into out.
 func ApplyInto(out, m *Matrix, f func(float64) float64) {
 	m.shapeCheck(out, "Apply")
@@ -268,42 +226,23 @@ func ApplyInto(out, m *Matrix, f func(float64) float64) {
 }
 
 // Sum returns the sum of all elements.
-func (m *Matrix) Sum() float64 {
-	s := 0.0
+func (m *Mat[T]) Sum() T {
+	var s T
 	for _, v := range m.Data {
 		s += v
 	}
 	return s
 }
 
-// Mean returns the mean of all elements; it is 0 for an empty matrix.
-func (m *Matrix) Mean() float64 {
-	if len(m.Data) == 0 {
-		return 0
-	}
-	return m.Sum() / float64(len(m.Data))
-}
-
 // MaxAbs returns the largest absolute element value (0 for empty).
-func (m *Matrix) MaxAbs() float64 {
+func (m *Mat[T]) MaxAbs() float64 {
 	mx := 0.0
 	for _, v := range m.Data {
-		if a := math.Abs(v); a > mx {
+		if a := math.Abs(float64(v)); a > mx {
 			mx = a
 		}
 	}
 	return mx
-}
-
-// Dot returns the inner product of two equal-shape matrices viewed as
-// flattened vectors.
-func Dot(a, b *Matrix) float64 {
-	a.shapeCheck(b, "Dot")
-	s := 0.0
-	for i, v := range a.Data {
-		s += v * b.Data[i]
-	}
-	return s
 }
 
 // ConcatCols returns the horizontal concatenation [a | b]; the operands
@@ -329,18 +268,18 @@ func ConcatColsInto(out, a, b *Matrix) {
 }
 
 // SliceCols returns the column range [from, to) of m as a new matrix.
-func (m *Matrix) SliceCols(from, to int) *Matrix {
+func (m *Mat[T]) SliceCols(from, to int) *Mat[T] {
 	if from < 0 || to > m.Cols || from > to {
 		panic(fmt.Sprintf("tensor: SliceCols [%d,%d) of %d cols", from, to, m.Cols))
 	}
-	out := New(m.Rows, to-from)
+	out := newMat[T](m.Rows, to-from)
 	m.SliceColsInto(out, from, to)
 	return out
 }
 
 // SliceColsInto copies the column range [from, to) of m into out, which
 // must be m.Rows×(to−from).
-func (m *Matrix) SliceColsInto(out *Matrix, from, to int) {
+func (m *Mat[T]) SliceColsInto(out *Mat[T], from, to int) {
 	if from < 0 || to > m.Cols || from > to || out.Rows != m.Rows || out.Cols != to-from {
 		panic(fmt.Sprintf("tensor: SliceCols [%d,%d) of %dx%d into %dx%d", from, to, m.Rows, m.Cols, out.Rows, out.Cols))
 	}
@@ -350,19 +289,12 @@ func (m *Matrix) SliceColsInto(out *Matrix, from, to int) {
 }
 
 // SliceRows returns the row range [from, to) of m as a new matrix.
-func (m *Matrix) SliceRows(from, to int) *Matrix {
+func (m *Mat[T]) SliceRows(from, to int) *Mat[T] {
 	if from < 0 || to > m.Rows || from > to {
 		panic(fmt.Sprintf("tensor: SliceRows [%d,%d) of %d rows", from, to, m.Rows))
 	}
-	out := New(to-from, m.Cols)
+	out := newMat[T](to-from, m.Cols)
 	copy(out.Data, m.Data[from*m.Cols:to*m.Cols])
-	return out
-}
-
-// GatherRows returns a matrix whose i-th row is m.Row(idx[i]).
-func GatherRows(m *Matrix, idx []int) *Matrix {
-	out := New(len(idx), m.Cols)
-	GatherRowsInto(out, m, idx)
 	return out
 }
 
@@ -381,22 +313,22 @@ func GatherRowsInto(out, m *Matrix, idx []int) {
 }
 
 // RandUniform fills m with samples from U(−scale, scale).
-func (m *Matrix) RandUniform(rng *rand.Rand, scale float64) {
+func (m *Mat[T]) RandUniform(rng *rand.Rand, scale float64) {
 	for i := range m.Data {
-		m.Data[i] = (rng.Float64()*2 - 1) * scale
+		m.Data[i] = T((rng.Float64()*2 - 1) * scale)
 	}
 }
 
 // RandNormal fills m with samples from N(0, std²).
-func (m *Matrix) RandNormal(rng *rand.Rand, std float64) {
+func (m *Mat[T]) RandNormal(rng *rand.Rand, std float64) {
 	for i := range m.Data {
-		m.Data[i] = rng.NormFloat64() * std
+		m.Data[i] = T(rng.NormFloat64() * std)
 	}
 }
 
 // GlorotUniform fills m with the Glorot/Xavier uniform initialization for a
 // weight matrix of shape fanIn×fanOut.
-func (m *Matrix) GlorotUniform(rng *rand.Rand) {
+func (m *Mat[T]) GlorotUniform(rng *rand.Rand) {
 	limit := math.Sqrt(6.0 / float64(m.Rows+m.Cols))
 	m.RandUniform(rng, limit)
 }

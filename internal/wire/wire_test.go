@@ -3,11 +3,14 @@ package wire
 import (
 	"bufio"
 	"bytes"
+	"encoding/json"
 	"errors"
+	"fmt"
 	"math"
 	"math/rand"
 	"net"
 	"net/http"
+	"net/http/httptest"
 	"reflect"
 	"sync"
 	"testing"
@@ -17,6 +20,7 @@ import (
 	"env2vec/internal/dataset"
 	"env2vec/internal/envmeta"
 	"env2vec/internal/obs"
+	"env2vec/internal/quality"
 	"env2vec/internal/serve"
 )
 
@@ -464,6 +468,157 @@ func TestNonFiniteWindowFailsAlone(t *testing.T) {
 				t.Fatalf("%s: neighbour %d: status %d prediction %v, %v without the NaN item",
 					prec, i, rep.Status, rep.Prediction, clean[i].Prediction)
 			}
+		}
+	}
+}
+
+// TestNonFinitePredictionIsTypedError is the regression for a finite input
+// that came back NaN: a window value beyond float32's range narrows to ±Inf
+// inside the frozen path, Inf·0 in the GRU makes the prediction NaN, and it
+// used to leave as a 500 on JSON (NaN has no JSON encoding), as NaN bits
+// under status 200 on the wire, counted served, stored as a pending
+// prediction and fed to the quality monitor. On every entry point and both
+// precisions a prediction that is not finite is now a typed per-item 422:
+// never a NaN in a 2xx, never a 500, the neighbours of the pass served, one
+// outcome counted per request, nothing pending, nothing observed.
+func TestNonFinitePredictionIsTypedError(t *testing.T) {
+	for _, prec := range []serve.Precision{serve.PrecisionFloat64, serve.PrecisionFloat32} {
+		for _, huge := range []float64{1e39, 1e300, -1e300, 5e-324} {
+			t.Run(fmt.Sprintf("%s/%g", prec, huge), func(t *testing.T) {
+				b := testBundle(11)
+				rng := rand.New(rand.NewSource(13))
+				for _, p := range b.Model.Params() { // biases included: Inf·0 needs a non-zero neighbour
+					p.Value.RandNormal(rng, 0.5)
+				}
+				if err := b.SetPrecision(prec); err != nil {
+					t.Fatal(err)
+				}
+				s := serve.New(serve.Config{MaxBatch: 32, QueueDepth: 256, Workers: 1, Quality: &quality.Config{}})
+				t.Cleanup(s.Close)
+				s.SetBundle(b)
+				web := httptest.NewServer(s)
+				defer web.Close()
+				c, err := Dial(newTestWire(t, s, ServerConfig{}), ClientConfig{Timeout: 5 * time.Second})
+				if err != nil {
+					t.Fatal(err)
+				}
+				defer c.Close()
+
+				requests, observed := 0, uint64(0)
+				poisoned := func(id string) *serve.Request {
+					req := testRequest(rng, id)
+					req.Window[1] = huge
+					return req
+				}
+				// answer checks one outcome: a finite 200, or the typed 422.
+				answer := func(what string, status int, pred float64, typed bool) (served bool) {
+					t.Helper()
+					requests++
+					switch {
+					case status == http.StatusOK && !math.IsNaN(pred) && !math.IsInf(pred, 0):
+						return true
+					case status == http.StatusUnprocessableEntity && typed:
+						return false
+					}
+					t.Fatalf("%s: status %d prediction %v typed=%v; want a finite 200 or a typed 422", what, status, pred, typed)
+					return false
+				}
+
+				resp, code, err := s.Do(poisoned("do"))
+				pred := math.NaN()
+				if resp != nil {
+					pred = resp.Prediction
+				}
+				wantServed := answer("Do", code, pred, errors.Is(err, serve.ErrNonFinite))
+				if prec == serve.PrecisionFloat32 && huge == 1e300 && wantServed {
+					t.Fatalf("float32 answered %v for a 1e300 window: the case that reproduced the NaN no longer does", pred)
+				}
+
+				// The same input beside finite neighbours in one pass, an inline
+				// actual on it: the neighbours are served, the monitor sees only
+				// what was served.
+				frame := func(prefix string) []*serve.Request {
+					reqs := make([]*serve.Request, 8)
+					for i := range reqs {
+						reqs[i] = testRequest(rng, fmt.Sprintf("%s-%d", prefix, i))
+					}
+					reqs[3] = poisoned(prefix + "-3")
+					actual := 50.0
+					reqs[3].Actual = &actual
+					return reqs
+				}
+				for i, r := range s.DoBatch(frame("batch")) {
+					pred := math.NaN()
+					if r.Resp != nil {
+						pred = r.Resp.Prediction
+					}
+					served := answer(fmt.Sprintf("DoBatch item %d", i), r.Code, pred, errors.Is(r.Err, serve.ErrNonFinite))
+					if served != (i != 3 || wantServed) {
+						t.Fatalf("DoBatch item %d: served=%v, the lone request was served=%v", i, served, wantServed)
+					}
+					if i == 3 && served {
+						observed++
+					}
+				}
+				replies, err := c.Predict(frame("wire"))
+				if err != nil {
+					t.Fatal(err)
+				}
+				for i, rep := range replies {
+					served := answer(fmt.Sprintf("wire item %d", i), rep.Status, rep.Prediction, rep.Error != "")
+					if served != (i != 3 || wantServed) {
+						t.Fatalf("wire item %d: served=%v, the lone request was served=%v", i, served, wantServed)
+					}
+					if i == 3 && served {
+						observed++
+					}
+				}
+
+				body, err := json.Marshal(poisoned("json"))
+				if err != nil {
+					t.Fatal(err)
+				}
+				httpResp, err := http.Post(web.URL+"/predict", "application/json", bytes.NewReader(body))
+				if err != nil {
+					t.Fatal(err)
+				}
+				var decoded serve.Response
+				decodeErr := json.NewDecoder(httpResp.Body).Decode(&decoded)
+				httpResp.Body.Close()
+				if httpResp.StatusCode == http.StatusOK && decodeErr != nil {
+					t.Fatalf("JSON 200 body: %v", decodeErr)
+				}
+				if answer("JSON", httpResp.StatusCode, decoded.Prediction, true) != wantServed {
+					t.Fatalf("JSON served=%v, Do served=%v", !wantServed, wantServed)
+				}
+
+				st := s.Stats()
+				if got := st.Served + st.Rejected + st.Failed; got != uint64(requests) {
+					t.Fatalf("served %d + rejected %d + failed %d = %d outcomes for %d requests", st.Served, st.Rejected, st.Failed, got, requests)
+				}
+				wantFailed := uint64(0)
+				if !wantServed {
+					wantFailed = 4 // Do, one DoBatch item, one wire item, JSON
+				}
+				if st.Failed != wantFailed {
+					t.Fatalf("failed = %d, want %d", st.Failed, wantFailed)
+				}
+				if got := s.Quality().Snapshot().Observations; got != observed {
+					t.Fatalf("quality monitor observed %d predictions, want %d", got, observed)
+				}
+				if !wantServed {
+					// A refused prediction is not pending either.
+					obsReq, _ := json.Marshal(serve.ObserveRequest{RequestID: "do", Actual: 50})
+					r, err := http.Post(web.URL+"/observe", "application/json", bytes.NewReader(obsReq))
+					if err != nil {
+						t.Fatal(err)
+					}
+					r.Body.Close()
+					if r.StatusCode != http.StatusNotFound {
+						t.Fatalf("POST /observe for the refused request: %d, want 404", r.StatusCode)
+					}
+				}
+			})
 		}
 	}
 }
