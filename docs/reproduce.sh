@@ -83,25 +83,27 @@ go test -run FuzzPredictParity -fuzz FuzzPredictParity -fuzztime 10s ./internal/
 # The vector kernels: the float64 tile bit for bit against the scalar kernel
 # and the naive reference (TestF64TileMatchesScalar), the float32 GEMM tiles
 # and the logistic (tensor.SigmoidAdd) against their scalar twins and
-# float64; then the same scalar code as the only path, built for 386 (runs
+# float64, the GRU elementwise kernels (AddReLU, GateMul, GateBlend) at 0 ulp
+# of their Go loops with NaN, ±Inf, ±0 and subnormals in every operand
+# position; then the same scalar code as the only path, built for 386 (runs
 # natively on an amd64 box), so the !amd64 side of the CPUID selection —
 # matMulScalar[T] for both element types — is executed and not just
 # compiled, the tape, the arena and the layers with it. arm64 is vetted,
 # which type-checks its build of the packages.
-go test -run 'TestBlocked|TestF32|TestF64|TestMatMul|TestSigmoid|TestArena' ./internal/tensor/
+go test -run 'TestBlocked|TestF32|TestF64|TestMatMul|TestSigmoid|TestGate|TestAddReLU|TestArena' ./internal/tensor/
 GOARCH=386 go test ./internal/tensor/ ./internal/infer/ ./internal/core/ ./internal/autodiff/ ./internal/nn/
 GOARCH=arm64 go vet ./internal/tensor/ ./internal/infer/ ./internal/autodiff/ ./internal/nn/
 # The tape's arena: a reused tape is a fresh tape (bit for bit, at op and at
 # model scale), the pool is race-free, and the allocation pins hold.
 go test -race ./internal/autodiff/ ./internal/nn/ ./internal/pipeline/
-go test -run 'TestTrainStepAllocs|TestInferAllocations|TestInfer32Allocations' ./internal/infer/
+go test -run 'TestTrainStepAllocs|TestInferAllocations|TestInfer32Allocations|TestMisshapenNetworkPanicsAtConstruction' ./internal/infer/
 # Commit machine-readable inference and training numbers (ns/op and
 # allocs/op; fused vs tape vs float32, one train step, the float64 kernel at
 # the training shapes) AND gate them against the committed baseline: benchjson
 # -compare exits nonzero if any shared benchmark is >10% slower than
 # docs/outputs/BENCH_infer.json or grew its allocs/op, so a perf regression
 # fails reproduce.sh before the baseline is overwritten.
-go test -run '^$' -bench 'Forward(Tape|Infer)|TrainStep|MatMulBlocked_32|SigmoidAdd32' -benchmem -count 1 ./internal/infer/ ./internal/tensor/ \
+go test -run '^$' -bench 'Forward(Tape|Infer)|TrainStep|MatMulBlocked_32|SigmoidAdd32|AddReLU32|Gate(Mul|Blend)32' -benchmem -count 1 ./internal/infer/ ./internal/tensor/ \
     | tee docs/outputs/bench_infer.txt \
     | go run ./cmd/benchjson -compare docs/outputs/BENCH_infer.json -max-regress 10 \
     > docs/outputs/BENCH_infer.json.new

@@ -77,6 +77,22 @@ func assertParity(t *testing.T, m *Model, b *nn.Batch, label string) {
 // model and batch seeded — and hands each (model, batch) to visit inside a
 // subtest per architecture.
 func forEachParityCase(t *testing.T, visit func(t *testing.T, m *Model, b *nn.Batch, label string)) {
+	forEachParityCaseAt(t, raggedDims, visit)
+}
+
+type parityDims struct{ hidden, gruHidden, embedDim int }
+
+// raggedDims: GRU/FNN widths that straddle the 4-lane block width, the
+// 8-lane elementwise kernels and the 16-column vector tile — primes,
+// one-past-a-multiple, and one big enough to hit full tiles plus a tail.
+var raggedDims = []parityDims{{9, 5, 3}, {13, 7, 5}, {21, 17, 3}, {34, 30, 5}}
+
+// alignedDims: widths the vector kernels take whole, with no Go tail behind
+// them — one 8-lane group, and the paper-sized network serving runs (64 FNN
+// units, 32 GRU units, 4 tables of 10: a 40-wide dense layer).
+var alignedDims = []parityDims{{16, 8, 2}, {64, 32, 10}}
+
+func forEachParityCaseAt(t *testing.T, dims []parityDims, visit func(t *testing.T, m *Model, b *nn.Batch, label string)) {
 	schema := envmeta.NewSchema()
 	for i := 0; i < 3; i++ {
 		schema.Observe(envmeta.Environment{
@@ -88,15 +104,6 @@ func forEachParityCase(t *testing.T, visit func(t *testing.T, m *Model, b *nn.Ba
 	}
 	sizes := schema.Sizes()
 
-	// GRU/FNN widths straddle the 4-lane block width and the 16-column
-	// vector tile: primes, one-past-a-multiple, and one big enough to hit
-	// full tiles plus a tail.
-	dims := []struct{ hidden, gruHidden, embedDim int }{
-		{9, 5, 3},
-		{13, 7, 5},
-		{21, 17, 3},
-		{34, 30, 5},
-	}
 	for _, head := range []Head{HeadHadamard, HeadBilinear, HeadMLP} {
 		for _, attention := range []bool{false, true} {
 			for di, d := range dims {
@@ -128,7 +135,7 @@ func TestCrossPrecisionParity(t *testing.T) {
 	t.Logf("worst relative gap to the tape: fused float64 %.2g (contract 1e-12), float32 %.2g (contract 1e-4)", worstGap.fused, worstGap.f32)
 }
 
-var updateGolden = flag.Bool("update", false, "rewrite testdata/f32_golden.txt from this build's float32 predictor")
+var updateGolden = flag.Bool("update", false, "rewrite the float32 golden of the test that runs from this build's float32 predictor")
 
 // TestFloat32BitIdenticalToGolden holds the float32 serving path to the bits
 // it answered when testdata/f32_golden.txt was written (the commit before the
@@ -136,12 +143,26 @@ var updateGolden = flag.Bool("update", false, "rewrite testdata/f32_golden.txt f
 // NewPredictor32().Predict, compared by math.Float64bits. amd64 only — the
 // scalar tiles of other platforms round differently from FMA by design.
 func TestFloat32BitIdenticalToGolden(t *testing.T) {
+	checkFloat32Golden(t, "testdata/f32_golden.txt", raggedDims)
+}
+
+// TestFloat32BitIdenticalToGoldenAligned is the same pin at alignedDims,
+// written by the commit before the GRU's elementwise loops became batch-wide
+// vector kernels (PR 24), when they were Go expressions: at these widths
+// every element goes through the assembly and none through the Go tail, which
+// the ragged table cannot show. The rows also go through the three-way
+// tolerance contract.
+func TestFloat32BitIdenticalToGoldenAligned(t *testing.T) {
+	forEachParityCaseAt(t, alignedDims, assertParity)
+	checkFloat32Golden(t, "testdata/f32_golden_aligned.txt", alignedDims)
+}
+
+func checkFloat32Golden(t *testing.T, path string, dims []parityDims) {
 	if runtime.GOARCH != "amd64" {
 		t.Skip("the golden was written by the amd64 FMA tiles")
 	}
-	const path = "testdata/f32_golden.txt"
 	var got, labels []string
-	forEachParityCase(t, func(t *testing.T, m *Model, b *nn.Batch, label string) {
+	forEachParityCaseAt(t, dims, func(t *testing.T, m *Model, b *nn.Batch, label string) {
 		for i, v := range m.NewPredictor32().Predict(b) {
 			got = append(got, fmt.Sprintf("%016x", math.Float64bits(v)))
 			labels = append(labels, fmt.Sprintf("%s row=%d", label, i))

@@ -285,3 +285,11 @@ func BenchmarkForwardInferParallel_B8W20(b *testing.B) {
 		}
 	})
 }
+
+// A lone JSON request's pass: the live float64 predictor at batch 1. It runs
+// last because a benchmark run in one process is not independent of what ran
+// before it: ForwardInferParallel_B8W20 reads 165 µs right behind this one and
+// 95 µs behind any other, with this predictor and with the one before PR 24.
+func BenchmarkForwardInfer_B1W20(b *testing.B) {
+	benchForward(b, 1, 20, (*core.Model).Predict)
+}

@@ -6,22 +6,27 @@
 // writes the Env2Vec forward pass once, as straight-line kernels over
 // tensor.Mat[T], for both precisions:
 //
-//   - the weights are packed for the kernels: [Wz|Wr|Wh] over [bz|br|bh] as
-//     one 2×3H matrix, so the input-side gate contributions of the whole
-//     window, biases included, are ONE (batch·n)×2 by 2×3H product against
-//     the window laid out as (x, 1) pairs; [Uz|Ur] as one H×2H matrix, so a
-//     GRU step is two products — h·[Uz|Ur] and (r⊙h)·Uh — and one logistic
-//     call per row that turns the 2H-wide [z|r] pre-activations into gates
-//     in place;
+//   - the weights are packed for the kernels, and the window for the batch:
+//     [Wz|Wr] over [bz|br] is one 2×2H matrix and Wh over bh one 2×H, so the
+//     input-side contributions of the whole window, biases included, are two
+//     (steps·n)×2 products against the window laid out as (x, 1) pairs —
+//     step-major, row t·n+i, so that what step t adds to the whole batch is
+//     one contiguous block shaped like the matrices the step computes;
+//     [Uz|Ur] is one H×2H matrix, so a GRU step is two products — h·[Uz|Ur]
+//     and (r⊙h)·Uh — and four calls that each run once over the batch, not
+//     once per row: one logistic turning the n×2H [z|r] pre-activations into
+//     gates in place, r⊙h, the candidate's add-and-activate, and the blend
+//     (tensor.SigmoidAdd, GateMul, AddReLU, GateBlend: float32 vector kernels
+//     on amd64, the plain Go expressions in float64 and everywhere else);
 //   - every temporary comes from a per-pass tensor.Arena recycled through a
 //     sync.Pool, so steady-state prediction does no heap allocation beyond
 //     the slice Predict returns;
-//   - bias addition and activations fuse into the loops that consume them.
+//   - bias addition and activations fuse into the kernels that consume them.
 //
 // Exactly two configurations exist, chosen by the constructor and nothing
 // else. NewPredictor is float64 and LIVE: it packs at the top of every pass,
 // into the pass's arena, and every matrix that needs no repacking is viewed
-// in place — only the two packed GRU blocks (2·3H + 2H² floats) are copied —
+// in place — only the packed GRU blocks (2·3H + 2H² floats) are copied —
 // so it tracks optimizer steps and snapshot restores with no refresh call,
 // and any number of goroutines may predict over a shared model.
 // NewPredictor32 is float32 and FROZEN: it rounds and packs once, at
@@ -38,8 +43,9 @@
 // contract is ≤ 1e-12 relative, the battery's worst case is 1.4e-15. float32:
 // weights round once at construction and inputs once per call; the logistic
 // is tensor.SigmoidAdd's float32 polynomial (≤ 2 ulp; a window is ~1 300
-// gate sigmoids per row, so that kernel, not the GEMMs, decides what the
-// path costs); tanh and the attention softmax evaluate in float64 and round
+// gate sigmoids per row, a fifth of the pass even as a vector kernel); the
+// other elementwise kernels round exactly as the Go expressions they
+// replaced; tanh and the attention softmax evaluate in float64 and round
 // once (no default model puts them on the hot path). End to end float32
 // agrees with the tape to ~1e-6 relative; the battery asserts a conservative
 // 1e-4 — docs/performance.md has the error budget.
@@ -108,18 +114,38 @@ func NewPredictor32(net Network) *Predictor[float32] {
 	return p
 }
 
+// validateNetwork panics on a network the pass cannot run. The kernels work
+// on whole matrices and take their shapes on faith — packing copies rows by
+// the GRU's width, one flat call adds a bias or gates a batch — so a wrong
+// shape is refused here, at construction, where the message can name it, and
+// not as an index out of range (or a silently ignored tail) mid-pass.
 func validateNetwork(net Network) {
 	if net.FNNHidden == nil || net.GRU == nil || net.Dense == nil {
 		panic("infer: network is missing a layer")
 	}
-	if net.GRU.In != 1 {
+	g := net.GRU
+	if g.In != 1 {
 		panic("infer: the fused window kernel requires a GRU with scalar inputs")
+	}
+	for _, p := range []*nn.Param{g.Wz, g.Wr, g.Wh, g.Bz, g.Br, g.Bh} {
+		wantShape(p, 1, g.Hidden)
+	}
+	for _, p := range []*nn.Param{g.Uz, g.Ur, g.Uh} {
+		wantShape(p, g.Hidden, g.Hidden)
 	}
 	if len(net.Embeddings) == 0 {
 		panic("infer: network has no embedding tables")
 	}
+	dim := net.Embeddings[0].Table.Value.Cols
+	for _, e := range net.Embeddings {
+		wantShape(e.Table, e.Table.Value.Rows, dim) // the gather reads every table at one width
+	}
+	layers := []*nn.Dense{net.FNNHidden, net.Dense}
 	switch net.Head {
 	case HeadHadamard:
+		if got, want := net.Dense.W.Value.Cols, len(net.Embeddings)*dim; got != want {
+			panic(fmt.Sprintf("infer: Hadamard head over %d dense features and %d embedding columns", got, want))
+		}
 	case HeadBilinear:
 		if net.Bilinear == nil {
 			panic("infer: bilinear head without R matrix")
@@ -128,8 +154,18 @@ func validateNetwork(net Network) {
 		if net.HeadMLP == nil {
 			panic("infer: MLP head without its MLP")
 		}
+		layers = append(layers, net.HeadMLP.Hidden, net.HeadMLP.Out)
 	default:
 		panic(fmt.Sprintf("infer: unknown prediction head %d", int(net.Head)))
+	}
+	for _, d := range layers {
+		wantShape(d.B, 1, d.W.Value.Cols)
+	}
+}
+
+func wantShape(p *nn.Param, rows, cols int) {
+	if v := p.Value; v.Rows != rows || v.Cols != cols {
+		panic(fmt.Sprintf("infer: %s is %dx%d, want %dx%d", p.Name, v.Rows, v.Cols, rows, cols))
 	}
 }
 
@@ -155,7 +191,8 @@ type weights[T tensor.Float] struct {
 
 	fnn, dense dense[T]
 
-	fw      *tensor.Mat[T] // 2×3H: [Wz|Wr|Wh] over [bz|br|bh]
+	wzr     *tensor.Mat[T] // 2×2H: [Wz|Wr] over [bz|br]
+	wh      *tensor.Mat[T] // 2×H: Wh over bh
 	uzr     *tensor.Mat[T] // H×2H: [Uz|Ur], the fused recurrent block
 	uh      *tensor.Mat[T]
 	candAct nn.Activation
@@ -198,13 +235,14 @@ func (w *weights[T]) pack(net Network, a *tensor.Arena[T]) {
 	w.head = net.Head
 	w.fnn, w.dense = loadDense(a, net.FNNHidden), loadDense(a, net.Dense)
 
-	// The GRU input is a scalar (validateNetwork), so the input-side product
-	// for all three gates is x·fw[0]; fw[1] holds the biases and meets a
-	// constant 1 beside x, which makes the input GEMM add them for free.
-	w.fw = a.Mat(2, 3*H)
-	for k, part := range [3][2]*nn.Param{{g.Wz, g.Bz}, {g.Wr, g.Br}, {g.Wh, g.Bh}} {
-		convert(w.fw.Row(0)[k*H:], part[0].Value.Data)
-		convert(w.fw.Row(1)[k*H:], part[1].Value.Data)
+	// The GRU input is a scalar (validateNetwork), so an input-side product
+	// is x·W; the bias sits in a second row and meets a constant 1 beside x,
+	// which makes the input GEMM add it for free.
+	w.wzr, w.wh = a.Mat(2, 2*H), a.Mat(2, H)
+	for k, row := range [2][3]*nn.Param{{g.Wz, g.Wr, g.Wh}, {g.Bz, g.Br, g.Bh}} {
+		convert(w.wzr.Row(k)[:H], row[0].Value.Data)
+		convert(w.wzr.Row(k)[H:], row[1].Value.Data)
+		convert(w.wh.Row(k), row[2].Value.Data)
 	}
 	w.uzr = a.Mat(H, 2*H)
 	for i := 0; i < H; i++ {
@@ -298,15 +336,19 @@ func (w *weights[T]) gruWindow(s *scratch[T], win *tensor.Matrix) *tensor.Mat[T]
 	if steps == 0 {
 		panic("infer: window has no timesteps")
 	}
-	// The row-major batch×steps window IS the step-input sequence: row
-	// i·steps+t of pre holds [x·Wz+bz | x·Wr+br | x·Wh+bh] for example i at
-	// step t.
-	xall := s.Mat(n*steps, 2)
-	for i, v := range win.Data {
-		xall.Data[2*i], xall.Data[2*i+1] = T(v), 1
+	// The window goes in step-major — row t·n+i is example i at step t — so
+	// that the n rows a step reads are one contiguous block, shaped exactly
+	// like the matrices the step computes: preZR's block t is the addend of
+	// the whole batch's [z|r] pre-activations, preH's that of the candidate.
+	xall := s.Mat(steps*n, 2)
+	for i := 0; i < n; i++ {
+		for t, v := range win.Row(i) {
+			xall.Data[2*(t*n+i)], xall.Data[2*(t*n+i)+1] = T(v), 1
+		}
 	}
-	pre := s.Mat(n*steps, 3*H)
-	tensor.MatMulBlockedInto(pre, xall, w.fw)
+	preZR, preH := s.Mat(steps*n, 2*H), s.Mat(steps*n, H)
+	tensor.MatMulBlockedInto(preZR, xall, w.wzr)
+	tensor.MatMulBlockedInto(preH, xall, w.wh)
 
 	h := s.Mat(n, H)
 	h.Zero()
@@ -315,26 +357,15 @@ func (w *weights[T]) gruWindow(s *scratch[T], win *tensor.Matrix) *tensor.Mat[T]
 	hc := s.Mat(n, H)
 
 	for t := 0; t < steps; t++ {
-		// z = σ(h·Uz + x·Wz + bz) and r = σ(h·Ur + x·Wr + br), side by side.
+		// z = σ(h·Uz + x·Wz + bz) and r = σ(h·Ur + x·Wr + br), side by side,
+		// then r ⊙ h: each one call over the batch.
 		tensor.MatMulBlockedInto(zr, h, w.uzr)
-		for i := 0; i < n; i++ {
-			gates := zr.Row(i)
-			tensor.SigmoidAdd(gates, gates, pre.Row(i*steps + t)[:2*H])
-			r, hrow, out := gates[H:][:H], h.Row(i)[:H], rh.Row(i)[:H]
-			for j, v := range r {
-				out[j] = v * hrow[j]
-			}
-		}
-		// h′ = act((r ⊙ h)·Uh + x·Wh + bh), then h = (1−z) ⊙ h′ + z ⊙ h —
-		// elementwise, so updating in place is safe.
+		tensor.SigmoidAdd(zr.Data, zr.Data, preZR.Data[t*n*2*H:][:n*2*H])
+		tensor.GateMul(rh.Data, zr.Data, h.Data, H)
+		// h′ = act((r ⊙ h)·Uh + x·Wh + bh), then h = (1−z) ⊙ h′ + z ⊙ h.
 		tensor.MatMulBlockedInto(hc, rh, w.uh)
-		for i := 0; i < n; i++ {
-			z, hrow, crow := zr.Row(i)[:H], h.Row(i)[:H], hc.Row(i)[:H]
-			addAct(crow, pre.Row(i*steps + t)[2*H:], w.candAct)
-			for j, zj := range z {
-				hrow[j] = (1-zj)*crow[j] + zj*hrow[j]
-			}
-		}
+		addAct(hc.Data, preH.Data[t*n*H:][:n*H], w.candAct)
+		tensor.GateBlend(h.Data, zr.Data, hc.Data, H)
 		if w.attnW != nil {
 			st := s.Mat(n, H)
 			copy(st.Data, h.Data)
@@ -438,27 +469,23 @@ func rowDots[T tensor.Float](out []float64, a, b *tensor.Mat[T]) {
 	}
 }
 
-// addAct computes row = act(row + addend) — a dense layer's bias, or the
-// input-side half of the GRU candidate. The logistic does both in one
-// kernel; tanh evaluates in float64 and rounds once.
+// addAct computes row = act(row + addend), the two equally long — a dense
+// layer's output row and its bias, or a whole batch of GRU candidates and
+// the input-side half of their pre-activations. The logistic and the ReLU
+// each do both in one kernel; tanh evaluates in float64 and rounds once.
 func addAct[T tensor.Float](row, addend []T, act nn.Activation) {
-	if act == nn.Sigmoid {
-		tensor.SigmoidAdd(row, row, addend)
-		return
-	}
-	addend = addend[:len(row)]
 	switch act {
+	case nn.Sigmoid:
+		tensor.SigmoidAdd(row, row, addend)
+	case nn.ReLU:
+		tensor.AddReLU(row, row, addend)
 	case nn.Linear:
-		for j, v := range addend {
+		for j, v := range addend[:len(row)] {
 			row[j] += v
 		}
 	case nn.Tanh:
-		for j, v := range addend {
+		for j, v := range addend[:len(row)] {
 			row[j] = T(math.Tanh(float64(row[j] + v)))
-		}
-	case nn.ReLU:
-		for j, v := range addend {
-			row[j] = max(row[j]+v, 0)
 		}
 	default:
 		panic(fmt.Sprintf("infer: unknown activation %d", int(act)))

@@ -1,6 +1,8 @@
 package obs
 
 import (
+	"encoding/binary"
+	"encoding/hex"
 	"strings"
 	"testing"
 )
@@ -35,9 +37,63 @@ func FuzzParseTraceParent(f *testing.F) {
 	})
 }
 
-// TestIDsAllocateWhatTheyReturn: a request id is one object, a derived span
-// id and a stamped or parsed traceparent none beyond the caller's buffer.
+// TestIDsAllocateWhatTheyReturn: a request id is one object — and so are the
+// ids of a whole frame, which are cut from one string, given only to the
+// slots that lack one, and stay unique when the entropy source fails — a
+// derived span id and a stamped or parsed traceparent none beyond the
+// caller's buffer.
 func TestIDsAllocateWhatTheyReturn(t *testing.T) {
+	// 70 slots cross two 32-id entropy reads; every third arrives with an id
+	// and keeps it, every seventh is skipped.
+	ids := make([]string, 70)
+	fill := func() {
+		for i := range ids {
+			ids[i] = ""
+			if i%3 == 0 {
+				ids[i] = "caller-supplied"
+			}
+		}
+		FillRequestIDs(len(ids), func(i int) *string {
+			if i%7 == 0 {
+				return nil
+			}
+			return &ids[i]
+		})
+	}
+	fill()
+	seen := map[string]bool{}
+	for i, id := range ids {
+		switch {
+		case i%3 == 0:
+			if id != "caller-supplied" {
+				t.Fatalf("slot %d: a supplied id became %q", i, id)
+			}
+		case i%7 == 0:
+			if id != "" {
+				t.Fatalf("slot %d: a skipped slot got %q", i, id)
+			}
+		default:
+			if _, err := hex.DecodeString(id); len(id) != 16 || err != nil || seen[id] {
+				t.Fatalf("slot %d: id %q is not 16 hex characters or repeats", i, id)
+			}
+			seen[id] = true
+		}
+	}
+	FillRequestIDs(0, nil) // an empty frame asks for nothing
+	// The fallback of a failed read numbers every id of the block, and goes
+	// on counting across blocks.
+	var raw [3][16]byte
+	for i := range raw {
+		fallbackEntropy(raw[i][:])
+		for _, b := range [][]byte{raw[i][:8], raw[i][8:]} {
+			if id := string(AppendID(nil, binary.BigEndian.Uint64(b))); seen[id] {
+				t.Fatalf("fallback id %q repeats", id)
+			} else {
+				seen[id] = true
+			}
+		}
+	}
+
 	if got := string(AppendID(nil, 0x0123456789abcdef)); got != "0123456789abcdef" {
 		t.Fatalf("AppendID = %q", got)
 	}
@@ -58,6 +114,7 @@ func TestIDsAllocateWhatTheyReturn(t *testing.T) {
 		fn  func()
 	}{
 		"NewRequestID":      {1, func() { _ = NewRequestID() }},
+		"FillRequestIDs":    {1, fill},
 		"AppendID":          {0, func() { buf = AppendID(buf[:0], 42) }},
 		"AppendTraceParent": {0, func() { buf = AppendTraceParent(buf[:0], traceID, spanID) }},
 		"ParseTraceParent":  {0, func() { _, _, _ = ParseTraceParent(want) }},

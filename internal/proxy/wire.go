@@ -131,11 +131,9 @@ func routeKey(r *serve.Request) string {
 // their candidate lists concurrently, each with the usual retry budget,
 // and the replies land back in request order (gather).
 func (wf *wireFront) routeBatch(reqs []*serve.Request) []wire.Reply {
+	obs.FillRequestIDs(len(reqs), func(i int) *string { return &reqs[i].RequestID })
 	mixed := false
 	for _, r := range reqs {
-		if r.RequestID == "" {
-			r.RequestID = obs.NewRequestID()
-		}
 		mixed = mixed || !sameEnv(r, reqs[0])
 	}
 	if !mixed {

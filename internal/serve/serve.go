@@ -529,11 +529,14 @@ func (s *Server) admit(items []item) {
 			s.refuse(it, code, err)
 			continue
 		}
-		if it.req.RequestID == "" {
-			it.req.RequestID = obs.NewRequestID()
-		}
 		valid++
 	}
+	obs.FillRequestIDs(len(items), func(i int) *string {
+		if items[i].err != nil {
+			return nil
+		}
+		return &items[i].req.RequestID
+	})
 	// Counted before a worker can see them; the refused tail, which no worker
 	// ever will, is counted back down.
 	wg := items[0].wg

@@ -2,8 +2,10 @@
 
 package tensor
 
-// Feature detection and the Go-side tile drivers for the vector GEMMs:
-// AVX2+FMA float32 (f32gemm_amd64.s) and AVX2 float64 (f64gemm_amd64.s).
+// Feature detection and the Go-side drivers for the vector kernels: the
+// GEMM tiles, AVX2+FMA float32 (f32gemm_amd64.s) and AVX2 float64
+// (f64gemm_amd64.s), the float32 logistic (sigmoid32_amd64.s) and the
+// float32 GRU elementwise kernels (gate32_amd64.s).
 // The assembly handles full tiles — 4×16 and 1×16 in float32, 4×8 and 1×8
 // in float64; the ragged right edge runs through matMulScalar, which
 // produces the same ascending-k accumulation per element.
@@ -27,6 +29,15 @@ func gemm1x16f32(out, a, b *float32, k, bn uintptr)
 
 //go:noescape
 func sigmoidAdd8f32(dst, a, b *float32, n uintptr)
+
+//go:noescape
+func addReLU8f32(dst, a, b *float32, n uintptr)
+
+//go:noescape
+func gateMul8f32(dst, r, h *float32, rows, cols, width uintptr)
+
+//go:noescape
+func gateBlend8f32(h, z, c *float32, rows, cols, width uintptr)
 
 //go:noescape
 func gemm4x8f64(out, a, b *float64, k, an, bn, on uintptr)
@@ -111,4 +122,36 @@ func sigmoidAddAsm32(dst, a, b []float32) int {
 	}
 	sigmoidAdd8f32(&dst[0], &a[0], &b[0], uintptr(n))
 	return n
+}
+
+// addReLUAsm32 is the same driver over the add-and-ReLU kernel.
+func addReLUAsm32(dst, a, b []float32) int {
+	n := len(dst) &^ 7
+	if !useAsm || n == 0 {
+		return 0
+	}
+	addReLU8f32(&dst[0], &a[0], &b[0], uintptr(n))
+	return n
+}
+
+// gateMulAsm32 and gateBlendAsm32 run their kernels over the leading whole
+// groups of 8 columns of every row and return how many columns they
+// finished (0 without AVX2+FMA). Callers guarantee width ≥ 1, at least one
+// row, and the lengths checkGate checks.
+func gateMulAsm32(dst, zr, h []float32, width int) int {
+	cols := width &^ 7
+	if !useAsm || cols == 0 {
+		return 0
+	}
+	gateMul8f32(&dst[0], &zr[width], &h[0], uintptr(len(dst)/width), uintptr(cols), uintptr(width))
+	return cols
+}
+
+func gateBlendAsm32(h, zr, c []float32, width int) int {
+	cols := width &^ 7
+	if !useAsm || cols == 0 {
+		return 0
+	}
+	gateBlend8f32(&h[0], &zr[0], &c[0], uintptr(len(h)/width), uintptr(cols), uintptr(width))
+	return cols
 }

@@ -17,10 +17,7 @@
 // polynomial for tails, other platforms, and as the assembly's reference.
 package tensor
 
-import (
-	"fmt"
-	"math"
-)
+import "math"
 
 const (
 	sigClamp  = 87 // |x| beyond this saturates; 2ⁿ stays a normal float32
@@ -45,14 +42,8 @@ const (
 // ≈1.6e-38 — never a subnormal. In float64 it is the exact 1/(1+exp(−x)) of
 // the autodiff tape, which the ≤1e-12 parity of the float64 predictor needs.
 func SigmoidAdd[T Float](dst, a, b []T) {
-	if len(a) != len(dst) || len(b) != len(dst) {
-		panic(fmt.Sprintf("tensor: SigmoidAdd lengths %d, %d into %d", len(a), len(b), len(dst)))
-	}
-	if len(dst) == 0 {
+	if !checkAdd("SigmoidAdd", dst, a, b) {
 		return
-	}
-	if (&dst[0] != &a[0] && overlap(dst, a)) || overlap(dst, b) {
-		panic("tensor: SigmoidAdd dst overlaps an operand")
 	}
 	switch d := any(dst).(type) {
 	case []float32:

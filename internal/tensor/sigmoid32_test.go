@@ -10,10 +10,10 @@ import (
 // hand the r⊙h multiply that follows it a subnormal.
 const minNormal32 = 0x1p-126
 
-// onBothSigmoidPaths runs f against the vector kernel (when the CPU has it)
+// onBothPaths runs f against the vector kernels (when the CPU has them)
 // and again with useAsm forced off, so the scalar twin faces the same
 // table on every platform.
-func onBothSigmoidPaths(t *testing.T, f func(t *testing.T)) {
+func onBothPaths(t *testing.T, f func(t *testing.T)) {
 	t.Helper()
 	if useAsm {
 		t.Run("asm", f)
@@ -105,7 +105,7 @@ func TestSigmoidAdd32Accuracy(t *testing.T) {
 // whole groups of 8, scalar tails, unaligned loads. The element after dst
 // is a canary.
 func TestSigmoidAdd32Tails(t *testing.T) {
-	onBothSigmoidPaths(t, func(t *testing.T) {
+	onBothPaths(t, func(t *testing.T) {
 		rng := rand.New(rand.NewSource(47))
 		a, b, dst := make([]float32, 64), make([]float32, 64), make([]float32, 64)
 		for i := range a {
@@ -134,7 +134,7 @@ func TestSigmoidAdd32Tails(t *testing.T) {
 // must not swallow it), infinities and huge magnitudes saturate to 1 or to
 // a normal float32 — 0 would do, a subnormal would not.
 func TestSigmoidAdd32Special(t *testing.T) {
-	onBothSigmoidPaths(t, func(t *testing.T) {
+	onBothPaths(t, func(t *testing.T) {
 		nan, inf := float32(math.NaN()), float32(math.Inf(1))
 		// 9 wide, so lane 0 of the vector group and the scalar tail both see
 		// a NaN.
@@ -167,7 +167,7 @@ func TestSigmoidAdd32Special(t *testing.T) {
 // place — and that must equal the out-of-place result; every other overlap
 // and any length mismatch panics like the GEMMs.
 func TestSigmoidAdd32Alias(t *testing.T) {
-	onBothSigmoidPaths(t, func(t *testing.T) {
+	onBothPaths(t, func(t *testing.T) {
 		rng := rand.New(rand.NewSource(48))
 		a, b := make([]float32, 27), make([]float32, 27)
 		for i := range a {
