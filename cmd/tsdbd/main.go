@@ -1,9 +1,9 @@
 // Command tsdbd runs the fleet's monitoring plane: it scrapes /metrics
 // from the targets listed in a file-based service-discovery config
-// (workflow step 1), serves range queries over HTTP (workflow step 3),
-// evaluates an expression query engine (GET /query), runs recording and
-// SLO burn-rate alerting rules each scrape interval, and renders a
-// self-contained fleet health dashboard (GET /dashboard).
+// (workflow step 1), answers expression queries, instant or over a range
+// (GET /query), runs recording and SLO burn-rate alerting rules each
+// scrape interval, and renders a self-contained fleet health dashboard
+// (GET /dashboard).
 //
 // Its own /metrics endpoint leads with the daemon's self-telemetry
 // (scrape/rule/eviction counters, stored-series and alert gauges)
@@ -76,10 +76,9 @@ func main() {
 	scraper.Logger = obs.NewLogger(os.Stderr, level, "scraper")
 	scraper.Concurrency = *scrapeConc
 
-	engine := tsdb.NewEngine(db)
 	var rules *tsdb.Rules
 	if *rulesPath != "" || *defaultSLO {
-		rules = tsdb.NewRules(engine)
+		rules = tsdb.NewRules(db)
 		rules.Logger = obs.NewLogger(os.Stderr, level, "rules")
 		if *alarmsURL != "" {
 			rules.Sink = quality.HTTPSink{URL: *alarmsURL}
@@ -142,7 +141,7 @@ func main() {
 	}
 
 	mux := http.NewServeMux()
-	mux.Handle("/", &tsdb.Handler{DB: db, SelfMetrics: reg, Engine: engine, Rules: rules})
+	mux.Handle("/", &tsdb.Handler{DB: db, SelfMetrics: reg, Rules: rules})
 	if *pprofOn {
 		obs.RegisterPprof(mux)
 	}

@@ -114,9 +114,16 @@ mv docs/outputs/BENCH_infer.json.new docs/outputs/BENCH_infer.json
 # reload under -race, retention/eviction, the parallel scrape pool, the
 # dashboard render, and the full burn-rate e2e: live serve.Server behind
 # a proxy, scraped by tsdb, error injection drives the fast-burn rule
-# pending->firing, alarm lands in the alarmstore with source=slo.
+# pending->firing, alarm lands in the alarmstore with source=slo. The
+# query golden pins every shipped rule, panel and documented expression
+# (plus an operator matrix and invalid-input error texts) bit for bit;
+# FuzzParseExpr holds the parser to its pre-collapse reference and
+# FuzzParseExposition holds label sets through a write->parse trip.
 go test -race ./internal/tsdb/
 go test -race -run 'TestMonitoringPlaneBurnRateE2E|TestQueryHTTPFixtures' ./internal/tsdb/
+go test -run 'TestQueryGolden$|TestExpositionLabelValuesSurviveMerge|TestRulesReloadSameSizeSameMtime' ./internal/tsdb/
+go test -run FuzzParseExposition -fuzz FuzzParseExposition -fuzztime 10s ./internal/tsdb/
+go test -run 'FuzzParseExpr$' -fuzz 'FuzzParseExpr$' -fuzztime 10s ./internal/tsdb/
 go test -run 'TestTSDBDMonitoringEndpoints|TestLoadGeneratorAlertsGate' ./cmd/tsdbd/ ./cmd/e2vload/
 go test -run 'TestSourceFilter' ./internal/alarmstore/
 # Serving-path benchmarks (a lone Do, parallel submitters, a saturated

@@ -11,7 +11,6 @@ import (
 	"html/template"
 	"math"
 	"net/http"
-	"sort"
 	"strings"
 	"time"
 )
@@ -108,24 +107,13 @@ func sparkPoints(samples []Sample, from, to int64) string {
 	return b.String()
 }
 
-// seriesName renders a label set (minus __name__) as "k=v, k2=v2", or
-// "fleet" for the empty aggregate.
+// seriesName renders a label set minus __name__ as its fingerprint
+// ("k=v,k2=v2"), or "fleet" for the empty aggregate.
 func seriesName(l Labels) string {
-	keys := make([]string, 0, len(l))
-	for k := range l {
-		if k != "__name__" {
-			keys = append(keys, k)
-		}
+	if name := dropName(l).Fingerprint(); name != "" {
+		return name
 	}
-	if len(keys) == 0 {
-		return "fleet"
-	}
-	sort.Strings(keys)
-	parts := make([]string, len(keys))
-	for i, k := range keys {
-		parts[i] = k + "=" + l[k]
-	}
-	return strings.Join(parts, ", ")
+	return "fleet"
 }
 
 func formatValue(v float64) string {
@@ -151,7 +139,7 @@ func (h *Handler) buildDashboard(now int64) dashData {
 	}
 	for _, bw := range burnWindows {
 		g := burnGauge{Window: bw.Window, Threshold: bw.Threshold, Display: "no data", Class: "ok"}
-		if vec, err := h.Engine.Instant("slo:serve:burn_rate:"+bw.Window, now); err == nil && len(vec) > 0 {
+		if vec, err := h.DB.Instant("slo:serve:burn_rate:"+bw.Window, now); err == nil && len(vec) > 0 {
 			v := vec[0].V
 			g.HasData = true
 			g.Display = formatValue(v) + "x"
@@ -168,7 +156,7 @@ func (h *Handler) buildDashboard(now int64) dashData {
 	from := now - int64(dashWindow.Seconds())
 	for _, spec := range dashboardPanels {
 		panel := dashPanel{Title: spec.Title, Unit: spec.Unit}
-		series, err := h.Engine.Range(spec.Expr, from, now, dashStep)
+		series, err := h.DB.Range(spec.Expr, from, now, dashStep)
 		if err == nil {
 			for _, s := range series {
 				if len(s.Samples) == 0 {
@@ -187,10 +175,6 @@ func (h *Handler) buildDashboard(now int64) dashData {
 }
 
 func (h *Handler) dashboard(w http.ResponseWriter) {
-	if h.Engine == nil {
-		http.Error(w, "query engine not enabled", http.StatusNotFound)
-		return
-	}
 	w.Header().Set("Content-Type", "text/html; charset=utf-8")
 	_ = dashTemplate.Execute(w, h.buildDashboard(h.now()))
 }

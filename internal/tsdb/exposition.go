@@ -17,7 +17,8 @@ import (
 // Comment lines (#), blank lines, and OpenMetrics exemplar suffixes
 // (`value # {request_id="..."} 1.2`) are skipped. The metric name is added
 // to the returned label set under the key "__name__". Timestamps are unix
-// seconds; when omitted, defaultTime is used.
+// seconds; when omitted, defaultTime is used. Label values are quoted and
+// escaped as Go (and Prometheus, for \\, \" and \n) string literals.
 func ParseExposition(r io.Reader, defaultTime int64) ([]Series, error) {
 	scanner := bufio.NewScanner(r)
 	byFP := make(map[string]*Series)
@@ -54,25 +55,21 @@ func ParseExposition(r io.Reader, defaultTime int64) ([]Series, error) {
 
 func parseLine(line string, defaultTime int64) (Labels, float64, int64, error) {
 	labels := Labels{}
-	rest := line
 	// Metric name runs until '{' or whitespace.
-	nameEnd := strings.IndexAny(rest, "{ \t")
+	nameEnd := strings.IndexAny(line, "{ \t")
 	if nameEnd <= 0 {
 		return nil, 0, 0, fmt.Errorf("missing metric name")
 	}
-	labels["__name__"] = rest[:nameEnd]
-	rest = strings.TrimSpace(rest[nameEnd:])
-
+	rest := strings.TrimSpace(line[nameEnd:])
 	if strings.HasPrefix(rest, "{") {
-		close := strings.Index(rest, "}")
-		if close < 0 {
-			return nil, 0, 0, fmt.Errorf("unterminated label set")
-		}
-		if err := parseLabels(rest[1:close], labels); err != nil {
+		var err error
+		if rest, err = parseLabels(rest[1:], labels); err != nil {
 			return nil, 0, 0, err
 		}
-		rest = strings.TrimSpace(rest[close+1:])
 	}
+	// After the braces: the line's own name wins over a __name__ label, as
+	// WriteExposition writes it.
+	labels["__name__"] = line[:nameEnd]
 
 	// Drop an OpenMetrics-style exemplar suffix (`# {labels} value`): the
 	// label set is already consumed above, so any remaining '#' starts an
@@ -99,44 +96,49 @@ func parseLine(line string, defaultTime int64) (Labels, float64, int64, error) {
 	return labels, value, ts, nil
 }
 
-func parseLabels(s string, into Labels) error {
-	s = strings.TrimSpace(s)
-	if s == "" {
-		return nil
-	}
-	// Split on commas outside quotes.
-	var parts []string
-	depth := false
-	start := 0
-	for i := 0; i < len(s); i++ {
-		switch s[i] {
-		case '"':
-			depth = !depth
-		case ',':
-			if !depth {
-				parts = append(parts, s[start:i])
-				start = i + 1
-			}
+// parseLabels reads `k="v",…}` from s, which starts just past the '{', into
+// labels and returns what follows the closing '}'. Each value runs to its
+// closing unescaped quote, so a '}' or ',' inside one is just text, and is
+// decoded with strconv.Unquote, the inverse of the %q WriteExposition (and
+// obs) render it with: a value survives any number of Parse→Write trips.
+func parseLabels(s string, into Labels) (string, error) {
+	for {
+		s = strings.TrimSpace(s)
+		if strings.HasPrefix(s, "}") {
+			return strings.TrimSpace(s[1:]), nil
 		}
-	}
-	parts = append(parts, s[start:])
-	for _, p := range parts {
-		p = strings.TrimSpace(p)
-		if p == "" {
-			continue
-		}
-		eq := strings.Index(p, "=")
+		eq := strings.IndexByte(s, '=')
 		if eq < 0 {
-			return fmt.Errorf("bad label pair %q", p)
+			return "", fmt.Errorf("unterminated label set")
 		}
-		k := strings.TrimSpace(p[:eq])
-		v := strings.TrimSpace(p[eq+1:])
-		if len(v) < 2 || v[0] != '"' || v[len(v)-1] != '"' {
-			return fmt.Errorf("label value must be quoted: %q", p)
+		k := strings.TrimSpace(s[:eq])
+		s = strings.TrimSpace(s[eq+1:])
+		if !strings.HasPrefix(s, `"`) {
+			return "", fmt.Errorf("label value must be quoted: %q", k)
 		}
-		into[k] = v[1 : len(v)-1]
+		end := 1
+		for end < len(s) && s[end] != '"' {
+			if s[end] == '\\' {
+				end++
+			}
+			end++
+		}
+		if end >= len(s) {
+			return "", fmt.Errorf("unterminated value of label %q", k)
+		}
+		v, err := strconv.Unquote(s[:end+1])
+		if err != nil {
+			return "", fmt.Errorf("bad value of label %q: %v", k, err)
+		}
+		into[k] = v
+		s = strings.TrimSpace(s[end+1:])
+		switch {
+		case strings.HasPrefix(s, ","):
+			s = s[1:]
+		case !strings.HasPrefix(s, "}"):
+			return "", fmt.Errorf("expected ',' or '}' after label %q", k)
+		}
 	}
-	return nil
 }
 
 // MergeExpositions merges several already-parsed expositions (see
@@ -154,10 +156,7 @@ func MergeExpositions(w io.Writer, tag string, parts map[string][]Series) error 
 	for _, name := range names {
 		tagged := make([]Series, len(parts[name]))
 		for i, s := range parts[name] {
-			lbls := make(Labels, len(s.Labels)+1)
-			for k, v := range s.Labels {
-				lbls[k] = v
-			}
+			lbls := s.Labels.Clone()
 			if _, ok := lbls[tag]; !ok && tag != "" {
 				lbls[tag] = name
 			}

@@ -5,17 +5,14 @@ import (
 	"io"
 	"net/http"
 	"strconv"
-	"strings"
 	"time"
 )
 
 // Handler exposes the DB over HTTP:
 //
-//	GET /api/v1/query_range?match=k:v,k2:v2&start=<unix>&end=<unix>
-//	GET /api/v1/labels/<key>/values
-//	GET /query?expr=<expression>[&time=| &from=&to=&step=]  (needs Engine)
+//	GET /query?expr=<expression>[&time=| &from=&to=&step=]
 //	GET /alerts (pending/firing alerts, JSON; needs Rules)
-//	GET /dashboard (self-contained fleet health HTML; needs Engine)
+//	GET /dashboard (self-contained fleet health HTML)
 //	GET /metrics (all series, text exposition; for federation/debugging)
 type Handler struct {
 	DB *DB
@@ -24,8 +21,6 @@ type Handler struct {
 	// gauges) sharing the page with the federation dump. An obs.Registry
 	// satisfies this without tsdb depending on the obs package.
 	SelfMetrics io.WriterTo
-	// Engine, when non-nil, enables /query and /dashboard.
-	Engine *Engine
 	// Rules, when non-nil, feeds /alerts and the dashboard alert table.
 	Rules *Rules
 	// Now anchors default evaluation times; defaults to the wall clock.
@@ -39,7 +34,7 @@ func (h *Handler) now() int64 {
 	return time.Now().Unix()
 }
 
-// queryResponse is the JSON shape returned by query_range.
+// queryResponse is the JSON shape of a range /query.
 type queryResponse struct {
 	Status string       `json:"status"`
 	Data   []seriesJSON `json:"data"`
@@ -53,10 +48,6 @@ type seriesJSON struct {
 // ServeHTTP implements http.Handler.
 func (h *Handler) ServeHTTP(w http.ResponseWriter, r *http.Request) {
 	switch {
-	case r.URL.Path == "/api/v1/query_range":
-		h.queryRange(w, r)
-	case strings.HasPrefix(r.URL.Path, "/api/v1/labels/"):
-		h.labelValues(w, r)
 	case r.URL.Path == "/query":
 		h.query(w, r)
 	case r.URL.Path == "/alerts":
@@ -74,10 +65,6 @@ func (h *Handler) ServeHTTP(w http.ResponseWriter, r *http.Request) {
 // result (series of step-aligned samples); otherwise an instant vector
 // at ?time= (default: now).
 func (h *Handler) query(w http.ResponseWriter, r *http.Request) {
-	if h.Engine == nil {
-		http.Error(w, "query engine not enabled", http.StatusNotFound)
-		return
-	}
 	expr := r.URL.Query().Get("expr")
 	if expr == "" {
 		http.Error(w, "missing expr", http.StatusBadRequest)
@@ -92,7 +79,7 @@ func (h *Handler) query(w http.ResponseWriter, r *http.Request) {
 			http.Error(w, "bad from/to/step: want unix seconds", http.StatusBadRequest)
 			return
 		}
-		series, err := h.Engine.Range(expr, from, to, step)
+		series, err := h.DB.Range(expr, from, to, step)
 		if err != nil {
 			http.Error(w, err.Error(), http.StatusBadRequest)
 			return
@@ -110,7 +97,7 @@ func (h *Handler) query(w http.ResponseWriter, r *http.Request) {
 		http.Error(w, "bad time: want unix seconds", http.StatusBadRequest)
 		return
 	}
-	vec, err := h.Engine.Instant(expr, ts)
+	vec, err := h.DB.Instant(expr, ts)
 	if err != nil {
 		http.Error(w, err.Error(), http.StatusBadRequest)
 		return
@@ -140,51 +127,6 @@ func (h *Handler) alerts(w http.ResponseWriter) {
 	_ = json.NewEncoder(w).Encode(map[string]any{"status": "success", "data": active})
 }
 
-func (h *Handler) queryRange(w http.ResponseWriter, r *http.Request) {
-	matcher := Labels{}
-	if m := r.URL.Query().Get("match"); m != "" {
-		for _, pair := range strings.Split(m, ",") {
-			kv := strings.SplitN(pair, ":", 2)
-			if len(kv) != 2 {
-				http.Error(w, "bad match pair: "+pair, http.StatusBadRequest)
-				return
-			}
-			matcher[kv[0]] = kv[1]
-		}
-	}
-	start, err := parseTime(r.URL.Query().Get("start"), 0)
-	if err != nil {
-		http.Error(w, "bad start", http.StatusBadRequest)
-		return
-	}
-	end, err := parseTime(r.URL.Query().Get("end"), 1<<62)
-	if err != nil {
-		http.Error(w, "bad end", http.StatusBadRequest)
-		return
-	}
-	series := h.DB.Query(matcher, start, end)
-	resp := queryResponse{Status: "success", Data: make([]seriesJSON, 0, len(series))}
-	for _, s := range series {
-		resp.Data = append(resp.Data, seriesJSON{Labels: s.Labels, Samples: s.Samples})
-	}
-	w.Header().Set("Content-Type", "application/json")
-	_ = json.NewEncoder(w).Encode(resp)
-}
-
-func (h *Handler) labelValues(w http.ResponseWriter, r *http.Request) {
-	rest := strings.TrimPrefix(r.URL.Path, "/api/v1/labels/")
-	parts := strings.Split(rest, "/")
-	if len(parts) != 2 || parts[1] != "values" {
-		http.NotFound(w, r)
-		return
-	}
-	w.Header().Set("Content-Type", "application/json")
-	_ = json.NewEncoder(w).Encode(map[string]any{
-		"status": "success",
-		"data":   h.DB.LabelValues(parts[0]),
-	})
-}
-
 func (h *Handler) dump(w http.ResponseWriter) {
 	series := h.DB.Query(Labels{}, 0, 1<<62)
 	w.Header().Set("Content-Type", "text/plain; version=0.0.4")
@@ -199,39 +141,4 @@ func parseTime(s string, def int64) (int64, error) {
 		return def, nil
 	}
 	return strconv.ParseInt(s, 10, 64)
-}
-
-// QueryClient reads series back from a tsdb Handler over HTTP; the
-// prediction pipeline uses it to build its dataframe (workflow step 3).
-type QueryClient struct {
-	BaseURL string
-	Client  *http.Client
-}
-
-// QueryRange fetches series matching the label matcher in [from, to].
-func (c *QueryClient) QueryRange(matcher Labels, from, to int64) ([]Series, error) {
-	httpc := c.Client
-	if httpc == nil {
-		httpc = http.DefaultClient
-	}
-	var pairs []string
-	for k, v := range matcher {
-		pairs = append(pairs, k+":"+v)
-	}
-	url := c.BaseURL + "/api/v1/query_range?match=" + strings.Join(pairs, ",") +
-		"&start=" + strconv.FormatInt(from, 10) + "&end=" + strconv.FormatInt(to, 10)
-	resp, err := httpc.Get(url)
-	if err != nil {
-		return nil, err
-	}
-	defer resp.Body.Close()
-	var qr queryResponse
-	if err := json.NewDecoder(resp.Body).Decode(&qr); err != nil {
-		return nil, err
-	}
-	out := make([]Series, 0, len(qr.Data))
-	for _, s := range qr.Data {
-		out = append(out, Series{Labels: s.Labels, Samples: s.Samples})
-	}
-	return out, nil
 }

@@ -54,14 +54,13 @@ func TestMonitoringPlaneBurnRateE2E(t *testing.T) {
 	db.SetRetention(8 * 3600)
 	sc := tsdb.NewScraper(db, sd, time.Second)
 	sc.Now = func() int64 { return now }
-	engine := tsdb.NewEngine(db)
-	rules := tsdb.NewRules(engine)
+	rules := tsdb.NewRules(db)
 	rules.Now = func() int64 { return now }
 	rules.Sink = quality.HTTPSink{URL: alarmSrv.URL}
 	if err := rules.Load(tsdb.DefaultSLORules(0.99, 250)); err != nil {
 		t.Fatal(err)
 	}
-	handler := &tsdb.Handler{DB: db, Engine: engine, Rules: rules, Now: func() int64 { return now }}
+	handler := &tsdb.Handler{DB: db, Rules: rules, Now: func() int64 { return now }}
 	tsdbSrv := httptest.NewServer(handler)
 	defer tsdbSrv.Close()
 
@@ -249,7 +248,7 @@ func TestQueryHTTPFixtures(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	h := &tsdb.Handler{DB: db, Engine: tsdb.NewEngine(db), Now: func() int64 { return 60 }}
+	h := &tsdb.Handler{DB: db, Now: func() int64 { return 60 }}
 	srv := httptest.NewServer(h)
 	defer srv.Close()
 

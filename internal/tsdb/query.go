@@ -6,14 +6,13 @@ import (
 	"sort"
 	"strconv"
 	"strings"
-	"time"
 )
 
 // This file is the query engine that turns the passive sample sink into a
 // monitoring plane: a small PromQL-flavoured evaluator over stored series.
 // Supported surface (see docs/observability.md "Monitoring plane"):
 //
-//	metric{label="v"}                     instant selector (staleness Lookback)
+//	metric{label="v"}                     instant selector (5m staleness lookback)
 //	rate(sel[5m]) / increase(sel[5m])     counter semantics with reset detection
 //	sum/avg/min/max/count by (l1,l2) (e)  label aggregation
 //	histogram_quantile(0.99, e)           from cumulative _bucket series
@@ -26,6 +25,10 @@ import (
 // range extrapolation), and increase() returns the reset-adjusted delta
 // itself. Both need at least two samples in the window.
 
+// lookbackSec is the staleness window for instant selectors: the newest
+// sample within [t-5m, t] represents the series at t.
+const lookbackSec = 5 * 60
+
 // Point is one element of an instant vector: a label identity and a value.
 type Point struct {
 	Labels Labels
@@ -35,38 +38,20 @@ type Point struct {
 // Vector is the result of evaluating an expression at one instant.
 type Vector []Point
 
-// Engine evaluates expressions against a DB.
-type Engine struct {
-	DB *DB
-	// Lookback is the staleness window for instant selectors: the newest
-	// sample within (t-Lookback, t] represents the series at t. Default 5m.
-	Lookback time.Duration
-}
-
-// NewEngine returns an engine with the default staleness window.
-func NewEngine(db *DB) *Engine { return &Engine{DB: db, Lookback: 5 * time.Minute} }
-
-func (e *Engine) lookbackSec() int64 {
-	if e.Lookback <= 0 {
-		return 300
-	}
-	return int64(e.Lookback / time.Second)
-}
-
 // Instant parses and evaluates expr at time ts (unix seconds). A scalar
 // result becomes a single point with empty labels.
-func (e *Engine) Instant(expr string, ts int64) (Vector, error) {
+func (db *DB) Instant(expr string, ts int64) (Vector, error) {
 	n, err := ParseExpr(expr)
 	if err != nil {
 		return nil, err
 	}
-	return e.evalInstant(n, ts)
+	return db.evalInstant(n, ts)
 }
 
 // Range evaluates expr at each step in [from, to] (inclusive) and assembles
 // the per-instant vectors into series keyed by label identity. NaN points
 // are skipped.
-func (e *Engine) Range(expr string, from, to, step int64) ([]Series, error) {
+func (db *DB) Range(expr string, from, to, step int64) ([]Series, error) {
 	if step <= 0 {
 		return nil, fmt.Errorf("tsdb: query step must be positive, got %d", step)
 	}
@@ -83,7 +68,7 @@ func (e *Engine) Range(expr string, from, to, step int64) ([]Series, error) {
 	byFP := make(map[string]*Series)
 	var order []string
 	for ts := from; ts <= to; ts += step {
-		vec, err := e.evalInstant(n, ts)
+		vec, err := db.evalInstant(n, ts)
 		if err != nil {
 			return nil, err
 		}
@@ -237,6 +222,10 @@ func lex(in string) ([]token, error) {
 type parser struct {
 	toks []token
 	pos  int
+	// rangeErr is the first misplaced or missing range selector. It is
+	// reported only once the whole input has parsed, so a syntax error
+	// anywhere still wins.
+	rangeErr error
 }
 
 // ParseExpr parses a query expression into an evaluable AST, validating
@@ -250,48 +239,17 @@ func ParseExpr(in string) (exprNode, error) {
 		return nil, err
 	}
 	p := &parser{toks: toks}
-	n, err := p.parseExpr()
+	n, err := p.parseExpr(1)
 	if err != nil {
 		return nil, err
 	}
 	if t := p.peek(); t.kind != "eof" {
 		return nil, fmt.Errorf("tsdb: unexpected %q at %d", t.text, t.pos)
 	}
-	if err := validate(n, false); err != nil {
-		return nil, err
+	if p.rangeErr != nil {
+		return nil, p.rangeErr
 	}
 	return n, nil
-}
-
-// validate rejects range selectors anywhere but directly under rate() or
-// increase().
-func validate(n exprNode, underRange bool) error {
-	switch v := n.(type) {
-	case *selectorNode:
-		if v.rangeSec > 0 && !underRange {
-			return fmt.Errorf("tsdb: range selector %s only valid inside rate() or increase()", v.exprString())
-		}
-		if v.rangeSec == 0 && underRange {
-			return fmt.Errorf("tsdb: rate()/increase() need a range selector like %s[5m]", v.name)
-		}
-	case *callNode:
-		if v.fn == "rate" || v.fn == "increase" {
-			sel, ok := v.arg.(*selectorNode)
-			if !ok {
-				return fmt.Errorf("tsdb: %s() takes a range selector argument", v.fn)
-			}
-			return validate(sel, true)
-		}
-		return validate(v.arg, false)
-	case *aggNode:
-		return validate(v.arg, false)
-	case *binNode:
-		if err := validate(v.lhs, false); err != nil {
-			return err
-		}
-		return validate(v.rhs, false)
-	}
-	return nil
 }
 
 func (p *parser) peek() token { return p.toks[p.pos] }
@@ -304,84 +262,70 @@ func (p *parser) expect(kind, text string) (token, error) {
 	return t, nil
 }
 
-// Precedence (loosest to tightest): and, comparisons, + -, * /.
-func (p *parser) parseExpr() (exprNode, error) { return p.parseAnd() }
-
-func (p *parser) parseAnd() (exprNode, error) {
-	lhs, err := p.parseCmp()
-	if err != nil {
-		return nil, err
-	}
-	for p.peek().kind == "ident" && p.peek().text == "and" {
-		p.next()
-		rhs, err := p.parseCmp()
-		if err != nil {
-			return nil, err
+// binOps is the binary-operator table. prec ranks the operators loosest
+// first: and, comparisons, + -, * /. Equal ranks associate left, except
+// comparisons, which do not chain: a > b > c is an error. fn is the element
+// function: the value to emit and whether the element survives. x/0 is NaN
+// and drops the element; a comparison's value is 1 or 0, which only a
+// scalar∘scalar result keeps (a vector element that passes is kept as is).
+var binOps = map[string]struct {
+	prec int
+	fn   func(l, r float64) (float64, bool)
+}{
+	"and": {1, func(l, _ float64) (float64, bool) { return l, true }},
+	">":   {cmpPrec, func(l, r float64) (float64, bool) { return truth(l > r) }},
+	"<":   {cmpPrec, func(l, r float64) (float64, bool) { return truth(l < r) }},
+	">=":  {cmpPrec, func(l, r float64) (float64, bool) { return truth(l >= r) }},
+	"<=":  {cmpPrec, func(l, r float64) (float64, bool) { return truth(l <= r) }},
+	"==":  {cmpPrec, func(l, r float64) (float64, bool) { return truth(l == r) }},
+	"!=":  {cmpPrec, func(l, r float64) (float64, bool) { return truth(l != r) }},
+	"+":   {3, func(l, r float64) (float64, bool) { return l + r, true }},
+	"-":   {3, func(l, r float64) (float64, bool) { return l - r, true }},
+	"*":   {4, func(l, r float64) (float64, bool) { return l * r, true }},
+	"/": {4, func(l, r float64) (float64, bool) {
+		if r == 0 {
+			return math.NaN(), false
 		}
-		lhs = &binNode{op: "and", lhs: lhs, rhs: rhs}
-	}
-	return lhs, nil
+		return l / r, true
+	}},
 }
 
-func (p *parser) parseCmp() (exprNode, error) {
-	lhs, err := p.parseAdd()
-	if err != nil {
-		return nil, err
+const cmpPrec = 2
+
+func truth(ok bool) (float64, bool) {
+	if ok {
+		return 1, true
 	}
-	if t := p.peek(); t.kind == "op" && isCmpOp(t.text) {
-		p.next()
-		rhs, err := p.parseAdd()
-		if err != nil {
-			return nil, err
-		}
-		return &binNode{op: t.text, lhs: lhs, rhs: rhs}, nil
-	}
-	return lhs, nil
+	return 0, false
 }
 
-func isCmpOp(op string) bool {
-	switch op {
-	case ">", "<", ">=", "<=", "==", "!=":
-		return true
-	}
-	return false
-}
-
-func (p *parser) parseAdd() (exprNode, error) {
-	lhs, err := p.parseMul()
-	if err != nil {
-		return nil, err
-	}
-	for {
-		t := p.peek()
-		if t.kind != "op" || (t.text != "+" && t.text != "-") {
-			return lhs, nil
-		}
-		p.next()
-		rhs, err := p.parseMul()
-		if err != nil {
-			return nil, err
-		}
-		lhs = &binNode{op: t.text, lhs: lhs, rhs: rhs}
-	}
-}
-
-func (p *parser) parseMul() (exprNode, error) {
+// parseExpr climbs precedence: it parses a primary, then folds in every
+// binary operator ranked at least minPrec. After an operator of rank r only
+// rank ≤ r may follow at this level (< r after a comparison), which is the
+// grammar and := cmp {and cmp}, cmp := add [cmpop add], add := mul {+- mul},
+// mul := primary {*/ primary}.
+func (p *parser) parseExpr(minPrec int) (exprNode, error) {
 	lhs, err := p.parsePrimary()
 	if err != nil {
 		return nil, err
 	}
+	ceil := 4 // the tightest rank
 	for {
 		t := p.peek()
-		if t.kind != "op" || (t.text != "*" && t.text != "/") {
+		prec := binOps[t.text].prec // 0 for anything but an operator
+		if t.kind != "op" && t.kind != "ident" || prec < minPrec || prec > ceil {
 			return lhs, nil
 		}
 		p.next()
-		rhs, err := p.parsePrimary()
+		rhs, err := p.parseExpr(prec + 1)
 		if err != nil {
 			return nil, err
 		}
 		lhs = &binNode{op: t.text, lhs: lhs, rhs: rhs}
+		ceil = prec
+		if prec == cmpPrec {
+			ceil--
+		}
 	}
 }
 
@@ -408,7 +352,7 @@ func (p *parser) parsePrimary() (exprNode, error) {
 		return numberNode(-float64(num)), nil
 	case t.kind == "punct" && t.text == "(":
 		p.next()
-		inner, err := p.parseExpr()
+		inner, err := p.parseExpr(1)
 		if err != nil {
 			return nil, err
 		}
@@ -431,7 +375,7 @@ func (p *parser) parseIdent() (exprNode, error) {
 		if _, err := p.expect("punct", "("); err != nil {
 			return nil, err
 		}
-		sel, err := p.parseSelector()
+		sel, err := p.parseSelector(true)
 		if err != nil {
 			return nil, err
 		}
@@ -454,7 +398,7 @@ func (p *parser) parseIdent() (exprNode, error) {
 		if _, err := p.expect("punct", ","); err != nil {
 			return nil, err
 		}
-		arg, err := p.parseExpr()
+		arg, err := p.parseExpr(1)
 		if err != nil {
 			return nil, err
 		}
@@ -464,7 +408,7 @@ func (p *parser) parseIdent() (exprNode, error) {
 		return &callNode{fn: "histogram_quantile", q: q, arg: arg}, nil
 	default:
 		p.pos-- // selector consumes its own name token
-		return p.parseSelector()
+		return p.parseSelector(false)
 	}
 }
 
@@ -494,7 +438,7 @@ func (p *parser) parseAgg(op string) (exprNode, error) {
 	if _, err := p.expect("punct", "("); err != nil {
 		return nil, err
 	}
-	arg, err := p.parseExpr()
+	arg, err := p.parseExpr(1)
 	if err != nil {
 		return nil, err
 	}
@@ -505,7 +449,9 @@ func (p *parser) parseAgg(op string) (exprNode, error) {
 	return n, nil
 }
 
-func (p *parser) parseSelector() (exprNode, error) {
+// parseSelector parses name{matchers}[range]. Directly under rate() or
+// increase() (inRate) the range is required; anywhere else it is rejected.
+func (p *parser) parseSelector(inRate bool) (exprNode, error) {
 	t, err := p.expect("ident", "")
 	if err != nil {
 		return nil, fmt.Errorf("tsdb: expected a metric name at %d", t.pos)
@@ -547,6 +493,14 @@ func (p *parser) parseSelector() (exprNode, error) {
 			return nil, err
 		}
 	}
+	if p.rangeErr == nil {
+		switch {
+		case sel.rangeSec > 0 && !inRate:
+			p.rangeErr = fmt.Errorf("tsdb: range selector %s only valid inside rate() or increase()", sel.exprString())
+		case sel.rangeSec == 0 && inRate:
+			p.rangeErr = fmt.Errorf("tsdb: rate()/increase() need a range selector like %s[5m]", sel.name)
+		}
+	}
 	return sel, nil
 }
 
@@ -583,8 +537,8 @@ type value struct {
 func scalarVal(v float64) value { return value{scalar: v} }
 func vecVal(v Vector) value     { return value{vec: v, isVec: true} }
 
-func (e *Engine) evalInstant(n exprNode, ts int64) (Vector, error) {
-	v, err := e.eval(n, ts)
+func (db *DB) evalInstant(n exprNode, ts int64) (Vector, error) {
+	v, err := db.eval(n, ts)
 	if err != nil {
 		return nil, err
 	}
@@ -594,28 +548,28 @@ func (e *Engine) evalInstant(n exprNode, ts int64) (Vector, error) {
 	return v.vec, nil
 }
 
-func (e *Engine) eval(n exprNode, ts int64) (value, error) {
+func (db *DB) eval(n exprNode, ts int64) (value, error) {
 	switch node := n.(type) {
 	case numberNode:
 		return scalarVal(float64(node)), nil
 	case *selectorNode:
-		return vecVal(e.evalSelector(node, ts)), nil
+		return vecVal(db.evalSelector(node, ts)), nil
 	case *callNode:
-		return e.evalCall(node, ts)
+		return db.evalCall(node, ts)
 	case *aggNode:
-		return e.evalAgg(node, ts)
+		return db.evalAgg(node, ts)
 	case *binNode:
-		return e.evalBin(node, ts)
+		return db.evalBin(node, ts)
 	}
 	return value{}, fmt.Errorf("tsdb: unknown expression node %T", n)
 }
 
 // evalSelector resolves an instant selector: the newest sample of each
 // matching series within the staleness window.
-func (e *Engine) evalSelector(sel *selectorNode, ts int64) Vector {
+func (db *DB) evalSelector(sel *selectorNode, ts int64) Vector {
 	matcher := sel.matchers.Clone()
 	matcher["__name__"] = sel.name
-	series := e.DB.Query(matcher, ts-e.lookbackSec(), ts)
+	series := db.Query(matcher, ts-lookbackSec, ts)
 	var out Vector
 	for _, s := range series {
 		if len(s.Samples) == 0 {
@@ -626,13 +580,13 @@ func (e *Engine) evalSelector(sel *selectorNode, ts int64) Vector {
 	return out
 }
 
-func (e *Engine) evalCall(c *callNode, ts int64) (value, error) {
+func (db *DB) evalCall(c *callNode, ts int64) (value, error) {
 	switch c.fn {
 	case "rate", "increase":
-		sel := c.arg.(*selectorNode) // guaranteed by validate
+		sel := c.arg.(*selectorNode) // guaranteed by the parser
 		matcher := sel.matchers.Clone()
 		matcher["__name__"] = sel.name
-		series := e.DB.Query(matcher, ts-sel.rangeSec, ts)
+		series := db.Query(matcher, ts-sel.rangeSec, ts)
 		var out Vector
 		for _, s := range series {
 			if len(s.Samples) < 2 {
@@ -651,7 +605,7 @@ func (e *Engine) evalCall(c *callNode, ts int64) (value, error) {
 		}
 		return vecVal(out), nil
 	case "histogram_quantile":
-		arg, err := e.eval(c.arg, ts)
+		arg, err := db.eval(c.arg, ts)
 		if err != nil {
 			return value{}, err
 		}
@@ -774,8 +728,8 @@ func parseLE(s string) (float64, error) {
 	return strconv.ParseFloat(s, 64)
 }
 
-func (e *Engine) evalAgg(a *aggNode, ts int64) (value, error) {
-	arg, err := e.eval(a.arg, ts)
+func (db *DB) evalAgg(a *aggNode, ts int64) (value, error) {
+	arg, err := db.eval(a.arg, ts)
 	if err != nil {
 		return value{}, err
 	}
@@ -834,152 +788,63 @@ func (e *Engine) evalAgg(a *aggNode, ts int64) (value, error) {
 	return vecVal(out), nil
 }
 
-func (e *Engine) evalBin(b *binNode, ts int64) (value, error) {
-	lhs, err := e.eval(b.lhs, ts)
+func (db *DB) evalBin(b *binNode, ts int64) (value, error) {
+	lhs, err := db.eval(b.lhs, ts)
 	if err != nil {
 		return value{}, err
 	}
-	rhs, err := e.eval(b.rhs, ts)
+	rhs, err := db.eval(b.rhs, ts)
 	if err != nil {
 		return value{}, err
 	}
-	if b.op == "and" {
-		if !lhs.isVec || !rhs.isVec {
-			return value{}, fmt.Errorf("tsdb: 'and' needs vectors on both sides")
-		}
-		seen := make(map[string]bool, len(rhs.vec))
-		for _, p := range rhs.vec {
-			seen[dropName(p.Labels).Fingerprint()] = true
-		}
-		var out Vector
-		for _, p := range lhs.vec {
-			if seen[dropName(p.Labels).Fingerprint()] {
-				out = append(out, p)
-			}
-		}
-		return vecVal(out), nil
+	if b.op == "and" && (!lhs.isVec || !rhs.isVec) {
+		return value{}, fmt.Errorf("tsdb: 'and' needs vectors on both sides")
 	}
-	if isCmpOp(b.op) {
-		return evalCmp(b.op, lhs, rhs)
-	}
-	return evalArith(b.op, lhs, rhs)
+	op := binOps[b.op]
+	return match(lhs, rhs, op.fn, op.prec <= cmpPrec), nil
 }
 
-func applyArith(op string, l, r float64) (float64, bool) {
-	switch op {
-	case "+":
-		return l + r, true
-	case "-":
-		return l - r, true
-	case "*":
-		return l * r, true
-	case "/":
-		if r == 0 {
-			return 0, false // drop the element instead of emitting ±Inf/NaN
-		}
-		return l / r, true
-	}
-	return 0, false
-}
-
-func evalArith(op string, lhs, rhs value) (value, error) {
-	switch {
-	case !lhs.isVec && !rhs.isVec:
-		v, ok := applyArith(op, lhs.scalar, rhs.scalar)
-		if !ok && op == "/" {
-			return scalarVal(math.NaN()), nil
-		}
-		return scalarVal(v), nil
-	case lhs.isVec && !rhs.isVec:
-		var out Vector
-		for _, p := range lhs.vec {
-			if v, ok := applyArith(op, p.V, rhs.scalar); ok {
-				out = append(out, Point{Labels: dropName(p.Labels), V: v})
-			}
-		}
-		return vecVal(out), nil
-	case !lhs.isVec && rhs.isVec:
-		var out Vector
-		for _, p := range rhs.vec {
-			if v, ok := applyArith(op, lhs.scalar, p.V); ok {
-				out = append(out, Point{Labels: dropName(p.Labels), V: v})
-			}
-		}
-		return vecVal(out), nil
-	}
-	// vector ∘ vector: one-to-one on label identity ignoring __name__.
-	rIdx := make(map[string]float64, len(rhs.vec))
-	for _, p := range rhs.vec {
-		rIdx[dropName(p.Labels).Fingerprint()] = p.V
+// match applies op element-wise: scalar∘scalar, a vector against a scalar
+// broadcast on either side, or vector∘vector one-to-one on the label set
+// without __name__ (the right side's last duplicate wins). An element op
+// drops is left out. pass (and, comparisons) keeps a survivor as it was;
+// otherwise (arithmetic) it becomes its labels without __name__ and op's
+// value.
+func match(lhs, rhs value, op func(l, r float64) (float64, bool), pass bool) value {
+	if !lhs.isVec && !rhs.isVec {
+		v, _ := op(lhs.scalar, rhs.scalar)
+		return scalarVal(v)
 	}
 	var out Vector
-	for _, p := range lhs.vec {
-		stripped := dropName(p.Labels)
-		rv, ok := rIdx[stripped.Fingerprint()]
-		if !ok {
-			continue
-		}
-		if v, ok := applyArith(op, p.V, rv); ok {
-			out = append(out, Point{Labels: stripped, V: v})
-		}
-	}
-	return vecVal(out), nil
-}
-
-func cmpTrue(op string, l, r float64) bool {
-	switch op {
-	case ">":
-		return l > r
-	case "<":
-		return l < r
-	case ">=":
-		return l >= r
-	case "<=":
-		return l <= r
-	case "==":
-		return l == r
-	case "!=":
-		return l != r
-	}
-	return false
-}
-
-// evalCmp filters: vector elements that satisfy the comparison survive with
-// their value; non-satisfying elements are dropped (Prometheus semantics).
-func evalCmp(op string, lhs, rhs value) (value, error) {
-	switch {
-	case !lhs.isVec && !rhs.isVec:
-		if cmpTrue(op, lhs.scalar, rhs.scalar) {
-			return scalarVal(1), nil
-		}
-		return scalarVal(0), nil
-	case lhs.isVec && !rhs.isVec:
-		var out Vector
-		for _, p := range lhs.vec {
-			if cmpTrue(op, p.V, rhs.scalar) {
-				out = append(out, p)
-			}
-		}
-		return vecVal(out), nil
-	case !lhs.isVec && rhs.isVec:
-		var out Vector
-		for _, p := range rhs.vec {
-			if cmpTrue(op, lhs.scalar, p.V) {
-				out = append(out, p)
-			}
-		}
-		return vecVal(out), nil
-	}
-	rIdx := make(map[string]float64, len(rhs.vec))
-	for _, p := range rhs.vec {
-		rIdx[dropName(p.Labels).Fingerprint()] = p.V
-	}
-	var out Vector
-	for _, p := range lhs.vec {
-		rv, ok := rIdx[dropName(p.Labels).Fingerprint()]
-		if ok && cmpTrue(op, p.V, rv) {
+	emit := func(p Point, l, r float64) {
+		v, keep := op(l, r)
+		switch {
+		case !keep:
+		case pass:
 			out = append(out, p)
+		default:
+			out = append(out, Point{Labels: dropName(p.Labels), V: v})
 		}
 	}
-	return vecVal(out), nil
+	switch {
+	case !rhs.isVec:
+		for _, p := range lhs.vec {
+			emit(p, p.V, rhs.scalar)
+		}
+	case !lhs.isVec:
+		for _, p := range rhs.vec {
+			emit(p, lhs.scalar, p.V)
+		}
+	default:
+		right := make(map[string]float64, len(rhs.vec))
+		for _, p := range rhs.vec {
+			right[dropName(p.Labels).Fingerprint()] = p.V
+		}
+		for _, p := range lhs.vec {
+			if r, ok := right[dropName(p.Labels).Fingerprint()]; ok {
+				emit(p, p.V, r)
+			}
+		}
+	}
+	return vecVal(out)
 }

@@ -15,9 +15,9 @@ func mustAppend(t *testing.T, db *DB, labels Labels, samples ...Sample) {
 	}
 }
 
-func instant(t *testing.T, e *Engine, expr string, ts int64) Vector {
+func instant(t *testing.T, db *DB, expr string, ts int64) Vector {
 	t.Helper()
-	v, err := e.Instant(expr, ts)
+	v, err := db.Instant(expr, ts)
 	if err != nil {
 		t.Fatalf("Instant(%q): %v", expr, err)
 	}
@@ -37,9 +37,8 @@ func TestRateSimpleCounter(t *testing.T) {
 	db := New()
 	lbls := Labels{"__name__": "reqs_total", "job": "serve"}
 	mustAppend(t, db, lbls, Sample{0, 0}, Sample{15, 30}, Sample{30, 60}, Sample{60, 120})
-	e := NewEngine(db)
 
-	v := instant(t, e, `rate(reqs_total[60s])`, 60)
+	v := instant(t, db, `rate(reqs_total[60s])`, 60)
 	if len(v) != 1 {
 		t.Fatalf("rate returned %d points, want 1", len(v))
 	}
@@ -48,11 +47,11 @@ func TestRateSimpleCounter(t *testing.T) {
 		t.Fatalf("rate labels wrong: %v", v[0].Labels)
 	}
 
-	v = instant(t, e, `increase(reqs_total[1m])`, 60)
+	v = instant(t, db, `increase(reqs_total[1m])`, 60)
 	approx(t, v[0].V, 120, 1e-12, "increase")
 
 	// A narrower window sees only t=30 and t=60: delta 60 over 30s → 2.0/s.
-	v = instant(t, e, `rate(reqs_total[30s])`, 60)
+	v = instant(t, db, `rate(reqs_total[30s])`, 60)
 	approx(t, v[0].V, 2.0, 1e-12, "windowed rate")
 }
 
@@ -64,19 +63,18 @@ func TestRateCounterReset(t *testing.T) {
 	db := New()
 	lbls := Labels{"__name__": "reqs_total"}
 	mustAppend(t, db, lbls, Sample{0, 100}, Sample{15, 150}, Sample{30, 10}, Sample{45, 40})
-	e := NewEngine(db)
 
-	v := instant(t, e, `increase(reqs_total[45s])`, 45)
+	v := instant(t, db, `increase(reqs_total[45s])`, 45)
 	approx(t, v[0].V, 90, 1e-12, "increase across reset")
 
-	v = instant(t, e, `rate(reqs_total[45s])`, 45)
+	v = instant(t, db, `rate(reqs_total[45s])`, 45)
 	approx(t, v[0].V, 2.0, 1e-12, "rate across reset")
 
 	// Two resets in one window: 0:50 → 10:5 (reset) → 20:60 → 30:3 (reset) →
 	// 40:10. Delta = (50→5: +50) (5→60: ) (60→3: +60) = 10-50+50+60 = 70.
 	lbls2 := Labels{"__name__": "double_reset"}
 	mustAppend(t, db, lbls2, Sample{0, 50}, Sample{10, 5}, Sample{20, 60}, Sample{30, 3}, Sample{40, 10})
-	v = instant(t, e, `increase(double_reset[40s])`, 40)
+	v = instant(t, db, `increase(double_reset[40s])`, 40)
 	approx(t, v[0].V, 70, 1e-12, "increase across two resets")
 }
 
@@ -84,8 +82,7 @@ func TestRateCounterReset(t *testing.T) {
 func TestRateNeedsTwoSamples(t *testing.T) {
 	db := New()
 	mustAppend(t, db, Labels{"__name__": "lonely_total"}, Sample{100, 5})
-	e := NewEngine(db)
-	if v := instant(t, e, `rate(lonely_total[60s])`, 120); len(v) != 0 {
+	if v := instant(t, db, `rate(lonely_total[60s])`, 120); len(v) != 0 {
 		t.Fatalf("rate over one sample returned %v", v)
 	}
 }
@@ -96,9 +93,8 @@ func TestAggregationBy(t *testing.T) {
 	mustAppend(t, db, Labels{"__name__": "qd", "instance": "a", "shard": "0"}, Sample{10, 4})
 	mustAppend(t, db, Labels{"__name__": "qd", "instance": "a", "shard": "1"}, Sample{10, 6})
 	mustAppend(t, db, Labels{"__name__": "qd", "instance": "b", "shard": "0"}, Sample{10, 10})
-	e := NewEngine(db)
 
-	v := instant(t, e, `sum by (instance) (qd)`, 10)
+	v := instant(t, db, `sum by (instance) (qd)`, 10)
 	if len(v) != 2 {
 		t.Fatalf("sum by returned %d groups: %v", len(v), v)
 	}
@@ -109,21 +105,21 @@ func TestAggregationBy(t *testing.T) {
 	approx(t, byInst["a"], 10, 0, "sum a")
 	approx(t, byInst["b"], 10, 0, "sum b")
 
-	v = instant(t, e, `avg by (instance) (qd)`, 10)
+	v = instant(t, db, `avg by (instance) (qd)`, 10)
 	for _, p := range v {
 		if p.Labels["instance"] == "a" {
 			approx(t, p.V, 5, 0, "avg a")
 		}
 	}
-	v = instant(t, e, `max(qd)`, 10)
+	v = instant(t, db, `max(qd)`, 10)
 	if len(v) != 1 || v[0].V != 10 {
 		t.Fatalf("max(qd) = %v", v)
 	}
-	v = instant(t, e, `min(qd)`, 10)
+	v = instant(t, db, `min(qd)`, 10)
 	if v[0].V != 4 {
 		t.Fatalf("min(qd) = %v", v)
 	}
-	v = instant(t, e, `count(qd)`, 10)
+	v = instant(t, db, `count(qd)`, 10)
 	if v[0].V != 3 {
 		t.Fatalf("count(qd) = %v", v)
 	}
@@ -142,18 +138,17 @@ func TestHistogramQuantile(t *testing.T) {
 	}{{"10", 40}, {"20", 70}, {"50", 95}, {"+Inf", 100}} {
 		mustAppend(t, db, Labels{"__name__": "lat_ms_bucket", "le": b.le}, Sample{100, b.v})
 	}
-	e := NewEngine(db)
 
-	v := instant(t, e, `histogram_quantile(0.5, lat_ms_bucket)`, 100)
+	v := instant(t, db, `histogram_quantile(0.5, lat_ms_bucket)`, 100)
 	if len(v) != 1 {
 		t.Fatalf("histogram_quantile returned %d points", len(v))
 	}
 	approx(t, v[0].V, 10+10.0*10/30, 1e-9, "p50")
 
-	v = instant(t, e, `histogram_quantile(0.9, lat_ms_bucket)`, 100)
+	v = instant(t, db, `histogram_quantile(0.9, lat_ms_bucket)`, 100)
 	approx(t, v[0].V, 44.0, 1e-9, "p90")
 
-	v = instant(t, e, `histogram_quantile(0.99, lat_ms_bucket)`, 100)
+	v = instant(t, db, `histogram_quantile(0.99, lat_ms_bucket)`, 100)
 	approx(t, v[0].V, 50.0, 1e-9, "p99 beyond last finite bound")
 }
 
@@ -174,10 +169,9 @@ func TestHistogramQuantileGroups(t *testing.T) {
 		mustAppend(t, db, Labels{"__name__": "lat_ms_bucket", "le": "+Inf", "instance": fix.inst},
 			Sample{0, 0}, Sample{60, fix.c50})
 	}
-	e := NewEngine(db)
 
 	// Per-instance p99 stays grouped by instance.
-	v := instant(t, e, `histogram_quantile(0.99, lat_ms_bucket)`, 60)
+	v := instant(t, db, `histogram_quantile(0.99, lat_ms_bucket)`, 60)
 	if len(v) != 2 {
 		t.Fatalf("grouped quantile returned %d points: %v", len(v), v)
 	}
@@ -194,7 +188,7 @@ func TestHistogramQuantileGroups(t *testing.T) {
 
 	// The fleet view: sum the per-instance bucket rates, then take the
 	// quantile. 200 obs total, 100 ≤ 10, 200 ≤ 50: p50 → rank 100 → le 10.
-	v = instant(t, e, `histogram_quantile(0.5, sum by (le) (rate(lat_ms_bucket[60s])))`, 60)
+	v = instant(t, db, `histogram_quantile(0.5, sum by (le) (rate(lat_ms_bucket[60s])))`, 60)
 	if len(v) != 1 {
 		t.Fatalf("fleet quantile returned %d points: %v", len(v), v)
 	}
@@ -206,33 +200,32 @@ func TestBinaryOps(t *testing.T) {
 	db := New()
 	mustAppend(t, db, Labels{"__name__": "req_total", "outcome": "served"}, Sample{0, 0}, Sample{60, 90})
 	mustAppend(t, db, Labels{"__name__": "req_total", "outcome": "failed"}, Sample{0, 0}, Sample{60, 10})
-	e := NewEngine(db)
 
 	// Error ratio: (total - served) / total = 10/100.
 	expr := `(sum(rate(req_total[60s])) - sum(rate(req_total{outcome="served"}[60s]))) / sum(rate(req_total[60s]))`
-	v := instant(t, e, expr, 60)
+	v := instant(t, db, expr, 60)
 	if len(v) != 1 {
 		t.Fatalf("ratio returned %d points: %v", len(v), v)
 	}
 	approx(t, v[0].V, 0.1, 1e-12, "error ratio")
 
 	// Burn rate against a 1% budget = ratio / 0.01 = 10.
-	v = instant(t, e, "("+expr+") / 0.01", 60)
+	v = instant(t, db, "("+expr+") / 0.01", 60)
 	approx(t, v[0].V, 10, 1e-9, "burn rate")
 
 	// Comparison filters: > 5 keeps the element, > 50 drops it.
-	if v = instant(t, e, "("+expr+") / 0.01 > 5", 60); len(v) != 1 {
+	if v = instant(t, db, "("+expr+") / 0.01 > 5", 60); len(v) != 1 {
 		t.Fatalf("burn > 5 should keep the element: %v", v)
 	}
-	if v = instant(t, e, "("+expr+") / 0.01 > 50", 60); len(v) != 0 {
+	if v = instant(t, db, "("+expr+") / 0.01 > 50", 60); len(v) != 0 {
 		t.Fatalf("burn > 50 should drop the element: %v", v)
 	}
 
 	// 'and' intersects on label identity: both sides present → kept.
-	if v = instant(t, e, "("+expr+") > 0.05 and ("+expr+") > 0.01", 60); len(v) != 1 {
+	if v = instant(t, db, "("+expr+") > 0.05 and ("+expr+") > 0.01", 60); len(v) != 1 {
 		t.Fatalf("and should keep the element: %v", v)
 	}
-	if v = instant(t, e, "("+expr+") > 0.05 and ("+expr+") > 0.5", 60); len(v) != 0 {
+	if v = instant(t, db, "("+expr+") > 0.05 and ("+expr+") > 0.5", 60); len(v) != 0 {
 		t.Fatalf("and with an empty side should drop: %v", v)
 	}
 }
@@ -242,8 +235,7 @@ func TestBinaryOps(t *testing.T) {
 func TestDivisionByZeroDropsElement(t *testing.T) {
 	db := New()
 	mustAppend(t, db, Labels{"__name__": "req_total"}, Sample{0, 5}, Sample{60, 5})
-	e := NewEngine(db)
-	v := instant(t, e, `rate(req_total[60s]) / rate(req_total[60s])`, 60)
+	v := instant(t, db, `rate(req_total[60s]) / rate(req_total[60s])`, 60)
 	if len(v) != 0 {
 		t.Fatalf("0/0 should drop the element, got %v", v)
 	}
@@ -254,8 +246,7 @@ func TestRangeQuery(t *testing.T) {
 	db := New()
 	lbls := Labels{"__name__": "g", "instance": "a"}
 	mustAppend(t, db, lbls, Sample{0, 1}, Sample{15, 2}, Sample{30, 3}, Sample{45, 4})
-	e := NewEngine(db)
-	out, err := e.Range(`g`, 0, 45, 15)
+	out, err := db.Range(`g`, 0, 45, 15)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -267,10 +258,10 @@ func TestRangeQuery(t *testing.T) {
 			t.Fatalf("step %d = %v, want %v", i, out[0].Samples[i].V, want)
 		}
 	}
-	if _, err := e.Range(`g`, 0, 45, 0); err == nil {
+	if _, err := db.Range(`g`, 0, 45, 0); err == nil {
 		t.Fatal("step 0 should error")
 	}
-	if _, err := e.Range(`g`, 45, 0, 15); err == nil {
+	if _, err := db.Range(`g`, 45, 0, 15); err == nil {
 		t.Fatal("reversed range should error")
 	}
 }
@@ -279,11 +270,10 @@ func TestRangeQuery(t *testing.T) {
 func TestInstantStaleness(t *testing.T) {
 	db := New()
 	mustAppend(t, db, Labels{"__name__": "g"}, Sample{100, 7})
-	e := NewEngine(db)
-	if v := instant(t, e, `g`, 150); len(v) != 1 || v[0].V != 7 {
+	if v := instant(t, db, `g`, 150); len(v) != 1 || v[0].V != 7 {
 		t.Fatalf("within lookback: %v", v)
 	}
-	if v := instant(t, e, `g`, 100+301); len(v) != 0 {
+	if v := instant(t, db, `g`, 100+301); len(v) != 0 {
 		t.Fatalf("beyond lookback should be stale: %v", v)
 	}
 }

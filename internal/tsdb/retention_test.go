@@ -146,14 +146,15 @@ func TestScrapeParallel(t *testing.T) {
 		t.Fatalf("peak in-flight %d; scrapes did not overlap", got)
 	}
 	for _, addr := range addrs {
-		if _, ok := s.DB.Latest(Labels{"__name__": "probe_metric", "env": "rec1", "instance": addr}); !ok {
+		if got := s.DB.Query(Labels{"__name__": "probe_metric", "env": "rec1", "instance": addr}, 0, 1<<62); len(got) != 1 {
 			t.Fatalf("no sample for instance %s", addr)
 		}
 	}
 }
 
-// TestScrapeTargetTimeout: a hung target is cut off by TargetTimeout
-// and counted as an error while healthy targets still land.
+// TestScrapeTargetTimeout: a hung target is cut off by the per-target
+// timeout (the scrape interval, when under 5s) and counted as an error
+// while healthy targets still land.
 func TestScrapeTargetTimeout(t *testing.T) {
 	hung := make(chan struct{})
 	defer close(hung)
@@ -177,8 +178,7 @@ func TestScrapeTargetTimeout(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	s := NewScraper(New(), sd, time.Second)
-	s.TargetTimeout = 50 * time.Millisecond
+	s := NewScraper(New(), sd, 50*time.Millisecond)
 	start := time.Now()
 	n, err := s.ScrapeOnce(context.Background())
 	if err != nil {

@@ -14,6 +14,7 @@
 package tsdb
 
 import (
+	"bytes"
 	"encoding/json"
 	"fmt"
 	"log/slog"
@@ -89,14 +90,14 @@ type alertInstance struct {
 	pushed      bool // alarm already sent to the sink
 }
 
-// Rules evaluates a RuleFile against an Engine on each EvalOnce call.
+// Rules evaluates a RuleFile against a DB on each EvalOnce call.
 // All methods are safe for concurrent use; EvalOnce is typically driven
 // by the scrape loop while HTTP handlers read ActiveAlerts.
 type Rules struct {
-	Engine *Engine
-	// Path, when set, is the JSON rule file; EvalOnce re-reads it
-	// whenever its mtime or size changes (hot reload). A file that
-	// fails to parse keeps the previous rule set active.
+	// Path, when set, is the JSON rule file; EvalOnce re-reads it and
+	// reinstalls it whenever its bytes differ from the installed set's
+	// (hot reload). A file that fails to parse keeps the previous rule
+	// set active.
 	Path string
 	// Sink, when non-nil, receives an anomaly.Alarm (Source "slo")
 	// once per alert instance when it transitions to firing.
@@ -105,12 +106,11 @@ type Rules struct {
 	Now    func() int64
 	Logger *slog.Logger
 
+	db     *DB
 	mu     sync.Mutex
 	file   RuleFile
+	raw    []byte // Path's bytes when file was installed from it
 	active map[string]*alertInstance
-	mtime  time.Time
-	size   int64
-	loaded bool
 
 	evals    atomic.Uint64
 	failures atomic.Uint64
@@ -120,9 +120,9 @@ type Rules struct {
 	firing   atomic.Int64
 }
 
-// NewRules returns a rules engine bound to e with no rules loaded.
-func NewRules(e *Engine) *Rules {
-	return &Rules{Engine: e, active: make(map[string]*alertInstance)}
+// NewRules returns a rules engine over db with no rules loaded.
+func NewRules(db *DB) *Rules {
+	return &Rules{db: db, active: make(map[string]*alertInstance)}
 }
 
 func (r *Rules) now() int64 {
@@ -130,13 +130,6 @@ func (r *Rules) now() int64 {
 		return r.Now()
 	}
 	return time.Now().Unix()
-}
-
-func (r *Rules) logger() *slog.Logger {
-	if r.Logger != nil {
-		return r.Logger
-	}
-	return slog.New(slog.NewTextHandler(os.Stderr, &slog.HandlerOptions{Level: slog.LevelError + 1}))
 }
 
 // validateFile parses every expression and For duration so a bad rule
@@ -181,7 +174,6 @@ func (r *Rules) Load(rf RuleFile) error {
 
 func (r *Rules) installLocked(rf RuleFile) {
 	r.file = rf
-	r.loaded = true
 	// Drop state for alert rules that no longer exist.
 	names := make(map[string]bool, len(rf.Alerting))
 	for _, ar := range rf.Alerting {
@@ -197,59 +189,53 @@ func (r *Rules) installLocked(rf RuleFile) {
 // LoadFile reads, validates, and installs the rule file at path, and
 // arms hot reload for subsequent EvalOnce calls.
 func (r *Rules) LoadFile(path string) error {
-	rf, fi, err := readRuleFile(path)
+	b, err := os.ReadFile(path)
+	if err != nil {
+		return fmt.Errorf("tsdb: rules: %w", err)
+	}
+	rf, err := parseRuleFile(path, b)
 	if err != nil {
 		return err
 	}
 	r.mu.Lock()
 	defer r.mu.Unlock()
-	r.Path = path
-	r.mtime, r.size = fi.ModTime(), fi.Size()
+	r.Path, r.raw = path, b
 	r.installLocked(rf)
 	return nil
 }
 
-func readRuleFile(path string) (RuleFile, os.FileInfo, error) {
+func parseRuleFile(path string, b []byte) (RuleFile, error) {
 	var rf RuleFile
-	fi, err := os.Stat(path)
-	if err != nil {
-		return rf, nil, fmt.Errorf("tsdb: rules: %w", err)
-	}
-	b, err := os.ReadFile(path)
-	if err != nil {
-		return rf, nil, fmt.Errorf("tsdb: rules: %w", err)
-	}
 	if err := json.Unmarshal(b, &rf); err != nil {
-		return rf, nil, fmt.Errorf("tsdb: rules %s: %w", path, err)
+		return rf, fmt.Errorf("tsdb: rules %s: %w", path, err)
 	}
-	if err := validateFile(rf); err != nil {
-		return rf, nil, err
-	}
-	return rf, fi, nil
+	return rf, validateFile(rf)
 }
 
-// maybeReloadLocked re-reads Path if the file changed since last load.
+// maybeReloadLocked re-reads Path and installs it if its bytes differ
+// from the installed set's. Comparing content, not mtime and size, sees
+// an edit that keeps both.
 func (r *Rules) maybeReloadLocked() {
 	if r.Path == "" {
 		return
 	}
-	fi, err := os.Stat(r.Path)
+	b, err := os.ReadFile(r.Path)
 	if err != nil {
 		return // transient (e.g. atomic-rename window); keep current rules
 	}
-	if r.loaded && fi.ModTime().Equal(r.mtime) && fi.Size() == r.size {
+	if r.raw != nil && bytes.Equal(b, r.raw) {
 		return
 	}
-	rf, fi, err := readRuleFile(r.Path)
+	rf, err := parseRuleFile(r.Path, b)
 	if err != nil {
 		r.failures.Add(1)
-		r.logger().Error("rules reload failed; keeping previous rules", "path", r.Path, "err", err)
+		logger(r.Logger).Error("rules reload failed; keeping previous rules", "path", r.Path, "err", err)
 		return
 	}
-	r.mtime, r.size = fi.ModTime(), fi.Size()
+	r.raw = b
 	r.installLocked(rf)
 	r.reloads.Add(1)
-	r.logger().Info("rules reloaded", "path", r.Path,
+	logger(r.Logger).Info("rules reloaded", "path", r.Path,
 		"recording", len(rf.Recording), "alerting", len(rf.Alerting))
 }
 
@@ -264,10 +250,10 @@ func (r *Rules) EvalOnce() {
 
 	for _, rr := range r.file.Recording {
 		r.evals.Add(1)
-		vec, err := r.Engine.Instant(rr.Expr, now)
+		vec, err := r.db.Instant(rr.Expr, now)
 		if err != nil {
 			r.failures.Add(1)
-			r.logger().Error("recording rule failed", "rule", rr.Name, "err", err)
+			logger(r.Logger).Error("recording rule failed", "rule", rr.Name, "err", err)
 			continue
 		}
 		for _, p := range vec {
@@ -280,7 +266,7 @@ func (r *Rules) EvalOnce() {
 			for k, v := range rr.Labels {
 				lbls[k] = v
 			}
-			if err := r.Engine.DB.Append(lbls, now, p.V); err != nil {
+			if err := r.db.Append(lbls, now, p.V); err != nil {
 				r.failures.Add(1)
 			}
 		}
@@ -289,10 +275,10 @@ func (r *Rules) EvalOnce() {
 	seen := make(map[string]bool)
 	for _, ar := range r.file.Alerting {
 		r.evals.Add(1)
-		vec, err := r.Engine.Instant(ar.Expr, now)
+		vec, err := r.db.Instant(ar.Expr, now)
 		if err != nil {
 			r.failures.Add(1)
-			r.logger().Error("alerting rule failed", "rule", ar.Name, "err", err)
+			logger(r.Logger).Error("alerting rule failed", "rule", ar.Name, "err", err)
 			continue
 		}
 		forSec := int64(0)
@@ -323,7 +309,7 @@ func (r *Rules) EvalOnce() {
 	// Resolve alert instances whose expression no longer returns them.
 	for key, inst := range r.active {
 		if !seen[key] {
-			r.logger().Info("alert resolved", "rule", inst.rule.Name, "state", inst.state)
+			logger(r.Logger).Info("alert resolved", "rule", inst.rule.Name, "state", inst.state)
 			delete(r.active, key)
 		}
 	}
@@ -336,7 +322,7 @@ func (r *Rules) EvalOnce() {
 				lbls[k] = v
 			}
 		}
-		_ = r.Engine.DB.Append(lbls, now, 1)
+		_ = r.db.Append(lbls, now, 1)
 		if inst.state == StateFiring {
 			firing++
 		} else {
@@ -372,11 +358,11 @@ func (r *Rules) pushAlarmLocked(inst *alertInstance, now int64) {
 	}
 	if err := r.Sink.Push(a, now); err != nil {
 		r.failures.Add(1)
-		r.logger().Error("alarm push failed", "rule", inst.rule.Name, "err", err)
+		logger(r.Logger).Error("alarm push failed", "rule", inst.rule.Name, "err", err)
 		return
 	}
 	r.alarms.Add(1)
-	r.logger().Warn("alert firing", "rule", inst.rule.Name, "value", inst.value)
+	logger(r.Logger).Warn("alert firing", "rule", inst.rule.Name, "value", inst.value)
 }
 
 // ActiveAlerts returns the current pending and firing alerts, firing
@@ -389,8 +375,8 @@ func (r *Rules) ActiveAlerts() []ActiveAlert {
 		out = append(out, ActiveAlert{
 			Name:        inst.rule.Name,
 			State:       inst.state,
-			Labels:      copyMap(inst.labels),
-			Annotations: copyMap(inst.rule.Annotations),
+			Labels:      inst.labels.Clone(),
+			Annotations: Labels(inst.rule.Annotations).Clone(),
 			ActiveSince: inst.activeSince,
 			Value:       inst.value,
 		})
@@ -402,24 +388,6 @@ func (r *Rules) ActiveAlerts() []ActiveAlert {
 		return out[i].Name < out[j].Name
 	})
 	return out
-}
-
-func copyMap(m map[string]string) map[string]string {
-	if len(m) == 0 {
-		return nil
-	}
-	out := make(map[string]string, len(m))
-	for k, v := range m {
-		out[k] = v
-	}
-	return out
-}
-
-// RuleCounts returns (recording, alerting) rule counts of the active set.
-func (r *Rules) RuleCounts() (int, int) {
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	return len(r.file.Recording), len(r.file.Alerting)
 }
 
 // Self-metric accessors, registered as tsdb_rule_* counters/gauges by

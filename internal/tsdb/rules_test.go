@@ -43,7 +43,7 @@ func TestRulesStateMachine(t *testing.T) {
 	db := New()
 	clk := &fakeClock{t: 1000}
 	sink := &memSink{}
-	r := NewRules(NewEngine(db))
+	r := NewRules(db)
 	r.Sink = sink
 	r.Now = clk.now
 	if err := r.Load(RuleFile{
@@ -143,7 +143,7 @@ func TestRulesStateMachine(t *testing.T) {
 func TestRecordingFeedsAlerting(t *testing.T) {
 	db := New()
 	clk := &fakeClock{t: 500}
-	r := NewRules(NewEngine(db))
+	r := NewRules(db)
 	r.Now = clk.now
 	if err := r.Load(RuleFile{
 		Recording: []RecordingRule{{Name: "job:qd:doubled", Expr: "qd * 2"}},
@@ -196,13 +196,10 @@ func TestRulesHotReload(t *testing.T) {
 	// Time stands still during the concurrent phase so the seeded
 	// sample never goes stale, no matter how fast the eval loop spins.
 	const now = int64(100)
-	r := NewRules(NewEngine(db))
+	r := NewRules(db)
 	r.Now = func() int64 { return now }
 	if err := r.LoadFile(path); err != nil {
 		t.Fatal(err)
-	}
-	if rec, al := r.RuleCounts(); rec != 0 || al != 1 {
-		t.Fatalf("initial counts %d/%d", rec, al)
 	}
 	if err := db.Append(Labels{"__name__": "qd"}, now, 50); err != nil {
 		t.Fatal(err)
@@ -224,9 +221,7 @@ func TestRulesHotReload(t *testing.T) {
 		}
 	}()
 
-	// Rewrite with a V2 rule that fires on the seeded sample. File
-	// mtime granularity can be coarse; size change makes the reload
-	// definite.
+	// Rewrite with a V2 rule that fires on the seeded sample.
 	writeRules(t, path, RuleFile{
 		Alerting: []AlertingRule{{Name: "V2RuleWithALongerName", Expr: "qd > 10"}},
 	})
@@ -260,15 +255,64 @@ func TestRulesHotReload(t *testing.T) {
 	if r.EvalFailures() <= failsBefore {
 		t.Fatal("corrupt reload should count as failure")
 	}
-	if rec, al := r.RuleCounts(); rec != 0 || al != 1 {
-		t.Fatalf("corrupt reload must keep previous rules, got %d/%d", rec, al)
+	r.EvalOnce()
+	if alerts := r.ActiveAlerts(); len(alerts) != 1 || alerts[0].Name != "V2RuleWithALongerName" {
+		t.Fatalf("corrupt reload must keep previous rules, got %v", alerts)
+	}
+	if r.EvalFailures() != failsBefore+2 {
+		t.Fatalf("a corrupt file counts one failure per cycle: %d -> %d", failsBefore, r.EvalFailures())
+	}
+}
+
+// TestRulesReloadSameSizeSameMtime: an edit that keeps the file's size
+// and mtime (a same-length rename of a rule, then a restored timestamp)
+// still reloads: the file's bytes decide, not its metadata.
+func TestRulesReloadSameSizeSameMtime(t *testing.T) {
+	path := filepath.Join(t.TempDir(), "rules.json")
+	writeRules(t, path, RuleFile{Alerting: []AlertingRule{{Name: "A", Expr: "qd > 1"}}})
+	fi, err := os.Stat(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	db := New()
+	r := NewRules(db)
+	r.Now = func() int64 { return 100 }
+	if err := r.LoadFile(path); err != nil {
+		t.Fatal(err)
+	}
+	if err := db.Append(Labels{"__name__": "qd"}, 100, 5); err != nil {
+		t.Fatal(err)
+	}
+	r.EvalOnce()
+	if a := r.ActiveAlerts(); len(a) != 1 || a[0].Name != "A" {
+		t.Fatalf("before the edit: %v", a)
+	}
+
+	writeRules(t, path, RuleFile{Alerting: []AlertingRule{{Name: "B", Expr: "qd > 1"}}})
+	if err := os.Chtimes(path, fi.ModTime(), fi.ModTime()); err != nil {
+		t.Fatal(err)
+	}
+	if fi2, err := os.Stat(path); err != nil || fi2.Size() != fi.Size() || !fi2.ModTime().Equal(fi.ModTime()) {
+		t.Fatalf("setup: size/mtime moved: %v %v", fi2, err)
+	}
+	r.EvalOnce()
+	if a := r.ActiveAlerts(); len(a) != 1 || a[0].Name != "B" {
+		t.Fatalf("after a same-size, same-mtime edit the file says B, EvalOnce runs %v", a)
+	}
+	if r.Reloads() != 1 {
+		t.Fatalf("reloads = %d, want 1", r.Reloads())
+	}
+	// An unchanged file is not reloaded again.
+	r.EvalOnce()
+	if r.Reloads() != 1 {
+		t.Fatalf("unchanged file reloaded: reloads = %d", r.Reloads())
 	}
 }
 
 // TestLoadRejectsBadRules: invalid expressions and durations fail
 // atomically at load time.
 func TestLoadRejectsBadRules(t *testing.T) {
-	r := NewRules(NewEngine(New()))
+	r := NewRules(New())
 	if err := r.Load(RuleFile{Recording: []RecordingRule{{Name: "x", Expr: "sum("}}}); err == nil {
 		t.Fatal("bad recording expr should fail")
 	}
@@ -292,7 +336,7 @@ func TestDefaultSLORules(t *testing.T) {
 	db := New()
 	clk := &fakeClock{t: 0}
 	sink := &memSink{}
-	r := NewRules(NewEngine(db))
+	r := NewRules(db)
 	r.Sink = sink
 	r.Now = clk.now
 	if err := r.Load(rf); err != nil {
@@ -332,8 +376,7 @@ func TestDefaultSLORules(t *testing.T) {
 		t.Fatalf("alarm source = %q, want slo", fast.Source)
 	}
 	// Burn rate = 0.5 / 0.01 = 50, recorded by the rule chain.
-	e := NewEngine(db)
-	v, err := e.Instant("slo:serve:burn_rate:5m", clk.t-15)
+	v, err := db.Instant("slo:serve:burn_rate:5m", clk.t-15)
 	if err != nil || len(v) != 1 {
 		t.Fatalf("burn rate series missing: %v %v", v, err)
 	}

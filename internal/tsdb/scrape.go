@@ -3,8 +3,10 @@ package tsdb
 import (
 	"context"
 	"encoding/json"
+	"errors"
 	"fmt"
 	"io"
+	"io/fs"
 	"log/slog"
 	"net/http"
 	"os"
@@ -56,27 +58,13 @@ func WriteSDConfig(path string, entries []SDEntry) error {
 func AppendSDTarget(path, target string, labels map[string]string) error {
 	entries, err := ReadSDConfig(path)
 	if err != nil {
-		if !os.IsNotExist(err) && !isNotExistWrapped(err) {
+		if !errors.Is(err, fs.ErrNotExist) {
 			return err
 		}
 		entries = nil
 	}
 	entries = append(entries, SDEntry{Targets: []string{target}, Labels: labels})
 	return WriteSDConfig(path, entries)
-}
-
-func isNotExistWrapped(err error) bool {
-	for err != nil {
-		if os.IsNotExist(err) {
-			return true
-		}
-		u, ok := err.(interface{ Unwrap() error })
-		if !ok {
-			return false
-		}
-		err = u.Unwrap()
-	}
-	return false
 }
 
 // Scraper periodically pulls /metrics from discovered targets into a DB,
@@ -96,10 +84,6 @@ type Scraper struct {
 	// cycle (default 8). One slow or down backend no longer delays the
 	// rest of the fleet's samples by a full client timeout.
 	Concurrency int
-	// TargetTimeout caps each individual target scrape. Defaults to the
-	// scrape interval (so one cycle can't overlap the next) or 5s,
-	// whichever is smaller.
-	TargetTimeout time.Duration
 
 	mu      sync.Mutex
 	scrapes int
@@ -113,22 +97,24 @@ func (s *Scraper) concurrency() int {
 	return 8
 }
 
+// targetTimeout caps each target scrape: the scrape interval (so one
+// cycle can't overlap the next) or 5s, whichever is smaller.
 func (s *Scraper) targetTimeout() time.Duration {
-	if s.TargetTimeout > 0 {
-		return s.TargetTimeout
-	}
 	if s.Interval > 0 && s.Interval < 5*time.Second {
 		return s.Interval
 	}
 	return 5 * time.Second
 }
 
-func (s *Scraper) logger() *slog.Logger {
-	if s.Logger != nil {
-		return s.Logger
+// logger is l, or a logger that discards when l is nil.
+func logger(l *slog.Logger) *slog.Logger {
+	if l != nil {
+		return l
 	}
-	return slog.New(slog.NewTextHandler(io.Discard, nil))
+	return discardLogger
 }
+
+var discardLogger = slog.New(slog.NewTextHandler(io.Discard, nil))
 
 // NewScraper builds a scraper over db using the discovery file at sdPath.
 func NewScraper(db *DB, sdPath string, interval time.Duration) *Scraper {
@@ -142,7 +128,7 @@ func NewScraper(db *DB, sdPath string, interval time.Duration) *Scraper {
 // ScrapeOnce performs one discovery+scrape cycle and returns the number
 // of samples ingested. Targets are scraped concurrently through a
 // bounded worker pool (see Concurrency), each under its own timeout, so
-// a hung backend costs one pool slot for TargetTimeout instead of
+// a hung backend costs one pool slot for one timeout instead of
 // stalling the whole cycle. After the cycle the DB's retention policy
 // runs, keeping the storage window bounded.
 func (s *Scraper) ScrapeOnce(ctx context.Context) (int, error) {
@@ -185,7 +171,7 @@ func (s *Scraper) ScrapeOnce(ctx context.Context) (int, error) {
 			if err != nil {
 				// A down target must not block the others, but it must not
 				// vanish silently either.
-				s.logger().Warn("target scrape failed", "target", j.target, "err", err)
+				logger(s.Logger).Warn("target scrape failed", "target", j.target, "err", err)
 			}
 		}(j)
 	}
@@ -237,7 +223,7 @@ func (s *Scraper) Run(ctx context.Context) {
 			return
 		case <-ticker.C:
 			if _, err := s.ScrapeOnce(ctx); err != nil {
-				s.logger().Error("scrape cycle failed", "sd_path", s.SDPath, "err", err)
+				logger(s.Logger).Error("scrape cycle failed", "sd_path", s.SDPath, "err", err)
 			}
 		}
 	}

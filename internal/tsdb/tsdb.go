@@ -1,8 +1,11 @@
 // Package tsdb is a small labelled time-series database standing in for
 // Prometheus in the testing workflow (Figure 2): metric samples carry label
 // sets (including the EM record id, as in the paper's service-discovery
-// snippet), a scraper pulls text-exposition metrics from registered targets,
-// and an HTTP API serves range queries to the prediction pipeline.
+// snippet), and a scraper pulls text-exposition metrics from registered
+// targets. The prediction pipeline reads the store in process
+// (pipeline.SeriesFromTSDB); over HTTP, GET /query evaluates a
+// PromQL-flavoured expression, instant or over a range, for rules, the
+// dashboard and people.
 package tsdb
 
 import (
@@ -188,40 +191,9 @@ func (db *DB) Query(matcher Labels, from, to int64) []Series {
 	return out
 }
 
-// Latest returns the most recent sample of the single series matching the
-// labels exactly; ok is false when the series is absent or empty.
-func (db *DB) Latest(labels Labels) (Sample, bool) {
-	db.mu.RLock()
-	defer db.mu.RUnlock()
-	s, ok := db.series[labels.Fingerprint()]
-	if !ok || len(s.Samples) == 0 {
-		return Sample{}, false
-	}
-	return s.Samples[len(s.Samples)-1], true
-}
-
 // NumSeries returns the number of distinct series stored.
 func (db *DB) NumSeries() int {
 	db.mu.RLock()
 	defer db.mu.RUnlock()
 	return len(db.series)
-}
-
-// LabelValues returns the sorted distinct values of a label key across all
-// series.
-func (db *DB) LabelValues(key string) []string {
-	db.mu.RLock()
-	defer db.mu.RUnlock()
-	set := make(map[string]bool)
-	for _, s := range db.series {
-		if v, ok := s.Labels[key]; ok {
-			set[v] = true
-		}
-	}
-	out := make([]string, 0, len(set))
-	for v := range set {
-		out = append(out, v)
-	}
-	sort.Strings(out)
-	return out
 }

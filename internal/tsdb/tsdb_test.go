@@ -1,6 +1,7 @@
 package tsdb
 
 import (
+	"bytes"
 	"context"
 	"net/http"
 	"net/http/httptest"
@@ -10,6 +11,8 @@ import (
 	"testing"
 	"testing/quick"
 	"time"
+
+	"env2vec/internal/obs"
 )
 
 func TestLabelsFingerprintDeterministic(t *testing.T) {
@@ -78,31 +81,6 @@ func TestAppendRejectsOutOfOrder(t *testing.T) {
 	}
 }
 
-func TestLatest(t *testing.T) {
-	db := New()
-	l := Labels{"m": "x"}
-	if _, ok := db.Latest(l); ok {
-		t.Fatalf("missing series should report !ok")
-	}
-	_ = db.Append(l, 1, 10)
-	_ = db.Append(l, 2, 20)
-	s, ok := db.Latest(l)
-	if !ok || s.V != 20 || s.T != 2 {
-		t.Fatalf("Latest wrong: %+v", s)
-	}
-}
-
-func TestLabelValues(t *testing.T) {
-	db := New()
-	_ = db.Append(Labels{"env": "b"}, 1, 1)
-	_ = db.Append(Labels{"env": "a"}, 1, 1)
-	_ = db.Append(Labels{"other": "x"}, 1, 1)
-	vals := db.LabelValues("env")
-	if len(vals) != 2 || vals[0] != "a" || vals[1] != "b" {
-		t.Fatalf("LabelValues = %v", vals)
-	}
-}
-
 func TestConcurrentAppend(t *testing.T) {
 	db := New()
 	var wg sync.WaitGroup
@@ -165,6 +143,49 @@ func TestParseExpositionErrors(t *testing.T) {
 		if _, err := ParseExposition(strings.NewReader(in), 0); err == nil {
 			t.Fatalf("input %q should fail", in)
 		}
+	}
+}
+
+// TestExpositionLabelValuesSurviveMerge: the quality gauges' env label
+// carries the client's testbed / SUT strings verbatim. A '}', a quote, a
+// backslash or a newline in one must neither blank the page nor gain a
+// layer of backslashes per hop: backend page → proxy merge → tsdb scrape.
+func TestExpositionLabelValuesSurviveMerge(t *testing.T) {
+	values := []string{"tb}1/fw", `a"b`, `a\b`, "a\nb", `{x="y"}, z=1`, "plain"}
+	reg := obs.NewRegistry()
+	for i, v := range values {
+		reg.Gauge("env2vec_quality_exceed_rate", "Exceedance rate.", obs.Labels{"env": v}).Set(float64(i))
+	}
+	var page bytes.Buffer
+	if _, err := reg.WriteTo(&page); err != nil {
+		t.Fatal(err)
+	}
+	backend, err := ParseExposition(&page, 7)
+	if err != nil {
+		t.Fatalf("backend page rejected: %v\n%s", err, page.String())
+	}
+	var merged bytes.Buffer
+	if err := MergeExpositions(&merged, "backend", map[string][]Series{"b0:8081": backend}); err != nil {
+		t.Fatal(err)
+	}
+	scraped, err := ParseExposition(&merged, 7)
+	if err != nil {
+		t.Fatalf("merged page rejected: %v\n%s", err, merged.String())
+	}
+	got := make(map[string]float64, len(scraped))
+	for _, s := range scraped {
+		if s.Labels["backend"] != "b0:8081" {
+			t.Fatalf("series lost its backend tag: %v", s.Labels)
+		}
+		got[s.Labels["env"]] = s.Samples[0].V
+	}
+	for i, v := range values {
+		if g, ok := got[v]; !ok || g != float64(i) {
+			t.Errorf("env %q: got %v (present %v), want %d; scraped %v", v, g, ok, i, scraped)
+		}
+	}
+	if len(got) != len(values) {
+		t.Errorf("scraped %d env values, want %d: %v", len(got), len(values), got)
 	}
 }
 
@@ -309,55 +330,26 @@ func TestScraperSkipsDownTargets(t *testing.T) {
 	}
 }
 
-func TestHTTPQueryRange(t *testing.T) {
+// TestHTTPMetricsDump: /metrics re-exposes every stored series and parses
+// back.
+func TestHTTPMetricsDump(t *testing.T) {
 	db := New()
 	_ = db.Append(Labels{"metric": "cpu", "env": "e1"}, 10, 1)
 	_ = db.Append(Labels{"metric": "cpu", "env": "e1"}, 20, 2)
 	_ = db.Append(Labels{"metric": "cpu", "env": "e2"}, 10, 3)
 	srv := httptest.NewServer(&Handler{DB: db})
 	defer srv.Close()
-
-	c := &QueryClient{BaseURL: srv.URL}
-	series, err := c.QueryRange(Labels{"env": "e1"}, 0, 15)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(series) != 1 || len(series[0].Samples) != 1 || series[0].Samples[0].V != 1 {
-		t.Fatalf("query result wrong: %+v", series)
-	}
-
-	// Label values endpoint.
-	resp, err := http.Get(srv.URL + "/api/v1/labels/env/values")
+	resp, err := http.Get(srv.URL + "/metrics")
 	if err != nil {
 		t.Fatal(err)
 	}
 	defer resp.Body.Close()
-	if resp.StatusCode != 200 {
-		t.Fatalf("labels endpoint status %d", resp.StatusCode)
-	}
-
-	// Bad match returns 400.
-	resp2, err := http.Get(srv.URL + "/api/v1/query_range?match=bad")
+	dumped, err := ParseExposition(resp.Body, 0)
 	if err != nil {
 		t.Fatal(err)
 	}
-	resp2.Body.Close()
-	if resp2.StatusCode != http.StatusBadRequest {
-		t.Fatalf("bad match should 400, got %d", resp2.StatusCode)
-	}
-
-	// /metrics dump parses back.
-	resp3, err := http.Get(srv.URL + "/metrics")
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer resp3.Body.Close()
-	dumped, err := ParseExposition(resp3.Body, 0)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(dumped) != 2 {
-		t.Fatalf("dump series count %d", len(dumped))
+	if len(dumped) != 2 || len(dumped[0].Samples) != 2 {
+		t.Fatalf("dump: %+v", dumped)
 	}
 }
 
