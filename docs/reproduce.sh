@@ -70,12 +70,14 @@ go test -race -run 'LongPoll' ./internal/modelserver/
 # per-path tolerances), then fuzz the parity contract briefly. One generic
 # predictor serves both precisions, so the battery is joined by what pins it
 # to the two it replaced: the float32 answers bit for bit against a golden
-# written before the collapse, the exact malloc count of a pass, a finite
+# written before the collapse, the float64 answers and a seeded training
+# trajectory bit for bit against a golden written before the float64 logistic
+# became a kernel, the exact malloc count of a pass, a finite
 # input the model answers with NaN as a typed per-item 422 on every entry
 # point, and the quick-scale science numbers at 1e-9 (the -race pass skips
 # the allocation counts, so they run plain too).
 go test -race ./internal/infer/ ./internal/core/
-go test -run 'TestFloat32BitIdenticalToGolden|TestInferTracksWeightMutation' ./internal/core/
+go test -run 'TestFloat32BitIdenticalToGolden|TestFloat64BitIdenticalToGolden|TestInferTracksWeightMutation' ./internal/core/
 go test -run 'TestExactZeroMallocsPerPass' ./internal/infer/
 go test -run 'TestNonFinitePredictionIsTypedError|TestNonFiniteWindowFailsAlone' ./internal/wire/
 go test -run 'TestQuickScienceNumbersPinned' ./internal/experiments/
@@ -83,14 +85,16 @@ go test -run FuzzPredictParity -fuzz FuzzPredictParity -fuzztime 10s ./internal/
 # The vector kernels: the float64 tile bit for bit against the scalar kernel
 # and the naive reference (TestF64TileMatchesScalar), the float32 GEMM tiles
 # and the logistic (tensor.SigmoidAdd) against their scalar twins and
-# float64, the GRU elementwise kernels (AddReLU, GateMul, GateBlend) at 0 ulp
-# of their Go loops with NaN, ±Inf, ±0 and subnormals in every operand
-# position; then the same scalar code as the only path, built for 386 (runs
+# float64, the float64 logistic (SigmoidAdd and Sigmoid) bit for bit against
+# the Go expression — and again in a child process under GODEBUG=cpu.fma=off,
+# where it must step aside for math.Exp's other sequence — the GRU
+# elementwise kernels (AddReLU, GateMul, GateBlend) at 0 ulp of their Go
+# loops with NaN, ±Inf, ±0 and subnormals in every operand position; then the same scalar code as the only path, built for 386 (runs
 # natively on an amd64 box), so the !amd64 side of the CPUID selection —
 # matMulScalar[T] for both element types — is executed and not just
 # compiled, the tape, the arena and the layers with it. arm64 is vetted,
 # which type-checks its build of the packages.
-go test -run 'TestBlocked|TestF32|TestF64|TestMatMul|TestSigmoid|TestGate|TestAddReLU|TestArena' ./internal/tensor/
+go test -run 'TestBlocked|TestF32|TestF64|TestMatMul|TestSigmoid|TestSigmoidAdd64|TestSigmoid64UnderFMAOff|TestGate|TestAddReLU|TestArena' ./internal/tensor/
 GOARCH=386 go test ./internal/tensor/ ./internal/infer/ ./internal/core/ ./internal/autodiff/ ./internal/nn/
 GOARCH=arm64 go vet ./internal/tensor/ ./internal/infer/ ./internal/autodiff/ ./internal/nn/
 # The tape's arena: a reused tape is a fresh tape (bit for bit, at op and at
@@ -103,7 +107,7 @@ go test -run 'TestTrainStepAllocs|TestInferAllocations|TestInfer32Allocations|Te
 # -compare exits nonzero if any shared benchmark is >10% slower than
 # docs/outputs/BENCH_infer.json or grew its allocs/op, so a perf regression
 # fails reproduce.sh before the baseline is overwritten.
-go test -run '^$' -bench 'Forward(Tape|Infer)|TrainStep|MatMulBlocked_32|SigmoidAdd32|AddReLU32|Gate(Mul|Blend)32' -benchmem -count 1 ./internal/infer/ ./internal/tensor/ \
+go test -run '^$' -bench 'Forward(Tape|Infer)|TrainStep|MatMulBlocked_32|SigmoidAdd(32|64)|AddReLU32|Gate(Mul|Blend)32' -benchmem -count 1 ./internal/infer/ ./internal/tensor/ \
     | tee docs/outputs/bench_infer.txt \
     | go run ./cmd/benchjson -compare docs/outputs/BENCH_infer.json -max-regress 10 \
     > docs/outputs/BENCH_infer.json.new

@@ -312,15 +312,16 @@ func (t *Tape) apply(a *Node, f func(float64) float64, back func(out *Node)) *No
 	return out
 }
 
-func sigmoid(x float64) float64 { return 1 / (1 + math.Exp(-x)) }
-
-// Sigmoid applies the logistic function elementwise.
+// Sigmoid applies the logistic function elementwise, through tensor.Sigmoid:
+// the float64 predictor's gate kernel, so the two share their bits.
 func (t *Tape) Sigmoid(a *Node) *Node {
-	return t.apply(a, sigmoid, func(out *Node) {
+	out := t.newNode(a.Value.Rows, a.Value.Cols, a.requiresGrad, func(out *Node) {
 		for i, s := range out.Value.Data {
 			a.Grad.Data[i] += out.Grad.Data[i] * s * (1 - s)
 		}
 	})
+	tensor.Sigmoid(out.Value.Data, a.Value.Data)
+	return out
 }
 
 // Tanh applies tanh elementwise.

@@ -135,7 +135,7 @@ func TestCrossPrecisionParity(t *testing.T) {
 	t.Logf("worst relative gap to the tape: fused float64 %.2g (contract 1e-12), float32 %.2g (contract 1e-4)", worstGap.fused, worstGap.f32)
 }
 
-var updateGolden = flag.Bool("update", false, "rewrite the float32 golden of the test that runs from this build's float32 predictor")
+var updateGolden = flag.Bool("update", false, "rewrite the golden file (float32 or float64) of every golden test that runs from this build's answers")
 
 // TestFloat32BitIdenticalToGolden holds the float32 serving path to the bits
 // it answered when testdata/f32_golden.txt was written (the commit before the
@@ -168,6 +168,14 @@ func checkFloat32Golden(t *testing.T, path string, dims []parityDims) {
 			labels = append(labels, fmt.Sprintf("%s row=%d", label, i))
 		}
 	})
+	compareGolden(t, path, got, labels)
+}
+
+// compareGolden holds got, one %016x line per answer, to the golden file at
+// path — or, under -update, rewrites the file from it. labels name each line
+// for the failure message.
+func compareGolden(t *testing.T, path string, got, labels []string) {
+	t.Helper()
 	if *updateGolden {
 		if err := os.WriteFile(path, []byte(strings.Join(got, "\n")+"\n"), 0o644); err != nil {
 			t.Fatal(err)

@@ -2,10 +2,13 @@
 
 package tensor
 
+import "math"
+
 // Feature detection and the Go-side drivers for the vector kernels: the
 // GEMM tiles, AVX2+FMA float32 (f32gemm_amd64.s) and AVX2 float64
-// (f64gemm_amd64.s), the float32 logistic (sigmoid32_amd64.s) and the
-// float32 GRU elementwise kernels (gate32_amd64.s).
+// (f64gemm_amd64.s), the logistic in both precisions (sigmoid32_amd64.s,
+// sigmoid64_amd64.s) and the float32 GRU elementwise kernels
+// (gate32_amd64.s).
 // The assembly handles full tiles — 4×16 and 1×16 in float32, 4×8 and 1×8
 // in float64; the ragged right edge runs through matMulScalar, which
 // produces the same ascending-k accumulation per element.
@@ -38,6 +41,9 @@ func gateMul8f32(dst, r, h *float32, rows, cols, width uintptr)
 
 //go:noescape
 func gateBlend8f32(h, z, c *float32, rows, cols, width uintptr)
+
+//go:noescape
+func sigmoidAdd4f64(dst, a, b *float64, bstep, n uintptr) (done uintptr)
 
 //go:noescape
 func gemm4x8f64(out, a, b *float64, k, an, bn, on uintptr)
@@ -122,6 +128,39 @@ func sigmoidAddAsm32(dst, a, b []float32) int {
 	}
 	sigmoidAdd8f32(&dst[0], &a[0], &b[0], uintptr(n))
 	return n
+}
+
+// expFMA is true when math.Exp runs the FMA sequence of math/exp_amd64.s
+// that sigmoidAdd4f64 replays. CPUID cannot tell: GODEBUG=cpu.fma=off (or
+// cpu.avx=off) moves math.Exp to its other sequence, which rounds differently
+// on a few percent of inputs. So the kernel is checked once, here, against
+// math.Exp on logistics the two sequences round apart, and runs only if it
+// matches every one.
+var expFMA = useAsm && sigmoid64MatchesExp()
+
+func sigmoid64MatchesExp() bool {
+	x := [8]float64{1.0321, 0.3101, 0.2941, 1.1105, -3.016871075226377, -5.123165541761458, -10.221150996729099, -19.012291302937733}
+	var got [8]float64
+	sigmoidAdd4f64(&got[0], &x[0], &zero64[0], 0, uintptr(len(x)))
+	for i, v := range x {
+		if math.Float64bits(got[i]) != math.Float64bits(1/(1+math.Exp(-v))) {
+			return false
+		}
+	}
+	return true
+}
+
+// sigmoidAddAsm64 runs the float64 logistic kernel over the leading whole
+// groups of 4 of dst = σ(a+b), where step 1 walks b with a and step 0 adds
+// b's first group of 4 to every group. It stops before the first group
+// holding an |a+b| beyond 708 or a NaN, and returns how many elements it
+// wrote (0 without AVX2+FMA, or while math.Exp is off its FMA sequence).
+func sigmoidAddAsm64(dst, a, b []float64, step int) int {
+	n := len(dst) &^ 3
+	if !useAsm || !expFMA || n == 0 {
+		return 0
+	}
+	return int(sigmoidAdd4f64(&dst[0], &a[0], &b[0], uintptr(32*step), uintptr(n)))
 }
 
 // addReLUAsm32 is the same driver over the add-and-ReLU kernel.

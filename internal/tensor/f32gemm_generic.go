@@ -13,6 +13,8 @@ func matMulAsm32(out, a, b []float32, m, k, n int) int { return 0 }
 
 func sigmoidAddAsm32(dst, a, b []float32) int { return 0 }
 
+func sigmoidAddAsm64(dst, a, b []float64, step int) int { return 0 }
+
 func addReLUAsm32(dst, a, b []float32) int { return 0 }
 
 func gateMulAsm32(dst, zr, h []float32, width int) int { return 0 }

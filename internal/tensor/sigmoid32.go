@@ -1,5 +1,6 @@
-// The logistic of the fused predictor, dst[i] = σ(a[i]+b[i]), and its float32
-// kernel.
+// The logistic of the fused predictor and the tape, dst[i] = σ(a[i]+b[i]),
+// and its float32 kernel (the float64 one is math.Exp's own sequence; see
+// sigmoid64_amd64.s).
 //
 // A GRU window is ~1 300 gate sigmoids per row, so this is the one
 // transcendental the float32 forward pass cannot afford to evaluate through
@@ -17,7 +18,10 @@
 // polynomial for tails, other platforms, and as the assembly's reference.
 package tensor
 
-import "math"
+import (
+	"fmt"
+	"math"
+)
 
 const (
 	sigClamp  = 87 // |x| beyond this saturates; 2ⁿ stays a normal float32
@@ -39,8 +43,12 @@ const (
 // same length. dst may be a itself (in place); any other overlap between dst
 // and an operand panics, like the GEMMs. In float32 it is the kernel above:
 // NaN in gives NaN out; ±Inf and anything beyond ±87 saturate to 1 and
-// ≈1.6e-38 — never a subnormal. In float64 it is the exact 1/(1+exp(−x)) of
-// the autodiff tape, which the ≤1e-12 parity of the float64 predictor needs.
+// ≈1.6e-38 — never a subnormal. In float64 it is the Go expression
+// 1/(1+math.Exp(−(a+b))) to the bit, for every input: on amd64 with AVX2+FMA,
+// while math.Exp runs its FMA sequence, sigmoid64_amd64.s replays that
+// sequence four lanes at a time, and the expression itself finishes the tail
+// and every group holding an |a+b| beyond 708 or a NaN. The tape's Sigmoid is
+// the same code, so the float64 predictor and the tape share their gate bits.
 func SigmoidAdd[T Float](dst, a, b []T) {
 	if !checkAdd("SigmoidAdd", dst, a, b) {
 		return
@@ -52,9 +60,36 @@ func SigmoidAdd[T Float](dst, a, b []T) {
 			d[i] = sigmoidAddScalar32(a[i], b[i])
 		}
 	case []float64:
-		a, b := any(a).([]float64)[:len(d)], any(b).([]float64)[:len(d)]
-		for i, x := range a {
-			d[i] = 1 / (1 + math.Exp(-(x + b[i])))
+		sigmoid64(d, any(a).([]float64), any(b).([]float64), 1)
+	}
+}
+
+// Sigmoid computes dst[i] = σ(x[i]) in float64: the autodiff tape's logistic,
+// SigmoidAdd's kernel with a zero addend (x+0 is x but for −0, and
+// exp(±0) = 1). The slices must have one length; dst may be x itself, any
+// other overlap panics.
+func Sigmoid(dst, x []float64) {
+	if len(x) != len(dst) {
+		panic(fmt.Sprintf("tensor: Sigmoid length %d into %d", len(x), len(dst)))
+	}
+	if len(dst) != 0 && &dst[0] != &x[0] && overlap(dst, x) {
+		panic("tensor: Sigmoid dst overlaps its operand")
+	}
+	sigmoid64(dst, x, zero64[:], 0)
+}
+
+// zero64 is Sigmoid's addend: one group of 4 zeros, which the kernel adds
+// to every group.
+var zero64 [4]float64
+
+// sigmoid64 writes dst[i] = σ(a[i]+b[i]) with step 1, or σ(a[i]+0) with
+// step 0 and b = zero64: the kernel takes every whole group of 4 it can, and
+// the Go expression finishes each group it declines and the tail.
+func sigmoid64(dst, a, b []float64, step int) {
+	for i := 0; i < len(dst); {
+		i += sigmoidAddAsm64(dst[i:], a[i:], b[i*step:], step)
+		for end := min(i+4, len(dst)); i < end; i++ {
+			dst[i] = 1 / (1 + math.Exp(-(a[i] + b[i*step])))
 		}
 	}
 }
