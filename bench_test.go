@@ -259,7 +259,7 @@ func BenchmarkEnv2VecTrainStep(b *testing.B) {
 
 func BenchmarkGRUForwardWindow(b *testing.B) {
 	rng := rand.New(rand.NewSource(1))
-	g := nn.NewGRU("g", 1, 32, rng)
+	g := nn.NewGRU("g", 32, rng)
 	window := tensor.New(32, 4)
 	window.RandNormal(rng, 1)
 	tape := autodiff.NewTape()

@@ -75,13 +75,19 @@ go test -race -run 'LongPoll' ./internal/modelserver/
 # became a kernel, the exact malloc count of a pass, a finite
 # input the model answers with NaN as a typed per-item 422 on every entry
 # point, and the quick-scale science numbers at 1e-9 (the -race pass skips
-# the allocation counts, so they run plain too).
+# the allocation counts, so they run plain too). The training tape's GRU is
+# one node: its states and every gradient are held bit for bit to the
+# per-operation graph it replaced (gru_ref_test.go), over a table and under
+# the fuzzer. The float32 bound is relative to the magnitude of the head's
+# terms, which a cancelling head sum exceeds hundreds of times.
 go test -race ./internal/infer/ ./internal/core/
 go test -run 'TestFloat32BitIdenticalToGolden|TestFloat64BitIdenticalToGolden|TestInferTracksWeightMutation' ./internal/core/
 go test -run 'TestExactZeroMallocsPerPass' ./internal/infer/
 go test -run 'TestNonFinitePredictionIsTypedError|TestNonFiniteWindowFailsAlone' ./internal/wire/
 go test -run 'TestQuickScienceNumbersPinned' ./internal/experiments/
+go test -run 'TestGRUSequenceMatchesUnroll' ./internal/nn/
 go test -run FuzzPredictParity -fuzz FuzzPredictParity -fuzztime 10s ./internal/core/
+go test -run FuzzGRUSequence -fuzz FuzzGRUSequence -fuzztime 10s ./internal/nn/
 # The vector kernels: the float64 tile bit for bit against the scalar kernel
 # and the naive reference (TestF64TileMatchesScalar), the float32 GEMM tiles
 # and the logistic (tensor.SigmoidAdd) against their scalar twins and

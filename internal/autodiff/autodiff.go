@@ -20,6 +20,14 @@
 // steps, or Release when it is done, rebuilds graph after graph without
 // allocating. A caller that does neither pays for a fresh arena per tape and
 // is otherwise unaffected.
+//
+// A layer that is cheaper as one node than as many — nn.GRU runs its whole
+// recurrence as one — builds it with two hooks: Op adds a node whose value
+// the caller computes and whose backward closure the caller writes, and Mat
+// hands out tape-owned scratch (kept until Reset, or, taken inside a backward
+// closure, until that closure returns). Such a closure adds into the
+// gradients of its inputs exactly as the operations here do, and only into
+// those whose RequiresGrad holds.
 package autodiff
 
 import (
@@ -106,13 +114,24 @@ func (t *Tape) Release() {
 	tapePool.Put(t)
 }
 
-// Scratch returns an uninitialized rows×cols matrix owned by the tape, for
-// inputs a caller assembles per graph (a gathered mini-batch, a zero initial
-// state). It is valid until the tape is Reset or Released.
-func (t *Tape) Scratch(rows, cols int) *tensor.Matrix {
-	// A constant node nothing refers to: its slot carries the header.
-	return t.newNode(rows, cols, false, nil).Value
+// Mat returns an uninitialized rows×cols matrix owned by the tape, for what a
+// caller assembles per graph (a gathered mini-batch, a layer's packed
+// weights). It is valid until the tape is Reset or Released; taken inside a
+// backward closure, only until that closure returns.
+func (t *Tape) Mat(rows, cols int) *tensor.Matrix { return t.mem.Mat(rows, cols) }
+
+// Op adds a node the caller computes: a rows×cols value to overwrite in full
+// (the storage is recycled, not cleared), a zeroed gradient when requiresGrad
+// holds on a recording tape, and back, which Backward calls with the node
+// once its gradient is complete, to add it into the gradients of the nodes
+// the value came from.
+func (t *Tape) Op(rows, cols int, requiresGrad bool, back func(out *Node)) *Node {
+	return t.newNode(rows, cols, requiresGrad, back)
 }
+
+// RequiresGrad reports whether the node has a gradient, which a backward
+// closure then adds into.
+func (n *Node) RequiresGrad() bool { return n.requiresGrad }
 
 // node appends a recycled (or new) node to the graph.
 func (t *Tape) node() *Node {
@@ -143,8 +162,13 @@ func (t *Tape) leaf(v *tensor.Matrix, requiresGrad bool) *Node {
 // overwrite in full (the storage is recycled, not cleared), a zeroed
 // gradient if one is needed, and the closure that propagates it.
 func (t *Tape) newNode(rows, cols int, requiresGrad bool, back func(out *Node)) *Node {
+	return t.view(rows, cols, t.mem.Take(rows*cols), requiresGrad, back)
+}
+
+// view is newNode over storage the caller supplies.
+func (t *Tape) view(rows, cols int, data []float64, requiresGrad bool, back func(out *Node)) *Node {
 	n := t.node()
-	n.val = tensor.Matrix{Rows: rows, Cols: cols, Data: t.mem.Take(rows * cols)}
+	n.val = tensor.Matrix{Rows: rows, Cols: cols, Data: data}
 	n.Value, n.back = &n.val, back
 	t.initGrad(n, requiresGrad)
 	return n
@@ -190,24 +214,18 @@ func (t *Tape) Backward(out *Node) {
 	}
 }
 
-// temp returns an uninitialized rows×cols matrix that lives until the
-// running backward closure returns.
-func (t *Tape) temp(rows, cols int) tensor.Matrix {
-	return tensor.Matrix{Rows: rows, Cols: cols, Data: t.mem.Take(rows * cols)}
-}
-
 // transposed packs mᵀ into a temporary.
-func (t *Tape) transposed(m *tensor.Matrix) tensor.Matrix {
-	mt := t.temp(m.Cols, m.Rows)
-	m.TransposeInto(&mt)
+func (t *Tape) transposed(m *tensor.Matrix) *tensor.Matrix {
+	mt := t.Mat(m.Cols, m.Rows)
+	m.TransposeInto(mt)
 	return mt
 }
 
 // addProduct accumulates x×y into grad by way of a temporary.
 func (t *Tape) addProduct(grad, x, y *tensor.Matrix) {
-	prod := t.temp(grad.Rows, grad.Cols)
-	tensor.MatMulBlockedInto(&prod, x, y)
-	grad.AddInPlace(&prod)
+	prod := t.Mat(grad.Rows, grad.Cols)
+	tensor.MatMulBlockedInto(prod, x, y)
+	grad.AddInPlace(prod)
 }
 
 // MatMul returns a×b. The forward product and both backward products run
@@ -216,12 +234,10 @@ func (t *Tape) addProduct(grad, x, y *tensor.Matrix) {
 func (t *Tape) MatMul(a, b *Node) *Node {
 	out := t.newNode(a.Value.Rows, b.Value.Cols, a.requiresGrad || b.requiresGrad, func(out *Node) {
 		if a.requiresGrad { // ∂a += ∂out · bᵀ
-			bt := t.transposed(b.Value)
-			t.addProduct(a.Grad, out.Grad, &bt)
+			t.addProduct(a.Grad, out.Grad, t.transposed(b.Value))
 		}
 		if b.requiresGrad { // ∂b += aᵀ · ∂out
-			at := t.transposed(a.Value)
-			t.addProduct(b.Grad, &at, out.Grad)
+			t.addProduct(b.Grad, t.transposed(a.Value), out.Grad)
 		}
 	})
 	tensor.MatMulBlockedInto(out.Value, a.Value, b.Value)
@@ -371,15 +387,6 @@ func (t *Tape) Reciprocal(a *Node) *Node {
 	})
 }
 
-// OneMinus returns 1−a elementwise (used by GRU gating).
-func (t *Tape) OneMinus(a *Node) *Node {
-	return t.apply(a, func(x float64) float64 { return 1 - x }, func(out *Node) {
-		for i, g := range out.Grad.Data {
-			a.Grad.Data[i] -= g
-		}
-	})
-}
-
 // ConcatCols returns [a | b].
 func (t *Tape) ConcatCols(a, b *Node) *Node {
 	ac := a.Value.Cols
@@ -417,6 +424,22 @@ func (t *Tape) SliceColsNode(a *Node, from, to int) *Node {
 	})
 	a.Value.SliceColsInto(out.Value, from, to)
 	return out
+}
+
+// SliceRowsNode is rows [from,to) of a. The value shares a's storage — a
+// node's value is final once the operation that made it returns — and the
+// gradient is added back into those rows.
+func (t *Tape) SliceRowsNode(a *Node, from, to int) *Node {
+	if from < 0 || to > a.Value.Rows || from > to {
+		panic(fmt.Sprintf("autodiff: SliceRowsNode [%d,%d) of %d rows", from, to, a.Value.Rows))
+	}
+	cols := a.Value.Cols
+	return t.view(to-from, cols, a.Value.Data[from*cols:to*cols:to*cols], a.requiresGrad, func(out *Node) {
+		rows := a.Grad.Data[from*cols : to*cols]
+		for i, g := range out.Grad.Data {
+			rows[i] += g
+		}
+	})
 }
 
 // GatherRows selects rows idx[i] of the table node; used for embedding

@@ -166,13 +166,47 @@ func TestGradGatherRows(t *testing.T) {
 	})
 }
 
-func TestGradOneMinus(t *testing.T) {
-	rng := rand.New(rand.NewSource(7))
-	a := randMat(rng, 2, 2)
-	y := randMat(rng, 2, 2)
-	checkGrad(t, []*tensor.Matrix{a}, func(tp *Tape) *Node {
-		return tp.MSE(tp.OneMinus(tp.Sigmoid(tp.Param(a))), y)
+// square is a caller-built operation: x² through Op, with its backward
+// taking scratch from Mat.
+func square(tp *Tape, a *Node) *Node {
+	out := tp.Op(a.Value.Rows, a.Value.Cols, a.RequiresGrad(), func(out *Node) {
+		twice := tp.Mat(a.Value.Rows, a.Value.Cols)
+		tensor.ScaleInto(twice, a.Value, 2)
+		for i, g := range out.Grad.Data {
+			a.Grad.Data[i] += g * twice.Data[i]
+		}
 	})
+	tensor.MulInto(out.Value, a.Value, a.Value)
+	return out
+}
+
+func TestGradOpAndSliceRows(t *testing.T) {
+	rng := rand.New(rand.NewSource(7))
+	a := randMat(rng, 5, 3)
+	y := randMat(rng, 2, 3)
+	checkGrad(t, []*tensor.Matrix{a}, func(tp *Tape) *Node {
+		sq := square(tp, tp.Sigmoid(tp.Param(a)))
+		return tp.Add(tp.MSE(tp.SliceRowsNode(sq, 1, 3), y), tp.Mean(tp.SliceRowsNode(sq, 2, 5)))
+	})
+}
+
+func TestSliceRowsNodeSharesRowsAndPanics(t *testing.T) {
+	tape := NewTape()
+	a := tape.Constant(tensor.FromRows([][]float64{{1, 2}, {3, 4}, {5, 6}}))
+	s := tape.SliceRowsNode(a, 1, 3)
+	if s.Value.Rows != 2 || &s.Value.Data[0] != &a.Value.Data[2] || s.Value.Data[3] != 6 {
+		t.Fatalf("rows [1,3) = %v, want a view of %v", s.Value, a.Value)
+	}
+	for _, r := range [][2]int{{-1, 1}, {2, 4}, {2, 1}} {
+		func() {
+			defer func() {
+				if recover() == nil {
+					t.Fatalf("SliceRowsNode%v of 3 rows did not panic", r)
+				}
+			}()
+			tape.SliceRowsNode(a, r[0], r[1])
+		}()
+	}
 }
 
 // TestGradGRUStyleCell composes the exact ops used by the GRU layer (update
@@ -193,13 +227,16 @@ func TestGradGRUStyleCell(t *testing.T) {
 		nwz, nuz := tp.Param(wz), tp.Param(uz)
 		nwr, nur := tp.Param(wr), tp.Param(ur)
 		nwh, nuh := tp.Param(wh), tp.Param(uh)
-		h := tp.Constant(tensor.New(2, hid))
+		h, ones := tp.Constant(tensor.New(2, hid)), tp.Constant(tensor.New(2, hid))
+		for i := range ones.Value.Data {
+			ones.Value.Data[i] = 1
+		}
 		for _, x := range xs {
 			nx := tp.Constant(x)
 			z := tp.Sigmoid(tp.Add(tp.MatMul(nx, nwz), tp.MatMul(h, nuz)))
 			r := tp.Sigmoid(tp.Add(tp.MatMul(nx, nwr), tp.MatMul(h, nur)))
 			hc := tp.Tanh(tp.Add(tp.MatMul(nx, nwh), tp.MatMul(tp.Mul(r, h), nuh)))
-			h = tp.Add(tp.Mul(tp.OneMinus(z), hc), tp.Mul(z, h))
+			h = tp.Add(tp.Mul(tp.Sub(ones, z), hc), tp.Mul(z, h))
 		}
 		return tp.MSE(h, y)
 	})
@@ -362,13 +399,17 @@ func everyOp(tp *Tape, rng *rand.Rand, batch int) (loss *Node, params []*Node) {
 		idx[i] = rng.Intn(4)
 		mask.Data[i*hid+rng.Intn(hid)] = 1
 	}
-	h0 := tp.Scratch(batch, hid)
+	h0, ones := tp.Mat(batch, hid), tp.Mat(batch, hid)
 	h0.Zero()
+	for i := range ones.Data {
+		ones.Data[i] = 1
+	}
 	h := tp.Sigmoid(tp.AddRowBroadcast(tp.Add(tp.MatMul(tp.Constant(x), w), tp.MatMul(tp.Constant(h0), u)), b))
-	h = tp.Add(tp.Mul(tp.OneMinus(h), tp.ReLU(tp.MatMul(h, u))), tp.Mul(h, tp.Tanh(tp.MatMul(h, u))))
+	h = tp.Add(tp.Mul(tp.Sub(tp.Constant(ones), h), tp.ReLU(tp.MatMul(h, u))), tp.Mul(h, tp.Tanh(tp.MatMul(h, u))))
 	h = tp.Dropout(tp.Sub(h, tp.Scale(tp.GatherRows(table, idx), 0.5)), mask, 0.8)
 	wide := tp.ConcatCols(h, tp.Reciprocal(tp.Exp(tp.SliceColsNode(h, 1, 3))))
-	return tp.Add(tp.MSE(tp.SumRows(wide), y), tp.Mean(wide)), []*Node{w, b, u, table}
+	tail := square(tp, tp.SliceRowsNode(wide, 1, batch))
+	return tp.Add(tp.Add(tp.MSE(tp.SumRows(wide), y), tp.Mean(wide)), tp.Mean(tail)), []*Node{w, b, u, table}
 }
 
 // TestResetTapeIsFreshTape runs one step on a tape, resets it and runs a

@@ -36,7 +36,7 @@ func NewRFNN(cfg RFNNConfig) *RFNN {
 	m := &RFNN{
 		cfg: cfg,
 		fnn: nn.NewMLP("rfnn.fnn", cfg.In, cfg.Hidden, nn.Sigmoid, cfg.Dropout, rng),
-		gru: nn.NewGRU("rfnn.gru", 1, cfg.GRUHidden, rng),
+		gru: nn.NewGRU("rfnn.gru", cfg.GRUHidden, rng),
 	}
 	m.dense = nn.NewDense("rfnn.dense", cfg.Hidden+cfg.GRUHidden, cfg.DenseDim, nn.ReLU, rng)
 	m.out = nn.NewDense("rfnn.out", cfg.DenseDim, 1, nn.Linear, rng)

@@ -120,7 +120,7 @@ func New(cfg Config, schema *envmeta.Schema) *Model {
 	m := &Model{
 		cfg: cfg,
 		fnn: nn.NewMLP("env2vec.fnn", cfg.In, cfg.Hidden, nn.Sigmoid, cfg.Dropout, rng),
-		gru: nn.NewGRU("env2vec.gru", 1, cfg.GRUHidden, rng),
+		gru: nn.NewGRU("env2vec.gru", cfg.GRUHidden, rng),
 	}
 	cdim := envmeta.NumFeatures * cfg.EmbedDim
 	m.dense = nn.NewDense("env2vec.dense", cfg.Hidden+cfg.GRUHidden, cdim, nn.ReLU, rng)
@@ -181,6 +181,22 @@ func (m *Model) Config() Config { return m.cfg }
 
 // forward builds the prediction graph for a batch.
 func (m *Model) forward(t *autodiff.Tape, b *nn.Batch, train bool, rng *rand.Rand) *autodiff.Node {
+	vd, c := m.headInputs(t, b, train, rng)
+	switch m.cfg.Head {
+	case HeadBilinear:
+		// y′ = v_d · R · C per example: (v_d R) ⊙ C summed per row.
+		return t.SumRows(t.Mul(t.MatMul(vd, m.bilinear.Bind(t)), c))
+	case HeadMLP:
+		return m.headMLP.Forward(t, t.ConcatCols(vd, c), train, rng)
+	default:
+		// y′ = Σ (v_d ⊙ C), one scalar per row (Equation 2).
+		return t.SumRows(t.Mul(vd, c))
+	}
+}
+
+// headInputs builds what every head combines: the dense features v_d and
+// the environment embedding C.
+func (m *Model) headInputs(t *autodiff.Tape, b *nn.Batch, train bool, rng *rand.Rand) (vd, c *autodiff.Node) {
 	if b.Window == nil {
 		panic("core: Env2Vec requires an RU-history window in the batch")
 	}
@@ -196,10 +212,9 @@ func (m *Model) forward(t *autodiff.Tape, b *nn.Batch, train bool, rng *rand.Ran
 		vts = m.gru.ForwardWindow(t, t.Constant(b.Window))
 	}
 	vs := t.ConcatCols(vts, vfs)
-	vd := m.dense.Forward(t, vs)
+	vd = m.dense.Forward(t, vs)
 
 	// Concatenated environment embedding C = [ec¹ … ec⁴] (Equation 1).
-	var c *autodiff.Node
 	for k, emb := range m.embeddings {
 		ids := b.EnvIDs[k]
 		if train && m.cfg.UnkProb > 0 && rng != nil {
@@ -212,16 +227,7 @@ func (m *Model) forward(t *autodiff.Tape, b *nn.Batch, train bool, rng *rand.Ran
 			c = t.ConcatCols(c, e)
 		}
 	}
-	switch m.cfg.Head {
-	case HeadBilinear:
-		// y′ = v_d · R · C per example: (v_d R) ⊙ C summed per row.
-		return t.SumRows(t.Mul(t.MatMul(vd, m.bilinear.Bind(t)), c))
-	case HeadMLP:
-		return m.headMLP.Forward(t, t.ConcatCols(vd, c), train, rng)
-	default:
-		// y′ = Σ (v_d ⊙ C), one scalar per row (Equation 2).
-		return t.SumRows(t.Mul(vd, c))
-	}
+	return vd, c
 }
 
 // maskIDs randomly replaces ids with <unk> so the unknown embedding is

@@ -6,10 +6,14 @@
 //   - fused float64 vs tape: ≤1e-12 relative. The blocked kernels keep the
 //     naive kernels' per-element accumulation order, so this is the same
 //     round-off bound the pre-blocking path satisfied.
-//   - float32 vs tape: ≤1e-4 relative. Weights round once at load, inputs
-//     once per call, and the error then grows with accumulation length;
-//     docs/performance.md derives the budget. In practice the observed gap
-//     is ~1e-6; 1e-4 is the contract serving alerts on.
+//   - float32 vs tape: ≤1e-4 of max(1, |tape|, Σ|terms|), where Σ|terms| is
+//     the magnitude of the head's final sum (headTerms). Weights round once
+//     at load, inputs once per call, and the error then grows with
+//     accumulation length; docs/performance.md derives the budget. A head
+//     whose terms cancel answers a small number carrying the rounding of
+//     large ones, so the error is relative to the terms, not to the answer.
+//     In practice the observed gap is ~1e-6; 1e-4 is the contract serving
+//     alerts on.
 //
 // Hidden sizes here are deliberately NOT multiples of the 4-lane block
 // width (and not multiples of the 16-column float32 vector tile), so every
@@ -26,6 +30,7 @@ import (
 	"strings"
 	"testing"
 
+	"env2vec/internal/autodiff"
 	"env2vec/internal/envmeta"
 	"env2vec/internal/nn"
 )
@@ -56,20 +61,52 @@ func assertParity(t *testing.T, m *Model, b *nn.Batch, label string) {
 	tape := m.PredictTape(b)
 	fused := m.Predict(b)
 	f32 := m.NewPredictor32().Predict(b)
+	terms := headTerms(m, b)
 	if len(fused) != len(tape) || len(f32) != len(tape) {
 		t.Fatalf("%s: prediction lengths diverge (tape %d, fused %d, f32 %d)", label, len(tape), len(fused), len(f32))
 	}
 	for i := range tape {
 		scale := math.Max(1, math.Abs(tape[i]))
+		scale32 := math.Max(scale, terms[i])
 		d, d32 := math.Abs(fused[i]-tape[i]), math.Abs(f32[i]-tape[i])
 		if d > 1e-12*scale {
 			t.Fatalf("%s row %d: fused f64 %v vs tape %v (diff %g > 1e-12 rel)", label, i, fused[i], tape[i], d)
 		}
-		if d32 > 1e-4*scale {
-			t.Fatalf("%s row %d: f32 %v vs tape %v (diff %g > 1e-4 rel)", label, i, f32[i], tape[i], d32)
+		if d32 > 1e-4*scale32 {
+			t.Fatalf("%s row %d: f32 %v vs tape %v (diff %g > 1e-4 of max(1, |tape|, Σ|terms| %g))", label, i, f32[i], tape[i], d32, terms[i])
 		}
-		worstGap.fused, worstGap.f32 = math.Max(worstGap.fused, d/scale), math.Max(worstGap.f32, d32/scale)
+		worstGap.fused, worstGap.f32 = math.Max(worstGap.fused, d/scale), math.Max(worstGap.f32, d32/scale32)
 	}
+}
+
+// headTerms is, per row, Σ|terms| of the head's final sum on the float64
+// tape: Σ|v_d ⊙ C| (Hadamard), Σ|(v_d R) ⊙ C| (bilinear), or Σ|h_j w_j| + |b|
+// over the MLP head's output layer.
+func headTerms(m *Model, b *nn.Batch) []float64 {
+	t := autodiff.NewInferenceTape()
+	defer t.Release()
+	vd, c := m.headInputs(t, b, false, nil)
+	out := make([]float64, b.Len())
+	switch m.cfg.Head {
+	case HeadMLP:
+		h := m.headMLP.HiddenForward(t, t.ConcatCols(vd, c), false, nil)
+		w := m.headMLP.Out.W.Value.Data
+		for i := range out {
+			out[i] = math.Abs(m.headMLP.Out.B.Value.Data[0])
+			for j, v := range h.Value.Row(i) {
+				out[i] += math.Abs(v * w[j])
+			}
+		}
+		return out
+	case HeadBilinear:
+		vd = t.MatMul(vd, t.Constant(m.bilinear.Value))
+	}
+	for i := range out {
+		for j, v := range vd.Value.Row(i) {
+			out[i] += math.Abs(v * c.Value.At(i, j))
+		}
+	}
+	return out
 }
 
 // forEachParityCase walks the battery's table — all heads × attention on/off
@@ -132,7 +169,7 @@ func forEachParityCaseAt(t *testing.T, dims []parityDims, visit func(t *testing.
 // forEachParityCase across all three paths.
 func TestCrossPrecisionParity(t *testing.T) {
 	forEachParityCase(t, assertParity)
-	t.Logf("worst relative gap to the tape: fused float64 %.2g (contract 1e-12), float32 %.2g (contract 1e-4)", worstGap.fused, worstGap.f32)
+	t.Logf("worst relative gap to the tape: fused float64 %.2g (contract 1e-12), float32 %.2g of the head's terms (contract 1e-4)", worstGap.fused, worstGap.f32)
 }
 
 var updateGolden = flag.Bool("update", false, "rewrite the golden file (float32 or float64) of every golden test that runs from this build's answers")
@@ -199,7 +236,9 @@ func compareGolden(t *testing.T, path string, got, labels []string) {
 
 // FuzzPredictParity lets the fuzzer pick the architecture, batch shape, and
 // weight seed; the property is the same three-way tolerance contract. The
-// corpus seeds cover each head and the attention path.
+// corpus seeds cover each head and the attention path;
+// testdata/fuzz/FuzzPredictParity holds a bilinear head whose row sums cancel
+// 300- to 600-fold, which failed a bound relative to the answer alone.
 func FuzzPredictParity(f *testing.F) {
 	f.Add(int64(1), uint8(0), uint8(19), uint8(4), uint8(0), false)
 	f.Add(int64(2), uint8(7), uint8(0), uint8(2), uint8(1), false)

@@ -1,8 +1,9 @@
 // Package infer is the tape-free forward pass that scores and serves. The
 // autodiff tape in internal/autodiff is the right tool for training — every
-// op records a backward closure — but a prediction pays those training-time
-// costs for nothing: node and matrix allocations per op, per-timestep column
-// slices of the RU window, and six small matmuls per GRU step. Predictor[T]
+// op records a backward closure and keeps what it reads — but a prediction
+// pays those training-time costs for nothing: a node and a value matrix per
+// op, and every GRU step's gates and candidates kept for a backward that
+// never runs. Predictor[T]
 // writes the Env2Vec forward pass once, as straight-line kernels over
 // tensor.Mat[T], for both precisions:
 //
@@ -124,9 +125,6 @@ func validateNetwork(net Network) {
 		panic("infer: network is missing a layer")
 	}
 	g := net.GRU
-	if g.In != 1 {
-		panic("infer: the fused window kernel requires a GRU with scalar inputs")
-	}
 	for _, p := range []*nn.Param{g.Wz, g.Wr, g.Wh, g.Bz, g.Br, g.Bh} {
 		wantShape(p, 1, g.Hidden)
 	}

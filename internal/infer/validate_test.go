@@ -17,7 +17,7 @@ func handNetwork() infer.Network {
 	const H, hidden, dim, tables = 8, 6, 3, 4
 	net := infer.Network{
 		FNNHidden: nn.NewDense("fnn", 3, hidden, nn.ReLU, rng),
-		GRU:       nn.NewGRU("gru", 1, H, rng),
+		GRU:       nn.NewGRU("gru", H, rng),
 		Dense:     nn.NewDense("dense", H+hidden, tables*dim, nn.ReLU, rng),
 	}
 	for k := 0; k < tables; k++ {

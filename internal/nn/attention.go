@@ -116,32 +116,3 @@ func broadcastCol(t *autodiff.Tape, col *autodiff.Node, cols int) *autodiff.Node
 	}
 	return out
 }
-
-// ForwardWindowAll unrolls the GRU like ForwardWindow but returns every
-// step's hidden state, for attention-based summaries.
-func (g *GRU) ForwardWindowAll(t *autodiff.Tape, window *autodiff.Node) []*autodiff.Node {
-	if g.In != 1 {
-		panic("nn: ForwardWindowAll requires a GRU with scalar inputs")
-	}
-	n := window.Value.Cols
-	if n == 0 {
-		panic("nn: ForwardWindowAll requires at least one timestep")
-	}
-	batch := window.Value.Rows
-	wz, uz, bz := g.Wz.Bind(t), g.Uz.Bind(t), g.Bz.Bind(t)
-	wr, ur, br := g.Wr.Bind(t), g.Ur.Bind(t), g.Br.Bind(t)
-	wh, uh, bh := g.Wh.Bind(t), g.Uh.Bind(t), g.Bh.Bind(t)
-	h := t.Constant(zeroState(t, batch, g.Hidden))
-	out := make([]*autodiff.Node, 0, n)
-	for j := 0; j < n; j++ {
-		// As in ForwardWindow, slice through the tape so gradients reach a
-		// non-constant window producer.
-		x := t.SliceColsNode(window, j, j+1)
-		z := t.Sigmoid(t.AddRowBroadcast(t.Add(t.MatMul(x, wz), t.MatMul(h, uz)), bz))
-		r := t.Sigmoid(t.AddRowBroadcast(t.Add(t.MatMul(x, wr), t.MatMul(h, ur)), br))
-		hc := g.CandidateAct.Apply(t, t.AddRowBroadcast(t.Add(t.MatMul(x, wh), t.MatMul(t.Mul(r, h), uh)), bh))
-		h = t.Add(t.Mul(t.OneMinus(z), hc), t.Mul(z, h))
-		out = append(out, h)
-	}
-	return out
-}

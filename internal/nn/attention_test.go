@@ -89,7 +89,7 @@ func TestAttentionTrainsToFocusOnInformativeStep(t *testing.T) {
 
 	train := func(useAttn bool) float64 {
 		gr := rand.New(rand.NewSource(7))
-		g := NewGRU("g", 1, 8, gr)
+		g := NewGRU("g", 8, gr)
 		var attn *Attention
 		if useAttn {
 			attn = NewAttention("attn", 8, 8, gr)
@@ -128,7 +128,7 @@ func TestAttentionTrainsToFocusOnInformativeStep(t *testing.T) {
 
 func TestGRUForwardWindowAllConsistentWithFinal(t *testing.T) {
 	rng := rand.New(rand.NewSource(6))
-	g := NewGRU("g", 1, 5, rng)
+	g := NewGRU("g", 5, rng)
 	window := tensor.New(3, 4)
 	window.RandNormal(rng, 1)
 	t1 := autodiff.NewTape()
@@ -144,27 +144,14 @@ func TestGRUForwardWindowAllConsistentWithFinal(t *testing.T) {
 }
 
 func TestGRUForwardWindowAllPanics(t *testing.T) {
-	rng := rand.New(rand.NewSource(7))
-	g := NewGRU("g", 2, 3, rng) // non-scalar input
-	func() {
-		defer func() {
-			if recover() == nil {
-				t.Fatalf("expected panic for non-scalar GRU")
-			}
-		}()
-		tp := autodiff.NewTape()
-		g.ForwardWindowAll(tp, tp.Constant(tensor.New(1, 3)))
+	gs := NewGRU("g", 3, rand.New(rand.NewSource(7)))
+	defer func() {
+		if recover() == nil {
+			t.Fatalf("expected panic for empty window")
+		}
 	}()
-	gs := NewGRU("g", 1, 3, rng)
-	func() {
-		defer func() {
-			if recover() == nil {
-				t.Fatalf("expected panic for empty window")
-			}
-		}()
-		tp := autodiff.NewTape()
-		gs.ForwardWindowAll(tp, tp.Constant(tensor.New(1, 0)))
-	}()
+	tp := autodiff.NewTape()
+	gs.ForwardWindowAll(tp, tp.Constant(tensor.New(1, 0)))
 }
 
 func TestBroadcastColWidths(t *testing.T) {

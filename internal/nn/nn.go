@@ -126,83 +126,6 @@ func (d *Dense) Forward(t *autodiff.Tape, x *autodiff.Node) *autodiff.Node {
 // Params implements Layer.
 func (d *Dense) Params() []*Param { return []*Param{d.W, d.B} }
 
-// GRU is a gated recurrent unit over a sequence of scalar (or low-dim)
-// inputs; it follows the formulation in the Env2Vec appendix: update gate z,
-// reset gate r, candidate state h' with a configurable activation (ReLU in
-// the paper), and h_t = (1−z)⊙h' + z⊙h_{t−1}.
-type GRU struct {
-	In, Hidden                         int
-	Wz, Uz, Bz, Wr, Ur, Br, Wh, Uh, Bh *Param
-	CandidateAct                       Activation
-}
-
-// NewGRU creates a GRU layer mapping sequences of in-dim vectors to a
-// hidden-dim summary vector.
-func NewGRU(name string, in, hidden int, rng *rand.Rand) *GRU {
-	g := &GRU{
-		In: in, Hidden: hidden,
-		Wz: NewParam(name+".Wz", in, hidden), Uz: NewParam(name+".Uz", hidden, hidden), Bz: NewParam(name+".bz", 1, hidden),
-		Wr: NewParam(name+".Wr", in, hidden), Ur: NewParam(name+".Ur", hidden, hidden), Br: NewParam(name+".br", 1, hidden),
-		Wh: NewParam(name+".Wh", in, hidden), Uh: NewParam(name+".Uh", hidden, hidden), Bh: NewParam(name+".bh", 1, hidden),
-		CandidateAct: ReLU,
-	}
-	for _, p := range []*Param{g.Wz, g.Uz, g.Wr, g.Ur, g.Wh, g.Uh} {
-		p.Value.GlorotUniform(rng)
-	}
-	return g
-}
-
-// Forward unrolls the GRU over steps, where each step is a batch×in node,
-// and returns the final hidden state (batch×hidden).
-func (g *GRU) Forward(t *autodiff.Tape, steps []*autodiff.Node) *autodiff.Node {
-	if len(steps) == 0 {
-		panic("nn: GRU.Forward requires at least one timestep")
-	}
-	batch := steps[0].Value.Rows
-	wz, uz, bz := g.Wz.Bind(t), g.Uz.Bind(t), g.Bz.Bind(t)
-	wr, ur, br := g.Wr.Bind(t), g.Ur.Bind(t), g.Br.Bind(t)
-	wh, uh, bh := g.Wh.Bind(t), g.Uh.Bind(t), g.Bh.Bind(t)
-	h := t.Constant(zeroState(t, batch, g.Hidden))
-	for _, x := range steps {
-		z := t.Sigmoid(t.AddRowBroadcast(t.Add(t.MatMul(x, wz), t.MatMul(h, uz)), bz))
-		r := t.Sigmoid(t.AddRowBroadcast(t.Add(t.MatMul(x, wr), t.MatMul(h, ur)), br))
-		hc := g.CandidateAct.Apply(t, t.AddRowBroadcast(t.Add(t.MatMul(x, wh), t.MatMul(t.Mul(r, h), uh)), bh))
-		h = t.Add(t.Mul(t.OneMinus(z), hc), t.Mul(z, h))
-	}
-	return h
-}
-
-// zeroState is h₀, from the tape's own memory.
-func zeroState(t *autodiff.Tape, batch, hidden int) *tensor.Matrix {
-	h := t.Scratch(batch, hidden)
-	h.Zero()
-	return h
-}
-
-// ForwardWindow is a convenience for scalar sequences: window is batch×n
-// where column j is the value at relative timestep j; each column becomes
-// one GRU input step.
-func (g *GRU) ForwardWindow(t *autodiff.Tape, window *autodiff.Node) *autodiff.Node {
-	if g.In != 1 {
-		panic("nn: ForwardWindow requires a GRU with scalar inputs")
-	}
-	n := window.Value.Cols
-	steps := make([]*autodiff.Node, n)
-	for j := 0; j < n; j++ {
-		// SliceColsNode keeps the gradient path to the window intact: a
-		// non-constant upstream producer (e.g. a learned input transform)
-		// receives its gradients, while a constant window adds no backward
-		// cost and an inference tape records nothing at all.
-		steps[j] = t.SliceColsNode(window, j, j+1)
-	}
-	return g.Forward(t, steps)
-}
-
-// Params implements Layer.
-func (g *GRU) Params() []*Param {
-	return []*Param{g.Wz, g.Uz, g.Bz, g.Wr, g.Ur, g.Br, g.Wh, g.Uh, g.Bh}
-}
-
 // Embedding is a lookup table mapping categorical ids to dense vectors. Row
 // 0 is reserved for the <unk> value so previously unseen metadata labels
 // still map to a learned fallback vector, as in the paper.

@@ -33,7 +33,7 @@ func TestDenseForwardMatchesManual(t *testing.T) {
 // weights and verifies the layer reproduces it.
 func TestGRUForwardMatchesManual(t *testing.T) {
 	rng := rand.New(rand.NewSource(2))
-	g := NewGRU("g", 1, 2, rng)
+	g := NewGRU("g", 2, rng)
 	g.CandidateAct = Tanh
 	set := func(p *Param, rows [][]float64) { p.Value = tensor.FromRows(rows) }
 	set(g.Wz, [][]float64{{0.5, -0.5}})
@@ -48,7 +48,7 @@ func TestGRUForwardMatchesManual(t *testing.T) {
 
 	x := 0.3
 	tape := autodiff.NewTape()
-	out := g.Forward(tape, []*autodiff.Node{tape.Constant(tensor.FromRows([][]float64{{x}}))})
+	out := g.ForwardWindow(tape, tape.Constant(tensor.FromRows([][]float64{{x}})))
 
 	sig := func(v float64) float64 { return 1 / (1 + math.Exp(-v)) }
 	// h0 = 0, so r has no effect and h1 = (1-z)*tanh(Wh*x) + z*0.
@@ -62,33 +62,16 @@ func TestGRUForwardMatchesManual(t *testing.T) {
 	}
 }
 
-func TestGRUForwardWindowEqualsSteps(t *testing.T) {
-	rng := rand.New(rand.NewSource(3))
-	g := NewGRU("g", 1, 4, rng)
-	window := tensor.FromRows([][]float64{{0.1, 0.2, 0.3}, {0.4, 0.5, 0.6}})
-	tape1 := autodiff.NewTape()
-	viaWindow := g.ForwardWindow(tape1, tape1.Constant(window))
-	tape2 := autodiff.NewTape()
-	steps := []*autodiff.Node{
-		tape2.Constant(window.SliceCols(0, 1)),
-		tape2.Constant(window.SliceCols(1, 2)),
-		tape2.Constant(window.SliceCols(2, 3)),
-	}
-	viaSteps := g.Forward(tape2, steps)
-	if !tensor.Equal(viaWindow.Value, viaSteps.Value, 1e-12) {
-		t.Fatalf("ForwardWindow and Forward disagree")
-	}
-}
-
 func TestGRUEmptyStepsPanics(t *testing.T) {
 	rng := rand.New(rand.NewSource(4))
-	g := NewGRU("g", 1, 2, rng)
+	g := NewGRU("g", 2, rng)
 	defer func() {
 		if recover() == nil {
 			t.Fatalf("expected panic")
 		}
 	}()
-	g.Forward(autodiff.NewTape(), nil)
+	tape := autodiff.NewTape()
+	g.ForwardWindow(tape, tape.Constant(tensor.New(3, 0)))
 }
 
 func TestEmbeddingLookupAndUnknownClamp(t *testing.T) {

@@ -135,7 +135,7 @@ func Train(m Model, opt Optimizer, train, val *Batch, cfg TrainConfig) TrainResu
 				end = n
 			}
 			tape.Reset()
-			mb := train.subset(order[start:end], tape.Scratch)
+			mb := train.subset(order[start:end], tape.Mat)
 			loss := m.Loss(tape, mb, true, rng)
 			tape.Backward(loss)
 			opt.Step(m.Params())

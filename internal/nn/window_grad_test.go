@@ -11,12 +11,13 @@ import (
 
 // TestWindowGradientFlow is the regression test for the severed-window bug:
 // ForwardWindow used to wrap each window column in a tape constant, which
-// silently zeroed every gradient flowing into the window producer. With
-// SliceColsNode the gradient path stays intact, so a window bound as a tape
-// parameter must receive gradients that match central finite differences.
+// silently zeroed every gradient flowing into the window producer. The
+// recurrence node scatters its window gradient back, so a window bound as a
+// tape parameter must receive gradients that match central finite
+// differences.
 func TestWindowGradientFlow(t *testing.T) {
 	rng := rand.New(rand.NewSource(3))
-	gru := NewGRU("g", 1, 3, rng)
+	gru := NewGRU("g", 3, rng)
 	for _, p := range []*Param{gru.Bz, gru.Br, gru.Bh} {
 		p.Value.RandNormal(rng, 0.1)
 	}
