@@ -3,9 +3,9 @@
 // tuple <Testbed,SUT,Testcase,Build> onto a backend (bounded-load ring
 // with virtual nodes), so every instance sees a stable slice of
 // environments and its per-env quality state and micro-batches stay
-// coherent. Backends are health-checked off GET /readyz (falling back to
-// /healthz); a dead backend's slice re-homes deterministically to the
-// next backend clockwise and returns when it rejoins. Requests that hit a
+// coherent. Backends are health-checked off GET /readyz; a dead backend's
+// slice re-homes deterministically to the next backend clockwise and
+// returns when it rejoins. Requests that hit a
 // dead or overloaded backend fail over along the ring within a retry
 // budget; a saturated pool sheds with 429.
 //

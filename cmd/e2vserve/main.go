@@ -265,9 +265,7 @@ func run(args []string) error {
 			srv.Close()
 			return fmt.Errorf("wire listener: %w", err)
 		}
-		wireSrv = wire.NewServer(srv, wire.ServerConfig{
-			Obs: reg, Logger: obs.NewLogger(os.Stderr, level, "wire"),
-		})
+		wireSrv = wire.NewServer(srv, wire.ServerConfig{Obs: reg})
 		go func() {
 			logger.Info("wire protocol listening", "addr", *wireAddr, "modes", "batch, subscribe")
 			if err := wireSrv.Serve(ln); err != nil {

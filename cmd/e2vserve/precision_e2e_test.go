@@ -1,8 +1,8 @@
 // End-to-end test of the -precision flag: two daemons boot from the same
 // snapshot, one float64 and one float32, and must agree on /predict within
 // the documented float32 tolerance over BOTH transports (JSON HTTP and the
-// binary wire protocol), while /statz and /metrics report which numeric
-// path each daemon is on.
+// binary wire protocol), while /metrics reports which numeric path each
+// daemon is on.
 package main
 
 import (
@@ -120,19 +120,14 @@ func TestServePrecisionFloat32E2E(t *testing.T) {
 	http64, wire64 := boot("float64")
 	http32, wire32 := boot("float32")
 
-	// /statz names the active numeric path; the env2vec_infer_precision
-	// gauge carries the same fact for scrapers.
+	// The env2vec_infer_precision gauge names the active numeric path.
 	for _, tc := range []struct {
 		port  int
-		statz string
 		gauge string
 	}{
-		{http64, `"precision": "float64"`, "env2vec_infer_precision 64"},
-		{http32, `"precision": "float32"`, "env2vec_infer_precision 32"},
+		{http64, "env2vec_infer_precision 64"},
+		{http32, "env2vec_infer_precision 32"},
 	} {
-		if body := scrape(t, fmt.Sprintf("http://127.0.0.1:%d/statz", tc.port)); !strings.Contains(body, tc.statz) {
-			t.Fatalf("port %d /statz missing %s:\n%s", tc.port, tc.statz, body)
-		}
 		if body := scrape(t, fmt.Sprintf("http://127.0.0.1:%d/metrics", tc.port)); !strings.Contains(body, tc.gauge) {
 			t.Fatalf("port %d /metrics missing %s:\n%s", tc.port, tc.gauge, body)
 		}

@@ -155,9 +155,11 @@ mv docs/outputs/BENCH_serve.json.new docs/outputs/BENCH_serve.json
 # subscribe modes, proxy wire front with the mixed JSON+binary+stream
 # kill-a-backend e2e, concurrent fan-out of mixed frames, wire trace
 # stitching, the verdict table both fronts must answer alike, the one
-# server-side preamble behind both listeners, subscribe failover and error
+# server-side frame loop behind both listeners, subscribe failover and error
 # relay through the splice, retained ids not pinning frames, the pending and
-# sticky maps staying bounded when predictions are observed promptly), then
+# sticky maps staying bounded when predictions are observed promptly, a
+# negative body cap still capping, a 503 refusal not counted as a protocol
+# error), then
 # the allocation budgets the race detector would trip (a relayed frame costs
 # a handful of allocations, a served frame four and a lone Do one; one stage
 # record renders one tree on the wire, in JSON and in the store; a
@@ -170,7 +172,7 @@ go test -run FuzzWireDecode -fuzz FuzzWireDecode -fuzztime 10s ./internal/wire/
 go test -run FuzzParseTraceParent -fuzz FuzzParseTraceParent -fuzztime 10s ./internal/obs/
 go test -race ./internal/wire/
 go test -race -run 'TestE2EWireMixedProtocolFailover|TestProxyBodyLimit|TestProxyErrorBodyCap|TestWireFanOut|TestProxyWireTraceStitchesBackendSpans|TestFrontsEmitSameFamiliesAndSpans|TestWireStickyIDsDoNotPinFrames|TestPreambleOneBehaviour|TestWireSubscribe|TestStickyStaysBoundedWhenObserved' ./internal/proxy/
-go test -race -run 'TestBodyLimits|TestStrictDecoding|TestDoBatch|TestPendingStaysBoundedWhenObserved|TestIDMap' ./internal/serve/
+go test -race -run 'TestBodyLimits|TestStrictDecoding|TestDoBatch|TestPendingStaysBoundedWhenObserved|TestIDMap|TestProtocolErrorsCountOnlyViolations' ./internal/serve/ ./internal/wire/
 go test -run 'TestFrameAllocBudget|TestGoldenFrames|TestStageRecordRendersOneTree|TestWireDroppedTraceMaterialisesNoSpans|TestJSONDroppedTraceMaterialisesNoSpans|TestBackendDroppedTraceMaterialisesNoSpans|TestServeDoAllocs|TestDoBatchAllocs|TestPassCostsNoAllocations|TestIDsAllocateWhatTheyReturn' ./internal/wire/ ./internal/proxy/ ./internal/serve/ ./internal/obs/
 go test -run '^$' -bench 'EncodeDecode|RoundTrip' -benchmem -count 1 ./internal/wire/ \
     | tee docs/outputs/bench_wire.txt \

@@ -20,22 +20,6 @@ var DefLatencyBuckets = []float64{0.05, 0.1, 0.25, 0.5, 1, 2.5, 5, 10, 25, 50, 1
 // such as training epochs.
 var DefSecondsBuckets = []float64{0.001, 0.005, 0.01, 0.05, 0.1, 0.5, 1, 5, 10, 30, 60, 120}
 
-// Exemplar links one concrete observation to the bucket it landed in: the
-// raw value plus the request id that produced it. A p99 spike in a bucket
-// histogram can thus be traced to a real request without client-side
-// sampling.
-type Exemplar struct {
-	Value     float64 `json:"value"`
-	RequestID string  `json:"request_id"`
-}
-
-// BucketExemplar is an exemplar together with the upper bound of the bucket
-// it annotates ("+Inf" for the overflow bucket).
-type BucketExemplar struct {
-	LE string `json:"le"`
-	Exemplar
-}
-
 // Histogram is a fixed-bucket histogram that additionally retains the most
 // recent ringSize raw samples, so it exports Prometheus bucket counts AND
 // answers exact percentile queries over the recent window. Each bucket also
@@ -60,15 +44,6 @@ type Histogram struct {
 type exemplarSlot struct {
 	value float64
 	id    []byte
-}
-
-// exemplarsLocked renders the slots as exemplars; callers hold mu.
-func (h *Histogram) exemplarsLocked() []Exemplar {
-	out := make([]Exemplar, len(h.exemplars))
-	for i, s := range h.exemplars {
-		out[i] = Exemplar{Value: s.value, RequestID: string(s.id)}
-	}
-	return out
 }
 
 func newHistogram(bounds []float64) *Histogram {
@@ -112,28 +87,6 @@ func (h *Histogram) ObserveExemplar(v float64, requestID string) {
 		h.filled++
 	}
 	h.mu.Unlock()
-}
-
-// Exemplars returns the buckets that currently hold an exemplar, in bound
-// order (the overflow bucket renders as le="+Inf"). Nil-safe.
-func (h *Histogram) Exemplars() []BucketExemplar {
-	if h == nil {
-		return nil
-	}
-	h.mu.Lock()
-	defer h.mu.Unlock()
-	var out []BucketExemplar
-	for i, ex := range h.exemplarsLocked() {
-		if ex.RequestID == "" {
-			continue
-		}
-		le := "+Inf"
-		if i < len(h.bounds) {
-			le = formatFloat(h.bounds[i])
-		}
-		out = append(out, BucketExemplar{LE: le, Exemplar: ex})
-	}
-	return out
 }
 
 // Count returns the total number of observations (0 on nil).
@@ -220,43 +173,30 @@ func (h *Histogram) Quantiles(qs ...float64) []float64 {
 	return out
 }
 
-// Snapshot returns the bucket upper bounds and per-bucket (non-cumulative)
-// counts; the final count is the overflow (+Inf) bucket.
-func (h *Histogram) Snapshot() (bounds []float64, counts []uint64) {
-	if h == nil {
-		return nil, nil
-	}
-	h.mu.Lock()
-	defer h.mu.Unlock()
-	return append([]float64(nil), h.bounds...), append([]uint64(nil), h.counts...)
-}
-
 // write renders the histogram in Prometheus exposition form: cumulative
 // _bucket{le=...} series, then _sum and _count. Buckets holding an exemplar
 // get an OpenMetrics-style `# {request_id="..."} value` suffix, so a scrape
 // links each hot bucket to the last concrete request that landed in it.
 func (h *Histogram) write(w io.Writer, name string, lbls Labels) error {
 	h.mu.Lock()
-	bounds := append([]float64(nil), h.bounds...)
 	counts := append([]uint64(nil), h.counts...)
-	exemplars := h.exemplarsLocked()
+	suffixes := make([]string, len(counts))
+	for i, ex := range h.exemplars {
+		if len(ex.id) > 0 {
+			suffixes[i] = fmt.Sprintf(" # {request_id=%q} %s", ex.id, formatFloat(ex.value))
+		}
+	}
 	sum, count := h.sum, h.count
 	h.mu.Unlock()
-	suffix := func(i int) string {
-		if i >= len(exemplars) || exemplars[i].RequestID == "" {
-			return ""
-		}
-		return fmt.Sprintf(" # {request_id=%q} %s", exemplars[i].RequestID, formatFloat(exemplars[i].Value))
-	}
 	cum := uint64(0)
-	for i, b := range bounds {
+	for i, b := range h.bounds { // fixed at construction
 		cum += counts[i]
-		if _, err := fmt.Fprintf(w, "%s_bucket%s %d%s\n", name, lbls.render("le", formatFloat(b)), cum, suffix(i)); err != nil {
+		if _, err := fmt.Fprintf(w, "%s_bucket%s %d%s\n", name, lbls.render("le", formatFloat(b)), cum, suffixes[i]); err != nil {
 			return err
 		}
 	}
-	cum += counts[len(bounds)]
-	if _, err := fmt.Fprintf(w, "%s_bucket%s %d%s\n", name, lbls.render("le", "+Inf"), cum, suffix(len(bounds))); err != nil {
+	cum += counts[len(h.bounds)]
+	if _, err := fmt.Fprintf(w, "%s_bucket%s %d%s\n", name, lbls.render("le", "+Inf"), cum, suffixes[len(h.bounds)]); err != nil {
 		return err
 	}
 	if _, err := fmt.Fprintf(w, "%s_sum%s %s\n", name, lbls.render(), formatFloat(sum)); err != nil {

@@ -7,8 +7,30 @@ import (
 	"testing"
 )
 
+// exposition renders a registry's page, where a histogram's buckets and
+// exemplars are read.
+func exposition(t *testing.T, reg *Registry) string {
+	t.Helper()
+	var b strings.Builder
+	if _, err := reg.WriteTo(&b); err != nil {
+		t.Fatal(err)
+	}
+	return b.String()
+}
+
+// wantLines fails unless every line is on the page, whole.
+func wantLines(t *testing.T, page string, lines ...string) {
+	t.Helper()
+	for _, l := range lines {
+		if !strings.Contains("\n"+page, "\n"+l+"\n") {
+			t.Fatalf("exposition missing line %q:\n%s", l, page)
+		}
+	}
+}
+
 func TestHistogramBucketsSumCountMax(t *testing.T) {
-	h := NewHistogram([]float64{1, 10, 100})
+	reg := NewRegistry()
+	h := reg.Histogram("demo", "d", []float64{1, 10, 100}, nil)
 	for _, v := range []float64{0.5, 1, 5, 50, 500} {
 		h.Observe(v)
 	}
@@ -21,24 +43,18 @@ func TestHistogramBucketsSumCountMax(t *testing.T) {
 	if h.Max() != 500 {
 		t.Fatalf("max %v, want 500", h.Max())
 	}
-	bounds, counts := h.Snapshot()
-	if len(bounds) != 3 || len(counts) != 4 {
-		t.Fatalf("snapshot shape: %v %v", bounds, counts)
-	}
 	// 0.5 and 1 land in le=1; 5 in le=10; 50 in le=100; 500 overflows.
-	want := []uint64{2, 1, 1, 1}
-	for i, c := range counts {
-		if c != want[i] {
-			t.Fatalf("bucket %d: %d, want %d (counts %v)", i, c, want[i], counts)
-		}
-	}
+	wantLines(t, exposition(t, reg),
+		`demo_bucket{le="1"} 2`, `demo_bucket{le="10"} 3`, `demo_bucket{le="100"} 4`, `demo_bucket{le="+Inf"} 5`,
+		"demo_sum 556.5", "demo_count 5")
 }
 
 // TestHistogramRingWrapAround replaces the old latencyRing coverage: after
 // more than ringSize samples, percentiles must reflect only the most recent
 // window, not the evicted prefix.
 func TestHistogramRingWrapAround(t *testing.T) {
-	h := NewHistogram(DefLatencyBuckets)
+	reg := NewRegistry()
+	h := reg.Histogram("demo", "d", DefLatencyBuckets, nil)
 	// Fill the ring entirely with large values, then overwrite every slot
 	// with small ones; the large prefix must be fully evicted.
 	for i := 0; i < ringSize; i++ {
@@ -57,14 +73,7 @@ func TestHistogramRingWrapAround(t *testing.T) {
 		t.Fatalf("count %d, want %d (buckets must NOT wrap)", h.Count(), 2*ringSize)
 	}
 	// Bucket counts keep full history even though the ring forgot it.
-	_, counts := h.Snapshot()
-	var total uint64
-	for _, c := range counts {
-		total += c
-	}
-	if total != 2*ringSize {
-		t.Fatalf("bucket total %d, want %d", total, 2*ringSize)
-	}
+	wantLines(t, exposition(t, reg), `demo_bucket{le="1"} 2048`, `demo_bucket{le="+Inf"} 4096`)
 }
 
 // TestHistogramConcurrentRecordAndQuantile races writers against readers;
@@ -107,53 +116,34 @@ func TestHistogramNilSafe(t *testing.T) {
 	}
 }
 
+// TestHistogramExemplars: each bucket's exemplar is the last request id
+// observed into it, rendered on the exposition page beside its count.
 func TestHistogramExemplars(t *testing.T) {
-	h := NewHistogram([]float64{1, 10, 100})
+	reg := NewRegistry()
+	h := reg.Histogram("demo", "d", []float64{1, 10, 100}, nil)
 	h.Observe(0.5) // no exemplar
-	if ex := h.Exemplars(); ex != nil {
-		t.Fatalf("exemplars before any ObserveExemplar: %v", ex)
+	if page := exposition(t, reg); strings.Contains(page, "request_id") {
+		t.Fatalf("exemplar before any ObserveExemplar:\n%s", page)
 	}
 	h.ObserveExemplar(5, "req-a")
 	h.ObserveExemplar(7, "req-b") // same bucket: last writer wins
 	h.ObserveExemplar(500, "req-slow")
-	ex := h.Exemplars()
-	if len(ex) != 2 {
-		t.Fatalf("exemplar buckets %d, want 2: %v", len(ex), ex)
-	}
-	if ex[0].LE != "10" || ex[0].RequestID != "req-b" || ex[0].Value != 7 {
-		t.Fatalf("le=10 exemplar wrong: %+v", ex[0])
-	}
-	if ex[1].LE != "+Inf" || ex[1].RequestID != "req-slow" || ex[1].Value != 500 {
-		t.Fatalf("overflow exemplar wrong: %+v", ex[1])
-	}
 	// ObserveExemplar with an empty id records the sample but keeps the
 	// previous exemplar.
 	h.ObserveExemplar(6, "")
-	if got := h.Exemplars()[0].RequestID; got != "req-b" {
-		t.Fatalf("empty-id observation evicted exemplar: %q", got)
-	}
+	wantLines(t, exposition(t, reg),
+		`demo_bucket{le="1"} 1`,
+		`demo_bucket{le="10"} 4 # {request_id="req-b"} 7`,
+		`demo_bucket{le="100"} 4`,
+		`demo_bucket{le="+Inf"} 5 # {request_id="req-slow"} 500`)
 	var nilH *Histogram
 	nilH.ObserveExemplar(1, "x") // must not panic
-	if nilH.Exemplars() != nil {
-		t.Fatal("nil histogram should have no exemplars")
-	}
 }
 
 func TestHistogramExemplarExposition(t *testing.T) {
 	reg := NewRegistry()
 	h := reg.Histogram("demo_latency_ms", "demo", []float64{1, 10}, nil)
 	h.ObserveExemplar(5, "abc123")
-	var b strings.Builder
-	if _, err := reg.WriteTo(&b); err != nil {
-		t.Fatal(err)
-	}
-	out := b.String()
-	want := `demo_latency_ms_bucket{le="10"} 1 # {request_id="abc123"} 5`
-	if !strings.Contains(out, want) {
-		t.Fatalf("exposition missing exemplar suffix %q:\n%s", want, out)
-	}
 	// Buckets without exemplars stay plain.
-	if !strings.Contains(out, "demo_latency_ms_bucket{le=\"1\"} 0\n") {
-		t.Fatalf("empty bucket polluted:\n%s", out)
-	}
+	wantLines(t, exposition(t, reg), `demo_latency_ms_bucket{le="10"} 1 # {request_id="abc123"} 5`, `demo_latency_ms_bucket{le="1"} 0`)
 }

@@ -37,10 +37,6 @@ type Backend struct {
 // Name returns the backend's metric label (host:port of its URL).
 func (b *Backend) Name() string { return b.name }
 
-// WireAddr returns the backend's binary-protocol address, or "" when the
-// backend was configured without one.
-func (b *Backend) WireAddr() string { return b.wireAddr }
-
 // Alive reports whether the health checker currently considers the
 // backend routable.
 func (b *Backend) Alive() bool { return b.alive.Load() }
@@ -57,8 +53,7 @@ func backendName(url string) string {
 }
 
 // health drives the liveness state of every backend: a periodic probe of
-// GET /readyz (falling back to /healthz for backends that predate the
-// readiness split) with FailAfter/RiseAfter hysteresis. Forward errors
+// GET /readyz with FailAfter/RiseAfter hysteresis. Forward errors
 // report into the same state machine, so a crashed backend usually leaves
 // the ring on the first failed request, not the next probe tick.
 type health struct {
@@ -94,33 +89,19 @@ func (h *health) probeOne(ctx context.Context, b *Backend) {
 	}
 }
 
-// ready asks the backend whether it can take traffic: /readyz when the
-// backend has one, /healthz otherwise (pre-readiness-split back-compat).
+// ready asks the backend whether it can take traffic: GET /readyz answers
+// 200. Anything else — 503, 404, no answer — keeps it out of rotation.
 func (h *health) ready(ctx context.Context, b *Backend) bool {
-	code, err := h.get(ctx, b.URL+"/readyz")
+	req, err := http.NewRequestWithContext(ctx, http.MethodGet, b.URL+"/readyz", nil)
 	if err != nil {
 		return false
 	}
-	if code == http.StatusNotFound || code == http.StatusMethodNotAllowed {
-		code, err = h.get(ctx, b.URL+"/healthz")
-		if err != nil {
-			return false
-		}
-	}
-	return code == http.StatusOK
-}
-
-func (h *health) get(ctx context.Context, url string) (int, error) {
-	req, err := http.NewRequestWithContext(ctx, http.MethodGet, url, nil)
-	if err != nil {
-		return 0, err
-	}
 	resp, err := h.client.Do(req)
 	if err != nil {
-		return 0, err
+		return false
 	}
 	resp.Body.Close()
-	return resp.StatusCode, nil
+	return resp.StatusCode == http.StatusOK
 }
 
 // reportSuccess records a healthy signal; RiseAfter consecutive successes

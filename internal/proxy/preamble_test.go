@@ -31,25 +31,44 @@ func serveProxyWire(t *testing.T, backends []string, wireBackends []string) (*Pr
 }
 
 // TestPreambleOneBehaviour drives the handshake cases of
-// wire.TestProtocolViolations against a wire.Server listener and against the
-// proxy's ServeWire listener with the same expectations: both accept through
-// wire.Conn.ServeHello, the one implementation of the server-side preamble.
+// wire.TestProtocolViolations, and the frames that may not follow it, against
+// a wire.Server listener and against the proxy's ServeWire listener with the
+// same expectations: both run wire.Conn.Serve, the one frame loop, and the
+// proxy hands a subscribed connection to the backend's stream, which reads
+// Window frames only.
 func TestPreambleOneBehaviour(t *testing.T) {
 	be := newE2EBackend(t, 3)
 	serverAddr, _ := attachWire(t, be)
 	_, proxyAddr := serveProxyWire(t, []string{be.srv.URL}, []string{serverAddr})
 
+	frame := func(typ byte, payload []byte) []byte { return wire.AppendFrame(nil, typ, payload) }
+	hello := frame(wire.FrameHello, wire.AppendHello(nil, wire.Hello{Version: wire.ProtocolVersion}))
+	subscribe := frame(wire.FrameSubscribe, wire.AppendSubscribe(nil, wire.Subscribe{Env: testEnv()}))
+	window := frame(wire.FrameWindow, wire.AppendWindow(nil, wire.Window{Seq: 1, CF: []float64{1, 2, 3}, Window: []float64{50, 51}}))
+	batch := frame(wire.FramePredictBatch, wire.AppendPredictBatch(nil, []*serve.Request{{
+		CF: []float64{1, 2, 3}, Window: []float64{50, 51}, Testbed: "tb1", SUT: "fw", Testcase: "load", Build: "B1",
+	}}))
+	afterHello := func(frames ...[]byte) []byte { return bytes.Join(append([][]byte{hello}, frames...), nil) }
+	helloAck := []byte{wire.FrameHelloAck}
+	subscribed := []byte{wire.FrameHelloAck, wire.FrameSubscribeAck}
+
 	cases := []struct {
 		name     string
 		send     []byte
-		wantCode int // the FrameError's code; 0 = the connection just ends, nothing is written; -1 = it ends, however
+		acks     []byte // the frame types answered before the FrameError
+		wantCode int    // the FrameError's code; 0 = the connection just ends, nothing is written; -1 = it ends, however
 	}{
-		{"wrong version", wire.AppendFrame(nil, wire.FrameHello, wire.AppendHello(nil, wire.Hello{Version: 99})), http.StatusHTTPVersionNotSupported},
-		{"first frame not a Hello", wire.AppendFrame(nil, wire.FramePredictBatch, nil), http.StatusBadRequest},
+		{"wrong version", frame(wire.FrameHello, wire.AppendHello(nil, wire.Hello{Version: 99})), nil, http.StatusHTTPVersionNotSupported},
+		{"first frame not a Hello", frame(wire.FramePredictBatch, nil), nil, http.StatusBadRequest},
 		// The endpoint closes with most of the garbage unread, so its answer
 		// may be cut short by a reset: the point is that it terminates.
-		{"garbage", bytes.Repeat([]byte{0xFF}, 256), -1},
-		{"clean EOF before Hello", nil, 0},
+		{"garbage", bytes.Repeat([]byte{0xFF}, 256), nil, -1},
+		{"clean EOF before Hello", nil, nil, 0},
+		{"unknown frame type", afterHello(frame(0x7e, nil)), helloAck, http.StatusBadRequest},
+		{"corrupt PredictBatch", afterHello(frame(wire.FramePredictBatch, []byte{0xFF})), helloAck, http.StatusBadRequest},
+		{"Window before Subscribe", afterHello(window), helloAck, http.StatusBadRequest},
+		{"second Subscribe", afterHello(subscribe, subscribe), subscribed, http.StatusBadRequest},
+		{"PredictBatch after Subscribe", afterHello(subscribe, batch), subscribed, http.StatusBadRequest},
 	}
 	for _, tc := range cases {
 		for _, ep := range []struct{ name, addr string }{{"wire.Server", serverAddr}, {"proxy", proxyAddr}} {
@@ -72,6 +91,11 @@ func TestPreambleOneBehaviour(t *testing.T) {
 						t.Fatal("connection still open after a garbage preamble")
 					}
 					return
+				}
+				for _, typ := range tc.acks {
+					if f, err := wire.ReadFrame(br, 0, nil); err != nil || f.Type != typ {
+						t.Fatalf("answer: %+v %v, want frame type %#x", f, err, typ)
+					}
 				}
 				if tc.wantCode != 0 {
 					f, err := wire.ReadFrame(br, 0, nil)

@@ -29,7 +29,6 @@ type stub struct {
 	predicts, observes atomic.Int64
 
 	mu        sync.Mutex
-	noReadyz  bool // 404 on /readyz (pre-split backend)
 	notReady  bool // 503 on /readyz
 	refuse    int  // next N predicts answer 503
 	delay     time.Duration
@@ -43,16 +42,13 @@ func newStub(t *testing.T) *stub {
 	mux.HandleFunc("/healthz", func(w http.ResponseWriter, r *http.Request) { fmt.Fprintln(w, "ok") })
 	mux.HandleFunc("/readyz", func(w http.ResponseWriter, r *http.Request) {
 		st.mu.Lock()
-		noRe, notRe := st.noReadyz, st.notReady
+		notReady := st.notReady
 		st.mu.Unlock()
-		switch {
-		case noRe:
-			http.NotFound(w, r)
-		case notRe:
+		if notReady {
 			http.Error(w, "not ready", http.StatusServiceUnavailable)
-		default:
-			fmt.Fprintln(w, "ready")
+			return
 		}
+		fmt.Fprintln(w, "ready")
 	})
 	mux.HandleFunc("/predict", func(w http.ResponseWriter, r *http.Request) {
 		st.mu.Lock()
@@ -286,18 +282,22 @@ func TestShed429WhenSaturated(t *testing.T) {
 	}
 }
 
-func TestHealthProbeAndReadyzFallback(t *testing.T) {
-	a, b := newStub(t), newStub(t)
-	a.mu.Lock()
-	a.noReadyz = true // old backend: only /healthz exists
-	a.mu.Unlock()
+// TestHealthProbeReadsReadyzOnly: readiness is GET /readyz and nothing else.
+// A backend answering 404 there leaves rotation even though its /healthz
+// says ok — there is no fallback to /healthz.
+func TestHealthProbeReadsReadyzOnly(t *testing.T) {
+	healthzOnly := http.NewServeMux() // /readyz is a 404
+	healthzOnly.HandleFunc("/healthz", func(w http.ResponseWriter, r *http.Request) { fmt.Fprintln(w, "ok") })
+	a := httptest.NewServer(healthzOnly)
+	defer a.Close()
+	b := newStub(t)
 	b.mu.Lock()
-	b.notReady = true // new backend, saturated: /readyz 503
+	b.notReady = true // saturated: /readyz 503
 	b.mu.Unlock()
-	p := newTestProxy(t, Config{}, a, b)
+	p := newTestProxy(t, Config{Backends: []string{a.URL}}, b)
 	p.Probe()
-	if !p.Backends()[0].Alive() {
-		t.Fatal("backend with only /healthz should stay alive via fallback")
+	if p.Backends()[0].Alive() {
+		t.Fatal("backend answering 404 on /readyz should leave rotation")
 	}
 	if p.Backends()[1].Alive() {
 		t.Fatal("backend reporting 503 on /readyz should leave rotation")

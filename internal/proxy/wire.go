@@ -65,51 +65,16 @@ func (wf *wireFront) close() {
 	}
 }
 
-// handleConn speaks the wire protocol with one client: handshake, then
-// batch frames routed with failover, or one subscribe stream spliced
-// through to its home backend.
+// handleConn speaks the wire protocol with one client: batch frames routed
+// with failover, or one subscribe stream spliced through to its home backend.
 func (wf *wireFront) handleConn(conn net.Conn) {
 	defer conn.Close()
 	wf.connsTotal.Inc()
-	c := wire.NewConn(conn, 0)
-	if !c.ServeHello() {
-		return
-	}
-	var out []byte // reply scratch: a reply is written before the next is built
-	for {
-		f, ok := c.Read()
-		if !ok {
-			return
-		}
-		switch f.Type {
-		case wire.FramePredictBatch:
-			reqs, err := wire.DecodePredictBatch(f.Payload)
-			if err != nil {
-				c.Fail(http.StatusBadRequest, err.Error())
-				return
-			}
-			wf.batches.Inc()
-			out = wire.AppendPredictReplies(out[:0], wf.routeBatch(reqs))
-			if err := c.Write(wire.FramePredictReply, out); err != nil {
-				return
-			}
-
-		case wire.FrameSubscribe:
-			sub, err := wire.DecodeSubscribe(f.Payload)
-			if err != nil {
-				c.Fail(http.StatusBadRequest, err.Error())
-				return
-			}
-			// The stream takes over the connection; splice returns when
-			// either side closes.
-			wf.splice(conn, c, sub)
-			return
-
-		default:
-			c.Fail(http.StatusBadRequest, "wire: unexpected frame type")
-			return
-		}
-	}
+	c := wire.NewConn(conn)
+	c.Serve(func(dst []byte, reqs []*serve.Request) []byte {
+		wf.batches.Inc()
+		return wire.AppendPredictReplies(dst, wf.routeBatch(reqs))
+	}, func(sub wire.Subscribe) { wf.splice(conn, c, sub) })
 }
 
 // wireFanOut bounds how many environment groups of one frame are in flight

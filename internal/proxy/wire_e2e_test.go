@@ -68,7 +68,7 @@ func TestProxyBodyLimit(t *testing.T) {
 func TestProxyErrorBodyCap(t *testing.T) {
 	giant := bytes.Repeat([]byte("e"), 1<<20)
 	backend := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
-		if r.URL.Path == "/readyz" || r.URL.Path == "/healthz" {
+		if r.URL.Path == "/readyz" {
 			fmt.Fprintln(w, "ok")
 			return
 		}

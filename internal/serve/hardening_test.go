@@ -57,6 +57,18 @@ func TestBodyLimits(t *testing.T) {
 	if code, _ := postRaw(t, srv.URL+"/observe", huge); code != http.StatusRequestEntityTooLarge {
 		t.Fatalf("oversized observe: %d, want 413", code)
 	}
+
+	// A negative cap is the default cap, not none: it used to disable the
+	// limit, so `e2vserve -max-body -1` buffered any body.
+	uncapped := New(Config{MaxBatch: 4, QueueDepth: 16, Workers: 1, MaxBodyBytes: -1})
+	defer uncapped.Close()
+	uncapped.SetBundle(testBundle(1, 1))
+	usrv := httptest.NewServer(uncapped)
+	defer usrv.Close()
+	past := append(append([]byte(`{"pad":"`), bytes.Repeat([]byte("x"), int(DefaultMaxBodyBytes))...), []byte(`"}`)...)
+	if code, _ := postRaw(t, usrv.URL+"/predict", past); code != http.StatusRequestEntityTooLarge {
+		t.Fatalf("MaxBodyBytes -1, body past %d bytes: %d, want 413", DefaultMaxBodyBytes, code)
+	}
 }
 
 func TestStrictDecoding(t *testing.T) {

@@ -67,13 +67,9 @@ func TestRequestIDPropagation(t *testing.T) {
 		t.Fatalf("trace id %v does not match header %q", out.Trace, hdr)
 	}
 
-	// The header also rides on rejected requests: a full queue still
-	// answers with the id the client can correlate.
-	if out.Trace.TotalMS <= 0 || out.Trace.ForwardMS <= 0 {
+	// The block's spans time every stage, the JSON encode included.
+	if sp := out.Trace.Spans; len(sp) != 4 || sp[0].DurationMS <= 0 || sp[2].DurationMS <= 0 || sp[3].DurationMS <= 0 {
 		t.Fatalf("trace durations not populated: %+v", out.Trace)
-	}
-	if out.Trace.EncodeMS <= 0 {
-		t.Fatalf("encode span not populated: %+v", out.Trace)
 	}
 
 	// The non-HTTP path generates ids too.
@@ -115,10 +111,11 @@ func TestSlowForwardAttribution(t *testing.T) {
 	}
 
 	tr := res.resp.Record.Trace(req.RequestID, req.TraceParent)
-	if tr.ForwardMS < 40 {
+	queue, fwd := tr.Spans[1], tr.Spans[2]
+	if fwd.Name != "serve.forward" || fwd.DurationMS < 40 {
 		t.Fatalf("slow forward not attributed to the forward span: %+v", tr)
 	}
-	if tr.QueueWaitMS > 20 {
+	if queue.Name != "serve.queue_wait" || queue.DurationMS > 20 {
 		t.Fatalf("idle queue charged with the delay: %+v", tr)
 	}
 

@@ -68,8 +68,8 @@ type Config struct {
 	PendingCap int
 
 	// MaxBodyBytes caps how much of a request body the JSON handlers will
-	// read (default 4 MiB; negative disables the cap). Oversized bodies
-	// are rejected with 413 instead of being buffered to OOM.
+	// read (≤ 0 means DefaultMaxBodyBytes, 4 MiB). Oversized bodies are
+	// rejected with 413 instead of being buffered to OOM.
 	MaxBodyBytes int64
 
 	// Trace sizes the tail-sampled trace store behind GET /traces: every
@@ -169,9 +169,8 @@ type StageRecord struct {
 }
 
 // Trace materialises the record as the trace block of the request served
-// under id: the flat stage timings and the span tree — a serve.request root,
-// parented onto the caller's span when traceParent names one, with
-// serve.queue_wait and serve.forward beneath it.
+// under id: a serve.request root, parented onto the caller's span when
+// traceParent names one, with serve.queue_wait and serve.forward beneath it.
 func (r *StageRecord) Trace(id, traceParent string) *Trace {
 	_, parent, _ := obs.ParseTraceParent(traceParent) // absent or malformed: a fresh root
 	root := r.span(id, 0, parent, "serve.request", r.Enqueue, r.ForwardEnd)
@@ -180,11 +179,7 @@ func (r *StageRecord) Trace(id, traceParent string) *Trace {
 	fwd.Attrs = map[string]string{"batch_id": strconv.FormatUint(r.BatchID, 10), "batch_size": strconv.Itoa(r.BatchSize)}
 	spans := make([]obs.Span, 3, 4) // room for the JSON adapter's serve.encode
 	spans[0], spans[1], spans[2] = root, r.span(id, 1, root.SpanID, "serve.queue_wait", r.Enqueue, r.Pickup), fwd
-	return &Trace{
-		RequestID: id, BatchID: r.BatchID,
-		QueueWaitMS: spans[1].DurationMS, ForwardMS: fwd.DurationMS, TotalMS: root.DurationMS,
-		Spans: spans,
-	}
+	return &Trace{RequestID: id, Spans: spans}
 }
 
 // span is the n-th span of the record's tree.
@@ -201,17 +196,11 @@ func (r *StageRecord) span(traceID string, n uint64, parent, name string, start,
 // so an opaque p99 can be attributed to queue wait vs forward pass in
 // aggregate, and to one request here.
 type Trace struct {
-	RequestID   string  `json:"request_id"`
-	BatchID     uint64  `json:"batch_id"`            // forward pass that served this request
-	QueueWaitMS float64 `json:"queue_wait_ms"`       // admission → worker pickup
-	ForwardMS   float64 `json:"forward_ms"`          // batch assembly + shared forward pass
-	EncodeMS    float64 `json:"encode_ms,omitempty"` // response JSON encoding (HTTP path only)
-	TotalMS     float64 `json:"total_ms"`            // admission → answer, before encoding
-
-	// Spans recasts the stage timings above as a span tree: a serve.request
-	// root (parented onto the caller's span when the request carried a
-	// traceparent header) with one child per stage. Additive — the flat
-	// fields stay wire-compatible for existing clients.
+	RequestID string `json:"request_id"`
+	// Spans is the stage tree: a serve.request root (parented onto the
+	// caller's span when the request carried a traceparent header) with one
+	// child per stage — serve.queue_wait, serve.forward (its attributes name
+	// the batch) and, on the JSON path, serve.encode.
 	Spans []obs.Span `json:"spans,omitempty"`
 }
 
@@ -311,7 +300,7 @@ func New(cfg Config) *Server {
 	if cfg.PendingCap <= 0 {
 		cfg.PendingCap = 4096
 	}
-	if cfg.MaxBodyBytes == 0 {
+	if cfg.MaxBodyBytes <= 0 {
 		cfg.MaxBodyBytes = DefaultMaxBodyBytes
 	}
 	if cfg.Detect != nil && cfg.Detect.Gamma <= 0 {
@@ -883,7 +872,7 @@ func (s *Server) scoreAnomaly(req *Request, pred float64, resp *Response) {
 // ── HTTP surface ────────────────────────────────────────────────────────
 
 // DefaultMaxBodyBytes is the request-body cap applied when
-// Config.MaxBodyBytes is zero: large enough for any real predict or
+// Config.MaxBodyBytes is not positive: large enough for any real predict or
 // observe payload, small enough that a hostile client cannot make the
 // handler buffer gigabytes.
 const DefaultMaxBodyBytes int64 = 4 << 20
@@ -896,9 +885,7 @@ func (s *Server) ServeHTTP(w http.ResponseWriter, r *http.Request) { s.mux.Serve
 // limitBody wraps the request body with http.MaxBytesReader so a hostile
 // or buggy client gets 413 instead of OOMing the daemon.
 func (s *Server) limitBody(w http.ResponseWriter, r *http.Request) {
-	if s.cfg.MaxBodyBytes > 0 {
-		r.Body = http.MaxBytesReader(w, r.Body, s.cfg.MaxBodyBytes)
-	}
+	r.Body = http.MaxBytesReader(w, r.Body, s.cfg.MaxBodyBytes)
 }
 
 // decodeStrict decodes exactly one JSON value from body: unknown fields
@@ -971,7 +958,6 @@ func (s *Server) handlePredict(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	block := resp.Record.Trace(req.RequestID, req.TraceParent)
-	block.EncodeMS = encMS
 	root := &block.Spans[0]
 	root.DurationMS += encMS // the root covers encoding too
 	block.Spans = append(block.Spans, resp.Record.span(req.RequestID, 3, root.SpanID, "serve.encode", encStart, encEnd))

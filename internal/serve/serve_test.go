@@ -342,7 +342,7 @@ func TestHotReloadSwapsVersions(t *testing.T) {
 	if err != nil || resp.ModelVersion != 2 {
 		t.Fatalf("v2 not serving after swap: %+v %v", resp, err)
 	}
-	if got := s.Stats().Reloads; got != 1 {
+	if got := s.reloads.Value(); got != 1 {
 		t.Fatalf("reload count %d, want 1", got)
 	}
 }
@@ -501,10 +501,7 @@ func TestHTTPSurface(t *testing.T) {
 		t.Fatal(err)
 	}
 	statz.Body.Close()
-	if st.Served != 1 || st.Model != "test" || st.ModelVersion != 1 {
+	if st.Served != 1 || st.Model != "test" || st.ModelVersion != 1 || st.ModelIn != 3 || st.ModelWindow != 2 {
 		t.Fatalf("statz wrong: %+v", st)
-	}
-	if st.QueueCapacity != 16 || st.Workers != 1 {
-		t.Fatalf("statz config wrong: %+v", st)
 	}
 }

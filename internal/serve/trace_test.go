@@ -53,9 +53,8 @@ func TestPredictSpansParentOntoTraceparent(t *testing.T) {
 	if resp.Trace == nil {
 		t.Fatal("response has no trace block")
 	}
-	// Flat stage fields stay wire-compatible beside the new span tree.
-	if resp.Trace.RequestID != reqID || resp.Trace.TotalMS <= 0 {
-		t.Fatalf("flat trace fields broken: %+v", resp.Trace)
+	if resp.Trace.RequestID != reqID {
+		t.Fatalf("trace block id %q, want %q", resp.Trace.RequestID, reqID)
 	}
 	spans := resp.Trace.Spans
 	byName := map[string]obs.Span{}

@@ -15,10 +15,6 @@ import (
 
 // ClientConfig tunes a wire client.
 type ClientConfig struct {
-	// MaxPayload caps inbound frame payloads (default DefaultMaxPayload).
-	MaxPayload int
-	// DialTimeout bounds the TCP connect (default 5s).
-	DialTimeout time.Duration
 	// Timeout bounds one Predict exchange end to end (0 = none). Streams
 	// manage their own pacing and are not subject to it.
 	Timeout time.Duration
@@ -52,13 +48,12 @@ type Client struct {
 	rbuf []byte     // inbound payloads, reused frame after frame
 }
 
+// dialTimeout bounds Dial's TCP connect.
+const dialTimeout = 5 * time.Second
+
 // Dial connects, performs the Hello handshake, and returns a ready client.
 func Dial(addr string, cfg ClientConfig) (*Client, error) {
-	dt := cfg.DialTimeout
-	if dt <= 0 {
-		dt = 5 * time.Second
-	}
-	conn, err := net.DialTimeout("tcp", addr, dt)
+	conn, err := net.DialTimeout("tcp", addr, dialTimeout)
 	if err != nil {
 		return nil, err
 	}
@@ -114,7 +109,7 @@ func (c *Client) writeFrame(typ byte, payload []byte) error {
 // readFrame reads the next frame into the client's read buffer. Decoders
 // copy what they keep, so the payload only has to last until the next call.
 func (c *Client) readFrame() (Frame, error) {
-	return ReadFrame(c.br, c.cfg.MaxPayload, &c.rbuf)
+	return ReadFrame(c.br, DefaultMaxPayload, &c.rbuf)
 }
 
 // exchange is one request/answer turn bounded by cfg.Timeout: write one

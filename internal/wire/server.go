@@ -4,7 +4,6 @@ import (
 	"bufio"
 	"errors"
 	"io"
-	"log/slog"
 	"net"
 	"net/http"
 	"sync"
@@ -13,21 +12,16 @@ import (
 	"env2vec/internal/serve"
 )
 
-// ServerConfig sizes the binary-protocol listener.
+// ServerConfig configures the binary-protocol listener.
 type ServerConfig struct {
-	// MaxPayload caps one frame's payload (default DefaultMaxPayload).
-	// Larger frames are rejected with a connection-level error — the
-	// binary-path twin of the JSON handlers' MaxBytesReader.
-	MaxPayload int
-	// StreamInflight caps pipelined windows per subscribed connection
-	// (default 64); the cap is what bounds a runaway subscriber to one
-	// connection's worth of queue slots.
-	StreamInflight int
-	// Obs is the metrics registry (nil gets a private one); Logger
-	// receives structured connection events (nil discards).
-	Obs    *obs.Registry
-	Logger *slog.Logger
+	// Obs is the metrics registry (nil gets a private one).
+	Obs *obs.Registry
 }
+
+// streamInflight caps the windows one subscribed connection has in the
+// micro-batcher at once: the cap is what bounds a runaway subscriber to one
+// connection's worth of queue slots.
+const streamInflight = 64
 
 // Server serves the wire protocol beside a serve.Server's JSON listener.
 // Decoded batches enter the same micro-batcher through DoBatch; subscribed
@@ -35,8 +29,6 @@ type ServerConfig struct {
 // connection per environment.
 type Server struct {
 	dispatch *serve.Server
-	cfg      ServerConfig
-	log      *slog.Logger
 
 	conns ConnSet
 
@@ -51,18 +43,11 @@ func NewServer(dispatch *serve.Server, cfg ServerConfig) *Server {
 	if dispatch == nil {
 		panic("wire: NewServer(nil dispatcher)")
 	}
-	if cfg.StreamInflight <= 0 {
-		cfg.StreamInflight = 64
-	}
 	reg := cfg.Obs
 	if reg == nil {
 		reg = obs.NewRegistry()
 	}
-	logger := cfg.Logger
-	if logger == nil {
-		logger = obs.DiscardLogger()
-	}
-	s := &Server{dispatch: dispatch, cfg: cfg, log: logger}
+	s := &Server{dispatch: dispatch}
 	s.connsTotal = reg.Counter("env2vec_wire_connections_total", "Wire-protocol connections accepted.", nil)
 	s.subsTotal = reg.Counter("env2vec_wire_subscriptions_total", "Subscribe-mode sessions opened.", nil)
 	s.framesIn = reg.Counter("env2vec_wire_frames_total", "Wire frames by direction.", obs.Labels{"dir": "in"})
@@ -179,11 +164,10 @@ func (cs *ConnSet) Close() {
 // and the proxy's wire front: buffered framing over one reusable read
 // buffer, writes serialized (the read loop and pipelined stream responders
 // share the connection) and flushed, violations answered with a typed
-// FrameError, and the Hello preamble.
+// FrameError, and the one frame loop both sides run (Serve).
 type Conn struct {
-	br         *bufio.Reader
-	maxPayload int
-	rbuf       []byte // inbound payloads: decoding copies what it keeps
+	br   *bufio.Reader
+	rbuf []byte // inbound payloads: decoding copies what it keeps
 
 	mu  sync.Mutex
 	bw  *bufio.Writer
@@ -193,24 +177,20 @@ type Conn struct {
 	in, out, violations *obs.Counter
 }
 
-// NewConn wraps an accepted connection; frames beyond maxPayload (≤ 0 means
-// DefaultMaxPayload) are violations.
-func NewConn(conn net.Conn, maxPayload int) *Conn {
-	return &Conn{
-		br: bufio.NewReaderSize(conn, 64<<10), bw: bufio.NewWriterSize(conn, 64<<10),
-		maxPayload: maxPayload,
-	}
+// NewConn wraps an accepted connection.
+func NewConn(conn net.Conn) *Conn {
+	return &Conn{br: bufio.NewReaderSize(conn, 64<<10), bw: bufio.NewWriterSize(conn, 64<<10)}
 }
 
 // Reader hands over the buffered read side, for a caller that takes the
-// connection over (the proxy's subscribe splice); Read must not be used after.
+// connection over (the proxy's subscribe splice); the Conn reads no more.
 func (c *Conn) Reader() *bufio.Reader { return c.br }
 
-// Read returns the next frame, its payload valid until the following Read.
+// read returns the next frame, its payload valid until the following read.
 // ok is false when the connection is over: the peer left on a frame
 // boundary, or sent a malformed frame, which has been answered with a 400.
-func (c *Conn) Read() (f Frame, ok bool) {
-	f, err := ReadFrame(c.br, c.maxPayload, &c.rbuf)
+func (c *Conn) read() (f Frame, ok bool) {
+	f, err := ReadFrame(c.br, DefaultMaxPayload, &c.rbuf)
 	if err != nil {
 		if !errors.Is(err, io.EOF) {
 			c.Fail(http.StatusBadRequest, err.Error())
@@ -221,8 +201,8 @@ func (c *Conn) Read() (f Frame, ok bool) {
 	return f, true
 }
 
-// Write sends one frame and flushes it.
-func (c *Conn) Write(typ byte, payload []byte) error {
+// write sends one frame and flushes it.
+func (c *Conn) write(typ byte, payload []byte) error {
 	c.mu.Lock()
 	defer c.mu.Unlock()
 	return c.writeLocked(typ, payload)
@@ -245,21 +225,64 @@ func (c *Conn) writePrediction(p Prediction) error {
 	return c.writeLocked(FramePrediction, c.buf)
 }
 
-// Fail answers a protocol violation with a connection-level FrameError; the
-// caller then drops the connection.
+// Fail answers with a connection-level FrameError; the caller then drops the
+// connection. Only a protocol violation — 400, or 505 for a foreign version —
+// is counted as one: a refusal such as a model-less backend's 503 is not.
 func (c *Conn) Fail(code int, msg string) {
-	c.violations.Inc()
-	_ = c.Write(FrameError, AppendError(nil, ErrorFrame{Code: code, Message: msg}))
+	if code == http.StatusBadRequest || code == http.StatusHTTPVersionNotSupported {
+		c.violations.Inc()
+	}
+	_ = c.write(FrameError, AppendError(nil, ErrorFrame{Code: code, Message: msg}))
 }
 
-// ServeHello is the server side of the connection preamble: the first frame
-// must be a Hello whose version this side speaks, and is answered with a
-// HelloAck advertising batch and subscribe. It reports whether the
-// connection may proceed; a violation has been answered with Fail — 400, or
-// 505 for a foreign version — and a peer that left before its Hello with
-// nothing.
-func (c *Conn) ServeHello() bool {
-	f, ok := c.Read()
+// Serve speaks the protocol on one accepted connection, for the backend and
+// the proxy alike. The first frame must be a Hello whose version this side
+// speaks, answered with a HelloAck advertising batch and subscribe. Then each
+// PredictBatch is answered with the PredictReply payload batch appends to its
+// scratch, until the peer leaves or breaks the protocol, or a Subscribe hands
+// the connection over to subscribe, which keeps it until Serve returns. A
+// violation is answered with Fail — 400, or 505 for a foreign version — and a
+// peer that leaves on a frame boundary with nothing.
+func (c *Conn) Serve(batch func(dst []byte, reqs []*serve.Request) []byte, subscribe func(Subscribe)) {
+	if !c.serveHello() {
+		return
+	}
+	var out []byte // reply scratch: a reply is written before the next is built
+	for {
+		f, ok := c.read()
+		if !ok {
+			return
+		}
+		switch f.Type {
+		case FramePredictBatch:
+			reqs, err := DecodePredictBatch(f.Payload)
+			if err != nil {
+				c.Fail(http.StatusBadRequest, err.Error())
+				return
+			}
+			out = batch(out[:0], reqs)
+			if c.write(FramePredictReply, out) != nil {
+				return
+			}
+		case FrameSubscribe:
+			sub, err := DecodeSubscribe(f.Payload)
+			if err != nil {
+				c.Fail(http.StatusBadRequest, err.Error())
+				return
+			}
+			subscribe(sub)
+			return
+		default:
+			c.Fail(http.StatusBadRequest, "wire: unexpected frame type")
+			return
+		}
+	}
+}
+
+// serveHello is Serve's preamble; it reports whether the connection may
+// proceed.
+func (c *Conn) serveHello() bool {
+	f, ok := c.read()
 	if !ok {
 		return false
 	}
@@ -276,114 +299,84 @@ func (c *Conn) ServeHello() bool {
 		c.Fail(http.StatusHTTPVersionNotSupported, ErrVersion.Error())
 		return false
 	}
-	return c.Write(FrameHelloAck, AppendHello(nil, Hello{
+	return c.write(FrameHelloAck, AppendHello(nil, Hello{
 		Version: ProtocolVersion, Features: FeatureBatch | FeatureSubscribe,
 	})) == nil
 }
 
-// handleConn speaks the protocol on one connection: Hello negotiation,
-// then batch predicts and/or one subscribe-mode stream.
+// handleConn runs one connection's frame loop: batches through DoBatch, a
+// subscription through stream.
 func (s *Server) handleConn(conn net.Conn) {
 	defer conn.Close()
 	s.connsTotal.Inc()
-	c := NewConn(conn, s.cfg.MaxPayload)
+	c := NewConn(conn)
 	c.in, c.out, c.violations = s.framesIn, s.framesOut, s.protoErrors
-	if !c.ServeHello() {
+	c.Serve(func(dst []byte, reqs []*serve.Request) []byte {
+		s.batchReqs.Add(uint64(len(reqs)))
+		return AppendResults(dst, reqs, s.dispatch.DoBatch(reqs))
+	}, func(sub Subscribe) { s.stream(c, sub) })
+}
+
+// stream serves one subscription: the ack names the model and input shape,
+// then only Window frames may follow, each served on its own responder, up to
+// streamInflight at once. The wait keeps responders alive past a read error,
+// so windows already enqueued still answer.
+func (s *Server) stream(c *Conn, sub Subscribe) {
+	b := s.dispatch.Bundle()
+	if b == nil {
+		c.Fail(http.StatusServiceUnavailable, serve.ErrNoModel.Error())
+		return
+	}
+	s.subsTotal.Inc()
+	cfg := b.Model.Config()
+	if c.write(FrameSubscribeAck, AppendSubscribeAck(nil, SubscribeAck{
+		Model: b.Name, Version: b.Version, In: cfg.In, Window: cfg.Window,
+	})) != nil {
 		return
 	}
 
-	// Stream state: one subscription per connection, windows pipelined up
-	// to StreamInflight. The WaitGroup keeps responders alive past a read
-	// error so already-enqueued windows still answer.
-	var sub *Subscribe
-	sem := make(chan struct{}, s.cfg.StreamInflight)
+	sem := make(chan struct{}, streamInflight)
 	var wg sync.WaitGroup
 	defer wg.Wait()
-
-	var out []byte // reply scratch: a reply is written before the next is built
 	for {
-		f, ok := c.Read()
+		f, ok := c.read()
 		if !ok {
 			return
 		}
-		switch f.Type {
-		case FramePredictBatch:
-			reqs, err := DecodePredictBatch(f.Payload)
-			if err != nil {
-				c.Fail(http.StatusBadRequest, err.Error())
-				return
-			}
-			s.batchReqs.Add(uint64(len(reqs)))
-			out = AppendResults(out[:0], reqs, s.dispatch.DoBatch(reqs))
-			if err := c.Write(FramePredictReply, out); err != nil {
-				return
-			}
-
-		case FrameSubscribe:
-			req, err := DecodeSubscribe(f.Payload)
-			if err != nil {
-				c.Fail(http.StatusBadRequest, err.Error())
-				return
-			}
-			if sub != nil {
-				c.Fail(http.StatusBadRequest, "wire: already subscribed")
-				return
-			}
-			b := s.dispatch.Bundle()
-			if b == nil {
-				c.Fail(http.StatusServiceUnavailable, serve.ErrNoModel.Error())
-				return
-			}
-			sub = &req
-			s.subsTotal.Inc()
-			cfg := b.Model.Config()
-			if err := c.Write(FrameSubscribeAck, AppendSubscribeAck(nil, SubscribeAck{
-				Model: b.Name, Version: b.Version, In: cfg.In, Window: cfg.Window,
-			})); err != nil {
-				return
-			}
-
-		case FrameWindow:
-			if sub == nil {
-				c.Fail(http.StatusBadRequest, "wire: Window before Subscribe")
-				return
-			}
-			wnd, err := DecodeWindow(f.Payload)
-			if err != nil {
-				c.Fail(http.StatusBadRequest, err.Error())
-				return
-			}
-			s.streamWindows.Inc()
-			env, chain := sub.Env, sub.ChainID
-			sem <- struct{}{}
-			wg.Add(1)
-			go func() {
-				defer wg.Done()
-				defer func() { <-sem }()
-				req := &serve.Request{
-					CF: wnd.CF, Window: wnd.Window,
-					Testbed: env.Testbed, SUT: env.SUT,
-					Testcase: env.Testcase, Build: env.Build,
-					ChainID: chain, Actual: wnd.Actual,
-					RequestID: wnd.RequestID,
-				}
-				resp, code, err := s.dispatch.Do(req)
-				pred := Prediction{Seq: wnd.Seq, Status: code}
-				if err != nil {
-					pred.Error = err.Error()
-				} else {
-					pred.Status = http.StatusOK
-					pred.Value = resp.Prediction
-					pred.ModelVersion = resp.ModelVersion
-					pred.Anomalous = resp.Anomalous
-					pred.Deviation = resp.Deviation
-				}
-				_ = c.writePrediction(pred)
-			}()
-
-		default:
-			c.Fail(http.StatusBadRequest, "wire: unexpected frame type")
+		if f.Type != FrameWindow {
+			c.Fail(http.StatusBadRequest, "wire: only Window frames follow a Subscribe")
 			return
 		}
+		wnd, err := DecodeWindow(f.Payload)
+		if err != nil {
+			c.Fail(http.StatusBadRequest, err.Error())
+			return
+		}
+		s.streamWindows.Inc()
+		sem <- struct{}{}
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			defer func() { <-sem }()
+			req := &serve.Request{
+				CF: wnd.CF, Window: wnd.Window,
+				Testbed: sub.Env.Testbed, SUT: sub.Env.SUT,
+				Testcase: sub.Env.Testcase, Build: sub.Env.Build,
+				ChainID: sub.ChainID, Actual: wnd.Actual,
+				RequestID: wnd.RequestID,
+			}
+			resp, code, err := s.dispatch.Do(req)
+			pred := Prediction{Seq: wnd.Seq, Status: code}
+			if err != nil {
+				pred.Error = err.Error()
+			} else {
+				pred.Status = http.StatusOK
+				pred.Value = resp.Prediction
+				pred.ModelVersion = resp.ModelVersion
+				pred.Anomalous = resp.Anomalous
+				pred.Deviation = resp.Deviation
+			}
+			_ = c.writePrediction(pred)
+		}()
 	}
 }

@@ -16,7 +16,7 @@
 //	magic   uint32  "E2VW"
 //	type    uint8   frame type (FrameHello ... FramePrediction)
 //	flags   uint8   reserved, must be 0
-//	length  uint32  payload bytes (bounded by MaxPayload)
+//	length  uint32  payload bytes (bounded by DefaultMaxPayload)
 //	crc     uint32  CRC-32C (Castagnoli) of the payload
 //	payload length bytes
 //
@@ -178,30 +178,4 @@ func ReadFrame(r *bufio.Reader, maxPayload int, buf *[]byte) (Frame, error) {
 		return Frame{}, ErrBadCRC
 	}
 	return Frame{Type: hdr[4], Payload: payload}, nil
-}
-
-// DecodeFrame decodes the first frame in b, returning the remaining bytes.
-// This is the pure-bytes twin of ReadFrame that the fuzzer drives.
-func DecodeFrame(b []byte, maxPayload int) (Frame, []byte, error) {
-	if maxPayload <= 0 {
-		maxPayload = DefaultMaxPayload
-	}
-	if len(b) < frameHeaderSize {
-		return Frame{}, b, ErrTruncated
-	}
-	if binary.BigEndian.Uint32(b[0:4]) != frameMagic {
-		return Frame{}, b, ErrBadMagic
-	}
-	length := int(binary.BigEndian.Uint32(b[6:10]))
-	if length > maxPayload {
-		return Frame{}, b, fmt.Errorf("%w: %d bytes (cap %d)", ErrTooLarge, length, maxPayload)
-	}
-	if length > len(b)-frameHeaderSize {
-		return Frame{}, b, ErrTruncated
-	}
-	payload := b[frameHeaderSize : frameHeaderSize+length]
-	if binary.BigEndian.Uint32(b[10:14]) != crc32.Checksum(payload, castagnoli) {
-		return Frame{}, b, ErrBadCRC
-	}
-	return Frame{Type: b[4], Payload: payload}, b[frameHeaderSize+length:], nil
 }

@@ -6,6 +6,7 @@ import (
 	"encoding/json"
 	"errors"
 	"fmt"
+	"io"
 	"math"
 	"math/rand"
 	"net"
@@ -73,60 +74,61 @@ func testRequest(rng *rand.Rand, id string) *serve.Request {
 	return req
 }
 
+// readFrames reads raw frame by frame, as a connection does.
+func readFrames(raw []byte, maxPayload int) ([]Frame, error) {
+	br := bufio.NewReader(bytes.NewReader(raw))
+	var frames []Frame
+	for {
+		f, err := ReadFrame(br, maxPayload, nil)
+		if err != nil {
+			if errors.Is(err, io.EOF) {
+				err = nil
+			}
+			return frames, err
+		}
+		frames = append(frames, f)
+	}
+}
+
 func TestFrameRoundTrip(t *testing.T) {
 	payloads := [][]byte{nil, {}, []byte("x"), bytes.Repeat([]byte{0xAB}, 4096)}
 	for _, p := range payloads {
-		raw := AppendFrame(nil, FramePredictBatch, p)
-		f, rest, err := DecodeFrame(raw, 0)
-		if err != nil {
-			t.Fatalf("DecodeFrame(%d bytes): %v", len(p), err)
+		frames, err := readFrames(AppendFrame(nil, FramePredictBatch, p), 0)
+		if err != nil || len(frames) != 1 {
+			t.Fatalf("ReadFrame(%d-byte payload): %d frames, %v", len(p), len(frames), err)
 		}
-		if f.Type != FramePredictBatch || !bytes.Equal(f.Payload, p) || len(rest) != 0 {
-			t.Fatalf("round trip mismatch: type=%#x payload=%d rest=%d", f.Type, len(f.Payload), len(rest))
-		}
-		// The streaming reader agrees with the bytes decoder.
-		rf, err := ReadFrame(bufio.NewReader(bytes.NewReader(raw)), 0, nil)
-		if err != nil || rf.Type != f.Type || !bytes.Equal(rf.Payload, p) {
-			t.Fatalf("ReadFrame disagrees: %v", err)
+		if f := frames[0]; f.Type != FramePredictBatch || !bytes.Equal(f.Payload, p) {
+			t.Fatalf("round trip mismatch: type=%#x payload=%d", f.Type, len(f.Payload))
 		}
 	}
-	// Two frames back to back: rest carries the second intact.
-	raw := AppendFrame(AppendFrame(nil, FrameHello, []byte("a")), FrameError, []byte("b"))
-	f1, rest, err := DecodeFrame(raw, 0)
-	if err != nil || f1.Type != FrameHello {
-		t.Fatalf("first frame: %v", err)
-	}
-	f2, rest, err := DecodeFrame(rest, 0)
-	if err != nil || f2.Type != FrameError || len(rest) != 0 {
-		t.Fatalf("second frame: %v", err)
+	// Two frames back to back: the reader stops on the boundary between them.
+	frames, err := readFrames(AppendFrame(AppendFrame(nil, FrameHello, []byte("a")), FrameError, []byte("b")), 0)
+	if err != nil || len(frames) != 2 || frames[0].Type != FrameHello || frames[1].Type != FrameError || string(frames[1].Payload) != "b" {
+		t.Fatalf("two frames read as %+v, %v", frames, err)
 	}
 }
 
 func TestFrameDecodeErrors(t *testing.T) {
 	good := AppendFrame(nil, FramePredictBatch, []byte("payload"))
 
-	if _, _, err := DecodeFrame(good[:5], 0); !errors.Is(err, ErrTruncated) {
+	if _, err := readFrames(good[:5], 0); !errors.Is(err, ErrTruncated) {
 		t.Fatalf("short header: %v", err)
 	}
-	if _, _, err := DecodeFrame(good[:len(good)-1], 0); !errors.Is(err, ErrTruncated) {
+	if _, err := readFrames(good[:len(good)-1], 0); !errors.Is(err, ErrTruncated) {
 		t.Fatalf("short payload: %v", err)
 	}
 	bad := append([]byte(nil), good...)
 	bad[0] ^= 0xFF
-	if _, _, err := DecodeFrame(bad, 0); !errors.Is(err, ErrBadMagic) {
+	if _, err := readFrames(bad, 0); !errors.Is(err, ErrBadMagic) {
 		t.Fatalf("bad magic: %v", err)
 	}
 	bad = append([]byte(nil), good...)
 	bad[len(bad)-1] ^= 0x01 // flip one payload bit
-	if _, _, err := DecodeFrame(bad, 0); !errors.Is(err, ErrBadCRC) {
+	if _, err := readFrames(bad, 0); !errors.Is(err, ErrBadCRC) {
 		t.Fatalf("flipped payload bit: %v", err)
 	}
-	if _, _, err := DecodeFrame(good, 3); !errors.Is(err, ErrTooLarge) {
+	if _, err := readFrames(good, 3); !errors.Is(err, ErrTooLarge) {
 		t.Fatalf("oversize: %v", err)
-	}
-	// Streaming reader classifies the same defects.
-	if _, err := ReadFrame(bufio.NewReader(bytes.NewReader(good[:7])), 0, nil); !errors.Is(err, ErrTruncated) {
-		t.Fatalf("streaming truncation: %v", err)
 	}
 }
 
@@ -289,10 +291,12 @@ func TestClientServerBatch(t *testing.T) {
 
 // TestClientServerStream covers the subscribe lifecycle: ack carries the
 // model shape, pipelined windows answer with correlated seqs, and inline
-// actuals flow through.
+// actuals flow through. The windows go out back to back, more of them than
+// a connection may have in the batcher at once (streamInflight), so the
+// bound is reached and released.
 func TestClientServerStream(t *testing.T) {
 	s := newTestServe(t, 5)
-	addr := newTestWire(t, s, ServerConfig{StreamInflight: 8})
+	addr := newTestWire(t, s, ServerConfig{})
 	c, err := Dial(addr, ClientConfig{})
 	if err != nil {
 		t.Fatal(err)
@@ -308,8 +312,31 @@ func TestClientServerStream(t *testing.T) {
 	}
 
 	rng := rand.New(rand.NewSource(9))
-	const n = 32
+	const n = 3 * streamInflight
+	windows := make([]Window, n)
 	want := make(map[uint64]float64, n)
+	for i := range windows {
+		cf := make([]float64, ack.In)
+		win := make([]float64, ack.Window)
+		for j := range cf {
+			cf[j] = rng.NormFloat64()
+		}
+		for j := range win {
+			win[j] = 50 + rng.NormFloat64()
+		}
+		actual := 50 + rng.NormFloat64()
+		req := &serve.Request{
+			CF: append([]float64(nil), cf...), Window: append([]float64(nil), win...),
+			Testbed: testEnv.Testbed, SUT: testEnv.SUT, Testcase: testEnv.Testcase, Build: testEnv.Build,
+			Actual: &actual,
+		}
+		resp, _, err := s.Do(req)
+		if err != nil {
+			t.Fatal(err)
+		}
+		windows[i] = Window{Seq: st.NextSeq(), CF: cf, Window: win, Actual: &actual}
+		want[windows[i].Seq] = resp.Prediction
+	}
 	var recvWG sync.WaitGroup
 	recvWG.Add(1)
 	got := make(map[uint64]Prediction, n)
@@ -324,26 +351,8 @@ func TestClientServerStream(t *testing.T) {
 			got[p.Seq] = p
 		}
 	}()
-	for i := 0; i < n; i++ {
-		cf := make([]float64, ack.In)
-		win := make([]float64, ack.Window)
-		for j := range cf {
-			cf[j] = rng.NormFloat64()
-		}
-		for j := range win {
-			win[j] = 50 + rng.NormFloat64()
-		}
-		req := &serve.Request{
-			CF: append([]float64(nil), cf...), Window: append([]float64(nil), win...),
-			Testbed: testEnv.Testbed, SUT: testEnv.SUT, Testcase: testEnv.Testcase, Build: testEnv.Build,
-		}
-		resp, _, err := s.Do(req)
-		if err != nil {
-			t.Fatal(err)
-		}
-		seq := st.NextSeq()
-		want[seq] = resp.Prediction
-		if err := st.Send(Window{Seq: seq, CF: cf, Window: win}); err != nil {
+	for _, w := range windows {
+		if err := st.Send(w); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -414,6 +423,44 @@ func TestProtocolViolations(t *testing.T) {
 		if _, err := g.Read(buf); err != nil {
 			break // closed (possibly after an error frame) — the point is it terminates
 		}
+	}
+}
+
+// TestProtocolErrorsCountOnlyViolations: env2vec_wire_protocol_errors_total
+// counts malformed and out-of-order frames. A model-less backend refusing a
+// Subscribe with 503 is not one; it used to be counted all the same.
+func TestProtocolErrorsCountOnlyViolations(t *testing.T) {
+	s := serve.New(serve.Config{MaxBatch: 8, QueueDepth: 16, Workers: 1})
+	t.Cleanup(s.Close)
+	reg := obs.NewRegistry()
+	addr := newTestWire(t, s, ServerConfig{Obs: reg})
+	violations := reg.Counter("env2vec_wire_protocol_errors_total", "", nil)
+
+	c, err := Dial(addr, ClientConfig{Timeout: 5 * time.Second})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer c.Close()
+	var re *RemoteError
+	if _, err := c.Subscribe(testEnv, ""); !errors.As(err, &re) || re.Code != http.StatusServiceUnavailable {
+		t.Fatalf("subscribe to a model-less backend: %v, want a 503", err)
+	}
+	if n := violations.Value(); n != 0 {
+		t.Fatalf("a 503 refusal counted %d protocol errors, want 0", n)
+	}
+
+	g, err := net.Dial("tcp", addr)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer g.Close()
+	if _, err := g.Write(bytes.Repeat([]byte{0xFF}, 256)); err != nil {
+		t.Fatal(err)
+	}
+	_ = g.SetReadDeadline(time.Now().Add(5 * time.Second))
+	_, _ = io.Copy(io.Discard, g) // the answer, then the close: the count comes first
+	if n := violations.Value(); n != 1 {
+		t.Fatalf("a garbage preamble counted %d protocol errors, want 1", n)
 	}
 }
 
