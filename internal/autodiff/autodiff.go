@@ -221,23 +221,18 @@ func (t *Tape) transposed(m *tensor.Matrix) *tensor.Matrix {
 	return mt
 }
 
-// addProduct accumulates x×y into grad by way of a temporary.
-func (t *Tape) addProduct(grad, x, y *tensor.Matrix) {
-	prod := t.Mat(grad.Rows, grad.Cols)
-	tensor.MatMulBlockedInto(prod, x, y)
-	grad.AddInPlace(prod)
-}
-
-// MatMul returns a×b. The forward product and both backward products run
-// through tensor.MatMulBlockedInto — the one float64 kernel the fused scorer
-// also uses; the transposed operands it needs are packed into temporaries.
+// MatMul returns a×b. The forward product runs through
+// tensor.MatMulBlockedInto — the one float64 kernel the fused scorer also
+// uses — and both backward products through its store mode,
+// tensor.MatMulAddInto, which adds each finished sum into the gradient; the
+// transposed operands they need are packed into temporaries.
 func (t *Tape) MatMul(a, b *Node) *Node {
 	out := t.newNode(a.Value.Rows, b.Value.Cols, a.requiresGrad || b.requiresGrad, func(out *Node) {
 		if a.requiresGrad { // ∂a += ∂out · bᵀ
-			t.addProduct(a.Grad, out.Grad, t.transposed(b.Value))
+			tensor.MatMulAddInto(a.Grad, out.Grad, t.transposed(b.Value))
 		}
 		if b.requiresGrad { // ∂b += aᵀ · ∂out
-			t.addProduct(b.Grad, t.transposed(a.Value), out.Grad)
+			tensor.MatMulAddInto(b.Grad, t.transposed(a.Value), out.Grad)
 		}
 	})
 	tensor.MatMulBlockedInto(out.Value, a.Value, b.Value)

@@ -155,6 +155,62 @@ func ToBatch(examples []Example, schema *envmeta.Schema) *nn.Batch {
 	return b
 }
 
+// WindowBatch is ToBatch over the WindowExamples of every series in turn,
+// built straight from the series: the feature rows, targets and windows are
+// copied once, into the batch, and the environment is encoded once a series.
+// Series no longer than window contribute nothing; when none is longer, the
+// batch is ToBatch's empty one.
+func WindowBatch(series []*Series, window int, schema *envmeta.Schema) *nn.Batch {
+	if window < 0 {
+		panic(fmt.Sprintf("dataset: negative window %d", window))
+	}
+	rows, f := 0, 0
+	for _, s := range series {
+		if n := s.Len() - window; n > 0 {
+			if rows > 0 && s.CF.Cols != f {
+				panic(fmt.Sprintf("dataset: series %s has %d features, want %d", s.Env, s.CF.Cols, f))
+			}
+			rows, f = rows+n, s.CF.Cols
+		}
+	}
+	if rows == 0 {
+		return ToBatch(nil, schema)
+	}
+	b := &nn.Batch{X: tensor.New(rows, f), Y: tensor.New(rows, 1)}
+	if window > 0 {
+		b.Window = tensor.New(rows, window)
+	}
+	if schema != nil {
+		b.EnvIDs = make([][]int, envmeta.NumFeatures)
+		ids := make([]int, envmeta.NumFeatures*rows)
+		for k := range b.EnvIDs {
+			b.EnvIDs[k] = ids[k*rows : (k+1)*rows : (k+1)*rows]
+		}
+	}
+	i := 0
+	for _, s := range series {
+		n := s.Len() - window
+		if n <= 0 {
+			continue
+		}
+		copy(b.X.Data[i*f:], s.CF.Data[window*f:s.Len()*f])
+		copy(b.Y.Data[i:], s.RU[window:])
+		for r := 0; r < n && window > 0; r++ {
+			copy(b.Window.Row(i+r), s.RU[r:r+window])
+		}
+		if schema != nil {
+			enc := schema.Encode(s.Env)
+			for k, ids := range b.EnvIDs {
+				for r := range ids[i : i+n] {
+					ids[i+r] = enc[k]
+				}
+			}
+		}
+		i += n
+	}
+	return b
+}
+
 // Standardizer scales features to zero mean and unit variance using
 // statistics from the training set only (the usual leakage-free protocol).
 type Standardizer struct {

@@ -2,8 +2,10 @@ package dataset
 
 import (
 	"bytes"
+	"fmt"
 	"math"
 	"math/rand"
+	"reflect"
 	"strings"
 	"testing"
 	"testing/quick"
@@ -97,6 +99,55 @@ func TestToBatch(t *testing.T) {
 	empty := ToBatch(nil, schema)
 	if empty.Len() != 0 {
 		t.Fatalf("empty examples should give empty batch")
+	}
+}
+
+// TestWindowBatchMatchesToBatch: the batch WindowBatch builds straight from
+// the series is the one ToBatch builds from the concatenated WindowExamples,
+// bit for bit in every field — over several series (one too short to
+// contribute, one of another environment the schema has never seen), every
+// window from 0 past the longest series, with and without a schema.
+func TestWindowBatchMatchesToBatch(t *testing.T) {
+	long := demoSeries()
+	long.CF = tensor.FromRows([][]float64{{1, -2}, {3, 4}, {5, 6}, {7, 8}, {9, 10}, {11, math.Copysign(0, -1)}, {13, 14}})
+	long.RU = []float64{1e-300, -0.5, 7, math.Inf(1), 3, 2, 1}
+	long.Times, long.Anomalous = nil, nil
+	short := demoSeries()
+	short.CF, short.RU, short.Times, short.Anomalous = tensor.FromRows([][]float64{{1, 2}, {3, 4}}), []float64{9, 8}, nil, nil
+	unseen := demoSeries()
+	unseen.Env.Testbed = "tb9"
+	schema := envmeta.NewSchema()
+	schema.Observe(long.Env)
+	series := []*Series{long, short, unseen}
+	same := func(what string, got, want *tensor.Matrix) {
+		t.Helper()
+		if (got == nil) != (want == nil) || got != nil && (got.Rows != want.Rows || got.Cols != want.Cols) {
+			t.Fatalf("%s: shape %v, want %v", what, got, want)
+		}
+		if got == nil {
+			return
+		}
+		for i := range want.Data {
+			if math.Float64bits(got.Data[i]) != math.Float64bits(want.Data[i]) {
+				t.Fatalf("%s element %d: %v, want %v", what, i, got.Data[i], want.Data[i])
+			}
+		}
+	}
+	for window := 0; window <= 8; window++ {
+		for _, sc := range []*envmeta.Schema{schema, nil} {
+			var exs []Example
+			for _, s := range series {
+				exs = append(exs, WindowExamples(s, window)...)
+			}
+			want, got := ToBatch(exs, sc), WindowBatch(series, window, sc)
+			what := fmt.Sprintf("window %d schema %v", window, sc != nil)
+			same(what+" X", got.X, want.X)
+			same(what+" Y", got.Y, want.Y)
+			same(what+" Window", got.Window, want.Window)
+			if !reflect.DeepEqual(got.EnvIDs, want.EnvIDs) {
+				t.Fatalf("%s EnvIDs %v, want %v", what, got.EnvIDs, want.EnvIDs)
+			}
+		}
 	}
 }
 

@@ -17,8 +17,9 @@
 //     and (r⊙h)·Uh — and four calls that each run once over the batch, not
 //     once per row: one logistic turning the n×2H [z|r] pre-activations into
 //     gates in place, r⊙h, the candidate's add-and-activate, and the blend
-//     (tensor.SigmoidAdd, GateMul, AddReLU, GateBlend: float32 vector kernels
-//     on amd64, the plain Go expressions in float64 and everywhere else);
+//     (tensor.SigmoidAdd, GateMul, AddReLU, GateBlend: AVX2 kernels in both
+//     precisions on amd64 — the float64 ones the Go expressions to the bit —
+//     and the plain Go expressions everywhere else);
 //   - every temporary comes from a per-pass tensor.Arena recycled through a
 //     sync.Pool, so steady-state prediction does no heap allocation beyond
 //     the slice Predict returns;

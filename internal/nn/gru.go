@@ -206,7 +206,7 @@ func activate(act Activation, dst, x []float64) {
 // with each product in the graph's own operand order. ∂h_{t−1} starts as
 // what later consumers wrote into its block and gathers, in this order,
 // ∂h⊙z, ∂(r⊙h)⊙r, ∂r·Urᵀ and ∂z·Uzᵀ. Every matrix product is computed whole
-// and then added, each parameter gathers one product a step, from the last
+// and then added (tensor.MatMulAddInto), each parameter gathers one product a step, from the last
 // step to the first, and each bias its gradient row by row. The graph added
 // each intermediate gradient into zeroed storage, which turns a −0 into +0;
 // the closure skips those additions, since every number it writes is a sum
@@ -219,11 +219,10 @@ func (r *gruRun) backward(out *autodiff.Node) {
 	dWh, dUh, dBh := r.p[6].Grad, r.p[7].Grad, r.p[8].Grad
 	uzT, urT, uhT := transposed(t, g.Uz.Value), transposed(t, g.Ur.Value), transposed(t, g.Uh.Value)
 	dz, dr, dc, drh := t.Mat(n, H), t.Mat(n, H), t.Mat(n, H), t.Mat(n, H)
-	prod, sq, row := t.Mat(n, H), t.Mat(H, H), t.Mat(1, H)
 	hT, rhT := t.Mat(H, n), t.Mat(H, n)
-	var dx, px, wzT, wrT, whT *tensor.Matrix
+	var dx, wzT, wrT, whT *tensor.Matrix
 	if r.window.RequiresGrad() {
-		dx, px = t.Mat(n, 1), t.Mat(n, 1)
+		dx = t.Mat(n, 1)
 		wzT, wrT, whT = transposed(t, g.Wz.Value), transposed(t, g.Wr.Value), transposed(t, g.Wh.Value)
 	}
 	act := g.CandidateAct
@@ -272,24 +271,24 @@ func (r *gruRun) backward(out *autodiff.Node) {
 			}
 		}
 		if k > 0 {
-			addProduct(&dhp, prod, dr, urT)
-			addProduct(&dhp, prod, dz, uzT)
+			tensor.MatMulAddInto(&dhp, dr, urT)
+			tensor.MatMulAddInto(&dhp, dz, uzT)
 		}
 
 		rh.TransposeInto(rhT)
 		hp.TransposeInto(hT)
 		xT := tensor.Matrix{Rows: 1, Cols: n, Data: r.x.Data[k*n : (k+1)*n]}
-		addProduct(dUh, sq, rhT, dc)
-		addProduct(dWh, row, &xT, dc)
-		addProduct(dUr, sq, hT, dr)
-		addProduct(dWr, row, &xT, dr)
-		addProduct(dUz, sq, hT, dz)
-		addProduct(dWz, row, &xT, dz)
+		tensor.MatMulAddInto(dUh, rhT, dc)
+		tensor.MatMulAddInto(dWh, &xT, dc)
+		tensor.MatMulAddInto(dUr, hT, dr)
+		tensor.MatMulAddInto(dWr, &xT, dr)
+		tensor.MatMulAddInto(dUz, hT, dz)
+		tensor.MatMulAddInto(dWz, &xT, dz)
 
 		if dx != nil { // the window's column k: ((∂c·Whᵀ + ∂r·Wrᵀ) + ∂z·Wzᵀ)
 			tensor.MatMulBlockedInto(dx, dc, whT)
-			addProduct(dx, px, dr, wrT)
-			addProduct(dx, px, dz, wzT)
+			tensor.MatMulAddInto(dx, dr, wrT)
+			tensor.MatMulAddInto(dx, dz, wzT)
 			wg := r.window.Grad
 			for i, v := range dx.Data {
 				wg.Data[i*r.steps+k] += v
@@ -303,10 +302,4 @@ func transposed(t *autodiff.Tape, m *tensor.Matrix) *tensor.Matrix {
 	mt := t.Mat(m.Cols, m.Rows)
 	m.TransposeInto(mt)
 	return mt
-}
-
-// addProduct adds x×y into grad by way of prod, a scratch of grad's shape.
-func addProduct(grad, prod, x, y *tensor.Matrix) {
-	tensor.MatMulBlockedInto(prod, x, y)
-	grad.AddInPlace(prod)
 }

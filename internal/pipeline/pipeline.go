@@ -375,28 +375,23 @@ func EarlyTerminationStep(alarms []anomaly.Alarm, p TerminationPolicy) (int, boo
 // with is the one that worked. The returned nn.TrainResult still carries the
 // loss that was seen.
 func IncrementalTrain(tr *TrainResult, newSeries []*dataset.Series, epochs int, lr float64) (nn.TrainResult, error) {
-	window := tr.Model.Config().Window
-	var examples []dataset.Example
-	for _, s := range newSeries {
-		examples = append(examples, dataset.WindowExamples(s, window)...)
-	}
-	if len(examples) == 0 {
+	batch := dataset.WindowBatch(newSeries, tr.Model.Config().Window, tr.Schema)
+	if batch.Len() == 0 {
 		return nn.TrainResult{}, fmt.Errorf("pipeline: incremental training with no examples")
 	}
-	batch := dataset.ToBatch(examples, tr.Schema)
 	tr.Standardizer.Apply(batch.X)
-	scaled := tr.YScale.Scale(batch)
+	tr.YScale.ScaleInPlace(batch)
 	cfg := nn.TrainConfig{Epochs: epochs, BatchSize: 32, Seed: 1}
 	params := tr.Model.Params()
 	before := nn.TakeSnapshot(params, nil)
-	fit := nn.Train(tr.Model, nn.NewAdam(lr), scaled, nil, cfg)
+	fit := nn.Train(tr.Model, nn.NewAdam(lr), batch, nil, cfg)
 	if math.IsNaN(fit.TrainLossLast) || math.IsInf(fit.TrainLossLast, 0) {
 		if err := before.Restore(params); err != nil {
 			return fit, err
 		}
 		return fit, fmt.Errorf("%w: last training loss %v", ErrDiverged, fit.TrainLossLast)
 	}
-	tr.Examples += len(examples)
+	tr.Examples += batch.Len()
 	return fit, nil
 }
 
@@ -465,28 +460,37 @@ func NewWorkflow(tr *TrainResult, detect anomaly.Config) *Workflow {
 
 // predictSeries standardizes and scores one execution, returning aligned
 // predictions and actuals (both of length len−window) plus the offset of
-// the first scored timestep.
+// the first scored timestep. An execution no longer than one window — one
+// cut short by early termination, say — has nothing to score: both slices
+// come back empty.
 func (w *Workflow) predictSeries(s *dataset.Series) (pred, actual []float64, offset int) {
 	window := w.Model.Config().Window
-	exs := dataset.WindowExamples(s, window)
-	b := dataset.ToBatch(exs, w.Schema)
-	w.Standardizer.Apply(b.X)
-	pred = w.YScale.Unscale(w.Model.Predict(w.YScale.Scale(b)))
-	actual = make([]float64, len(exs))
-	for i, ex := range exs {
-		actual[i] = ex.Y
+	if s.Len() <= window {
+		return nil, nil, window
 	}
+	b := dataset.WindowBatch([]*dataset.Series{s}, window, w.Schema)
+	w.Standardizer.Apply(b.X)
+	actual, b.Y = b.Y.Data, nil // the batch's own copy of the targets, left raw
+	w.YScale.ScaleInPlace(b)
+	pred = w.Model.Predict(b)
+	w.YScale.UnscaleInPlace(pred)
 	return pred, actual, window
 }
 
 // CalibrateChain fits the chain's error model from its historical
 // (pre-upgrade) builds. Call once per chain before scoring new builds.
+// Builds no longer than one window add no samples, and a history without a
+// sample fits no model: the chain keeps the one it had, or, having none,
+// scores its executions against their own errors.
 func (w *Workflow) CalibrateChain(chainID string, history []*dataset.Series) {
 	var preds, actuals []float64
 	for _, s := range history {
 		p, a, _ := w.predictSeries(s)
 		preds = append(preds, p...)
 		actuals = append(actuals, a...)
+	}
+	if len(preds) == 0 {
+		return
 	}
 	w.mu.Lock()
 	w.errorModels[chainID] = anomaly.FitErrorModel(preds, actuals)
@@ -506,6 +510,9 @@ func (w *Workflow) ErrorModel(chainID string) (anomaly.ErrorModel, bool) {
 // §4.3), the error distribution is computed from the execution itself.
 func (w *Workflow) ProcessExecution(detector string, s *dataset.Series) []anomaly.Alarm {
 	pred, actual, offset := w.predictSeries(s)
+	if len(pred) == 0 {
+		return nil
+	}
 	w.mu.Lock()
 	em, ok := w.errorModels[s.ChainID]
 	w.mu.Unlock()

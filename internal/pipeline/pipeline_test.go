@@ -17,6 +17,7 @@ import (
 	"env2vec/internal/dataset"
 	"env2vec/internal/modelserver"
 	"env2vec/internal/telecom"
+	"env2vec/internal/tensor"
 	"env2vec/internal/tsdb"
 )
 
@@ -177,6 +178,52 @@ func TestWorkflowUnseenChainUsesSelfCalibration(t *testing.T) {
 		if a.ChainID != s.ChainID {
 			t.Fatalf("alarm chain wrong: %+v", a)
 		}
+	}
+}
+
+// TestShortExecutionScoresNothing: an execution no longer than the model's
+// window — one cut short by early termination — holds no window to score.
+// Scoring it raises no alarm (it used to panic in the standardizer, fitted on
+// 14 columns and handed an empty batch of 0), calibrating on it alone fits no
+// error model from zero samples, and beside a real history it changes
+// nothing.
+func TestShortExecutionScoresNothing(t *testing.T) {
+	c := smallCorpus(t)
+	cfg := quickTrainerConfig()
+	tr, err := Train(c.Dataset, nil, cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	wf := NewWorkflow(tr, anomaly.Config{Gamma: 2, AbsFilter: 5})
+	id := c.ChainOrder[0]
+	chain := c.ChainSeries[id]
+	full := chain[len(chain)-1]
+	for _, steps := range []int{0, 1, cfg.Model.Window} {
+		short := *full
+		short.CF = tensor.FromSlice(steps, full.CF.Cols, full.CF.Data[:steps*full.CF.Cols])
+		short.RU, short.Times, short.Anomalous = full.RU[:steps], full.Times[:steps], full.Anomalous[:steps]
+		if alarms := wf.ProcessExecution("env2vec", &short); len(alarms) != 0 {
+			t.Fatalf("%d steps: %d alarms", steps, len(alarms))
+		}
+		alarms, stopAt, terminated := wf.ProcessExecutionWithPolicy("env2vec", &short, TerminationPolicy{MinDuration: 1})
+		if len(alarms) != 0 || stopAt != -1 || terminated {
+			t.Fatalf("%d steps with a policy: %d alarms, stop %d, terminated %v", steps, len(alarms), stopAt, terminated)
+		}
+		wf.CalibrateChain(id, []*dataset.Series{&short})
+		if em, ok := wf.ErrorModel(id); ok {
+			t.Fatalf("%d steps: an error model from zero samples: %+v", steps, em)
+		}
+	}
+
+	history := chain[:len(chain)-1]
+	wf.CalibrateChain(id, history)
+	want, _ := wf.ErrorModel(id)
+	short := *history[0]
+	short.CF = tensor.FromSlice(1, full.CF.Cols, history[0].CF.Data[:full.CF.Cols])
+	short.RU, short.Times, short.Anomalous = history[0].RU[:1], history[0].Times[:1], history[0].Anomalous[:1]
+	wf.CalibrateChain(id, append([]*dataset.Series{&short}, history...))
+	if got, _ := wf.ErrorModel(id); got != want {
+		t.Fatalf("a short build in the history moved the error model: %+v, want %+v", got, want)
 	}
 }
 

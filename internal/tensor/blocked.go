@@ -18,9 +18,16 @@
 // is strength-reduced (off += n) so the inner loop carries no multiply.
 //
 // On amd64 with AVX2 the leading whole tile-widths of columns run in
-// assembly first — 8 columns of float64 (f64gemm_amd64.s: a 4×8 tile and a
-// 1×8 row tail, VMULPD then VADDPD), 16 of float32 (f32gemm_amd64.s: 4×16
-// and 1×16, VFMADD) — and matMulScalar finishes the ragged right edge.
+// assembly first — 8 columns of float64 (f64gemm_amd64.s: one call walks
+// 4×8 tiles and a 1×8 row tail, VMULPD then VADDPD), 16 of float32
+// (f32gemm_amd64.s: 4×16 and 1×16 tiles, VFMADD, one call each) — and
+// matMulScalar finishes the ragged right edge.
+//
+// Store mode: MatMulAddInto (float64) adds each element's finished sum to
+// what out holds, out + Σ, instead of overwriting it. The float64 tiles and
+// matMulScalar both have the mode, so it is the product followed by
+// AddInPlace, rounding for rounding, without the temporary — which is how the
+// tape's backward gathers a gradient.
 //
 // Numerics: for each output element the k-accumulation order is IDENTICAL to
 // the naive kernel (k ascending), in every kernel of either precision —
@@ -35,7 +42,9 @@
 // tests in internal/core lean on the float64 bit-identity: the tape and the
 // predictor share this kernel. Bit-identity between the float64 tile and the
 // Go tails is a GOAMD64=v1 property: at v3 the compiler may fuse the scalar
-// `c += a*b` into an FMA, and the tile never fuses.
+// `c += a*b` into an FMA, and the tile never fuses. go1.24 does not fuse
+// them; CI runs the bit-identity tests at v3 as well, so a compiler that
+// starts to fails them.
 //
 // Tails: row and column counts that are not multiples of the block width
 // fall through to 1×4 and scalar edge kernels, so ragged shapes (prime
@@ -64,17 +73,38 @@ func MatMul(a, b *Matrix) *Matrix {
 // corruption would be near-impossible to trace, so it fails loudly. Every
 // element of out is fully overwritten, so stale contents never leak through
 // — including the k=0 case, which zero-fills.
-func MatMulBlockedInto[T Float](out, a, b *Mat[T]) {
+func MatMulBlockedInto[T Float](out, a, b *Mat[T]) { matMul(out, a, b, false) }
+
+// MatMulAddInto computes out = out + a × b with the same kernels and the same
+// contract: each element's sum is finished first and then added to out once,
+// exactly the arithmetic of MatMulBlockedInto into a temporary followed by
+// out.AddInPlace (k = 0 adds a zero, turning −0 into +0 as that would).
+func MatMulAddInto(out, a, b *Matrix) { matMul(out, a, b, true) }
+
+// matMul is both entry points: validation, the vector tiles, then the
+// portable kernel for the columns they leave. add is only ever true for
+// float64, the one precision with the store mode.
+func matMul[T Float](out, a, b *Mat[T], add bool) {
+	op := "MatMulBlockedInto"
+	if add {
+		op = "MatMulAddInto"
+	}
 	if a.Cols != b.Rows || out.Rows != a.Rows || out.Cols != b.Cols {
-		panic(fmt.Sprintf("tensor: MatMulBlockedInto shape %dx%d × %dx%d into %dx%d",
-			a.Rows, a.Cols, b.Rows, b.Cols, out.Rows, out.Cols))
+		panic(fmt.Sprintf("tensor: %s shape %dx%d × %dx%d into %dx%d",
+			op, a.Rows, a.Cols, b.Rows, b.Cols, out.Rows, out.Cols))
 	}
 	if overlap(out.Data, a.Data) || overlap(out.Data, b.Data) {
-		panic("tensor: MatMulBlockedInto out aliases an operand")
+		panic("tensor: " + op + " out aliases an operand")
 	}
 	m, k, n := a.Rows, a.Cols, b.Cols
 	if k == 0 {
-		out.Zero()
+		if !add {
+			out.Zero()
+			return
+		}
+		for i := range out.Data {
+			out.Data[i] += 0
+		}
 		return
 	}
 	if m == 0 || n == 0 {
@@ -86,12 +116,12 @@ func MatMulBlockedInto[T Float](out, a, b *Mat[T]) {
 	j0 := 0
 	switch o := any(out).(type) {
 	case *Mat[float64]:
-		j0 = matMulAsm64(o.Data, any(a).(*Mat[float64]).Data, any(b).(*Mat[float64]).Data, m, k, n)
+		j0 = matMulAsm64(o.Data, any(a).(*Mat[float64]).Data, any(b).(*Mat[float64]).Data, m, k, n, add)
 	case *Mat[float32]:
 		j0 = matMulAsm32(o.Data, any(a).(*Mat[float32]).Data, any(b).(*Mat[float32]).Data, m, k, n)
 	}
 	if j0 < n {
-		matMulScalar(out.Data, a.Data, b.Data, m, k, n, j0)
+		matMulScalar(out.Data, a.Data, b.Data, m, k, n, j0, add)
 	}
 }
 
@@ -100,11 +130,11 @@ func MatMulBlockedInto[T Float](out, a, b *Mat[T]) {
 func MatMulBlockedInto32(out, a, b *Matrix32) { MatMulBlockedInto(out, a, b) }
 
 // matMulScalar is the portable kernel: columns [j0, n) of the m×k×n product
-// a × b into out, by 2×4 register tiles with 1×4 and scalar tails,
-// ascending-k accumulation per element. All shape and aliasing validation
-// happens before it. It is also the reference the vector tiles are tested
-// against.
-func matMulScalar[T Float](out, a, b []T, m, k, n, j0 int) {
+// a × b into out — or, with add, added to out — by 2×4 register tiles with
+// 1×4 and scalar tails, ascending-k accumulation per element. All shape and
+// aliasing validation happens before it. It is also the reference the vector
+// tiles are tested against.
+func matMulScalar[T Float](out, a, b []T, m, k, n, j0 int, add bool) {
 	i := 0
 	for ; i+2 <= m; i += 2 {
 		a0 := a[(i+0)*k : (i+0)*k+k]
@@ -131,8 +161,8 @@ func matMulScalar[T Float](out, a, b []T, m, k, n, j0 int) {
 				c13 += av * b3
 				off += n
 			}
-			o0[j], o0[j+1], o0[j+2], o0[j+3] = c00, c01, c02, c03
-			o1[j], o1[j+1], o1[j+2], o1[j+3] = c10, c11, c12, c13
+			put4(o0[j:j+4], c00, c01, c02, c03, add)
+			put4(o1[j:j+4], c10, c11, c12, c13, add)
 		}
 		for ; j < n; j++ { // column tail: 2 rows × 1 lane
 			var c0, c1 T
@@ -143,7 +173,8 @@ func matMulScalar[T Float](out, a, b []T, m, k, n, j0 int) {
 				c1 += a1[p] * bv
 				off += n
 			}
-			o0[j], o1[j] = c0, c1
+			put(o0, j, c0, add)
+			put(o1, j, c1, add)
 		}
 	}
 	for ; i < m; i++ { // row tail: 1 row, 4 lanes then scalar
@@ -162,7 +193,7 @@ func matMulScalar[T Float](out, a, b []T, m, k, n, j0 int) {
 				c3 += av * bp[3]
 				off += n
 			}
-			or[j], or[j+1], or[j+2], or[j+3] = c0, c1, c2, c3
+			put4(or[j:j+4], c0, c1, c2, c3, add)
 		}
 		for ; j < n; j++ {
 			var c T
@@ -171,7 +202,25 @@ func matMulScalar[T Float](out, a, b []T, m, k, n, j0 int) {
 				c += ar[p] * b[off]
 				off += n
 			}
-			or[j] = c
+			put(or, j, c, add)
 		}
 	}
+}
+
+// put stores a finished sum into o[j], or adds it to what is there (out as
+// the first operand, as AddInPlace adds).
+func put[T Float](o []T, j int, c T, add bool) {
+	if add {
+		c = o[j] + c
+	}
+	o[j] = c
+}
+
+// put4 is put over four adjacent elements.
+func put4[T Float](o []T, c0, c1, c2, c3 T, add bool) {
+	o = o[:4]
+	if add {
+		c0, c1, c2, c3 = o[0]+c0, o[1]+c1, o[2]+c2, o[3]+c3
+	}
+	o[0], o[1], o[2], o[3] = c0, c1, c2, c3
 }

@@ -188,12 +188,15 @@ func edgeMat(rng *rand.Rand, rows, cols int) *Matrix {
 	return m
 }
 
-// TestF64TileMatchesScalar is the bit-identity contract of the float64 tile:
-// over every tile boundary (full 4×8 tiles, 1×8 row tails, the Go column
-// tails beside them, k from 0 up) and every shape the model multiplies, the
-// assembly path, the scalar path and the naive reference produce the same
-// math.Float64bits in every element. A VFMADD in the tile fails this on the
-// first shape with k > 1.
+// TestF64TileMatchesScalar is the bit-identity contract of the float64
+// tiles and their one-call driver: over every tile boundary (4-row strips of
+// 8-column tiles, 1×8 row tails, the Go column tails beside them, k from 0
+// up) and every shape the model multiplies, the assembly path, the scalar
+// path and the naive reference produce the same math.Float64bits in every
+// element, and nothing is written outside out. MatMulAddInto is held to the
+// product followed by AddInPlace the same way, from an out that starts with
+// edge values of its own (−0 among them, which adding a +0 product turns
+// into +0). A VFMADD in a tile fails this on the first shape with k > 1.
 func TestF64TileMatchesScalar(t *testing.T) {
 	if !useAsm {
 		t.Log("no AVX2 tiles on this CPU: comparing the scalar kernel with the naive reference only")
@@ -206,34 +209,112 @@ func TestF64TileMatchesScalar(t *testing.T) {
 	for n := 1; n <= 19; n++ {
 		ns = append(ns, n)
 	}
-	sameBits := func(what string, got, want *Matrix) {
-		t.Helper()
-		for i := range want.Data {
-			if math.Float64bits(got.Data[i]) != math.Float64bits(want.Data[i]) {
-				t.Fatalf("%s element %d: %x (%v) vs %x (%v)", what, i,
-					math.Float64bits(got.Data[i]), got.Data[i], math.Float64bits(want.Data[i]), want.Data[i])
-			}
-		}
-	}
 	for _, m := range ms {
 		for _, n := range ns {
 			for _, k := range []int{0, 1, 2, 5, 32, 33, 96} {
 				a, b := edgeMat(rng, m, k), edgeMat(rng, k, n)
 				naive := matMulNaive(a, b)
+				acc := edgeMat(rng, m, n)
+				sum := FromSlice(m, n, append([]float64(nil), acc.Data...))
+				sum.AddInPlace(naive)
 				for _, asm := range []bool{false, true} {
 					if asm && !hasAsm {
 						continue
 					}
 					useAsm = asm
 					what := fmt.Sprintf("%dx%dx%d asm=%v", m, k, n, asm)
-					got := New(m, n)
-					fill(got, math.NaN())
-					MatMulBlockedInto(got, a, b)
-					sameBits(what, got, naive)
+					got, check := guarded(make([]float64, m*n))
+					for i := range got {
+						got[i] = math.NaN() // any element the kernel misses survives as NaN
+					}
+					MatMulBlockedInto(FromSlice(m, n, got), a, b)
+					sameF64Bits(t, what, got, naive.Data)
+					check(t, what)
+
+					copy(got, acc.Data)
+					MatMulAddInto(FromSlice(m, n, got), a, b)
+					sameF64Bits(t, "add "+what, got, sum.Data)
+					check(t, "add "+what)
 				}
 			}
 		}
 	}
+}
+
+// sameF64Bits is the strict comparison of the GEMM contract: every element's
+// math.Float64bits, NaN patterns included (the operands hold no NaN, so every
+// NaN is the one the hardware makes).
+func sameF64Bits(t testing.TB, what string, got, want []float64) {
+	t.Helper()
+	for i := range want {
+		if math.Float64bits(got[i]) != math.Float64bits(want[i]) {
+			t.Fatalf("%s element %d: %x (%v) vs %x (%v)", what, i,
+				math.Float64bits(got[i]), got[i], math.Float64bits(want[i]), want[i])
+		}
+	}
+}
+
+// FuzzF64Kernels feeds arbitrary float64 bit patterns — any NaN payload,
+// subnormals, infinities, huge magnitudes — through every float64 kernel
+// with an assembly path: the GEMM in both store modes at an m×k×n the input
+// picks (tile strips, row tails and Go column tails alike), and the three GRU
+// gate kernels over the same data as an m×n batch. Each runs on the
+// assembly and again with it off, and the two must agree to the bit, NaN
+// matching any NaN (which NaN comes out is the one thing the Go expressions
+// do not pin).
+func FuzzF64Kernels(f *testing.F) {
+	seed := make([]byte, 8*64)
+	for i := range seed {
+		seed[i] = byte(i*37 + 11)
+	}
+	f.Add(uint8(5), uint8(3), uint8(17), seed)
+	f.Add(uint8(4), uint8(32), uint8(8), seed[:40])
+	f.Add(uint8(1), uint8(0), uint8(9), []byte{0xff, 0xf8, 0, 0, 0, 0, 0, 1})
+	f.Fuzz(func(t *testing.T, m8, k8, n8 uint8, data []byte) {
+		m, k, n := int(m8%10)+1, int(k8%34), int(n8%40)+1
+		next := 0
+		vals := func(count int) []float64 {
+			out := make([]float64, count)
+			for i := range out {
+				var u uint64
+				for b := 0; b < 8 && len(data) > 0; b++ {
+					u = u<<8 | uint64(data[next%len(data)])
+					next++
+				}
+				out[i] = math.Float64frombits(u)
+			}
+			return out
+		}
+		a, b := FromSlice(m, k, vals(m*k)), FromSlice(k, n, vals(k*n))
+		acc, x, y, zr := vals(m*n), vals(m*n), vals(m*n), vals(2*m*n)
+
+		defer func(old bool) { useAsm = old }(useAsm)
+		hasAsm := useAsm
+		run := func(asm bool) [5][]float64 {
+			useAsm = asm
+			var r [5][]float64
+			r[0] = make([]float64, m*n)
+			MatMulBlockedInto(FromSlice(m, n, r[0]), a, b)
+			r[1] = append([]float64(nil), acc...)
+			MatMulAddInto(FromSlice(m, n, r[1]), a, b)
+			r[2] = make([]float64, m*n)
+			AddReLU(r[2], x, y)
+			r[3] = make([]float64, m*n)
+			GateMul(r[3], zr, x, n)
+			r[4] = append([]float64(nil), x...)
+			GateBlend(r[4], zr, y, n)
+			return r
+		}
+		want := run(false)
+		sameBits(t, "AddReLU scalar", want[2], refAddReLU(x, y))
+		if !hasAsm {
+			return
+		}
+		got := run(true)
+		for i, name := range []string{"MatMulBlockedInto", "MatMulAddInto", "AddReLU", "GateMul", "GateBlend"} {
+			sameBits(t, fmt.Sprintf("%s %dx%dx%d", name, m, k, n), got[i], want[i])
+		}
+	})
 }
 
 // TestF32VectorMatchesScalar cross-checks the AVX2+FMA tile driver against
@@ -257,7 +338,7 @@ func TestF32VectorMatchesScalar(t *testing.T) {
 		a32, b32 := to32(a), to32(b)
 		asm, sc := New32(m, n), New32(m, n)
 		MatMulBlockedInto(asm, a32, b32)
-		matMulScalar(sc.Data, a32.Data, b32.Data, m, k, n, 0)
+		matMulScalar(sc.Data, a32.Data, b32.Data, m, k, n, 0, false)
 		tol := float64(k+4) * 2.4e-7
 		for i := range asm.Data {
 			scale := math.Max(1, math.Abs(float64(sc.Data[i])))
@@ -281,6 +362,8 @@ func TestBlockedShapePanics(t *testing.T) {
 	}
 	expectPanic("inner mismatch", func() { MatMulBlockedInto(New(2, 3), New(2, 4), New(5, 3)) })
 	expectPanic("out shape", func() { MatMulBlockedInto(New(3, 3), New(2, 4), New(4, 3)) })
+	expectPanic("add inner mismatch", func() { MatMulAddInto(New(2, 3), New(2, 4), New(5, 3)) })
+	expectPanic("add out shape", func() { MatMulAddInto(New(3, 3), New(2, 4), New(4, 3)) })
 	expectPanic("inner mismatch f32", func() { MatMulBlockedInto32(New32(2, 3), New32(2, 4), New32(5, 3)) })
 	expectPanic("out shape f32", func() { MatMulBlockedInto32(New32(3, 3), New32(2, 4), New32(4, 3)) })
 }
@@ -301,6 +384,8 @@ func TestBlockedAliasPanics(t *testing.T) {
 	sq := New(4, 4)
 	expectPanic("out==a", func() { MatMulBlockedInto(sq, sq, New(4, 4)) })
 	expectPanic("out==b", func() { MatMulBlockedInto(sq, New(4, 4), sq) })
+	expectPanic("add out==a", func() { MatMulAddInto(sq, sq, New(4, 4)) })
+	expectPanic("add out==b", func() { MatMulAddInto(sq, New(4, 4), sq) })
 	backing := make([]float64, 32)
 	expectPanic("partial overlap", func() {
 		out := FromSlice(4, 4, backing[8:24])

@@ -7,11 +7,12 @@ import "math"
 // Feature detection and the Go-side drivers for the vector kernels: the
 // GEMM tiles, AVX2+FMA float32 (f32gemm_amd64.s) and AVX2 float64
 // (f64gemm_amd64.s), the logistic in both precisions (sigmoid32_amd64.s,
-// sigmoid64_amd64.s) and the float32 GRU elementwise kernels
-// (gate32_amd64.s).
+// sigmoid64_amd64.s) and the GRU elementwise kernels in both precisions
+// (gate32_amd64.s, gate64_amd64.s).
 // The assembly handles full tiles — 4×16 and 1×16 in float32, 4×8 and 1×8
-// in float64; the ragged right edge runs through matMulScalar, which
-// produces the same ascending-k accumulation per element.
+// in float64, the float64 ones all in one call; the ragged right edge runs
+// through matMulScalar, which produces the same ascending-k accumulation per
+// element.
 
 // useAsm is true when the CPU and OS support AVX2 and FMA; every vector
 // kernel of either precision sits behind it. Tests may flip it to force the
@@ -46,10 +47,16 @@ func gateBlend8f32(h, z, c *float32, rows, cols, width uintptr)
 func sigmoidAdd4f64(dst, a, b *float64, bstep, n uintptr) (done uintptr)
 
 //go:noescape
-func gemm4x8f64(out, a, b *float64, k, an, bn, on uintptr)
+func gemmf64(out, a, b *float64, m, k, cols, n, add uintptr)
 
 //go:noescape
-func gemm1x8f64(out, a, b *float64, k, bn uintptr)
+func addReLU4f64(dst, a, b *float64, n uintptr)
+
+//go:noescape
+func gateMul4f64(dst, r, h *float64, rows, cols, width uintptr)
+
+//go:noescape
+func gateBlend4f64(h, z, c *float64, rows, cols, width uintptr)
 
 // detectAVX2FMA checks CPU support for FMA3 and AVX2 plus OS support for
 // saving YMM state (OSXSAVE + XCR0), the full precondition for running the
@@ -98,24 +105,20 @@ func matMulAsm32(out, a, b []float32, m, k, n int) int {
 	return n16
 }
 
-// matMulAsm64 is the same driver over the float64 tiles, 8 columns wide.
-func matMulAsm64(out, a, b []float64, m, k, n int) int {
+// matMulAsm64 runs the float64 tiles over every whole group of 8 columns —
+// the whole walk, strips and row tail, in one assembly call — overwriting
+// out or, with add, adding each finished sum to it. It returns how many
+// leading columns it finished, like matMulAsm32.
+func matMulAsm64(out, a, b []float64, m, k, n int, add bool) int {
 	n8 := n &^ 7
 	if !useAsm || n8 == 0 {
 		return 0
 	}
-	uk, un := uintptr(k), uintptr(n)
-	i := 0
-	for ; i+4 <= m; i += 4 {
-		for j := 0; j < n8; j += 8 {
-			gemm4x8f64(&out[i*n+j], &a[i*k], &b[j], uk, uk, un, un)
-		}
+	var mode uintptr
+	if add {
+		mode = 1
 	}
-	for ; i < m; i++ {
-		for j := 0; j < n8; j += 8 {
-			gemm1x8f64(&out[i*n+j], &a[i*k], &b[j], uk, un)
-		}
-	}
+	gemmf64(&out[0], &a[0], &b[0], uintptr(m), uintptr(k), uintptr(n8), uintptr(n), mode)
 	return n8
 }
 
@@ -163,7 +166,9 @@ func sigmoidAddAsm64(dst, a, b []float64, step int) int {
 	return int(sigmoidAdd4f64(&dst[0], &a[0], &b[0], uintptr(32*step), uintptr(n)))
 }
 
-// addReLUAsm32 is the same driver over the add-and-ReLU kernel.
+// addReLUAsm32 and addReLUAsm64 run the add-and-ReLU kernel over the
+// leading whole registers of dst — groups of 8 float32 or 4 float64 — and
+// return how many elements they wrote (0 without AVX2+FMA).
 func addReLUAsm32(dst, a, b []float32) int {
 	n := len(dst) &^ 7
 	if !useAsm || n == 0 {
@@ -173,10 +178,19 @@ func addReLUAsm32(dst, a, b []float32) int {
 	return n
 }
 
-// gateMulAsm32 and gateBlendAsm32 run their kernels over the leading whole
-// groups of 8 columns of every row and return how many columns they
-// finished (0 without AVX2+FMA). Callers guarantee width ≥ 1, at least one
-// row, and the lengths checkGate checks.
+func addReLUAsm64(dst, a, b []float64) int {
+	n := len(dst) &^ 3
+	if !useAsm || n == 0 {
+		return 0
+	}
+	addReLU4f64(&dst[0], &a[0], &b[0], uintptr(n))
+	return n
+}
+
+// The gate drivers run their kernels over the leading whole registers of
+// columns of every row and return how many columns they finished (0 without
+// AVX2+FMA). Callers guarantee width ≥ 1, at least one row, and the lengths
+// checkGate checks.
 func gateMulAsm32(dst, zr, h []float32, width int) int {
 	cols := width &^ 7
 	if !useAsm || cols == 0 {
@@ -186,11 +200,29 @@ func gateMulAsm32(dst, zr, h []float32, width int) int {
 	return cols
 }
 
+func gateMulAsm64(dst, zr, h []float64, width int) int {
+	cols := width &^ 3
+	if !useAsm || cols == 0 {
+		return 0
+	}
+	gateMul4f64(&dst[0], &zr[width], &h[0], uintptr(len(dst)/width), uintptr(cols), uintptr(width))
+	return cols
+}
+
 func gateBlendAsm32(h, zr, c []float32, width int) int {
 	cols := width &^ 7
 	if !useAsm || cols == 0 {
 		return 0
 	}
 	gateBlend8f32(&h[0], &zr[0], &c[0], uintptr(len(h)/width), uintptr(cols), uintptr(width))
+	return cols
+}
+
+func gateBlendAsm64(h, zr, c []float64, width int) int {
+	cols := width &^ 3
+	if !useAsm || cols == 0 {
+		return 0
+	}
+	gateBlend4f64(&h[0], &zr[0], &c[0], uintptr(len(h)/width), uintptr(cols), uintptr(width))
 	return cols
 }

@@ -7,7 +7,7 @@ package tensor
 // elementwise kernels their Go loops.
 var useAsm = false
 
-func matMulAsm64(out, a, b []float64, m, k, n int) int { return 0 }
+func matMulAsm64(out, a, b []float64, m, k, n int, add bool) int { return 0 }
 
 func matMulAsm32(out, a, b []float32, m, k, n int) int { return 0 }
 
@@ -17,6 +17,12 @@ func sigmoidAddAsm64(dst, a, b []float64, step int) int { return 0 }
 
 func addReLUAsm32(dst, a, b []float32) int { return 0 }
 
+func addReLUAsm64(dst, a, b []float64) int { return 0 }
+
 func gateMulAsm32(dst, zr, h []float32, width int) int { return 0 }
 
+func gateMulAsm64(dst, zr, h []float64, width int) int { return 0 }
+
 func gateBlendAsm32(h, zr, c []float32, width int) int { return 0 }
+
+func gateBlendAsm64(h, zr, c []float64, width int) int { return 0 }

@@ -1,42 +1,60 @@
-// AVX2 float64 GEMM tiles beneath MatMulBlockedInto.
+// AVX2 float64 GEMM beneath MatMulBlockedInto and MatMulAddInto: one call
+// per product.
 //
-// Each function computes one output tile of a row-major product
-// out[r][c] = Σ_p a[r][p]·b[p][c] with all accumulators held in YMM
-// registers for the whole k loop. b rows are loaded 8 doubles (two YMM) at
-// a time and reused across the tile rows; a values are broadcast.
+// gemmf64 computes the leading cols columns (a multiple of 8) of a row-major
+// product out[r][c] = Σ_p a[r][p]·b[p][c]: 4-row strips by 8-column tiles,
+// then the m mod 4 remaining rows by 1×8 tiles. A tile holds all its
+// accumulators in YMM registers for the whole k loop; b rows are loaded 8
+// doubles (two YMM) at a time and reused across the tile rows, a values are
+// broadcast.
 //
 // Every multiply-add is a VMULPD followed by a VADDPD — never a VFMADD — and
 // k ascends, so each element goes through exactly the rounding sequence of
 // the scalar `c += a*b` loops in blocked.go: the tiles are bit-identical to
-// the scalar kernels, not merely close. That is what lets the training tape,
+// the scalar kernel, not merely close. That is what lets the training tape,
 // the fused float64 scorer and the ragged edges finished in Go share one
 // answer to the last bit (TestF64TileMatchesScalar).
 //
-// Strides are passed in elements and converted to bytes here. Callers
-// (matMulAsm64) guarantee k ≥ 1 and full 8-column tiles; ragged edges stay
-// in Go.
+// Store mode: with add = 0 a tile's sums overwrite out; otherwise each sum,
+// finished in its register, is added once to what out holds (out + sum, out
+// as the first operand, as `o += c` adds) — the product followed by
+// AddInPlace, without the temporary.
+//
+// Strides are passed in elements and converted to bytes here. The caller
+// (matMulAsm64) guarantees m ≥ 1, k ≥ 1 and cols ≥ 8; the columns past cols
+// stay in Go.
 
 #include "textflag.h"
 
-// func gemm4x8f64(out, a, b *float64, k, an, bn, on uintptr)
+// func gemmf64(out, a, b *float64, m, k, cols, n, add uintptr)
 //
-// 4-row × 8-column tile: 8 accumulator registers (two YMM per row), Y8/Y9
-// hold the current 8 b values, Y10 the broadcast a value, Y11/Y12 the
-// products on their way into the accumulators.
-TEXT ·gemm4x8f64(SB), NOSPLIT, $0-56
-	MOVQ out+0(FP), DI
-	MOVQ a+8(FP), SI
-	MOVQ b+16(FP), BX
-	MOVQ k+24(FP), CX
-	MOVQ an+32(FP), R8
-	MOVQ bn+40(FP), R9
-	MOVQ on+48(FP), R10
-	SHLQ $3, R8
-	SHLQ $3, R9
-	SHLQ $3, R10
+// DX and AX walk out and a by strip (or row), R10 is the tile's byte offset
+// into a b and out row. Inside a 4×8 tile, Y0–Y7 accumulate (two YMM a row),
+// Y8/Y9 hold the current 8 b values, Y10 the broadcast a value and Y11/Y12
+// the products on their way into the accumulators.
+TEXT ·gemmf64(SB), NOSPLIT, $0-64
+	MOVQ out+0(FP), DX
+	MOVQ a+8(FP), AX
+	MOVQ m+24(FP), R14
+	MOVQ k+32(FP), R8
+	SHLQ $3, R8 // a row, bytes
+	MOVQ n+48(FP), R9
+	SHLQ $3, R9 // b and out row, bytes
+
+strip4:
+	CMPQ R14, $4
+	JB   rows1
+	XORQ R10, R10
+
+tile4:
+	LEAQ (DX)(R10*1), DI
+	MOVQ AX, SI
 	LEAQ (SI)(R8*1), R11  // a row 1
 	LEAQ (R11)(R8*1), R12 // a row 2
 	LEAQ (R12)(R8*1), R13 // a row 3
+	MOVQ b+16(FP), BX
+	ADDQ R10, BX
+	MOVQ k+32(FP), CX
 	VXORPD Y0, Y0, Y0
 	VXORPD Y1, Y1, Y1
 	VXORPD Y2, Y2, Y2
@@ -78,30 +96,60 @@ tile4loop:
 	DECQ CX
 	JNZ  tile4loop
 
+	LEAQ (DI)(R9*1), R11 // out rows 1, 2, 3
+	LEAQ (R11)(R9*1), R12
+	LEAQ (R12)(R9*1), R13
+	CMPQ add+56(FP), $0
+	JEQ  store4
+	VMOVUPD (DI), Y8
+	VMOVUPD 32(DI), Y9
+	VADDPD  Y0, Y8, Y0
+	VADDPD  Y1, Y9, Y1
+	VMOVUPD (R11), Y8
+	VMOVUPD 32(R11), Y9
+	VADDPD  Y2, Y8, Y2
+	VADDPD  Y3, Y9, Y3
+	VMOVUPD (R12), Y8
+	VMOVUPD 32(R12), Y9
+	VADDPD  Y4, Y8, Y4
+	VADDPD  Y5, Y9, Y5
+	VMOVUPD (R13), Y8
+	VMOVUPD 32(R13), Y9
+	VADDPD  Y6, Y8, Y6
+	VADDPD  Y7, Y9, Y7
+
+store4:
 	VMOVUPD Y0, (DI)
 	VMOVUPD Y1, 32(DI)
-	ADDQ R10, DI
-	VMOVUPD Y2, (DI)
-	VMOVUPD Y3, 32(DI)
-	ADDQ R10, DI
-	VMOVUPD Y4, (DI)
-	VMOVUPD Y5, 32(DI)
-	ADDQ R10, DI
-	VMOVUPD Y6, (DI)
-	VMOVUPD Y7, 32(DI)
-	VZEROUPPER
-	RET
+	VMOVUPD Y2, (R11)
+	VMOVUPD Y3, 32(R11)
+	VMOVUPD Y4, (R12)
+	VMOVUPD Y5, 32(R12)
+	VMOVUPD Y6, (R13)
+	VMOVUPD Y7, 32(R13)
+	ADDQ $64, R10
+	MOVQ cols+40(FP), R11
+	SHLQ $3, R11
+	CMPQ R10, R11
+	JB   tile4
+	LEAQ (DX)(R9*4), DX
+	LEAQ (AX)(R8*4), AX
+	SUBQ $4, R14
+	JMP  strip4
 
-// func gemm1x8f64(out, a, b *float64, k, bn uintptr)
-//
-// Single-row × 8-column tile for the row tail (and every batch-1 product).
-TEXT ·gemm1x8f64(SB), NOSPLIT, $0-40
-	MOVQ out+0(FP), DI
-	MOVQ a+8(FP), SI
+rows1:
+	TESTQ R14, R14
+	JZ    done
+
+row1:
+	XORQ R10, R10
+
+tile1:
+	LEAQ (DX)(R10*1), DI
+	MOVQ AX, SI
 	MOVQ b+16(FP), BX
-	MOVQ k+24(FP), CX
-	MOVQ bn+32(FP), R9
-	SHLQ $3, R9
+	ADDQ R10, BX
+	MOVQ k+32(FP), CX
 	VXORPD Y0, Y0, Y0
 	VXORPD Y1, Y1, Y1
 
@@ -119,7 +167,26 @@ tile1loop:
 	DECQ CX
 	JNZ  tile1loop
 
+	CMPQ add+56(FP), $0
+	JEQ  store1
+	VMOVUPD (DI), Y8
+	VMOVUPD 32(DI), Y9
+	VADDPD  Y0, Y8, Y0
+	VADDPD  Y1, Y9, Y1
+
+store1:
 	VMOVUPD Y0, (DI)
 	VMOVUPD Y1, 32(DI)
+	ADDQ $64, R10
+	MOVQ cols+40(FP), R11
+	SHLQ $3, R11
+	CMPQ R10, R11
+	JB   tile1
+	ADDQ R9, DX
+	ADDQ R8, AX
+	DECQ R14
+	JNZ  row1
+
+done:
 	VZEROUPPER
 	RET

@@ -4,14 +4,16 @@
 // SigmoidAdd call left behind.
 //
 // Each is one Go loop — the expression the predictor's own loops used to
-// spell per row, so float64 keeps its bits — and, in float32 on amd64 with
-// AVX2, an assembly kernel (gate32_amd64.s) that runs the same operations in
-// the same order eight lanes at a time: VADDPS, VSUBPS, VMULPS and VMAXPS,
-// each rounding once exactly as the Go expression does, never a fused
+// spell per row — and, on amd64 with AVX2, an assembly kernel per precision
+// that runs the same operations in the same order a register at a time:
+// eight float32 lanes (gate32_amd64.s: VADDPS, VSUBPS, VMULPS, VMAXPS) or
+// four float64 lanes (gate64_amd64.s: VADDPD, VSUBPD, VMULPD, VMAXPD), each
+// rounding once exactly as the Go expression does, never a fused
 // multiply-add. The two agree to the bit for every input, NaN, ±Inf, ±0 and
-// subnormals included; the Go loops finish what the kernels leave — the
-// flat tail, the columns past the last whole group of 8 — run alone on every
-// other platform, and are the reference the assembly is tested against.
+// subnormals included, so float64 keeps the tape's and the predictor's bits;
+// the Go loops finish what the kernels leave — the flat tail, the columns
+// past the last whole register — run alone on every other platform, and are
+// the reference the assembly is tested against.
 package tensor
 
 import "fmt"
@@ -25,8 +27,11 @@ func AddReLU[T Float](dst, a, b []T) {
 		return
 	}
 	i := 0
-	if d, ok := any(dst).([]float32); ok {
+	switch d := any(dst).(type) {
+	case []float32:
 		i = addReLUAsm32(d, any(a).([]float32), any(b).([]float32))
+	case []float64:
+		i = addReLUAsm64(d, any(a).([]float64), any(b).([]float64))
 	}
 	a, b = a[:len(dst)], b[:len(dst)]
 	for ; i < len(dst); i++ {
@@ -58,8 +63,11 @@ func GateMul[T Float](dst, zr, h []T, width int) {
 		return
 	}
 	j0 := 0
-	if d, ok := any(dst).([]float32); ok {
+	switch d := any(dst).(type) {
+	case []float32:
 		j0 = gateMulAsm32(d, any(zr).([]float32), any(h).([]float32), width)
+	case []float64:
+		j0 = gateMulAsm64(d, any(zr).([]float64), any(h).([]float64), width)
 	}
 	if j0 == width {
 		return
@@ -80,8 +88,11 @@ func GateBlend[T Float](h, zr, c []T, width int) {
 		return
 	}
 	j0 := 0
-	if d, ok := any(h).([]float32); ok {
+	switch d := any(h).(type) {
+	case []float32:
 		j0 = gateBlendAsm32(d, any(zr).([]float32), any(c).([]float32), width)
+	case []float64:
+		j0 = gateBlendAsm64(d, any(zr).([]float64), any(c).([]float64), width)
 	}
 	if j0 == width {
 		return

@@ -7,7 +7,7 @@
 # internal/tensor, autodiff and nn, and lost or gained ~12 % when their
 # address modulo 64 flipped (docs/performance.md, "A measurement trap").
 # The hottest of them — every float64 product, training and scoring — now
-# lives in tensor.gemm4x8f64, whose loop head sits behind PCALIGN $32
+# lives in tensor.gemmf64, whose loop heads sit behind PCALIGN $32
 # whatever precedes it; what a phase flip still moves is the elementwise Go
 # loops around it — about 3 % of training time, and nothing the closed-loop
 # rate resolves (docs/performance.md, "The alignment trap, revisited", is the
