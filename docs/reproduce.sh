@@ -97,17 +97,21 @@ go test -run FuzzGRUSequence -fuzz FuzzGRUSequence -fuzztime 10s ./internal/nn/
 # elementwise kernels (AddReLU, GateMul, GateBlend) in both precisions at 0
 # ulp of their Go loops with NaN, ±Inf, ±0 and subnormals in every operand
 # position, the float64 GEMM's one-call driver and its add-on-store mode
-# (MatMulAddInto, against the product followed by AddInPlace), and a fuzzer
-# over every float64 kernel; the float64 bit identity again at GOAMD64=v3,
+# (MatMulAddInto, against the product followed by AddInPlace), the training
+# step's kernels (ReLU, the two GRU backward sweeps, the bias column sum and
+# Adam) against their Go loops and MatMulTAddInto against TransposeInto plus
+# MatMulAddInto, and a fuzzer over each family (FuzzF64Kernels,
+# FuzzTrainKernels); the float64 bit identity again at GOAMD64=v3,
 # where the compiler could fuse the Go tails into FMAs; then the same scalar
 # code as the only path, built for 386 (runs
 # natively on an amd64 box), so the !amd64 side of the CPUID selection —
 # matMulScalar[T] for both element types — is executed and not just
 # compiled, the tape, the arena and the layers with it. arm64 is vetted,
 # which type-checks its build of the packages.
-go test -run 'TestBlocked|TestF32|TestF64|TestMatMul|TestSigmoid|TestSigmoidAdd64|TestSigmoid64UnderFMAOff|TestGate|TestAddReLU|TestArena' ./internal/tensor/
+go test -run 'TestBlocked|TestF32|TestF64|TestMatMul|TestSigmoid|TestSigmoidAdd64|TestSigmoid64UnderFMAOff|TestGate|TestAddReLU|TestTrain|TestReLU|TestArena' ./internal/tensor/
 go test -run FuzzF64Kernels -fuzz FuzzF64Kernels -fuzztime 10s ./internal/tensor/
-GOAMD64=v3 go test -run 'TestF64|TestGate|TestAddReLU' ./internal/tensor/
+go test -run FuzzTrainKernels -fuzz FuzzTrainKernels -fuzztime 10s ./internal/tensor/
+GOAMD64=v3 go test -run 'TestF64|TestGate|TestAddReLU|TestTrain|TestReLU|TestMatMulTAdd' ./internal/tensor/
 GOAMD64=v3 go test -run 'TestFloat64BitIdenticalToGolden' ./internal/core/
 GOAMD64=v3 go test -run 'TestGRUSequenceMatchesUnroll' ./internal/nn/
 GOARCH=386 go test ./internal/tensor/ ./internal/infer/ ./internal/core/ ./internal/autodiff/ ./internal/nn/
@@ -122,7 +126,7 @@ go test -run 'TestTrainStepAllocs|TestInferAllocations|TestInfer32Allocations|Te
 # -compare exits nonzero if any shared benchmark is >10% slower than
 # docs/outputs/BENCH_infer.json or grew its allocs/op, so a perf regression
 # fails reproduce.sh before the baseline is overwritten.
-go test -run '^$' -bench 'Forward(Tape|Infer)|TrainStep|MatMulBlocked_32|SigmoidAdd(32|64)|AddReLU(32|64)|Gate(Mul|Blend)(32|64)' -benchmem -count 1 ./internal/infer/ ./internal/tensor/ \
+go test -run '^$' -bench 'Forward(Tape|Infer)|TrainStep|MatMulBlocked_32|SigmoidAdd(32|64)|AddReLU(32|64)|Gate(Mul|Blend)(32|64)|AdamStep|GRUBackward' -benchmem -count 1 ./internal/infer/ ./internal/tensor/ \
     | tee docs/outputs/bench_infer.txt \
     | go run ./cmd/benchjson -compare docs/outputs/BENCH_infer.json -max-regress 10 \
     > docs/outputs/BENCH_infer.json.new

@@ -214,25 +214,20 @@ func (t *Tape) Backward(out *Node) {
 	}
 }
 
-// transposed packs mᵀ into a temporary.
-func (t *Tape) transposed(m *tensor.Matrix) *tensor.Matrix {
-	mt := t.Mat(m.Cols, m.Rows)
-	m.TransposeInto(mt)
-	return mt
-}
-
 // MatMul returns a×b. The forward product runs through
 // tensor.MatMulBlockedInto — the one float64 kernel the fused scorer also
-// uses — and both backward products through its store mode,
-// tensor.MatMulAddInto, which adds each finished sum into the gradient; the
-// transposed operands they need are packed into temporaries.
+// uses — and both backward products through its store mode, which adds each
+// finished sum into the gradient: tensor.MatMulAddInto for ∂a with bᵀ packed
+// into a temporary, tensor.MatMulTAddInto for ∂b, which reads aᵀ in place.
 func (t *Tape) MatMul(a, b *Node) *Node {
 	out := t.newNode(a.Value.Rows, b.Value.Cols, a.requiresGrad || b.requiresGrad, func(out *Node) {
 		if a.requiresGrad { // ∂a += ∂out · bᵀ
-			tensor.MatMulAddInto(a.Grad, out.Grad, t.transposed(b.Value))
+			bt := t.Mat(b.Value.Cols, b.Value.Rows)
+			b.Value.TransposeInto(bt)
+			tensor.MatMulAddInto(a.Grad, out.Grad, bt)
 		}
 		if b.requiresGrad { // ∂b += aᵀ · ∂out
-			tensor.MatMulAddInto(b.Grad, t.transposed(a.Value), out.Grad)
+			tensor.MatMulTAddInto(b.Grad, a.Value, out.Grad)
 		}
 	})
 	tensor.MatMulBlockedInto(out.Value, a.Value, b.Value)
@@ -344,23 +339,20 @@ func (t *Tape) Tanh(a *Node) *Node {
 	})
 }
 
-// ReLU applies max(0,x) elementwise. A NaN stays a NaN, as it does in the
-// fused paths: the comparison is written so that it cannot turn a diverged
-// activation into a clean zero.
+// ReLU applies max(0,x) elementwise through tensor.ReLU, the GRU node's
+// candidate activation: x < 0 becomes +0, and a NaN stays a NaN, as it does
+// in the fused paths — the comparison cannot turn a diverged activation into
+// a clean zero.
 func (t *Tape) ReLU(a *Node) *Node {
-	relu := func(x float64) float64 {
-		if x < 0 {
-			return 0
-		}
-		return x
-	}
-	return t.apply(a, relu, func(out *Node) {
+	out := t.newNode(a.Value.Rows, a.Value.Cols, a.requiresGrad, func(out *Node) {
 		for i, x := range a.Value.Data {
 			if x > 0 {
 				a.Grad.Data[i] += out.Grad.Data[i]
 			}
 		}
 	})
+	tensor.ReLU(out.Value.Data, a.Value.Data)
+	return out
 }
 
 // Exp applies e^x elementwise.

@@ -183,6 +183,22 @@ func TestLabFigure34(t *testing.T) {
 	}
 }
 
+// TestFigure3SummaryScoresEveryMethod: every row of the Figure 3 summary
+// carries both metrics from the same predictions, so MSE ≥ MAE² > 0 (per
+// chain by Jensen's inequality, and again across the chain means). A method
+// scored for MAE but not for MSE shows as an MSE of 0.
+func TestFigure3SummaryScoresEveryMethod(t *testing.T) {
+	res := quickLab().RunFigure34()
+	if len(res.Summary) < 5 {
+		t.Fatalf("summary has %d methods, want at least 5", len(res.Summary))
+	}
+	for m, s := range res.Summary {
+		if !(s.MAE > 0 && s.MSE >= s.MAE*s.MAE) {
+			t.Errorf("summary %s: MAE %v, MSE %v; want MSE ≥ MAE² > 0", m, s.MAE, s.MSE)
+		}
+	}
+}
+
 func TestLabTable5(t *testing.T) {
 	res := quickLab().RunTable5()
 	if res.TrueProblems <= 0 {

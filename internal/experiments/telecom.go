@@ -92,6 +92,7 @@ type chainModels struct {
 	emRidge          anomaly.ErrorModel
 	emRidgeTS        anomaly.ErrorModel
 	histExampleCount int
+	test             *nn.Batch // the current build's examples, standardized (testBatch)
 }
 
 // NewLab generates the corpus and prepares lazy state.
@@ -311,74 +312,45 @@ func (l *Lab) Chain(chainID string) *chainModels {
 }
 
 // testBatch standardizes the chain's current-build examples with the
-// chain's own scaler.
+// chain's own scaler, once; callers only read it.
 func (l *Lab) testBatch(chainID string) *nn.Batch {
 	cm := l.Chain(chainID)
-	exs := dataset.WindowExamples(l.current(chainID), l.Opts.Window)
-	b := dataset.ToBatch(exs, nil)
-	cm.std.Apply(b.X)
-	return b
+	if cm.test == nil {
+		exs := dataset.WindowExamples(l.current(chainID), l.Opts.Window)
+		cm.test = dataset.ToBatch(exs, nil)
+		cm.std.Apply(cm.test.X)
+	}
+	return cm.test
 }
 
-// ChainMAE computes each method's MAE on the chain's current build.
+// scored is one method's predictions over a chain's current build and the
+// actuals they are scored against.
+type scored struct{ pred, actual []float64 }
+
+// chainScores scores every method once on the chain's current build.
 // Methods: Ridge, Ridge_ts, RFNN (+RFReg, FNN, SVR when IncludeSlow),
 // RFNN_all, Env2Vec.
-func (l *Lab) ChainMAE(chainID string) map[string]float64 {
+func (l *Lab) chainScores(chainID string) map[string]scored {
 	cm := l.Chain(chainID)
 	b := l.testBatch(chainID)
-	out := map[string]float64{
-		"Ridge":    metrics.MAE(cm.ridge.Predict(b), b.Y.Data),
-		"Ridge_ts": metrics.MAE(cm.ridgeTS.Predict(b), b.Y.Data),
-		"RFNN":     metrics.MAE(cm.ys.Unscale(cm.rfnn.Predict(cm.ys.Scale(b))), b.Y.Data),
+	y := b.Y.Data
+	out := map[string]scored{
+		"Ridge":    {cm.ridge.Predict(b), y},
+		"Ridge_ts": {cm.ridgeTS.Predict(b), y},
+		"RFNN":     {cm.ys.Unscale(cm.rfnn.Predict(cm.ys.Scale(b))), y},
 	}
 	if l.Opts.IncludeSlow {
-		out["RFReg"] = metrics.MAE(cm.forest.Predict(b), b.Y.Data)
-		out["FNN"] = metrics.MAE(cm.ys.Unscale(cm.fnn.Predict(cm.ys.Scale(b))), b.Y.Data)
-		out["SVR"] = metrics.MAE(cm.ys.Unscale(cm.svr.Predict(cm.ys.Scale(b))), b.Y.Data)
+		out["RFReg"] = scored{cm.forest.Predict(b), y}
+		out["FNN"] = scored{cm.ys.Unscale(cm.fnn.Predict(cm.ys.Scale(b))), y}
+		out["SVR"] = scored{cm.ys.Unscale(cm.svr.Predict(cm.ys.Scale(b))), y}
 	}
 	// Pooled models.
 	cur := l.current(chainID)
 	pa, act := l.RFNNAll().predictSeries(cur, l.Opts.Window)
-	out["RFNN_all"] = metrics.MAE(pa, act)
-
-	tr := l.Pooled()
-	wf := pipeline.NewWorkflow(tr, anomaly.Config{Gamma: 3})
-	pe, ae, _ := predictWithWorkflow(wf, cur)
-	out["Env2Vec"] = metrics.MAE(pe, ae)
+	out["RFNN_all"] = scored{pa, act}
+	pe, ae, _ := pipeline.NewWorkflow(l.Pooled(), anomaly.Config{Gamma: 3}).PredictSeries(cur)
+	out["Env2Vec"] = scored{pe, ae}
 	return out
-}
-
-// ChainMSE computes each pooled method's MSE on the chain's current build
-// (for the Figure 3 summary table).
-func (l *Lab) ChainMSE(chainID string) map[string]float64 {
-	cm := l.Chain(chainID)
-	b := l.testBatch(chainID)
-	out := map[string]float64{
-		"Ridge":    metrics.MSE(cm.ridge.Predict(b), b.Y.Data),
-		"Ridge_ts": metrics.MSE(cm.ridgeTS.Predict(b), b.Y.Data),
-	}
-	cur := l.current(chainID)
-	pa, act := l.RFNNAll().predictSeries(cur, l.Opts.Window)
-	out["RFNN_all"] = metrics.MSE(pa, act)
-	wf := pipeline.NewWorkflow(l.Pooled(), anomaly.Config{Gamma: 3})
-	pe, ae, _ := predictWithWorkflow(wf, cur)
-	out["Env2Vec"] = metrics.MSE(pe, ae)
-	return out
-}
-
-// predictWithWorkflow exposes the workflow's prediction path for metric
-// computation.
-func predictWithWorkflow(wf *pipeline.Workflow, s *dataset.Series) (pred, actual []float64, offset int) {
-	window := wf.Model.Config().Window
-	exs := dataset.WindowExamples(s, window)
-	b := dataset.ToBatch(exs, wf.Schema)
-	wf.Standardizer.Apply(b.X)
-	pred = wf.YScale.Unscale(wf.Model.Predict(wf.YScale.Scale(b)))
-	actual = make([]float64, len(exs))
-	for i, ex := range exs {
-		actual[i] = ex.Y
-	}
-	return pred, actual, window
 }
 
 // Figure1Result carries the per-chain linear-regression study.
@@ -457,16 +429,14 @@ func (l *Lab) RunFigure34() *Figure34Result {
 		PerChainMAE: make(map[string]map[string]float64),
 		Summary:     make(map[string]MethodScore),
 	}
-	mseAcc := make(map[string][]float64)
+	mses := make(map[string][]float64)
 	for _, chainID := range l.Corpus.ChainOrder {
-		for method, mae := range l.ChainMAE(chainID) {
+		for method, sc := range l.chainScores(chainID) {
 			if res.PerChainMAE[method] == nil {
 				res.PerChainMAE[method] = make(map[string]float64)
 			}
-			res.PerChainMAE[method][chainID] = mae
-		}
-		for method, mse := range l.ChainMSE(chainID) {
-			mseAcc[method] = append(mseAcc[method], mse)
+			res.PerChainMAE[method][chainID] = metrics.MAE(sc.pred, sc.actual)
+			mses[method] = append(mses[method], metrics.MSE(sc.pred, sc.actual))
 		}
 	}
 	for method, byChain := range res.PerChainMAE {
@@ -474,11 +444,7 @@ func (l *Lab) RunFigure34() *Figure34Result {
 		for _, id := range l.Corpus.ChainOrder {
 			maes = append(maes, byChain[id])
 		}
-		score := MethodScore{Method: method, MAE: stats.Mean(maes), Runs: 1}
-		if mses, ok := mseAcc[method]; ok {
-			score.MSE = stats.Mean(mses)
-		}
-		res.Summary[method] = score
+		res.Summary[method] = MethodScore{Method: method, MAE: stats.Mean(maes), MSE: stats.Mean(mses[method]), Runs: 1}
 	}
 	for _, id := range l.Corpus.ChainOrder {
 		base := res.PerChainMAE["Ridge_ts"][id]

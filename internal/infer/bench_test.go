@@ -209,6 +209,32 @@ func BenchmarkTrainStep_B32W20(b *testing.B) {
 	}
 }
 
+// BenchmarkGRUBackward_B32W20 is the recurrence's backward alone — both
+// elementwise sweeps, the bias sums and the gradient products of 20 steps
+// over a batch of 32 at the paper's 32 units — with the forward that feeds
+// it kept off the clock.
+func BenchmarkGRUBackward_B32W20(b *testing.B) {
+	rng := rand.New(rand.NewSource(1))
+	g := nn.NewGRU("gru", 32, rng)
+	w := tensor.New(32, 20)
+	w.RandNormal(rng, 1)
+	tape := autodiff.NewTape()
+	defer tape.Release()
+	forward := func() *autodiff.Node {
+		tape.Reset()
+		return tape.Sum(g.ForwardWindow(tape, tape.Constant(w)))
+	}
+	tape.Backward(forward())
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		b.StopTimer()
+		loss := forward()
+		b.StartTimer()
+		tape.Backward(loss)
+	}
+}
+
 func benchForward(b *testing.B, batch int, window int, predict func(m *core.Model, bt *nn.Batch) []float64) {
 	m, schema := benchModel(window)
 	rng := rand.New(rand.NewSource(2))

@@ -96,10 +96,12 @@ func (r *gruRun) state(states *tensor.Matrix, k int) tensor.Matrix {
 // gradient its backward writes carry the bits of the per-operation graph it
 // replaces (gru_ref_test.go keeps that graph and compares the two):
 //
-//   - The input products are one x·[Wz|Wr|Wh] over the (steps·n)×1 window:
-//     with one input column every element is 0 + x·w, as in the per-step
-//     products. The recurrent product is one h·[Uz|Ur] a step; concatenating
-//     columns never changes an element's k-order.
+//   - The input products are x·[Wz|Wr] and x·Wh over the (steps·n)×1 window,
+//     written straight into the kept gate and pre-activation blocks: with one
+//     input column every element is 0 + x·w, as in the per-step products.
+//     The recurrent product h·[Uz|Ur] (and (r⊙h)·Uh) is then added onto them
+//     a step at a time (tensor.MatMulAddInto): out + Σ is the graph's
+//     x·W + h·U; concatenating columns never changes an element's k-order.
 //   - The sums keep the graph's order: [z|r] = σ((x·W + h·U) + b), where
 //     SigmoidAdd adds the bias, and h′ = act((x·Wh + (r⊙h)·Uh) + bh). Folding
 //     the bias into the input product, as the predictor does, would move bits.
@@ -120,12 +122,9 @@ func (g *GRU) sequence(t *autodiff.Tape, window *autodiff.Node) *autodiff.Node {
 			r.x.Data[k*n+i] = v
 		}
 	}
-	w := t.Mat(1, 3*H)
+	w := t.Mat(1, 2*H)
 	copy(w.Data, g.Wz.Value.Data)
 	copy(w.Data[H:], g.Wr.Value.Data)
-	copy(w.Data[2*H:], g.Wh.Value.Data)
-	xw := t.Mat(steps*n, 3*H)
-	tensor.MatMulBlockedInto(xw, r.x, w)
 	u := t.Mat(H, 2*H)
 	bzr := t.Mat(n, 2*H) // [bz|br] on every row: SigmoidAdd's addend
 	for i := 0; i < H; i++ {
@@ -145,23 +144,19 @@ func (g *GRU) sequence(t *autodiff.Tape, window *autodiff.Node) *autodiff.Node {
 	if g.CandidateAct != Linear {
 		r.cand = t.Mat(steps*n, H)
 	}
+	tensor.MatMulBlockedInto(r.zr, r.x, w)
+	tensor.MatMulBlockedInto(r.pre, r.x, g.Wh.Value)
 	for k := 0; k < steps; k++ {
 		hp, h := r.state(out.Value, k-1), block(out.Value, k, n)
 		zr, rh, pre, cand := block(r.zr, k, n), block(r.rh, k, n), block(r.pre, k, n), block(r.cand, k, n)
-		tensor.MatMulBlockedInto(&zr, &hp, u)
-		for i := 0; i < n; i++ {
-			row := zr.Row(i)
-			for j, v := range xw.Row(k*n + i)[:2*H] {
-				row[j] = v + row[j]
-			}
-		}
+		tensor.MatMulAddInto(&zr, &hp, u)
 		tensor.SigmoidAdd(zr.Data, zr.Data, bzr.Data)
 		tensor.GateMul(rh.Data, zr.Data, hp.Data, H)
-		tensor.MatMulBlockedInto(&pre, &rh, g.Uh.Value)
+		tensor.MatMulAddInto(&pre, &rh, g.Uh.Value)
 		for i := 0; i < n; i++ {
 			row := pre.Row(i)
-			for j, v := range xw.Row(k*n + i)[2*H:] {
-				row[j] = (v + row[j]) + bh[j]
+			for j, b := range bh {
+				row[j] += b
 			}
 		}
 		activate(g.CandidateAct, cand.Data, pre.Data)
@@ -183,12 +178,7 @@ func activate(act Activation, dst, x []float64) {
 			dst[i] = math.Tanh(v)
 		}
 	case ReLU:
-		for i, v := range x {
-			if v < 0 {
-				v = 0
-			}
-			dst[i] = v
-		}
+		tensor.ReLU(dst, x)
 	default:
 		panic(fmt.Sprintf("nn: unknown activation %d", int(act)))
 	}
@@ -203,15 +193,22 @@ func activate(act Activation, dst, x []float64) {
 //	r = σ((x·Wr + h·Ur) + br)  ∂r = ∂(r⊙h)⊙h_{t−1}⊙r⊙(1−r); ∂Ur, ∂Wr, ∂br
 //	z = σ((x·Wz + h·Uz) + bz)  ∂z ← ∂z⊙z⊙(1−z); ∂Uz, ∂Wz, ∂bz
 //
-// with each product in the graph's own operand order. ∂h_{t−1} starts as
-// what later consumers wrote into its block and gathers, in this order,
-// ∂h⊙z, ∂(r⊙h)⊙r, ∂r·Urᵀ and ∂z·Uzᵀ. Every matrix product is computed whole
-// and then added (tensor.MatMulAddInto), each parameter gathers one product a step, from the last
-// step to the first, and each bias its gradient row by row. The graph added
-// each intermediate gradient into zeroed storage, which turns a −0 into +0;
-// the closure skips those additions, since every number it writes is a sum
-// begun at +0 (a gradient or a product's accumulator), where a zero's sign
-// never shows.
+// with each product in the graph's own operand order. A step is two
+// elementwise sweeps over the batch, each one tensor kernel:
+// tensor.GRUBackUpdate through the blend and the activation (ReLU's mask in
+// the kernel; a Sigmoid or Tanh derivative multiplied onto ∂c after it, the
+// same roundings in the same order), and tensor.GRUBackReset through r⊙h,
+// with ∂(r⊙h) = ∂c·Uhᵀ between them. ∂h_{t−1} starts as what later consumers
+// wrote into its block and gathers, one addition each and in this order,
+// ∂h⊙z, ∂(r⊙h)⊙r, ∂r·Urᵀ and ∂z·Uzᵀ — never their sum. Every matrix product
+// is computed whole and then added (tensor.MatMulAddInto, and
+// tensor.MatMulTAddInto where the graph multiplied by a transposed state), each
+// parameter gathers one product a step, from the last step to the first, and
+// each bias its gradient row by row (tensor.ColSumAdd). The graph added each
+// intermediate gradient into zeroed storage, which turns a −0 into +0; the
+// closure skips those additions, since every number it writes is a sum begun
+// at +0 (a gradient or a product's accumulator), where a zero's sign never
+// shows.
 func (r *gruRun) backward(out *autodiff.Node) {
 	t, g, n, H := r.t, r.g, r.n, r.g.Hidden
 	dWz, dUz, dBz := r.p[0].Grad, r.p[1].Grad, r.p[2].Grad
@@ -219,7 +216,6 @@ func (r *gruRun) backward(out *autodiff.Node) {
 	dWh, dUh, dBh := r.p[6].Grad, r.p[7].Grad, r.p[8].Grad
 	uzT, urT, uhT := transposed(t, g.Uz.Value), transposed(t, g.Ur.Value), transposed(t, g.Uh.Value)
 	dz, dr, dc, drh := t.Mat(n, H), t.Mat(n, H), t.Mat(n, H), t.Mat(n, H)
-	hT, rhT := t.Mat(H, n), t.Mat(H, n)
 	var dx, wzT, wrT, whT *tensor.Matrix
 	if r.window.RequiresGrad() {
 		dx = t.Mat(n, 1)
@@ -229,60 +225,41 @@ func (r *gruRun) backward(out *autodiff.Node) {
 	for k := r.steps - 1; k >= 0; k-- {
 		dh, hp := block(out.Grad, k, n), r.state(out.Value, k-1)
 		zr, rh, pre, cand := block(r.zr, k, n), block(r.rh, k, n), block(r.pre, k, n), block(r.cand, k, n)
-		var dhp tensor.Matrix // ∂h_{t−1}; h₀ is a constant
+		var dhp tensor.Matrix // ∂h_{t−1}; h₀ is a constant, its Data nil
 		if k > 0 {
 			dhp = block(out.Grad, k-1, n)
 		}
-		for i := 0; i < n; i++ {
-			lo, hi := i*H, (i+1)*H
-			dhr, z := dh.Data[lo:hi], zr.Row(i)[:H]
-			hpr, cr, pr, dcr, dzr := hp.Data[lo:hi], cand.Data[lo:hi], pre.Data[lo:hi], dc.Data[lo:hi], dz.Data[lo:hi]
-			for j, gv := range dhr {
-				if k > 0 {
-					dhp.Data[lo+j] += gv * z[j]
-				}
-				dzx := gv*hpr[j] - gv*cr[j]
-				dcx := gv * (1 - z[j])
-				switch act {
-				case Sigmoid:
-					dcx = dcx * cr[j] * (1 - cr[j])
-				case Tanh:
-					dcx = dcx * (1 - cr[j]*cr[j])
-				case ReLU:
-					if !(pr[j] > 0) {
-						dcx = 0
-					}
-				}
-				dcr[j], dzr[j] = dcx, dzx*z[j]*(1-z[j])
-				dBh.Data[j] += dcr[j]
-				dBz.Data[j] += dzr[j]
+		var mask []float64
+		if act == ReLU {
+			mask = pre.Data
+		}
+		tensor.GRUBackUpdate(dhp.Data, dz.Data, dc.Data, dh.Data, zr.Data, hp.Data, cand.Data, mask, H)
+		switch act {
+		case Sigmoid:
+			for i, c := range cand.Data {
+				dc.Data[i] = dc.Data[i] * c * (1 - c)
+			}
+		case Tanh:
+			for i, c := range cand.Data {
+				dc.Data[i] = dc.Data[i] * (1 - c*c)
 			}
 		}
+		tensor.ColSumAdd(dBh.Data, dc.Data)
+		tensor.ColSumAdd(dBz.Data, dz.Data)
 		tensor.MatMulBlockedInto(drh, dc, uhT)
-		for i := 0; i < n; i++ {
-			lo, hi := i*H, (i+1)*H
-			rg, drhr, hpr, drr := zr.Row(i)[H:], drh.Data[lo:hi], hp.Data[lo:hi], dr.Data[lo:hi]
-			for j, rv := range rg {
-				drr[j] = drhr[j] * hpr[j] * rv * (1 - rv)
-				dBr.Data[j] += drr[j]
-				if k > 0 {
-					dhp.Data[lo+j] += drhr[j] * rv
-				}
-			}
-		}
+		tensor.GRUBackReset(dhp.Data, dr.Data, drh.Data, zr.Data, hp.Data, H)
+		tensor.ColSumAdd(dBr.Data, dr.Data)
 		if k > 0 {
 			tensor.MatMulAddInto(&dhp, dr, urT)
 			tensor.MatMulAddInto(&dhp, dz, uzT)
 		}
 
-		rh.TransposeInto(rhT)
-		hp.TransposeInto(hT)
 		xT := tensor.Matrix{Rows: 1, Cols: n, Data: r.x.Data[k*n : (k+1)*n]}
-		tensor.MatMulAddInto(dUh, rhT, dc)
+		tensor.MatMulTAddInto(dUh, &rh, dc)
 		tensor.MatMulAddInto(dWh, &xT, dc)
-		tensor.MatMulAddInto(dUr, hT, dr)
+		tensor.MatMulTAddInto(dUr, &hp, dr)
 		tensor.MatMulAddInto(dWr, &xT, dr)
-		tensor.MatMulAddInto(dUz, hT, dz)
+		tensor.MatMulTAddInto(dUz, &hp, dz)
 		tensor.MatMulAddInto(dWz, &xT, dz)
 
 		if dx != nil { // the window's column k: ((∂c·Whᵀ + ∂r·Wrᵀ) + ∂z·Wzᵀ)

@@ -43,7 +43,11 @@ func (s *SGD) Step(params []*Param) {
 }
 
 // Adam implements the Adam update rule (Kingma & Ba, 2014), the optimizer
-// the paper trains Env2Vec with.
+// the paper trains Env2Vec with. A step computes its constants once — the
+// clip scale, 1−β1 and 1−β2, the bias corrections 1−βᵗ — and hands each
+// parameter's elements to tensor.AdamStep, whose kernel runs the update's
+// expression (m and v first, then p −= lr·m̂/(√v̂ + ε)) four elements at a
+// time with the Go loop's roundings.
 type Adam struct {
 	LR, Beta1, Beta2, Eps float64
 	ClipNorm              float64 // 0 disables clipping
@@ -69,9 +73,14 @@ func (a *Adam) ScaleLR(factor float64) { a.LR *= factor }
 // Step implements Optimizer.
 func (a *Adam) Step(params []*Param) {
 	a.t++
-	scale := clipScale(params, a.ClipNorm)
-	bc1 := 1 - math.Pow(a.Beta1, float64(a.t))
-	bc2 := 1 - math.Pow(a.Beta2, float64(a.t))
+	c := tensor.AdamCoef{
+		Scale: clipScale(params, a.ClipNorm),
+		Beta1: a.Beta1, OneMinusBeta1: 1 - a.Beta1,
+		Beta2: a.Beta2, OneMinusBeta2: 1 - a.Beta2,
+		BC1: 1 - math.Pow(a.Beta1, float64(a.t)),
+		BC2: 1 - math.Pow(a.Beta2, float64(a.t)),
+		LR:  a.LR, Eps: a.Eps,
+	}
 	for _, p := range params {
 		g := p.Grad()
 		if g == nil {
@@ -87,14 +96,7 @@ func (a *Adam) Step(params []*Param) {
 			v = tensor.New(p.Value.Rows, p.Value.Cols)
 			a.v[p] = v
 		}
-		for i := range p.Value.Data {
-			gi := g.Data[i] * scale
-			m.Data[i] = a.Beta1*m.Data[i] + (1-a.Beta1)*gi
-			v.Data[i] = a.Beta2*v.Data[i] + (1-a.Beta2)*gi*gi
-			mhat := m.Data[i] / bc1
-			vhat := v.Data[i] / bc2
-			p.Value.Data[i] -= a.LR * mhat / (math.Sqrt(vhat) + a.Eps)
-		}
+		tensor.AdamStep(p.Value.Data, g.Data, m.Data, v.Data, &c)
 	}
 }
 

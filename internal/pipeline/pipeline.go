@@ -458,12 +458,12 @@ func NewWorkflow(tr *TrainResult, detect anomaly.Config) *Workflow {
 	}
 }
 
-// predictSeries standardizes and scores one execution, returning aligned
+// PredictSeries standardizes and scores one execution, returning aligned
 // predictions and actuals (both of length len−window) plus the offset of
 // the first scored timestep. An execution no longer than one window — one
 // cut short by early termination, say — has nothing to score: both slices
 // come back empty.
-func (w *Workflow) predictSeries(s *dataset.Series) (pred, actual []float64, offset int) {
+func (w *Workflow) PredictSeries(s *dataset.Series) (pred, actual []float64, offset int) {
 	window := w.Model.Config().Window
 	if s.Len() <= window {
 		return nil, nil, window
@@ -485,7 +485,7 @@ func (w *Workflow) predictSeries(s *dataset.Series) (pred, actual []float64, off
 func (w *Workflow) CalibrateChain(chainID string, history []*dataset.Series) {
 	var preds, actuals []float64
 	for _, s := range history {
-		p, a, _ := w.predictSeries(s)
+		p, a, _ := w.PredictSeries(s)
 		preds = append(preds, p...)
 		actuals = append(actuals, a...)
 	}
@@ -509,7 +509,7 @@ func (w *Workflow) ErrorModel(chainID string) (anomaly.ErrorModel, bool) {
 // When the chain has no calibrated error model (an unseen environment,
 // §4.3), the error distribution is computed from the execution itself.
 func (w *Workflow) ProcessExecution(detector string, s *dataset.Series) []anomaly.Alarm {
-	pred, actual, offset := w.predictSeries(s)
+	pred, actual, offset := w.PredictSeries(s)
 	if len(pred) == 0 {
 		return nil
 	}

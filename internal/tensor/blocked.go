@@ -27,7 +27,10 @@
 // what out holds, out + Σ, instead of overwriting it. The float64 tiles and
 // matMulScalar both have the mode, so it is the product followed by
 // AddInPlace, rounding for rounding, without the temporary — which is how the
-// tape's backward gathers a gradient.
+// tape's backward gathers a gradient. MatMulTAddInto is that mode with a
+// transposed first operand, out + aᵀ × b: the float64 tiles read a through a
+// row stride and a k stride, so aᵀ is never packed, and matMulTScalar
+// finishes its ragged edge the same way.
 //
 // Numerics: for each output element the k-accumulation order is IDENTICAL to
 // the naive kernel (k ascending), in every kernel of either precision —
@@ -73,30 +76,40 @@ func MatMul(a, b *Matrix) *Matrix {
 // corruption would be near-impossible to trace, so it fails loudly. Every
 // element of out is fully overwritten, so stale contents never leak through
 // — including the k=0 case, which zero-fills.
-func MatMulBlockedInto[T Float](out, a, b *Mat[T]) { matMul(out, a, b, false) }
+func MatMulBlockedInto[T Float](out, a, b *Mat[T]) { matMul(out, a, b, false, false) }
 
 // MatMulAddInto computes out = out + a × b with the same kernels and the same
 // contract: each element's sum is finished first and then added to out once,
 // exactly the arithmetic of MatMulBlockedInto into a temporary followed by
 // out.AddInPlace (k = 0 adds a zero, turning −0 into +0 as that would).
-func MatMulAddInto(out, a, b *Matrix) { matMul(out, a, b, true) }
+func MatMulAddInto(out, a, b *Matrix) { matMul(out, a, b, true, false) }
 
-// matMul is both entry points: validation, the vector tiles, then the
+// MatMulTAddInto computes out = out + aᵀ × b for a k×m a and a k×n b: bit for
+// bit a.TransposeInto followed by MatMulAddInto, without the transposed copy
+// — the gradient of a product's right operand, ∂b += aᵀ·∂out.
+func MatMulTAddInto(out, a, b *Matrix) { matMul(out, a, b, true, true) }
+
+// matMul is the three entry points: validation, the vector tiles, then the
 // portable kernel for the columns they leave. add is only ever true for
-// float64, the one precision with the store mode.
-func matMul[T Float](out, a, b *Mat[T], add bool) {
+// float64, the one precision with the store mode, and ta (a transposed)
+// only with add.
+func matMul[T Float](out, a, b *Mat[T], add, ta bool) {
 	op := "MatMulBlockedInto"
-	if add {
+	m, k := a.Rows, a.Cols
+	switch {
+	case ta:
+		op, m, k = "MatMulTAddInto", a.Cols, a.Rows
+	case add:
 		op = "MatMulAddInto"
 	}
-	if a.Cols != b.Rows || out.Rows != a.Rows || out.Cols != b.Cols {
+	if k != b.Rows || out.Rows != m || out.Cols != b.Cols {
 		panic(fmt.Sprintf("tensor: %s shape %dx%d × %dx%d into %dx%d",
 			op, a.Rows, a.Cols, b.Rows, b.Cols, out.Rows, out.Cols))
 	}
 	if overlap(out.Data, a.Data) || overlap(out.Data, b.Data) {
 		panic("tensor: " + op + " out aliases an operand")
 	}
-	m, k, n := a.Rows, a.Cols, b.Cols
+	n := b.Cols
 	if k == 0 {
 		if !add {
 			out.Zero()
@@ -116,11 +129,19 @@ func matMul[T Float](out, a, b *Mat[T], add bool) {
 	j0 := 0
 	switch o := any(out).(type) {
 	case *Mat[float64]:
-		j0 = matMulAsm64(o.Data, any(a).(*Mat[float64]).Data, any(b).(*Mat[float64]).Data, m, k, n, add)
+		ars, aks := k, 1
+		if ta {
+			ars, aks = 1, m
+		}
+		j0 = matMulAsm64(o.Data, any(a).(*Mat[float64]).Data, any(b).(*Mat[float64]).Data, m, k, n, ars, aks, add)
 	case *Mat[float32]:
 		j0 = matMulAsm32(o.Data, any(a).(*Mat[float32]).Data, any(b).(*Mat[float32]).Data, m, k, n)
 	}
-	if j0 < n {
+	switch {
+	case j0 == n:
+	case ta:
+		matMulTScalar(any(out).(*Mat[float64]).Data, any(a).(*Mat[float64]).Data, any(b).(*Mat[float64]).Data, m, k, n, j0)
+	default:
 		matMulScalar(out.Data, a.Data, b.Data, m, k, n, j0, add)
 	}
 }
@@ -203,6 +224,36 @@ func matMulScalar[T Float](out, a, b []T, m, k, n, j0 int, add bool) {
 				off += n
 			}
 			put(or, j, c, add)
+		}
+	}
+}
+
+// matMulTScalar is matMulScalar's add mode for MatMulTAddInto: columns
+// [j0, n) of out + aᵀ × b, where a is k×m, by 1×4 tiles and a scalar tail,
+// each element's sum begun at zero, gathered k ascending and then added to
+// out.
+func matMulTScalar(out, a, b []float64, m, k, n, j0 int) {
+	for i := 0; i < m; i++ {
+		or := out[i*n : i*n+n]
+		j := j0
+		for ; j+4 <= n; j += 4 {
+			var c0, c1, c2, c3 float64
+			for p := 0; p < k; p++ {
+				bp := b[p*n+j : p*n+j+4 : p*n+j+4]
+				av := a[p*m+i]
+				c0 += av * bp[0]
+				c1 += av * bp[1]
+				c2 += av * bp[2]
+				c3 += av * bp[3]
+			}
+			put4(or[j:j+4], c0, c1, c2, c3, true)
+		}
+		for ; j < n; j++ {
+			var c float64
+			for p := 0; p < k; p++ {
+				c += a[p*m+i] * b[p*n+j]
+			}
+			put(or, j, c, true)
 		}
 	}
 }

@@ -7,8 +7,9 @@ import "math"
 // Feature detection and the Go-side drivers for the vector kernels: the
 // GEMM tiles, AVX2+FMA float32 (f32gemm_amd64.s) and AVX2 float64
 // (f64gemm_amd64.s), the logistic in both precisions (sigmoid32_amd64.s,
-// sigmoid64_amd64.s) and the GRU elementwise kernels in both precisions
-// (gate32_amd64.s, gate64_amd64.s).
+// sigmoid64_amd64.s), the GRU elementwise kernels in both precisions
+// (gate32_amd64.s, gate64_amd64.s) and the float64 training step's
+// elementwise kernels (train64_amd64.s).
 // The assembly handles full tiles — 4×16 and 1×16 in float32, 4×8 and 1×8
 // in float64, the float64 ones all in one call; the ragged right edge runs
 // through matMulScalar, which produces the same ascending-k accumulation per
@@ -47,7 +48,7 @@ func gateBlend8f32(h, z, c *float32, rows, cols, width uintptr)
 func sigmoidAdd4f64(dst, a, b *float64, bstep, n uintptr) (done uintptr)
 
 //go:noescape
-func gemmf64(out, a, b *float64, m, k, cols, n, add uintptr)
+func gemmf64(out, a, b *float64, m, k, cols, n, ars, aks, add uintptr)
 
 //go:noescape
 func addReLU4f64(dst, a, b *float64, n uintptr)
@@ -57,6 +58,21 @@ func gateMul4f64(dst, r, h *float64, rows, cols, width uintptr)
 
 //go:noescape
 func gateBlend4f64(h, z, c *float64, rows, cols, width uintptr)
+
+//go:noescape
+func relu4f64(dst, x *float64, n uintptr)
+
+//go:noescape
+func gruBackUpdate4f64(dhp, dz, dc, dh, z, hp, c, pre *float64, rows, cols, width, mode uintptr)
+
+//go:noescape
+func gruBackReset4f64(dhp, dr, drh, r, hp *float64, rows, cols, width, mode uintptr)
+
+//go:noescape
+func colSum4f64(acc, m *float64, rows, cols, width uintptr)
+
+//go:noescape
+func adam4f64(p, grad, m, v *float64, n uintptr, c *AdamCoef)
 
 // detectAVX2FMA checks CPU support for FMA3 and AVX2 plus OS support for
 // saving YMM state (OSXSAVE + XCR0), the full precondition for running the
@@ -107,9 +123,10 @@ func matMulAsm32(out, a, b []float32, m, k, n int) int {
 
 // matMulAsm64 runs the float64 tiles over every whole group of 8 columns —
 // the whole walk, strips and row tail, in one assembly call — overwriting
-// out or, with add, adding each finished sum to it. It returns how many
-// leading columns it finished, like matMulAsm32.
-func matMulAsm64(out, a, b []float64, m, k, n int, add bool) int {
+// out or, with add, adding each finished sum to it. a's element (i, p) is
+// a[i·ars + p·aks]. It returns how many leading columns it finished, like
+// matMulAsm32.
+func matMulAsm64(out, a, b []float64, m, k, n, ars, aks int, add bool) int {
 	n8 := n &^ 7
 	if !useAsm || n8 == 0 {
 		return 0
@@ -118,7 +135,7 @@ func matMulAsm64(out, a, b []float64, m, k, n int, add bool) int {
 	if add {
 		mode = 1
 	}
-	gemmf64(&out[0], &a[0], &b[0], uintptr(m), uintptr(k), uintptr(n8), uintptr(n), mode)
+	gemmf64(&out[0], &a[0], &b[0], uintptr(m), uintptr(k), uintptr(n8), uintptr(n), uintptr(ars), uintptr(aks), mode)
 	return n8
 }
 
@@ -225,4 +242,67 @@ func gateBlendAsm64(h, zr, c []float64, width int) int {
 	}
 	gateBlend4f64(&h[0], &zr[0], &c[0], uintptr(len(h)/width), uintptr(cols), uintptr(width))
 	return cols
+}
+
+// The training drivers (train64_amd64.s) return, like the gate drivers, how
+// many leading elements or columns their kernel finished (0 without
+// AVX2+FMA). Callers guarantee the lengths train.go checks and at least one
+// row.
+func reluAsm64(dst, x []float64) int {
+	n := len(dst) &^ 3
+	if !useAsm || n == 0 {
+		return 0
+	}
+	relu4f64(&dst[0], &x[0], uintptr(n))
+	return n
+}
+
+func gruBackUpdateAsm64(dhp, dz, dc, dh, zr, hp, c, pre []float64, width int) int {
+	cols := width &^ 3
+	if !useAsm || cols == 0 {
+		return 0
+	}
+	var mode uintptr
+	pdhp, ppre := &dz[0], &c[0] // stand-ins the kernel never reads
+	if dhp != nil {
+		mode, pdhp = mode|1, &dhp[0]
+	}
+	if pre != nil {
+		mode, ppre = mode|2, &pre[0]
+	}
+	gruBackUpdate4f64(pdhp, &dz[0], &dc[0], &dh[0], &zr[0], &hp[0], &c[0], ppre,
+		uintptr(len(dh)/width), uintptr(cols), uintptr(width), mode)
+	return cols
+}
+
+func gruBackResetAsm64(dhp, dr, drh, zr, hp []float64, width int) int {
+	cols := width &^ 3
+	if !useAsm || cols == 0 {
+		return 0
+	}
+	var mode uintptr
+	pdhp := &dr[0]
+	if dhp != nil {
+		mode, pdhp = 1, &dhp[0]
+	}
+	gruBackReset4f64(pdhp, &dr[0], &drh[0], &zr[width], &hp[0], uintptr(len(drh)/width), uintptr(cols), uintptr(width), mode)
+	return cols
+}
+
+func colSumAsm64(acc, m []float64) int {
+	cols := len(acc) &^ 3
+	if !useAsm || cols == 0 {
+		return 0
+	}
+	colSum4f64(&acc[0], &m[0], uintptr(len(m)/len(acc)), uintptr(cols), uintptr(len(acc)))
+	return cols
+}
+
+func adamAsm64(p, g, m, v []float64, c *AdamCoef) int {
+	n := len(p) &^ 3
+	if !useAsm || n == 0 {
+		return 0
+	}
+	adam4f64(&p[0], &g[0], &m[0], &v[0], uintptr(n), c)
+	return n
 }

@@ -11,6 +11,12 @@
 // Strides are passed in elements and converted to bytes here. Callers
 // (f32gemm_amd64.go) guarantee k ≥ 1 and full 16-column tiles; ragged
 // edges stay in Go.
+//
+// Each k loop starts on a 64-byte boundary (PCALIGN $64, which also aligns
+// the function): without it the loop head's offset in its cache line
+// follows whatever the linker placed before the function, so an edit to any
+// code linked earlier could shift the serving path's hottest loop by half a
+// line.
 
 #include "textflag.h"
 
@@ -60,6 +66,7 @@ TEXT ·gemm4x16f32(SB), NOSPLIT, $0-56
 	VXORPS Y6, Y6, Y6
 	VXORPS Y7, Y7, Y7
 
+	PCALIGN $64
 tile4loop:
 	VMOVUPS (BX), Y8
 	VMOVUPS 32(BX), Y9
@@ -110,6 +117,7 @@ TEXT ·gemm1x16f32(SB), NOSPLIT, $0-40
 	VXORPS Y0, Y0, Y0
 	VXORPS Y1, Y1, Y1
 
+	PCALIGN $64
 tile1loop:
 	VMOVUPS (BX), Y8
 	VMOVUPS 32(BX), Y9

@@ -20,26 +20,36 @@
 // as the first operand, as `o += c` adds) — the product followed by
 // AddInPlace, without the temporary.
 //
+// Operand a is read through two strides, a row's and a k step's, so the same
+// tiles multiply by aᵀ without a transposed copy: a row-major m×k operand is
+// (k, 1), the transpose of a row-major k×m one (1, m). The four rows of a
+// strip are four base pointers and one shared index register that walks k.
+//
 // Strides are passed in elements and converted to bytes here. The caller
 // (matMulAsm64) guarantees m ≥ 1, k ≥ 1 and cols ≥ 8; the columns past cols
 // stay in Go.
 
 #include "textflag.h"
 
-// func gemmf64(out, a, b *float64, m, k, cols, n, add uintptr)
+// func gemmf64(out, a, b *float64, m, k, cols, n, ars, aks, add uintptr)
 //
 // DX and AX walk out and a by strip (or row), R10 is the tile's byte offset
-// into a b and out row. Inside a 4×8 tile, Y0–Y7 accumulate (two YMM a row),
-// Y8/Y9 hold the current 8 b values, Y10 the broadcast a value and Y11/Y12
-// the products on their way into the accumulators.
-TEXT ·gemmf64(SB), NOSPLIT, $0-64
+// into a b and out row, R8 and R15 are a's row and k strides in bytes. A
+// tile's a rows start one k past their end (SI, R11, R12, R13) and CX counts
+// from −k·aks up to 0, so one add steps all four and sets the loop's flags.
+// Inside a 4×8 tile, Y0–Y7 accumulate (two YMM a row), Y8/Y9 hold the
+// current 8 b values, Y10 the broadcast a value and Y11/Y12 the products on
+// their way into the accumulators.
+TEXT ·gemmf64(SB), NOSPLIT, $0-80
 	MOVQ out+0(FP), DX
 	MOVQ a+8(FP), AX
 	MOVQ m+24(FP), R14
-	MOVQ k+32(FP), R8
-	SHLQ $3, R8 // a row, bytes
 	MOVQ n+48(FP), R9
 	SHLQ $3, R9 // b and out row, bytes
+	MOVQ ars+56(FP), R8
+	SHLQ $3, R8 // a row, bytes
+	MOVQ aks+64(FP), R15
+	SHLQ $3, R15 // a k step, bytes
 
 strip4:
 	CMPQ R14, $4
@@ -48,13 +58,15 @@ strip4:
 
 tile4:
 	LEAQ (DX)(R10*1), DI
-	MOVQ AX, SI
+	MOVQ k+32(FP), CX
+	IMULQ R15, CX
+	LEAQ (AX)(CX*1), SI   // a row 0, one k past its end
+	NEGQ CX
 	LEAQ (SI)(R8*1), R11  // a row 1
 	LEAQ (R11)(R8*1), R12 // a row 2
 	LEAQ (R12)(R8*1), R13 // a row 3
 	MOVQ b+16(FP), BX
 	ADDQ R10, BX
-	MOVQ k+32(FP), CX
 	VXORPD Y0, Y0, Y0
 	VXORPD Y1, Y1, Y1
 	VXORPD Y2, Y2, Y2
@@ -68,38 +80,34 @@ tile4:
 tile4loop:
 	VMOVUPD (BX), Y8
 	VMOVUPD 32(BX), Y9
-	VBROADCASTSD (SI), Y10
+	VBROADCASTSD (SI)(CX*1), Y10
 	VMULPD Y8, Y10, Y11
 	VMULPD Y9, Y10, Y12
 	VADDPD Y11, Y0, Y0
 	VADDPD Y12, Y1, Y1
-	VBROADCASTSD (R11), Y10
+	VBROADCASTSD (R11)(CX*1), Y10
 	VMULPD Y8, Y10, Y11
 	VMULPD Y9, Y10, Y12
 	VADDPD Y11, Y2, Y2
 	VADDPD Y12, Y3, Y3
-	VBROADCASTSD (R12), Y10
+	VBROADCASTSD (R12)(CX*1), Y10
 	VMULPD Y8, Y10, Y11
 	VMULPD Y9, Y10, Y12
 	VADDPD Y11, Y4, Y4
 	VADDPD Y12, Y5, Y5
-	VBROADCASTSD (R13), Y10
+	VBROADCASTSD (R13)(CX*1), Y10
 	VMULPD Y8, Y10, Y11
 	VMULPD Y9, Y10, Y12
 	VADDPD Y11, Y6, Y6
 	VADDPD Y12, Y7, Y7
-	ADDQ $8, SI
-	ADDQ $8, R11
-	ADDQ $8, R12
-	ADDQ $8, R13
 	ADDQ R9, BX
-	DECQ CX
+	ADDQ R15, CX
 	JNZ  tile4loop
 
 	LEAQ (DI)(R9*1), R11 // out rows 1, 2, 3
 	LEAQ (R11)(R9*1), R12
 	LEAQ (R12)(R9*1), R13
-	CMPQ add+56(FP), $0
+	CMPQ add+72(FP), $0
 	JEQ  store4
 	VMOVUPD (DI), Y8
 	VMOVUPD 32(DI), Y9
@@ -146,10 +154,12 @@ row1:
 
 tile1:
 	LEAQ (DX)(R10*1), DI
-	MOVQ AX, SI
+	MOVQ k+32(FP), CX
+	IMULQ R15, CX
+	LEAQ (AX)(CX*1), SI
+	NEGQ CX
 	MOVQ b+16(FP), BX
 	ADDQ R10, BX
-	MOVQ k+32(FP), CX
 	VXORPD Y0, Y0, Y0
 	VXORPD Y1, Y1, Y1
 
@@ -157,17 +167,16 @@ tile1:
 tile1loop:
 	VMOVUPD (BX), Y8
 	VMOVUPD 32(BX), Y9
-	VBROADCASTSD (SI), Y10
+	VBROADCASTSD (SI)(CX*1), Y10
 	VMULPD Y8, Y10, Y11
 	VMULPD Y9, Y10, Y12
 	VADDPD Y11, Y0, Y0
 	VADDPD Y12, Y1, Y1
-	ADDQ $8, SI
 	ADDQ R9, BX
-	DECQ CX
+	ADDQ R15, CX
 	JNZ  tile1loop
 
-	CMPQ add+56(FP), $0
+	CMPQ add+72(FP), $0
 	JEQ  store1
 	VMOVUPD (DI), Y8
 	VMOVUPD 32(DI), Y9

@@ -7,8 +7,9 @@
 // Training, the tape and the baselines are float64 throughout; float32 exists
 // so serving can hold a converted copy of the weights and run the forward
 // pass at half the memory traffic. There is one validated matrix product,
-// MatMulBlockedInto (blocked.go), with its float64 add-on-store form
-// MatMulAddInto, and one bump allocator for scratch
+// MatMulBlockedInto (blocked.go), with its float64 add-on-store forms
+// MatMulAddInto and MatMulTAddInto (out + aᵀ × b), and one bump allocator for
+// scratch
 // matrices, Arena[T] (arena.go), under both the tape and the predictor.
 //
 // Operations that could only fail through programmer error (shape
