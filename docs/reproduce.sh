@@ -186,7 +186,7 @@ go test -run FuzzParseTraceParent -fuzz FuzzParseTraceParent -fuzztime 10s ./int
 go test -race ./internal/wire/
 go test -race -run 'TestE2EWireMixedProtocolFailover|TestProxyBodyLimit|TestProxyErrorBodyCap|TestWireFanOut|TestProxyWireTraceStitchesBackendSpans|TestFrontsEmitSameFamiliesAndSpans|TestWireStickyIDsDoNotPinFrames|TestPreambleOneBehaviour|TestWireSubscribe|TestStickyStaysBoundedWhenObserved' ./internal/proxy/
 go test -race -run 'TestBodyLimits|TestStrictDecoding|TestDoBatch|TestPendingStaysBoundedWhenObserved|TestIDMap|TestProtocolErrorsCountOnlyViolations' ./internal/serve/ ./internal/wire/
-go test -run 'TestFrameAllocBudget|TestGoldenFrames|TestStageRecordRendersOneTree|TestWireDroppedTraceMaterialisesNoSpans|TestJSONDroppedTraceMaterialisesNoSpans|TestBackendDroppedTraceMaterialisesNoSpans|TestServeDoAllocs|TestDoBatchAllocs|TestPassCostsNoAllocations|TestIDsAllocateWhatTheyReturn' ./internal/wire/ ./internal/proxy/ ./internal/serve/ ./internal/obs/
+go test -run 'TestFrameAllocBudget|TestGoldenFrames|TestStageRecordRendersOneTree|TestWireDroppedTraceMaterialisesNoSpans|TestJSONDroppedTraceMaterialisesNoSpans|TestBackendDroppedTraceMaterialisesNoSpans|TestServeDoAllocs|TestDoBatchAllocs|TestPassCostsNoAllocations|TestIDsAllocateWhatTheyReturn|TestProxyRelayAllocs' ./internal/wire/ ./internal/proxy/ ./internal/serve/ ./internal/obs/
 go test -run '^$' -bench 'EncodeDecode|RoundTrip' -benchmem -count 1 ./internal/wire/ \
     | tee docs/outputs/bench_wire.txt \
     | go run ./cmd/benchjson -compare docs/outputs/BENCH_wire.json -max-regress 25 \

@@ -31,8 +31,8 @@ func FormatTraceParent(traceID, spanID string) string {
 }
 
 // AppendTraceParent appends what FormatTraceParent returns, for a caller
-// that stamps many requests out of one buffer.
-func AppendTraceParent(dst []byte, traceID, spanID string) []byte {
+// that stamps many requests out of one buffer, their ids as strings or bytes.
+func AppendTraceParent[T bytestring](dst []byte, traceID T, spanID string) []byte {
 	dst = append(dst, traceParentVersion+"-"...)
 	dst = append(dst, traceID...)
 	dst = append(dst, '-')

@@ -43,12 +43,23 @@ func FillRequestIDs(n int, at func(i int) *string) {
 }
 
 // newIDBlock returns k ids back to back, the only allocation the string
-// itself. Entropy is read 32 ids at a time through a stack buffer.
+// itself.
 func newIDBlock(k int) string {
 	var sb strings.Builder
 	sb.Grow(16 * k)
-	var raw [8 * 32]byte
 	var enc [16 * 32]byte
+	for ; k > 0; k -= 32 {
+		sb.Write(AppendRequestIDs(enc[:0], min(k, 32)))
+	}
+	return sb.String()
+}
+
+// AppendRequestIDs appends k fresh request ids back to back, 16 hex
+// characters each, for a caller that holds ids as bytes (the proxy's wire
+// front, filling a frame's missing ids into a buffer it reuses). Entropy is
+// read 32 ids at a time through a stack buffer.
+func AppendRequestIDs(dst []byte, k int) []byte {
+	var raw [8 * 32]byte
 	for ; k > 0; k -= 32 {
 		b := raw[:8*min(k, 32)]
 		if _, err := crand.Read(b); err != nil {
@@ -56,9 +67,9 @@ func newIDBlock(k int) string {
 			// to unique-but-guessable ids rather than failing the request.
 			fallbackEntropy(b)
 		}
-		sb.Write(enc[:hex.Encode(enc[:], b)])
+		dst = hex.AppendEncode(dst, b)
 	}
-	return sb.String()
+	return dst
 }
 
 func fallbackEntropy(b []byte) {

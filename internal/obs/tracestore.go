@@ -2,7 +2,6 @@ package obs
 
 import (
 	"encoding/json"
-	"math/rand"
 	"net/http"
 	"sort"
 	"strconv"
@@ -32,7 +31,8 @@ type Trace struct {
 	Spans       []Span  `json:"spans"`
 }
 
-// TraceSummary is one trace's entry in the GET /traces listing.
+// TraceSummary is one trace's entry in the GET /traces listing, and what a
+// tail-sampling decision reads of a trace.
 type TraceSummary struct {
 	TraceID     string  `json:"trace_id"`
 	Root        string  `json:"root"`
@@ -57,38 +57,46 @@ type TraceStoreConfig struct {
 	// MaxAge evicts traces older than this regardless of capacity
 	// (default 10m; negative disables age eviction).
 	MaxAge time.Duration
-	// SampleRate is the head-sampling probability for unremarkable traces
-	// — ones that served cleanly, on the first attempt, under SlowMS
-	// (default 0.1; negative keeps none of them, 1 keeps all).
+	// SampleRate is the share of unremarkable traces kept — ones that
+	// served cleanly, on the first attempt, under SlowMS (default 0.1;
+	// negative keeps none of them, 1 keeps all). The decision is a function
+	// of the trace id (headSample), so every process a request passes
+	// through keeps it or drops it alike.
 	SampleRate float64
 	// SlowMS is the latency threshold above which a trace is always
 	// retained, whatever its outcome (default 250; negative disables the
 	// latency criterion).
 	SlowMS float64
 
-	// now and randFloat are test hooks for the wall clock and the
-	// head-sampling coin; nil uses time.Now and math/rand.
-	now       func() time.Time
-	randFloat func() float64
+	// now is a test hook for the wall clock; nil uses time.Now.
+	now func() time.Time
 }
 
-// storedTrace pairs a trace with its admission time for age eviction.
+// storedTrace is one kept trace: its summary, its spans in stored form (a
+// string of (trace id, span section) groups: one object, nothing in it for
+// the collector to trace) and its admission time for age eviction.
 type storedTrace struct {
-	t     Trace
+	sum   TraceSummary
+	spans string
 	added time.Time
 }
 
 // TraceStore is a bounded in-memory store of completed traces with
 // tail-based sampling: traces that failed, were shed, retried, or ran
 // slow are always kept; the unremarkable rest is head-sampled at
-// SampleRate; capacity and age bound the whole thing. It implements
-// http.Handler for GET /traces and GET /traces/{id}. Nil-safe: a nil
-// store drops everything and serves 404s.
+// SampleRate; capacity and age bound the whole thing. A kept trace is held
+// encoded and decoded on read. It implements http.Handler for GET /traces
+// and GET /traces/{id}. Nil-safe: a nil store drops everything and serves
+// 404s.
 type TraceStore struct {
 	cfg TraceStoreConfig
+	// sampleBelow is SampleRate as a bound on a trace id's hash; keepAll
+	// stands for the bound 2⁶⁴, which a uint64 cannot hold.
+	sampleBelow uint64
+	keepAll     bool
 
 	mu     sync.Mutex
-	traces map[string]*storedTrace
+	traces map[string]storedTrace
 	order  []string // insertion order, oldest first
 
 	completed                   *Counter
@@ -118,12 +126,15 @@ func NewTraceStore(cfg TraceStoreConfig, reg *Registry) *TraceStore {
 	if cfg.now == nil {
 		cfg.now = time.Now
 	}
-	if cfg.randFloat == nil {
-		cfg.randFloat = rand.Float64
-	}
 	ts := &TraceStore{
 		cfg:    cfg,
-		traces: make(map[string]*storedTrace),
+		traces: make(map[string]storedTrace),
+	}
+	switch {
+	case cfg.SampleRate >= 1:
+		ts.keepAll = true
+	case cfg.SampleRate > 0:
+		ts.sampleBelow = uint64(cfg.SampleRate * (1 << 64))
 	}
 	ts.completed = reg.Counter("env2vec_trace_completed_total", "Completed traces offered to the trace store.", nil)
 	keptHelp := "Traces retained, by the tail-sampling criterion that kept them."
@@ -132,7 +143,7 @@ func NewTraceStore(cfg TraceStoreConfig, reg *Registry) *TraceStore {
 	ts.keptRetry = reg.Counter("env2vec_trace_kept_total", keptHelp, Labels{"reason": "retry"})
 	ts.keptSlow = reg.Counter("env2vec_trace_kept_total", keptHelp, Labels{"reason": "slow"})
 	ts.keptSampled = reg.Counter("env2vec_trace_kept_total", keptHelp, Labels{"reason": "sampled"})
-	ts.dropped = reg.Counter("env2vec_trace_dropped_total", "Unremarkable traces the head-sampling coin dropped.", nil)
+	ts.dropped = reg.Counter("env2vec_trace_dropped_total", "Unremarkable traces head sampling dropped.", nil)
 	evictHelp := "Stored traces evicted, by cause."
 	ts.evictedCapacity = reg.Counter("env2vec_trace_evicted_total", evictHelp, Labels{"cause": "capacity"})
 	ts.evictedAge = reg.Counter("env2vec_trace_evicted_total", evictHelp, Labels{"cause": "age"})
@@ -142,12 +153,12 @@ func NewTraceStore(cfg TraceStoreConfig, reg *Registry) *TraceStore {
 
 // keep decides whether a completed trace survives tail sampling, returning
 // the counter recording why it was kept.
-func (ts *TraceStore) keep(t *Trace) (bool, *Counter) {
+func (ts *TraceStore) keep(t *TraceSummary) (bool, *Counter) {
 	switch t.Outcome {
 	case OutcomeShed:
 		return true, ts.keptShed
 	case OutcomeServed:
-		// fall through to the retry/latency/coin criteria
+		// fall through to the retry, latency and head-sampling criteria
 	default:
 		return true, ts.keptFailed
 	}
@@ -157,16 +168,49 @@ func (ts *TraceStore) keep(t *Trace) (bool, *Counter) {
 	if ts.cfg.SlowMS >= 0 && t.DurationMS >= ts.cfg.SlowMS {
 		return true, ts.keptSlow
 	}
-	if ts.cfg.randFloat() < ts.cfg.SampleRate {
+	if ts.headSample(t.TraceID) {
 		return true, ts.keptSampled
 	}
 	return false, nil
 }
 
+// headSample keeps an unremarkable trace when Hash64 of its id is below
+// SampleRate·2⁶⁴: a function of the id alone, so a proxy and the backend
+// that served a request decide the same for it, and one id set keeps one
+// subset on every run.
+func (ts *TraceStore) headSample(traceID string) bool {
+	return ts.keepAll || Hash64(traceID) < ts.sampleBelow
+}
+
+// Hash64 hashes a string with FNV-1a and murmur3's fmix64 finalizer. Raw
+// FNV-1a has poor avalanche in its high bits for inputs that differ only
+// near the end — sequential request ids ("json-1", "json-2", …), ring keys
+// sharing an environment prefix — and fmix64 spreads those low-order
+// differences across the word, so comparing the hash with a fraction of
+// 2⁶⁴ keeps that fraction of any such run.
+func Hash64(s string) uint64 {
+	h := uint64(14695981039346656037)
+	for i := 0; i < len(s); i++ {
+		h ^= uint64(s[i])
+		h *= 1099511628211
+	}
+	h ^= h >> 33
+	h *= 0xff51afd7ed558ccd
+	h ^= h >> 33
+	h *= 0xc4ceb9fe1a85ec53
+	h ^= h >> 33
+	return h
+}
+
 // Add offers a completed trace to the store: Sample, then Store if kept.
 func (ts *TraceStore) Add(t Trace) {
-	if ts.Sample(&t) {
-		ts.Store(t)
+	sum := TraceSummary{
+		TraceID: t.TraceID, Root: t.Root, Outcome: t.Outcome, Retried: t.Retried,
+		StartUnixUS: t.StartUnixUS, DurationMS: t.DurationMS,
+	}
+	if ts.Sample(&sum) {
+		sum.Spans = len(t.Spans)
+		ts.Store(sum, AppendSpans(nil, t.Spans))
 	}
 }
 
@@ -174,9 +218,9 @@ func (ts *TraceStore) Add(t Trace) {
 // completed and as kept or dropped. It happens at completion, when the
 // outcome and duration are known, which is what lets the slow and failed
 // tail be kept preferentially while the bulk is down-sampled. It reads
-// only t's Outcome, Retried and DurationMS, so a caller whose span list is
-// costly to build calls Sample first and builds it only for Store.
-func (ts *TraceStore) Sample(t *Trace) bool {
+// only t's TraceID, Outcome, Retried and DurationMS, so a caller whose spans
+// are costly to render calls Sample first and renders them only for Store.
+func (ts *TraceStore) Sample(t *TraceSummary) bool {
 	if ts == nil {
 		return false
 	}
@@ -190,21 +234,32 @@ func (ts *TraceStore) Sample(t *Trace) bool {
 	return true
 }
 
-// Store retains a trace Sample chose to keep, evicting by age and capacity.
-func (ts *TraceStore) Store(t Trace) {
-	now := ts.cfg.now()
+// Store retains a trace Sample chose to keep, evicting by age and capacity:
+// its summary, sum.Spans the number of spans it holds, and its spans in
+// stored form (AppendSpans, or AppendSpanGroup followed by a span section,
+// per group). The store keeps one copy of the trace id and the spans
+// together, so the caller may reuse both buffers.
+func (ts *TraceStore) Store(sum TraceSummary, spans []byte) {
+	var b strings.Builder
+	b.Grow(len(sum.TraceID) + len(spans))
+	b.WriteString(sum.TraceID)
+	b.Write(spans)
+	kept := b.String()
+	sum.TraceID = kept[:len(sum.TraceID)]
+	st := storedTrace{sum: sum, spans: kept[len(sum.TraceID):], added: ts.cfg.now()}
+
 	ts.mu.Lock()
-	ts.purgeAgedLocked(now)
-	if _, exists := ts.traces[t.TraceID]; !exists {
+	ts.purgeAgedLocked(st.added)
+	if _, exists := ts.traces[sum.TraceID]; !exists {
 		for len(ts.traces) >= ts.cfg.Capacity && len(ts.order) > 0 {
 			old := ts.order[0]
 			ts.order = ts.order[1:]
 			delete(ts.traces, old)
 			ts.evictedCapacity.Inc()
 		}
-		ts.order = append(ts.order, t.TraceID)
+		ts.order = append(ts.order, sum.TraceID)
 	}
-	ts.traces[t.TraceID] = &storedTrace{t: t, added: now}
+	ts.traces[sum.TraceID] = st
 	ts.mu.Unlock()
 }
 
@@ -237,19 +292,27 @@ func (ts *TraceStore) Len() int {
 	return len(ts.traces)
 }
 
-// Get returns the stored trace for a trace id.
+// Get returns the stored trace for a trace id, its spans decoded.
 func (ts *TraceStore) Get(id string) (Trace, bool) {
 	if ts == nil {
 		return Trace{}, false
 	}
 	ts.mu.Lock()
-	defer ts.mu.Unlock()
 	ts.purgeAgedLocked(ts.cfg.now())
 	st, ok := ts.traces[id]
+	ts.mu.Unlock()
 	if !ok {
 		return Trace{}, false
 	}
-	return st.t, true
+	// Stored spans were encoded in this process, or checked by the wire
+	// decoder's walk on their way in, and DecodeSpans holds them to no
+	// limit but their own bytes: they decode.
+	spans, _ := DecodeSpans(st.spans)
+	s := &st.sum
+	return Trace{
+		TraceID: s.TraceID, Root: s.Root, Outcome: s.Outcome, Retried: s.Retried,
+		StartUnixUS: s.StartUnixUS, DurationMS: s.DurationMS, Spans: spans,
+	}, true
 }
 
 // List returns up to limit trace summaries, newest first, filtered to
@@ -267,14 +330,10 @@ func (ts *TraceStore) List(minMS float64, outcome string, limit int) []TraceSumm
 		if !ok {
 			continue
 		}
-		t := &st.t
-		if t.DurationMS < minMS || (outcome != "" && t.Outcome != outcome) {
+		if st.sum.DurationMS < minMS || (outcome != "" && st.sum.Outcome != outcome) {
 			continue
 		}
-		matched = append(matched, TraceSummary{
-			TraceID: t.TraceID, Root: t.Root, Outcome: t.Outcome, Retried: t.Retried,
-			StartUnixUS: t.StartUnixUS, DurationMS: t.DurationMS, Spans: len(t.Spans),
-		})
+		matched = append(matched, st.sum)
 		if limit > 0 && len(matched) >= limit {
 			break
 		}

@@ -3,8 +3,11 @@ package obs
 import (
 	"encoding/json"
 	"fmt"
+	"hash/fnv"
 	"net/http"
 	"net/http/httptest"
+	"reflect"
+	"strconv"
 	"strings"
 	"sync"
 	"testing"
@@ -56,34 +59,58 @@ func mkTrace(id, outcome string, retried bool, durMS float64) Trace {
 	}
 }
 
-// TestTraceStoreTailSampling is the policy test: erred, shed, retried, and
-// slow traces are always retained; the unremarkable rest rides the coin.
-func TestTraceStoreTailSampling(t *testing.T) {
-	coin := 1.0 // start with a losing coin: head samples drop
-	reg := NewRegistry()
-	ts := NewTraceStore(TraceStoreConfig{
-		Capacity: 64, SlowMS: 100, SampleRate: 0.5,
-		randFloat: func() float64 { return coin },
-	}, reg)
+// fnvBelow reports whether FNV-1a-64 of id, computed by hash/fnv and
+// finished by murmur3's fmix64, is below rate·2⁶⁴: the head-sampling rule,
+// from the standard library and the finalizer's published constants.
+func fnvBelow(id string, rate float64) bool {
+	f := fnv.New64a()
+	f.Write([]byte(id))
+	h := f.Sum64()
+	h = (h ^ h>>33) * 0xff51afd7ed558ccd
+	h = (h ^ h>>33) * 0xc4ceb9fe1a85ec53
+	h ^= h >> 33
+	return float64(h) < rate*(1<<64)
+}
 
-	ts.Add(mkTrace("t-failed", OutcomeFailed, false, 1))
-	ts.Add(mkTrace("t-shed", OutcomeShed, false, 1))
-	ts.Add(mkTrace("t-retried", OutcomeServed, true, 1))
-	ts.Add(mkTrace("t-slow", OutcomeServed, false, 150))
-	ts.Add(mkTrace("t-boring", OutcomeServed, false, 1))
-	for _, id := range []string{"t-failed", "t-shed", "t-retried", "t-slow"} {
-		if _, ok := ts.Get(id); !ok {
-			t.Errorf("tail-sampling dropped %s, which must always be retained", id)
+// sampledIDs returns an id head sampling keeps at rate 0.5 and one it drops.
+func sampledIDs(t *testing.T) (lucky, unlucky string) {
+	t.Helper()
+	for i := 0; lucky == "" || unlucky == ""; i++ {
+		id := fmt.Sprintf("t-%d", i)
+		if fnvBelow(id, 0.5) {
+			lucky = id
+		} else {
+			unlucky = id
 		}
 	}
-	if _, ok := ts.Get("t-boring"); ok {
-		t.Error("boring trace kept despite losing the sampling coin")
-	}
+	return lucky, unlucky
+}
 
-	coin = 0.0 // winning coin: head sample keeps
-	ts.Add(mkTrace("t-lucky", OutcomeServed, false, 1))
-	if _, ok := ts.Get("t-lucky"); !ok {
-		t.Error("boring trace dropped despite winning the sampling coin")
+// TestTraceStoreTailSampling is the policy test: erred, shed, retried, and
+// slow traces are always retained; the unremarkable rest is head-sampled by
+// trace id.
+func TestTraceStoreTailSampling(t *testing.T) {
+	lucky, unlucky := sampledIDs(t)
+	reg := NewRegistry()
+	ts := NewTraceStore(TraceStoreConfig{Capacity: 64, SlowMS: 100, SampleRate: 0.5}, reg)
+
+	// The always-kept criteria hold whatever the id hashes to.
+	ts.Add(mkTrace(unlucky+"-failed", OutcomeFailed, false, 1))
+	ts.Add(mkTrace(unlucky+"-shed", OutcomeShed, false, 1))
+	ts.Add(mkTrace(unlucky+"-retried", OutcomeServed, true, 1))
+	ts.Add(mkTrace(unlucky+"-slow", OutcomeServed, false, 150))
+	ts.Add(mkTrace(unlucky, OutcomeServed, false, 1))
+	for _, suffix := range []string{"-failed", "-shed", "-retried", "-slow"} {
+		if _, ok := ts.Get(unlucky + suffix); !ok {
+			t.Errorf("tail-sampling dropped %s, which must always be retained", unlucky+suffix)
+		}
+	}
+	if _, ok := ts.Get(unlucky); ok {
+		t.Errorf("unremarkable trace %s kept, though its id hashes above the rate", unlucky)
+	}
+	ts.Add(mkTrace(lucky, OutcomeServed, false, 1))
+	if _, ok := ts.Get(lucky); !ok {
+		t.Errorf("unremarkable trace %s dropped, though its id hashes below the rate", lucky)
 	}
 
 	// The kept/dropped counters tell the same story on /metrics.
@@ -104,6 +131,94 @@ func TestTraceStoreTailSampling(t *testing.T) {
 		if !strings.Contains(page.String(), want) {
 			t.Errorf("metrics missing %q:\n%s", want, page.String())
 		}
+	}
+}
+
+// TestHeadSamplingIsAFunctionOfTheID: one id set keeps one subset, the one
+// Hash64 below SampleRate·2⁶⁴ names, in every store and on every run; the
+// bounds keep all or none; and the kept share is the rate, of random request
+// ids and in every run of 1000 sequential ones.
+func TestHeadSamplingIsAFunctionOfTheID(t *testing.T) {
+	kept := func(rate float64, ids []string) []string {
+		ts := NewTraceStore(TraceStoreConfig{Capacity: len(ids) + 1, SampleRate: rate}, nil)
+		var out []string
+		for _, id := range ids {
+			if ts.Sample(&TraceSummary{TraceID: id, Outcome: OutcomeServed}) {
+				out = append(out, id)
+			}
+		}
+		return out
+	}
+	ids := make([]string, 16)
+	for i := range ids {
+		ids[i] = fmt.Sprintf("%016x", uint64(i+1)*0x9e3779b97f4a7c15)
+	}
+	// Written down once: a change to the rule moves this list.
+	const want = "[8ff34785799e5cbd cc623af8783354e7 454021de755d453b e3779b97f4a7c150]"
+	if got := fmt.Sprint(kept(0.5, ids)); got != want {
+		t.Fatalf("rate 0.5 keeps %s, want %s", got, want)
+	}
+	for _, id := range ids {
+		if got := fmt.Sprint(kept(0.5, []string{id})); (got != "[]") != fnvBelow(id, 0.5) {
+			t.Errorf("id %s: kept %v, hash/fnv says %v", id, got != "[]", fnvBelow(id, 0.5))
+		}
+	}
+	if got := kept(1, ids); len(got) != len(ids) {
+		t.Errorf("rate 1 keeps %d of %d", len(got), len(ids))
+	}
+	if got := kept(-1, ids); len(got) != 0 {
+		t.Errorf("a negative rate keeps %d", len(got))
+	}
+
+	const n = 100000
+	random := make([]string, n)
+	for i := range random {
+		random[i] = NewRequestID()
+	}
+	if share := float64(len(kept(0.1, random))) / n; share < 0.095 || share > 0.105 {
+		t.Fatalf("rate 0.1 keeps %.4f of %d random request ids, want 0.1 ± 0.005", share, n)
+	}
+
+	// Ids a client numbers itself differ only in their last characters,
+	// which raw FNV-1a barely carries into its top bits: without the
+	// finalizer, runs of about a hundred of them are kept or dropped
+	// together. Every run of 1000 keeps 0.1 ± 0.04 (four standard
+	// deviations of a fair draw).
+	const run = 1000
+	seq := make([]string, run)
+	for from := 0; from < n; from += run {
+		for i := range seq {
+			seq[i] = "json-" + strconv.Itoa(from+i)
+		}
+		if share := float64(len(kept(0.1, seq))) / run; share < 0.06 || share > 0.14 {
+			t.Fatalf("rate 0.1 keeps %.3f of json-%d … json-%d, want 0.1 ± 0.04", share, from, from+run-1)
+		}
+	}
+}
+
+// TestTraceStoreKeepsWhatNoPeerMaySend: the span-section limits are for
+// sections from a peer. A kept trace beyond every one of them — a 70 KiB id,
+// more spans than a section may count, a span with more attributes and a
+// longer value than a section may carry — comes back from Get as it went in,
+// and List counts its spans.
+func TestTraceStoreKeepsWhatNoPeerMaySend(t *testing.T) {
+	ts := NewTraceStore(TraceStoreConfig{Capacity: 4, SampleRate: 1}, nil)
+	id := strings.Repeat("a", 70<<10)
+	tr := mkTrace(id, OutcomeServed, false, 1)
+	for i := 0; i < MaxSectionSpans; i++ {
+		tr.Spans = append(tr.Spans, Span{TraceID: id, SpanID: strconv.Itoa(i), Name: "test.child"})
+	}
+	for i := 0; i <= MaxSpanAttrs; i++ {
+		tr.Spans[1].SetAttr(fmt.Sprintf("k%03d", i), "v")
+	}
+	tr.Spans[2].SetAttr("long", strings.Repeat("v", maxSpanString+1))
+	ts.Add(tr)
+	got, ok := ts.Get(id)
+	if !ok || !reflect.DeepEqual(got, tr) {
+		t.Fatalf("Get returns %d spans (found %v), want the %d stored", len(got.Spans), ok, len(tr.Spans))
+	}
+	if l := ts.List(0, "", 0); len(l) != 1 || l[0].Spans != len(tr.Spans) {
+		t.Fatalf("List counts %+v spans, want %d", l[0].Spans, len(tr.Spans))
 	}
 }
 

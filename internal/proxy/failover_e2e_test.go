@@ -7,6 +7,7 @@ import (
 	"math/rand"
 	"net/http"
 	"net/http/httptest"
+	"strings"
 	"sync"
 	"testing"
 	"time"
@@ -28,6 +29,12 @@ type e2eBackend struct {
 
 func newE2EBackend(t *testing.T, seed int64) *e2eBackend {
 	t.Helper()
+	return newSampledE2EBackend(t, seed, keepAllTraces())
+}
+
+// newSampledE2EBackend is newE2EBackend with its trace store sized by trace.
+func newSampledE2EBackend(t *testing.T, seed int64, trace obs.TraceStoreConfig) *e2eBackend {
+	t.Helper()
 	cfg := core.Config{In: 3, Hidden: 8, GRUHidden: 4, EmbedDim: 3, Window: 2, Seed: seed}
 	schema := envmeta.NewSchema()
 	schema.Observe(envmeta.Environment{Testbed: "tb1", SUT: "fw", Testcase: "load", Build: "B1"})
@@ -41,13 +48,67 @@ func newE2EBackend(t *testing.T, seed int64) *e2eBackend {
 	}
 	s := serve.New(serve.Config{
 		MaxBatch: 8, QueueDepth: 256, Workers: 2,
-		Quality: &quality.Config{}, Trace: keepAllTraces(),
+		Quality: &quality.Config{}, Trace: trace,
 	})
 	t.Cleanup(s.Close)
 	s.SetBundle(b)
 	srv := httptest.NewServer(s)
 	t.Cleanup(srv.Close)
 	return &e2eBackend{s: s, srv: srv}
+}
+
+// TestHeadSamplingAgreesAcrossHops: head sampling is a function of the
+// trace id, so at rate 0.5 the proxy keeps a request's trace exactly when
+// the backend that served it keeps its own, and neither keeps all or none.
+func TestHeadSamplingAgreesAcrossHops(t *testing.T) {
+	sampled := obs.TraceStoreConfig{Capacity: 512, SampleRate: 0.5, SlowMS: -1}
+	backends := []*e2eBackend{newSampledE2EBackend(t, 7, sampled), newSampledE2EBackend(t, 11, sampled)}
+	p := New(Config{Backends: []string{backends[0].srv.URL, backends[1].srv.URL}, Trace: sampled})
+	defer p.Close()
+	front := httptest.NewServer(p)
+	defer front.Close()
+
+	const requests = 200
+	kept, served := 0, map[string]int{}
+	for i := 0; i < requests; i++ {
+		id := obs.NewRequestID()
+		body := fmt.Sprintf(`{"cf":[1,2,3],"window":[50,51],"testbed":"tb1","sut":"fw","testcase":"load","build":"B%d"}`, i%8)
+		req, err := http.NewRequest(http.MethodPost, front.URL+"/predict", strings.NewReader(body))
+		if err != nil {
+			t.Fatal(err)
+		}
+		req.Header.Set(obs.RequestIDHeader, id)
+		resp, err := http.DefaultClient.Do(req)
+		if err != nil {
+			t.Fatal(err)
+		}
+		resp.Body.Close()
+		if resp.StatusCode != http.StatusOK {
+			t.Fatalf("request %d: status %d", i, resp.StatusCode)
+		}
+		name := resp.Header.Get("X-Backend")
+		served[name]++
+		var be *e2eBackend
+		for k, b := range p.Backends() {
+			if b.name == name {
+				be = backends[k]
+			}
+		}
+		if be == nil {
+			t.Fatalf("request %d served by unknown backend %q", i, name)
+		}
+		_, atProxy := p.Traces().Get(id)
+		_, atBackend := be.s.Traces().Get(id)
+		if atProxy != atBackend {
+			t.Fatalf("request %s: the proxy kept its trace %v, the backend %s %v", id, atProxy, name, atBackend)
+		}
+		if atProxy {
+			kept++
+		}
+	}
+	if kept == 0 || kept == requests || len(served) != 2 {
+		t.Fatalf("%d of %d traces kept at rate 0.5, backends served %v", kept, requests, served)
+	}
 }
 
 // TestE2EStitchedTraceAcrossProcesses is the tracing acceptance test: one

@@ -4,7 +4,7 @@ import (
 	"fmt"
 	"net/http"
 	"strconv"
-	"strings"
+	"sync"
 	"time"
 
 	"env2vec/internal/obs"
@@ -46,9 +46,10 @@ type attemptRec struct {
 //
 // Every unit counts under exactly one outcome and leaves one latency sample.
 // The tail-sampling decision comes before any span exists: only a kept trace
-// builds its proxy.request root, one proxy.attempt per try, and — through
-// stitch, on a conclusive answer — the backend's own spans.
-func (p *Proxy) forward(key, path, traceID string, batch int, try tryFunc, stitch func(dst []obs.Span) []obs.Span) (served *Backend, code int, msg string) {
+// renders its proxy.request root and one proxy.attempt per try, and —
+// through stitch, on a conclusive answer — appends the backend's own spans
+// and returns how many it appended, all in the trace store's stored form.
+func (p *Proxy) forward(key, path, traceID string, batch int, try tryFunc, stitch func(dst []byte) ([]byte, int)) (served *Backend, code int, msg string) {
 	t0 := time.Now()
 	var recs [2]attemptRec // a unit rarely needs more than its home and one spill
 	atts := recs[:0]
@@ -123,17 +124,13 @@ func (p *Proxy) forward(key, path, traceID string, batch int, try tryFunc, stitc
 		p.failed.Inc()
 		p.latFailed.ObserveExemplar(dur, traceID)
 	}
-	t := obs.Trace{
+	t := obs.TraceSummary{
 		TraceID: traceID, Root: "proxy.request", Outcome: outcome, Retried: len(atts) > 1,
 		StartUnixUS: t0.UnixMicro(), DurationMS: dur,
 	}
 	if !p.traces.Sample(&t) {
 		return served, code, msg
 	}
-	// A kept trace outlives the request: on the wire front its id sub-slices
-	// the decoded frame.
-	traceID = strings.Clone(traceID)
-	t.TraceID = traceID
 	root := obs.Span{
 		TraceID: traceID, SpanID: obs.NewSpanID(), Name: t.Root,
 		StartUnixUS: t.StartUnixUS, DurationMS: dur,
@@ -146,16 +143,29 @@ func (p *Proxy) forward(key, path, traceID string, batch int, try tryFunc, stitc
 	if msg != "" {
 		root.SetAttr("error", msg)
 	}
-	t.Spans = append(t.Spans, root)
+	spans := make([]obs.Span, 1, 1+len(atts))
+	spans[0] = root
 	for i := range atts {
-		t.Spans = append(t.Spans, atts[i].span(traceID, root.SpanID, i+1))
+		spans = append(spans, atts[i].span(traceID, root.SpanID, i+1))
 	}
+	buf := traceBufs.Get().(*[]byte)
+	stored := obs.AppendSpans((*buf)[:0], spans)
+	t.Spans = len(spans)
 	if served != nil {
-		t.Spans = stitch(t.Spans)
+		var n int
+		stored, n = stitch(stored)
+		t.Spans += n
 	}
-	p.traces.Store(t)
+	p.traces.Store(t, stored) // copies
+	*buf = stored
+	traceBufs.Put(buf)
 	return served, code, msg
 }
+
+// traceBufs holds the buffers kept traces are rendered into before the store
+// copies them: a wire frame's trace is its backends' span sections, so its
+// size grows with the frame, and a reused buffer grows once.
+var traceBufs = sync.Pool{New: func() any { return new([]byte) }}
 
 // span renders the n-th try of a kept trace.
 func (a *attemptRec) span(traceID, rootID string, n int) obs.Span {

@@ -391,7 +391,10 @@ func (p *Proxy) handlePredict(w http.ResponseWriter, r *http.Request) {
 			status, hdr, resp, err = p.post(b, "/predict", body, reqID, attemptSpanID)
 			return status, err
 		},
-		func(dst []obs.Span) []obs.Span { return append(dst, backendSpans(resp)...) })
+		func(dst []byte) ([]byte, int) {
+			spans := backendSpans(resp)
+			return obs.AppendSpans(dst, spans), len(spans)
+		})
 	if b == nil {
 		if code == http.StatusTooManyRequests {
 			w.Header().Set("Retry-After", "1")

@@ -11,29 +11,9 @@ package proxy
 import (
 	"fmt"
 	"sort"
-)
 
-// fnv64a hashes a string with FNV-1a and a murmur3-style finalizer.
-// Raw FNV-1a is fine for bucketing (the registry's shard hash) but has
-// poor avalanche in its high bits for inputs differing only near the end —
-// and ring keys are exactly that: the same <testbed,SUT,testcase,…> prefix
-// with a varying build suffix, as are the "URL#i" virtual-node names. The
-// fmix64 finisher diffuses those low-order differences across the word so
-// positions on the ring are uniform.
-func fnv64a(s string) uint64 {
-	const offset64, prime64 = 14695981039346656037, 1099511628211
-	h := uint64(offset64)
-	for i := 0; i < len(s); i++ {
-		h ^= uint64(s[i])
-		h *= prime64
-	}
-	h ^= h >> 33
-	h *= 0xff51afd7ed558ccd
-	h ^= h >> 33
-	h *= 0xc4ceb9fe1a85ec53
-	h ^= h >> 33
-	return h
-}
+	"env2vec/internal/obs"
+)
 
 // ring is an immutable consistent-hash ring over the configured backends:
 // every backend owns vnodes points, requests walk clockwise from their
@@ -62,7 +42,7 @@ func newRing(backends []*Backend, vnodes int) *ring {
 	r := &ring{points: make([]ringPoint, 0, len(backends)*vnodes), n: len(backends)}
 	for _, b := range backends {
 		for i := 0; i < vnodes; i++ {
-			r.points = append(r.points, ringPoint{hash: fnv64a(fmt.Sprintf("%s#%d", b.URL, i)), b: b})
+			r.points = append(r.points, ringPoint{hash: obs.Hash64(fmt.Sprintf("%s#%d", b.URL, i)), b: b})
 		}
 	}
 	sort.Slice(r.points, func(i, j int) bool {
@@ -81,7 +61,7 @@ func (r *ring) walk(key string, visit func(*Backend) bool) {
 	if len(r.points) == 0 {
 		return
 	}
-	h := fnv64a(key)
+	h := obs.Hash64(key)
 	start := sort.Search(len(r.points), func(i int) bool { return r.points[i].hash >= h })
 	seen := make(map[*Backend]bool, r.n)
 	for i := 0; i < len(r.points); i++ {

@@ -13,7 +13,7 @@ import (
 )
 
 // keepAllTraces is the store config trace tests run with, so assertions
-// never ride the sampling coin.
+// never depend on which ids head sampling keeps.
 func keepAllTraces() obs.TraceStoreConfig {
 	return obs.TraceStoreConfig{Capacity: 64, SampleRate: 1}
 }
@@ -105,6 +105,73 @@ func TestProxyTraceStitchesBackendSpans(t *testing.T) {
 	var fetched obs.Trace
 	if err := json.NewDecoder(hw.Body).Decode(&fetched); err != nil || len(fetched.Spans) != len(tr.Spans) {
 		t.Fatalf("fetched trace = %+v, err %v", fetched, err)
+	}
+}
+
+// TestProxyKeepsOversizedJSONTrace: the wire's span-section limits bound
+// what a peer may send, not what a kept trace may hold. A JSON request whose
+// id is 70 KiB, and one served by a backend that answers with more spans,
+// more attributes on one span and a longer attribute value than a wire reply
+// may carry, are each served whole from GET /traces/{id} and listed with
+// every span counted.
+func TestProxyKeepsOversizedJSONTrace(t *testing.T) {
+	long := strings.Repeat("v", 70<<10)
+	mux := http.NewServeMux()
+	mux.HandleFunc("/readyz", func(w http.ResponseWriter, r *http.Request) { fmt.Fprintln(w, "ready") })
+	mux.HandleFunc("/predict", func(w http.ResponseWriter, r *http.Request) {
+		traceID, parent, _ := obs.ParseTraceParent(r.Header.Get(obs.TraceParentHeader))
+		n := 1
+		if traceID == "many" {
+			n = obs.MaxSectionSpans + 1
+		}
+		spans := make([]obs.Span, n)
+		for i := range spans {
+			spans[i] = obs.Span{TraceID: traceID, SpanID: fmt.Sprintf("s%d", i), ParentID: parent, Name: "serve.request", DurationMS: 1}
+		}
+		if n > 1 {
+			for i := 0; i <= obs.MaxSpanAttrs; i++ {
+				spans[0].SetAttr(fmt.Sprintf("k%03d", i), "v")
+			}
+			spans[1].SetAttr("long", long)
+		}
+		w.Header().Set("Content-Type", "application/json")
+		_ = json.NewEncoder(w).Encode(map[string]any{"prediction": 42, "trace": map[string]any{"spans": spans}})
+	})
+	be := httptest.NewServer(mux)
+	t.Cleanup(be.Close)
+	p := New(Config{Backends: []string{be.URL}, Trace: keepAllTraces(), RetryBackoff: time.Microsecond})
+	t.Cleanup(p.Close)
+
+	for _, tc := range []struct {
+		id      string
+		backend int
+	}{{strings.Repeat("a", 70<<10), 1}, {"many", obs.MaxSectionSpans + 1}} {
+		if w := doPredict(t, p, "B1", map[string]string{obs.RequestIDHeader: tc.id}); w.Code != http.StatusOK {
+			t.Fatalf("predict: status %d: %s", w.Code, w.Body.String())
+		}
+		hw := httptest.NewRecorder()
+		p.ServeHTTP(hw, httptest.NewRequest(http.MethodGet, "/traces/"+tc.id, nil))
+		var tr obs.Trace
+		if err := json.NewDecoder(hw.Body).Decode(&tr); err != nil || hw.Code != http.StatusOK {
+			t.Fatalf("GET /traces/{id}: status %d, err %v", hw.Code, err)
+		}
+		want := 2 + tc.backend // root, attempt, the backend's
+		if len(tr.Spans) != want || tr.TraceID != tc.id || tr.Spans[2].TraceID != tc.id {
+			t.Fatalf("a kept trace of a %d-byte id serves %d spans, want %d", len(tc.id), len(tr.Spans), want)
+		}
+		if tc.backend > 1 && (len(tr.Spans[2].Attrs) != obs.MaxSpanAttrs+1 || tr.Spans[3].Attrs["long"] != long) {
+			t.Fatalf("the backend's spans came back with %d attributes and a value of %d bytes",
+				len(tr.Spans[2].Attrs), len(tr.Spans[3].Attrs["long"]))
+		}
+		listed := -1
+		for _, l := range p.Traces().List(0, "", 0) {
+			if l.TraceID == tc.id {
+				listed = l.Spans
+			}
+		}
+		if listed != want {
+			t.Fatalf("GET /traces counts %d spans in a trace of %d (-1: not listed)", listed, want)
+		}
 	}
 }
 

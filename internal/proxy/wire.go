@@ -2,23 +2,26 @@ package proxy
 
 import (
 	"bufio"
+	"bytes"
+	"fmt"
 	"io"
 	"net"
 	"net/http"
-	"strings"
 	"sync"
 	"time"
 
 	"env2vec/internal/envmeta"
 	"env2vec/internal/obs"
-	"env2vec/internal/serve"
 	"env2vec/internal/wire"
 )
 
 // wireFront is the proxy's binary-protocol face: the forwarding core the
-// JSON handlers run, fed by a wire transport — requests decoded off the
-// client connection are re-framed (never re-marshalled through JSON) onto
-// pooled backend connections. New builds it when WireBackends are configured.
+// JSON handlers run, fed by a wire transport that relays bytes. A batch
+// frame is scanned, not decoded: each request goes on to a pooled backend
+// connection as its id, a fresh traceparent and the bytes it came with, and
+// each reply comes back to the client as the bytes the backend wrote. No
+// float of a frame is decoded on the proxy. New builds it when WireBackends
+// are configured.
 type wireFront struct {
 	p     *Proxy
 	conns wire.ConnSet
@@ -65,15 +68,15 @@ func (wf *wireFront) close() {
 	}
 }
 
-// handleConn speaks the wire protocol with one client: batch frames routed
+// handleConn speaks the wire protocol with one client: batch frames relayed
 // with failover, or one subscribe stream spliced through to its home backend.
 func (wf *wireFront) handleConn(conn net.Conn) {
 	defer conn.Close()
 	wf.connsTotal.Inc()
 	c := wire.NewConn(conn)
-	c.Serve(func(dst []byte, reqs []*serve.Request) []byte {
-		wf.batches.Inc()
-		return wire.AppendPredictReplies(dst, wf.routeBatch(reqs))
+	var fr frameRelay
+	c.Serve(func(dst, payload []byte) ([]byte, error) {
+		return wf.relayBatch(&fr, dst, payload)
 	}, func(sub wire.Subscribe) { wf.splice(conn, c, sub) })
 }
 
@@ -82,42 +85,67 @@ func (wf *wireFront) handleConn(conn net.Conn) {
 // wirePoolIdleCap of them.
 const wireFanOut = wirePoolIdleCap
 
-func sameEnv(a, b *serve.Request) bool {
-	return a.Testbed == b.Testbed && a.SUT == b.SUT && a.Testcase == b.Testcase && a.Build == b.Build
+// frameRelay is one client connection's scratch, reused frame after frame:
+// a connection relays one frame at a time. Its views point into the frame
+// being relayed or into buffers the next frame reuses, so what outlives the
+// frame — a sticky id, a trace, an exemplar — is copied by whoever keeps it.
+type frameRelay struct {
+	reqs []wire.RequestView
+	ids  []byte // the ids minted for the frame's requests that came without one
+	home group  // a single-environment frame: every real client's
+	env  envmeta.Environment
+	key  string // env's ring key
 }
 
-func routeKey(r *serve.Request) string {
-	return envmeta.Environment{Testbed: r.Testbed, SUT: r.SUT, Testcase: r.Testcase, Build: r.Build}.String()
+// group is one same-environment slice of a frame on its way through the
+// proxy: its scanned requests, the payload an attempt sends, and the reply
+// payload (its count included) with its scan.
+type group struct {
+	reqs    []wire.RequestView
+	send    []byte
+	reply   []byte
+	replies []wire.ReplyView
 }
 
-// routeBatch forwards one decoded batch to the ring. The frame every real
-// client sends is one environment, and goes to its candidates as it is. A
-// mixed frame is grouped by environment key (scatter), the groups ride
-// their candidate lists concurrently, each with the usual retry budget,
-// and the replies land back in request order (gather).
-func (wf *wireFront) routeBatch(reqs []*serve.Request) []wire.Reply {
-	obs.FillRequestIDs(len(reqs), func(i int) *string { return &reqs[i].RequestID })
+// relayBatch answers one PredictBatch payload; an error means the payload
+// is malformed, and the connection answers 400. The frame every real client
+// sends is one environment: it goes to its candidates as it is, and the
+// reply is written straight into dst. A mixed frame is grouped by
+// environment key (scatter), the groups ride their candidate lists
+// concurrently, each with the usual retry budget, and the replies land back
+// in request order (gather).
+func (wf *wireFront) relayBatch(fr *frameRelay, dst, payload []byte) ([]byte, error) {
+	var err error
+	if fr.reqs, err = wire.ScanPredictBatch(fr.reqs[:0], payload); err != nil {
+		return dst, err
+	}
+	wf.batches.Inc()
+	reqs := fr.reqs
+	fr.fillIDs()
 	mixed := false
-	for _, r := range reqs {
-		mixed = mixed || !sameEnv(r, reqs[0])
+	for i := range reqs {
+		mixed = mixed || !sameEnv(&reqs[i], &reqs[0])
 	}
 	if !mixed {
-		return wf.forwardGroup(routeKey(reqs[0]), reqs)
+		g := &fr.home
+		g.reqs, g.reply = reqs, dst
+		wf.forwardGroup(fr.routeKey(&reqs[0]), g)
+		return g.reply, nil
 	}
 
 	groups := make(map[string][]int) // request indices by key, in order
 	var order []string
 	var key string
-	for i, r := range reqs {
-		if i == 0 || !sameEnv(r, reqs[i-1]) {
-			key = routeKey(r)
+	for i := range reqs {
+		if i == 0 || !sameEnv(&reqs[i], &reqs[i-1]) {
+			key = fr.routeKey(&reqs[i])
 		}
 		if _, seen := groups[key]; !seen {
 			order = append(order, key)
 		}
 		groups[key] = append(groups[key], i)
 	}
-	replies := make([]wire.Reply, len(reqs))
+	gathered := make([]wire.ReplyView, len(reqs))
 	sem := make(chan struct{}, wireFanOut)
 	var wg sync.WaitGroup
 	for _, key := range order {
@@ -126,63 +154,105 @@ func (wf *wireFront) routeBatch(reqs []*serve.Request) []wire.Reply {
 		go func(key string, idxs []int) {
 			defer wg.Done()
 			defer func() { <-sem }()
-			group := make([]*serve.Request, len(idxs))
+			g := &group{reqs: make([]wire.RequestView, len(idxs))}
 			for j, i := range idxs {
-				group[j] = reqs[i]
+				g.reqs[j] = reqs[i]
 			}
-			for j, rep := range wf.forwardGroup(key, group) {
-				replies[idxs[j]] = rep
+			wf.forwardGroup(key, g)
+			for j, i := range idxs {
+				gathered[i] = g.replies[j]
 			}
 		}(key, groups[key])
 	}
 	wg.Wait()
-	return replies
+	return wire.AppendScannedReplies(dst, gathered), nil
+}
+
+// fillIDs gives each request that came without an id a fresh one, all of a
+// frame's minted into one reused buffer.
+func (fr *frameRelay) fillIDs() {
+	missing := 0
+	for i := range fr.reqs {
+		if len(fr.reqs[i].ID) == 0 {
+			missing++
+		}
+	}
+	if missing == 0 {
+		return
+	}
+	fr.ids = obs.AppendRequestIDs(fr.ids[:0], missing)
+	ids := fr.ids
+	for i := range fr.reqs {
+		if len(fr.reqs[i].ID) == 0 {
+			fr.reqs[i].ID, ids = ids[:16:16], ids[16:]
+		}
+	}
+}
+
+func sameEnv(a, b *wire.RequestView) bool {
+	return bytes.Equal(a.Testbed, b.Testbed) && bytes.Equal(a.SUT, b.SUT) &&
+		bytes.Equal(a.Testcase, b.Testcase) && bytes.Equal(a.Build, b.Build)
+}
+
+// routeKey returns the ring key of a request's environment, the key the
+// JSON front and subscribe streams route the same environment by. The
+// connection renders it once per change of environment: a client streaming
+// one costs nothing per frame.
+func (fr *frameRelay) routeKey(r *wire.RequestView) string {
+	if e := &fr.env; fr.key == "" || string(r.Testbed) != e.Testbed || string(r.SUT) != e.SUT ||
+		string(r.Testcase) != e.Testcase || string(r.Build) != e.Build {
+		fr.env = envmeta.Environment{
+			Testbed: string(r.Testbed), SUT: string(r.SUT), Testcase: string(r.Testcase), Build: string(r.Build),
+		}
+		fr.key = fr.env.String()
+	}
+	return fr.key
 }
 
 // forwardGroup is the wire adapter over the forwarding core: one
-// same-environment slice of a batch is one forwarded unit. It owns only the
-// transport — a pooled Predict with the attempt's traceparent stamped on
-// every request, the frame's status folded from its items, the backend
-// spans the replies carry as bytes — and the group's sticky bookkeeping.
-func (wf *wireFront) forwardGroup(key string, group []*serve.Request) []wire.Reply {
-	var got []wire.Reply
-	b, code, msg := wf.p.forward(key, "wire:batch", group[0].RequestID, len(group),
+// same-environment slice of a frame is one forwarded unit. It owns only the
+// transport — each request relayed as its id, the attempt's traceparent and
+// its scanned bytes; the reply copied off the pooled client and scanned; the
+// frame's status folded from its items; the backend's span sections stitched
+// as they arrived — and the group's sticky bookkeeping. It leaves the reply
+// to the group, or the proxy's own error replies, in g.reply (appended to
+// what g.reply held) and its scan in g.replies.
+func (wf *wireFront) forwardGroup(key string, g *group) {
+	base := len(g.reply)
+	b, code, msg := wf.p.forward(key, "wire:batch", string(g.reqs[0].ID), len(g.reqs),
 		func(b *Backend, attemptSpanID string) (status int, err error) {
-			// One block holds the attempt's traceparents, each request's a slice
-			// of it. (Should ids outgrow the estimate, the builder moves on to a
-			// new block and the slices handed out keep the old one.)
-			var block strings.Builder
-			block.Grow(len(group) * (len(group[0].RequestID) + len(attemptSpanID) + 8))
-			var one [96]byte
-			for _, r := range group {
-				at := block.Len()
-				block.Write(obs.AppendTraceParent(one[:0], r.RequestID, attemptSpanID))
-				r.TraceParent = block.String()[at:]
+			g.send = wire.AppendScannedRequests(g.send[:0], g.reqs, attemptSpanID)
+			if err := wf.predict(b, g, base); err != nil {
+				return 0, err
 			}
-			got, err = wf.predict(b, group)
-			return frameStatus(got), err
+			return frameStatus(g.replies), nil
 		},
-		func(dst []obs.Span) []obs.Span {
-			for i := range got {
-				dst = append(dst, got[i].Spans()...)
+		func(dst []byte) ([]byte, int) {
+			n := 0
+			for i := range g.replies {
+				if r := &g.replies[i]; r.Spans != nil {
+					dst = append(obs.AppendSpanGroup(dst, r.ID), r.Spans...)
+					n += r.SpanCount
+				}
 			}
-			return dst
+			return dst, n
 		})
 	if b == nil {
-		return errReplies(group, code, msg)
+		g.reply = wire.AppendPredictReplies(g.reply[:base], errReplies(g.reqs, code, msg))
+		g.replies, _ = wire.ScanPredictReplies(g.replies[:0], g.reply[base:]) // cannot fail: rendered just now
+		return
 	}
-	// The sticky map outlives the reply frame the ids sub-slice; it keeps copies.
-	wf.p.sticky.PutAll(len(got), func(k int) (string, *Backend, bool) {
-		return got[k].RequestID, b, got[k].Status < 300
+	// The sticky map outlives the reply the ids are views into; it copies them.
+	wf.p.sticky.PutAllBytes(len(g.replies), func(k int) ([]byte, *Backend, bool) {
+		return g.replies[k].ID, b, g.replies[k].Status < 300
 	})
-	return got
 }
 
 // frameStatus folds a reply frame into the one status the core judges: a
 // frame is as conclusive as its best item. Any served item makes it a 200,
 // failing that any conclusive item lends its status; a frame that bounced
 // whole is a 429 only if every item was shed, else the 5xx that refused it.
-func frameStatus(got []wire.Reply) int {
+func frameStatus(got []wire.ReplyView) int {
 	conclusive, refused := 0, 0
 	for k := range got {
 		switch s := got[k].Status; {
@@ -200,37 +270,46 @@ func frameStatus(got []wire.Reply) int {
 	return refused
 }
 
-// predict runs one batch against one backend over a pooled client, dialling
-// when the pool is empty. Transport errors discard the client; protocol-level
-// remote errors are surfaced as errors too (the connection state is unknown,
-// drop it).
-func (wf *wireFront) predict(b *Backend, group []*serve.Request) ([]wire.Reply, error) {
+// predict relays g.send to one backend over a pooled client, dialling when
+// the pool is empty, and leaves the reply at g.reply[base:], scanned into
+// g.replies: copied off the client's read buffer before the client goes
+// back to the pool. A transport error, a remote error, or a reply that
+// fails the scan or answers another number of requests discards the client:
+// the connection's state is unknown.
+func (wf *wireFront) predict(b *Backend, g *group, base int) error {
 	var c *wire.Client
 	select {
 	case c = <-b.idle:
 	default:
 		var err error
 		if c, err = wire.Dial(b.wireAddr, wf.ccfg); err != nil {
-			return nil, err
+			return err
 		}
 	}
-	replies, err := c.Predict(group)
+	rep, err := c.PredictPayload(g.send)
+	if err == nil {
+		g.reply = append(g.reply[:base], rep...)
+		g.replies, err = wire.ScanPredictReplies(g.replies[:0], g.reply[base:])
+		if err == nil && len(g.replies) != len(g.reqs) {
+			err = fmt.Errorf("%w: %d replies for %d requests", wire.ErrCorrupt, len(g.replies), len(g.reqs))
+		}
+	}
 	if err != nil {
 		c.Close()
-		return nil, err
+		return err
 	}
 	select {
 	case b.idle <- c:
 	default:
 		c.Close()
 	}
-	return replies, nil
+	return nil
 }
 
-func errReplies(group []*serve.Request, code int, msg string) []wire.Reply {
+func errReplies(group []wire.RequestView, code int, msg string) []wire.Reply {
 	out := make([]wire.Reply, len(group))
-	for i, r := range group {
-		out[i] = wire.Reply{RequestID: r.RequestID, Status: code, Error: msg}
+	for i := range group {
+		out[i] = wire.Reply{RequestID: string(group[i].ID), Status: code, Error: msg}
 	}
 	return out
 }

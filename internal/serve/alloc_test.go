@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"math"
 	"math/rand"
+	"reflect"
 	"testing"
 
 	"env2vec/internal/envmeta"
@@ -93,14 +94,21 @@ func TestDoBatchAllocs(t *testing.T) {
 
 // TestBackendDroppedTraceMaterialisesNoSpans is the backend's own twin of
 // the proxy's TestWireDroppedTraceMaterialisesNoSpans: a served request's
-// spans exist as a tree only in a trace the server's store keeps. A kept
-// tree costs at least its slice and the two attribute maps, so a frame whose
-// traces are all kept allocates at least a span's worth more per span than
-// one whose traces are all dropped, which builds none.
+// spans are never a tree on the serving path. A dropped trace renders
+// nothing, and a kept one is its stage record rendered straight into the one
+// string the store keeps, so a frame whose traces are all kept allocates one
+// object per window more than one whose traces are all dropped, give or take
+// two (before the store kept bytes, a kept trace cost its slice, its ids and
+// two attribute maps: at least a span's worth per span). The bound is two-
+// sided: a dropped frame that starts allocating per window shrinks the
+// difference below a window's worth. The kept traces decode to the record's
+// tree.
 func TestBackendDroppedTraceMaterialisesNoSpans(t *testing.T) {
 	const windows, stageSpans = 32, 3
+	var reqs []*Request
 	perFrame := func(trace obs.TraceStoreConfig) (float64, *Server) {
-		s, reqs := allocServer(t, windows, trace)
+		var s *Server
+		s, reqs = allocServer(t, windows, trace)
 		frame := func() {
 			for _, r := range s.DoBatch(reqs) {
 				if r.Err != nil {
@@ -120,9 +128,19 @@ func TestBackendDroppedTraceMaterialisesNoSpans(t *testing.T) {
 		t.Fatalf("sampling at 1, yet %d traces stored, want %d", n, windows)
 	}
 	t.Logf("a frame of %d: %.0f allocs with every trace kept, %.0f with every trace dropped", windows, kept, dropped)
-	if kept-dropped < windows*stageSpans {
-		t.Fatalf("a kept frame allocates %.0f, a dropped one %.0f: the %d spans were materialised either way",
-			kept, dropped, windows*stageSpans)
+	if kept-dropped > windows+2 {
+		t.Fatalf("a kept frame allocates %.0f, a dropped one %.0f: a kept trace costs more than its stored string",
+			kept, dropped)
+	}
+	if kept-dropped < windows {
+		t.Fatalf("a kept frame allocates %.0f, a dropped one %.0f: a dropped trace costs something per window",
+			kept, dropped)
+	}
+	for _, r := range s.DoBatch(reqs[:1]) {
+		tr, ok := s.Traces().Get(reqs[0].RequestID)
+		if want := r.Resp.Record.Trace(reqs[0].RequestID, reqs[0].TraceParent).Spans; !ok || len(tr.Spans) != stageSpans || !reflect.DeepEqual(tr.Spans, want) {
+			t.Fatalf("the stored trace is %+v\nthe record's tree is %+v", tr.Spans, want)
+		}
 	}
 }
 

@@ -22,9 +22,10 @@ func benchServer(b *testing.B, workers int) *Server {
 	schema := envmeta.NewSchema()
 	schema.Observe(envmeta.Environment{Testbed: "tb1", SUT: "fw", Testcase: "load", Build: "B1"})
 	schema.Freeze()
-	// Every trace is dropped: one the sampler keeps is built (a dozen
-	// objects, TestBackendDroppedTraceMaterialisesNoSpans), and a coin would
-	// make allocs/op, which the benchjson gate holds exactly, a matter of luck.
+	// Every trace is dropped: one the sampler keeps costs its stored string
+	// (TestBackendDroppedTraceMaterialisesNoSpans), and which fresh random
+	// ids head sampling keeps would make allocs/op, which the benchjson gate
+	// holds exactly, a matter of luck.
 	s := New(Config{
 		MaxBatch: 32, QueueDepth: 1024, Workers: workers,
 		Quality: &quality.Config{}, Trace: noTraces,

@@ -42,25 +42,31 @@ func NewIDMap[V any](bound int) *IDMap[V] {
 // Put maps id to v; the last write for an id wins.
 func (m *IDMap[V]) Put(id string, v V) {
 	m.mu.Lock()
-	m.put(id, v)
+	m.put(cloneID(&m.ids, id), v)
 	m.mu.Unlock()
 }
 
 // PutAll inserts up to n entries under one lock acquisition — a forward
 // pass, a relayed frame. at(i) yields entry i, or ok false to skip it; it
 // runs under the lock and must not call back into the map.
-func (m *IDMap[V]) PutAll(n int, at func(i int) (id string, v V, ok bool)) {
+func (m *IDMap[V]) PutAll(n int, at func(i int) (id string, v V, ok bool)) { putAll(m, n, at) }
+
+// PutAllBytes is PutAll for ids held as bytes — views into a relayed wire
+// frame — which the map copies like any other.
+func (m *IDMap[V]) PutAllBytes(n int, at func(i int) (id []byte, v V, ok bool)) { putAll(m, n, at) }
+
+func putAll[T string | []byte, V any](m *IDMap[V], n int, at func(i int) (T, V, bool)) {
 	m.mu.Lock()
 	defer m.mu.Unlock()
 	for i := 0; i < n; i++ {
 		if id, v, ok := at(i); ok {
-			m.put(id, v)
+			m.put(cloneID(&m.ids, id), v)
 		}
 	}
 }
 
+// put maps an id the map owns to v.
 func (m *IDMap[V]) put(id string, v V) {
-	id = m.ids.clone(id)
 	m.seq++
 	slot := idSlot{id: id, seq: m.seq}
 	if len(m.ring) < m.bound {
@@ -104,14 +110,25 @@ func (m *IDMap[V]) Size() (entries, slots int) {
 // chunk is freed once every id in it has left the ring and the map.
 type idArena struct{ chunk strings.Builder }
 
-func (a *idArena) clone(id string) string {
-	if a.chunk.Cap()-a.chunk.Len() < len(id) {
-		a.chunk = strings.Builder{}
-		a.chunk.Grow(max(4096, len(id)))
+// cloneID copies an id, held as a string or as bytes, into the arena.
+func cloneID[T string | []byte](a *idArena, id T) string {
+	n := a.room(len(id))
+	switch id := any(id).(type) {
+	case string:
+		a.chunk.WriteString(id)
+	case []byte:
+		a.chunk.Write(id)
 	}
-	// The chunk never grows past its capacity, so the strings handed out
-	// earlier keep their bytes while later ones are appended behind them.
-	n := a.chunk.Len()
-	a.chunk.WriteString(id)
 	return a.chunk.String()[n:]
+}
+
+// room makes space for an id of n bytes and returns where it will start.
+// The chunk never grows past its capacity, so the strings handed out earlier
+// keep their bytes while later ones are appended behind them.
+func (a *idArena) room(n int) int {
+	if a.chunk.Cap()-a.chunk.Len() < n {
+		a.chunk = strings.Builder{}
+		a.chunk.Grow(max(4096, n))
+	}
+	return a.chunk.Len()
 }

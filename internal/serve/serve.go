@@ -149,8 +149,8 @@ type Response struct {
 // StageRecord is what a worker leaves behind for a served request instead of
 // a span tree: one fixed-size value — no ids, no maps, no strings. Every
 // rendering of the request's spans is made from it, where someone reads
-// them: the wire reply's span section (wire.AppendResults), the JSON reply's
-// trace block and a trace the server's own store keeps (both through Trace).
+// them: the wire reply's span section and a wire request's kept trace (both
+// through AppendSpanSection), the JSON reply's trace block (through Trace).
 // They all name the same spans, because span ids derive from Seed.
 type StageRecord struct {
 	Enqueue    time.Time // admission into the queue
@@ -180,6 +180,30 @@ func (r *StageRecord) Trace(id, traceParent string) *Trace {
 	spans := make([]obs.Span, 3, 4) // room for the JSON adapter's serve.encode
 	spans[0], spans[1], spans[2] = root, r.span(id, 1, root.SpanID, "serve.queue_wait", r.Enqueue, r.Pickup), fwd
 	return &Trace{RequestID: id, Spans: spans}
+}
+
+// recordSpans is how many spans a StageRecord renders as: the root and its
+// two stages.
+const recordSpans = 3
+
+// AppendSpanSection renders the record as the span section (obs's span
+// codec) of the request it served, byte for byte what encoding the tree
+// Trace materialises would give (TestStageRecordRendersOneTree holds the
+// two together): three spans, ids derived from Seed, attributes in key
+// order, the root placed by traceParent as Trace places it — without
+// building the tree.
+func (r *StageRecord) AppendSpanSection(dst []byte, traceParent string) []byte {
+	_, parent, _ := obs.ParseTraceParent(traceParent)
+	var id, root [16]byte
+	rootID := string(obs.AppendID(root[:0], r.Seed)) // stays on the stack: the section gets copies
+	dst = append(dst, recordSpans)
+	dst = obs.AppendSpan(dst, rootID, parent, "serve.request", r.Enqueue.UnixMicro(), obs.MS(r.ForwardEnd.Sub(r.Enqueue)), 1)
+	dst = obs.AppendAttr(dst, "outcome", obs.OutcomeServed)
+	dst = obs.AppendSpan(dst, string(obs.AppendID(id[:0], r.Seed+1)), rootID, "serve.queue_wait", r.Enqueue.UnixMicro(), obs.MS(r.Pickup.Sub(r.Enqueue)), 0)
+	dst = obs.AppendSpan(dst, string(obs.AppendID(id[:0], r.Seed+2)), rootID, "serve.forward", r.Pickup.UnixMicro(), obs.MS(r.ForwardEnd.Sub(r.Pickup)), 2)
+	var num [20]byte
+	dst = obs.AppendAttr(dst, "batch_id", string(strconv.AppendUint(num[:0], r.BatchID, 10)))
+	return obs.AppendAttr(dst, "batch_size", string(strconv.AppendInt(num[:0], int64(r.BatchSize), 10)))
 }
 
 // span is the n-th span of the record's tree.
@@ -605,6 +629,7 @@ type scratch struct {
 	batch        nn.Batch
 	preds        []float64
 	env          envmeta.Environment // the last environment a pending prediction kept, cloned once
+	spans        []byte              // a kept trace's stored form, copied by the store
 }
 
 func newScratch(maxBatch int) *scratch {
@@ -753,9 +778,10 @@ func (s *Server) runBatch(w *scratch, items []*item) {
 
 // record is a served pass's account of itself, taken once: counters, the
 // stage histograms with their exemplars, the tail-sampling decision for
-// each request — made on its outcome and duration before anything is built,
-// so a dropped trace costs nothing — and the pass's unobserved predictions
-// under one lock.
+// each request — made on its id, outcome and duration before anything is
+// rendered, so a dropped trace costs nothing, and a kept one is its stage
+// record rendered straight into stored form — and the pass's unobserved
+// predictions under one lock.
 func (s *Server) record(w *scratch, valid []*item, start, fwdEnd time.Time) {
 	s.served.Add(uint64(len(valid)))
 	fwdMS := obs.MS(fwdEnd.Sub(start))
@@ -765,12 +791,11 @@ func (s *Server) record(w *scratch, valid []*item, start, fwdEnd time.Time) {
 		s.stageQueue.ObserveExemplar(obs.MS(start.Sub(it.enq)), id)
 		s.stageFwd.ObserveExemplar(fwdMS, id)
 		s.latency.ObserveExemplar(obs.MS(now.Sub(it.enq)), id)
-		t := obs.Trace{Outcome: obs.OutcomeServed, DurationMS: obs.MS(fwdEnd.Sub(it.enq))}
+		t := obs.TraceSummary{TraceID: id, Outcome: obs.OutcomeServed, DurationMS: obs.MS(fwdEnd.Sub(it.enq))}
 		if s.traces.Sample(&t) {
-			// A kept tree outlives the request, whose strings may sub-slice
-			// a decoded wire frame: it is built over copies.
-			id = strings.Clone(id)
-			s.storeTrace(id, t.Outcome, it.resp.Record.Trace(id, strings.Clone(it.req.TraceParent)).Spans)
+			t.Root, t.StartUnixUS, t.Spans = "serve.request", it.enq.UnixMicro(), recordSpans
+			w.spans = it.resp.Record.AppendSpanSection(obs.AppendSpanGroup(w.spans[:0], id), it.req.TraceParent)
+			s.traces.Store(t, w.spans)
 			it.resp.Record.Kept = true
 		}
 	}
@@ -814,30 +839,35 @@ func (s *Server) traceFailure(it *item) {
 	if it.code == http.StatusTooManyRequests {
 		outcome = obs.OutcomeShed
 	}
-	t := obs.Trace{Outcome: outcome, DurationMS: obs.MS(time.Since(it.enq))}
+	t := obs.TraceSummary{TraceID: it.req.RequestID, Outcome: outcome, DurationMS: obs.MS(time.Since(it.enq))}
 	if !s.traces.Sample(&t) {
 		return
 	}
-	id := strings.Clone(it.req.RequestID)
 	_, parent, _ := obs.ParseTraceParent(it.req.TraceParent)
 	root := obs.Span{
-		TraceID: id, SpanID: obs.NewSpanID(), ParentID: strings.Clone(parent), Name: "serve.request",
+		TraceID: it.req.RequestID, SpanID: obs.NewSpanID(), ParentID: parent, Name: "serve.request",
 		StartUnixUS: it.enq.UnixMicro(), DurationMS: t.DurationMS,
 		Attrs: map[string]string{"outcome": outcome, "error": it.err.Error()},
 	}
-	s.storeTrace(id, outcome, []obs.Span{root})
+	s.storeTrace(outcome, []obs.Span{root})
 }
 
-// storeTrace retains a span tree the sampler chose to keep; the store takes
-// the slice over.
-func (s *Server) storeTrace(id, outcome string, spans []obs.Span) {
+// storeTrace retains a span tree the sampler chose to keep, under its root's
+// trace id; the store keeps a copy of it encoded.
+func (s *Server) storeTrace(outcome string, spans []obs.Span) {
 	root := &spans[0]
-	s.traces.Store(obs.Trace{
-		TraceID: id, Root: root.Name, Outcome: outcome,
-		StartUnixUS: root.StartUnixUS, DurationMS: root.DurationMS,
-		Spans: spans,
-	})
+	buf := traceBufs.Get().(*[]byte)
+	*buf = obs.AppendSpans((*buf)[:0], spans)
+	s.traces.Store(obs.TraceSummary{
+		TraceID: root.TraceID, Root: root.Name, Outcome: outcome,
+		StartUnixUS: root.StartUnixUS, DurationMS: root.DurationMS, Spans: len(spans),
+	}, *buf)
+	traceBufs.Put(buf)
 }
+
+// traceBufs holds the buffers storeTrace renders into before the store
+// copies them.
+var traceBufs = sync.Pool{New: func() any { return new([]byte) }}
 
 // scoreAnomaly thresholds the prediction error against the chain's online
 // error model. Flagged errors are NOT folded back into the calibration, so
@@ -968,7 +998,7 @@ func (s *Server) handlePredict(w http.ResponseWriter, r *http.Request) {
 	if resp.Record.Kept {
 		// The worker stored the tree as it stood when the pass ended; the
 		// same spans plus this stage replace it.
-		s.storeTrace(req.RequestID, obs.OutcomeServed, block.Spans)
+		s.storeTrace(obs.OutcomeServed, block.Spans)
 	}
 	w.Header().Set("Content-Type", "application/json")
 	_, _ = w.Write(append(buf, '\n'))

@@ -12,7 +12,7 @@ import (
 )
 
 // traceTestServer hosts a server whose trace store keeps everything, so
-// assertions don't depend on the sampling coin.
+// assertions don't depend on which ids head sampling keeps.
 func traceTestServer(t *testing.T, cfg Config) (*Server, *httptest.Server) {
 	t.Helper()
 	cfg.Trace = obs.TraceStoreConfig{Capacity: 64, SampleRate: 1}

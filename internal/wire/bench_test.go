@@ -113,9 +113,9 @@ func benchServe(b *testing.B, in, window int) *serve.Server {
 		Schema: schema,
 		YScale: dataset.YScaler{Mu: 50, Sigma: 10},
 	}
-	// Every trace is dropped: a kept one is built, a dozen objects a window,
-	// and the sampler's coin would make allocs/op — which the benchjson gate
-	// holds exactly — a matter of luck.
+	// Every trace is dropped: a kept one costs an object a window, and which
+	// of the fresh random ids head sampling keeps would make allocs/op —
+	// which the benchjson gate holds exactly — a matter of luck.
 	s := serve.New(serve.Config{
 		MaxBatch: 16, QueueDepth: 1024, Workers: 2,
 		Trace: obs.TraceStoreConfig{SampleRate: -1, SlowMS: -1},

@@ -167,6 +167,16 @@ func (c *Client) Predict(reqs []*serve.Request) ([]Reply, error) {
 	return replies, nil
 }
 
+// PredictPayload sends a prepared FramePredictBatch payload and returns the
+// FramePredictReply payload that answers it, unchecked. The reply aliases
+// the client's read buffer: it is valid until the client's next exchange,
+// so a caller that hands the client on (back to a pool) copies it first.
+func (c *Client) PredictPayload(payload []byte) ([]byte, error) {
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	return c.exchange(FramePredictBatch, payload, FramePredictReply)
+}
+
 // Stream is a subscribe-mode session: one persistent connection pinned to
 // one environment, windows streamed in (Send, pipelined) and predictions
 // streamed out (Recv, correlated by Seq). Send and Recv may run from

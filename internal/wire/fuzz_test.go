@@ -6,6 +6,8 @@ import (
 	"encoding/binary"
 	"errors"
 	"io"
+	"math"
+	"reflect"
 	"testing"
 
 	"env2vec/internal/obs"
@@ -35,9 +37,9 @@ func corruptSpanReplies() [][]byte {
 	with := func(section ...byte) []byte { return append(append([]byte(nil), head...), section...) }
 	badAttrs := appendF64(with(1, 0, 0, 0, 0), 1.5) // one span: empty id, parent, name; start 0
 	return [][]byte{
-		append(badAttrs, maxAttrs+1),
+		append(badAttrs, obs.MaxSpanAttrs+1),
 		with(1, 16, 'a', 'b'),
-		binary.AppendUvarint(with(), maxSpans+1),
+		binary.AppendUvarint(with(), obs.MaxSectionSpans+1),
 	}
 }
 
@@ -52,7 +54,11 @@ func TestCorruptSpanSectionRejectedAtDecode(t *testing.T) {
 // FuzzWireDecode throws arbitrary bytes at the frame reader and every
 // payload decoder. Truncated, bit-flipped, oversized, and interleaved
 // frames must come back as typed errors — a panic or an untyped error
-// fails the run.
+// fails the run. The proxy's relay is held to the decoders on the same
+// bytes, each frame's payload and the raw input alike: a scan accepts what
+// its decoder accepts and re-renders what it scanned, and the span sections
+// it passes on decode as they did; and the trace store's codec round-trips
+// the spans the input spells.
 func FuzzWireDecode(f *testing.F) {
 	// Seed corpus: valid frames of every type, concatenations, and a few
 	// deliberately broken variants so the fuzzer starts near the
@@ -92,6 +98,9 @@ func FuzzWireDecode(f *testing.F) {
 	}
 
 	f.Fuzz(func(t *testing.T, data []byte) {
+		checkBatchScan(t, data)
+		checkReplyScan(t, data)
+		checkStoredSpans(t, data)
 		const maxPayload = 1 << 20
 		// Walk the bytes frame by frame with the reader the servers run, its
 		// read buffer reused as theirs is; io.EOF only on a clean boundary.
@@ -112,22 +121,9 @@ func FuzzWireDecode(f *testing.F) {
 			case FrameHello, FrameHelloAck:
 				_, perr = DecodeHello(fr.Payload)
 			case FramePredictBatch:
-				_, perr = DecodePredictBatch(fr.Payload)
+				perr = checkBatchScan(t, fr.Payload)
 			case FramePredictReply:
-				var replies []Reply
-				replies, perr = DecodePredictReplies(fr.Payload)
-				// What the decoder accepted must materialise: the lazy
-				// accessor re-walks the section and may not fail.
-				for i := range replies {
-					if replies[i].spans == "" {
-						continue
-					}
-					r := reader{b: []byte(replies[i].spans)}
-					spans, n := r.spans(replies[i].RequestID, true)
-					if err := r.finish(); err != nil || len(spans) != n || len(replies[i].Spans()) != n {
-						t.Fatalf("reply %d: span section accepted at decode fails to materialise: %v", i, err)
-					}
-				}
+				perr = checkReplyScan(t, fr.Payload)
 			case FrameSubscribe:
 				_, perr = DecodeSubscribe(fr.Payload)
 			case FrameSubscribeAck:
@@ -144,4 +140,256 @@ func FuzzWireDecode(f *testing.F) {
 			}
 		}
 	})
+}
+
+// checkBatchScan holds ScanPredictBatch to DecodePredictBatch on one payload
+// and returns the decoder's verdict: both accept it or both refuse it; what
+// was scanned is what was decoded, and re-rendered with each request's own
+// id and traceparent it is the payload, byte for byte; stamped onto a span,
+// it decodes to the same requests under the stamped traceparents.
+func checkBatchScan(t *testing.T, p []byte) error {
+	t.Helper()
+	reqs, err := DecodePredictBatch(p)
+	views, serr := ScanPredictBatch(nil, p)
+	if (err == nil) != (serr == nil) || (serr != nil && !isTyped(serr)) {
+		t.Fatalf("batch payload: decode says %v, scan says %v", err, serr)
+	}
+	if err != nil {
+		return err
+	}
+	if len(views) != len(reqs) {
+		t.Fatalf("batch payload: %d requests decoded, %d scanned", len(reqs), len(views))
+	}
+	for i, v := range views {
+		r := reqs[i]
+		if string(v.ID) != r.RequestID || string(v.TraceParent) != r.TraceParent || string(v.Testbed) != r.Testbed ||
+			string(v.SUT) != r.SUT || string(v.Testcase) != r.Testcase || string(v.Build) != r.Build {
+			t.Fatalf("request %d scanned as %q %q %q %q %q %q, decoded as %+v", i, v.ID, v.TraceParent, v.Testbed, v.SUT, v.Testcase, v.Build, r)
+		}
+	}
+	if again := AppendScannedRequests(nil, views, ""); !bytes.Equal(again, p) {
+		t.Fatalf("scanned batch re-renders as\n%x\nnot\n%x", again, p)
+	}
+	stamped, err := DecodePredictBatch(AppendScannedRequests(nil, views, "00000000000000aa"))
+	if err != nil || len(stamped) != len(reqs) {
+		t.Fatalf("stamped batch does not decode: %v", err)
+	}
+	for i, r := range stamped {
+		want := *reqs[i]
+		want.TraceParent = obs.FormatTraceParent(want.RequestID, "00000000000000aa")
+		if !sameRequest(r, &want) {
+			t.Fatalf("stamped request %d decodes as %+v, want %+v", i, *r, want)
+		}
+	}
+	return nil
+}
+
+// sameRequest is reflect.DeepEqual with floats compared by their bits, so a
+// NaN equals itself.
+func sameRequest(a, b *serve.Request) bool {
+	bits := func(xs []float64) []uint64 {
+		out := make([]uint64, len(xs))
+		for i, x := range xs {
+			out[i] = math.Float64bits(x)
+		}
+		return out
+	}
+	if (a.Actual == nil) != (b.Actual == nil) || (a.Actual != nil && math.Float64bits(*a.Actual) != math.Float64bits(*b.Actual)) ||
+		!reflect.DeepEqual(bits(a.CF), bits(b.CF)) || !reflect.DeepEqual(bits(a.Window), bits(b.Window)) {
+		return false
+	}
+	x, y := *a, *b
+	x.CF, x.Window, x.Actual, y.CF, y.Window, y.Actual = nil, nil, nil, nil, nil, nil
+	return reflect.DeepEqual(x, y)
+}
+
+// checkReplyScan holds ScanPredictReplies to DecodePredictReplies on one
+// payload and returns the decoder's verdict: both accept it or both refuse
+// it; the scanned replies tile the payload after its count; and each span
+// section decodes through obs's codec to as many spans as the scan counted,
+// to the spans the decoded reply materialises and to what the walk obs's
+// codec replaced decodes it to.
+func checkReplyScan(t *testing.T, p []byte) error {
+	t.Helper()
+	replies, err := DecodePredictReplies(p)
+	views, serr := ScanPredictReplies(nil, p)
+	if (err == nil) != (serr == nil) || (serr != nil && !isTyped(serr)) {
+		t.Fatalf("reply payload: decode says %v, scan says %v", err, serr)
+	}
+	if err != nil {
+		return err
+	}
+	if len(views) != len(replies) {
+		t.Fatalf("reply payload: %d replies decoded, %d scanned", len(replies), len(views))
+	}
+	_, head := binary.Uvarint(p)
+	tiled := append([]byte(nil), p[:head]...)
+	for i, v := range views {
+		rep := &replies[i]
+		tiled = append(tiled, v.Reply...)
+		if string(v.ID) != rep.RequestID || v.Status != rep.Status || string(v.Spans) != rep.spans {
+			t.Fatalf("reply %d scanned as %q %d spans %x, decoded as %+v spans %x", i, v.ID, v.Status, v.Spans, *rep, rep.spans)
+		}
+		if v.Spans == nil {
+			continue
+		}
+		spans, err := obs.DecodeSpanSection(string(v.Spans), string(v.ID))
+		ref, rerr := refSpans(string(v.Spans), string(v.ID))
+		if err != nil || rerr != nil || !sameSpans(spans, ref) || !sameSpans(spans, rep.Spans()) || v.SpanCount != len(spans) {
+			t.Fatalf("reply %d: the section decodes to\n %+v (%v)\nthe reference walk to\n %+v (%v)\nReply.Spans to\n %+v\nthe scan counts %d", i, spans, err, ref, rerr, rep.Spans(), v.SpanCount)
+		}
+	}
+	if !bytes.Equal(tiled, p) || !bytes.Equal(AppendScannedReplies(nil, views), p) {
+		t.Fatalf("scanned replies do not tile the payload:\n%x\n%x", tiled, p)
+	}
+	return nil
+}
+
+// refSpans is the span-section walk the reply decoder ran before obs owned
+// the codec (binary.Uvarint and friends over the section): the reference
+// obs.DecodeSpanSection is held to. It wants the section consumed exactly.
+func refSpans(section, traceID string) ([]obs.Span, error) {
+	b := []byte(section)
+	bad := errors.New("reference: corrupt")
+	uv := func() (uint64, bool) {
+		v, n := binary.Uvarint(b)
+		if n <= 0 {
+			return 0, false
+		}
+		b = b[n:]
+		return v, true
+	}
+	str := func() (string, bool) {
+		n, ok := uv()
+		if !ok || n > 64<<10 || n > uint64(len(b)) {
+			return "", false
+		}
+		s := string(b[:n])
+		b = b[n:]
+		return s, true
+	}
+	n, ok := uv()
+	if !ok || n > obs.MaxSectionSpans {
+		return nil, bad
+	}
+	var spans []obs.Span
+	for i := uint64(0); i < n; i++ {
+		sp := obs.Span{TraceID: traceID}
+		var ok1, ok2, ok3 bool
+		sp.SpanID, ok1 = str()
+		sp.ParentID, ok2 = str()
+		sp.Name, ok3 = str()
+		if !ok1 || !ok2 || !ok3 {
+			return nil, bad
+		}
+		start, k := binary.Varint(b)
+		if k <= 0 || len(b[k:]) < 8 {
+			return nil, bad
+		}
+		sp.StartUnixUS = start
+		sp.DurationMS = math.Float64frombits(binary.LittleEndian.Uint64(b[k:]))
+		b = b[k+8:]
+		attrs, ok := uv()
+		if !ok || attrs > obs.MaxSpanAttrs {
+			return nil, bad
+		}
+		for j := uint64(0); j < attrs; j++ {
+			k, ok1 := str()
+			v, ok2 := str()
+			if !ok1 || !ok2 {
+				return nil, bad
+			}
+			sp.SetAttr(k, v)
+		}
+		spans = append(spans, sp)
+	}
+	if len(b) != 0 {
+		return nil, bad
+	}
+	return spans, nil
+}
+
+// sameSpans is reflect.DeepEqual with durations compared by their bits, so
+// a NaN equals itself.
+func sameSpans(a, b []obs.Span) bool {
+	if len(a) != len(b) {
+		return false
+	}
+	for i := range a {
+		x, y := a[i], b[i]
+		if math.Float64bits(x.DurationMS) != math.Float64bits(y.DurationMS) {
+			return false
+		}
+		x.DurationMS, y.DurationMS = 0, 0
+		if len(x.Attrs) == 0 && len(y.Attrs) == 0 {
+			x.Attrs, y.Attrs = nil, nil
+		}
+		if !reflect.DeepEqual(x, y) {
+			return false
+		}
+	}
+	return true
+}
+
+// checkStoredSpans spells a span list out of data — trace ids from a few,
+// so runs of one id form groups; any start, any duration bits, up to three
+// attributes from a small key set — and holds the trace store's codec to
+// it: the stored form decodes to the list, every group's section is what
+// the sorted-key reference encoder writes, and one list has one encoding.
+func checkStoredSpans(t *testing.T, data []byte) {
+	t.Helper()
+	next := func() byte {
+		if len(data) == 0 {
+			return 0
+		}
+		c := data[0]
+		data = data[1:]
+		return c
+	}
+	word := func() uint64 {
+		var v uint64
+		for i := 0; i < 8; i++ {
+			v = v<<8 | uint64(next())
+		}
+		return v
+	}
+	str := func() string {
+		n := int(next() % 8)
+		if n > len(data) {
+			n = len(data)
+		}
+		s := string(data[:n])
+		data = data[n:]
+		return s
+	}
+	var spans []obs.Span
+	for n := next() % 6; n > 0; n-- {
+		sp := obs.Span{
+			TraceID: []string{"", "0123456789abcdef", "fedcba9876543210"}[next()%3],
+			SpanID:  str(), ParentID: str(), Name: str(),
+			StartUnixUS: int64(word()), DurationMS: math.Float64frombits(word()),
+		}
+		for a := next() % 4; a > 0; a-- {
+			sp.SetAttr([]string{"outcome", "batch_id", "error", ""}[next()%4], str())
+		}
+		spans = append(spans, sp)
+	}
+	stored := obs.AppendSpans(nil, spans)
+	got, err := obs.DecodeSpans(string(stored))
+	if err != nil || !sameSpans(got, spans) {
+		t.Fatalf("stored spans decode to\n %+v (%v)\nwant\n %+v", got, err, spans)
+	}
+	if again := obs.AppendSpans(nil, got); !bytes.Equal(again, stored) {
+		t.Fatalf("decoded spans re-encode as\n%x\nnot\n%x", again, stored)
+	}
+	for i := 0; i < len(spans); {
+		j := i + 1
+		for j < len(spans) && spans[j].TraceID == spans[i].TraceID {
+			j++
+		}
+		if sec, ref := obs.AppendSpanSection(nil, spans[i:j]), appendSpans(nil, spans[i:j]); !bytes.Equal(sec, ref) {
+			t.Fatalf("spans %d–%d encode as\n%x\nthe sorted-key reference as\n%x", i, j, sec, ref)
+		}
+		i = j
+	}
 }

@@ -4,37 +4,37 @@ import (
 	"encoding/binary"
 	"fmt"
 	"math"
-	"strconv"
 	"strings"
-	"time"
 
 	"env2vec/internal/envmeta"
 	"env2vec/internal/obs"
 	"env2vec/internal/serve"
 )
 
-// Payload limits. Everything a decoder allocates is bounded up front, so a
-// corrupt or hostile length can cost at most the frame it arrived in.
-const (
-	maxStringLen = 64 << 10 // ids, names, error messages
-	maxSpans     = 1024
-	maxAttrs     = 64
-)
+// maxStringLen bounds ids, names and error messages. Everything a decoder
+// allocates is bounded up front, so a corrupt or hostile length can cost at
+// most the frame it arrived in; span sections are bounded by obs's codec.
+const maxStringLen = 64 << 10
 
 // ── primitive readers ──────────────────────────────────────────────────
 
 // reader walks a payload with bounds-checked reads. The first failure is
 // kept (ErrCorrupt-wrapped, never a panic) and empties b, so later reads
-// return zeros and a decoder checks once, in finish. What is decoded lands
-// in two slabs allocated on first use — one immutable string holding a copy
-// of the payload, which every decoded string sub-slices, and one []float64
-// that every float slice and optional scalar is carved from — so a payload
-// costs two allocations however many fields it carries, and nothing decoded
-// aliases the caller's bytes. The error context (what) is a constant and is
-// formatted on the failure path only.
+// return zeros and a decoder checks once, in finish. A uvarint must be in its
+// one shortest encoding, so what a scan re-renders of a payload (the proxy's
+// relay) is the payload. What is decoded lands in two slabs allocated on
+// first use — one immutable string holding a copy of the payload, which
+// every decoded string sub-slices, and one []float64 that every float slice
+// and optional scalar is carved from — so a payload costs two allocations
+// however many fields it carries, and nothing decoded aliases the caller's
+// bytes. A scanning reader makes the same walk and checks but decodes
+// nothing: it reads views into the payload (text, spanSection) and allocates
+// nothing. The error context (what) is a constant and is formatted on the
+// failure path only.
 type reader struct {
 	b     []byte
 	err   error
+	scan  bool      // check and view only: no string, float or pointer is decoded
 	block string    // copy of the payload from the first string on
 	slab  []float64 // capacity bounds every float the rest of b can hold
 }
@@ -55,8 +55,18 @@ func (r *reader) finish() error {
 	return r.err
 }
 
+// uvarint is binary.Uvarint refusing an overlong encoding: one whose last
+// byte is a zero after a continuation byte.
+func uvarint(b []byte) (uint64, int) {
+	v, n := binary.Uvarint(b)
+	if n > 1 && b[n-1] == 0 {
+		return 0, -n
+	}
+	return v, n
+}
+
 func (r *reader) uvarint(what string) uint64 {
-	v, n := binary.Uvarint(r.b)
+	v, n := uvarint(r.b)
 	if n <= 0 {
 		r.failf("%s", what)
 		return 0
@@ -75,17 +85,7 @@ func (r *reader) count(what string, max uint64) int {
 	return int(v)
 }
 
-func (r *reader) varint(what string) int64 {
-	v, n := binary.Varint(r.b)
-	if n <= 0 {
-		r.failf("%s", what)
-		return 0
-	}
-	r.b = r.b[n:]
-	return v
-}
-
-// mark returns the current position as an offset into block, for since.
+// mark returns the current position as an offset into block.
 func (r *reader) mark() int {
 	if r.block == "" {
 		r.block = string(r.b)
@@ -93,28 +93,38 @@ func (r *reader) mark() int {
 	return len(r.block) - len(r.b)
 }
 
-// since returns the bytes consumed after mark, as a sub-slice of block.
-func (r *reader) since(mark int) string {
-	return r.block[mark : len(r.block)-len(r.b)]
-}
-
-func (r *reader) str(what string) string {
-	n, k := binary.Uvarint(r.b)
+// strLen consumes a string's length prefix and returns the length, checked
+// against the bytes left; what the string is read as is the caller's.
+func (r *reader) strLen(what string) int {
+	n, k := uvarint(r.b)
 	if k <= 0 {
 		r.failf("%s length", what)
-		return ""
+		return 0
 	}
 	r.b = r.b[k:]
 	if n > maxStringLen || n > uint64(len(r.b)) {
 		r.failf("%s length %d", what, n)
-		return ""
+		return 0
 	}
-	if n == 0 {
-		return ""
+	return int(n)
+}
+
+// text reads a string as a view into the payload and, unless the reader
+// scans, as a sub-slice of block.
+func (r *reader) text(what string) ([]byte, string) {
+	n := r.strLen(what)
+	v, s := r.b[:n:n], ""
+	if n > 0 && !r.scan {
+		at := r.mark()
+		s = r.block[at : at+n]
 	}
-	at := r.mark()
 	r.b = r.b[n:]
-	return r.since(at)
+	return v, s
+}
+
+func (r *reader) str(what string) string {
+	_, s := r.text(what)
+	return s
 }
 
 // take carves n floats off the slab. Callers have checked that n*8 bytes
@@ -138,10 +148,11 @@ func (r *reader) f64(what string) float64 {
 	return v
 }
 
-// f64ptr decodes an optional scalar into the slab and points at it.
+// f64ptr decodes an optional scalar into the slab and points at it; a
+// scanning reader skips it and returns nil.
 func (r *reader) f64ptr(what string) *float64 {
-	if len(r.b) < 8 {
-		r.failf("%s", what)
+	if len(r.b) < 8 || r.scan {
+		r.f64(what)
 		return nil
 	}
 	out := r.take(1)
@@ -149,18 +160,31 @@ func (r *reader) f64ptr(what string) *float64 {
 	return &out[0]
 }
 
-func (r *reader) floats(what string) []float64 {
-	n, k := binary.Uvarint(r.b)
+// floatCount consumes a float slice's count and returns it, checked against
+// the bytes left.
+func (r *reader) floatCount(what string) int {
+	n, k := uvarint(r.b)
 	if k <= 0 {
 		r.failf("%s count", what)
-		return nil
+		return 0
 	}
 	r.b = r.b[k:]
 	if n > uint64(len(r.b))/8 {
 		r.failf("%s count %d", what, n)
+		return 0
+	}
+	return int(n)
+}
+
+// floats decodes a float slice off the slab; a scanning reader skips it
+// and returns nil.
+func (r *reader) floats(what string) []float64 {
+	n := r.floatCount(what)
+	if r.err != nil || r.scan {
+		r.b = r.b[8*n:]
 		return nil
 	}
-	out := r.take(int(n))
+	out := r.take(n)
 	for i := range out {
 		out[i] = math.Float64frombits(binary.LittleEndian.Uint64(r.b[i*8:]))
 	}
@@ -178,9 +202,32 @@ func (r *reader) byteVal(what string) byte {
 	return v
 }
 
+// spanSection consumes the span section at the head of the rest, checked by
+// obs's codec, and returns it as a view and, unless the reader scans, as a
+// sub-slice of block, with its span count; both are empty when it holds no
+// span.
+func (r *reader) spanSection() ([]byte, string, int) {
+	n, spans, err := obs.SpanSectionLen(r.b)
+	if err != nil {
+		r.failf("%v", err)
+		return nil, "", 0
+	}
+	if spans == 0 {
+		r.b = r.b[n:]
+		return nil, "", 0
+	}
+	sec, s := r.b[:n:n], ""
+	if !r.scan {
+		at := r.mark()
+		s = r.block[at : at+n]
+	}
+	r.b = r.b[n:]
+	return sec, s, spans
+}
+
 // ── primitive writers ──────────────────────────────────────────────────
 
-func appendString(dst []byte, s string) []byte {
+func appendString[T ~string | ~[]byte](dst []byte, s T) []byte {
 	dst = binary.AppendUvarint(dst, uint64(len(s)))
 	return append(dst, s...)
 }
@@ -250,6 +297,14 @@ const (
 	reqHasActual = 1 << 0
 )
 
+// The shortest encodings: a request of empty strings and float slices, no
+// actual (seven string lengths, two float counts, flags), and an error
+// reply with an empty id and message (id length, status, message length).
+const (
+	minRequestLen = 10
+	minReplyLen   = 3
+)
+
 // AppendPredictBatch renders reqs as a FramePredictBatch payload. The
 // requests decode back into the exact serve.Request structs the
 // micro-batcher consumes — no intermediate representation, no re-marshal.
@@ -286,35 +341,52 @@ func AppendPredictBatch(dst []byte, reqs []*serve.Request) []byte {
 // id or an environment field past the request clones it.
 func DecodePredictBatch(p []byte) ([]*serve.Request, error) {
 	r := reader{b: p}
-	n := r.count("batch count", MaxBatchItems)
-	// A request is at least 10 bytes, so a count beyond the bytes left is
-	// corrupt before it can size the slab.
-	if r.err == nil && (n == 0 || n > len(r.b)) {
-		r.failf("batch count %d", n)
-		n = 0
-	}
+	n := r.batchCount()
 	slab := make([]serve.Request, n)
 	reqs := make([]*serve.Request, n)
 	for i := 0; i < n && r.err == nil; i++ {
-		req := &slab[i]
-		reqs[i] = req
-		req.RequestID = r.str("request id")
-		req.TraceParent = r.str("traceparent")
-		req.Testbed = r.str("testbed")
-		req.SUT = r.str("sut")
-		req.Testcase = r.str("testcase")
-		req.Build = r.str("build")
-		req.ChainID = r.str("chain id")
-		req.CF = r.floats("cf")
-		req.Window = r.floats("window")
-		if r.byteVal("request flags")&reqHasActual != 0 {
-			req.Actual = r.f64ptr("actual")
-		}
+		reqs[i] = &slab[i]
+		r.request(reqs[i])
 	}
 	if err := r.finish(); err != nil {
 		return nil, err
 	}
 	return reqs, nil
+}
+
+// batchCount reads a FramePredictBatch payload's request count. A request
+// is at least minRequestLen bytes, so a count beyond what the bytes left can
+// hold is corrupt before it can size anything.
+func (r *reader) batchCount() int {
+	n := r.count("batch count", MaxBatchItems)
+	if r.err == nil && (n == 0 || n > len(r.b)/minRequestLen) {
+		r.failf("batch count %d", n)
+		n = 0
+	}
+	return n
+}
+
+// request walks one request of a FramePredictBatch payload — the one walk
+// both DecodePredictBatch and ScanPredictBatch make, so they accept the same
+// payloads by construction — and returns its view; unless the reader scans,
+// it decodes the request into req too.
+func (r *reader) request(req *serve.Request) RequestView {
+	var v RequestView
+	v.ID, req.RequestID = r.text("request id")
+	v.TraceParent, req.TraceParent = r.text("traceparent")
+	rest := r.b
+	v.Testbed, req.Testbed = r.text("testbed")
+	v.SUT, req.SUT = r.text("sut")
+	v.Testcase, req.Testcase = r.text("testcase")
+	v.Build, req.Build = r.text("build")
+	req.ChainID = r.str("chain id")
+	req.CF = r.floats("cf")
+	req.Window = r.floats("window")
+	if r.byteVal("request flags")&reqHasActual != 0 {
+		req.Actual = r.f64ptr("actual")
+	}
+	v.Rest = rest[: len(rest)-len(r.b) : len(rest)-len(r.b)]
+	return v
 }
 
 // ── PredictReplies ─────────────────────────────────────────────────────
@@ -349,13 +421,14 @@ type Reply struct {
 
 // Spans materialises the reply's span tree, the trace id restored from the
 // request id. The result owns its memory (it does not keep the decoded
-// frame alive), so a trace store may retain it.
+// frame alive), so a caller may retain it.
 func (rep *Reply) Spans() []obs.Span {
 	if rep.spans == "" {
 		return nil
 	}
-	r := reader{b: []byte(rep.spans)}
-	spans, _ := r.spans(strings.Clone(rep.RequestID), true) // cannot fail: validated at decode
+	// Copies off the frame: the spans' strings sub-slice one, and the trace
+	// id, which a caller may keep alone, is the other.
+	spans, _ := obs.DecodeSpanSection(strings.Clone(rep.spans), strings.Clone(rep.RequestID)) // cannot fail: validated at decode
 	return spans
 }
 
@@ -441,83 +514,21 @@ func AppendResults(dst []byte, reqs []*serve.Request, results []serve.BatchResul
 		rep := replyFromResult(reqs[i].RequestID, res.Resp, res.Code, res.Err)
 		var served bool
 		if dst, served = appendReplyHead(dst, &rep); served {
-			dst = appendStageSpans(dst, reqs[i].TraceParent, &res.Resp.Record)
+			dst = res.Resp.Record.AppendSpanSection(dst, reqs[i].TraceParent)
 		}
 	}
 	return dst
 }
 
-// appendStageSpans renders the span section of a request served as rec says,
-// byte for byte what encoding the tree rec.Trace materialises would give
-// (TestStageRecordRendersOneTree holds the two together) — three spans, ids
-// derived from the record's seed, attributes in sorted key order, the trace
-// id implied by the enclosing reply's request id — without building it.
-func appendStageSpans(dst []byte, traceParent string, rec *serve.StageRecord) []byte {
-	_, parent, _ := obs.ParseTraceParent(traceParent)
-	var id [16]byte
-	root := string(obs.AppendID(id[:0], rec.Seed)) // stays on the stack: the frame gets copies
-	dst = append(dst, 3)
-	dst = appendStageSpan(dst, rec.Seed, parent, "serve.request", rec.Enqueue, rec.ForwardEnd, 1)
-	dst = appendString(appendString(dst, "outcome"), obs.OutcomeServed)
-	dst = appendStageSpan(dst, rec.Seed+1, root, "serve.queue_wait", rec.Enqueue, rec.Pickup, 0)
-	dst = appendStageSpan(dst, rec.Seed+2, root, "serve.forward", rec.Pickup, rec.ForwardEnd, 2)
-	dst = appendNumberAttr(dst, "batch_id", rec.BatchID)
-	return appendNumberAttr(dst, "batch_size", uint64(rec.BatchSize))
-}
-
-// appendStageSpan renders one span up to and including its attribute count;
-// the caller appends that many attributes, keys ascending.
-func appendStageSpan(dst []byte, id uint64, parent, name string, start, end time.Time, attrs byte) []byte {
-	var hex [16]byte
-	dst = appendString(dst, string(obs.AppendID(hex[:0], id)))
-	dst = appendString(dst, parent)
-	dst = appendString(dst, name)
-	dst = binary.AppendVarint(dst, start.UnixMicro())
-	dst = appendF64(dst, obs.MS(end.Sub(start)))
-	return append(dst, attrs)
-}
-
-func appendNumberAttr(dst []byte, key string, v uint64) []byte {
-	var num [20]byte
-	dst = appendString(dst, key)
-	return appendString(dst, string(strconv.AppendUint(num[:0], v, 10)))
-}
-
 // DecodePredictReplies parses a FramePredictReply payload into per-frame
 // slabs like DecodePredictBatch. Span sections are bounds-checked here, by
-// the same walk Reply.Spans later decodes them with, and kept as bytes.
+// obs's codec, whose decoder Reply.Spans later runs, and kept as bytes.
 func DecodePredictReplies(p []byte) ([]Reply, error) {
 	r := reader{b: p}
-	n := r.count("reply count", MaxBatchItems)
-	if n > len(r.b) { // a reply is at least 3 bytes
-		r.failf("reply count %d", n)
-		n = 0
-	}
+	n := r.replyCount()
 	replies := make([]Reply, n)
 	for i := 0; i < n && r.err == nil; i++ {
-		rep := &replies[i]
-		rep.RequestID = r.str("reply id")
-		rep.Status = r.count("reply status", 599)
-		if rep.Status != 200 {
-			rep.Error = r.str("reply error")
-			continue
-		}
-		rep.Prediction = r.f64("prediction")
-		rep.Model = r.str("model")
-		rep.ModelVersion = r.count("model version", math.MaxInt32)
-		rep.BatchSize = r.count("batch size", MaxBatchItems)
-		flags := r.byteVal("reply flags")
-		if flags&replyHasAnomalous != 0 {
-			a := flags&replyAnomalous != 0
-			rep.Anomalous = &a
-		}
-		if flags&replyHasDeviation != 0 {
-			rep.Deviation = r.f64ptr("deviation")
-		}
-		at := r.mark()
-		if _, count := r.spans("", false); count > 0 {
-			rep.spans = r.since(at)
-		}
+		r.reply(&replies[i])
 	}
 	if err := r.finish(); err != nil {
 		return nil, err
@@ -525,35 +536,139 @@ func DecodePredictReplies(p []byte) ([]Reply, error) {
 	return replies, nil
 }
 
-// ── span encoding ──────────────────────────────────────────────────────
+// replyCount reads a FramePredictReply payload's reply count, held to what
+// the bytes left can hold like batchCount's.
+func (r *reader) replyCount() int {
+	n := r.count("reply count", MaxBatchItems)
+	if n > len(r.b)/minReplyLen {
+		r.failf("reply count %d", n)
+		n = 0
+	}
+	return n
+}
 
-// spans walks one span section — the bounds checks of a decode and, with
-// keep, also its result — and returns the section's span count alongside.
-// DecodePredictReplies runs it without keep (no allocation, the section
-// stays bytes) and Reply.Spans with it, so what was accepted at decode can
-// never fail to materialise.
-func (r *reader) spans(traceID string, keep bool) ([]obs.Span, int) {
-	n := r.count("span count", maxSpans)
-	var spans []obs.Span
-	if keep {
-		spans = make([]obs.Span, 0, n)
+// reply walks one reply of a FramePredictReply payload — the one walk of
+// DecodePredictReplies and ScanPredictReplies — and returns its view;
+// unless the reader scans, it decodes the reply into rep too.
+func (r *reader) reply(rep *Reply) ReplyView {
+	start := r.b
+	var v ReplyView
+	v.ID, rep.RequestID = r.text("reply id")
+	v.Status = r.count("reply status", 599)
+	rep.Status = v.Status
+	if v.Status != 200 {
+		rep.Error = r.str("reply error")
+	} else {
+		rep.Prediction = r.f64("prediction")
+		rep.Model = r.str("model")
+		rep.ModelVersion = r.count("model version", math.MaxInt32)
+		rep.BatchSize = r.count("batch size", MaxBatchItems)
+		flags := r.byteVal("reply flags")
+		if flags&replyHasAnomalous != 0 && !r.scan {
+			a := flags&replyAnomalous != 0
+			rep.Anomalous = &a
+		}
+		if flags&replyHasDeviation != 0 {
+			rep.Deviation = r.f64ptr("deviation")
+		}
+		v.Spans, rep.spans, v.SpanCount = r.spanSection()
 	}
+	v.Reply = start[: len(start)-len(r.b) : len(start)-len(r.b)]
+	return v
+}
+
+// ── relay: scanned batches and replies ─────────────────────────────────
+
+// RequestView is one request of a FramePredictBatch payload as
+// ScanPredictBatch found it: views into the payload, valid while its bytes
+// are. What the proxy routes by and rewrites is picked out; the rest travels
+// on as it came.
+type RequestView struct {
+	ID, TraceParent               []byte
+	Testbed, SUT, Testcase, Build []byte
+	// Rest is the request from its testbed to its end.
+	Rest []byte
+}
+
+// ScanPredictBatch walks a FramePredictBatch payload as DecodePredictBatch
+// does — the same walk, so the same count, string-length and float-count
+// bounds, the same flags, no trailing bytes — and appends a view of each
+// request to dst. It decodes no float and copies nothing. It accepts exactly
+// the payloads DecodePredictBatch accepts.
+func ScanPredictBatch(dst []RequestView, p []byte) ([]RequestView, error) {
+	base := len(dst)
+	r := reader{b: p, scan: true}
+	n := r.batchCount()
+	var req serve.Request // a scan decodes nothing into it
 	for i := 0; i < n && r.err == nil; i++ {
-		sp := obs.Span{
-			TraceID: traceID, SpanID: r.str("span id"), ParentID: r.str("span parent"), Name: r.str("span name"),
-			StartUnixUS: r.varint("span start"), DurationMS: r.f64("span duration"),
-		}
-		for j := r.count("span attr count", maxAttrs); j > 0 && r.err == nil; j-- {
-			k, v := r.str("span attr key"), r.str("span attr value")
-			if keep {
-				sp.SetAttr(k, v)
-			}
-		}
-		if keep {
-			spans = append(spans, sp)
-		}
+		dst = append(dst, r.request(&req))
 	}
-	return spans, n
+	if err := r.finish(); err != nil {
+		return dst[:base], err
+	}
+	return dst, nil
+}
+
+// AppendScannedRequests renders reqs as a FramePredictBatch payload: each
+// request's ID, then its traceparent — its own when parentSpanID is empty,
+// else one naming the span parentSpanID in the request's trace — then its
+// Rest verbatim.
+func AppendScannedRequests(dst []byte, reqs []RequestView, parentSpanID string) []byte {
+	dst = binary.AppendUvarint(dst, uint64(len(reqs)))
+	var tp [64]byte
+	for i := range reqs {
+		v := &reqs[i]
+		dst = appendString(dst, v.ID)
+		if parentSpanID == "" {
+			dst = appendString(dst, v.TraceParent)
+		} else {
+			dst = appendString(dst, obs.AppendTraceParent(tp[:0], v.ID, parentSpanID))
+		}
+		dst = append(dst, v.Rest...)
+	}
+	return dst
+}
+
+// ReplyView is one reply of a FramePredictReply payload as
+// ScanPredictReplies found it: views into the payload, valid while its
+// bytes are.
+type ReplyView struct {
+	ID     []byte
+	Status int
+	// Reply is the whole reply, its id to its end.
+	Reply []byte
+	// Spans is the reply's span section, SpanCount the spans in it; nil
+	// and 0 when it carries no span.
+	Spans     []byte
+	SpanCount int
+}
+
+// ScanPredictReplies walks a FramePredictReply payload as
+// DecodePredictReplies does, span sections included, and appends a view of
+// each reply to dst. The Reply ranges tile the payload after its count. It
+// accepts exactly the payloads DecodePredictReplies accepts.
+func ScanPredictReplies(dst []ReplyView, p []byte) ([]ReplyView, error) {
+	base := len(dst)
+	r := reader{b: p, scan: true}
+	n := r.replyCount()
+	var rep Reply // a scan decodes nothing into it
+	for i := 0; i < n && r.err == nil; i++ {
+		dst = append(dst, r.reply(&rep))
+	}
+	if err := r.finish(); err != nil {
+		return dst[:base], err
+	}
+	return dst, nil
+}
+
+// AppendScannedReplies renders replies as a FramePredictReply payload, each
+// reply's bytes verbatim.
+func AppendScannedReplies(dst []byte, replies []ReplyView) []byte {
+	dst = binary.AppendUvarint(dst, uint64(len(replies)))
+	for i := range replies {
+		dst = append(dst, replies[i].Reply...)
+	}
+	return dst
 }
 
 // ── Subscribe / SubscribeAck ───────────────────────────────────────────

@@ -238,12 +238,14 @@ func (c *Conn) Fail(code int, msg string) {
 // Serve speaks the protocol on one accepted connection, for the backend and
 // the proxy alike. The first frame must be a Hello whose version this side
 // speaks, answered with a HelloAck advertising batch and subscribe. Then each
-// PredictBatch is answered with the PredictReply payload batch appends to its
-// scratch, until the peer leaves or breaks the protocol, or a Subscribe hands
-// the connection over to subscribe, which keeps it until Serve returns. A
-// violation is answered with Fail — 400, or 505 for a foreign version — and a
-// peer that leaves on a frame boundary with nothing.
-func (c *Conn) Serve(batch func(dst []byte, reqs []*serve.Request) []byte, subscribe func(Subscribe)) {
+// PredictBatch payload is handed to batch as read — valid until batch returns
+// — and answered with the PredictReply payload batch appends to its scratch,
+// until the peer leaves or breaks the protocol, or a Subscribe hands the
+// connection over to subscribe, which keeps it until Serve returns. A
+// violation — a payload batch refuses with an error among them — is answered
+// with Fail — 400, or 505 for a foreign version — and a peer that leaves on a
+// frame boundary with nothing.
+func (c *Conn) Serve(batch func(dst, payload []byte) ([]byte, error), subscribe func(Subscribe)) {
 	if !c.serveHello() {
 		return
 	}
@@ -255,12 +257,11 @@ func (c *Conn) Serve(batch func(dst []byte, reqs []*serve.Request) []byte, subsc
 		}
 		switch f.Type {
 		case FramePredictBatch:
-			reqs, err := DecodePredictBatch(f.Payload)
-			if err != nil {
+			var err error
+			if out, err = batch(out[:0], f.Payload); err != nil {
 				c.Fail(http.StatusBadRequest, err.Error())
 				return
 			}
-			out = batch(out[:0], reqs)
 			if c.write(FramePredictReply, out) != nil {
 				return
 			}
@@ -311,9 +312,13 @@ func (s *Server) handleConn(conn net.Conn) {
 	s.connsTotal.Inc()
 	c := NewConn(conn)
 	c.in, c.out, c.violations = s.framesIn, s.framesOut, s.protoErrors
-	c.Serve(func(dst []byte, reqs []*serve.Request) []byte {
+	c.Serve(func(dst, payload []byte) ([]byte, error) {
+		reqs, err := DecodePredictBatch(payload)
+		if err != nil {
+			return dst, err
+		}
 		s.batchReqs.Add(uint64(len(reqs)))
-		return AppendResults(dst, reqs, s.dispatch.DoBatch(reqs))
+		return AppendResults(dst, reqs, s.dispatch.DoBatch(reqs)), nil
 	}, func(sub Subscribe) { s.stream(c, sub) })
 }
 

@@ -145,20 +145,24 @@ func ReadFrame(r *bufio.Reader, maxPayload int, buf *[]byte) (Frame, error) {
 	if maxPayload <= 0 {
 		maxPayload = DefaultMaxPayload
 	}
-	var hdr [frameHeaderSize]byte
-	if _, err := io.ReadFull(r, hdr[:1]); err != nil {
-		if errors.Is(err, io.EOF) {
+	// The header is read where it lies in r's buffer: nothing is copied, and
+	// nothing escapes to the heap per frame.
+	hdr, err := r.Peek(frameHeaderSize)
+	if err != nil {
+		if len(hdr) == 0 && errors.Is(err, io.EOF) {
 			return Frame{}, io.EOF
+		}
+		if err == io.EOF {
+			err = io.ErrUnexpectedEOF
 		}
 		return Frame{}, fmt.Errorf("%w: %v", ErrTruncated, err)
 	}
-	if _, err := io.ReadFull(r, hdr[1:]); err != nil {
-		return Frame{}, fmt.Errorf("%w: %v", ErrTruncated, err)
-	}
-	if binary.BigEndian.Uint32(hdr[0:4]) != frameMagic {
+	magic, typ := binary.BigEndian.Uint32(hdr[0:4]), hdr[4]
+	length, sum := int(binary.BigEndian.Uint32(hdr[6:10])), binary.BigEndian.Uint32(hdr[10:14])
+	_, _ = r.Discard(frameHeaderSize) // peeked: cannot fail
+	if magic != frameMagic {
 		return Frame{}, ErrBadMagic
 	}
-	length := int(binary.BigEndian.Uint32(hdr[6:10]))
 	if length > maxPayload {
 		return Frame{}, fmt.Errorf("%w: %d bytes (cap %d)", ErrTooLarge, length, maxPayload)
 	}
@@ -174,8 +178,8 @@ func ReadFrame(r *bufio.Reader, maxPayload int, buf *[]byte) (Frame, error) {
 	if _, err := io.ReadFull(r, payload); err != nil {
 		return Frame{}, fmt.Errorf("%w: %v", ErrTruncated, err)
 	}
-	if binary.BigEndian.Uint32(hdr[10:14]) != crc32.Checksum(payload, castagnoli) {
+	if sum != crc32.Checksum(payload, castagnoli) {
 		return Frame{}, ErrBadCRC
 	}
-	return Frame{Type: hdr[4], Payload: payload}, nil
+	return Frame{Type: typ, Payload: payload}, nil
 }
