@@ -106,7 +106,9 @@ go test -run FuzzGRUSequence -fuzz FuzzGRUSequence -fuzztime 10s ./internal/nn/
 # code as the only path, built for 386 (runs
 # natively on an amd64 box), so the !amd64 side of the CPUID selection —
 # matMulScalar[T] for both element types — is executed and not just
-# compiled, the tape, the arena and the layers with it. arm64 is vetted,
+# compiled, the tape, the arena and the layers with it, and the forest's
+# one-fit grid search runs against its 24-fit oracle off amd64 too (the
+# baselines and anomaly packages ride along). arm64 is vetted,
 # which type-checks its build of the packages.
 go test -run 'TestBlocked|TestF32|TestF64|TestMatMul|TestSigmoid|TestSigmoidAdd64|TestSigmoid64UnderFMAOff|TestGate|TestAddReLU|TestTrain|TestReLU|TestArena' ./internal/tensor/
 go test -run FuzzF64Kernels -fuzz FuzzF64Kernels -fuzztime 10s ./internal/tensor/
@@ -114,7 +116,7 @@ go test -run FuzzTrainKernels -fuzz FuzzTrainKernels -fuzztime 10s ./internal/te
 GOAMD64=v3 go test -run 'TestF64|TestGate|TestAddReLU|TestTrain|TestReLU|TestMatMulTAdd' ./internal/tensor/
 GOAMD64=v3 go test -run 'TestFloat64BitIdenticalToGolden' ./internal/core/
 GOAMD64=v3 go test -run 'TestGRUSequenceMatchesUnroll' ./internal/nn/
-GOARCH=386 go test ./internal/tensor/ ./internal/infer/ ./internal/core/ ./internal/autodiff/ ./internal/nn/
+GOARCH=386 go test ./internal/tensor/ ./internal/infer/ ./internal/core/ ./internal/autodiff/ ./internal/nn/ ./internal/baselines/ ./internal/anomaly/
 GOARCH=arm64 go vet ./internal/tensor/ ./internal/infer/ ./internal/autodiff/ ./internal/nn/
 # The tape's arena: a reused tape is a fresh tape (bit for bit, at op and at
 # model scale), the pool is race-free, and the allocation pins hold.

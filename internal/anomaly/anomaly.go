@@ -39,9 +39,13 @@ type Config struct {
 	AbsFilter float64
 }
 
-// Flag returns per-timestep anomaly flags: timestep p is flagged when the
-// error deviates from μ_error by more than γ·σ_error and (if enabled)
-// |pred−actual| exceeds the absolute filter.
+// Exceeds reports whether one timestep's error e = pred−actual is flagged:
+// |e−μ_error| > γ·σ_error and, if enabled, |e| ≥ the absolute filter (NaN is).
+func (c Config) Exceeds(e float64, dist stats.Gaussian) bool {
+	return !(math.Abs(e-dist.Mu) <= c.Gamma*dist.Sigma) && !(c.AbsFilter > 0 && math.Abs(e) < c.AbsFilter)
+}
+
+// Flag returns per-timestep anomaly flags under cfg.Exceeds.
 func Flag(pred, actual []float64, em ErrorModel, cfg Config) []bool {
 	if len(pred) != len(actual) {
 		panic(fmt.Sprintf("anomaly: length mismatch %d vs %d", len(pred), len(actual)))
@@ -51,15 +55,7 @@ func Flag(pred, actual []float64, em ErrorModel, cfg Config) []bool {
 	}
 	out := make([]bool, len(pred))
 	for i := range pred {
-		e := pred[i] - actual[i]
-		dev := math.Abs(e - em.Dist.Mu)
-		if dev <= cfg.Gamma*em.Dist.Sigma {
-			continue
-		}
-		if cfg.AbsFilter > 0 && math.Abs(e) < cfg.AbsFilter {
-			continue
-		}
-		out[i] = true
+		out[i] = cfg.Exceeds(pred[i]-actual[i], em.Dist)
 	}
 	return out
 }
@@ -102,12 +98,14 @@ func (a Alarm) String() string {
 		a.Detector, a.ChainID, a.Testbed, a.Build, a.StartIdx, a.EndIdx, a.PeakDev)
 }
 
-// MergeAlarms converts per-timestep flags into alarms, merging runs of
-// consecutive flagged steps (allowing gaps up to maxGap unflagged steps)
-// into single intervals.
-func MergeAlarms(detector string, s *dataset.Series, flags []bool, pred []float64, maxGap int) []Alarm {
-	if len(flags) != s.Len() || len(pred) != s.Len() {
-		panic(fmt.Sprintf("anomaly: merge length mismatch flags=%d pred=%d series=%d", len(flags), len(pred), s.Len()))
+const MergeGap = 1 // the merge gap (timesteps) of every detector's alarms
+
+// MergeAlarms converts the flags of timesteps offset…s.Len()-1 into alarms,
+// merging runs of flagged steps (allowing gaps up to maxGap unflagged steps)
+// into single intervals indexed by the series' timesteps.
+func MergeAlarms(detector string, s *dataset.Series, flags []bool, pred []float64, offset, maxGap int) []Alarm {
+	if len(flags) != len(pred) || offset < 0 || offset+len(flags) != s.Len() {
+		panic(fmt.Sprintf("anomaly: merge length mismatch flags=%d pred=%d offset=%d series=%d", len(flags), len(pred), offset, s.Len()))
 	}
 	var alarms []Alarm
 	inAlarm := false
@@ -119,7 +117,8 @@ func MergeAlarms(detector string, s *dataset.Series, flags []bool, pred []float6
 			inAlarm = false
 		}
 	}
-	for i, f := range flags {
+	for k, f := range flags {
+		i := offset + k
 		if !f {
 			if inAlarm {
 				gap++
@@ -129,7 +128,7 @@ func MergeAlarms(detector string, s *dataset.Series, flags []bool, pred []float6
 			}
 			continue
 		}
-		dev := math.Abs(pred[i] - s.RU[i])
+		dev := math.Abs(pred[k] - s.RU[i])
 		if !inAlarm {
 			cur = Alarm{
 				Detector: detector, ChainID: s.ChainID,

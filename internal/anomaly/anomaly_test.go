@@ -1,7 +1,9 @@
 package anomaly
 
 import (
+	"math"
 	"math/rand"
+	"reflect"
 	"strings"
 	"testing"
 	"testing/quick"
@@ -41,21 +43,21 @@ func TestFlagGammaThreshold(t *testing.T) {
 
 func TestFlagAbsFilterSuppressesSmallDeviations(t *testing.T) {
 	// Tiny σ makes even small deviations exceed γσ, but the 5-point
-	// absolute filter must suppress them.
-	actual := []float64{0, 0, 0}
-	pred := []float64{1, 2, 8}
+	// absolute filter must suppress them. A NaN error is flagged either way.
+	actual := []float64{0, 0, 0, 0}
+	pred := []float64{1, 2, 8, math.NaN()}
 	em := ErrorModel{}
 	em.Dist.Mu, em.Dist.Sigma = 0, 0.1
 	noFilter := Flag(pred, actual, em, Config{Gamma: 2})
-	if !noFilter[0] || !noFilter[1] || !noFilter[2] {
+	if !noFilter[0] || !noFilter[1] || !noFilter[2] || !noFilter[3] {
 		t.Fatalf("all should exceed γσ without filter: %v", noFilter)
 	}
 	filtered := Flag(pred, actual, em, Config{Gamma: 2, AbsFilter: 5})
 	if filtered[0] || filtered[1] {
 		t.Fatalf("small deviations should be filtered: %v", filtered)
 	}
-	if !filtered[2] {
-		t.Fatalf("large deviation should survive the filter")
+	if !filtered[2] || !filtered[3] {
+		t.Fatalf("large and NaN deviations should survive the filter: %v", filtered)
 	}
 }
 
@@ -147,9 +149,13 @@ func TestMergeAlarmsBasic(t *testing.T) {
 	pred := make([]float64, 10)
 	pred[2], pred[3], pred[7] = 5, 8, 4
 	flags := []bool{false, false, true, true, false, false, false, true, false, false}
-	alarms := MergeAlarms("env2vec", s, flags, pred, 0)
+	alarms := MergeAlarms("env2vec", s, flags, pred, 0, 0)
 	if len(alarms) != 2 {
 		t.Fatalf("want 2 alarms, got %d: %v", len(alarms), alarms)
+	}
+	// Flags from a windowed model start at its first scored timestep.
+	if got := MergeAlarms("env2vec", s, flags[2:], pred[2:], 2, 0); !reflect.DeepEqual(got, alarms) {
+		t.Fatalf("offset 2 merges %v, want %v", got, alarms)
 	}
 	a := alarms[0]
 	if a.StartIdx != 2 || a.EndIdx != 3 || a.PeakDev != 8 {
@@ -170,25 +176,37 @@ func TestMergeAlarmsGapTolerance(t *testing.T) {
 	s := testSeries(8)
 	pred := make([]float64, 8)
 	flags := []bool{true, false, true, false, false, false, true, false}
-	if got := len(MergeAlarms("d", s, flags, pred, 1)); got != 2 {
+	if got := len(MergeAlarms("d", s, flags, pred, 0, 1)); got != 2 {
 		t.Fatalf("gap=1 should merge first two runs: got %d alarms", got)
 	}
-	if got := len(MergeAlarms("d", s, flags, pred, 0)); got != 3 {
+	if got := len(MergeAlarms("d", s, flags, pred, 0, 0)); got != 3 {
 		t.Fatalf("gap=0 should keep 3 alarms: got %d", got)
 	}
-	if got := len(MergeAlarms("d", s, flags, pred, 10)); got != 1 {
+	if got := len(MergeAlarms("d", s, flags, pred, 0, 10)); got != 1 {
 		t.Fatalf("large gap should merge all: got %d", got)
 	}
 }
 
 func TestMergeAlarmsPanicsOnMismatch(t *testing.T) {
 	s := testSeries(4)
-	defer func() {
-		if recover() == nil {
-			t.Fatalf("expected panic")
-		}
-	}()
-	MergeAlarms("d", s, []bool{true}, []float64{1, 2, 3, 4}, 0)
+	for _, c := range []struct {
+		flags  []bool
+		pred   []float64
+		offset int
+	}{
+		{[]bool{true}, []float64{1, 2, 3, 4}, 0},
+		{[]bool{true, false}, []float64{1, 2}, 1},
+		{[]bool{true, false}, []float64{1, 2}, 3},
+	} {
+		func() {
+			defer func() {
+				if recover() == nil {
+					t.Fatalf("%d flags, %d predictions at offset %d: expected panic", len(c.flags), len(c.pred), c.offset)
+				}
+			}()
+			MergeAlarms("d", s, c.flags, c.pred, c.offset, 0)
+		}()
+	}
 }
 
 func TestEvaluateOverlap(t *testing.T) {
@@ -245,7 +263,7 @@ func TestMergeAlarmsProperty(t *testing.T) {
 			}
 		}
 		pred := make([]float64, n)
-		alarms := MergeAlarms("p", s, flags, pred, 0)
+		alarms := MergeAlarms("p", s, flags, pred, 0, 0)
 		covered := 0
 		lastEnd := -1
 		for _, a := range alarms {

@@ -1,6 +1,7 @@
 package baselines
 
 import (
+	"fmt"
 	"math"
 	"math/rand"
 	"testing"
@@ -292,6 +293,115 @@ func TestFitForestCV(t *testing.T) {
 	}
 	if _, err := FitForestCV(train, val, 5, 1); err == nil {
 		t.Fatalf("empty grid should error")
+	}
+}
+
+// fitForestCVRef is the grid search that fits all 24 forests from scratch,
+// kept as the oracle for FitForestCV's one-forest search.
+func fitForestCVRef(train, val *nn.Batch, maxEstimators int, seed int64) (*RandomForest, error) {
+	depths := []int{3, 4, 5, 6, 7, 8, 9, 10}
+	ests := []int{10, 50, 100, 1000}
+	var best *RandomForest
+	bestMSE := math.Inf(1)
+	for _, d := range depths {
+		for _, e := range ests {
+			if e > maxEstimators {
+				continue
+			}
+			m := NewRandomForest(e, d, seed)
+			if err := m.Fit(train); err != nil {
+				return nil, err
+			}
+			mse := batchMSE(m, val)
+			if mse < bestMSE {
+				bestMSE = mse
+				best = m
+			}
+		}
+	}
+	if best == nil {
+		return nil, fmt.Errorf("baselines: empty forest grid (maxEstimators=%d)", maxEstimators)
+	}
+	return best, nil
+}
+
+// tiedBatch builds y from three small-integer features: most rows share
+// their feature values with many others, and deep nodes run out of rows.
+func tiedBatch(rng *rand.Rand, n int) *nn.Batch {
+	x := tensor.New(n, 3)
+	y := tensor.New(n, 1)
+	for i := 0; i < n; i++ {
+		a, b, c := float64(rng.Intn(4)), float64(rng.Intn(3)), float64(rng.Intn(6))
+		x.Set(i, 0, a)
+		x.Set(i, 1, b)
+		x.Set(i, 2, c)
+		y.Set(i, 0, a*b-c+float64(rng.Intn(3)))
+	}
+	return &nn.Batch{X: x, Y: y}
+}
+
+// TestFitForestCVMatchesGridOfFits pins the nesting FitForestCV relies on:
+// the first e trees of one forest, walked at most d levels, predict every
+// bit the forest fitted for (e, d) does, so the one-fit search returns the
+// winner of the 24-fit search with the same predictions.
+func TestFitForestCVMatchesGridOfFits(t *testing.T) {
+	rng := rand.New(rand.NewSource(12))
+	for _, c := range []struct {
+		name string
+		gen  func(n int) *nn.Batch
+	}{
+		{"linear", func(n int) *nn.Batch { return linearBatch(rng, n, 0.3) }},
+		{"tied", func(n int) *nn.Batch { return tiedBatch(rng, n) }},
+	} {
+		train, val, test := c.gen(150), c.gen(60), c.gen(60)
+		const seed = 3
+		sameBits := func(what string, got, want []float64) {
+			t.Helper()
+			for i := range want {
+				if math.Float64bits(got[i]) != math.Float64bits(want[i]) {
+					t.Fatalf("%s %s: row %d predicts %v, want %v", c.name, what, i, got[i], want[i])
+				}
+			}
+		}
+		full := NewRandomForest(100, 10, seed)
+		if err := full.Fit(train); err != nil {
+			t.Fatal(err)
+		}
+		for _, e := range []int{10, 50, 100} {
+			for d := 3; d <= 10; d++ {
+				fresh := NewRandomForest(e, d, seed)
+				if err := fresh.Fit(train); err != nil {
+					t.Fatal(err)
+				}
+				view := &RandomForest{NEstimators: e, MaxDepth: d, Seed: seed, trees: full.trees[:e]}
+				sameBits(fmt.Sprintf("view (%d, %d)", e, d), view.Predict(test), fresh.Predict(test))
+			}
+		}
+		for _, maxE := range []int{10, 50, 100} {
+			got, err := FitForestCV(train, val, maxE, seed)
+			if err != nil {
+				t.Fatal(err)
+			}
+			want, err := fitForestCVRef(train, val, maxE, seed)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if got.NEstimators != want.NEstimators || got.MaxDepth != want.MaxDepth {
+				t.Fatalf("%s maxEstimators %d: winner (%d, %d), want (%d, %d)",
+					c.name, maxE, got.NEstimators, got.MaxDepth, want.NEstimators, want.MaxDepth)
+			}
+			held := 0 // tree pointers the winner's backing array keeps alive
+			for _, tr := range got.trees[:cap(got.trees)] {
+				if tr != nil {
+					held++
+				}
+			}
+			if len(got.trees) != got.NEstimators || held != got.NEstimators {
+				t.Fatalf("%s maxEstimators %d: winner of %d trees holds %d, want %d",
+					c.name, maxE, len(got.trees), held, got.NEstimators)
+			}
+			sameBits(fmt.Sprintf("winner at maxEstimators %d", maxE), got.Predict(test), want.Predict(test))
+		}
 	}
 }
 

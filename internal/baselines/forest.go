@@ -12,27 +12,22 @@ import (
 
 // RandomForest is a bagged ensemble of CART regression trees, the RFReg
 // baseline of §4.1.3. Hyper-parameters follow the paper's grid: MaxDepth
-// {3..10} and NEstimators {10,50,100,1000}.
+// {3..10} and NEstimators {10,50,100,1000}. As in scikit-learn's regressor,
+// every split considers every feature.
 type RandomForest struct {
 	NEstimators int
 	MaxDepth    int
-	MinLeaf     int     // minimum samples per leaf
-	FeatureFrac float64 // fraction of features considered per split (1 = all)
 	Seed        int64
 
 	trees []*cartNode
 }
 
-// NewRandomForest returns an unfitted forest with sklearn-like defaults for
-// the knobs the paper does not tune.
+// minLeaf is the minimum number of samples on each side of a split.
+const minLeaf = 2
+
+// NewRandomForest returns an unfitted forest.
 func NewRandomForest(nEstimators, maxDepth int, seed int64) *RandomForest {
-	return &RandomForest{
-		NEstimators: nEstimators,
-		MaxDepth:    maxDepth,
-		MinLeaf:     2,
-		FeatureFrac: 1.0,
-		Seed:        seed,
-	}
+	return &RandomForest{NEstimators: nEstimators, MaxDepth: maxDepth, Seed: seed}
 }
 
 // cartNode is one node of a regression tree.
@@ -45,7 +40,9 @@ type cartNode struct {
 
 func (n *cartNode) isLeaf() bool { return n.left == nil }
 
-// Fit trains the ensemble on bootstrap resamples of the batch.
+// Fit trains the ensemble on bootstrap resamples of the batch. A tree takes
+// nothing from the generator but its bootstrap draw, so the first e trees of
+// a forest are the forest of e trees with the same seed.
 func (f *RandomForest) Fit(b *nn.Batch) error {
 	if b.Len() == 0 {
 		return fmt.Errorf("baselines: forest fit on empty batch")
@@ -58,12 +55,13 @@ func (f *RandomForest) Fit(b *nn.Batch) error {
 		for i := range idx {
 			idx[i] = rng.Intn(n)
 		}
-		f.trees[t] = buildTree(b.X, b.Y, idx, f.MaxDepth, f.MinLeaf, f.FeatureFrac, rng)
+		f.trees[t] = buildTree(b.X, b.Y, idx, f.MaxDepth)
 	}
 	return nil
 }
 
-// Predict implements Predictor by averaging tree outputs.
+// Predict implements Predictor by averaging tree outputs, each tree walked at
+// most MaxDepth levels.
 func (f *RandomForest) Predict(b *nn.Batch) []float64 {
 	if f.trees == nil {
 		panic("baselines: RandomForest.Predict before Fit")
@@ -73,15 +71,15 @@ func (f *RandomForest) Predict(b *nn.Batch) []float64 {
 		row := b.X.Row(i)
 		s := 0.0
 		for _, tr := range f.trees {
-			s += predictTree(tr, row)
+			s += predictTree(tr, row, f.MaxDepth)
 		}
 		out[i] = s / float64(len(f.trees))
 	}
 	return out
 }
 
-func predictTree(n *cartNode, row []float64) float64 {
-	for !n.isLeaf() {
+func predictTree(n *cartNode, row []float64, maxDepth int) float64 {
+	for ; maxDepth > 0 && !n.isLeaf(); maxDepth-- {
 		if row[n.feature] <= n.threshold {
 			n = n.left
 		} else {
@@ -92,7 +90,9 @@ func predictTree(n *cartNode, row []float64) float64 {
 }
 
 // buildTree grows a CART regression tree by variance-reduction splitting.
-func buildTree(x, y *tensor.Matrix, idx []int, depth, minLeaf int, featureFrac float64, rng *rand.Rand) *cartNode {
+// Every node holds its mean before it tries a split, so cutting a tree at
+// depth d gives the tree grown with depth d.
+func buildTree(x, y *tensor.Matrix, idx []int, depth int) *cartNode {
 	node := &cartNode{value: meanAt(y, idx)}
 	if depth <= 0 || len(idx) < 2*minLeaf {
 		return node
@@ -101,10 +101,9 @@ func buildTree(x, y *tensor.Matrix, idx []int, depth, minLeaf int, featureFrac f
 	bestFeature, bestThreshold := -1, 0.0
 	baseSSE := sseAt(y, idx, node.value)
 
-	features := featureSample(x.Cols, featureFrac, rng)
 	vals := make([]float64, len(idx))
 	order := make([]int, len(idx))
-	for _, fi := range features {
+	for fi := 0; fi < x.Cols; fi++ {
 		for k, i := range idx {
 			vals[k] = x.At(i, fi)
 			order[k] = k
@@ -160,22 +159,9 @@ func buildTree(x, y *tensor.Matrix, idx []int, depth, minLeaf int, featureFrac f
 	}
 	node.feature = bestFeature
 	node.threshold = bestThreshold
-	node.left = buildTree(x, y, leftIdx, depth-1, minLeaf, featureFrac, rng)
-	node.right = buildTree(x, y, rightIdx, depth-1, minLeaf, featureFrac, rng)
+	node.left = buildTree(x, y, leftIdx, depth-1)
+	node.right = buildTree(x, y, rightIdx, depth-1)
 	return node
-}
-
-func featureSample(d int, frac float64, rng *rand.Rand) []int {
-	k := int(math.Ceil(frac * float64(d)))
-	if k >= d {
-		out := make([]int, d)
-		for i := range out {
-			out[i] = i
-		}
-		return out
-	}
-	perm := rng.Perm(d)
-	return perm[:k]
 }
 
 func meanAt(y *tensor.Matrix, idx []int) float64 {
@@ -198,10 +184,24 @@ func sseAt(y *tensor.Matrix, idx []int, mean float64) float64 {
 // FitForestCV searches the paper's hyper-parameter grid (max_depth 3..10,
 // n_estimators {10,50,100,1000}) on the validation set. The estimator grid
 // is capped at maxEstimators to keep harness runtimes sane; pass 1000 to
-// match the paper exactly.
+// match the paper exactly. One forest is fitted, with the most estimators
+// and the deepest depth; every cell is scored on its first e trees walked
+// at most d levels, which is bit for bit the forest fitted for that cell.
 func FitForestCV(train, val *nn.Batch, maxEstimators int, seed int64) (*RandomForest, error) {
 	depths := []int{3, 4, 5, 6, 7, 8, 9, 10}
 	ests := []int{10, 50, 100, 1000}
+	maxE := 0
+	for _, e := range ests {
+		if e <= maxEstimators {
+			maxE = e
+		}
+	}
+	full := NewRandomForest(maxE, depths[len(depths)-1], seed)
+	if maxE > 0 {
+		if err := full.Fit(train); err != nil {
+			return nil, err
+		}
+	}
 	var best *RandomForest
 	bestMSE := math.Inf(1)
 	for _, d := range depths {
@@ -209,12 +209,8 @@ func FitForestCV(train, val *nn.Batch, maxEstimators int, seed int64) (*RandomFo
 			if e > maxEstimators {
 				continue
 			}
-			m := NewRandomForest(e, d, seed)
-			if err := m.Fit(train); err != nil {
-				return nil, err
-			}
-			mse := batchMSE(m, val)
-			if mse < bestMSE {
+			m := &RandomForest{NEstimators: e, MaxDepth: d, Seed: seed, trees: full.trees[:e]}
+			if mse := batchMSE(m, val); mse < bestMSE {
 				bestMSE = mse
 				best = m
 			}
@@ -223,5 +219,6 @@ func FitForestCV(train, val *nn.Batch, maxEstimators int, seed int64) (*RandomFo
 	if best == nil {
 		return nil, fmt.Errorf("baselines: empty forest grid (maxEstimators=%d)", maxEstimators)
 	}
+	best.trees = append([]*cartNode(nil), best.trees...) // frees the other trees
 	return best, nil
 }

@@ -31,11 +31,7 @@ type Table5Result struct {
 	TrueProblems int // labelled problem episodes across the fault executions
 }
 
-// detectOpts groups shared detection parameters.
-const (
-	alarmMergeGap = 1
-	absFilterCPU  = 5.0 // the 5% absolute filter of §4.2.2
-)
+const absFilterCPU = 5.0 // the 5% absolute filter of §4.2.2
 
 // RunTable5 reproduces Table 5: alarm quality of HTM-AD, Ridge, Ridge_ts,
 // RFNN_all, and Env2Vec on the fault-injected test executions, for
@@ -99,7 +95,7 @@ func (l *Lab) detectWith(method string, wf *pipeline.Workflow, s *dataset.Series
 		}
 		em := anomaly.FitErrorModel(hp, ha)
 		flags := anomaly.Flag(pred, actual, em, cfg)
-		return mergeOffset(method, s, flags, pred, l.Opts.Window)
+		return anomaly.MergeAlarms(method, s, flags, pred, l.Opts.Window, anomaly.MergeGap)
 	case "Ridge", "Ridge_ts":
 		cm := l.Chain(s.ChainID)
 		b := l.testBatch(s.ChainID)
@@ -113,22 +109,9 @@ func (l *Lab) detectWith(method string, wf *pipeline.Workflow, s *dataset.Series
 			em = cm.emRidgeTS
 		}
 		flags := anomaly.Flag(pred, b.Y.Data, em, cfg)
-		return mergeOffset(method, s, flags, pred, l.Opts.Window)
+		return anomaly.MergeAlarms(method, s, flags, pred, l.Opts.Window, anomaly.MergeGap)
 	}
 	panic(fmt.Sprintf("experiments: unknown detection method %q", method))
-}
-
-// mergeOffset re-aligns window-offset flags/predictions with the full
-// series before merging alarms.
-func mergeOffset(method string, s *dataset.Series, flags []bool, pred []float64, window int) []anomaly.Alarm {
-	fullFlags := make([]bool, s.Len())
-	fullPred := make([]float64, s.Len())
-	copy(fullPred, s.RU)
-	for i, f := range flags {
-		fullFlags[window+i] = f
-		fullPred[window+i] = pred[i]
-	}
-	return anomaly.MergeAlarms(method, s, fullFlags, fullPred, alarmMergeGap)
 }
 
 // runHTM streams each fault chain (history then current build) through the
@@ -152,7 +135,7 @@ func (l *Lab) runHTM() (metrics.AlarmStats, int) {
 		for i, v := range s.RU {
 			flags[i] = d.Step(v) >= threshold
 		}
-		alarms := anomaly.MergeAlarms("htm-ad", s, flags, s.RU, alarmMergeGap)
+		alarms := anomaly.MergeAlarms("htm-ad", s, flags, s.RU, 0, anomaly.MergeGap)
 		agg.Add(anomaly.Evaluate(alarms, s))
 		detected += anomaly.DetectedEpisodes(alarms, s)
 	}
@@ -188,7 +171,7 @@ func (l *Lab) RunTable6() *Table5Result {
 		for _, exec := range l.Corpus.FaultTargets {
 			pred, actual := blindRFNN.predictSeries(exec.Series, l.Opts.Window)
 			flags := anomaly.SelfFlag(pred, actual, cfg)
-			alarms := mergeOffset("RFNN_all", exec.Series, flags, pred, l.Opts.Window)
+			alarms := anomaly.MergeAlarms("RFNN_all", exec.Series, flags, pred, l.Opts.Window, anomaly.MergeGap)
 			aggR.Add(anomaly.Evaluate(alarms, exec.Series))
 			detR += anomaly.DetectedEpisodes(alarms, exec.Series)
 		}

@@ -439,7 +439,6 @@ type Workflow struct {
 	Standardizer *dataset.Standardizer
 	YScale       dataset.YScaler
 	Detect       anomaly.Config
-	MaxGap       int // alarm merge gap (timesteps)
 
 	mu          sync.Mutex
 	errorModels map[string]anomaly.ErrorModel
@@ -453,7 +452,6 @@ func NewWorkflow(tr *TrainResult, detect anomaly.Config) *Workflow {
 		Standardizer: tr.Standardizer,
 		YScale:       tr.YScale,
 		Detect:       detect,
-		MaxGap:       1,
 		errorModels:  make(map[string]anomaly.ErrorModel),
 	}
 }
@@ -522,13 +520,5 @@ func (w *Workflow) ProcessExecution(detector string, s *dataset.Series) []anomal
 	} else {
 		flags = anomaly.SelfFlag(pred, actual, w.Detect)
 	}
-	// Re-align flags and predictions with the full series.
-	fullFlags := make([]bool, s.Len())
-	fullPred := make([]float64, s.Len())
-	copy(fullPred, s.RU) // unscored prefix has zero deviation
-	for i, f := range flags {
-		fullFlags[offset+i] = f
-		fullPred[offset+i] = pred[i]
-	}
-	return anomaly.MergeAlarms(detector, s, fullFlags, fullPred, w.MaxGap)
+	return anomaly.MergeAlarms(detector, s, flags, pred, offset, anomaly.MergeGap)
 }

@@ -20,6 +20,7 @@ import (
 	"env2vec/internal/anomaly"
 	"env2vec/internal/envmeta"
 	"env2vec/internal/obs"
+	"env2vec/internal/stats"
 )
 
 // Baseline is the training-time prediction-error distribution the monitor
@@ -297,11 +298,8 @@ func (m *Monitor) Observe(env envmeta.Environment, requestID string, pred, actua
 	st.lastAt = at
 
 	base, haveBase := m.baselineForLocked(st)
-	exceed := false
-	if haveBase {
-		dev := math.Abs(e - base.Mu)
-		exceed = dev > m.cfg.Gamma*base.Sigma && (m.cfg.AbsFilter <= 0 || math.Abs(e) >= m.cfg.AbsFilter)
-	}
+	exceed := haveBase && anomaly.Config{Gamma: m.cfg.Gamma, AbsFilter: m.cfg.AbsFilter}.
+		Exceeds(e, stats.Gaussian{Mu: base.Mu, Sigma: base.Sigma})
 	if !exceed {
 		st.n++
 		d := e - st.mean

@@ -889,8 +889,7 @@ func (s *Server) scoreAnomaly(req *Request, pred float64, resp *Response) {
 		c.add(e) // still calibrating; no verdict yet
 		return
 	}
-	em := anomaly.ErrorModel{Dist: stats.Gaussian{Mu: c.mean, Sigma: c.sigma()}, Samples: c.n}
-	flagged := anomaly.Flag([]float64{pred}, []float64{*req.Actual}, em, *s.cfg.Detect)[0]
+	flagged := s.cfg.Detect.Exceeds(e, stats.Gaussian{Mu: c.mean, Sigma: c.sigma()})
 	dev := math.Abs(e)
 	resp.Anomalous = &flagged
 	resp.Deviation = &dev
