@@ -101,9 +101,10 @@ go test -run FuzzGRUSequence -fuzz FuzzGRUSequence -fuzztime 10s ./internal/nn/
 # step's kernels (ReLU, the two GRU backward sweeps, the bias column sum and
 # Adam) against their Go loops and MatMulTAddInto against TransposeInto plus
 # MatMulAddInto, and a fuzzer over each family (FuzzF64Kernels,
-# FuzzTrainKernels); the float64 bit identity again at GOAMD64=v3,
-# where the compiler could fuse the Go tails into FMAs; then the same scalar
-# code as the only path, built for 386 (runs
+# FuzzTrainKernels); the float64 bit identity, and that of the float32
+# GEMM's unfused 8-column group (TestF32EdgeTileMatchesScalar), again at
+# GOAMD64=v3, where the compiler could fuse the Go tails into FMAs; then the
+# same scalar code as the only path, built for 386 (runs
 # natively on an amd64 box), so the !amd64 side of the CPUID selection —
 # matMulScalar[T] for both element types — is executed and not just
 # compiled, the tape, the arena and the layers with it, and the forest's
@@ -113,7 +114,7 @@ go test -run FuzzGRUSequence -fuzz FuzzGRUSequence -fuzztime 10s ./internal/nn/
 go test -run 'TestBlocked|TestF32|TestF64|TestMatMul|TestSigmoid|TestSigmoidAdd64|TestSigmoid64UnderFMAOff|TestGate|TestAddReLU|TestTrain|TestReLU|TestArena' ./internal/tensor/
 go test -run FuzzF64Kernels -fuzz FuzzF64Kernels -fuzztime 10s ./internal/tensor/
 go test -run FuzzTrainKernels -fuzz FuzzTrainKernels -fuzztime 10s ./internal/tensor/
-GOAMD64=v3 go test -run 'TestF64|TestGate|TestAddReLU|TestTrain|TestReLU|TestMatMulTAdd' ./internal/tensor/
+GOAMD64=v3 go test -run 'TestF64|TestF32EdgeTileMatchesScalar|TestGate|TestAddReLU|TestTrain|TestReLU|TestMatMulTAdd' ./internal/tensor/
 GOAMD64=v3 go test -run 'TestFloat64BitIdenticalToGolden' ./internal/core/
 GOAMD64=v3 go test -run 'TestGRUSequenceMatchesUnroll' ./internal/nn/
 GOARCH=386 go test ./internal/tensor/ ./internal/infer/ ./internal/core/ ./internal/autodiff/ ./internal/nn/ ./internal/baselines/ ./internal/anomaly/
@@ -128,7 +129,7 @@ go test -run 'TestTrainStepAllocs|TestInferAllocations|TestInfer32Allocations|Te
 # -compare exits nonzero if any shared benchmark is >10% slower than
 # docs/outputs/BENCH_infer.json or grew its allocs/op, so a perf regression
 # fails reproduce.sh before the baseline is overwritten.
-go test -run '^$' -bench 'Forward(Tape|Infer)|TrainStep|MatMulBlocked_32|SigmoidAdd(32|64)|AddReLU(32|64)|Gate(Mul|Blend)(32|64)|AdamStep|GRUBackward' -benchmem -count 1 ./internal/infer/ ./internal/tensor/ \
+go test -run '^$' -bench 'Forward(Tape|Infer)|TrainStep|MatMulBlocked(32)?_(32|640)x|SigmoidAdd(32|64)|AddReLU(32|64)|Gate(Mul|Blend)(32|64)|AdamStep|GRUBackward' -benchmem -count 1 ./internal/infer/ ./internal/tensor/ \
     | tee docs/outputs/bench_infer.txt \
     | go run ./cmd/benchjson -compare docs/outputs/BENCH_infer.json -max-regress 10 \
     > docs/outputs/BENCH_infer.json.new
@@ -172,9 +173,10 @@ mv docs/outputs/BENCH_serve.json.new docs/outputs/BENCH_serve.json
 # stitching, the verdict table both fronts must answer alike, the one
 # server-side frame loop behind both listeners, subscribe failover and error
 # relay through the splice, retained ids not pinning frames, the pending and
-# sticky maps staying bounded when predictions are observed promptly, a
-# negative body cap still capping, a 503 refusal not counted as a protocol
-# error), then
+# sticky maps staying bounded when predictions are observed promptly and
+# answering as the Go-map IDMap they replaced (FuzzIDMap holds them to the
+# reference model in idmap_test.go), a negative body cap still capping, a
+# 503 refusal not counted as a protocol error), then
 # the allocation budgets the race detector would trip (a relayed frame costs
 # a handful of allocations, a served frame four and a lone Do one; one stage
 # record renders one tree on the wire, in JSON and in the store; a
@@ -185,6 +187,7 @@ mv docs/outputs/BENCH_serve.json.new docs/outputs/BENCH_serve.json
 # a wide 25% bound because live round trips ride the box's phases.
 go test -run FuzzWireDecode -fuzz FuzzWireDecode -fuzztime 10s ./internal/wire/
 go test -run FuzzParseTraceParent -fuzz FuzzParseTraceParent -fuzztime 10s ./internal/obs/
+go test -run FuzzIDMap -fuzz FuzzIDMap -fuzztime 10s ./internal/serve/
 go test -race ./internal/wire/
 go test -race -run 'TestE2EWireMixedProtocolFailover|TestProxyBodyLimit|TestProxyErrorBodyCap|TestWireFanOut|TestProxyWireTraceStitchesBackendSpans|TestFrontsEmitSameFamiliesAndSpans|TestWireStickyIDsDoNotPinFrames|TestPreambleOneBehaviour|TestWireSubscribe|TestStickyStaysBoundedWhenObserved' ./internal/proxy/
 go test -race -run 'TestBodyLimits|TestStrictDecoding|TestDoBatch|TestPendingStaysBoundedWhenObserved|TestIDMap|TestProtocolErrorsCountOnlyViolations' ./internal/serve/ ./internal/wire/

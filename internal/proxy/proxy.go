@@ -416,6 +416,12 @@ func (p *Proxy) handleObserve(w http.ResponseWriter, r *http.Request) {
 	if !ok {
 		return
 	}
+	if req.RequestID == "" {
+		// Not a miss: there is no id to have recorded. 400 with the
+		// backend's own answer to the same request.
+		jsonError(w, "request_id is required", http.StatusBadRequest)
+		return
+	}
 	b, ok := p.sticky.Take(req.RequestID)
 	if !ok || !b.Alive() {
 		// The prediction's backend is unknown (evicted, proxy restart) or

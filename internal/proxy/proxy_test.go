@@ -252,6 +252,28 @@ func TestObserveSticky(t *testing.T) {
 	}
 }
 
+// TestObserveWithoutRequestID: an /observe with an empty or missing
+// request_id is a malformed request, not a miss: 400 with the backend's own
+// message, and the miss counter does not move.
+func TestObserveWithoutRequestID(t *testing.T) {
+	p := newTestProxy(t, Config{}, newStub(t))
+	for _, body := range []string{`{"request_id":""}`, `{"actual":49.5}`, `{}`} {
+		w := httptest.NewRecorder()
+		p.ServeHTTP(w, httptest.NewRequest(http.MethodPost, "/observe", strings.NewReader(body)))
+		if w.Code != http.StatusBadRequest || !strings.Contains(w.Body.String(), "request_id is required") {
+			t.Fatalf("observe %s: status %d, body %q; want 400 request_id is required", body, w.Code, w.Body.String())
+		}
+	}
+	if n := p.stickyMiss.Value(); n != 0 {
+		t.Fatalf("observe misses counted %d requests that carried no id", n)
+	}
+	w := httptest.NewRecorder()
+	p.ServeHTTP(w, httptest.NewRequest(http.MethodPost, "/observe", strings.NewReader(`{"request_id":"never-served"}`)))
+	if w.Code != http.StatusNotFound || p.stickyMiss.Value() != 1 {
+		t.Fatalf("unknown id: status %d, %d misses; want 404 and one miss", w.Code, p.stickyMiss.Value())
+	}
+}
+
 func TestShed429WhenSaturated(t *testing.T) {
 	a := newStub(t)
 	a.mu.Lock()

@@ -1,6 +1,7 @@
 package serve
 
 import (
+	"hash/maphash"
 	"strings"
 	"sync"
 )
@@ -14,35 +15,48 @@ import (
 // was taken or re-inserted since. Ids are copied into chunks the map owns,
 // so an entry never keeps the buffer its id arrived in (a decoded wire
 // frame) alive. Safe for concurrent use.
+//
+// There is no Go map: an entry lives in its ring slot (id, hash, value), and
+// an open-addressing index of ring positions, a power of two at least twice
+// the bound, finds it by a hash/maphash hash under a seed of the map's own,
+// so a client cannot choose ids that collide. Deletion shifts the rest of a
+// probe run back instead of leaving tombstones, so runs stay short under
+// churn, and eviction finds the oldest slot's index cell by its ring
+// position without comparing ids. An id held as bytes is hashed and
+// compared as bytes; it is copied only to be kept.
 type IDMap[V any] struct {
 	mu    sync.Mutex
-	m     map[string]idEntry[V]
-	ring  []idSlot // insertion order; grows to bound, then overwritten oldest first
-	next  int      // the oldest slot once the ring is full
+	ring  []idSlot[V] // insertion order; grows to bound, then overwritten oldest first
+	next  int         // the oldest slot once the ring is full
 	bound int
-	seq   uint64 // inserts so far; pairs an entry with the slot that owns it
+	index []int32 // ring position + 1 of the entry whose probe run covers the cell; 0 is empty
+	mask  uint64  // len(index) − 1
+	live  int     // entries held
+	seed  maphash.Seed
 	ids   idArena
 }
 
-type idEntry[V any] struct {
-	v   V
-	seq uint64
-}
-
-type idSlot struct {
-	id  string
-	seq uint64
+// idSlot is one insert; live until its id is taken, re-inserted or evicted.
+type idSlot[V any] struct {
+	id   string
+	hash uint64
+	v    V
+	live bool
 }
 
 // NewIDMap returns a map that remembers the last bound inserts.
 func NewIDMap[V any](bound int) *IDMap[V] {
-	return &IDMap[V]{m: make(map[string]idEntry[V]), bound: bound}
+	size := 2
+	for size < 2*bound {
+		size *= 2
+	}
+	return &IDMap[V]{bound: bound, index: make([]int32, size), mask: uint64(size - 1), seed: maphash.MakeSeed()}
 }
 
 // Put maps id to v; the last write for an id wins.
 func (m *IDMap[V]) Put(id string, v V) {
 	m.mu.Lock()
-	m.put(cloneID(&m.ids, id), v)
+	put(m, id, v)
 	m.mu.Unlock()
 }
 
@@ -60,41 +74,54 @@ func putAll[T string | []byte, V any](m *IDMap[V], n int, at func(i int) (T, V, 
 	defer m.mu.Unlock()
 	for i := 0; i < n; i++ {
 		if id, v, ok := at(i); ok {
-			m.put(cloneID(&m.ids, id), v)
+			put(m, id, v)
 		}
 	}
 }
 
-// put maps an id the map owns to v.
-func (m *IDMap[V]) put(id string, v V) {
-	m.seq++
-	slot := idSlot{id: id, seq: m.seq}
-	if len(m.ring) < m.bound {
-		m.ring = append(m.ring, slot)
-	} else {
-		// Evict what the oldest insert left, if it is still that insert's:
-		// a taken id is gone already, a re-inserted one belongs to a newer slot.
-		if old := m.ring[m.next]; m.m[old.id].seq == old.seq {
-			delete(m.m, old.id)
-		}
-		m.ring[m.next] = slot
-		m.next = (m.next + 1) % m.bound
+// put maps id to v in the next ring slot, evicting what the oldest insert
+// left there if it is still that insert's: a taken id is gone already, a
+// re-inserted one belongs to a newer slot.
+func put[T string | []byte, V any](m *IDMap[V], id T, v V) {
+	h := hashID(m.seed, id)
+	if c, ok := find(m, id, h); ok {
+		m.drop(c) // the last write wins, and its slot owns the id from now on
 	}
-	// A map keeps the key it first saw; re-key a re-inserted id by its
-	// newest copy so the chunk holding the old one can be freed.
-	delete(m.m, id)
-	m.m[id] = idEntry[V]{v: v, seq: m.seq}
+	pos := len(m.ring)
+	if pos < m.bound {
+		m.ring = append(m.ring, idSlot[V]{})
+	} else {
+		pos = m.next
+		m.next = (m.next + 1) % m.bound
+		if m.ring[pos].live {
+			c := m.ring[pos].hash & m.mask
+			for int(m.index[c]) != pos+1 {
+				c = (c + 1) & m.mask
+			}
+			m.drop(c)
+		}
+	}
+	m.ring[pos] = idSlot[V]{id: cloneID(&m.ids, id), hash: h, v: v, live: true}
+	c := h & m.mask
+	for m.index[c] != 0 {
+		c = (c + 1) & m.mask
+	}
+	m.index[c] = int32(pos + 1)
+	m.live++
 }
 
 // Take removes and returns the entry for id.
 func (m *IDMap[V]) Take(id string) (V, bool) {
 	m.mu.Lock()
 	defer m.mu.Unlock()
-	e, ok := m.m[id]
-	if ok {
-		delete(m.m, id)
+	c, ok := find(m, id, hashID(m.seed, id))
+	if !ok {
+		var zero V
+		return zero, false
 	}
-	return e.v, ok
+	v := m.ring[m.index[c]-1].v
+	m.drop(c)
+	return v, true
 }
 
 // Size returns how many entries are held (not yet taken or evicted) and how
@@ -102,7 +129,57 @@ func (m *IDMap[V]) Take(id string) (V, bool) {
 func (m *IDMap[V]) Size() (entries, slots int) {
 	m.mu.Lock()
 	defer m.mu.Unlock()
-	return len(m.m), len(m.ring)
+	return m.live, len(m.ring)
+}
+
+// find returns the index cell of id's entry, probing from its hash's home
+// cell up to the first empty one.
+func find[T string | []byte, V any](m *IDMap[V], id T, h uint64) (cell uint64, ok bool) {
+	for c := h & m.mask; ; c = (c + 1) & m.mask {
+		p := m.index[c]
+		if p == 0 {
+			return c, false
+		}
+		if s := &m.ring[p-1]; s.hash == h && sameID(s.id, id) {
+			return c, true
+		}
+	}
+}
+
+// drop removes the entry at index cell c: its slot stops holding it (value
+// and id released) and the probe run after c shifts back over the hole, each
+// entry moving to the vacated cell unless its home lies after that cell.
+func (m *IDMap[V]) drop(c uint64) {
+	m.ring[m.index[c]-1] = idSlot[V]{}
+	m.live--
+	for j := c; ; {
+		j = (j + 1) & m.mask
+		p := m.index[j]
+		if p == 0 {
+			break
+		}
+		if home := m.ring[p-1].hash & m.mask; (j-home)&m.mask >= (j-c)&m.mask {
+			m.index[c] = p
+			c = j
+		}
+	}
+	m.index[c] = 0
+}
+
+// hashID hashes an id, held as a string or as bytes, to the same value.
+func hashID[T string | []byte](seed maphash.Seed, id T) uint64 {
+	if s, ok := any(id).(string); ok {
+		return maphash.String(seed, s)
+	}
+	return maphash.Bytes(seed, any(id).([]byte))
+}
+
+// sameID reports whether a kept id equals one held as a string or as bytes.
+func sameID[T string | []byte](kept string, id T) bool {
+	if s, ok := any(id).(string); ok {
+		return kept == s
+	}
+	return kept == string(any(id).([]byte))
 }
 
 // idArena copies the ids an IDMap keeps into chunks of its own, so a kept id

@@ -17,11 +17,13 @@
 // into — a 4×4 tile measurably loses to 2×4 from spilling. The b-row offset
 // is strength-reduced (off += n) so the inner loop carries no multiply.
 //
-// On amd64 with AVX2 the leading whole tile-widths of columns run in
-// assembly first — 8 columns of float64 (f64gemm_amd64.s: one call walks
-// 4×8 tiles and a 1×8 row tail, VMULPD then VADDPD), 16 of float32
-// (f32gemm_amd64.s: 4×16 and 1×16 tiles, VFMADD, one call each) — and
-// matMulScalar finishes the ragged right edge.
+// On amd64 with AVX2 the leading columns run in assembly first, one call per
+// product in either precision — whole groups of 8 in float64
+// (f64gemm_amd64.s: 4×8 tiles and a 1×8 row tail, VMULPD then VADDPD), and
+// in float32 (f32gemm_amd64.s) 4×16 and 1×16 tiles with VFMADD plus, when
+// n mod 16 ≥ 8, one 8-column group of VMULPS then VADDPS that never fuses —
+// so in both only the n mod 8 columns of the ragged right edge are left to
+// matMulScalar.
 //
 // Store mode: MatMulAddInto (float64) adds each element's finished sum to
 // what out holds, out + Σ, instead of overwriting it. The float64 tiles and
@@ -37,17 +39,19 @@
 // blocking reorders which elements are computed together, never the order of
 // additions within one element. In float64 each multiply and each add rounds
 // once everywhere, so the blocked kernel and the tile are bit-compatible
-// with the naive loop for finite inputs; the float32 tiles fuse each
-// multiply-add (one rounding instead of two), so they are slightly MORE
+// with the naive loop for finite inputs; the float32 16-column tiles fuse
+// each multiply-add (one rounding instead of two), so they are slightly MORE
 // accurate than the scalar code beside them, and both sit comfortably inside
-// the k·eps32 bound the parity tests assert. Unlike the naive kernel,
+// the k·eps32 bound the parity tests assert; the float32 8-column group does
+// not fuse, so its columns are bit-identical to matMulScalar's. Unlike the naive kernel,
 // nothing skips a zero operand: 0·NaN and 0·Inf reach the output. The parity
 // tests in internal/core lean on the float64 bit-identity: the tape and the
-// predictor share this kernel. Bit-identity between the float64 tile and the
-// Go tails is a GOAMD64=v1 property: at v3 the compiler may fuse the scalar
-// `c += a*b` into an FMA, and the tile never fuses. go1.24 does not fuse
-// them; CI runs the bit-identity tests at v3 as well, so a compiler that
-// starts to fails them.
+// predictor share this kernel. Bit-identity between the unfused assembly
+// (the float64 tile, the float32 8-column group) and the Go tails is a
+// GOAMD64=v1 property: at v3 the compiler may fuse the scalar `c += a*b` into
+// an FMA, and that assembly never fuses. go1.24 does not fuse them; CI runs
+// the bit-identity tests at v3 as well, so a compiler that starts to fails
+// them.
 //
 // Tails: row and column counts that are not multiples of the block width
 // fall through to 1×4 and scalar edge kernels, so ragged shapes (prime

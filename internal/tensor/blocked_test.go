@@ -317,33 +317,106 @@ func FuzzF64Kernels(f *testing.F) {
 	})
 }
 
-// TestF32VectorMatchesScalar cross-checks the AVX2+FMA tile driver against
-// the portable scalar kernel on shapes that exercise every tile boundary:
-// full 4×16 tiles, 1×16 row tails, sub-16 column tails, and single-row
-// products. The two paths share per-element accumulation order but the
-// vector tiles fuse each multiply-add, so agreement is to float32 round-off
-// rather than bitwise.
+// TestF32VectorMatchesScalar cross-checks the AVX2+FMA kernel against the
+// portable scalar kernel on shapes that exercise every boundary of its
+// one-call walk: 4-row strips and the 1..3 rows after them (m = 1…9), whole
+// 16-column tiles with and without the 8-column group (n = 16, 24, 40, 48,
+// 64), k from 1 up, plus the serving hot shapes and sub-8 Go column tails.
+// out starts as NaN between canaries: every element must be written, and
+// nothing outside out. The 16-column tiles fuse each multiply-add, so
+// agreement is to float32 round-off rather than bitwise.
 func TestF32VectorMatchesScalar(t *testing.T) {
 	if !useAsm {
 		t.Skip("no AVX2+FMA vector tiles on this CPU")
 	}
 	rng := rand.New(rand.NewSource(45))
 	shapes := [][3]int{
-		{4, 32, 16}, {8, 32, 64}, {8, 32, 32}, {160, 1, 96}, // serving hot shapes
+		{4, 32, 16}, {8, 32, 64}, {8, 32, 32}, {160, 1, 96}, {640, 2, 64}, {32, 96, 40}, // serving hot shapes
 		{1, 32, 64}, {2, 5, 16}, {5, 7, 19}, {6, 9, 33}, {3, 1, 17}, {7, 13, 15},
+	}
+	for m := 1; m <= 9; m++ {
+		for _, n := range []int{16, 24, 40, 48, 64} {
+			for _, k := range []int{1, 2, 32} {
+				shapes = append(shapes, [3]int{m, k, n})
+			}
+		}
 	}
 	for _, s := range shapes {
 		m, k, n := s[0], s[1], s[2]
+		what := fmt.Sprintf("%dx%dx%d", m, k, n)
 		a, b := randMat(rng, m, k), randMat(rng, k, n)
 		a32, b32 := to32(a), to32(b)
-		asm, sc := New32(m, n), New32(m, n)
-		MatMulBlockedInto(asm, a32, b32)
+		got, check := guarded(make([]float32, m*n))
+		for i := range got {
+			got[i] = float32(math.NaN())
+		}
+		sc := New32(m, n)
+		MatMulBlockedInto(&Matrix32{Rows: m, Cols: n, Data: got}, a32, b32)
+		check(t, what)
 		matMulScalar(sc.Data, a32.Data, b32.Data, m, k, n, 0, false)
 		tol := float64(k+4) * 2.4e-7
-		for i := range asm.Data {
+		for i := range got {
 			scale := math.Max(1, math.Abs(float64(sc.Data[i])))
-			if d := math.Abs(float64(asm.Data[i] - sc.Data[i])); d > tol*scale {
-				t.Fatalf("%dx%dx%d element %d: vector %v vs scalar %v", m, k, n, i, asm.Data[i], sc.Data[i])
+			if d := math.Abs(float64(got[i] - sc.Data[i])); !(d <= tol*scale) {
+				t.Fatalf("%s element %d: vector %v vs scalar %v", what, i, got[i], sc.Data[i])
+			}
+		}
+	}
+}
+
+// edgeMat32 is edgeMat in float32: exact zeros of either sign, subnormals,
+// ±1e30 (products overflow, sums of opposite infinities go NaN) and
+// ordinary normals.
+func edgeMat32(rng *rand.Rand, rows, cols int) *Matrix32 {
+	m := New32(rows, cols)
+	for i := range m.Data {
+		sign := float32(1 - 2*rng.Intn(2))
+		switch rng.Intn(12) {
+		case 0:
+			m.Data[i] = 0 * sign
+		case 1:
+			m.Data[i] = sign * math.Float32frombits(uint32(1+rng.Intn(1000)))
+		case 2:
+			m.Data[i] = sign * 1e30
+		default:
+			m.Data[i] = float32(rng.NormFloat64())
+		}
+	}
+	return m
+}
+
+// TestF32EdgeTileMatchesScalar is the bit-identity contract of the float32
+// GEMM's 8-column group: where n mod 16 is 8…15, the 8 columns after the
+// last whole 16 run in assembly as a VMULPS then a VADDPS per multiply-add,
+// never fused, so every element there — and in the n mod 8 Go columns after
+// it — has the math.Float32bits matMulScalar gives it, over every strip
+// boundary (m mod 4 = 0…3) and k from 1 to the dense layer's 96. Fusing the
+// first multiply-add of either group, 4×8 or 1×8, fails it by k = 7.
+func TestF32EdgeTileMatchesScalar(t *testing.T) {
+	if !useAsm {
+		t.Skip("no AVX2+FMA vector tiles on this CPU")
+	}
+	rng := rand.New(rand.NewSource(47))
+	for _, m := range []int{1, 2, 3, 4, 5, 6, 7, 8, 32, 33} {
+		for r := 8; r <= 15; r++ {
+			for _, n := range []int{r, 16 + r, 32 + r} {
+				for _, k := range []int{1, 2, 7, 96} {
+					what := fmt.Sprintf("%dx%dx%d", m, k, n)
+					a, b := edgeMat32(rng, m, k), edgeMat32(rng, k, n)
+					got := New32(m, n)
+					MatMulBlockedInto(got, a, b)
+					want := make([]float32, m*n)
+					matMulScalar(want, a.Data, b.Data, m, k, n, 0, false)
+					for i := 0; i < m; i++ {
+						for j := n &^ 15; j < n; j++ {
+							g, w := got.Data[i*n+j], want[i*n+j]
+							if math.Float32bits(g) != math.Float32bits(w) {
+								t.Fatalf("%s element (%d, %d): %x (%v) vs scalar %x (%v)", what, i, j,
+									math.Float32bits(g), g, math.Float32bits(w), w)
+							}
+						}
+					}
+				}
 			}
 		}
 	}
@@ -447,3 +520,19 @@ func BenchmarkMatMulBlocked32_8x32x64(b *testing.B) {
 		MatMulBlockedInto32(out32, x32, w32)
 	}
 }
+
+// The float32 serving shapes at batch 32: the recurrent [Uz|Ur] product, the
+// dense layer (32 + 8 columns, the 8 in the unfused group) and the K = 2
+// input projection of a 20-step window.
+func benchMatMulBlocked32(b *testing.B, m, k, n int) {
+	rng := rand.New(rand.NewSource(1))
+	out, x, w := New32(m, n), to32(randMat(rng, m, k)), to32(randMat(rng, k, n))
+	b.ReportAllocs()
+	for i := 0; i < b.N; i++ {
+		MatMulBlockedInto(out, x, w)
+	}
+}
+
+func BenchmarkMatMulBlocked32_32x32x64(b *testing.B) { benchMatMulBlocked32(b, 32, 32, 64) }
+func BenchmarkMatMulBlocked32_32x96x40(b *testing.B) { benchMatMulBlocked32(b, 32, 96, 40) }
+func BenchmarkMatMulBlocked32_640x2x64(b *testing.B) { benchMatMulBlocked32(b, 640, 2, 64) }

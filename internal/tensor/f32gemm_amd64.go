@@ -10,9 +10,10 @@ import "math"
 // sigmoid64_amd64.s), the GRU elementwise kernels in both precisions
 // (gate32_amd64.s, gate64_amd64.s) and the float64 training step's
 // elementwise kernels (train64_amd64.s).
-// The assembly handles full tiles — 4×16 and 1×16 in float32, 4×8 and 1×8
-// in float64, the float64 ones all in one call; the ragged right edge runs
-// through matMulScalar, which produces the same ascending-k accumulation per
+// Each GEMM is one assembly call per product: float32 walks 4×16 and 1×16
+// tiles plus one 8-column group that does not fuse, float64 4×8 and 1×8
+// tiles; the columns past them (n mod 8 in either precision) run through
+// matMulScalar, which produces the same ascending-k accumulation per
 // element.
 
 // useAsm is true when the CPU and OS support AVX2 and FMA; every vector
@@ -27,10 +28,7 @@ func f32cpuid(leaf, sub uint32) (eax, ebx, ecx, edx uint32)
 func f32xgetbv() (eax, edx uint32)
 
 //go:noescape
-func gemm4x16f32(out, a, b *float32, k, an, bn, on uintptr)
-
-//go:noescape
-func gemm1x16f32(out, a, b *float32, k, bn uintptr)
+func gemmf32(out, a, b *float32, m, k, cols, n uintptr)
 
 //go:noescape
 func sigmoidAdd8f32(dst, a, b *float32, n uintptr)
@@ -97,28 +95,18 @@ func detectAVX2FMA() bool {
 	return ebx7&avx2 != 0
 }
 
-// matMulAsm32 runs the float32 tiles over every whole group of 16 columns
-// of an m×k×n product and returns how many leading columns it finished (0
-// without AVX2+FMA); matMulScalar takes the columns from there. Callers
-// guarantee k ≥ 1, m ≥ 1, n ≥ 1 and no aliasing.
+// matMulAsm32 runs the float32 walk — strips, row tail and the 8-column
+// group past the last whole 16 — in one assembly call and returns how many
+// leading columns it finished, n rounded down to a multiple of 8 (0 without
+// AVX2+FMA); matMulScalar takes the columns from there. Callers guarantee
+// k ≥ 1, m ≥ 1, n ≥ 1 and no aliasing.
 func matMulAsm32(out, a, b []float32, m, k, n int) int {
-	n16 := n &^ 15
-	if !useAsm || n16 == 0 {
+	cols := n &^ 7
+	if !useAsm || cols == 0 {
 		return 0
 	}
-	uk, un := uintptr(k), uintptr(n)
-	i := 0
-	for ; i+4 <= m; i += 4 {
-		for j := 0; j < n16; j += 16 {
-			gemm4x16f32(&out[i*n+j], &a[i*k], &b[j], uk, uk, un, un)
-		}
-	}
-	for ; i < m; i++ {
-		for j := 0; j < n16; j += 16 {
-			gemm1x16f32(&out[i*n+j], &a[i*k], &b[j], uk, un)
-		}
-	}
-	return n16
+	gemmf32(&out[0], &a[0], &b[0], uintptr(m), uintptr(k), uintptr(cols), uintptr(n))
+	return cols
 }
 
 // matMulAsm64 runs the float64 tiles over every whole group of 8 columns —
