@@ -3,6 +3,28 @@
 # On a single commodity core the whole script takes ~45 minutes.
 set -e
 mkdir -p docs/outputs
+# gated_bench NAME MAX_REGRESS PATTERN PKG...: run the benchmarks into
+# docs/outputs/bench_NAME.txt.new, gate them with benchjson -compare against
+# the committed docs/outputs/BENCH_NAME.json (any allocs/op growth, or ns/op
+# more than MAX_REGRESS percent slower, refuses), and move both .new files
+# into place only when the gate passes. A refused run deletes both .new
+# files, leaves the committed pair as it was and exits nonzero.
+gated_bench() {
+    name=$1 max=$2 pattern=$3
+    shift 3
+    txt=docs/outputs/bench_$name.txt
+    json=docs/outputs/BENCH_$name.json
+    if go test -run '^$' -bench "$pattern" -benchmem -count 1 "$@" > "$txt.new" &&
+        cat "$txt.new" &&
+        go run ./cmd/benchjson -compare "$json" -max-regress "$max" < "$txt.new" > "$json.new"; then
+        mv "$txt.new" "$txt"
+        mv "$json.new" "$json"
+    else
+        rm -f "$txt.new" "$json.new"
+        echo "gated_bench $name: refused; $txt and $json are unchanged" >&2
+        exit 1
+    fi
+}
 fmt=$(gofmt -l .)
 if [ -n "$fmt" ]; then
     echo "gofmt needed on:" >&2
@@ -109,7 +131,7 @@ go test -run FuzzGRUSequence -fuzz FuzzGRUSequence -fuzztime 10s ./internal/nn/
 # matMulScalar[T] for both element types — is executed and not just
 # compiled, the tape, the arena and the layers with it, and the forest's
 # one-fit grid search runs against its 24-fit oracle off amd64 too (the
-# baselines and anomaly packages ride along). arm64 is vetted,
+# baselines, anomaly and pipeline packages ride along). arm64 is vetted,
 # which type-checks its build of the packages.
 go test -run 'TestBlocked|TestF32|TestF64|TestMatMul|TestSigmoid|TestSigmoidAdd64|TestSigmoid64UnderFMAOff|TestGate|TestAddReLU|TestTrain|TestReLU|TestArena' ./internal/tensor/
 go test -run FuzzF64Kernels -fuzz FuzzF64Kernels -fuzztime 10s ./internal/tensor/
@@ -117,7 +139,7 @@ go test -run FuzzTrainKernels -fuzz FuzzTrainKernels -fuzztime 10s ./internal/te
 GOAMD64=v3 go test -run 'TestF64|TestF32EdgeTileMatchesScalar|TestGate|TestAddReLU|TestTrain|TestReLU|TestMatMulTAdd' ./internal/tensor/
 GOAMD64=v3 go test -run 'TestFloat64BitIdenticalToGolden' ./internal/core/
 GOAMD64=v3 go test -run 'TestGRUSequenceMatchesUnroll' ./internal/nn/
-GOARCH=386 go test ./internal/tensor/ ./internal/infer/ ./internal/core/ ./internal/autodiff/ ./internal/nn/ ./internal/baselines/ ./internal/anomaly/
+GOARCH=386 go test ./internal/tensor/ ./internal/infer/ ./internal/core/ ./internal/autodiff/ ./internal/nn/ ./internal/baselines/ ./internal/anomaly/ ./internal/pipeline/
 GOARCH=arm64 go vet ./internal/tensor/ ./internal/infer/ ./internal/autodiff/ ./internal/nn/
 # The tape's arena: a reused tape is a fresh tape (bit for bit, at op and at
 # model scale), the pool is race-free, and the allocation pins hold.
@@ -129,11 +151,7 @@ go test -run 'TestTrainStepAllocs|TestInferAllocations|TestInfer32Allocations|Te
 # -compare exits nonzero if any shared benchmark is >10% slower than
 # docs/outputs/BENCH_infer.json or grew its allocs/op, so a perf regression
 # fails reproduce.sh before the baseline is overwritten.
-go test -run '^$' -bench 'Forward(Tape|Infer)|TrainStep|MatMulBlocked(32)?_(32|640)x|SigmoidAdd(32|64)|AddReLU(32|64)|Gate(Mul|Blend)(32|64)|AdamStep|GRUBackward' -benchmem -count 1 ./internal/infer/ ./internal/tensor/ \
-    | tee docs/outputs/bench_infer.txt \
-    | go run ./cmd/benchjson -compare docs/outputs/BENCH_infer.json -max-regress 10 \
-    > docs/outputs/BENCH_infer.json.new
-mv docs/outputs/BENCH_infer.json.new docs/outputs/BENCH_infer.json
+gated_bench infer 10 'Forward(Tape|Infer)|TrainStep|MatMulBlocked(32)?_(32|640)x|SigmoidAdd(32|64)|AddReLU(32|64)|Gate(Mul|Blend)(32|64)|AdamStep|GRUBackward' ./internal/infer/ ./internal/tensor/
 # The monitoring plane (docs/observability.md "Monitoring plane"): query
 # engine fixtures (counter-reset rate, histogram_quantile vs synthetic
 # buckets), the rules engine's pending->firing state machine and hot
@@ -158,11 +176,7 @@ go test -run 'TestSourceFilter' ./internal/alarmstore/
 # allocs/op growth fails before the baseline is overwritten. CI runs the
 # same gate with ns/op at 100% (its runners are not this box). The
 # benchmark servers drop every trace, so allocs/op is not a coin's.
-go test -run '^$' -bench 'BenchmarkServe' -benchmem -count 1 ./internal/serve/ \
-    | tee docs/outputs/bench_serve.txt \
-    | go run ./cmd/benchjson -compare docs/outputs/BENCH_serve.json -max-regress 10 \
-    > docs/outputs/BENCH_serve.json.new
-mv docs/outputs/BENCH_serve.json.new docs/outputs/BENCH_serve.json
+gated_bench serve 10 'BenchmarkServe' ./internal/serve/
 # The binary wire protocol (docs/serving.md "Binary wire protocol"): fuzz
 # the frame + payload decoders (truncated / bit-flipped / oversized /
 # interleaved frames are typed errors, never panics; a span section the
@@ -192,11 +206,7 @@ go test -race ./internal/wire/
 go test -race -run 'TestE2EWireMixedProtocolFailover|TestProxyBodyLimit|TestProxyErrorBodyCap|TestWireFanOut|TestProxyWireTraceStitchesBackendSpans|TestFrontsEmitSameFamiliesAndSpans|TestWireStickyIDsDoNotPinFrames|TestPreambleOneBehaviour|TestWireSubscribe|TestStickyStaysBoundedWhenObserved' ./internal/proxy/
 go test -race -run 'TestBodyLimits|TestStrictDecoding|TestDoBatch|TestPendingStaysBoundedWhenObserved|TestIDMap|TestProtocolErrorsCountOnlyViolations' ./internal/serve/ ./internal/wire/
 go test -run 'TestFrameAllocBudget|TestGoldenFrames|TestStageRecordRendersOneTree|TestWireDroppedTraceMaterialisesNoSpans|TestJSONDroppedTraceMaterialisesNoSpans|TestBackendDroppedTraceMaterialisesNoSpans|TestServeDoAllocs|TestDoBatchAllocs|TestPassCostsNoAllocations|TestIDsAllocateWhatTheyReturn|TestProxyRelayAllocs' ./internal/wire/ ./internal/proxy/ ./internal/serve/ ./internal/obs/
-go test -run '^$' -bench 'EncodeDecode|RoundTrip' -benchmem -count 1 ./internal/wire/ \
-    | tee docs/outputs/bench_wire.txt \
-    | go run ./cmd/benchjson -compare docs/outputs/BENCH_wire.json -max-regress 25 \
-    > docs/outputs/BENCH_wire.json.new
-mv docs/outputs/BENCH_wire.json.new docs/outputs/BENCH_wire.json
+gated_bench wire 25 'EncodeDecode|RoundTrip' ./internal/wire/
 # A setup_s or retrain_cycle delta between two builds of the benchmark means
 # nothing until this says SAME PHASE (docs/performance.md, "A measurement
 # trap"): print its verdict beside any such number.

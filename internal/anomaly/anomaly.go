@@ -1,9 +1,16 @@
 // Package anomaly implements the contextual anomaly detection layer of
-// Env2Vec (§3.2 "Anomaly detection" and §4.2.2): a Gaussian model of
-// prediction errors from previous non-problematic builds, γ·σ thresholding,
-// the 5% absolute-deviation false-alarm filter, merging of flagged
-// timesteps into alarm intervals, and evaluation of pooled alarms against
+// Env2Vec (§3.2 "Anomaly detection" and §4.2.2) and scores alarms against
 // ground-truth labels (true/false alarm rates A_T and A_F).
+//
+// Detect is the entry point of every detector that judges prediction errors
+// against an error model N(μ_err, σ_err): one fitted by FitErrorModel on a
+// chain's previous non-problematic builds or, for an unseen environment
+// (§4.3), on the execution's own errors. A timestep is flagged when
+// Config.Exceeds holds: |err − μ_err| > γ·σ_err and |err| at least the
+// absolute filter (5 CPU points in §4.2.2). Flagged steps at most MergeGap
+// unflagged steps apart merge into one alarm, and Evaluate counts an alarm
+// correct when its interval overlaps a labelled anomalous timestep. A
+// detector that flags by score (HTM-AD) calls MergeAlarms directly.
 package anomaly
 
 import (
@@ -60,12 +67,17 @@ func Flag(pred, actual []float64, em ErrorModel, cfg Config) []bool {
 	return out
 }
 
-// SelfFlag handles the unseen-environment case of §4.3, where no historical
-// error distribution exists: the error model is fitted on the test
-// execution's own errors, then thresholded with γ.
-func SelfFlag(pred, actual []float64, cfg Config) []bool {
-	em := FitErrorModel(pred, actual)
-	return Flag(pred, actual, em, cfg)
+// Detect turns one execution's predictions into alarms: Flag under cfg,
+// then MergeAlarms with MergeGap. pred and actual cover timesteps
+// offset…s.Len()-1. A nil em is the unseen-environment case of §4.3, where
+// no historical error distribution exists: the error model is fitted on
+// exactly the pred and actual passed in.
+func Detect(detector string, s *dataset.Series, pred, actual []float64, offset int, em *ErrorModel, cfg Config) []Alarm {
+	if em == nil {
+		self := FitErrorModel(pred, actual)
+		em = &self
+	}
+	return MergeAlarms(detector, s, Flag(pred, actual, *em, cfg), pred, offset, MergeGap)
 }
 
 // Alarm is one reported problem interval, carrying everything a testing

@@ -106,8 +106,9 @@ func TestFlagPanics(t *testing.T) {
 	}()
 }
 
-func TestSelfFlag(t *testing.T) {
-	// Self-referenced distribution: clear outlier flagged, rest not.
+func TestDetectSelfCalibrates(t *testing.T) {
+	// A nil error model is the execution's own distribution: a clear
+	// outlier is an alarm, the rest are not.
 	actual := make([]float64, 50)
 	pred := make([]float64, 50)
 	rng := rand.New(rand.NewSource(2))
@@ -115,18 +116,47 @@ func TestSelfFlag(t *testing.T) {
 		pred[i] = rng.NormFloat64() * 0.5
 	}
 	pred[25] = 30
-	flags := SelfFlag(pred, actual, Config{Gamma: 3})
-	if !flags[25] {
-		t.Fatalf("outlier not flagged by self distribution")
+	s := testSeries(50)
+	alarms := Detect("self", s, pred, actual, 0, nil, Config{Gamma: 3})
+	if len(alarms) != 1 || alarms[0].StartIdx != 25 || alarms[0].EndIdx != 25 || alarms[0].PeakDev != 30 {
+		t.Fatalf("want the outlier alone as one alarm, got %v", alarms)
 	}
-	others := 0
-	for i, f := range flags {
-		if f && i != 25 {
-			others++
+}
+
+// TestDetectMatchesItsParts holds Detect to Flag then MergeAlarms, with the
+// given error model or, for a nil one, FitErrorModel of the same inputs.
+func TestDetectMatchesItsParts(t *testing.T) {
+	rng := rand.New(rand.NewSource(7))
+	for trial := 0; trial < 40; trial++ {
+		n := 2 + rng.Intn(60)
+		offset := 0
+		if trial%2 == 1 {
+			offset = 1 + rng.Intn(5)
 		}
-	}
-	if others > 2 {
-		t.Fatalf("too many false flags: %d", others)
+		s := testSeries(offset + n)
+		for i := range s.RU {
+			s.RU[i] = 50 + 10*rng.NormFloat64()
+		}
+		pred := make([]float64, n)
+		actual := s.RU[offset:]
+		for i := range pred {
+			pred[i] = actual[i] + 4*rng.NormFloat64()
+			if rng.Float64() < 0.1 {
+				pred[i] += 20 * rng.NormFloat64()
+			}
+		}
+		hist := FitErrorModel(pred[:n/2+1], actual[:n/2+1])
+		for _, cfg := range []Config{{Gamma: 1}, {Gamma: 2, AbsFilter: 5}, {Gamma: 3, AbsFilter: 5}} {
+			want := MergeAlarms("d", s, Flag(pred, actual, hist, cfg), pred, offset, MergeGap)
+			if got := Detect("d", s, pred, actual, offset, &hist, cfg); !reflect.DeepEqual(got, want) {
+				t.Fatalf("trial %d %+v: Detect with a model = %v, want %v", trial, cfg, got, want)
+			}
+			self := FitErrorModel(pred, actual)
+			want = MergeAlarms("d", s, Flag(pred, actual, self, cfg), pred, offset, MergeGap)
+			if got := Detect("d", s, pred, actual, offset, nil, cfg); !reflect.DeepEqual(got, want) {
+				t.Fatalf("trial %d %+v: Detect self-calibrated = %v, want %v", trial, cfg, got, want)
+			}
+		}
 	}
 }
 

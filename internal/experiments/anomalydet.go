@@ -38,91 +38,159 @@ const absFilterCPU = 5.0 // the 5% absolute filter of §4.2.2
 // γ ∈ {1,2,3}. All methods use per-chain error distributions fitted on the
 // chain's historical builds, plus the 5-point absolute filter.
 func (l *Lab) RunTable5() *Table5Result {
+	return l.detectionStudy(l.table5Sources())
+}
+
+// RunTable6 reproduces Table 6: detection in unseen environments. The
+// pooled models are retrained with every build of the fault chains blinded
+// out; at test time the error distribution comes from the execution itself
+// (§4.3), and Ridge/Ridge_ts are N/A for lack of chain history.
+func (l *Lab) RunTable6() *Table5Result {
+	return l.detectionStudy(l.table6Sources(),
+		Table5Row{Method: "Ridge", AT: math.NaN(), AF: math.NaN()},
+		Table5Row{Method: "Ridge_ts", AT: math.NaN(), AF: math.NaN()},
+	)
+}
+
+// detectionStudy tallies HTM-AD, the given fixed rows, then every source at
+// each γ.
+func (l *Lab) detectionStudy(srcs []source, fixed ...Table5Row) *Table5Result {
 	res := &Table5Result{}
 	for _, exec := range l.Corpus.FaultTargets {
 		res.TrueProblems += anomaly.TrueEpisodes(exec.Series)
 	}
-
-	// HTM-AD: stream history then the execution, alarm on score ≥ threshold.
-	htmStats, htmDetected := l.runHTM()
-	res.Rows = append(res.Rows, Table5Row{
-		Method: "HTM-AD", Alarms: htmStats.Alarms, Correct: htmStats.Correct,
-		AT: htmStats.AT(), AF: htmStats.AF(), Detected: htmDetected,
-	})
-
-	wf := pipeline.NewWorkflow(l.Pooled(), anomaly.Config{Gamma: 1, AbsFilter: absFilterCPU})
-	for _, chainID := range l.Corpus.ChainOrder {
-		wf.CalibrateChain(chainID, l.history(chainID))
-	}
-
+	res.Rows = append(res.Rows, l.tally("HTM-AD", 0, l.htmAlarms()))
+	res.Rows = append(res.Rows, fixed...)
 	for _, gamma := range []float64{1, 2, 3} {
 		cfg := anomaly.Config{Gamma: gamma, AbsFilter: absFilterCPU}
-		for _, method := range []string{"Ridge", "Ridge_ts", "RFNN_all", "Env2Vec"} {
-			var agg metrics.AlarmStats
-			detected := 0
-			for _, exec := range l.Corpus.FaultTargets {
-				alarms := l.detectWith(method, wf, exec.Series, cfg)
-				st := anomaly.Evaluate(alarms, exec.Series)
-				agg.Add(st)
-				detected += anomaly.DetectedEpisodes(alarms, exec.Series)
-			}
-			res.Rows = append(res.Rows, Table5Row{
-				Method: method, Gamma: gamma,
-				Alarms: agg.Alarms, Correct: agg.Correct,
-				AT: agg.AT(), AF: agg.AF(), Detected: detected,
-			})
+		for _, src := range srcs {
+			res.Rows = append(res.Rows, l.tally(src.method, gamma, src.alarms(cfg)))
 		}
 	}
 	return res
 }
 
-// detectWith produces alarms for one execution using the named method with
-// per-chain historical error models.
-func (l *Lab) detectWith(method string, wf *pipeline.Workflow, s *dataset.Series, cfg anomaly.Config) []anomaly.Alarm {
-	switch method {
-	case "Env2Vec":
-		wf.Detect = cfg
-		return wf.ProcessExecution("env2vec", s)
-	case "RFNN_all":
-		p := l.RFNNAll()
-		pred, actual := p.predictSeries(s, l.Opts.Window)
-		// Error model from the chain's history under the pooled model.
-		var hp, ha []float64
-		for _, h := range l.history(s.ChainID) {
-			php, pha := p.predictSeries(h, l.Opts.Window)
-			hp = append(hp, php...)
-			ha = append(ha, pha...)
-		}
-		em := anomaly.FitErrorModel(hp, ha)
-		flags := anomaly.Flag(pred, actual, em, cfg)
-		return anomaly.MergeAlarms(method, s, flags, pred, l.Opts.Window, anomaly.MergeGap)
-	case "Ridge", "Ridge_ts":
-		cm := l.Chain(s.ChainID)
-		b := l.testBatch(s.ChainID)
-		var pred []float64
-		var em anomaly.ErrorModel
-		if method == "Ridge" {
-			pred = cm.ridge.Predict(b)
-			em = cm.emRidge
-		} else {
-			pred = cm.ridgeTS.Predict(b)
-			em = cm.emRidgeTS
-		}
-		flags := anomaly.Flag(pred, b.Y.Data, em, cfg)
-		return anomaly.MergeAlarms(method, s, flags, pred, l.Opts.Window, anomaly.MergeGap)
-	}
-	panic(fmt.Sprintf("experiments: unknown detection method %q", method))
-}
-
-// runHTM streams each fault chain (history then current build) through the
-// HTM-AD detector and evaluates alarms on the current build.
-func (l *Lab) runHTM() (metrics.AlarmStats, int) {
+// tally scores alarms[i], raised on the i-th fault execution, into a row.
+func (l *Lab) tally(method string, gamma float64, alarms [][]anomaly.Alarm) Table5Row {
 	var agg metrics.AlarmStats
 	detected := 0
+	for i, exec := range l.Corpus.FaultTargets {
+		agg.Add(anomaly.Evaluate(alarms[i], exec.Series))
+		detected += anomaly.DetectedEpisodes(alarms[i], exec.Series)
+	}
+	return Table5Row{
+		Method: method, Gamma: gamma,
+		Alarms: agg.Alarms, Correct: agg.Correct,
+		AT: agg.AT(), AF: agg.AF(), Detected: detected,
+	}
+}
+
+// scoredExec is one method's scores of one fault execution: predictions
+// and actuals of timesteps offset…len-1, and the error model they are
+// judged against (nil: the execution's own, §4.3).
+type scoredExec struct {
+	s            *dataset.Series
+	pred, actual []float64
+	offset       int
+	em           *anomaly.ErrorModel
+}
+
+// source is one detection method's scores of every fault execution,
+// computed once, so that each γ only re-runs anomaly.Detect.
+type source struct {
+	method string
+	execs  []scoredExec
+}
+
+// score builds a method's source from its scores of each fault execution.
+func (l *Lab) score(method string, one func(s *dataset.Series) scoredExec) source {
+	src := source{method: method}
+	for _, exec := range l.Corpus.FaultTargets {
+		src.execs = append(src.execs, one(exec.Series))
+	}
+	return src
+}
+
+// alarms runs anomaly.Detect under cfg on every scored execution.
+func (src source) alarms(cfg anomaly.Config) [][]anomaly.Alarm {
+	out := make([][]anomaly.Alarm, len(src.execs))
+	for i, e := range src.execs {
+		out[i] = anomaly.Detect(src.method, e.s, e.pred, e.actual, e.offset, e.em, cfg)
+	}
+	return out
+}
+
+// table5Sources scores the fault executions with each Table 5 method
+// against error models fitted on the chains' historical builds.
+func (l *Lab) table5Sources() []source {
+	ridge := func(method string, ts bool) source {
+		return l.score(method, func(s *dataset.Series) scoredExec {
+			cm := l.Chain(s.ChainID)
+			m, em := cm.ridge, &cm.emRidge
+			if ts {
+				m, em = cm.ridgeTS, &cm.emRidgeTS
+			}
+			b := l.testBatch(s.ChainID)
+			return scoredExec{s, m.Predict(b), b.Y.Data, l.Opts.Window, em}
+		})
+	}
+	return []source{
+		ridge("Ridge", false),
+		ridge("Ridge_ts", true),
+		l.score("RFNN_all", func(s *dataset.Series) scoredExec {
+			p := l.RFNNAll()
+			var hp, ha []float64
+			for _, h := range l.history(s.ChainID) {
+				php, pha := p.predictSeries(h, l.Opts.Window)
+				hp = append(hp, php...)
+				ha = append(ha, pha...)
+			}
+			em := anomaly.FitErrorModel(hp, ha)
+			pred, actual := p.predictSeries(s, l.Opts.Window)
+			return scoredExec{s, pred, actual, l.Opts.Window, &em}
+		}),
+		l.env2vecSource(l.Pooled(), true),
+	}
+}
+
+// table6Sources scores the fault executions with the blind pooled models;
+// every error model is the execution's own.
+func (l *Lab) table6Sources() []source {
+	return []source{
+		l.score("RFNN_all", func(s *dataset.Series) scoredExec {
+			pred, actual := l.RFNNAllBlind().predictSeries(s, l.Opts.Window)
+			return scoredExec{s, pred, actual, l.Opts.Window, nil}
+		}),
+		l.env2vecSource(l.PooledBlind(), false),
+	}
+}
+
+// env2vecSource scores the fault executions with tr through a Workflow,
+// against each chain's error model calibrated on its history when
+// calibrate is set, else against the execution's own.
+func (l *Lab) env2vecSource(tr *pipeline.TrainResult, calibrate bool) source {
+	wf := pipeline.NewWorkflow(tr, anomaly.Config{})
+	return l.score("Env2Vec", func(s *dataset.Series) scoredExec {
+		if calibrate {
+			wf.CalibrateChain(s.ChainID, l.history(s.ChainID))
+		}
+		pred, actual, offset := wf.PredictSeries(s)
+		var em *anomaly.ErrorModel
+		if m, ok := wf.ErrorModel(s.ChainID); ok {
+			em = &m
+		}
+		return scoredExec{s, pred, actual, offset, em}
+	})
+}
+
+// htmAlarms streams each fault chain (history then current build) through
+// the HTM-AD detector and alarms on the current build's scores.
+func (l *Lab) htmAlarms() [][]anomaly.Alarm {
 	threshold := l.Opts.HTMThreshold
 	if threshold == 0 {
 		threshold = htm.Threshold
 	}
+	var out [][]anomaly.Alarm
 	for _, exec := range l.Corpus.FaultTargets {
 		d := htm.New(htm.Config{})
 		for _, h := range l.history(exec.Series.ChainID) {
@@ -135,67 +203,9 @@ func (l *Lab) runHTM() (metrics.AlarmStats, int) {
 		for i, v := range s.RU {
 			flags[i] = d.Step(v) >= threshold
 		}
-		alarms := anomaly.MergeAlarms("htm-ad", s, flags, s.RU, 0, anomaly.MergeGap)
-		agg.Add(anomaly.Evaluate(alarms, s))
-		detected += anomaly.DetectedEpisodes(alarms, s)
+		out = append(out, anomaly.MergeAlarms("htm-ad", s, flags, s.RU, 0, anomaly.MergeGap))
 	}
-	return agg, detected
-}
-
-// RunTable6 reproduces Table 6: detection in unseen environments. The
-// pooled models are retrained with every build of the fault chains blinded
-// out; at test time the error distribution comes from the execution itself
-// (§4.3), and Ridge/Ridge_ts are N/A for lack of chain history.
-func (l *Lab) RunTable6() *Table5Result {
-	res := &Table5Result{}
-	for _, exec := range l.Corpus.FaultTargets {
-		res.TrueProblems += anomaly.TrueEpisodes(exec.Series)
-	}
-	htmStats, htmDetected := l.runHTM()
-	res.Rows = append(res.Rows, Table5Row{
-		Method: "HTM-AD", Alarms: htmStats.Alarms, Correct: htmStats.Correct,
-		AT: htmStats.AT(), AF: htmStats.AF(), Detected: htmDetected,
-	})
-	res.Rows = append(res.Rows,
-		Table5Row{Method: "Ridge", AT: math.NaN(), AF: math.NaN()},
-		Table5Row{Method: "Ridge_ts", AT: math.NaN(), AF: math.NaN()},
-	)
-
-	blindE2V := l.PooledBlind()
-	blindRFNN := l.RFNNAllBlind()
-	for _, gamma := range []float64{1, 2, 3} {
-		cfg := anomaly.Config{Gamma: gamma, AbsFilter: absFilterCPU}
-
-		var aggR metrics.AlarmStats
-		detR := 0
-		for _, exec := range l.Corpus.FaultTargets {
-			pred, actual := blindRFNN.predictSeries(exec.Series, l.Opts.Window)
-			flags := anomaly.SelfFlag(pred, actual, cfg)
-			alarms := anomaly.MergeAlarms("RFNN_all", exec.Series, flags, pred, l.Opts.Window, anomaly.MergeGap)
-			aggR.Add(anomaly.Evaluate(alarms, exec.Series))
-			detR += anomaly.DetectedEpisodes(alarms, exec.Series)
-		}
-		res.Rows = append(res.Rows, Table5Row{
-			Method: "RFNN_all", Gamma: gamma,
-			Alarms: aggR.Alarms, Correct: aggR.Correct, AT: aggR.AT(), AF: aggR.AF(), Detected: detR,
-		})
-
-		wf := pipeline.NewWorkflow(blindE2V, cfg)
-		var aggE metrics.AlarmStats
-		detE := 0
-		for _, exec := range l.Corpus.FaultTargets {
-			// No calibration: the workflow falls back to the execution's
-			// own error distribution, exactly the §4.3 protocol.
-			alarms := wf.ProcessExecution("env2vec", exec.Series)
-			aggE.Add(anomaly.Evaluate(alarms, exec.Series))
-			detE += anomaly.DetectedEpisodes(alarms, exec.Series)
-		}
-		res.Rows = append(res.Rows, Table5Row{
-			Method: "Env2Vec", Gamma: gamma,
-			Alarms: aggE.Alarms, Correct: aggE.Correct, AT: aggE.AT(), AF: aggE.AF(), Detected: detE,
-		})
-	}
-	return res
+	return out
 }
 
 // RenderTable5 renders a detection study like the paper's Tables 5/6.
@@ -317,10 +327,7 @@ type Table7Result struct {
 
 // RunTable7 reproduces the Table 7 coverage analysis at γ=1.
 func (l *Lab) RunTable7() *Table7Result {
-	wf := pipeline.NewWorkflow(l.Pooled(), anomaly.Config{Gamma: 1, AbsFilter: absFilterCPU})
-	for _, chainID := range l.Corpus.ChainOrder {
-		wf.CalibrateChain(chainID, l.history(chainID))
-	}
+	alarms := l.env2vecSource(l.Pooled(), true).alarms(anomaly.Config{Gamma: 1, AbsFilter: absFilterCPU})
 	// Testbed coverage across training examples.
 	testbedExamples := make(map[string]int)
 	total := 0
@@ -332,9 +339,8 @@ func (l *Lab) RunTable7() *Table7Result {
 		}
 	}
 	res := &Table7Result{}
-	for _, exec := range l.Corpus.FaultTargets {
-		alarms := wf.ProcessExecution("env2vec", exec.Series)
-		st := anomaly.Evaluate(alarms, exec.Series)
+	for i, exec := range l.Corpus.FaultTargets {
+		st := anomaly.Evaluate(alarms[i], exec.Series)
 		cnt := testbedExamples[exec.Series.Env.Testbed]
 		res.Rows = append(res.Rows, Table7Row{
 			Env: exec.Series.Env, AT: st.AT(),
@@ -405,13 +411,6 @@ func (l *Lab) RunCostReport() (*CostReport, error) {
 		ModelBytes:           size,
 		Parameters:           tr.Model.NumParameters(),
 	}, nil
-}
-
-func min(a, b int) int {
-	if a < b {
-		return a
-	}
-	return b
 }
 
 // CorpusConfig re-exports the lab's corpus sizing (useful to callers that

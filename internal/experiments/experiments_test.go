@@ -6,6 +6,7 @@ import (
 	"sync"
 	"testing"
 
+	"env2vec/internal/anomaly"
 	"env2vec/internal/nn"
 	"env2vec/internal/tensor"
 )
@@ -245,6 +246,45 @@ func TestLabTable6(t *testing.T) {
 	if !strings.Contains(RenderTable5(res), "N/A") {
 		t.Fatalf("render should show N/A")
 	}
+}
+
+// TestAlarmsNestInGamma holds every method of Tables 5 and 6, on every
+// fault execution, to what the flags promise: raising γ only drops flags, so
+// each alarm at γ = 2 lies inside one alarm at γ = 1, and each at γ = 3
+// inside one at γ = 2. It reads the sources the tables score.
+func TestAlarmsNestInGamma(t *testing.T) {
+	l := quickLab()
+	for table, srcs := range map[string][]source{"table5": l.table5Sources(), "table6": l.table6Sources()} {
+		for _, src := range srcs {
+			var prev [][]anomaly.Alarm
+			total := 0
+			for _, gamma := range []float64{1, 2, 3} {
+				cur := src.alarms(anomaly.Config{Gamma: gamma, AbsFilter: absFilterCPU})
+				for i, alarms := range cur {
+					total += len(alarms)
+					for _, a := range alarms {
+						if prev != nil && !insideOne(a, prev[i]) {
+							t.Errorf("%s %s %s: γ=%g alarm %d..%d lies in no alarm of γ=%g %v",
+								table, src.method, src.execs[i].s.ChainID, gamma, a.StartIdx, a.EndIdx, gamma-1, prev[i])
+						}
+					}
+				}
+				prev = cur
+			}
+			if total == 0 {
+				t.Errorf("%s %s: no alarm at any γ", table, src.method)
+			}
+		}
+	}
+}
+
+func insideOne(a anomaly.Alarm, outer []anomaly.Alarm) bool {
+	for _, o := range outer {
+		if o.StartIdx <= a.StartIdx && a.EndIdx <= o.EndIdx {
+			return true
+		}
+	}
+	return false
 }
 
 func TestLabFigure6(t *testing.T) {

@@ -116,13 +116,26 @@ func (l *Lab) current(chainID string) *dataset.Series {
 	return l.Corpus.Current[chainID]
 }
 
-// faultChains returns the chain ids of the fault-injected executions.
-func (l *Lab) faultChains() map[string]bool {
-	out := make(map[string]bool)
-	for _, e := range l.Corpus.FaultTargets {
-		out[e.Series.ChainID] = true
+// currentBuilds is the training mask of the pooled models: every chain's
+// current build, held out as its test execution.
+func (l *Lab) currentBuilds() map[*dataset.Series]bool {
+	exclude := map[*dataset.Series]bool{}
+	for _, id := range l.Corpus.ChainOrder {
+		exclude[l.current(id)] = true
 	}
-	return out
+	return exclude
+}
+
+// blindBuilds is the training mask of the §4.3 study: the current builds
+// plus every build of the fault chains.
+func (l *Lab) blindBuilds() map[*dataset.Series]bool {
+	exclude := l.currentBuilds()
+	for _, e := range l.Corpus.FaultTargets {
+		for _, s := range l.Corpus.ChainSeries[e.Series.ChainID] {
+			exclude[s] = true
+		}
+	}
+	return exclude
 }
 
 // trainerConfig assembles the pooled-model configuration.
@@ -145,12 +158,8 @@ func (l *Lab) Pooled() *pipeline.TrainResult {
 	if l.pooled != nil {
 		return l.pooled
 	}
-	exclude := map[*dataset.Series]bool{}
-	for _, id := range l.Corpus.ChainOrder {
-		exclude[l.current(id)] = true
-	}
 	start := time.Now()
-	tr, err := pipeline.Train(l.Corpus.Dataset, exclude, l.trainerConfig())
+	tr, err := pipeline.Train(l.Corpus.Dataset, l.currentBuilds(), l.trainerConfig())
 	if err != nil {
 		panic(fmt.Sprintf("experiments: pooled training: %v", err))
 	}
@@ -165,14 +174,7 @@ func (l *Lab) PooledBlind() *pipeline.TrainResult {
 	if l.pooledBlind != nil {
 		return l.pooledBlind
 	}
-	faulty := l.faultChains()
-	exclude := map[*dataset.Series]bool{}
-	for _, s := range l.Corpus.Dataset.Series {
-		if faulty[s.ChainID] || s == l.current(s.ChainID) {
-			exclude[s] = true
-		}
-	}
-	tr, err := pipeline.Train(l.Corpus.Dataset, exclude, l.trainerConfig())
+	tr, err := pipeline.Train(l.Corpus.Dataset, l.blindBuilds(), l.trainerConfig())
 	if err != nil {
 		panic(fmt.Sprintf("experiments: blind pooled training: %v", err))
 	}
@@ -212,11 +214,7 @@ func (l *Lab) trainRFNNAll(exclude map[*dataset.Series]bool) *pooledRFNN {
 // RFNNAll returns (training once) the pooled no-embedding ablation.
 func (l *Lab) RFNNAll() *pooledRFNN {
 	if l.rfnnAll == nil {
-		exclude := map[*dataset.Series]bool{}
-		for _, id := range l.Corpus.ChainOrder {
-			exclude[l.current(id)] = true
-		}
-		l.rfnnAll = l.trainRFNNAll(exclude)
+		l.rfnnAll = l.trainRFNNAll(l.currentBuilds())
 	}
 	return l.rfnnAll
 }
@@ -224,14 +222,7 @@ func (l *Lab) RFNNAll() *pooledRFNN {
 // RFNNAllBlind is the §4.3 variant with fault chains fully excluded.
 func (l *Lab) RFNNAllBlind() *pooledRFNN {
 	if l.rfnnAllBlind == nil {
-		faulty := l.faultChains()
-		exclude := map[*dataset.Series]bool{}
-		for _, s := range l.Corpus.Dataset.Series {
-			if faulty[s.ChainID] || s == l.current(s.ChainID) {
-				exclude[s] = true
-			}
-		}
-		l.rfnnAllBlind = l.trainRFNNAll(exclude)
+		l.rfnnAllBlind = l.trainRFNNAll(l.blindBuilds())
 	}
 	return l.rfnnAllBlind
 }

@@ -511,14 +511,9 @@ func (w *Workflow) ProcessExecution(detector string, s *dataset.Series) []anomal
 	if len(pred) == 0 {
 		return nil
 	}
-	w.mu.Lock()
-	em, ok := w.errorModels[s.ChainID]
-	w.mu.Unlock()
-	var flags []bool
-	if ok {
-		flags = anomaly.Flag(pred, actual, em, w.Detect)
-	} else {
-		flags = anomaly.SelfFlag(pred, actual, w.Detect)
+	var em *anomaly.ErrorModel
+	if m, ok := w.ErrorModel(s.ChainID); ok {
+		em = &m
 	}
-	return anomaly.MergeAlarms(detector, s, flags, pred, offset, anomaly.MergeGap)
+	return anomaly.Detect(detector, s, pred, actual, offset, em, w.Detect)
 }
