@@ -123,7 +123,7 @@ func TestServeMetricsScrape(t *testing.T) {
 
 // TestServeRegistryMirror boots the daemon in -registry-dir mirror mode
 // against a live primary: the replica counters appear on /metrics, the
-// mirror directory fills with durable shard logs, and a restarted daemon
+// mirror directory's durable log fills, and a restarted daemon
 // warm-starts from the mirror with the primary gone.
 func TestServeRegistryMirror(t *testing.T) {
 	reg := modelserver.NewRegistry()
@@ -168,7 +168,7 @@ func TestServeRegistryMirror(t *testing.T) {
 	}
 
 	first := start("-registry", primary.URL)
-	// The mirror converges: its shard logs hold the published version.
+	// The mirror converges: its log holds the published version.
 	deadline := time.Now().Add(10 * time.Second)
 	for {
 		local, err := modelserver.OpenRegistry(modelserver.WithDir(mirror))

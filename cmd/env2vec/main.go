@@ -212,7 +212,7 @@ func cmdServe(args []string) error {
 	model := fs.String("model", "", "model snapshot to publish on start (optional with -registry-dir or -replica-of)")
 	name := fs.String("name", "env2vec", "model name -model is published under")
 	addr := fs.String("addr", ":8080", "listen address")
-	dir := fs.String("registry-dir", "", "durable registry directory: replayed on start, every publish fsynced to a per-shard log")
+	dir := fs.String("registry-dir", "", "durable registry directory: replayed on start, every publish fsynced to its append-only log")
 	replicaOf := fs.String("replica-of", "", "primary registry base URL; run as a read-only syncing replica")
 	syncEvery := fs.Duration("sync", 10*time.Second, "replica sync interval (with -replica-of; long-poll fallback pacing)")
 	longPoll := fs.Duration("long-poll", 30*time.Second, "park replica polls on the primary this long (?wait=); 0 = plain polling")

@@ -112,12 +112,12 @@ func TestCLIRegistryDaemonReplication(t *testing.T) {
 		})
 		return cmd
 	}
-	awaitVector := func(base string, wantVersion int) {
+	awaitVersion := func(base string, wantVersion int) {
 		t.Helper()
 		deadline := time.Now().Add(10 * time.Second)
 		for {
-			vec, _, _, err := (&modelserver.Client{BaseURL: base}).FetchVersionVector("")
-			if err == nil && vec.Models()["env2vec"] == wantVersion {
+			latest, _, _, err := (&modelserver.Client{BaseURL: base}).FetchVersions("", 0)
+			if err == nil && latest["env2vec"] == wantVersion {
 				return
 			}
 			if time.Now().After(deadline) {
@@ -128,7 +128,7 @@ func TestCLIRegistryDaemonReplication(t *testing.T) {
 	}
 
 	primary := startDaemon("serve", "-registry-dir", primaryDir, "-addr", fmt.Sprintf("127.0.0.1:%d", primaryPort))
-	awaitVector(primaryURL, 0)
+	awaitVersion(primaryURL, 0)
 
 	// Publish over HTTP, like the training pipeline would.
 	p := nn.NewParam("w", 2, 2)
@@ -140,7 +140,7 @@ func TestCLIRegistryDaemonReplication(t *testing.T) {
 
 	// A follower daemon converges.
 	startDaemon("serve", "-replica-of", primaryURL, "-sync", "100ms", "-addr", fmt.Sprintf("127.0.0.1:%d", replicaPort))
-	awaitVector(replicaURL, 1)
+	awaitVersion(replicaURL, 1)
 	if _, ver, err := (&modelserver.Client{BaseURL: replicaURL}).FetchLatest("env2vec"); err != nil || ver != 1 {
 		t.Fatalf("replica fetch: v%d %v", ver, err)
 	}
@@ -155,7 +155,7 @@ func TestCLIRegistryDaemonReplication(t *testing.T) {
 	_ = primary.Process.Kill()
 	_, _ = primary.Process.Wait()
 	startDaemon("serve", "-registry-dir", primaryDir, "-addr", fmt.Sprintf("127.0.0.1:%d", primaryPort))
-	awaitVector(primaryURL, 1)
+	awaitVersion(primaryURL, 1)
 }
 
 // freePort reserves an ephemeral port and releases it for a daemon.

@@ -8,7 +8,7 @@ import (
 )
 
 // FuzzStoreReplay feeds arbitrary bytes to the on-disk record codec as a
-// shard log and holds the store to three properties:
+// registry log and holds the store to three properties:
 //
 //  1. replay never panics, whatever the bytes;
 //  2. whatever replays intact on a first open replays identically — with
@@ -44,10 +44,10 @@ func FuzzStoreReplay(f *testing.F) {
 		}
 
 		replay := func() ([]Version, int) {
-			sh := newShard()
+			r := NewRegistry()
 			var got []Version
-			st, recovered, err := openShardStore(dir, func(v Version) error {
-				if err := sh.applyReplay(v); err != nil {
+			st, recovered, err := openLogStore(dir, func(v Version) error {
+				if err := r.applyReplay(v); err != nil {
 					return err
 				}
 				got = append(got, v)

@@ -19,14 +19,14 @@ func longPollServer(t *testing.T) (*Registry, *Client) {
 	return reg, &Client{BaseURL: srv.URL, HTTP: &http.Client{Timeout: 30 * time.Second}}
 }
 
-// A version-vector long-poll parked on an in-sync client must wake the
+// A GET /versions long-poll parked on an in-sync client must wake the
 // moment a publish commits, not at the wait deadline.
 func TestVersionsLongPollWakesOnPublish(t *testing.T) {
 	reg, c := longPollServer(t)
 	if _, err := reg.Publish("m", demoSnapshot(1), 1); err != nil {
 		t.Fatal(err)
 	}
-	_, etag, _, err := c.FetchVersionVector("")
+	_, etag, _, err := c.FetchVersions("", 0)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -39,7 +39,7 @@ func TestVersionsLongPollWakesOnPublish(t *testing.T) {
 	done := make(chan answer, 1)
 	go func() {
 		t0 := time.Now()
-		_, _, changed, err := c.FetchVersionVectorWait(etag, 10*time.Second)
+		_, _, changed, err := c.FetchVersions(etag, 10*time.Second)
 		done <- answer{changed: changed, took: time.Since(t0), err: err}
 	}()
 
@@ -70,12 +70,12 @@ func TestVersionsLongPollExpiresUnchanged(t *testing.T) {
 	if _, err := reg.Publish("m", demoSnapshot(1), 1); err != nil {
 		t.Fatal(err)
 	}
-	_, etag, _, err := c.FetchVersionVector("")
+	_, etag, _, err := c.FetchVersions("", 0)
 	if err != nil {
 		t.Fatal(err)
 	}
 	t0 := time.Now()
-	_, _, changed, err := c.FetchVersionVectorWait(etag, 150*time.Millisecond)
+	_, _, changed, err := c.FetchVersions(etag, 150*time.Millisecond)
 	took := time.Since(t0)
 	if err != nil {
 		t.Fatalf("long-poll expiry: %v", err)
@@ -239,14 +239,14 @@ func TestReplicaLongPollConverges(t *testing.T) {
 		}
 	}
 	waitPulled("initial sync")
-	if got := local.latestNumber("m"); got != 1 {
+	if got := local.latestNumbers()["m"]; got != 1 {
 		t.Fatalf("after initial sync local has v%d, want v1", got)
 	}
 	if _, err := reg.Publish("m", demoSnapshot(2), 2); err != nil {
 		t.Fatal(err)
 	}
 	waitPulled("long-poll sync")
-	if got := local.latestNumber("m"); got != 2 {
+	if got := local.latestNumbers()["m"]; got != 2 {
 		t.Fatalf("after publish local has v%d, want v2", got)
 	}
 }

@@ -3,19 +3,19 @@
 // weight matrix") after each retrain, and the prediction pipeline fetches
 // the latest snapshot over HTTP before each execution.
 //
-// The registry is sharded — model names hash onto independent shards, each
-// with its own lock and version map — and optionally durable: with WithDir,
-// every published version is committed to a per-shard append-only log
-// (checksummed, length-prefixed records; see store.go) before Publish
-// returns, and OpenRegistry replays the logs so a daemon restart loses
-// nothing. Read-only replicas follow a primary with Replica, which polls
-// the primary's per-shard version-vector endpoint and pulls missing
-// versions; see docs/serving.md for the topology.
+// The registry is one lock over one name → versions map, optionally
+// durable: with WithDir, every published version is committed to one
+// append-only log (checksummed, length-prefixed records; see store.go)
+// before Publish returns, and OpenRegistry replays the log so a daemon
+// restart loses nothing. Read-only replicas follow a primary with Replica,
+// which polls the primary's name → latest-version endpoint and pulls
+// missing versions; see docs/serving.md for the topology.
 package modelserver
 
 import (
 	"bytes"
 	"encoding/json"
+	"errors"
 	"fmt"
 	"hash/fnv"
 	"io"
@@ -26,17 +26,11 @@ import (
 	"strconv"
 	"strings"
 	"sync"
-	"sync/atomic"
 	"time"
 
 	"env2vec/internal/nn"
 	"env2vec/internal/obs"
 )
-
-// DefaultShards is how many shards a registry has unless WithShards says
-// otherwise. For a durable registry the count is fixed at creation time by
-// the MANIFEST file, because records replay from per-shard directories.
-const DefaultShards = 8
 
 // Version is one published model snapshot.
 type Version struct {
@@ -46,14 +40,26 @@ type Version struct {
 	Created int64  // unix seconds
 }
 
-// Registry stores versioned snapshots per model name, spread over shards.
-type Registry struct {
-	shards    []*shard
-	recovered atomic.Uint64 // corrupt tail segments quarantined at open
+// ErrClosed is returned by Publish and replica imports after Close: the
+// log is gone, so a version accepted then would not survive a reopen.
+var ErrClosed = errors.New("modelserver: registry is closed")
 
-	// Long-poll broadcast: waitCh is closed and replaced on every committed
-	// publish or import, so anyone holding the previous channel wakes up.
-	waitMu sync.Mutex
+// ErrShardedLayout is returned by OpenRegistry for a directory written by
+// the sharded registry (it holds a MANIFEST and one log per shard). Such a
+// directory is never re-read silently; the error says how to migrate it.
+var ErrShardedLayout = errors.New("modelserver: registry directory has the old sharded layout")
+
+// Registry stores versioned snapshots per model name.
+type Registry struct {
+	mu        sync.RWMutex
+	versions  map[string][]Version
+	store     *logStore // nil when the registry is memory-only
+	closed    bool
+	recovered uint64 // corrupt log tails quarantined at open; set before OpenRegistry returns
+
+	// Long-poll broadcast, guarded by mu: waitCh is closed and replaced on
+	// every committed publish or import, so anyone holding the previous
+	// channel wakes up.
 	waitCh chan struct{}
 }
 
@@ -61,232 +67,191 @@ type Registry struct {
 type Option func(*registryOptions)
 
 type registryOptions struct {
-	dir    string
-	shards int
+	dir string
 }
 
-// WithDir makes the registry durable: versions are committed to per-shard
-// append-only logs under dir and replayed on open.
+// WithDir makes the registry durable: versions are committed to an
+// append-only log under dir and replayed on open.
 func WithDir(dir string) Option { return func(o *registryOptions) { o.dir = dir } }
-
-// WithShards sets the shard count (default DefaultShards). For a durable
-// registry the count recorded in the directory's MANIFEST wins on reopen,
-// since names must keep hashing to the shard that holds their log.
-func WithShards(n int) Option { return func(o *registryOptions) { o.shards = n } }
 
 // NewRegistry returns an empty in-memory registry. Use OpenRegistry with
 // WithDir for one that survives restarts.
 func NewRegistry() *Registry {
-	r, err := OpenRegistry()
-	if err != nil { // unreachable: only disk options can fail
-		panic(err)
-	}
-	return r
+	return &Registry{versions: make(map[string][]Version), waitCh: make(chan struct{})}
 }
 
 // OpenRegistry builds a registry from options. With WithDir it replays the
-// per-shard logs (restoring every committed version), truncating and
-// quarantining any torn tail record instead of serving it; the number of
-// quarantined tails is available via RecoveredRecords.
+// log (restoring every committed version), truncating and quarantining any
+// torn tail record instead of serving it; the number of quarantined tails
+// is available via RecoveredRecords.
 func OpenRegistry(opts ...Option) (*Registry, error) {
-	o := registryOptions{shards: DefaultShards}
+	var o registryOptions
 	for _, opt := range opts {
 		opt(&o)
 	}
-	if o.shards < 1 {
-		o.shards = 1
+	r := NewRegistry()
+	if o.dir == "" {
+		return r, nil
 	}
-	if o.dir != "" {
-		n, err := loadOrWriteManifest(o.dir, o.shards)
-		if err != nil {
-			return nil, err
-		}
-		o.shards = n
+	if _, err := os.Stat(filepath.Join(o.dir, "MANIFEST")); err == nil {
+		return nil, fmt.Errorf("%w in %s: open it once with the sharded release (which repairs torn tails), then `cat %s/shard-*/log > NEWDIR/log` and open NEWDIR",
+			ErrShardedLayout, o.dir, o.dir)
 	}
-	r := &Registry{shards: make([]*shard, o.shards), waitCh: make(chan struct{})}
-	for i := range r.shards {
-		sh := newShard()
-		sh.notify = r.bump
-		if o.dir != "" {
-			st, recovered, err := openShardStore(filepath.Join(o.dir, fmt.Sprintf("shard-%02d", i)), sh.applyReplay)
-			if err != nil {
-				return nil, err
-			}
-			sh.store = st
-			r.recovered.Add(uint64(recovered))
-		}
-		r.shards[i] = sh
+	st, recovered, err := openLogStore(o.dir, r.applyReplay)
+	if err != nil {
+		return nil, err
 	}
+	r.store, r.recovered = st, uint64(recovered)
 	return r, nil
 }
 
-// loadOrWriteManifest pins the shard count of a durable registry directory.
-func loadOrWriteManifest(dir string, shards int) (int, error) {
-	if err := os.MkdirAll(dir, 0o755); err != nil {
-		return 0, fmt.Errorf("modelserver: registry dir: %w", err)
+// applyReplay restores one record during open. Each name's version numbers
+// must be dense: a gap or repeat means the log is damaged from this record
+// on, and the store treats it like a failed checksum.
+func (r *Registry) applyReplay(v Version) error {
+	if v.Number != len(r.versions[v.Name])+1 {
+		return fmt.Errorf("%w: version %d of %q after %d replayed",
+			errCorruptRecord, v.Number, v.Name, len(r.versions[v.Name]))
 	}
-	path := filepath.Join(dir, "MANIFEST")
-	data, err := os.ReadFile(path)
-	switch {
-	case err == nil:
-		var n int
-		if _, err := fmt.Sscanf(strings.TrimSpace(string(data)), "shards=%d", &n); err != nil || n < 1 {
-			return 0, fmt.Errorf("modelserver: bad MANIFEST %q in %s", strings.TrimSpace(string(data)), dir)
-		}
-		return n, nil
-	case os.IsNotExist(err):
-		if err := writeFileSync(path, []byte(fmt.Sprintf("shards=%d\n", shards))); err != nil {
-			return 0, fmt.Errorf("modelserver: write MANIFEST: %w", err)
-		}
-		return shards, nil
-	default:
-		return 0, fmt.Errorf("modelserver: read MANIFEST: %w", err)
-	}
+	r.versions[v.Name] = append(r.versions[v.Name], v)
+	return nil
 }
 
-// shardFor hashes a model name onto its shard (FNV-1a, allocation-free).
-func (r *Registry) shardFor(name string) *shard {
-	const offset32, prime32 = 2166136261, 16777619
-	h := uint32(offset32)
-	for i := 0; i < len(name); i++ {
-		h ^= uint32(name[i])
-		h *= prime32
+// commit makes v visible: to the log first (when durable), then to the
+// map, then to long-pollers, so a version is never observable without
+// being replayable. The caller holds mu for writing.
+func (r *Registry) commit(v Version) error {
+	if r.closed {
+		return ErrClosed
 	}
-	return r.shards[h%uint32(len(r.shards))]
+	if r.store != nil {
+		if err := r.store.append(v); err != nil {
+			return err
+		}
+	}
+	r.versions[v.Name] = append(r.versions[v.Name], v)
+	close(r.waitCh)
+	r.waitCh = make(chan struct{})
+	return nil
 }
 
 // Publish stores a new version of the named model and returns its number.
-// On a durable registry the version is fsynced to the shard log before the
-// call returns.
+// On a durable registry the version is fsynced to the log before the call
+// returns.
 func (r *Registry) Publish(name string, snap *nn.Snapshot, created int64) (int, error) {
 	data, err := snap.Bytes()
 	if err != nil {
 		return 0, fmt.Errorf("modelserver: encode snapshot: %w", err)
 	}
-	return r.shardFor(name).publish(name, data, created)
+	r.mu.Lock()
+	defer r.mu.Unlock()
+	v := Version{Name: name, Number: len(r.versions[name]) + 1, Data: data, Created: created}
+	if err := r.commit(v); err != nil {
+		return 0, err
+	}
+	return v.Number, nil
+}
+
+// importVersion installs a version pulled from a primary, keeping its
+// number. Versions already held are skipped (idempotent re-pulls); a gap
+// means the caller fetched out of order and is refused. Used by Replica.
+func (r *Registry) importVersion(v Version) (bool, error) {
+	r.mu.Lock()
+	defer r.mu.Unlock()
+	have := len(r.versions[v.Name])
+	if v.Number <= have {
+		return false, nil
+	}
+	if v.Number != have+1 {
+		return false, fmt.Errorf("modelserver: import version %d of %q with only %d local", v.Number, v.Name, have)
+	}
+	if err := r.commit(v); err != nil {
+		return false, err
+	}
+	return true, nil
 }
 
 // Latest returns the newest version of the named model.
 func (r *Registry) Latest(name string) (Version, error) {
-	return r.shardFor(name).latest(name)
+	r.mu.RLock()
+	defer r.mu.RUnlock()
+	vs := r.versions[name]
+	if len(vs) == 0 {
+		return Version{}, fmt.Errorf("modelserver: no versions of %q", name)
+	}
+	return vs[len(vs)-1], nil
 }
 
 // Get returns a specific version.
 func (r *Registry) Get(name string, number int) (Version, error) {
-	return r.shardFor(name).get(name, number)
+	r.mu.RLock()
+	defer r.mu.RUnlock()
+	vs := r.versions[name]
+	if number < 1 || number > len(vs) {
+		return Version{}, fmt.Errorf("modelserver: %q has no version %d", name, number)
+	}
+	return vs[number-1], nil
 }
 
 // Names lists the registered model names, sorted.
 func (r *Registry) Names() []string {
-	lists := make([][]string, len(r.shards))
-	for i, sh := range r.shards {
-		lists[i] = sh.names()
+	r.mu.RLock()
+	out := make([]string, 0, len(r.versions))
+	for name := range r.versions {
+		out = append(out, name)
 	}
-	return sortedNames(lists)
+	r.mu.RUnlock()
+	sort.Strings(out)
+	return out
 }
 
-// latestNumber is Latest without copying the snapshot: 0 when the model is
-// unknown.
-func (r *Registry) latestNumber(name string) int {
-	return r.shardFor(name).latestNumber(name)
-}
-
-// importVersion installs a replicated version under its original number
-// (idempotent for versions already held). Used by Replica.
-func (r *Registry) importVersion(v Version) (bool, error) {
-	return r.shardFor(v.Name).importVersion(v)
-}
-
-// VersionVector reports every shard's name → latest-version map; it is the
-// unit replicas diff against their local state.
-func (r *Registry) VersionVector() VersionVector {
-	vec := VersionVector{Shards: make([]ShardVersions, len(r.shards))}
-	for i, sh := range r.shards {
-		vec.Shards[i] = ShardVersions{Shard: i, Models: sh.vector()}
+// latestNumbers is the name → latest-version map served at GET /versions
+// and diffed by Replica.Sync.
+func (r *Registry) latestNumbers() map[string]int {
+	r.mu.RLock()
+	defer r.mu.RUnlock()
+	out := make(map[string]int, len(r.versions))
+	for name, vs := range r.versions {
+		out[name] = len(vs)
 	}
-	return vec
+	return out
 }
 
 // RecoveredRecords reports how many corrupt log tails were quarantined when
 // this registry was opened (0 for in-memory registries and clean opens).
-func (r *Registry) RecoveredRecords() uint64 { return r.recovered.Load() }
-
-// bump wakes every Updated waiter: a version was committed somewhere.
-func (r *Registry) bump() {
-	r.waitMu.Lock()
-	close(r.waitCh)
-	r.waitCh = make(chan struct{})
-	r.waitMu.Unlock()
-}
+func (r *Registry) RecoveredRecords() uint64 { return r.recovered }
 
 // Updated returns a channel that is closed the next time any version is
 // published or imported. Grab the channel BEFORE reading the state you
 // compare against — then a publish racing your read still wakes you.
 func (r *Registry) Updated() <-chan struct{} {
-	r.waitMu.Lock()
-	defer r.waitMu.Unlock()
+	r.mu.RLock()
+	defer r.mu.RUnlock()
 	return r.waitCh
 }
 
 // Instrument registers the registry's metrics in reg and returns the
 // registry for chaining: env2vec_registry_recovered_records counts log
 // tails quarantined at open — a nonzero value after a crash is the signal
-// that durability did its job (and which shard dirs hold quarantine files).
+// that durability did its job (and that dir/quarantine holds the bytes).
 func (r *Registry) Instrument(reg *obs.Registry) *Registry {
 	reg.CounterFunc("env2vec_registry_recovered_records", "Corrupt store tail records quarantined during replay.", nil, r.RecoveredRecords)
 	return r
 }
 
-// Close syncs and closes the shard logs of a durable registry; in-memory
-// registries close trivially. The registry must not be used afterwards.
+// Close closes the log of a durable registry. Reads keep working; Publish
+// and replica imports return ErrClosed. A second Close returns nil.
 func (r *Registry) Close() error {
-	var first error
-	for _, sh := range r.shards {
-		if err := sh.close(); err != nil && first == nil {
-			first = err
-		}
+	r.mu.Lock()
+	defer r.mu.Unlock()
+	if r.closed {
+		return nil
 	}
-	return first
-}
-
-// VersionVector is the per-shard publication state served at GET /versions.
-type VersionVector struct {
-	Shards []ShardVersions `json:"shards"`
-}
-
-// ShardVersions is one shard's name → latest-version map.
-type ShardVersions struct {
-	Shard  int            `json:"shard"`
-	Models map[string]int `json:"models"`
-}
-
-// Models flattens the vector into one name → latest-version map.
-func (v VersionVector) Models() map[string]int {
-	out := make(map[string]int)
-	for _, sh := range v.Shards {
-		for name, n := range sh.Models {
-			out[name] = n
-		}
+	r.closed = true
+	if r.store == nil {
+		return nil
 	}
-	return out
-}
-
-// etag renders a deterministic entity tag for the vector, reusing the same
-// If-None-Match short-circuit the per-model latest endpoint has: an
-// unchanged fleet costs replicas a header exchange per poll.
-func (v VersionVector) etag() string {
-	h := fnv.New64a()
-	for _, sh := range v.Shards {
-		names := make([]string, 0, len(sh.Models))
-		for name := range sh.Models {
-			names = append(names, name)
-		}
-		sort.Strings(names)
-		for _, name := range names {
-			fmt.Fprintf(h, "%d/%s=%d;", sh.Shard, name, sh.Models[name])
-		}
-	}
-	return `"` + strconv.FormatUint(h.Sum64(), 16) + `"`
+	return r.store.close()
 }
 
 // Handler serves the registry:
@@ -294,7 +259,7 @@ func (v VersionVector) etag() string {
 //	POST /models/<name>            (gob body) → version number
 //	GET  /models/<name>/latest     → gob snapshot
 //	GET  /models/<name>/<version>  → gob snapshot
-//	GET  /versions                 → per-shard version vector (JSON)
+//	GET  /versions                 → {"<name>": latest version, …} (JSON)
 //
 // A ReadOnly handler refuses publishes with 403: a replica that accepted
 // a local publish would take a version number the primary later assigns
@@ -305,19 +270,19 @@ type Handler struct {
 	ReadOnly bool
 
 	m struct {
-		publishes, fetches, notModified, vectors *obs.Counter // nil (no-op) unless Instrument was called
+		publishes, fetches, notModified, versionPolls *obs.Counter // nil (no-op) unless Instrument was called
 	}
 }
 
 // Instrument registers the handler's counters in reg and returns the
 // handler for chaining: publishes, full snapshot downloads, 304
 // short-circuits (the cheap path the ETag protocol exists for), and
-// version-vector polls.
+// GET /versions polls.
 func (h *Handler) Instrument(reg *obs.Registry) *Handler {
 	h.m.publishes = reg.Counter("modelserver_publishes_total", "Snapshot versions published.", nil)
 	h.m.fetches = reg.Counter("modelserver_fetches_total", "Full snapshot downloads served.", nil)
 	h.m.notModified = reg.Counter("modelserver_not_modified_total", "Fetches short-circuited with 304 via ETag.", nil)
-	h.m.vectors = reg.Counter("modelserver_vector_polls_total", "Version-vector polls served (any status).", nil)
+	h.m.versionPolls = reg.Counter("modelserver_vector_polls_total", "GET /versions polls served (any status).", nil)
 	return h
 }
 
@@ -329,7 +294,7 @@ func (h *Handler) ServeHTTP(w http.ResponseWriter, r *http.Request) {
 			http.Error(w, "method not allowed", http.StatusMethodNotAllowed)
 			return
 		}
-		h.serveVector(w, r)
+		h.serveVersions(w, r)
 		return
 	}
 	if len(parts) < 2 || parts[0] != "models" {
@@ -445,29 +410,34 @@ func parseWait(r *http.Request) time.Duration {
 	return d
 }
 
-// serveVector answers GET /versions with the per-shard version vector,
+// serveVersions answers GET /versions with the name → latest-version map,
 // honouring If-None-Match so an idle fleet of replicas costs header
-// exchanges only. With ?wait=<dur> and a matching If-None-Match the
-// handler parks until a publish changes the vector (push-based
-// invalidation: replicas see new versions in O(RTT), not O(interval)),
-// answering 304 only when the wait expires with nothing new.
-func (h *Handler) serveVector(w http.ResponseWriter, r *http.Request) {
-	h.m.vectors.Inc()
+// exchanges only. The ETag hashes the map itself (JSON sorts the names),
+// not a commit counter: a primary that quarantined a torn tail and then
+// published another name has as many commits as before but a different
+// map. With ?wait=<dur> and a matching If-None-Match the handler parks
+// until a publish changes the map (push-based invalidation: replicas see
+// new versions in O(RTT), not O(interval)), answering 304 only when the
+// wait expires with nothing new.
+func (h *Handler) serveVersions(w http.ResponseWriter, r *http.Request) {
+	h.m.versionPolls.Inc()
 	deadline := time.Now().Add(parseWait(r))
 	inm := r.Header.Get("If-None-Match")
 	for {
 		updated := h.Registry.Updated() // grab BEFORE reading, see Updated
-		vec := h.Registry.VersionVector()
-		etag := vec.etag()
+		// A map[string]int always encodes, with its names sorted.
+		body, _ := json.Marshal(h.Registry.latestNumbers())
+		sum := fnv.New64a()
+		sum.Write(body)
+		etag := `"` + strconv.FormatUint(sum.Sum64(), 16) + `"`
+		w.Header().Set("ETag", etag)
 		if inm == "" || inm != etag {
-			w.Header().Set("ETag", etag)
 			w.Header().Set("Content-Type", "application/json")
-			_ = json.NewEncoder(w).Encode(vec)
+			_, _ = w.Write(body)
 			return
 		}
 		remaining := time.Until(deadline)
 		if remaining <= 0 {
-			w.Header().Set("ETag", etag)
 			w.WriteHeader(http.StatusNotModified)
 			return
 		}
@@ -513,23 +483,18 @@ func (c *Client) Publish(name string, snap *nn.Snapshot) (int, error) {
 
 // FetchLatest downloads the newest snapshot of the named model.
 func (c *Client) FetchLatest(name string) (*nn.Snapshot, int, error) {
-	snap, ver, _, err := c.FetchLatestIfNewer(name, 0)
+	snap, ver, _, err := c.FetchLatestIfNewerWait(name, 0, 0)
 	return snap, ver, err
 }
 
-// FetchLatestIfNewer downloads the newest snapshot only when its version
-// differs from have (the version the caller already holds). It returns
-// changed=false with a nil snapshot when the server still serves version
-// have; have=0 always downloads.
-func (c *Client) FetchLatestIfNewer(name string, have int) (snap *nn.Snapshot, ver int, changed bool, err error) {
-	return c.FetchLatestIfNewerWait(name, have, 0)
-}
-
-// FetchLatestIfNewerWait is FetchLatestIfNewer with server-side long-poll:
-// when wait > 0 and the caller already holds a version, the request asks
-// the server to park until a newer version lands (or wait expires into the
-// usual 304). Servers that predate ?wait ignore the parameter and answer
-// immediately — the plain-poll fallback.
+// FetchLatestIfNewerWait downloads the newest snapshot only when its
+// version differs from have (the version the caller already holds). It
+// returns changed=false with a nil snapshot when the server still serves
+// version have; have=0 always downloads. When wait > 0 and the caller
+// already holds a version, the request asks the server to park until a
+// newer version lands (or wait expires into the usual 304). Servers that
+// predate ?wait ignore the parameter and answer immediately — the
+// plain-poll fallback.
 func (c *Client) FetchLatestIfNewerWait(name string, have int, wait time.Duration) (snap *nn.Snapshot, ver int, changed bool, err error) {
 	url := c.BaseURL + "/models/" + name + "/latest"
 	if wait > 0 && have > 0 {
@@ -582,42 +547,38 @@ func (c *Client) FetchVersion(name string, number int) (Version, error) {
 	return Version{Name: name, Number: number, Data: data, Created: created}, nil
 }
 
-// FetchVersionVector polls GET /versions. haveETag is the tag from the
-// previous poll ("" on the first); when the server's vector still matches
-// it, changed is false and only headers crossed the wire.
-func (c *Client) FetchVersionVector(haveETag string) (vec VersionVector, etag string, changed bool, err error) {
-	return c.FetchVersionVectorWait(haveETag, 0)
-}
-
-// FetchVersionVectorWait is FetchVersionVector with server-side long-poll
-// (see FetchLatestIfNewerWait). The caller's HTTP client timeout must
-// exceed wait, or the poll will abort client-side first.
-func (c *Client) FetchVersionVectorWait(haveETag string, wait time.Duration) (vec VersionVector, etag string, changed bool, err error) {
+// FetchVersions polls GET /versions for the name → latest-version map.
+// haveETag is the tag from the previous poll ("" on the first); when the
+// server's map still matches it, changed is false and only headers crossed
+// the wire. With wait > 0 and a haveETag the server parks the request until
+// the map changes or wait expires (see FetchLatestIfNewerWait); the
+// caller's HTTP client timeout must exceed wait.
+func (c *Client) FetchVersions(haveETag string, wait time.Duration) (latest map[string]int, etag string, changed bool, err error) {
 	url := c.BaseURL + "/versions"
 	if wait > 0 && haveETag != "" {
 		url += "?wait=" + wait.String()
 	}
 	req, err := http.NewRequest(http.MethodGet, url, nil)
 	if err != nil {
-		return vec, "", false, err
+		return nil, "", false, err
 	}
 	if haveETag != "" {
 		req.Header.Set("If-None-Match", haveETag)
 	}
 	resp, err := c.httpClient().Do(req)
 	if err != nil {
-		return vec, "", false, err
+		return nil, "", false, err
 	}
 	defer resp.Body.Close()
 	switch resp.StatusCode {
 	case http.StatusNotModified:
-		return vec, haveETag, false, nil
+		return nil, haveETag, false, nil
 	case http.StatusOK:
 	default:
-		return vec, "", false, fmt.Errorf("modelserver: vector status %d", resp.StatusCode)
+		return nil, "", false, fmt.Errorf("modelserver: versions status %d", resp.StatusCode)
 	}
-	if err := json.NewDecoder(resp.Body).Decode(&vec); err != nil {
-		return vec, "", false, fmt.Errorf("modelserver: decode vector: %w", err)
+	if err := json.NewDecoder(resp.Body).Decode(&latest); err != nil {
+		return nil, "", false, fmt.Errorf("modelserver: decode versions: %w", err)
 	}
-	return vec, resp.Header.Get("ETag"), true, nil
+	return latest, resp.Header.Get("ETag"), true, nil
 }

@@ -26,9 +26,9 @@ func TestConcurrentPublishGetReplicate(t *testing.T) {
 			var primary *Registry
 			var err error
 			if durable {
-				primary, err = OpenRegistry(WithDir(t.TempDir()), WithShards(4))
+				primary, err = OpenRegistry(WithDir(t.TempDir()))
 			} else {
-				primary, err = OpenRegistry(WithShards(4))
+				primary, err = OpenRegistry()
 			}
 			if err != nil {
 				t.Fatal(err)

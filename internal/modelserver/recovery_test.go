@@ -2,6 +2,7 @@ package modelserver
 
 import (
 	"bytes"
+	"errors"
 	"fmt"
 	"os"
 	"path/filepath"
@@ -21,8 +22,8 @@ func openDurable(t *testing.T, dir string, opts ...Option) *Registry {
 	return r
 }
 
-// publishK publishes versions 1..k of each name, round-robin so shard logs
-// interleave names the way concurrent build chains would.
+// publishK publishes versions 1..k of each name, round-robin so the log
+// interleaves names the way concurrent build chains would.
 func publishK(t *testing.T, r *Registry, names []string, k int) {
 	t.Helper()
 	for v := 1; v <= k; v++ {
@@ -66,7 +67,7 @@ func TestRegistryKillAndRestart(t *testing.T) {
 	names := []string{"env2vec", "fw-smoke", "lb-soak", "dpi-regress"}
 	const k = 3
 
-	r1 := openDurable(t, dir, WithShards(4))
+	r1 := openDurable(t, dir)
 	publishK(t, r1, names, k)
 	// No Close: simulate kill -9 by dropping the handle on the floor.
 
@@ -79,32 +80,11 @@ func TestRegistryKillAndRestart(t *testing.T) {
 	if got := r2.Names(); len(got) != len(names) {
 		t.Fatalf("names after restart: %v", got)
 	}
-	// The MANIFEST pins sharding: reopening with a different WithShards must
-	// keep the original layout, or names would hash to the wrong logs.
-	if len(r2.shards) != 4 {
-		t.Fatalf("shard count drifted to %d on reopen", len(r2.shards))
-	}
 	r1.Close()
 }
 
-// shardLogFor locates the shard log holding a name's records.
-func shardLogFor(t *testing.T, dir, name string, shards int) string {
-	t.Helper()
-	r := &Registry{shards: make([]*shard, shards)}
-	for i := range r.shards {
-		r.shards[i] = newShard()
-	}
-	for i, sh := range r.shards {
-		if sh == r.shardFor(name) {
-			return filepath.Join(dir, fmt.Sprintf("shard-%02d", i), logName)
-		}
-	}
-	t.Fatal("unreachable")
-	return ""
-}
-
 // TestCrashRecoveryCorruptTail is the crash-recovery battery: publish K
-// versions across shards, then damage the store tail two ways — a flipped
+// versions of three names, then damage the store tail two ways — a flipped
 // byte (failed checksum) and a truncated record (torn write) — and prove
 // the reopened registry serves every intact version, quarantines the tail
 // instead of serving it, counts it in env2vec_registry_recovered_records,
@@ -136,18 +116,18 @@ func TestCrashRecoveryCorruptTail(t *testing.T) {
 	} {
 		t.Run(tc.name, func(t *testing.T) {
 			dir := t.TempDir()
-			// These names hash to shards 0, 1, and 2 of 4, so the victim is
-			// alone on its shard and the tail record is its own v3.
+			// publishK goes round-robin, so the log's tail record is the
+			// last-published name's v3.
 			names := []string{"env2vec", "nat-soak", "fw-smoke"}
 			const k = 3
-			const victim = "env2vec"
+			const victim = "fw-smoke"
 
-			r1 := openDurable(t, dir, WithShards(4))
+			r1 := openDurable(t, dir)
 			publishK(t, r1, names, k)
 			if err := r1.Close(); err != nil {
 				t.Fatal(err)
 			}
-			tc.corrupt(t, shardLogFor(t, dir, victim, 4))
+			tc.corrupt(t, filepath.Join(dir, logName))
 
 			r2 := openDurable(t, dir)
 			defer r2.Close()
@@ -171,13 +151,13 @@ func TestCrashRecoveryCorruptTail(t *testing.T) {
 			if err != nil || latest.Number != k-1 {
 				t.Fatalf("victim latest: %+v %v, want v%d", latest, err, k-1)
 			}
-			for _, name := range names[1:] {
+			for _, name := range names[:2] {
 				if v, err := r2.Latest(name); err != nil || v.Number != k {
 					t.Fatalf("%s latest after recovery: %+v %v", name, v, err)
 				}
 			}
 			// The torn bytes are preserved, not destroyed.
-			quarantine := filepath.Join(filepath.Dir(shardLogFor(t, dir, victim, 4)), quarantineName)
+			quarantine := filepath.Join(dir, quarantineName)
 			if st, err := os.Stat(quarantine); err != nil || st.Size() == 0 {
 				t.Fatalf("quarantine file: %v", err)
 			}
@@ -204,13 +184,87 @@ func TestCrashRecoveryCorruptTail(t *testing.T) {
 	}
 }
 
-// TestDurableRegistryRejectsBadManifest guards the sharding pin.
-func TestDurableRegistryRejectsBadManifest(t *testing.T) {
-	dir := t.TempDir()
-	if err := os.WriteFile(filepath.Join(dir, "MANIFEST"), []byte("shards=banana"), 0o644); err != nil {
+// TestShardedLayoutRefusedThenMigrated builds a directory the way the
+// sharded registry left it — a MANIFEST and one log per shard, each name on
+// exactly one shard in publish order — and holds OpenRegistry to refusing
+// it with ErrShardedLayout, then to the migration its message names:
+// concatenating the shard logs into one log loses no version's bytes or
+// Created stamp.
+func TestShardedLayoutRefusedThenMigrated(t *testing.T) {
+	old := t.TempDir()
+	if err := os.WriteFile(filepath.Join(old, "MANIFEST"), []byte("shards=3\n"), 0o644); err != nil {
 		t.Fatal(err)
 	}
-	if _, err := OpenRegistry(WithDir(dir)); err == nil {
-		t.Fatal("bad manifest accepted")
+	shardOf := map[string]int{"env2vec": 0, "fw-smoke": 1, "lb-soak": 2, "nat-soak": 1}
+	const k = 3
+	shards := make([][]Version, 3)
+	for v := 1; v <= k; v++ {
+		for _, name := range []string{"env2vec", "fw-smoke", "lb-soak", "nat-soak"} {
+			data, _ := demoSnapshot(int64(v)).Bytes()
+			shards[shardOf[name]] = append(shards[shardOf[name]], Version{Name: name, Number: v, Data: data, Created: int64(100 * v)})
+		}
 	}
+	for i, records := range shards {
+		writeLog(t, filepath.Join(old, fmt.Sprintf("shard-%02d", i)), records...) // encodeRecord, one after another
+	}
+
+	_, err := OpenRegistry(WithDir(old))
+	if !errors.Is(err, ErrShardedLayout) {
+		t.Fatalf("sharded directory opened: %v", err)
+	}
+	if !strings.Contains(err.Error(), "cat "+old+"/shard-*/log > NEWDIR/log") {
+		t.Fatalf("refusal does not say how to migrate: %v", err)
+	}
+	if _, err := os.Stat(filepath.Join(old, logName)); !os.IsNotExist(err) {
+		t.Fatalf("refusal wrote into the old directory: %v", err)
+	}
+
+	// cat DIR/shard-*/log > NEWDIR/log, in the shell's glob order.
+	shardLogs, err := filepath.Glob(filepath.Join(old, "shard-*", logName))
+	if err != nil || len(shardLogs) != 3 {
+		t.Fatalf("glob: %v %v", shardLogs, err)
+	}
+	var cat []byte
+	for _, path := range shardLogs {
+		data, err := os.ReadFile(path)
+		if err != nil {
+			t.Fatal(err)
+		}
+		cat = append(cat, data...)
+	}
+	migrated := t.TempDir()
+	if err := os.WriteFile(filepath.Join(migrated, logName), cat, 0o644); err != nil {
+		t.Fatal(err)
+	}
+	r := openDurable(t, migrated)
+	defer r.Close()
+	if rec := r.RecoveredRecords(); rec != 0 {
+		t.Fatalf("migrated log quarantined %d tails", rec)
+	}
+	assertVersions(t, r, []string{"env2vec", "fw-smoke", "lb-soak", "nat-soak"}, k)
+}
+
+// TestClosedRegistryRefusesWrites: after Close the log is gone, so a
+// publish or replica import must fail instead of landing in memory only
+// and vanishing on reopen. A second Close is harmless.
+func TestClosedRegistryRefusesWrites(t *testing.T) {
+	dir := t.TempDir()
+	r := openDurable(t, dir)
+	publishK(t, r, []string{"env2vec"}, 2)
+	if err := r.Close(); err != nil {
+		t.Fatal(err)
+	}
+	if n, err := r.Publish("env2vec", demoSnapshot(3), 300); !errors.Is(err, ErrClosed) {
+		t.Fatalf("publish after Close: v%d %v, want ErrClosed", n, err)
+	}
+	data, _ := demoSnapshot(3).Bytes()
+	if ok, err := r.importVersion(Version{Name: "env2vec", Number: 3, Data: data, Created: 300}); ok || !errors.Is(err, ErrClosed) {
+		t.Fatalf("import after Close: %v %v, want ErrClosed", ok, err)
+	}
+	if err := r.Close(); err != nil {
+		t.Fatalf("second Close: %v", err)
+	}
+	r2 := openDurable(t, dir)
+	defer r2.Close()
+	assertVersions(t, r2, []string{"env2vec"}, 2)
 }

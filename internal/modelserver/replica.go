@@ -11,13 +11,15 @@ import (
 )
 
 // Replica keeps a local registry converged with a primary registry's
-// contents: each Sync polls the primary's version-vector endpoint (with the
-// same If-None-Match short-circuit Watcher uses, so an idle primary costs a
-// header exchange) and pulls any versions the local registry is missing, in
-// publish order, preserving their numbers. Many read-only replicas can
-// front one primary so the serving fleet's Watcher polls never converge on
-// a single hot registry; the local registry may itself be durable
-// (OpenRegistry WithDir), giving replicas warm restarts.
+// contents: each Sync polls the primary's GET /versions (the name →
+// latest-version map, with the same If-None-Match short-circuit Watcher
+// uses, so an idle primary costs a header exchange) and pulls any versions
+// the local registry is missing, in publish order, preserving their
+// numbers. Many read-only replicas can front one primary so the serving
+// fleet's Watcher polls never converge on a single hot registry; the local
+// registry may itself be durable (OpenRegistry WithDir), giving replicas
+// warm restarts. A closed local registry fails each import with ErrClosed,
+// which Run hands to OnError.
 //
 // Replicas are read-only by convention: publishing locally to a replica
 // desynchronizes its version numbering from the primary and will make
@@ -26,7 +28,7 @@ type Replica struct {
 	Client   *Client
 	Registry *Registry
 	Interval time.Duration // polling period; Run defaults to 10s when 0
-	// LongPoll, when positive, makes each vector poll a server-side
+	// LongPoll, when positive, makes each versions poll a server-side
 	// long-poll (?wait=LongPoll): an in-sync replica's request parks on the
 	// primary until a publish lands, so new versions replicate in O(RTT)
 	// instead of O(Interval). Run then re-polls immediately after a
@@ -41,7 +43,7 @@ type Replica struct {
 	OnSync func(pulled int)
 	// OnError, when non-nil, receives transient sync errors. Run keeps
 	// polling afterwards; a partially pulled sync resumes where it stopped
-	// because the vector ETag is only advanced after a complete pass.
+	// because the versions ETag is only advanced after a complete pass.
 	OnError func(err error)
 
 	mu   sync.Mutex
@@ -58,7 +60,7 @@ type Replica struct {
 func (rp *Replica) Instrument(reg *obs.Registry) *Replica {
 	rp.m.syncs = reg.Counter("modelserver_replica_syncs_total", "Replica sync passes attempted.", nil)
 	rp.m.pulls = reg.Counter("modelserver_replica_pulls_total", "Versions pulled from the primary.", nil)
-	rp.m.notModified = reg.Counter("modelserver_replica_not_modified_total", "Syncs answered unchanged (vector ETag 304 path).", nil)
+	rp.m.notModified = reg.Counter("modelserver_replica_not_modified_total", "Syncs answered unchanged (versions ETag 304 path).", nil)
 	rp.m.errors = reg.Counter("modelserver_replica_errors_total", "Syncs that failed transiently.", nil)
 	return rp
 }
@@ -74,7 +76,7 @@ func (rp *Replica) Sync() (pulled int, err error) {
 	rp.mu.Lock()
 	have := rp.etag
 	rp.mu.Unlock()
-	vec, etag, changed, err := rp.Client.FetchVersionVectorWait(have, rp.LongPoll)
+	remote, etag, changed, err := rp.Client.FetchVersions(have, rp.LongPoll)
 	if err != nil {
 		rp.m.errors.Inc()
 		return 0, err
@@ -86,14 +88,14 @@ func (rp *Replica) Sync() (pulled int, err error) {
 		}
 		return 0, nil
 	}
-	remote := vec.Models()
 	names := make([]string, 0, len(remote))
 	for name := range remote {
 		names = append(names, name)
 	}
 	sort.Strings(names) // deterministic pull order for tests and logs
+	local := rp.Registry.latestNumbers()
 	for _, name := range names {
-		for n := rp.Registry.latestNumber(name) + 1; n <= remote[name]; n++ {
+		for n := local[name] + 1; n <= remote[name]; n++ {
 			v, err := rp.Client.FetchVersion(name, n)
 			if err != nil {
 				rp.m.errors.Inc()
@@ -110,7 +112,7 @@ func (rp *Replica) Sync() (pulled int, err error) {
 			}
 		}
 	}
-	// Only remember the vector as seen once every version in it is local;
+	// Only remember the map as seen once every version in it is local;
 	// a failed pass retries from the same vantage point.
 	rp.mu.Lock()
 	rp.etag = etag

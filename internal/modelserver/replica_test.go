@@ -6,17 +6,16 @@ import (
 	"io"
 	"net/http"
 	"net/http/httptest"
+	"os"
+	"path/filepath"
 	"strings"
 	"testing"
 
 	"env2vec/internal/obs"
 )
 
-func TestVersionVectorEndpoint(t *testing.T) {
-	reg, err := OpenRegistry(WithShards(4))
-	if err != nil {
-		t.Fatal(err)
-	}
+func TestVersionsEndpoint(t *testing.T) {
+	reg := NewRegistry()
 	if _, err := reg.Publish("a", demoSnapshot(1), 1); err != nil {
 		t.Fatal(err)
 	}
@@ -30,14 +29,10 @@ func TestVersionVectorEndpoint(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer resp.Body.Close()
-	var vec VersionVector
-	if err := json.NewDecoder(resp.Body).Decode(&vec); err != nil {
+	var models map[string]int
+	if err := json.NewDecoder(resp.Body).Decode(&models); err != nil {
 		t.Fatal(err)
 	}
-	if len(vec.Shards) != 4 {
-		t.Fatalf("vector has %d shards, want 4", len(vec.Shards))
-	}
-	models := vec.Models()
 	if models["a"] != 2 || models["b"] != 1 {
 		t.Fatalf("vector models wrong: %v", models)
 	}
@@ -150,6 +145,54 @@ func TestReplicaSyncPullsAndShortCircuits(t *testing.T) {
 	}
 }
 
+// TestReplicaSyncsAfterPrimaryLostATail pins why the GET /versions ETag
+// hashes the name → latest map rather than counting commits. The replica
+// holds {a:3, b:3}; the primary's torn tail takes b v3 away and a restart
+// publishes a v4, so the primary is at {a:4, b:2} after six commits — the
+// same count as before. The replica must see a change and pull a v4.
+func TestReplicaSyncsAfterPrimaryLostATail(t *testing.T) {
+	dir := t.TempDir()
+	primary := openDurable(t, dir)
+	publishK(t, primary, []string{"a", "b"}, 3) // the log ends with b v3
+	srv := httptest.NewServer(&Handler{Registry: primary})
+	defer srv.Close()
+	local := NewRegistry()
+	rp := &Replica{Client: &Client{BaseURL: srv.URL}, Registry: local}
+	if pulled, err := rp.Sync(); err != nil || pulled != 6 {
+		t.Fatalf("first sync: %d %v", pulled, err)
+	}
+	if err := primary.Close(); err != nil {
+		t.Fatal(err)
+	}
+	srv.Close()
+
+	path := filepath.Join(dir, logName)
+	st, err := os.Stat(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := os.Truncate(path, st.Size()-7); err != nil {
+		t.Fatal(err)
+	}
+	reopened := openDurable(t, dir)
+	defer reopened.Close()
+	if v, err := reopened.Latest("b"); err != nil || v.Number != 2 {
+		t.Fatalf("torn tail not dropped: %+v %v", v, err)
+	}
+	if n, err := reopened.Publish("a", demoSnapshot(4), 400); err != nil || n != 4 {
+		t.Fatalf("publish after recovery: v%d %v", n, err)
+	}
+	srv2 := httptest.NewServer(&Handler{Registry: reopened})
+	defer srv2.Close()
+	rp.Client = &Client{BaseURL: srv2.URL}
+	if pulled, err := rp.Sync(); err != nil || pulled != 1 {
+		t.Fatalf("sync after the primary's recovery pulled %d (%v), want 1", pulled, err)
+	}
+	if v, err := local.Latest("a"); err != nil || v.Number != 4 || v.Created != 400 {
+		t.Fatalf("replica latest a: %+v %v", v, err)
+	}
+}
+
 func TestReplicaSurfacesErrors(t *testing.T) {
 	rp := &Replica{}
 	if _, err := rp.Sync(); err == nil {
@@ -195,7 +238,7 @@ func TestReadOnlyHandlerRefusesPublish(t *testing.T) {
 	if _, ver, err := c.FetchLatest("env2vec"); err != nil || ver != 1 {
 		t.Fatalf("read-only fetch: v%d %v", ver, err)
 	}
-	if vec, _, _, err := c.FetchVersionVector(""); err != nil || vec.Models()["env2vec"] != 1 {
-		t.Fatalf("read-only vector: %v %v", vec, err)
+	if latest, _, _, err := c.FetchVersions("", 0); err != nil || latest["env2vec"] != 1 {
+		t.Fatalf("read-only vector: %v %v", latest, err)
 	}
 }

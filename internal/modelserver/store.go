@@ -10,8 +10,8 @@ import (
 	"path/filepath"
 )
 
-// On-disk layout. A durable registry owns one directory per shard
-// (dir/shard-NN/) whose `log` file is an append-only sequence of records:
+// On-disk layout. A durable registry owns one directory whose `log` file
+// is an append-only sequence of records:
 //
 //	magic   uint32 big-endian  "E2VR"
 //	length  uint32 big-endian  payload bytes
@@ -25,7 +25,7 @@ import (
 // followed by fsync; Publish does not return before both. Replay on open
 // walks the log record by record, so a crash mid-append leaves at worst a
 // torn tail that fails the magic/length/CRC checks. The torn bytes are
-// preserved in the shard's `quarantine` file and the log is repaired by
+// preserved in the directory's `quarantine` file and the log is repaired by
 // writing the intact prefix to `log.tmp` and renaming it over `log` — the
 // rename is atomic, so a crash mid-repair still leaves every intact record
 // readable on the next open.
@@ -98,19 +98,19 @@ func decodePayload(p []byte) (Version, error) {
 	return v, nil
 }
 
-// shardStore is one shard's open append-only log.
-type shardStore struct {
+// logStore is the registry's open append-only log.
+type logStore struct {
 	dir string
 	f   *os.File
 }
 
-// openShardStore creates dir if needed, replays its log delivering every
+// openLogStore creates dir if needed, replays its log delivering every
 // intact record to apply in order, and quarantines + truncates any corrupt
 // tail. recovered reports whether a tail was quarantined (0 or 1); apply
 // rejecting a record (e.g. a non-monotonic version number) is treated
 // exactly like a failed checksum — everything from that record on is a
 // tail the registry must not serve.
-func openShardStore(dir string, apply func(Version) error) (st *shardStore, recovered int, err error) {
+func openLogStore(dir string, apply func(Version) error) (st *logStore, recovered int, err error) {
 	if err := os.MkdirAll(dir, 0o755); err != nil {
 		return nil, 0, fmt.Errorf("modelserver: store dir: %w", err)
 	}
@@ -155,11 +155,11 @@ func openShardStore(dir string, apply func(Version) error) (st *shardStore, reco
 	if err != nil {
 		return nil, 0, fmt.Errorf("modelserver: open store log: %w", err)
 	}
-	return &shardStore{dir: dir, f: f}, recovered, nil
+	return &logStore{dir: dir, f: f}, recovered, nil
 }
 
-// quarantineTail preserves the unreadable suffix of the log in the shard's
-// quarantine file, then replaces the log with its intact prefix via
+// quarantineTail preserves the unreadable suffix of the log in the
+// directory's quarantine file, then replaces the log with its intact prefix via
 // tmp+rename so the repair itself is crash-atomic.
 func quarantineTail(dir, path string, data []byte, off int) error {
 	q, err := os.OpenFile(filepath.Join(dir, quarantineName), os.O_CREATE|os.O_WRONLY|os.O_APPEND, 0o644)
@@ -184,8 +184,8 @@ func quarantineTail(dir, path string, data []byte, off int) error {
 }
 
 // append commits one record: single write, then fsync. The caller holds the
-// shard lock, so records never interleave.
-func (st *shardStore) append(v Version) error {
+// registry lock, so records never interleave.
+func (st *logStore) append(v Version) error {
 	if _, err := st.f.Write(encodeRecord(v)); err != nil {
 		return fmt.Errorf("modelserver: append record: %w", err)
 	}
@@ -195,7 +195,7 @@ func (st *shardStore) append(v Version) error {
 	return nil
 }
 
-func (st *shardStore) close() error {
+func (st *logStore) close() error {
 	return st.f.Close()
 }
 

@@ -45,7 +45,7 @@ func TestRecordCodecRejectsDamage(t *testing.T) {
 	}
 }
 
-// writeLog assembles a shard log from records.
+// writeLog assembles a registry log from records.
 func writeLog(t *testing.T, dir string, records ...Version) {
 	t.Helper()
 	var buf bytes.Buffer
@@ -60,13 +60,13 @@ func writeLog(t *testing.T, dir string, records ...Version) {
 	}
 }
 
-// replayAll opens the shard store, collecting every intact record with the
+// replayAll opens the log store, collecting every intact record with the
 // registry's monotonicity rule applied.
 func replayAll(t *testing.T, dir string) (got []Version, recovered int) {
 	t.Helper()
-	sh := newShard()
-	st, recovered, err := openShardStore(dir, func(v Version) error {
-		if err := sh.applyReplay(v); err != nil {
+	r := NewRegistry()
+	st, recovered, err := openLogStore(dir, func(v Version) error {
+		if err := r.applyReplay(v); err != nil {
 			return err
 		}
 		got = append(got, v)
@@ -105,7 +105,7 @@ func TestStoreReplayTruncatesNonMonotonicTail(t *testing.T) {
 
 func TestStoreAppendThenReplay(t *testing.T) {
 	dir := t.TempDir()
-	st, recovered, err := openShardStore(dir, func(Version) error { return nil })
+	st, recovered, err := openLogStore(dir, func(Version) error { return nil })
 	if err != nil || recovered != 0 {
 		t.Fatalf("open empty: %d %v", recovered, err)
 	}

@@ -19,8 +19,8 @@ import (
 // Polls use the registry's version short-circuit (If-None-Match), so an
 // unchanged model costs only a header exchange. A Watcher follows one
 // model; Replica is the whole-registry analogue built on the same ETag
-// machinery (the per-shard version-vector endpoint), and a Watcher may
-// point at a replica instead of the primary to spread poll load.
+// machinery (GET /versions, the name → latest-version map), and a Watcher
+// may point at a replica instead of the primary to spread poll load.
 type Watcher struct {
 	Client   *Client
 	Name     string
