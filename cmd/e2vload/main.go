@@ -197,7 +197,7 @@ func run(args []string, w io.Writer) error {
 			case "binary":
 				wireWorker(tgt, rng, st, deadline, pace, observe, count, *wireBatch, *actuals, *envs)
 			case "stream":
-				streamWorker(tgt, rng, st, deadline, pace, observe, count, *actuals, *envs, g)
+				streamWorker(tgt, rng, deadline, pace, observe, count, *actuals, *envs, g)
 			default:
 				for time.Now().Before(deadline) {
 					if !pace() {
@@ -312,8 +312,9 @@ func wireWorker(tgt *target, rng *rand.Rand, st serve.Stats, deadline time.Time,
 
 // streamWorker drives -proto stream: one subscribe-mode connection pinned
 // to one environment, lock-step window→prediction round trips (each one
-// latency sample), resubscribing after errors.
-func streamWorker(tgt *target, rng *rand.Rand, st serve.Stats, deadline time.Time,
+// latency sample), resubscribing after errors. Windows take the shape the
+// subscription's acknowledgement names.
+func streamWorker(tgt *target, rng *rand.Rand, deadline time.Time,
 	pace func() bool, observe func(*target, float64), count func(*target, int, error),
 	actuals float64, envs int, worker int) {
 	env := envmeta.Environment{
@@ -336,11 +337,12 @@ func streamWorker(tgt *target, rng *rand.Rand, st serve.Stats, deadline time.Tim
 		}
 		// A wedged peer cannot park the worker past the run.
 		_ = stm.SetDeadline(deadline.Add(10 * time.Second))
+		ack := stm.Ack()
 		for time.Now().Before(deadline) {
 			if !pace() {
 				break
 			}
-			req := genRequest(rng, st.ModelIn, st.ModelWindow, actuals, envs)
+			req := genRequest(rng, ack.In, ack.Window, actuals, envs)
 			wnd := wire.Window{Seq: stm.NextSeq(), CF: req.CF, Window: req.Window, Actual: req.Actual}
 			t0 := time.Now()
 			if err := stm.Send(wnd); err != nil {

@@ -32,13 +32,15 @@ if [ -n "$fmt" ]; then
     exit 1
 fi
 go vet ./...
+# Nothing in internal/ or cmd/ is exported that only tests reach.
+scripts/exportcheck.sh
 # The serving path is the one place with real concurrency: prove it race-free.
 # quality and alarmstore sit on that same path (async alarm delivery).
 go test -race ./internal/obs/ ./internal/serve/ ./internal/modelserver/ \
     ./internal/quality/ ./internal/alarmstore/
-# The registry's durability story — see docs/serving.md. Fuzz the on-disk
-# record codec (replay never panics, repair is stable), then prove the
-# replication path end to end: train -> publish -> replica converges ->
+# The registry's durability story — see docs/serving.md. Fuzz the log
+# replay in memory (it never panics, its intact prefix replays whole), then
+# prove the replication path end to end: train -> publish -> replica converges ->
 # a daemon watching the replica answers /predict identically to one
 # watching the primary. The -race battery above already covers the
 # concurrent publish/get/sync registry test.

@@ -3,11 +3,12 @@
 // time interval of each detected issue (the paper uses PostgreSQL). The
 // store is an append-only JSON-lines file with an in-memory index and an
 // HTTP API, supporting the same queries the workflow needs: by chain, by
-// testbed, and by time range.
+// testbed, and by time range. Records are never rewritten: a crash mid-append
+// leaves at most one unterminated last line, which Open cuts off.
 package alarmstore
 
 import (
-	"bufio"
+	"bytes"
 	"encoding/json"
 	"fmt"
 	"net/http"
@@ -30,7 +31,6 @@ type Record struct {
 	// alarms without a source are drift alarms (the original producer).
 	Source string        `json:"source"`
 	Alarm  anomaly.Alarm `json:"alarm"`
-	Ack    bool          `json:"ack"` // acknowledged by an engineer
 }
 
 // Store is a concurrency-safe alarm database with optional file
@@ -48,17 +48,23 @@ func Open(path string) (*Store, error) {
 	if path == "" {
 		return s, nil
 	}
-	f, err := os.Open(path)
+	data, err := os.ReadFile(path)
 	if os.IsNotExist(err) {
 		return s, nil
 	}
 	if err != nil {
 		return nil, fmt.Errorf("alarmstore: open: %w", err)
 	}
-	defer f.Close()
-	scanner := bufio.NewScanner(f)
-	for scanner.Scan() {
-		line := scanner.Bytes()
+	// Every Push ends its record with a newline, so a last line without one
+	// is an append a crash cut short: drop it. A complete line that does not
+	// parse is corruption, and the store is refused.
+	end := bytes.LastIndexByte(data, '\n') + 1
+	if end < len(data) {
+		if err := os.Truncate(path, int64(end)); err != nil {
+			return nil, fmt.Errorf("alarmstore: drop torn record: %w", err)
+		}
+	}
+	for _, line := range bytes.Split(data[:end], []byte{'\n'}) {
 		if len(line) == 0 {
 			continue
 		}
@@ -70,9 +76,6 @@ func Open(path string) (*Store, error) {
 		if rec.ID >= s.nextID {
 			s.nextID = rec.ID + 1
 		}
-	}
-	if err := scanner.Err(); err != nil {
-		return nil, fmt.Errorf("alarmstore: scan: %w", err)
 	}
 	return s, nil
 }
@@ -86,7 +89,6 @@ func (s *Store) Push(a anomaly.Alarm, createdAt int64) (Record, error) {
 		src = "drift"
 	}
 	rec := Record{ID: s.nextID, CreatedAt: createdAt, Source: src, Alarm: a}
-	s.nextID++
 	if s.path != "" {
 		f, err := os.OpenFile(s.path, os.O_CREATE|os.O_WRONLY|os.O_APPEND, 0o644)
 		if err != nil {
@@ -101,6 +103,7 @@ func (s *Store) Push(a anomaly.Alarm, createdAt int64) (Record, error) {
 			return Record{}, fmt.Errorf("alarmstore: push: %w", err)
 		}
 	}
+	s.nextID++
 	s.records = append(s.records, rec)
 	return rec, nil
 }
@@ -152,42 +155,6 @@ func (r Record) sourceOrDefault() string {
 		return "drift"
 	}
 	return r.Source
-}
-
-// Acknowledge marks an alarm as handled by an engineer.
-func (s *Store) Acknowledge(id int) error {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	for i := range s.records {
-		if s.records[i].ID == id {
-			s.records[i].Ack = true
-			return s.rewriteLocked()
-		}
-	}
-	return fmt.Errorf("alarmstore: alarm %d not found", id)
-}
-
-// rewriteLocked persists the full record set (used after in-place updates).
-func (s *Store) rewriteLocked() error {
-	if s.path == "" {
-		return nil
-	}
-	tmp := s.path + ".tmp"
-	f, err := os.Create(tmp)
-	if err != nil {
-		return fmt.Errorf("alarmstore: rewrite: %w", err)
-	}
-	enc := json.NewEncoder(f)
-	for _, rec := range s.records {
-		if err := enc.Encode(rec); err != nil {
-			f.Close()
-			return fmt.Errorf("alarmstore: rewrite: %w", err)
-		}
-	}
-	if err := f.Close(); err != nil {
-		return fmt.Errorf("alarmstore: rewrite: %w", err)
-	}
-	return os.Rename(tmp, s.path)
 }
 
 // Len returns the number of stored alarms.

@@ -74,22 +74,48 @@ func TestPersistenceRoundTrip(t *testing.T) {
 	}
 }
 
-func TestAcknowledge(t *testing.T) {
+// A crash mid-Push leaves the last record without its newline. Open drops
+// that torn line and keeps the rest; the next Push reuses its id.
+func TestOpenAfterTornPush(t *testing.T) {
 	path := filepath.Join(t.TempDir(), "alarms.jsonl")
-	s, _ := Open(path)
-	rec, _ := s.Push(demoAlarm("c1", 0), 10)
-	if err := s.Acknowledge(rec.ID); err != nil {
-		t.Fatal(err)
-	}
-	if err := s.Acknowledge(999); err == nil {
-		t.Fatalf("missing id should error")
-	}
-	re, err := Open(path)
+	s, err := Open(path)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if got := re.Find(Query{}); !got[0].Ack {
-		t.Fatalf("ack not persisted")
+	for i := 0; i < 3; i++ {
+		if _, err := s.Push(demoAlarm("c1", i), int64(10*(i+1))); err != nil {
+			t.Fatal(err)
+		}
+	}
+	data, err := os.ReadFile(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	third := bytes.LastIndexByte(data[:len(data)-1], '\n') + 1
+	if err := os.WriteFile(path, data[:third+(len(data)-third)/2], 0o644); err != nil {
+		t.Fatal(err)
+	}
+
+	re, err := Open(path)
+	if err != nil {
+		t.Fatalf("reopen after a torn push: %v", err)
+	}
+	if re.Len() != 2 {
+		t.Fatalf("reopened %d records, want 2", re.Len())
+	}
+	rec, err := re.Push(demoAlarm("c2", 7), 40)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if rec.ID != 3 {
+		t.Fatalf("push after reopen got id %d, want 3", rec.ID)
+	}
+	again, err := Open(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got := again.Find(Query{}); len(got) != 3 || got[2].Alarm.ChainID != "c2" || got[2].ID != 3 {
+		t.Fatalf("second reopen: %+v", got)
 	}
 }
 
@@ -100,6 +126,13 @@ func TestOpenCorruptFile(t *testing.T) {
 	}
 	if _, err := Open(path); err == nil {
 		t.Fatalf("corrupt file should error")
+	}
+	// A corrupt complete line is refused even when a torn line follows it.
+	if err := os.WriteFile(path, []byte("{notjson\n{\"id\":"), 0o644); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := Open(path); err == nil {
+		t.Fatalf("corrupt line before a torn one should error")
 	}
 }
 

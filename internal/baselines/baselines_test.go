@@ -158,7 +158,9 @@ func TestSolveSPDProperty(t *testing.T) {
 		n := 1 + rng.Intn(6)
 		m := tensor.New(n, n)
 		m.RandNormal(rng, 1)
-		a := tensor.MatMul(m.Transpose(), m) // PSD
+		mt := tensor.New(n, n)
+		m.TransposeInto(mt)
+		a := tensor.MatMul(mt, m) // PSD
 		for i := 0; i < n; i++ {
 			a.Set(i, i, a.At(i, i)+1) // make PD
 		}

@@ -95,9 +95,15 @@ func TestLearnsEnvironmentDependentResponse(t *testing.T) {
 	}
 	// The environment must drive the difference: same features, different
 	// env ids → predictions ~4 apart.
-	probe := train.Subset([]int{0, 1})
-	copy(probe.X.Row(1), probe.X.Row(0))
-	copy(probe.Window.Row(1), probe.Window.Row(0))
+	probe := &nn.Batch{
+		X:      tensor.FromRows([][]float64{train.X.Row(0), train.X.Row(0)}),
+		Window: tensor.FromRows([][]float64{train.Window.Row(0), train.Window.Row(0)}),
+		Y:      tensor.New(2, 1),
+		EnvIDs: make([][]int, len(train.EnvIDs)),
+	}
+	for k, ids := range train.EnvIDs {
+		probe.EnvIDs[k] = ids[:2]
+	}
 	preds := m.Predict(probe)
 	if diff := preds[0] - preds[1]; math.Abs(diff-4) > 1.2 {
 		t.Fatalf("environment offset not learned: diff=%v (want ≈4)", diff)

@@ -49,18 +49,6 @@ type Dataset struct {
 	Series       []*Series
 }
 
-// NumExamples returns the total number of window examples available with
-// history length window (each series contributes len−window examples).
-func (d *Dataset) NumExamples(window int) int {
-	n := 0
-	for _, s := range d.Series {
-		if s.Len() > window {
-			n += s.Len() - window
-		}
-	}
-	return n
-}
-
 // Chains groups the series by ChainID, preserving build order within each
 // chain.
 func (d *Dataset) Chains() map[string][]*Series {

@@ -6,7 +6,6 @@ import (
 	"math"
 	"math/rand"
 	"reflect"
-	"strings"
 	"testing"
 	"testing/quick"
 
@@ -158,8 +157,12 @@ func TestDatasetHelpers(t *testing.T) {
 	other := demoSeries()
 	other.ChainID = "tb2|db|load"
 	d := &Dataset{FeatureNames: []string{"a", "b"}, Series: []*Series{s1, s2, other}}
-	if d.NumExamples(2) != 9 {
-		t.Fatalf("NumExamples = %d", d.NumExamples(2))
+	examples := 0
+	for _, s := range d.Series {
+		examples += len(WindowExamples(s, 2))
+	}
+	if examples != 9 {
+		t.Fatalf("%d window examples, want 9", examples)
 	}
 	chains := d.Chains()
 	if len(chains) != 2 || len(chains["tb1|db|load"]) != 2 {
@@ -315,22 +318,5 @@ func TestWindowAlignmentProperty(t *testing.T) {
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 40}); err != nil {
 		t.Fatal(err)
-	}
-}
-
-func TestFormatDataframe(t *testing.T) {
-	s := demoSeries()
-	exs := WindowExamples(s, 2)
-	out := FormatDataframe(exs[0], []string{"demand", "sessions"})
-	for _, want := range []string{"demand", "Testbed", "tb1", "S01", "cpu[t-1]", "cpu_usage", "Dataframe"} {
-		if !strings.Contains(out, want) {
-			t.Fatalf("dataframe missing %q:\n%s", want, out)
-		}
-	}
-	// Windowless example renders without RU history rows.
-	zero := WindowExamples(s, 0)
-	out0 := FormatDataframe(zero[0], []string{"demand", "sessions"})
-	if strings.Contains(out0, "cpu[t-") {
-		t.Fatalf("windowless dataframe should have no history rows")
 	}
 }

@@ -42,12 +42,6 @@ func (l Layer) String() string {
 	return fmt.Sprintf("Layer(%d)", int(l))
 }
 
-// Field is one metadata label, e.g. "cpu_clock_ghz" in the hardware layer.
-type Field struct {
-	Name  string
-	Layer Layer
-}
-
 // Record is a full environment-metadata record: field name → value string.
 // Values may be numeric ("2.6") or textual ("ESXi 6.5"); the record is what
 // gets attached to the Prometheus service-discovery entry in workflow
@@ -225,27 +219,4 @@ func (s *Schema) Sizes() [NumFeatures]int {
 		out[i] = v.Size()
 	}
 	return out
-}
-
-// Coverage reports how often each feature value of e appears among the
-// supplied training environments, as (count, fraction). It backs the
-// Table 7 coverage analysis, where a testbed covered by only a handful of
-// training examples under-performs.
-func Coverage(e Environment, training []Environment) (counts [NumFeatures]int, fracs [NumFeatures]float64) {
-	if len(training) == 0 {
-		return counts, fracs
-	}
-	feats := e.Features()
-	for _, te := range training {
-		tf := te.Features()
-		for i := range feats {
-			if tf[i] == feats[i] {
-				counts[i]++
-			}
-		}
-	}
-	for i := range counts {
-		fracs[i] = float64(counts[i]) / float64(len(training))
-	}
-	return counts, fracs
 }

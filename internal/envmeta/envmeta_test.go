@@ -128,27 +128,6 @@ func TestSchemaObserveEncodeFreeze(t *testing.T) {
 	}
 }
 
-func TestCoverage(t *testing.T) {
-	target := Environment{"tb1", "db", "load", "S01"}
-	training := []Environment{
-		{"tb1", "db", "endurance", "S02"},
-		{"tb2", "db", "load", "S01"},
-		{"tb1", "fw", "load", "B01"},
-		{"tb3", "db", "volume", "S01"},
-	}
-	counts, fracs := Coverage(target, training)
-	if counts[0] != 2 || counts[1] != 3 || counts[2] != 2 || counts[3] != 2 {
-		t.Fatalf("counts wrong: %v", counts)
-	}
-	if fracs[0] != 0.5 || fracs[1] != 0.75 {
-		t.Fatalf("fracs wrong: %v", fracs)
-	}
-	c0, f0 := Coverage(target, nil)
-	if c0[0] != 0 || f0[0] != 0 {
-		t.Fatalf("empty training should be all zero")
-	}
-}
-
 // Property: Observe then Encode round-trips all feature ids.
 func TestSchemaRoundTripProperty(t *testing.T) {
 	f := func(tb, sut, tc, build string) bool {

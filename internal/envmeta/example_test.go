@@ -25,14 +25,3 @@ func ExampleEnvironment_BuildType() {
 	fmt.Println(e.BuildType())
 	// Output: D
 }
-
-func ExampleCoverage() {
-	target := envmeta.Environment{Testbed: "tb1", SUT: "db", Testcase: "load", Build: "S01"}
-	training := []envmeta.Environment{
-		{Testbed: "tb1", SUT: "db", Testcase: "soak", Build: "S02"},
-		{Testbed: "tb2", SUT: "db", Testcase: "load", Build: "S03"},
-	}
-	counts, fracs := envmeta.Coverage(target, training)
-	fmt.Printf("testbed seen %d times (%.0f%%)\n", counts[0], 100*fracs[0])
-	// Output: testbed seen 1 times (50%)
-}

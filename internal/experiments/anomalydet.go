@@ -12,7 +12,6 @@ import (
 	"env2vec/internal/metrics"
 	"env2vec/internal/pipeline"
 	"env2vec/internal/stats"
-	"env2vec/internal/telecom"
 )
 
 // Table5Row is one row of Table 5 / Table 6.
@@ -186,10 +185,6 @@ func (l *Lab) env2vecSource(tr *pipeline.TrainResult, calibrate bool) source {
 // htmAlarms streams each fault chain (history then current build) through
 // the HTM-AD detector and alarms on the current build's scores.
 func (l *Lab) htmAlarms() [][]anomaly.Alarm {
-	threshold := l.Opts.HTMThreshold
-	if threshold == 0 {
-		threshold = htm.Threshold
-	}
 	var out [][]anomaly.Alarm
 	for _, exec := range l.Corpus.FaultTargets {
 		d := htm.New(htm.Config{})
@@ -201,7 +196,7 @@ func (l *Lab) htmAlarms() [][]anomaly.Alarm {
 		s := exec.Series
 		flags := make([]bool, s.Len())
 		for i, v := range s.RU {
-			flags[i] = d.Step(v) >= threshold
+			flags[i] = d.Step(v) >= htm.Threshold
 		}
 		out = append(out, anomaly.MergeAlarms("htm-ad", s, flags, s.RU, 0, anomaly.MergeGap))
 	}
@@ -412,7 +407,3 @@ func (l *Lab) RunCostReport() (*CostReport, error) {
 		Parameters:           tr.Model.NumParameters(),
 	}, nil
 }
-
-// CorpusConfig re-exports the lab's corpus sizing (useful to callers that
-// only hold a Lab).
-func (l *Lab) CorpusConfig() telecom.Config { return l.Opts.Corpus }

@@ -31,8 +31,6 @@ type TelecomOptions struct {
 	// IncludeSlow adds RFReg, FNN, and SVR to the per-chain comparison
 	// (Figure 4 "all methods"); they multiply runtime by ~3×.
 	IncludeSlow bool
-	// HTMThreshold overrides the HTM-AD alarm cutoff (0 = htm.Threshold).
-	HTMThreshold float64
 }
 
 // DefaultTelecomOptions returns the evaluation-scale settings (125 chains,

@@ -198,7 +198,7 @@ func (d *Detector) Step(v float64) float64 {
 	if g.Sigma < 1e-6 {
 		g.Sigma = 1e-6
 	}
-	z := (stats.Mean(short) - g.Mu) / g.Sigma
+	z := g.Zscore(stats.Mean(short))
 	// One-sided Gaussian tail → likelihood that the recent raw scores are
 	// anomalously high.
 	return 0.5 * (1 + math.Erf(z/math.Sqrt2))

@@ -2,18 +2,17 @@ package modelserver
 
 import (
 	"bytes"
-	"os"
-	"path/filepath"
 	"testing"
 )
 
-// FuzzStoreReplay feeds arbitrary bytes to the on-disk record codec as a
-// registry log and holds the store to three properties:
+// FuzzStoreReplay feeds arbitrary bytes to the log replay as a registry
+// log, in memory (the file-level quarantine and reopen are
+// TestCrashRecoveryCorruptTail's), and holds it to three properties:
 //
 //  1. replay never panics, whatever the bytes;
-//  2. whatever replays intact on a first open replays identically — with
-//     nothing further quarantined — on a second open (repair is stable and
-//     exact, so valid record prefixes round-trip);
+//  2. the intact prefix it stops at replays whole and identically on its
+//     own: replayLog(data[:off]) returns off and the same records (the
+//     repaired log a reopen reads, so valid record prefixes round-trip);
 //  3. every accepted record obeys the registry's invariants (monotonic
 //     per-name numbering from 1).
 func FuzzStoreReplay(f *testing.F) {
@@ -35,34 +34,23 @@ func FuzzStoreReplay(f *testing.F) {
 	f.Add(flipped)
 
 	f.Fuzz(func(t *testing.T, data []byte) {
-		dir := t.TempDir()
-		if err := os.MkdirAll(dir, 0o755); err != nil {
-			t.Fatal(err)
-		}
-		if err := os.WriteFile(filepath.Join(dir, logName), data, 0o644); err != nil {
-			t.Fatal(err)
-		}
-
-		replay := func() ([]Version, int) {
+		replay := func(data []byte) ([]Version, int) {
 			r := NewRegistry()
 			var got []Version
-			st, recovered, err := openLogStore(dir, func(v Version) error {
+			off := replayLog(data, func(v Version) error {
 				if err := r.applyReplay(v); err != nil {
 					return err
 				}
 				got = append(got, v)
 				return nil
 			})
-			if err != nil {
-				t.Fatalf("open: %v", err) // I/O only; corruption must not error
-			}
-			if err := st.close(); err != nil {
-				t.Fatal(err)
-			}
-			return got, recovered
+			return got, off
 		}
 
-		first, _ := replay()
+		first, off := replay(data)
+		if off < 0 || off > len(data) {
+			t.Fatalf("replay stopped at %d of %d bytes", off, len(data))
+		}
 		counts := make(map[string]int)
 		for _, v := range first {
 			counts[v.Name]++
@@ -74,9 +62,9 @@ func FuzzStoreReplay(f *testing.F) {
 			}
 		}
 
-		second, recovered2 := replay()
-		if recovered2 != 0 {
-			t.Fatalf("repair unstable: second open quarantined again")
+		second, off2 := replay(data[:off])
+		if off2 != off {
+			t.Fatalf("repair unstable: the intact prefix of %d bytes replays to %d", off, off2)
 		}
 		if len(second) != len(first) {
 			t.Fatalf("replay not idempotent: %d then %d records", len(first), len(second))
@@ -84,7 +72,7 @@ func FuzzStoreReplay(f *testing.F) {
 		for i := range first {
 			a, b := first[i], second[i]
 			if a.Name != b.Name || a.Number != b.Number || a.Created != b.Created || !bytes.Equal(a.Data, b.Data) {
-				t.Fatalf("record %d changed across reopens: %+v vs %+v", i, a, b)
+				t.Fatalf("record %d changed across replays: %+v vs %+v", i, a, b)
 			}
 		}
 	})

@@ -104,12 +104,9 @@ type logStore struct {
 	f   *os.File
 }
 
-// openLogStore creates dir if needed, replays its log delivering every
-// intact record to apply in order, and quarantines + truncates any corrupt
-// tail. recovered reports whether a tail was quarantined (0 or 1); apply
-// rejecting a record (e.g. a non-monotonic version number) is treated
-// exactly like a failed checksum — everything from that record on is a
-// tail the registry must not serve.
+// openLogStore creates dir if needed, replays its log (replayLog) and
+// quarantines + truncates any tail the replay stopped at. recovered reports
+// whether a tail was quarantined (0 or 1).
 func openLogStore(dir string, apply func(Version) error) (st *logStore, recovered int, err error) {
 	if err := os.MkdirAll(dir, 0o755); err != nil {
 		return nil, 0, fmt.Errorf("modelserver: store dir: %w", err)
@@ -119,7 +116,27 @@ func openLogStore(dir string, apply func(Version) error) (st *logStore, recovere
 	if err != nil && !errors.Is(err, os.ErrNotExist) {
 		return nil, 0, fmt.Errorf("modelserver: read store log: %w", err)
 	}
-	off := 0
+	off := replayLog(data, apply)
+	if off < len(data) {
+		if err := quarantineTail(dir, path, data, off); err != nil {
+			return nil, 0, err
+		}
+		recovered = 1
+	}
+	f, err := os.OpenFile(path, os.O_CREATE|os.O_WRONLY|os.O_APPEND, 0o644)
+	if err != nil {
+		return nil, 0, fmt.Errorf("modelserver: open store log: %w", err)
+	}
+	return &logStore{dir: dir, f: f}, recovered, nil
+}
+
+// replayLog decodes the records at the head of data in order, delivering
+// each to apply, and returns the offset of the first byte it did not accept
+// (len(data) when the whole log is intact). apply rejecting a record (e.g. a
+// non-monotonic version number) ends the replay exactly like a failed
+// checksum: everything from that record on is a tail the registry must not
+// serve.
+func replayLog(data []byte, apply func(Version) error) (off int) {
 	for off < len(data) {
 		rest := data[off:]
 		if len(rest) < recordHeaderSize {
@@ -145,17 +162,7 @@ func openLogStore(dir string, apply func(Version) error) (st *logStore, recovere
 		}
 		off += recordHeaderSize + length
 	}
-	if off < len(data) {
-		if err := quarantineTail(dir, path, data, off); err != nil {
-			return nil, 0, err
-		}
-		recovered = 1
-	}
-	f, err := os.OpenFile(path, os.O_CREATE|os.O_WRONLY|os.O_APPEND, 0o644)
-	if err != nil {
-		return nil, 0, fmt.Errorf("modelserver: open store log: %w", err)
-	}
-	return &logStore{dir: dir, f: f}, recovered, nil
+	return off
 }
 
 // quarantineTail preserves the unreadable suffix of the log in the
@@ -166,7 +173,13 @@ func quarantineTail(dir, path string, data []byte, off int) error {
 	if err != nil {
 		return fmt.Errorf("modelserver: quarantine: %w", err)
 	}
+	// After the rename below the quarantine file holds the only copy of
+	// the tail, so it reaches the disk first.
 	if _, err := q.Write(data[off:]); err != nil {
+		q.Close()
+		return fmt.Errorf("modelserver: quarantine: %w", err)
+	}
+	if err := q.Sync(); err != nil {
 		q.Close()
 		return fmt.Errorf("modelserver: quarantine: %w", err)
 	}

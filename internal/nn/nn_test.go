@@ -119,25 +119,6 @@ func TestAdamFitsLinearRegression(t *testing.T) {
 	}
 }
 
-func TestSGDDecreasesLoss(t *testing.T) {
-	rng := rand.New(rand.NewSource(7))
-	n := 100
-	x := tensor.New(n, 3)
-	x.RandNormal(rng, 1)
-	y := tensor.New(n, 1)
-	for i := 0; i < n; i++ {
-		y.Set(i, 0, x.At(i, 0)-x.At(i, 1))
-	}
-	m := NewMLP("m", 3, 4, ReLU, 0, rng)
-	b := &Batch{X: x, Y: y}
-	before := EvalMSE(m, b)
-	Train(m, &SGD{LR: 0.05}, b, nil, TrainConfig{Epochs: 50, BatchSize: 20, Seed: 2})
-	after := EvalMSE(m, b)
-	if after >= before {
-		t.Fatalf("SGD did not reduce loss: %v -> %v", before, after)
-	}
-}
-
 func TestEarlyStoppingTriggersAndRestoresBest(t *testing.T) {
 	rng := rand.New(rand.NewSource(8))
 	n := 60
@@ -222,7 +203,7 @@ func TestBatchSubset(t *testing.T) {
 		EnvIDs: [][]int{{7, 8, 9}},
 		Y:      tensor.FromRows([][]float64{{0.1}, {0.2}, {0.3}}),
 	}
-	s := b.Subset([]int{2, 0})
+	s := b.subset([]int{2, 0}, tensor.New)
 	if s.Len() != 2 || s.X.At(0, 0) != 3 || s.X.At(1, 0) != 1 {
 		t.Fatalf("X subset wrong: %v", s.X)
 	}
@@ -342,23 +323,3 @@ func TestSnapshotRoundTripProperty(t *testing.T) {
 }
 
 func bytesReader(b []byte) io.Reader { return bytes.NewReader(b) }
-
-func TestLRDecayApplied(t *testing.T) {
-	opt := NewAdam(0.1)
-	rng := rand.New(rand.NewSource(20))
-	n := 40
-	x := tensor.New(n, 2)
-	x.RandNormal(rng, 1)
-	y := tensor.New(n, 1)
-	m := NewMLP("m", 2, 4, Tanh, 0, rng)
-	Train(m, opt, &Batch{X: x, Y: y}, nil, TrainConfig{Epochs: 10, BatchSize: 20, Seed: 1, LRDecay: 0.5})
-	want := 0.1 * math.Pow(0.5, 10)
-	if math.Abs(opt.LR-want) > 1e-12 {
-		t.Fatalf("LR after decay %v, want %v", opt.LR, want)
-	}
-	sgd := &SGD{LR: 1}
-	sgd.ScaleLR(0.25)
-	if sgd.LR != 0.25 {
-		t.Fatalf("SGD ScaleLR wrong")
-	}
-}

@@ -13,35 +13,6 @@ type Optimizer interface {
 	Step(params []*Param)
 }
 
-// LRScalable is implemented by optimizers whose learning rate can be
-// decayed by the training loop (TrainConfig.LRDecay).
-type LRScalable interface {
-	ScaleLR(factor float64)
-}
-
-// SGD is plain stochastic gradient descent with optional gradient clipping.
-type SGD struct {
-	LR       float64
-	ClipNorm float64 // 0 disables clipping
-}
-
-// ScaleLR implements LRScalable.
-func (s *SGD) ScaleLR(factor float64) { s.LR *= factor }
-
-// Step implements Optimizer.
-func (s *SGD) Step(params []*Param) {
-	scale := clipScale(params, s.ClipNorm)
-	for _, p := range params {
-		g := p.Grad()
-		if g == nil {
-			continue
-		}
-		for i := range p.Value.Data {
-			p.Value.Data[i] -= s.LR * scale * g.Data[i]
-		}
-	}
-}
-
 // Adam implements the Adam update rule (Kingma & Ba, 2014), the optimizer
 // the paper trains Env2Vec with. A step computes its constants once — the
 // clip scale, 1−β1 and 1−β2, the bias corrections 1−βᵗ — and hands each
@@ -66,9 +37,6 @@ func NewAdam(lr float64) *Adam {
 		v: make(map[*Param]*tensor.Matrix),
 	}
 }
-
-// ScaleLR implements LRScalable.
-func (a *Adam) ScaleLR(factor float64) { a.LR *= factor }
 
 // Step implements Optimizer.
 func (a *Adam) Step(params []*Param) {

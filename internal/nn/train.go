@@ -1,7 +1,6 @@
 package nn
 
 import (
-	"fmt"
 	"math"
 	"math/rand"
 	"time"
@@ -23,9 +22,6 @@ type Batch struct {
 
 // Len returns the number of examples in the batch.
 func (b *Batch) Len() int { return b.X.Rows }
-
-// Subset extracts the examples at idx into a new batch.
-func (b *Batch) Subset(idx []int) *Batch { return b.subset(idx, tensor.New) }
 
 // subset gathers the examples at idx into matrices from alloc; Train hands
 // it the step's tape, so a mini-batch lives and dies with its graph.
@@ -71,11 +67,6 @@ type TrainConfig struct {
 	Patience  int     // early-stopping patience in epochs (0 disables)
 	MinDelta  float64 // minimum val-loss improvement to reset patience
 	Seed      int64   // shuffling / dropout seed
-	Verbose   bool    // log per-epoch losses to stdout
-	// LRDecay multiplies the learning rate after every epoch when the
-	// optimizer implements LRScalable (1 or 0 disables). Exponential decay
-	// helps the multiplicative Env2Vec head settle after its fast start.
-	LRDecay float64
 	// OnEpoch, when non-nil, observes each completed epoch: the 1-based
 	// epoch number, mean training loss, validation loss (NaN without a
 	// validation set), and the epoch's wall-clock duration including
@@ -144,11 +135,6 @@ func Train(m Model, opt Optimizer, train, val *Batch, cfg TrainConfig) TrainResu
 		}
 		res.Epochs = epoch + 1
 		res.TrainLossLast = epochLoss / float64(steps)
-		if cfg.LRDecay > 0 && cfg.LRDecay != 1 {
-			if sc, ok := opt.(LRScalable); ok {
-				sc.ScaleLR(cfg.LRDecay)
-			}
-		}
 
 		if val == nil || val.Len() == 0 {
 			if cfg.OnEpoch != nil {
@@ -160,9 +146,6 @@ func Train(m Model, opt Optimizer, train, val *Batch, cfg TrainConfig) TrainResu
 		res.FinalValLoss = vl
 		if cfg.OnEpoch != nil {
 			cfg.OnEpoch(epoch+1, res.TrainLossLast, vl, time.Since(epochStart))
-		}
-		if cfg.Verbose {
-			fmt.Printf("epoch %3d train=%.5f val=%.5f\n", epoch, res.TrainLossLast, vl)
 		}
 		if vl < best-cfg.MinDelta {
 			best = vl

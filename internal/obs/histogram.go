@@ -52,10 +52,6 @@ func newHistogram(bounds []float64) *Histogram {
 	return &Histogram{bounds: bs, counts: make([]uint64, len(bs)+1)}
 }
 
-// NewHistogram returns an unregistered histogram, for callers that want
-// the type without a registry.
-func NewHistogram(bounds []float64) *Histogram { return newHistogram(bounds) }
-
 // Observe records one sample.
 func (h *Histogram) Observe(v float64) { h.ObserveExemplar(v, "") }
 

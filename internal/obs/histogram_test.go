@@ -79,7 +79,7 @@ func TestHistogramRingWrapAround(t *testing.T) {
 // TestHistogramConcurrentRecordAndQuantile races writers against readers;
 // run under -race (docs/reproduce.sh does) to prove the locking.
 func TestHistogramConcurrentRecordAndQuantile(t *testing.T) {
-	h := NewHistogram(DefLatencyBuckets)
+	h := newHistogram(DefLatencyBuckets)
 	var wg sync.WaitGroup
 	const writers, perWriter = 8, 1000
 	for w := 0; w < writers; w++ {

@@ -1,9 +1,6 @@
 package obs
 
-import (
-	"strings"
-	"time"
-)
+import "strings"
 
 // TraceParentHeader is the HTTP header that propagates span parentage
 // across processes, traceparent-style: it names the span on the caller's
@@ -75,18 +72,6 @@ type Span struct {
 	StartUnixUS int64             `json:"start_unix_us"`
 	DurationMS  float64           `json:"duration_ms"`
 	Attrs       map[string]string `json:"attrs,omitempty"`
-}
-
-// NewSpan returns a span with a fresh id covering [start, end).
-func NewSpan(traceID, parentID, name string, start, end time.Time) Span {
-	return Span{
-		TraceID:     traceID,
-		SpanID:      NewSpanID(),
-		ParentID:    parentID,
-		Name:        name,
-		StartUnixUS: start.UnixMicro(),
-		DurationMS:  MS(end.Sub(start)),
-	}
 }
 
 // SetAttr attaches one key/value attribute, allocating the map lazily.

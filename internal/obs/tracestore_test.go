@@ -28,28 +28,6 @@ func TestTraceParentRoundTrip(t *testing.T) {
 	}
 }
 
-func TestSpanCoversInterval(t *testing.T) {
-	start := time.Now()
-	end := start.Add(3 * time.Millisecond)
-	sp := NewSpan("trace1", "parent1", "op", start, end)
-	if sp.TraceID != "trace1" || sp.ParentID != "parent1" || sp.Name != "op" {
-		t.Fatalf("span identity wrong: %+v", sp)
-	}
-	if sp.SpanID == "" {
-		t.Fatal("span id not generated")
-	}
-	if sp.StartUnixUS != start.UnixMicro() {
-		t.Fatalf("start = %d, want %d", sp.StartUnixUS, start.UnixMicro())
-	}
-	if sp.DurationMS != 3 {
-		t.Fatalf("duration = %v, want 3", sp.DurationMS)
-	}
-	sp.SetAttr("k", "v")
-	if sp.Attrs["k"] != "v" {
-		t.Fatalf("attr not set: %+v", sp.Attrs)
-	}
-}
-
 // mkTrace builds a one-span trace for store tests.
 func mkTrace(id, outcome string, retried bool, durMS float64) Trace {
 	return Trace{

@@ -3,13 +3,14 @@
 //	(1) testbed data collection — Exporter serves a test execution's metrics
 //	    in the text exposition format so the TSDB scraper can pull them,
 //	    keyed by an EM record id in the service-discovery file;
-//	(2) model training — Trainer fits the single generic Env2Vec model on
-//	    all non-problematic historical executions and publishes a snapshot
-//	    to the model registry;
+//	(2) model training — Train fits the single generic Env2Vec model on
+//	    the historical executions minus those the caller masks as
+//	    problematic, and PublishModel puts a snapshot in the model registry;
 //	(3) prediction — Workflow reads execution data (directly or rebuilt
 //	    from the TSDB), standardizes it, and runs the model;
 //	(4) raising alarms — deviations beyond γ·σ (plus the 5% filter) become
-//	    alarms pushed into the alarm store;
+//	    alarms pushed into the alarm store; EarlyTerminationStep names the
+//	    step at which a TerminationPolicy would have aborted the execution;
 //	(5) updating the model — FetchModel pulls the latest snapshot before a
 //	    prediction run.
 package pipeline
@@ -71,13 +72,6 @@ func (e *Exporter) Advance() bool {
 	}
 	e.pos++
 	return true
-}
-
-// Pos returns the current cursor.
-func (e *Exporter) Pos() int {
-	e.mu.Lock()
-	defer e.mu.Unlock()
-	return e.pos
 }
 
 // ServeHTTP implements http.Handler for the /metrics endpoint.
@@ -306,27 +300,6 @@ func instrumentEpochs(reg *obs.Registry, logger *slog.Logger, next func(int, flo
 			next(epoch, tl, vl, d)
 		}
 	}
-}
-
-// ProcessExecutionWithPolicy scores an execution like ProcessExecution and
-// additionally applies a termination policy: when an alarm qualifies, only
-// alarms up to the termination step are reported (the execution would have
-// been aborted there) along with the step and a terminated flag.
-func (w *Workflow) ProcessExecutionWithPolicy(detector string, s *dataset.Series, p TerminationPolicy) (alarms []anomaly.Alarm, stopAt int, terminated bool) {
-	all := w.ProcessExecution(detector, s)
-	stopAt, terminated = EarlyTerminationStep(all, p)
-	if !terminated {
-		return all, -1, false
-	}
-	for _, a := range all {
-		if a.StartIdx <= stopAt {
-			if a.EndIdx > stopAt {
-				a.EndIdx = stopAt
-			}
-			alarms = append(alarms, a)
-		}
-	}
-	return alarms, stopAt, true
 }
 
 // TerminationPolicy encodes the automated action of workflow step (4):

@@ -64,8 +64,8 @@ func TestExporterServesCurrentStep(t *testing.T) {
 	if !e.Advance() {
 		t.Fatalf("Advance failed")
 	}
-	if e.Pos() != 1 {
-		t.Fatalf("Pos = %d", e.Pos())
+	if e.pos != 1 {
+		t.Fatalf("pos = %d", e.pos)
 	}
 	second := get()
 	if first == second {
@@ -74,8 +74,8 @@ func TestExporterServesCurrentStep(t *testing.T) {
 	// Exhausting the series.
 	for e.Advance() {
 	}
-	if e.Pos() != s.Len()-1 {
-		t.Fatalf("final pos %d", e.Pos())
+	if e.pos != s.Len()-1 {
+		t.Fatalf("final pos %d", e.pos)
 	}
 	// Bad path → 404.
 	resp, _ := http.Get(srv.URL + "/other")
@@ -104,7 +104,12 @@ func TestTrainMasksExcludedSeries(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	total := c.Dataset.NumExamples(cfg.Model.Window)
+	var total int
+	for _, s := range c.Dataset.Series {
+		if s.Len() > cfg.Model.Window {
+			total += s.Len() - cfg.Model.Window
+		}
+	}
 	var excluded int
 	for _, exec := range c.FaultTargets {
 		excluded += exec.Series.Len() - cfg.Model.Window
@@ -204,10 +209,6 @@ func TestShortExecutionScoresNothing(t *testing.T) {
 		short.RU, short.Times, short.Anomalous = full.RU[:steps], full.Times[:steps], full.Anomalous[:steps]
 		if alarms := wf.ProcessExecution("env2vec", &short); len(alarms) != 0 {
 			t.Fatalf("%d steps: %d alarms", steps, len(alarms))
-		}
-		alarms, stopAt, terminated := wf.ProcessExecutionWithPolicy("env2vec", &short, TerminationPolicy{MinDuration: 1})
-		if len(alarms) != 0 || stopAt != -1 || terminated {
-			t.Fatalf("%d steps with a policy: %d alarms, stop %d, terminated %v", steps, len(alarms), stopAt, terminated)
 		}
 		wf.CalibrateChain(id, []*dataset.Series{&short})
 		if em, ok := wf.ErrorModel(id); ok {
@@ -408,45 +409,6 @@ func TestSeriesFromTSDBMissingMetric(t *testing.T) {
 	}
 	if _, err := SeriesFromTSDB(db, "EM_none", c.Dataset.Series[0].Env, nil, 0, 1<<62); err == nil {
 		t.Fatalf("missing cpu metric should error")
-	}
-}
-
-func TestProcessExecutionWithPolicy(t *testing.T) {
-	c := smallCorpus(t)
-	exclude := map[*dataset.Series]bool{}
-	for _, exec := range c.FaultTargets {
-		exclude[exec.Series] = true
-	}
-	cfg := quickTrainerConfig()
-	cfg.Train.Epochs = 10
-	tr, err := Train(c.Dataset, exclude, cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	wf := NewWorkflow(tr, anomaly.Config{Gamma: 2, AbsFilter: 5})
-	for _, id := range c.ChainOrder {
-		chain := c.ChainSeries[id]
-		wf.CalibrateChain(id, chain[:len(chain)-1])
-	}
-	s := c.FaultTargets[0].Series
-	full := wf.ProcessExecution("env2vec", s)
-	if len(full) == 0 {
-		t.Skip("no alarms on this execution at quick scale")
-	}
-	// A permissive policy terminates at the first alarm's start.
-	alarms, stopAt, terminated := wf.ProcessExecutionWithPolicy("env2vec", s, TerminationPolicy{MinPeakDev: 0, MinDuration: 1})
-	if !terminated || stopAt != full[0].StartIdx {
-		t.Fatalf("termination at %d (%v), want %d", stopAt, terminated, full[0].StartIdx)
-	}
-	for _, a := range alarms {
-		if a.StartIdx > stopAt || a.EndIdx > stopAt {
-			t.Fatalf("alarm extends past termination: %+v", a)
-		}
-	}
-	// An impossible policy never terminates and returns everything.
-	all, stopAt2, term2 := wf.ProcessExecutionWithPolicy("env2vec", s, TerminationPolicy{MinPeakDev: 1e9, MinDuration: 1})
-	if term2 || stopAt2 != -1 || len(all) != len(full) {
-		t.Fatalf("impossible policy should be a no-op")
 	}
 }
 

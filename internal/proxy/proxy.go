@@ -298,10 +298,6 @@ func (p *Proxy) Close() {
 	})
 }
 
-// Probe runs one synchronous health pass (tests and boot paths that want
-// deterministic convergence before serving).
-func (p *Proxy) Probe() { p.health.probe(context.Background()) }
-
 // Backends exposes the pool (read-only by convention).
 func (p *Proxy) Backends() []*Backend { return p.backends }
 
@@ -311,13 +307,13 @@ func (p *Proxy) Metrics() *obs.Registry { return p.reg }
 // Traces returns the proxy's tail-sampled trace store.
 func (p *Proxy) Traces() *obs.TraceStore { return p.traces }
 
-// Home returns the ring-home backend for an environment key — the
-// deterministic owner when every backend is alive. Tests and rebalancing
-// tooling use it; the request path walks the ring directly.
-func (p *Proxy) Home(key string) *Backend {
-	var home *Backend
-	p.ring.walk(key, func(b *Backend) bool { home = b; return false })
-	return home
+// home returns the ring-home backend for an environment key — the
+// deterministic owner when every backend is alive. Only tests ask; the
+// request path walks the ring directly.
+func (p *Proxy) home(key string) *Backend {
+	var owner *Backend
+	p.ring.walk(key, func(b *Backend) bool { owner = b; return false })
+	return owner
 }
 
 // route returns the preference-ordered live candidates for key, at most

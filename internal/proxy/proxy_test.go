@@ -2,6 +2,7 @@ package proxy
 
 import (
 	"bytes"
+	"context"
 	"encoding/json"
 	"fmt"
 	"net/http"
@@ -161,7 +162,7 @@ func TestFailoverOnDeadBackend(t *testing.T) {
 	var build string
 	for i := 0; ; i++ {
 		build = fmt.Sprintf("B%d", i)
-		if p.Home(envKey(build)) == p.Backends()[0] {
+		if p.home(envKey(build)) == p.Backends()[0] {
 			break
 		}
 	}
@@ -193,7 +194,7 @@ func TestRetryableStatusFailsOver(t *testing.T) {
 	var build string
 	for i := 0; ; i++ {
 		build = fmt.Sprintf("B%d", i)
-		if p.Home(envKey(build)) == p.Backends()[0] {
+		if p.home(envKey(build)) == p.Backends()[0] {
 			break
 		}
 	}
@@ -317,7 +318,7 @@ func TestHealthProbeReadsReadyzOnly(t *testing.T) {
 	b.notReady = true // saturated: /readyz 503
 	b.mu.Unlock()
 	p := newTestProxy(t, Config{Backends: []string{a.URL}}, b)
-	p.Probe()
+	p.health.probe(context.Background())
 	if p.Backends()[0].Alive() {
 		t.Fatal("backend answering 404 on /readyz should leave rotation")
 	}
@@ -328,7 +329,7 @@ func TestHealthProbeReadsReadyzOnly(t *testing.T) {
 	b.mu.Lock()
 	b.notReady = false
 	b.mu.Unlock()
-	p.Probe()
+	p.health.probe(context.Background())
 	if !p.Backends()[1].Alive() {
 		t.Fatal("recovered backend did not rejoin")
 	}
@@ -343,7 +344,7 @@ func TestHealthzReflectsPool(t *testing.T) {
 		t.Fatalf("healthz with live pool: %d", w.Code)
 	}
 	a.srv.Close()
-	p.Probe()
+	p.health.probe(context.Background())
 	w = httptest.NewRecorder()
 	p.ServeHTTP(w, httptest.NewRequest(http.MethodGet, "/healthz", nil))
 	if w.Code != http.StatusServiceUnavailable {
@@ -375,7 +376,7 @@ func TestFleetMetricsSkipsDeadAndReportsScrapeFailures(t *testing.T) {
 	p := newTestProxy(t, Config{}, a, b)
 	deadName := strings.TrimPrefix(a.srv.URL, "http://")
 	a.srv.Close()
-	p.Probe()
+	p.health.probe(context.Background())
 
 	w := httptest.NewRecorder()
 	p.ServeHTTP(w, httptest.NewRequest(http.MethodGet, "/metrics", nil))
@@ -477,7 +478,7 @@ func TestStatzForwardsToLiveBackend(t *testing.T) {
 	a, b := newStub(t), newStub(t)
 	p := newTestProxy(t, Config{}, a, b)
 	a.srv.Close()
-	p.Probe()
+	p.health.probe(context.Background())
 	w := httptest.NewRecorder()
 	p.ServeHTTP(w, httptest.NewRequest(http.MethodGet, "/statz", nil))
 	if w.Code != http.StatusOK {

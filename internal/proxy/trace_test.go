@@ -188,7 +188,7 @@ func TestProxyFailoverTraceSpans(t *testing.T) {
 	var build string
 	for i := 0; ; i++ {
 		build = fmt.Sprintf("B%d", i)
-		if p.Home(envKey(build)) == p.Backends()[0] {
+		if p.home(envKey(build)) == p.Backends()[0] {
 			break
 		}
 	}

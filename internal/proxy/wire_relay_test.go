@@ -159,7 +159,7 @@ func buildsHomedOn(t *testing.T, p *Proxy) [2]string {
 	for i := 0; i < 256 && (builds[0] == "" || builds[1] == ""); i++ {
 		build := fmt.Sprintf("B%d", i)
 		for k, b := range p.Backends() {
-			if builds[k] == "" && p.Home(envKey(build)) == b {
+			if builds[k] == "" && p.home(envKey(build)) == b {
 				builds[k] = build
 			}
 		}

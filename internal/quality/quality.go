@@ -8,7 +8,7 @@
 // γ·σ exceedance, a window mean-shift, or deviations past the paper's
 // absolute-CPU gate count as drift; drift becomes an anomaly.Alarm with
 // environment and time-interval attribution, pushed asynchronously into the
-// alarm store through a bounded, retrying queue.
+// alarm store's HTTP API (HTTPSink) through a bounded, retrying queue.
 package quality
 
 import (

@@ -12,28 +12,15 @@ import (
 	"sync/atomic"
 	"time"
 
-	"env2vec/internal/alarmstore"
 	"env2vec/internal/anomaly"
 	"env2vec/internal/obs"
 )
 
-// Sink delivers one alarm to the alarm store. Implementations: StoreSink
-// (in-process) and HTTPSink (the store's HTTP API). Push may block and may
-// fail; Async wraps any Sink with a bounded queue so the serving path never
-// does either.
+// Sink delivers one alarm to the alarm store; HTTPSink posts it to the
+// store's HTTP API. Push may block and may fail; Async wraps any Sink with a
+// bounded queue so the serving path never does either.
 type Sink interface {
 	Push(a anomaly.Alarm, createdAt int64) error
-}
-
-// StoreSink writes alarms straight into an in-process alarmstore.Store.
-type StoreSink struct {
-	Store *alarmstore.Store
-}
-
-// Push implements Sink.
-func (s StoreSink) Push(a anomaly.Alarm, createdAt int64) error {
-	_, err := s.Store.Push(a, createdAt)
-	return err
 }
 
 // HTTPSink posts alarms to a remote alarm store's POST /alarms endpoint.

@@ -3,7 +3,6 @@ package quality
 import (
 	"errors"
 	"net/http/httptest"
-	"path/filepath"
 	"strings"
 	"sync/atomic"
 	"testing"
@@ -117,25 +116,13 @@ func TestAsyncExhaustedRetriesDrop(t *testing.T) {
 	}
 }
 
-// TestSinksDeliverToAlarmstore drives both sink flavours into a real store:
-// in-process, and over the store's HTTP API via httptest.
+// TestSinksDeliverToAlarmstore drives HTTPSink into a real store over the
+// store's HTTP API via httptest.
 func TestSinksDeliverToAlarmstore(t *testing.T) {
 	alarm := anomaly.Alarm{
 		Detector: "quality:exceed-rate", ChainID: "<tb1,fw,load,B7>",
 		Testbed: "tb1", SUT: "fw", Testcase: "load", Build: "B7",
 		StartIdx: 10, EndIdx: 14, StartTime: 1000, EndTime: 1004, PeakDev: 20,
-	}
-
-	direct, err := alarmstore.Open(filepath.Join(t.TempDir(), "alarms.jsonl"))
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := (StoreSink{Store: direct}).Push(alarm, 999); err != nil {
-		t.Fatal(err)
-	}
-	got := direct.Find(alarmstore.Query{Testbed: "tb1"})
-	if len(got) != 1 || got[0].Alarm.Detector != alarm.Detector || got[0].CreatedAt != 999 {
-		t.Fatalf("store sink record wrong: %+v", got)
 	}
 
 	remote, err := alarmstore.Open("")
@@ -147,7 +134,7 @@ func TestSinksDeliverToAlarmstore(t *testing.T) {
 	if err := (HTTPSink{URL: srv.URL}).Push(alarm, 0); err != nil {
 		t.Fatal(err)
 	}
-	got = remote.Find(alarmstore.Query{ChainID: alarm.ChainID})
+	got := remote.Find(alarmstore.Query{ChainID: alarm.ChainID})
 	if len(got) != 1 || got[0].Alarm.EndTime != 1004 || got[0].CreatedAt != 1234 {
 		t.Fatalf("http sink record wrong: %+v", got)
 	}

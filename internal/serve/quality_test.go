@@ -10,7 +10,6 @@ import (
 	"net/http/httptest"
 	"strings"
 	"testing"
-	"time"
 
 	"env2vec/internal/alarmstore"
 	"env2vec/internal/quality"
@@ -46,12 +45,14 @@ func TestQualityLoopInlineActuals(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
+	storeSrv := httptest.NewServer(&alarmstore.Handler{Store: store})
+	defer storeSrv.Close()
 	b := testBundle(7, 1)
 	b.Baseline = &quality.Baseline{Mu: 0, Sigma: 1, Samples: 200}
 	s := New(Config{
 		MaxBatch: 1, QueueDepth: 64, Workers: 1,
 		Quality:   &quality.Config{Window: 8, MinSamples: 4, Cooldown: 4},
-		AlarmSink: quality.StoreSink{Store: store},
+		AlarmSink: quality.HTTPSink{URL: storeSrv.URL},
 	})
 	s.SetBundle(b)
 	srv := httptest.NewServer(s)
@@ -158,9 +159,8 @@ func TestObserveClosesTheLoop(t *testing.T) {
 	b.Baseline = &quality.Baseline{Mu: 0, Sigma: 1, Samples: 200}
 	s := New(Config{
 		MaxBatch: 1, QueueDepth: 64, Workers: 1,
-		Quality:    &quality.Config{Window: 8, MinSamples: 4, Cooldown: 4},
-		AlarmSink:  quality.HTTPSink{URL: storeSrv.URL},
-		AlarmAsync: quality.AsyncConfig{Backoff: time.Millisecond},
+		Quality:   &quality.Config{Window: 8, MinSamples: 4, Cooldown: 4},
+		AlarmSink: quality.HTTPSink{URL: storeSrv.URL},
 	})
 	s.SetBundle(b)
 	srv := httptest.NewServer(s)

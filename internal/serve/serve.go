@@ -56,12 +56,10 @@ type Config struct {
 	// alarms. The monitor also serves GET /quality.
 	Quality *quality.Config
 	// AlarmSink, when non-nil, receives the monitor's drift alarms through
-	// an async bounded queue (see AlarmAsync). Nil keeps alarms local:
-	// counted, reported at /quality, but delivered nowhere.
+	// an async bounded queue with quality.AsyncConfig's default depth,
+	// retries and backoff. Nil keeps alarms local: counted, reported at
+	// /quality, but delivered nowhere.
 	AlarmSink quality.Sink
-	// AlarmAsync tunes the asynchronous alarm pusher wrapped around
-	// AlarmSink: queue depth, retries, backoff.
-	AlarmAsync quality.AsyncConfig
 	// PendingCap bounds the request-id → prediction map backing POST
 	// /observe (default 4096). Oldest entries are evicted first; observing
 	// an evicted id returns 404.
@@ -376,11 +374,7 @@ func New(cfg Config) *Server {
 	})
 	if cfg.Quality != nil {
 		if cfg.AlarmSink != nil {
-			ac := cfg.AlarmAsync
-			if ac.Logger == nil {
-				ac.Logger = logger
-			}
-			s.pusher = quality.NewAsync(cfg.AlarmSink, ac, reg)
+			s.pusher = quality.NewAsync(cfg.AlarmSink, quality.AsyncConfig{Logger: logger}, reg)
 		}
 		s.monitor = quality.NewMonitor(*cfg.Quality, reg, s.pusher)
 		s.pending = NewIDMap[pendingPrediction](cfg.PendingCap)

@@ -81,15 +81,6 @@ func (g Gaussian) CDF(x float64) float64 {
 	return 0.5 * (1 + math.Erf((x-g.Mu)/(g.Sigma*math.Sqrt2)))
 }
 
-// TailProb returns the two-sided tail probability P(|X−μ| ≥ |x−μ|).
-func (g Gaussian) TailProb(x float64) float64 {
-	z := math.Abs(g.Zscore(x))
-	if math.IsInf(z, 1) {
-		return 0
-	}
-	return math.Erfc(z / math.Sqrt2)
-}
-
 // Quantile returns the q-th empirical quantile (0 ≤ q ≤ 1) using linear
 // interpolation between order statistics.
 func Quantile(xs []float64, q float64) float64 {

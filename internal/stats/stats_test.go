@@ -57,17 +57,6 @@ func TestGaussianCDF(t *testing.T) {
 	}
 }
 
-func TestGaussianTailProb(t *testing.T) {
-	g := Gaussian{Mu: 0, Sigma: 1}
-	if !almost(g.TailProb(1.96), 0.05, 2e-3) {
-		t.Fatalf("TailProb(1.96) = %v", g.TailProb(1.96))
-	}
-	deg := Gaussian{Mu: 0, Sigma: 0}
-	if deg.TailProb(1) != 0 {
-		t.Fatalf("degenerate tail should be 0")
-	}
-}
-
 func TestQuantile(t *testing.T) {
 	xs := []float64{3, 1, 2, 4}
 	if Quantile(xs, 0) != 1 || Quantile(xs, 1) != 4 {

@@ -60,10 +60,6 @@ package tensor
 
 import "fmt"
 
-// BlockLanes is the micro-kernel tile width: 4 float64 lanes (one AVX2
-// register). Exported so tests can probe non-multiple "tail" shapes.
-const BlockLanes = 4
-
 // MatMul returns a × b, where a is r×k and b is k×c.
 func MatMul(a, b *Matrix) *Matrix {
 	if a.Cols != b.Rows {

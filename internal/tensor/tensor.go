@@ -127,13 +127,6 @@ func overlap[T Float](a, b []T) bool {
 	return alo < blo+uintptr(len(b))*sz && blo < alo+uintptr(len(a))*sz
 }
 
-// Transpose returns mᵀ.
-func (m *Mat[T]) Transpose() *Mat[T] {
-	t := newMat[T](m.Cols, m.Rows)
-	m.TransposeInto(t)
-	return t
-}
-
 // TransposeInto writes mᵀ into dst, which must be m.Cols×m.Rows and must not
 // alias m; every element of dst is overwritten.
 func (m *Mat[T]) TransposeInto(dst *Mat[T]) {
@@ -234,17 +227,6 @@ func (m *Mat[T]) Sum() T {
 		s += v
 	}
 	return s
-}
-
-// MaxAbs returns the largest absolute element value (0 for empty).
-func (m *Mat[T]) MaxAbs() float64 {
-	mx := 0.0
-	for _, v := range m.Data {
-		if a := math.Abs(float64(v)); a > mx {
-			mx = a
-		}
-	}
-	return mx
 }
 
 // ConcatCols returns the horizontal concatenation [a | b]; the operands

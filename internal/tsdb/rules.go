@@ -28,8 +28,8 @@ import (
 	"env2vec/internal/anomaly"
 )
 
-// AlarmSink receives firing alerts. quality.StoreSink and
-// quality.HTTPSink satisfy it structurally, so tsdb stays decoupled
+// AlarmSink receives firing alerts. quality.HTTPSink satisfies it
+// structurally, so tsdb stays decoupled
 // from the quality package (same pattern as Handler.SelfMetrics).
 type AlarmSink interface {
 	Push(a anomaly.Alarm, createdAt int64) error
