@@ -194,9 +194,12 @@ gated_bench serve 10 'BenchmarkServe' ./internal/serve/
 # reference model in idmap_test.go), a negative body cap still capping, a
 # 503 refusal not counted as a protocol error), then
 # the allocation budgets the race detector would trip (a relayed frame costs
-# a handful of allocations, a served frame four and a lone Do one; one stage
-# record renders one tree on the wire, in JSON and in the store; a
-# sampled-out trace materialises no span on either front or on the backend),
+# a handful of allocations, a served frame four and a lone Do one, a JSON
+# predict through the backend's handler and one through the proxy each their
+# pinned count; one stage record renders one tree on the wire, in JSON and in
+# the store; a sampled-out trace materialises no span on either front or on
+# the backend), and fuzz the hand-rendered /predict reply against
+# json.Marshal of the same answer (FuzzPredictReplyJSON),
 # then commit the JSON-vs-binary codec and transport
 # numbers (encode+decode at B8W20, and live round trips with p99s) gated
 # against the committed baseline: any allocs/op growth fails, and ns/op gets
@@ -204,10 +207,11 @@ gated_bench serve 10 'BenchmarkServe' ./internal/serve/
 go test -run FuzzWireDecode -fuzz FuzzWireDecode -fuzztime 10s ./internal/wire/
 go test -run FuzzParseTraceParent -fuzz FuzzParseTraceParent -fuzztime 10s ./internal/obs/
 go test -run FuzzIDMap -fuzz FuzzIDMap -fuzztime 10s ./internal/serve/
+go test -run FuzzPredictReplyJSON -fuzz FuzzPredictReplyJSON -fuzztime 10s ./internal/serve/
 go test -race ./internal/wire/
 go test -race -run 'TestE2EWireMixedProtocolFailover|TestProxyBodyLimit|TestProxyErrorBodyCap|TestWireFanOut|TestProxyWireTraceStitchesBackendSpans|TestFrontsEmitSameFamiliesAndSpans|TestWireStickyIDsDoNotPinFrames|TestPreambleOneBehaviour|TestWireSubscribe|TestStickyStaysBoundedWhenObserved' ./internal/proxy/
 go test -race -run 'TestBodyLimits|TestStrictDecoding|TestDoBatch|TestPendingStaysBoundedWhenObserved|TestIDMap|TestProtocolErrorsCountOnlyViolations' ./internal/serve/ ./internal/wire/
-go test -run 'TestFrameAllocBudget|TestGoldenFrames|TestStageRecordRendersOneTree|TestWireDroppedTraceMaterialisesNoSpans|TestJSONDroppedTraceMaterialisesNoSpans|TestBackendDroppedTraceMaterialisesNoSpans|TestServeDoAllocs|TestDoBatchAllocs|TestPassCostsNoAllocations|TestIDsAllocateWhatTheyReturn|TestProxyRelayAllocs' ./internal/wire/ ./internal/proxy/ ./internal/serve/ ./internal/obs/
+go test -run 'TestFrameAllocBudget|TestGoldenFrames|TestStageRecordRendersOneTree|TestWireDroppedTraceMaterialisesNoSpans|TestJSONDroppedTraceMaterialisesNoSpans|TestBackendDroppedTraceMaterialisesNoSpans|TestServeDoAllocs|TestDoBatchAllocs|TestPassCostsNoAllocations|TestIDsAllocateWhatTheyReturn|TestProxyRelayAllocs|TestJSONPredictAllocs|TestProxyJSONAllocs' ./internal/wire/ ./internal/proxy/ ./internal/serve/ ./internal/obs/
 gated_bench wire 25 'EncodeDecode|RoundTrip' ./internal/wire/
 # A setup_s or retrain_cycle delta between two builds of the benchmark means
 # nothing until this says SAME PHASE (docs/performance.md, "A measurement

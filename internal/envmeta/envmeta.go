@@ -82,7 +82,17 @@ type Environment struct {
 
 // String implements fmt.Stringer in the paper's notation.
 func (e Environment) String() string {
-	return fmt.Sprintf("<%s,%s,%s,%s>", e.Testbed, e.SUT, e.Testcase, e.Build)
+	return "<" + e.Testbed + "," + e.SUT + "," + e.Testcase + "," + e.Build + ">"
+}
+
+// Append appends what String returns, for a caller that only hashes, looks
+// up or copies the rendering and so needs no string of it.
+func (e Environment) Append(dst []byte) []byte {
+	dst = append(append(dst, '<'), e.Testbed...)
+	dst = append(append(dst, ','), e.SUT...)
+	dst = append(append(dst, ','), e.Testcase...)
+	dst = append(append(dst, ','), e.Build...)
+	return append(dst, '>')
 }
 
 // Features returns the tuple as an ordered value slice matching

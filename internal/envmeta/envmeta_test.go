@@ -1,6 +1,7 @@
 package envmeta
 
 import (
+	"fmt"
 	"strings"
 	"testing"
 	"testing/quick"
@@ -38,6 +39,14 @@ func TestEnvironmentString(t *testing.T) {
 	e := Environment{Testbed: "Testbed13", SUT: "SUT_F", Testcase: "Endurance", Build: "S01"}
 	if e.String() != "<Testbed13,SUT_F,Endurance,S01>" {
 		t.Fatalf("String = %q", e.String())
+	}
+	// Append is String's rendering as bytes, whatever the fields hold, and
+	// what the paper's notation was as a format string.
+	for _, e := range []Environment{e, {}, {Testbed: "a,b", SUT: "<c>", Testcase: "%s", Build: "\xff\x00é"}} {
+		want := fmt.Sprintf("<%s,%s,%s,%s>", e.Testbed, e.SUT, e.Testcase, e.Build)
+		if got := string(e.Append([]byte("x"))); e.String() != want || got != "x"+want {
+			t.Fatalf("%#v: String %q, Append %q, want %q", e, e.String(), got, want)
+		}
 	}
 }
 

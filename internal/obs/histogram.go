@@ -85,26 +85,6 @@ func (h *Histogram) ObserveExemplar(v float64, requestID string) {
 	h.mu.Unlock()
 }
 
-// Count returns the total number of observations (0 on nil).
-func (h *Histogram) Count() uint64 {
-	if h == nil {
-		return 0
-	}
-	h.mu.Lock()
-	defer h.mu.Unlock()
-	return h.count
-}
-
-// Sum returns the sum of all observations (0 on nil).
-func (h *Histogram) Sum() float64 {
-	if h == nil {
-		return 0
-	}
-	h.mu.Lock()
-	defer h.mu.Unlock()
-	return h.sum
-}
-
 // Max returns the largest observation seen (0 when empty or nil).
 func (h *Histogram) Max() float64 {
 	if h == nil {

@@ -7,6 +7,26 @@ import (
 	"testing"
 )
 
+// Count returns the total number of observations (0 on nil).
+func (h *Histogram) Count() uint64 {
+	if h == nil {
+		return 0
+	}
+	h.mu.Lock()
+	defer h.mu.Unlock()
+	return h.count
+}
+
+// Sum returns the sum of all observations (0 on nil).
+func (h *Histogram) Sum() float64 {
+	if h == nil {
+		return 0
+	}
+	h.mu.Lock()
+	defer h.mu.Unlock()
+	return h.sum
+}
+
 // exposition renders a registry's page, where a histogram's buckets and
 // exemplars are read.
 func exposition(t *testing.T, reg *Registry) string {

@@ -3,6 +3,7 @@ package obs
 import (
 	"encoding/binary"
 	"encoding/hex"
+	"net/http"
 	"strings"
 	"testing"
 )
@@ -122,5 +123,24 @@ func TestIDsAllocateWhatTheyReturn(t *testing.T) {
 		if n := testing.AllocsPerRun(100, c.fn); n > c.max {
 			t.Errorf("%s allocates %.0f objects, want at most %.0f", name, n, c.max)
 		}
+	}
+}
+
+// TestHeaderConstantsAreCanonical: every header name obs declares is in the
+// form net/http keeps header keys in, so a Header.Get or Set of it (or a
+// direct map access) makes no canonical copy, and the bytes on the wire are
+// the same ones net/http writes for any other spelling.
+func TestHeaderConstantsAreCanonical(t *testing.T) {
+	for _, c := range []string{RequestIDHeader, TraceParentHeader} {
+		if got := http.CanonicalHeaderKey(c); got != c {
+			t.Errorf("header %q is not canonical: net/http keeps it as %q", c, got)
+		}
+	}
+	if raceEnabled {
+		return // the detector's instrumentation allocates
+	}
+	h := http.Header{}
+	if n := testing.AllocsPerRun(100, func() { _ = h.Get(RequestIDHeader) + h.Get(TraceParentHeader) }); n != 0 {
+		t.Errorf("reading the headers allocates %.0f objects", n)
 	}
 }

@@ -11,7 +11,9 @@ import (
 
 // RequestIDHeader is the HTTP header carrying a request's trace id; inbound
 // values are honoured, and every response echoes the id it served under.
-const RequestIDHeader = "X-Request-ID"
+// It is spelled in canonical form, as net/http writes it on the wire: a
+// Header.Get or Set of any other spelling allocates the canonical copy.
+const RequestIDHeader = "X-Request-Id"
 
 // fallbackSeq disambiguates ids if the system entropy source ever fails.
 var fallbackSeq atomic.Uint64

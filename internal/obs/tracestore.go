@@ -182,13 +182,13 @@ func (ts *TraceStore) headSample(traceID string) bool {
 	return ts.keepAll || Hash64(traceID) < ts.sampleBelow
 }
 
-// Hash64 hashes a string with FNV-1a and murmur3's fmix64 finalizer. Raw
+// Hash64 hashes a string's bytes with FNV-1a and murmur3's fmix64 finalizer. Raw
 // FNV-1a has poor avalanche in its high bits for inputs that differ only
 // near the end — sequential request ids ("json-1", "json-2", …), ring keys
 // sharing an environment prefix — and fmix64 spreads those low-order
 // differences across the word, so comparing the hash with a fraction of
 // 2⁶⁴ keeps that fraction of any such run.
-func Hash64(s string) uint64 {
+func Hash64[T bytestring](s T) uint64 {
 	h := uint64(14695981039346656037)
 	for i := 0; i < len(s); i++ {
 		h ^= uint64(s[i])

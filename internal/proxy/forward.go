@@ -28,10 +28,10 @@ type attemptRec struct {
 }
 
 // forward is the forwarding core both fronts run: one unit — a JSON
-// request, or one environment group of a wire frame (batch windows of it) —
-// is admitted against the pool-wide in-flight bound, walks its ring
-// candidates with the retry budget and exponential backoff, and stops at the
-// first conclusive answer. A transport error marks the backend suspect and
+// request, or one environment group of a wire frame (batch windows of it),
+// placed on the ring at h — is admitted against the pool-wide in-flight
+// bound, walks its ring candidates with the retry budget and exponential
+// backoff, and stops at the first conclusive answer. A transport error marks the backend suspect and
 // moves on; so does a retryable status (429: its queue is full, spill
 // clockwise; 502/503/504: it is up but cannot serve, the next one might).
 //
@@ -49,14 +49,15 @@ type attemptRec struct {
 // renders its proxy.request root and one proxy.attempt per try, and —
 // through stitch, on a conclusive answer — appends the backend's own spans
 // and returns how many it appended, all in the trace store's stored form.
-func (p *Proxy) forward(key, path, traceID string, batch int, try tryFunc, stitch func(dst []byte) ([]byte, int)) (served *Backend, code int, msg string) {
+func (p *Proxy) forward(h uint64, path, traceID string, batch int, try tryFunc, stitch func(dst []byte) ([]byte, int)) (served *Backend, code int, msg string) {
 	t0 := time.Now()
 	var recs [2]attemptRec // a unit rarely needs more than its home and one spill
 	atts := recs[:0]
 	saturated := p.totalInflight.Load() >= int64(p.cfg.MaxInflight)
+	var pool [4]*Backend
 	var candidates []*Backend
 	if !saturated {
-		candidates = p.route(key)
+		candidates = p.route(pool[:0], h)
 	}
 	backoff := p.cfg.RetryBackoff
 	lastStatus := 0

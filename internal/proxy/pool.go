@@ -3,6 +3,7 @@ package proxy
 import (
 	"context"
 	"net/http"
+	"net/url"
 	"strings"
 	"sync"
 	"sync/atomic"
@@ -20,6 +21,10 @@ type Backend struct {
 	name     string            // host:port, the value of the backend metric label
 	wireAddr string            // binary-protocol listener (host:port); "" = HTTP only
 	idle     chan *wire.Client // idle wire clients to it, kept for reuse
+
+	// Parsed once: the JSON front's targets and name as a header value.
+	predict, observe target
+	nameValue        []string
 
 	alive    atomic.Bool
 	inflight atomic.Int64
@@ -43,6 +48,18 @@ func (b *Backend) Alive() bool { return b.alive.Load() }
 
 // Inflight returns the requests currently being forwarded to the backend.
 func (b *Backend) Inflight() int64 { return b.inflight.Load() }
+
+// target is a backend URL the JSON front posts to, parsed once; a URL that
+// does not parse keeps its error for every POST to report.
+type target struct {
+	u   *url.URL
+	err error
+}
+
+func parseTarget(s string) target {
+	u, err := url.Parse(s)
+	return target{u, err}
+}
 
 func backendName(url string) string {
 	s := url

@@ -212,6 +212,8 @@ func New(cfg Config) *Proxy {
 	for i, url := range cfg.Backends {
 		url = strings.TrimRight(url, "/")
 		b := &Backend{URL: url, name: backendName(url)}
+		b.nameValue = []string{b.name}
+		b.predict, b.observe = parseTarget(url+"/predict"), parseTarget(url+"/observe")
 		if len(cfg.WireBackends) > 0 {
 			b.wireAddr = cfg.WireBackends[i]
 			b.idle = make(chan *wire.Client, wirePoolIdleCap)
@@ -307,21 +309,22 @@ func (p *Proxy) Metrics() *obs.Registry { return p.reg }
 // Traces returns the proxy's tail-sampled trace store.
 func (p *Proxy) Traces() *obs.TraceStore { return p.traces }
 
-// home returns the ring-home backend for an environment key — the
+// home returns the ring-home backend for a ring position — the
 // deterministic owner when every backend is alive. Only tests ask; the
 // request path walks the ring directly.
-func (p *Proxy) home(key string) *Backend {
+func (p *Proxy) home(h uint64) *Backend {
 	var owner *Backend
-	p.ring.walk(key, func(b *Backend) bool { owner = b; return false })
+	p.ring.walk(h, func(b *Backend) bool { owner = b; return false })
 	return owner
 }
 
-// route returns the preference-ordered live candidates for key, at most
-// 1+Retries of them: the key's home first (bounded-load permitting), then
-// its deterministic failover order. A backend past the load bound is
-// demoted, not dropped — affinity yields to survival, never to a 5xx.
-func (p *Proxy) route(key string) []*Backend {
-	alive := p.ring.order(key)
+// route appends to dst the preference-ordered live candidates for the ring
+// position h, at most 1+Retries of them: the position's home first
+// (bounded-load permitting), then its deterministic failover order. A
+// backend past the load bound is demoted, not dropped — affinity yields to
+// survival, never to a 5xx.
+func (p *Proxy) route(dst []*Backend, h uint64) []*Backend {
+	alive := p.ring.order(dst, h)
 	n := 0
 	for _, b := range alive {
 		if b.Alive() {
@@ -381,14 +384,15 @@ func (p *Proxy) handlePredict(w http.ResponseWriter, r *http.Request) {
 	// backend, the body the kept trace's backend spans are parsed out of, and
 	// the relay of whatever the core settled on.
 	var hdr http.Header
-	var resp []byte
-	b, code, msg := p.forward(key.Environment.String(), "/predict", reqID, 0,
+	resp := getBuffer()
+	defer putBuffer(resp)
+	b, code, msg := p.forward(envHash(key.Environment), "/predict", reqID, 0,
 		func(b *Backend, attemptSpanID string) (status int, err error) {
-			status, hdr, resp, err = p.post(b, "/predict", body, reqID, attemptSpanID)
+			status, hdr, err = p.post(b.predict, body, reqID, attemptSpanID, resp)
 			return status, err
 		},
 		func(dst []byte) ([]byte, int) {
-			spans := backendSpans(resp)
+			spans := backendSpans(resp.Bytes())
 			return obs.AppendSpans(dst, spans), len(spans)
 		})
 	if b == nil {
@@ -401,7 +405,7 @@ func (p *Proxy) handlePredict(w http.ResponseWriter, r *http.Request) {
 	if code < 300 {
 		p.sticky.Put(reqID, b)
 	}
-	relay(w, code, hdr, resp, b)
+	relay(w, code, hdr, resp.Bytes(), b)
 }
 
 func (p *Proxy) handleObserve(w http.ResponseWriter, r *http.Request) {
@@ -428,16 +432,17 @@ func (p *Proxy) handleObserve(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	var hdr http.Header
-	var resp []byte
+	resp := getBuffer()
+	defer putBuffer(resp)
 	status, _, err := p.attempt(b, req.RequestID, "", func(b *Backend, _ string) (status int, err error) {
-		status, hdr, resp, err = p.post(b, "/observe", body, req.RequestID, "")
+		status, hdr, err = p.post(b.observe, body, req.RequestID, "", resp)
 		return status, err
 	})
 	if err != nil {
 		jsonError(w, "backend "+b.name+": "+err.Error(), http.StatusBadGateway)
 		return
 	}
-	relay(w, status, hdr, resp, b)
+	relay(w, status, hdr, resp.Bytes(), b)
 }
 
 // backendSpans extracts the backend's span tree from a forwarded response
@@ -455,57 +460,84 @@ func backendSpans(body []byte) []obs.Span {
 	return resp.Trace.Spans
 }
 
-// post is the JSON transport's try: one POST to one backend, returning its
-// status, headers of interest, and body. Transport errors are returned as
-// err. parentSpanID, when set, rides the traceparent header so the
-// backend's spans parent onto the attempt that carried them.
-func (p *Proxy) post(b *Backend, path string, body []byte, reqID, parentSpanID string) (int, http.Header, []byte, error) {
-	req, err := http.NewRequest(http.MethodPost, b.URL+path, bytes.NewReader(body))
-	if err != nil {
-		return 0, nil, nil, err
+// post is the JSON transport's try: one POST of body to one backend's URL,
+// returning its status and headers, its body read into reply. Transport
+// errors are returned as err. parentSpanID, when set, rides the
+// traceparent header so the backend's spans parent onto the attempt that
+// carried them. The request is built as http.NewRequest builds it, on the
+// URL parsed when the backend was configured, its header keys set in
+// canonical form.
+func (p *Proxy) post(to target, body []byte, reqID, parentSpanID string, reply *bytes.Buffer) (int, http.Header, error) {
+	if to.err != nil {
+		return 0, nil, to.err
 	}
-	req.Header.Set("Content-Type", "application/json")
+	u := to.u
+	hdr := http.Header{"Content-Type": jsonContentType}
 	if reqID != "" {
-		req.Header.Set(obs.RequestIDHeader, reqID)
+		hdr[obs.RequestIDHeader] = []string{reqID}
 		if parentSpanID != "" {
-			req.Header.Set(obs.TraceParentHeader, obs.FormatTraceParent(reqID, parentSpanID))
+			hdr[obs.TraceParentHeader] = []string{obs.FormatTraceParent(reqID, parentSpanID)}
 		}
+	}
+	req := &http.Request{
+		Method: http.MethodPost, URL: u, Host: u.Host, Header: hdr,
+		Proto: "HTTP/1.1", ProtoMajor: 1, ProtoMinor: 1,
+		// A NopCloser'd bytes.Reader is a body net/http knows to be in
+		// memory: the head and the body go out in one write.
+		Body: io.NopCloser(bytes.NewReader(body)), ContentLength: int64(len(body)),
+		GetBody: func() (io.ReadCloser, error) { return io.NopCloser(bytes.NewReader(body)), nil },
 	}
 	resp, err := p.client.Do(req)
 	if err != nil {
-		return 0, nil, nil, err
+		return 0, nil, err
 	}
 	defer resp.Body.Close()
 	// Error-status bodies are relayed for their message, nothing more — a
 	// misbehaving backend must not be able to balloon the proxy's memory
 	// with a gigabyte of 500 page. Success bodies carry predictions and
 	// span trees and are read in full.
-	bodyReader := io.Reader(resp.Body)
+	src := io.Reader(resp.Body)
 	if resp.StatusCode >= 300 {
-		bodyReader = io.LimitReader(resp.Body, maxErrorBodyBytes)
+		src = io.LimitReader(resp.Body, maxErrorBodyBytes)
 	}
-	respBody, err := io.ReadAll(bodyReader)
-	if err != nil {
-		return 0, nil, nil, err
+	reply.Reset()
+	if _, err := reply.ReadFrom(src); err != nil {
+		return 0, nil, err
 	}
-	return resp.StatusCode, resp.Header, respBody, nil
+	return resp.StatusCode, resp.Header, nil
 }
 
+// jsonContentType is the Content-Type value of every JSON POST, shared: a
+// header value slice is replaced by a Set, never written through.
+var jsonContentType = []string{"application/json"}
+
 // relay writes a backend response through to the client, preserving the
-// trace header and stamping which backend served it.
+// trace header and stamping which backend served it. The backend's value
+// slices are the client's: a header never writes through one.
 func relay(w http.ResponseWriter, status int, hdr http.Header, body []byte, b *Backend) {
-	if ct := hdr.Get("Content-Type"); ct != "" {
-		w.Header().Set("Content-Type", ct)
+	out := w.Header()
+	for _, k := range [...]string{"Content-Type", obs.RequestIDHeader, "Retry-After"} {
+		if v := hdr[k]; len(v) > 0 && v[0] != "" {
+			out[k] = v[:1:1]
+		}
 	}
-	if id := hdr.Get(obs.RequestIDHeader); id != "" {
-		w.Header().Set(obs.RequestIDHeader, id)
-	}
-	if ra := hdr.Get("Retry-After"); ra != "" {
-		w.Header().Set("Retry-After", ra)
-	}
-	w.Header().Set("X-Backend", b.name)
+	out["X-Backend"] = b.nameValue
 	w.WriteHeader(status)
 	_, _ = w.Write(body)
+}
+
+// bodyBufs holds the buffers backends' replies are read into, each while it
+// is relayed.
+var bodyBufs = sync.Pool{New: func() any { return new(bytes.Buffer) }}
+
+func getBuffer() *bytes.Buffer { return bodyBufs.Get().(*bytes.Buffer) }
+
+// putBuffer returns b to the pool unless one outsized body grew it.
+func putBuffer(b *bytes.Buffer) {
+	if b.Cap() <= 64<<10 {
+		b.Reset()
+		bodyBufs.Put(b)
+	}
 }
 
 // handleStatz forwards /statz to the first live backend: load generators
@@ -606,7 +638,16 @@ func (p *Proxy) readPost(w http.ResponseWriter, r *http.Request, v any, fail fun
 		fail(w, "method not allowed", http.StatusMethodNotAllowed)
 		return nil, false
 	}
-	body, err := io.ReadAll(http.MaxBytesReader(w, r.Body, p.cfg.MaxBodyBytes))
+	// One slice, not pooled: a transport may still read a POST's body after
+	// RoundTrip returns. It is sized up front by the Content-Length, but
+	// never past maxPresizedBody: a client that declares megabytes and
+	// sends nothing must not hold megabytes of the proxy's memory. A larger
+	// body grows the buffer as its bytes arrive.
+	var buf bytes.Buffer
+	if n := min(r.ContentLength, p.cfg.MaxBodyBytes, maxPresizedBody); n > 0 {
+		buf.Grow(int(n) + bytes.MinRead) // the read that finds EOF needs MinRead free
+	}
+	_, err := buf.ReadFrom(http.MaxBytesReader(w, r.Body, p.cfg.MaxBodyBytes))
 	if err != nil {
 		status := http.StatusBadRequest
 		var mbe *http.MaxBytesError
@@ -616,12 +657,17 @@ func (p *Proxy) readPost(w http.ResponseWriter, r *http.Request, v any, fail fun
 		fail(w, "read body: "+err.Error(), status)
 		return nil, false
 	}
+	body := buf.Bytes()
 	if err := json.Unmarshal(body, v); err != nil {
 		fail(w, "invalid request: "+err.Error(), http.StatusBadRequest)
 		return nil, false
 	}
 	return body, true
 }
+
+// maxPresizedBody bounds what readPost allocates for a body before any of
+// it arrives: well above a real /predict or /observe body (a few KiB).
+const maxPresizedBody = 64 << 10
 
 // jsonError mirrors serve's error body shape, with http.Error's signature.
 func jsonError(w http.ResponseWriter, msg string, code int) {

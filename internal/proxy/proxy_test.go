@@ -7,6 +7,7 @@ import (
 	"fmt"
 	"net/http"
 	"net/http/httptest"
+	"reflect"
 	"strings"
 	"sync"
 	"sync/atomic"
@@ -19,8 +20,8 @@ import (
 
 // envKey renders the routing key the proxy derives for a test build —
 // envmeta.Environment.String() of the tuple predictBody sends.
-func envKey(build string) string {
-	return envmeta.Environment{Testbed: "tb1", SUT: "fw", Testcase: "load", Build: build}.String()
+func envKey(build string) uint64 {
+	return envHash(envmeta.Environment{Testbed: "tb1", SUT: "fw", Testcase: "load", Build: build})
 }
 
 // stub is a fake e2vserve backend: canned answers, per-path hit counters,
@@ -504,13 +505,21 @@ func TestFleetStateEndpoint(t *testing.T) {
 	}
 }
 
+// stickySize is serve.IDMap's Size, which is serve's test support: how many
+// entries the sticky map holds and how many order slots it has for them,
+// read off its fields while no request is in flight.
+func stickySize(p *Proxy) (entries, slots int) {
+	m := reflect.ValueOf(p.sticky).Elem()
+	return int(m.FieldByName("live").Int()), m.FieldByName("ring").Len()
+}
+
 func TestStickyMapBounded(t *testing.T) {
 	a := newStub(t)
 	p := newTestProxy(t, Config{PendingCap: 4}, a)
 	for i := 0; i < 10; i++ {
 		doPredict(t, p, "B1", map[string]string{"X-Request-ID": fmt.Sprintf("rid-%d", i)})
 	}
-	if n, _ := p.sticky.Size(); n > 4 {
+	if n, _ := stickySize(p); n > 4 {
 		t.Fatalf("sticky map grew to %d entries, cap is 4", n)
 	}
 	// Oldest ids evicted, newest retained.
@@ -550,7 +559,7 @@ func TestStickyStaysBoundedWhenObserved(t *testing.T) {
 			t.Fatalf("request %d: observe answered %d from %q, prediction came from %q", i, w.Code, w.Header().Get("X-Backend"), served)
 		}
 	}
-	if entries, slots := p.sticky.Size(); entries != 0 || slots > pendingCap {
+	if entries, slots := stickySize(p); entries != 0 || slots > pendingCap {
 		t.Fatalf("after 5000 observed predictions: %d sticky entries, %d order slots, PendingCap %d", entries, slots, pendingCap)
 	}
 

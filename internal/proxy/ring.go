@@ -12,6 +12,7 @@ import (
 	"fmt"
 	"sort"
 
+	"env2vec/internal/envmeta"
 	"env2vec/internal/obs"
 )
 
@@ -29,6 +30,7 @@ type ring struct {
 type ringPoint struct {
 	hash uint64
 	b    *Backend
+	idx  int // b's place in the configured list
 }
 
 // newRing places vnodes points per backend. Virtual-node hashes derive
@@ -40,9 +42,9 @@ func newRing(backends []*Backend, vnodes int) *ring {
 		vnodes = 64
 	}
 	r := &ring{points: make([]ringPoint, 0, len(backends)*vnodes), n: len(backends)}
-	for _, b := range backends {
+	for idx, b := range backends {
 		for i := 0; i < vnodes; i++ {
-			r.points = append(r.points, ringPoint{hash: obs.Hash64(fmt.Sprintf("%s#%d", b.URL, i)), b: b})
+			r.points = append(r.points, ringPoint{hash: obs.Hash64(fmt.Sprintf("%s#%d", b.URL, i)), b: b, idx: idx})
 		}
 	}
 	sort.Slice(r.points, func(i, j int) bool {
@@ -54,38 +56,46 @@ func newRing(backends []*Backend, vnodes int) *ring {
 	return r
 }
 
-// walk yields the distinct backends for key in clockwise ring order,
-// stopping early when visit returns false. The first backend yielded is
-// the key's home; the rest are its deterministic failover order.
-func (r *ring) walk(key string, visit func(*Backend) bool) {
+// envHash is an environment's position on the ring: the hash of its tuple's
+// bytes as envmeta.Environment.String renders them, rendered into a stack
+// buffer, so a request's placement costs no string.
+func envHash(e envmeta.Environment) uint64 {
+	var buf [128]byte
+	return obs.Hash64(e.Append(buf[:0]))
+}
+
+// walk yields the distinct backends for the ring position h in clockwise
+// order, stopping early when visit returns false. The first backend yielded
+// is the position's home; the rest are its deterministic failover order.
+func (r *ring) walk(h uint64, visit func(*Backend) bool) {
 	if len(r.points) == 0 {
 		return
 	}
-	h := obs.Hash64(key)
 	start := sort.Search(len(r.points), func(i int) bool { return r.points[i].hash >= h })
-	seen := make(map[*Backend]bool, r.n)
-	for i := 0; i < len(r.points); i++ {
+	// Which backends were yielded: one bit each, in a word on the stack for
+	// any pool up to 64 backends.
+	var word [1]uint64
+	seen := word[:]
+	if r.n > 64 {
+		seen = make([]uint64, (r.n+63)/64)
+	}
+	for i, yielded := 0, 0; i < len(r.points); i++ {
 		p := r.points[(start+i)%len(r.points)]
-		if seen[p.b] {
-			continue
-		}
-		seen[p.b] = true
-		if !visit(p.b) {
-			return
-		}
-		if len(seen) == r.n {
-			return
+		if w, bit := p.idx/64, uint64(1)<<(p.idx%64); seen[w]&bit == 0 {
+			seen[w] |= bit
+			if yielded++; !visit(p.b) || yielded == r.n {
+				return
+			}
 		}
 	}
 }
 
-// order returns the full preference order for key: the key's home backend
-// first, then each successive failover target.
-func (r *ring) order(key string) []*Backend {
-	out := make([]*Backend, 0, r.n)
-	r.walk(key, func(b *Backend) bool {
-		out = append(out, b)
+// order appends the full preference order for the ring position h to dst:
+// its home backend first, then each successive failover target.
+func (r *ring) order(dst []*Backend, h uint64) []*Backend {
+	r.walk(h, func(b *Backend) bool {
+		dst = append(dst, b)
 		return true
 	})
-	return out
+	return dst
 }

@@ -8,6 +8,7 @@ import (
 	"net/http/httptest"
 	"reflect"
 	"sort"
+	"strconv"
 	"strings"
 	"testing"
 	"time"
@@ -181,6 +182,29 @@ func TestFrontsEmitSameFamiliesAndSpans(t *testing.T) {
 	}
 }
 
+// histCounts reads every histogram's observation count off the proxy's own
+// metrics page, keyed by its _count series as the page spells it.
+func histCounts(t *testing.T, p *Proxy) map[string]uint64 {
+	t.Helper()
+	var page strings.Builder
+	if _, err := p.Metrics().WriteTo(&page); err != nil {
+		t.Fatal(err)
+	}
+	out := map[string]uint64{}
+	for _, line := range strings.Split(page.String(), "\n") {
+		series, value, ok := strings.Cut(line, " ")
+		if !ok || strings.HasPrefix(line, "#") || !strings.HasSuffix(strings.SplitN(series, "{", 2)[0], "_count") {
+			continue
+		}
+		n, err := strconv.ParseUint(value, 10, 64)
+		if err != nil {
+			t.Fatalf("metrics line %q: %v", line, err)
+		}
+		out[series] = n
+	}
+	return out
+}
+
 // driveVerdict sends one request, homed on the first of two backends of the
 // given kinds, through one front of a fresh proxy and collects the verdict.
 func driveVerdict(t *testing.T, front string, home, other backendKind, prepare func(*Proxy)) verdict {
@@ -230,9 +254,11 @@ func driveVerdict(t *testing.T, front string, home, other backendKind, prepare f
 	}
 
 	v.Served, v.Shed, v.Failed = p.served.Value(), p.shed.Value(), p.failed.Value()
-	v.LatServed, v.LatShed, v.LatFailed = p.latServed.Count(), p.latShed.Count(), p.latFailed.Count()
-	v.Retries, v.Failovers, v.Backoffs = p.retries.Value(), p.failovers.Value(), p.backoffWait.Count()
-	v.AttemptOK, v.AttemptErr = p.attemptOK.Count(), p.attemptErr.Count()
+	count := histCounts(t, p)
+	v.LatServed, v.LatShed, v.LatFailed = count[`env2vec_proxy_request_latency_ms_count{outcome="served"}`],
+		count[`env2vec_proxy_request_latency_ms_count{outcome="shed"}`], count[`env2vec_proxy_request_latency_ms_count{outcome="failed"}`]
+	v.Retries, v.Failovers, v.Backoffs = p.retries.Value(), p.failovers.Value(), count["env2vec_proxy_backoff_wait_ms_count"]
+	v.AttemptOK, v.AttemptErr = count[`env2vec_proxy_attempt_latency_ms_count{outcome="ok"}`], count[`env2vec_proxy_attempt_latency_ms_count{outcome="error"}`]
 	for i, b := range p.Backends() {
 		v.BackendServed[i], v.BackendFailed[i] = b.served.Value(), b.failed.Value()
 	}

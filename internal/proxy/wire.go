@@ -94,7 +94,8 @@ type frameRelay struct {
 	ids  []byte // the ids minted for the frame's requests that came without one
 	home group  // a single-environment frame: every real client's
 	env  envmeta.Environment
-	key  string // env's ring key
+	key  string // env's group key, its rendering
+	hash uint64 // env's ring position
 }
 
 // group is one same-environment slice of a frame on its way through the
@@ -129,40 +130,46 @@ func (wf *wireFront) relayBatch(fr *frameRelay, dst, payload []byte) ([]byte, er
 	if !mixed {
 		g := &fr.home
 		g.reqs, g.reply = reqs, dst
-		wf.forwardGroup(fr.routeKey(&reqs[0]), g)
+		_, h := fr.routeKey(&reqs[0])
+		wf.forwardGroup(h, g)
 		return g.reply, nil
 	}
 
 	groups := make(map[string][]int) // request indices by key, in order
-	var order []string
+	type placed struct {
+		key string
+		h   uint64
+	}
+	var order []placed
 	var key string
+	var h uint64
 	for i := range reqs {
 		if i == 0 || !sameEnv(&reqs[i], &reqs[i-1]) {
-			key = fr.routeKey(&reqs[i])
+			key, h = fr.routeKey(&reqs[i])
 		}
 		if _, seen := groups[key]; !seen {
-			order = append(order, key)
+			order = append(order, placed{key, h})
 		}
 		groups[key] = append(groups[key], i)
 	}
 	gathered := make([]wire.ReplyView, len(reqs))
 	sem := make(chan struct{}, wireFanOut)
 	var wg sync.WaitGroup
-	for _, key := range order {
+	for _, pl := range order {
 		sem <- struct{}{}
 		wg.Add(1)
-		go func(key string, idxs []int) {
+		go func(h uint64, idxs []int) {
 			defer wg.Done()
 			defer func() { <-sem }()
 			g := &group{reqs: make([]wire.RequestView, len(idxs))}
 			for j, i := range idxs {
 				g.reqs[j] = reqs[i]
 			}
-			wf.forwardGroup(key, g)
+			wf.forwardGroup(h, g)
 			for j, i := range idxs {
 				gathered[i] = g.replies[j]
 			}
-		}(key, groups[key])
+		}(pl.h, groups[pl.key])
 	}
 	wg.Wait()
 	return wire.AppendScannedReplies(dst, gathered), nil
@@ -194,19 +201,19 @@ func sameEnv(a, b *wire.RequestView) bool {
 		bytes.Equal(a.Testcase, b.Testcase) && bytes.Equal(a.Build, b.Build)
 }
 
-// routeKey returns the ring key of a request's environment, the key the
-// JSON front and subscribe streams route the same environment by. The
-// connection renders it once per change of environment: a client streaming
-// one costs nothing per frame.
-func (fr *frameRelay) routeKey(r *wire.RequestView) string {
+// routeKey returns the group key of a request's environment and its ring
+// position, the one the JSON front and subscribe streams route the same
+// environment to. The connection renders them once per change of
+// environment: a client streaming one costs nothing per frame.
+func (fr *frameRelay) routeKey(r *wire.RequestView) (string, uint64) {
 	if e := &fr.env; fr.key == "" || string(r.Testbed) != e.Testbed || string(r.SUT) != e.SUT ||
 		string(r.Testcase) != e.Testcase || string(r.Build) != e.Build {
 		fr.env = envmeta.Environment{
 			Testbed: string(r.Testbed), SUT: string(r.SUT), Testcase: string(r.Testcase), Build: string(r.Build),
 		}
-		fr.key = fr.env.String()
+		fr.key, fr.hash = fr.env.String(), envHash(fr.env)
 	}
-	return fr.key
+	return fr.key, fr.hash
 }
 
 // forwardGroup is the wire adapter over the forwarding core: one
@@ -217,9 +224,9 @@ func (fr *frameRelay) routeKey(r *wire.RequestView) string {
 // as they arrived — and the group's sticky bookkeeping. It leaves the reply
 // to the group, or the proxy's own error replies, in g.reply (appended to
 // what g.reply held) and its scan in g.replies.
-func (wf *wireFront) forwardGroup(key string, g *group) {
+func (wf *wireFront) forwardGroup(h uint64, g *group) {
 	base := len(g.reply)
-	b, code, msg := wf.p.forward(key, "wire:batch", string(g.reqs[0].ID), len(g.reqs),
+	b, code, msg := wf.p.forward(h, "wire:batch", string(g.reqs[0].ID), len(g.reqs),
 		func(b *Backend, attemptSpanID string) (status int, err error) {
 			g.send = wire.AppendScannedRequests(g.send[:0], g.reqs, attemptSpanID)
 			if err := wf.predict(b, g, base); err != nil {
@@ -323,7 +330,7 @@ func errReplies(group []wire.RequestView, code int, msg string) []wire.Reply {
 func (wf *wireFront) splice(client net.Conn, c *wire.Conn, sub wire.Subscribe) {
 	p := wf.p
 	key := sub.Env.String()
-	candidates := p.route(key)
+	candidates := p.route(nil, envHash(sub.Env))
 	var backendConn net.Conn
 	var backendBR *bufio.Reader
 	var picked *Backend

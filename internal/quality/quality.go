@@ -105,6 +105,7 @@ type sample struct {
 // envState is the rolling error model of one environment tuple.
 type envState struct {
 	env envmeta.Environment
+	key string // env rendered, once: the map key, Verdict.Env, the gauges' label
 
 	// Lifetime Welford over non-exceeding errors: the self-calibrated
 	// fallback baseline for bundles that carry none (the §4.3 unseen-
@@ -276,19 +277,21 @@ func (m *Monitor) driftReasonLocked(st *envState, base Baseline) string {
 // requestID links the error into the exemplar histogram.
 func (m *Monitor) Observe(env envmeta.Environment, requestID string, pred, actual float64, at int64) Verdict {
 	e := pred - actual
-	key := env.String()
+	// The tuple is rendered on the stack: only a new environment's is kept.
+	var buf [128]byte
+	key := env.Append(buf[:0])
 
 	m.mu.Lock()
-	st := m.envs[key]
+	st := m.envs[string(key)]
 	newEnv := st == nil
 	if newEnv {
 		// The state outlives the request, whose strings may sub-slice a
 		// decoded wire frame: keep clones.
-		st = &envState{ring: make([]sample, m.cfg.Window), env: envmeta.Environment{
+		st = &envState{ring: make([]sample, m.cfg.Window), key: string(key), env: envmeta.Environment{
 			Testbed: strings.Clone(env.Testbed), SUT: strings.Clone(env.SUT),
 			Testcase: strings.Clone(env.Testcase), Build: strings.Clone(env.Build),
 		}}
-		m.envs[key] = st
+		m.envs[st.key] = st
 	}
 	wantGauges := newEnv && m.gauged < m.cfg.MaxEnvGauges
 	if wantGauges {
@@ -308,7 +311,7 @@ func (m *Monitor) Observe(env envmeta.Environment, requestID string, pred, actua
 	}
 	st.push(sample{err: e, at: at, seq: st.seq, exceed: exceed})
 
-	v := Verdict{Env: key, Error: e, Exceeded: exceed, Calibrating: !haveBase}
+	v := Verdict{Env: st.key, Error: e, Exceeded: exceed, Calibrating: !haveBase}
 	v.WindowMean, v.WindowSigma, v.ExceedRate = st.windowStats()
 	if haveBase {
 		v.BaselineMu, v.BaselineSigma = base.Mu, base.Sigma
@@ -333,7 +336,7 @@ func (m *Monitor) Observe(env envmeta.Environment, requestID string, pred, actua
 	// m.mu at scrape time, so touching the registry under it would invert
 	// lock order against a concurrent scrape.
 	if wantGauges {
-		m.registerEnvGauges(key)
+		m.registerEnvGauges(st.key)
 	}
 	m.observations.Inc()
 	if exceed {
@@ -356,7 +359,7 @@ func (st *envState) buildAlarmLocked(reason string) anomaly.Alarm {
 	a := anomaly.Alarm{
 		Source:   "drift",
 		Detector: "quality:" + reason,
-		ChainID:  st.env.String(),
+		ChainID:  st.key,
 		Testbed:  st.env.Testbed, SUT: st.env.SUT,
 		Testcase: st.env.Testcase, Build: st.env.Build,
 	}

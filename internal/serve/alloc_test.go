@@ -138,7 +138,7 @@ func TestBackendDroppedTraceMaterialisesNoSpans(t *testing.T) {
 	}
 	for _, r := range s.DoBatch(reqs[:1]) {
 		tr, ok := s.Traces().Get(reqs[0].RequestID)
-		if want := r.Resp.Record.Trace(reqs[0].RequestID, reqs[0].TraceParent).Spans; !ok || len(tr.Spans) != stageSpans || !reflect.DeepEqual(tr.Spans, want) {
+		if want := recordTree(&r.Resp.Record, reqs[0].RequestID, reqs[0].TraceParent).Spans; !ok || len(tr.Spans) != stageSpans || !reflect.DeepEqual(tr.Spans, want) {
 			t.Fatalf("the stored trace is %+v\nthe record's tree is %+v", tr.Spans, want)
 		}
 	}

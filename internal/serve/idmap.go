@@ -124,14 +124,6 @@ func (m *IDMap[V]) Take(id string) (V, bool) {
 	return v, true
 }
 
-// Size returns how many entries are held (not yet taken or evicted) and how
-// many order slots exist for them; neither exceeds the bound.
-func (m *IDMap[V]) Size() (entries, slots int) {
-	m.mu.Lock()
-	defer m.mu.Unlock()
-	return m.live, len(m.ring)
-}
-
 // find returns the index cell of id's entry, probing from its hash's home
 // cell up to the first empty one.
 func find[T string | []byte, V any](m *IDMap[V], id T, h uint64) (cell uint64, ok bool) {

@@ -7,6 +7,14 @@ import (
 	"testing"
 )
 
+// Size returns how many entries are held (not yet taken or evicted) and how
+// many order slots exist for them; neither exceeds the bound.
+func (m *IDMap[V]) Size() (entries, slots int) {
+	m.mu.Lock()
+	defer m.mu.Unlock()
+	return m.live, len(m.ring)
+}
+
 // TestIDMapStaysBoundedWhenObserved pins the bug the ring replaced: the
 // hand-written maps deleted a taken id from the map but never from their
 // order slice, and evicted only while the map itself was full — so in the

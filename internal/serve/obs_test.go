@@ -16,8 +16,8 @@ import (
 )
 
 // postPredict runs one /predict round trip, optionally with an inbound
-// X-Request-ID header, and returns the response and decoded body.
-func postPredict(t *testing.T, url string, req *Request, requestID string) (*http.Response, Response) {
+// X-Request-Id header, and returns the response and decoded body.
+func postPredict(t *testing.T, url string, req *Request, requestID string) (*http.Response, jsonReply) {
 	t.Helper()
 	body, _ := json.Marshal(req)
 	hreq, err := http.NewRequest(http.MethodPost, url+"/predict", bytes.NewReader(body))
@@ -32,7 +32,7 @@ func postPredict(t *testing.T, url string, req *Request, requestID string) (*htt
 		t.Fatal(err)
 	}
 	defer resp.Body.Close()
-	var out Response
+	var out jsonReply
 	if err := json.NewDecoder(resp.Body).Decode(&out); err != nil {
 		t.Fatal(err)
 	}
@@ -47,7 +47,7 @@ func TestRequestIDPropagation(t *testing.T) {
 	defer srv.Close()
 	rng := rand.New(rand.NewSource(7))
 
-	// Inbound X-Request-ID is echoed in both the response header and the
+	// Inbound X-Request-Id is echoed in both the response header and the
 	// trace block.
 	resp, out := postPredict(t, srv.URL, randomRequest(rng), "trace-me-42")
 	if got := resp.Header.Get(obs.RequestIDHeader); got != "trace-me-42" {
@@ -78,8 +78,8 @@ func TestRequestIDPropagation(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if tr := r2.Record.Trace(req.RequestID, req.TraceParent); len(req.RequestID) != 16 || r2.Trace != nil || tr.RequestID != req.RequestID || tr.Spans[0].TraceID != req.RequestID {
-		t.Fatalf("Do path id mismatch: req=%q trace=%+v (Do itself builds none: %+v)", req.RequestID, tr, r2.Trace)
+	if tr := recordTree(&r2.Record, req.RequestID, req.TraceParent); len(req.RequestID) != 16 || tr.RequestID != req.RequestID || tr.Spans[0].TraceID != req.RequestID {
+		t.Fatalf("Do path id mismatch: req=%q trace=%+v", req.RequestID, tr)
 	}
 }
 
@@ -110,7 +110,7 @@ func TestSlowForwardAttribution(t *testing.T) {
 		t.Fatal(res.err)
 	}
 
-	tr := res.resp.Record.Trace(req.RequestID, req.TraceParent)
+	tr := recordTree(&res.resp.Record, req.RequestID, req.TraceParent)
 	queue, fwd := tr.Spans[1], tr.Spans[2]
 	if fwd.Name != "serve.forward" || fwd.DurationMS < 40 {
 		t.Fatalf("slow forward not attributed to the forward span: %+v", tr)

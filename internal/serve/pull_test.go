@@ -38,7 +38,7 @@ func TestIdleServerForwardsAtOnce(t *testing.T) {
 		if resp.BatchSize != 1 {
 			t.Fatalf("lone request served in a pass of %d", resp.BatchSize)
 		}
-		spans := resp.Record.Trace(req.RequestID, req.TraceParent).Spans
+		spans := recordTree(&resp.Record, req.RequestID, req.TraceParent).Spans
 		if len(spans) != 3 || spans[0].Name != "serve.request" || spans[1].Name != "serve.queue_wait" || spans[2].Name != "serve.forward" {
 			t.Fatalf("spans = %+v, want serve.request, serve.queue_wait, serve.forward", spans)
 		}

@@ -171,7 +171,7 @@ func TestObserveClosesTheLoop(t *testing.T) {
 
 	for i := 0; i < 8; i++ {
 		r := *base
-		var pred Response
+		var pred jsonReply
 		if code := postJSON(t, srv.URL+"/predict", &r, &pred); code != http.StatusOK {
 			t.Fatalf("predict %d: status %d", i, code)
 		}

@@ -112,9 +112,9 @@ type Request struct {
 	ChainID string `json:"chain_id,omitempty"`
 
 	// RequestID is the trace id for this request. The HTTP handler fills it
-	// from an inbound X-Request-ID header; when still empty at admission,
+	// from an inbound X-Request-Id header; when still empty at admission,
 	// Do generates one. It is echoed in the response trace block (and the
-	// X-Request-ID response header on the HTTP path).
+	// X-Request-Id response header on the HTTP path).
 	RequestID string `json:"request_id,omitempty"`
 
 	// TraceParent carries the caller's traceparent-style propagation header
@@ -135,21 +135,20 @@ type Response struct {
 	// Quality is the model-quality monitor's verdict, present when the
 	// monitor is enabled and the request carried an inline Actual.
 	Quality *quality.Verdict `json:"quality,omitempty"`
-	// Trace is the JSON reply's trace block. Do and DoBatch leave it nil:
-	// what they report is Record, and Record.Trace builds the block for
-	// whoever reads one.
-	Trace *Trace `json:"trace,omitempty"`
 
-	// Record is the worker's account of how the request was served.
+	// Record is the worker's account of how the request was served. The
+	// JSON reply renders it as its last member, the trace block
+	// {"request_id", "spans"} (appendTraceBlock); the wire reply as its span
+	// section (AppendSpanSection).
 	Record StageRecord `json:"-"`
 }
 
 // StageRecord is what a worker leaves behind for a served request instead of
 // a span tree: one fixed-size value — no ids, no maps, no strings. Every
 // rendering of the request's spans is made from it, where someone reads
-// them: the wire reply's span section and a wire request's kept trace (both
-// through AppendSpanSection), the JSON reply's trace block (through Trace).
-// They all name the same spans, because span ids derive from Seed.
+// them: the wire reply's span section and a kept trace (both through
+// appendSection), the JSON reply's trace block (through appendTraceBlock). They
+// all name the same spans, because span ids derive from Seed.
 type StageRecord struct {
 	Enqueue    time.Time // admission into the queue
 	Pickup     time.Time // a worker pulled the request: queue wait ends, the forward stage opens
@@ -166,64 +165,41 @@ type StageRecord struct {
 	Kept bool
 }
 
-// Trace materialises the record as the trace block of the request served
-// under id: a serve.request root, parented onto the caller's span when
-// traceParent names one, with serve.queue_wait and serve.forward beneath it.
-func (r *StageRecord) Trace(id, traceParent string) *Trace {
-	_, parent, _ := obs.ParseTraceParent(traceParent) // absent or malformed: a fresh root
-	root := r.span(id, 0, parent, "serve.request", r.Enqueue, r.ForwardEnd)
-	root.Attrs = map[string]string{"outcome": obs.OutcomeServed}
-	fwd := r.span(id, 2, root.SpanID, "serve.forward", r.Pickup, r.ForwardEnd)
-	fwd.Attrs = map[string]string{"batch_id": strconv.FormatUint(r.BatchID, 10), "batch_size": strconv.Itoa(r.BatchSize)}
-	spans := make([]obs.Span, 3, 4) // room for the JSON adapter's serve.encode
-	spans[0], spans[1], spans[2] = root, r.span(id, 1, root.SpanID, "serve.queue_wait", r.Enqueue, r.Pickup), fwd
-	return &Trace{RequestID: id, Spans: spans}
-}
-
 // recordSpans is how many spans a StageRecord renders as: the root and its
-// two stages.
+// two stages. The JSON reply's rendering adds a third stage, serve.encode.
 const recordSpans = 3
 
 // AppendSpanSection renders the record as the span section (obs's span
-// codec) of the request it served, byte for byte what encoding the tree
-// Trace materialises would give (TestStageRecordRendersOneTree holds the
-// two together): three spans, ids derived from Seed, attributes in key
-// order, the root placed by traceParent as Trace places it — without
-// building the tree.
+// codec) of the request it served: three spans, ids derived from Seed,
+// attributes in key order, the root parented onto the span traceParent
+// names (a fresh root when it names none) — without building the tree.
 func (r *StageRecord) AppendSpanSection(dst []byte, traceParent string) []byte {
+	return r.appendSection(dst, traceParent, time.Time{}, time.Time{})
+}
+
+// appendSection is AppendSpanSection, with the JSON path's encode stage
+// from encStart to encEnd as a fourth span when encStart is set: the root
+// then covers it too, as the JSON reply's trace block says.
+func (r *StageRecord) appendSection(dst []byte, traceParent string, encStart, encEnd time.Time) []byte {
 	_, parent, _ := obs.ParseTraceParent(traceParent)
 	var id, root [16]byte
 	rootID := string(obs.AppendID(root[:0], r.Seed)) // stays on the stack: the section gets copies
-	dst = append(dst, recordSpans)
-	dst = obs.AppendSpan(dst, rootID, parent, "serve.request", r.Enqueue.UnixMicro(), obs.MS(r.ForwardEnd.Sub(r.Enqueue)), 1)
+	spans, rootMS := byte(recordSpans), obs.MS(r.ForwardEnd.Sub(r.Enqueue))
+	if !encStart.IsZero() {
+		spans, rootMS = recordSpans+1, rootMS+obs.MS(encEnd.Sub(encStart))
+	}
+	dst = append(dst, spans)
+	dst = obs.AppendSpan(dst, rootID, parent, "serve.request", r.Enqueue.UnixMicro(), rootMS, 1)
 	dst = obs.AppendAttr(dst, "outcome", obs.OutcomeServed)
 	dst = obs.AppendSpan(dst, string(obs.AppendID(id[:0], r.Seed+1)), rootID, "serve.queue_wait", r.Enqueue.UnixMicro(), obs.MS(r.Pickup.Sub(r.Enqueue)), 0)
 	dst = obs.AppendSpan(dst, string(obs.AppendID(id[:0], r.Seed+2)), rootID, "serve.forward", r.Pickup.UnixMicro(), obs.MS(r.ForwardEnd.Sub(r.Pickup)), 2)
 	var num [20]byte
 	dst = obs.AppendAttr(dst, "batch_id", string(strconv.AppendUint(num[:0], r.BatchID, 10)))
-	return obs.AppendAttr(dst, "batch_size", string(strconv.AppendInt(num[:0], int64(r.BatchSize), 10)))
-}
-
-// span is the n-th span of the record's tree.
-func (r *StageRecord) span(traceID string, n uint64, parent, name string, start, end time.Time) obs.Span {
-	var id [16]byte
-	return obs.Span{
-		TraceID: traceID, SpanID: string(obs.AppendID(id[:0], r.Seed+n)), ParentID: parent, Name: name,
-		StartUnixUS: start.UnixMicro(), DurationMS: obs.MS(end.Sub(start)),
+	dst = obs.AppendAttr(dst, "batch_size", string(strconv.AppendInt(num[:0], int64(r.BatchSize), 10)))
+	if !encStart.IsZero() {
+		dst = obs.AppendSpan(dst, string(obs.AppendID(id[:0], r.Seed+3)), rootID, "serve.encode", encStart.UnixMicro(), obs.MS(encEnd.Sub(encStart)), 0)
 	}
-}
-
-// Trace is the per-request timing breakdown: where this request's latency
-// went, stage by stage. The same durations feed the per-stage histograms,
-// so an opaque p99 can be attributed to queue wait vs forward pass in
-// aggregate, and to one request here.
-type Trace struct {
-	RequestID string `json:"request_id"`
-	// Spans is the stage tree: a serve.request root (parented onto the
-	// caller's span when the request carried a traceparent header) with one
-	// child per stage — serve.queue_wait, serve.forward (its attributes name
-	// the batch) and, on the JSON path, serve.encode.
-	Spans []obs.Span `json:"spans,omitempty"`
+	return dst
 }
 
 // item is one in-flight request inside the batching machinery. The caller
@@ -867,17 +843,19 @@ var traceBufs = sync.Pool{New: func() any { return new([]byte) }}
 // error model. Flagged errors are NOT folded back into the calibration, so
 // a sustained problem cannot drag the baseline toward itself.
 func (s *Server) scoreAnomaly(req *Request, pred float64, resp *Response) {
-	key := req.ChainID
-	if key == "" {
-		key = envOf(req).String()
+	// The chain's key is rendered on the stack: only a new chain's is kept.
+	var buf [128]byte
+	key := append(buf[:0], req.ChainID...)
+	if req.ChainID == "" {
+		key = envOf(req).Append(buf[:0])
 	}
 	e := pred - *req.Actual
 	s.calMu.Lock()
 	defer s.calMu.Unlock()
-	c := s.cal[key]
+	c := s.cal[string(key)]
 	if c == nil {
 		c = &calibration{}
-		s.cal[strings.Clone(key)] = c // the key may sub-slice a decoded frame
+		s.cal[string(key)] = c
 	}
 	if c.n < s.cfg.MinCalibration {
 		c.add(e) // still calibrating; no verdict yet
@@ -935,14 +913,41 @@ func isBodyTooLarge(err error) bool {
 	return errors.As(err, &mbe)
 }
 
+// predictScratch is what one JSON predict borrows for its duration: the
+// request it decodes into, whose CF and Window keep their capacity from one
+// request to the next, and the buffer its reply is rendered into.
+type predictScratch struct {
+	req   Request
+	reply []byte
+}
+
+var predictScratches = sync.Pool{New: func() any { return new(predictScratch) }}
+
+// maxPooledFloats bounds the CF and Window capacity a predictScratch may
+// take back to the pool, so one outsized request does not stay resident.
+const maxPooledFloats = 1 << 12
+
+// jsonContentType is the Content-Type of every JSON reply, shared: a header
+// value slice is replaced on a Set, never written through.
+var jsonContentType = []string{"application/json"}
+
 func (s *Server) handlePredict(w http.ResponseWriter, r *http.Request) {
 	if r.Method != http.MethodPost {
 		http.Error(w, "method not allowed", http.StatusMethodNotAllowed)
 		return
 	}
 	s.limitBody(w, r)
-	var req Request
-	if err := decodeStrict(r.Body, &req); err != nil {
+	sc := predictScratches.Get().(*predictScratch)
+	defer func() {
+		if cap(sc.req.CF)+cap(sc.req.Window) <= maxPooledFloats && cap(sc.reply) <= 1<<16 {
+			predictScratches.Put(sc)
+		}
+	}()
+	// Zeroed whole, so nothing of the last request survives in this one — an
+	// Actual least of all: a pointer the decoder found set, it would fill.
+	req := &sc.req
+	*req = Request{CF: req.CF[:0], Window: req.Window[:0]}
+	if err := decodeStrict(r.Body, req); err != nil {
 		if isBodyTooLarge(err) {
 			http.Error(w, "request body too large", http.StatusRequestEntityTooLarge)
 			return
@@ -950,16 +955,16 @@ func (s *Server) handlePredict(w http.ResponseWriter, r *http.Request) {
 		http.Error(w, "invalid request: "+err.Error(), http.StatusBadRequest)
 		return
 	}
-	// An inbound X-Request-ID wins over any id in the body; absent both, Do
+	// An inbound X-Request-Id wins over any id in the body; absent both, Do
 	// generates one. Either way the id the request was served under is
 	// echoed back in the response header and the trace block.
 	if id := r.Header.Get(obs.RequestIDHeader); id != "" {
 		req.RequestID = id
 	}
 	req.TraceParent = r.Header.Get(obs.TraceParentHeader)
-	resp, code, err := s.Do(&req)
+	resp, code, err := s.Do(req)
 	if req.RequestID != "" {
-		w.Header().Set(obs.RequestIDHeader, req.RequestID)
+		w.Header()[obs.RequestIDHeader] = []string{req.RequestID}
 	}
 	if err != nil {
 		if code == http.StatusTooManyRequests {
@@ -968,33 +973,39 @@ func (s *Server) handlePredict(w http.ResponseWriter, r *http.Request) {
 		http.Error(w, err.Error(), code)
 		return
 	}
-	// The encode stage is the marshal of the answer itself. The trace block
-	// reports that stage, so it is built from the record afterwards, marshalled
-	// on its own and spliced in as the last member: every byte is encoded once.
+	// The encode stage is the rendering of the answer itself. The trace block
+	// reports that stage, so it is rendered from the record afterwards, as
+	// the reply's last member.
 	encStart := time.Now()
-	buf, merr := json.Marshal(resp)
+	reply, rerr := appendResponse(sc.reply[:0], resp)
 	encEnd := time.Now()
-	encMS := obs.MS(encEnd.Sub(encStart))
-	s.stageEncode.Observe(encMS)
-	if merr != nil {
-		http.Error(w, merr.Error(), http.StatusInternalServerError)
+	s.stageEncode.Observe(obs.MS(encEnd.Sub(encStart)))
+	if rerr != nil {
+		http.Error(w, rerr.Error(), http.StatusInternalServerError)
 		return
 	}
-	block := resp.Record.Trace(req.RequestID, req.TraceParent)
-	root := &block.Spans[0]
-	root.DurationMS += encMS // the root covers encoding too
-	block.Spans = append(block.Spans, resp.Record.span(req.RequestID, 3, root.SpanID, "serve.encode", encStart, encEnd))
-	if tb, err := json.Marshal(block); err == nil {
-		buf = append(buf[:len(buf)-1], `,"trace":`...) // over the closing brace
-		buf = append(append(buf, tb...), '}')
-	}
+	reply = appendTraceBlock(reply, &resp.Record, req.RequestID, req.TraceParent, encStart, encEnd)
+	sc.reply = append(reply, "}\n"...)
 	if resp.Record.Kept {
 		// The worker stored the tree as it stood when the pass ended; the
 		// same spans plus this stage replace it.
-		s.storeTrace(obs.OutcomeServed, block.Spans)
+		s.storeServed(req, &resp.Record, encStart, encEnd)
 	}
-	w.Header().Set("Content-Type", "application/json")
-	_, _ = w.Write(append(buf, '\n'))
+	w.Header()["Content-Type"] = jsonContentType
+	_, _ = w.Write(sc.reply)
+}
+
+// storeServed stores a kept JSON request's trace: its record's spans and
+// the encode stage, the root extended over it.
+func (s *Server) storeServed(req *Request, rec *StageRecord, encStart, encEnd time.Time) {
+	buf := traceBufs.Get().(*[]byte)
+	*buf = rec.appendSection(obs.AppendSpanGroup((*buf)[:0], req.RequestID), req.TraceParent, encStart, encEnd)
+	s.traces.Store(obs.TraceSummary{
+		TraceID: req.RequestID, Root: "serve.request", Outcome: obs.OutcomeServed,
+		StartUnixUS: rec.Enqueue.UnixMicro(), DurationMS: obs.MS(rec.ForwardEnd.Sub(rec.Enqueue)) + obs.MS(encEnd.Sub(encStart)),
+		Spans: recordSpans + 1,
+	}, *buf)
+	traceBufs.Put(buf)
 }
 
 func (s *Server) handleHealthz(w http.ResponseWriter, r *http.Request) {

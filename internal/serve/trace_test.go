@@ -46,7 +46,7 @@ func TestPredictSpansParentOntoTraceparent(t *testing.T) {
 	if httpResp.StatusCode != http.StatusOK {
 		t.Fatalf("predict: status %d", httpResp.StatusCode)
 	}
-	var resp Response
+	var resp jsonReply
 	if err := json.NewDecoder(httpResp.Body).Decode(&resp); err != nil {
 		t.Fatal(err)
 	}

@@ -368,8 +368,9 @@ func TestRetainedIDsDoNotPinFrames(t *testing.T) {
 
 // TestStageRecordRendersOneTree: a served request is accounted for by one
 // stage record, and every rendering of it names the same spans. The span
-// section AppendResults writes decodes to exactly the tree the materialiser
-// returns and is byte for byte what encoding that tree gives; the trace the
+// section AppendResults writes decodes to exactly the tree the record's
+// fields stand for (recordTree) and is byte for byte what encoding that tree
+// gives; the trace the
 // backend's own store keeps is that tree; the JSON reply's is that tree plus
 // serve.encode, the root extended by it, and is what the store keeps for it.
 func TestStageRecordRendersOneTree(t *testing.T) {
@@ -408,10 +409,7 @@ func TestStageRecordRendersOneTree(t *testing.T) {
 				t.Fatal(results[0].Err)
 			}
 			resp := results[0].Resp
-			if resp.Trace != nil {
-				t.Fatalf("DoBatch built a trace block: %+v", resp.Trace)
-			}
-			tree := resp.Record.Trace(req.RequestID, req.TraceParent).Spans
+			tree := recordTree(&resp.Record, req.RequestID, req.TraceParent)
 			checkStageTree(t, tree, req.RequestID, wantParent, resp.Record.BatchID, resp.BatchSize)
 			if d := tree[0].DurationMS - tree[1].DurationMS - tree[2].DurationMS; d < -1e-9 || d > 1e-9 {
 				t.Fatalf("stages do not tile the request: %v = %v + %v + %v", tree[0].DurationMS, tree[1].DurationMS, tree[2].DurationMS, d)
@@ -446,7 +444,13 @@ func TestStageRecordRendersOneTree(t *testing.T) {
 			}
 			reply, err := io.ReadAll(hresp.Body)
 			hresp.Body.Close()
-			var out serve.Response
+			var out struct {
+				serve.Response
+				Trace *struct {
+					RequestID string     `json:"request_id"`
+					Spans     []obs.Span `json:"spans,omitempty"`
+				} `json:"trace,omitempty"`
+			}
 			if err == nil {
 				err = json.Unmarshal(reply, &out)
 			}
@@ -481,6 +485,25 @@ func TestStageRecordRendersOneTree(t *testing.T) {
 			}
 		}
 	}
+}
+
+// recordTree materialises a stage record as the span tree it stands for,
+// from its fields and nothing the serving path renders: a serve.request
+// root, parented onto the caller's span when traceParent names one, with
+// serve.queue_wait and serve.forward beneath it.
+func recordTree(r *serve.StageRecord, id, traceParent string) []obs.Span {
+	_, parent, _ := obs.ParseTraceParent(traceParent)
+	span := func(n uint64, parent, name string, start, end time.Time) obs.Span {
+		return obs.Span{
+			TraceID: id, SpanID: fmt.Sprintf("%016x", r.Seed+n), ParentID: parent, Name: name,
+			StartUnixUS: start.UnixMicro(), DurationMS: obs.MS(end.Sub(start)),
+		}
+	}
+	root := span(0, parent, "serve.request", r.Enqueue, r.ForwardEnd)
+	root.Attrs = map[string]string{"outcome": obs.OutcomeServed}
+	fwd := span(2, root.SpanID, "serve.forward", r.Pickup, r.ForwardEnd)
+	fwd.Attrs = map[string]string{"batch_id": strconv.FormatUint(r.BatchID, 10), "batch_size": strconv.Itoa(r.BatchSize)}
+	return []obs.Span{root, span(1, root.SpanID, "serve.queue_wait", r.Enqueue, r.Pickup), fwd}
 }
 
 func spanIDAfter(t *testing.T, id string, n uint64) string {
