@@ -94,16 +94,6 @@ func parse(in io.Reader) ([]Result, error) {
 	return results, sc.Err()
 }
 
-func convert(in io.Reader, out io.Writer) error {
-	results, err := parse(in)
-	if err != nil {
-		return err
-	}
-	enc := json.NewEncoder(out)
-	enc.SetIndent("", "  ")
-	return enc.Encode(results)
-}
-
 // compare diffs fresh results against a baseline. It writes one line per
 // shared benchmark to log and returns the ops that regressed: ns/op more
 // than maxRegressPct above baseline, or allocs/op above baseline (when both

@@ -3,6 +3,7 @@ package main
 import (
 	"bytes"
 	"encoding/json"
+	"io"
 	"strings"
 	"testing"
 )
@@ -143,4 +144,15 @@ func TestConvertEmptyInput(t *testing.T) {
 	if s := strings.TrimSpace(out.String()); s != "[]" {
 		t.Fatalf("want empty array, got %q", s)
 	}
+}
+
+// convert is parse, then the JSON that main writes.
+func convert(in io.Reader, out io.Writer) error {
+	results, err := parse(in)
+	if err != nil {
+		return err
+	}
+	enc := json.NewEncoder(out)
+	enc.SetIndent("", "  ")
+	return enc.Encode(results)
 }

@@ -377,7 +377,6 @@ func checkAlerts(w io.Writer, client *http.Client, base string) error {
 		Data []struct {
 			Name        string            `json:"name"`
 			State       string            `json:"state"`
-			Labels      map[string]string `json:"labels"`
 			Annotations map[string]string `json:"annotations"`
 			Value       float64           `json:"value"`
 		} `json:"data"`

@@ -2,6 +2,7 @@ package main
 
 import (
 	"bytes"
+	"encoding/json"
 	"fmt"
 	"net/http"
 	"net/http/httptest"
@@ -71,7 +72,16 @@ func TestLoadGeneratorDrivesServer(t *testing.T) {
 		}
 	}
 	// Half the requests carried ground truth, so the quality monitor saw them.
-	if s.Quality().Snapshot().Observations == 0 {
+	resp, err := http.Get(srv.URL + "/quality")
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer resp.Body.Close()
+	var snap quality.Snapshot
+	if err := json.NewDecoder(resp.Body).Decode(&snap); err != nil {
+		t.Fatal(err)
+	}
+	if snap.Observations == 0 {
 		t.Fatalf("no quality observations despite -actuals 0.5")
 	}
 }

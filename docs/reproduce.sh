@@ -32,8 +32,8 @@ if [ -n "$fmt" ]; then
     exit 1
 fi
 go vet ./...
-# Nothing in internal/ or cmd/ is exported that only tests reach.
-scripts/exportcheck.sh
+# Nothing is declared in internal/ or cmd/ that only tests reach.
+go run ./scripts/exportcheck
 # The serving path is the one place with real concurrency: prove it race-free.
 # quality and alarmstore sit on that same path (async alarm delivery).
 go test -race ./internal/obs/ ./internal/serve/ ./internal/modelserver/ \

@@ -157,13 +157,6 @@ func (r Record) sourceOrDefault() string {
 	return r.Source
 }
 
-// Len returns the number of stored alarms.
-func (s *Store) Len() int {
-	s.mu.RLock()
-	defer s.mu.RUnlock()
-	return len(s.records)
-}
-
 // Handler exposes the store over HTTP:
 //
 //	POST /alarms              (JSON anomaly.Alarm body) → stored record

@@ -35,8 +35,8 @@ func TestPushFindMemory(t *testing.T) {
 	if r1.ID != 1 || r2.ID != 2 {
 		t.Fatalf("ids not sequential: %d %d", r1.ID, r2.ID)
 	}
-	if s.Len() != 2 {
-		t.Fatalf("Len = %d", s.Len())
+	if len(s.records) != 2 {
+		t.Fatalf("Len = %d", len(s.records))
 	}
 	if got := s.Find(Query{ChainID: "c1"}); len(got) != 1 || got[0].ID != 1 {
 		t.Fatalf("chain query wrong: %+v", got)
@@ -65,8 +65,8 @@ func TestPersistenceRoundTrip(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if re.Len() != 2 {
-		t.Fatalf("reloaded %d records", re.Len())
+	if len(re.records) != 2 {
+		t.Fatalf("reloaded %d records", len(re.records))
 	}
 	r3, _ := re.Push(demoAlarm("c3", 2), 30)
 	if r3.ID != 3 {
@@ -100,8 +100,8 @@ func TestOpenAfterTornPush(t *testing.T) {
 	if err != nil {
 		t.Fatalf("reopen after a torn push: %v", err)
 	}
-	if re.Len() != 2 {
-		t.Fatalf("reopened %d records, want 2", re.Len())
+	if len(re.records) != 2 {
+		t.Fatalf("reopened %d records, want 2", len(re.records))
 	}
 	rec, err := re.Push(demoAlarm("c2", 7), 40)
 	if err != nil {
@@ -295,8 +295,8 @@ func TestConcurrentAppendAndQuery(t *testing.T) {
 		}()
 	}
 	wg.Wait()
-	if s.Len() != writers*perWriter {
-		t.Fatalf("stored %d alarms, want %d", s.Len(), writers*perWriter)
+	if len(s.records) != writers*perWriter {
+		t.Fatalf("stored %d alarms, want %d", len(s.records), writers*perWriter)
 	}
 	ids := map[int]bool{}
 	for _, rec := range s.Find(Query{}) {
@@ -310,8 +310,8 @@ func TestConcurrentAppendAndQuery(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if re.Len() != writers*perWriter {
-		t.Fatalf("reloaded %d records, want %d", re.Len(), writers*perWriter)
+	if len(re.records) != writers*perWriter {
+		t.Fatalf("reloaded %d records, want %d", len(re.records), writers*perWriter)
 	}
 }
 

@@ -192,7 +192,7 @@ func TestGradOpAndSliceRows(t *testing.T) {
 
 func TestSliceRowsNodeSharesRowsAndPanics(t *testing.T) {
 	tape := NewTape()
-	a := tape.Constant(tensor.FromRows([][]float64{{1, 2}, {3, 4}, {5, 6}}))
+	a := tape.Constant(&tensor.Matrix{Rows: 3, Cols: 2, Data: []float64{1, 2, 3, 4, 5, 6}})
 	s := tape.SliceRowsNode(a, 1, 3)
 	if s.Value.Rows != 2 || &s.Value.Data[0] != &a.Value.Data[2] || s.Value.Data[3] != 6 {
 		t.Fatalf("rows [1,3) = %v, want a view of %v", s.Value, a.Value)
@@ -278,7 +278,7 @@ func TestGradSoftmaxComposition(t *testing.T) {
 		inv := tp.Reciprocal(total)
 		var mix *Node
 		for i, e := range exps {
-			contrib := tp.Mul(tp.Mul(e, inv), tp.Constant(tensor.FromSlice(2, 1, []float64{float64(i), float64(i) + 1})))
+			contrib := tp.Mul(tp.Mul(e, inv), tp.Constant(&tensor.Matrix{Rows: 2, Cols: 1, Data: []float64{float64(i), float64(i) + 1}}))
 			if mix == nil {
 				mix = contrib
 			} else {
@@ -297,7 +297,7 @@ func TestDropoutMaskAndNoOp(t *testing.T) {
 	if tape.Dropout(na, nil, 0.5) != na {
 		t.Fatalf("nil mask must be identity")
 	}
-	mask := tensor.FromRows([][]float64{{1, 0, 1, 0}, {0, 1, 0, 1}})
+	mask := &tensor.Matrix{Rows: 2, Cols: 4, Data: []float64{1, 0, 1, 0, 0, 1, 0, 1}}
 	out := tape.Dropout(na, mask, 0.5)
 	for i, v := range out.Value.Data {
 		want := a.Data[i] * mask.Data[i] * 2
@@ -312,7 +312,7 @@ func TestGradThroughDropout(t *testing.T) {
 	w := randMat(rng, 3, 4)
 	x := randMat(rng, 2, 3)
 	y := randMat(rng, 2, 4)
-	mask := tensor.FromRows([][]float64{{1, 0, 1, 1}, {0, 1, 1, 0}})
+	mask := &tensor.Matrix{Rows: 2, Cols: 4, Data: []float64{1, 0, 1, 1, 0, 1, 1, 0}}
 	checkGrad(t, []*tensor.Matrix{w}, func(tp *Tape) *Node {
 		h := tp.MatMul(tp.Constant(x), tp.Param(w))
 		return tp.MSE(tp.Dropout(tp.Sigmoid(h), mask, 0.75), y)
@@ -332,7 +332,7 @@ func TestBackwardRequiresScalar(t *testing.T) {
 
 func TestBackwardOnConstantGraphIsNoOp(t *testing.T) {
 	tape := NewTape()
-	c := tape.Constant(tensor.FromSlice(1, 1, []float64{2}))
+	c := tape.Constant(&tensor.Matrix{Rows: 1, Cols: 1, Data: []float64{2}})
 	out := tape.Mean(c)
 	tape.Backward(out) // must not panic even though nothing requires grad
 	if out.Grad != nil {
@@ -342,7 +342,7 @@ func TestBackwardOnConstantGraphIsNoOp(t *testing.T) {
 
 func TestMeanValue(t *testing.T) {
 	tape := NewTape()
-	c := tape.Constant(tensor.FromRows([][]float64{{1, 2}, {3, 4}}))
+	c := tape.Constant(&tensor.Matrix{Rows: 2, Cols: 2, Data: []float64{1, 2, 3, 4}})
 	if got := tape.Mean(c).Value.Data[0]; got != 2.5 {
 		t.Fatalf("Mean = %v, want 2.5", got)
 	}

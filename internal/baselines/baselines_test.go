@@ -128,7 +128,7 @@ func TestFitRidgeCVPicksReasonableAlpha(t *testing.T) {
 
 func TestCholeskySolve(t *testing.T) {
 	// A = [[4,2],[2,3]], b = [1, 2] → x = A⁻¹b = [-(1/8), 3/4].
-	a := tensor.FromRows([][]float64{{4, 2}, {2, 3}})
+	a := &tensor.Matrix{Rows: 2, Cols: 2, Data: []float64{4, 2, 2, 3}}
 	x, err := solveSPD(a, []float64{1, 2})
 	if err != nil {
 		t.Fatal(err)
@@ -139,7 +139,7 @@ func TestCholeskySolve(t *testing.T) {
 }
 
 func TestCholeskyNotPD(t *testing.T) {
-	a := tensor.FromRows([][]float64{{1, 2}, {2, 1}}) // indefinite
+	a := &tensor.Matrix{Rows: 2, Cols: 2, Data: []float64{1, 2, 2, 1}} // indefinite
 	if _, ok := cholesky(a); ok {
 		t.Fatalf("indefinite matrix should fail")
 	}
@@ -160,7 +160,8 @@ func TestSolveSPDProperty(t *testing.T) {
 		m.RandNormal(rng, 1)
 		mt := tensor.New(n, n)
 		m.TransposeInto(mt)
-		a := tensor.MatMul(mt, m) // PSD
+		a := tensor.New(n, n)
+		tensor.MatMulBlockedInto(a, mt, m) // PSD
 		for i := 0; i < n; i++ {
 			a.Set(i, i, a.At(i, i)+1) // make PD
 		}

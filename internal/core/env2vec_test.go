@@ -96,11 +96,13 @@ func TestLearnsEnvironmentDependentResponse(t *testing.T) {
 	// The environment must drive the difference: same features, different
 	// env ids → predictions ~4 apart.
 	probe := &nn.Batch{
-		X:      tensor.FromRows([][]float64{train.X.Row(0), train.X.Row(0)}),
-		Window: tensor.FromRows([][]float64{train.Window.Row(0), train.Window.Row(0)}),
+		X:      tensor.New(2, train.X.Cols),
+		Window: tensor.New(2, train.Window.Cols),
 		Y:      tensor.New(2, 1),
 		EnvIDs: make([][]int, len(train.EnvIDs)),
 	}
+	tensor.GatherRowsInto(probe.X, train.X, []int{0, 0})
+	tensor.GatherRowsInto(probe.Window, train.Window, []int{0, 0})
 	for k, ids := range train.EnvIDs {
 		probe.EnvIDs[k] = ids[:2]
 	}

@@ -49,16 +49,6 @@ type Dataset struct {
 	Series       []*Series
 }
 
-// Chains groups the series by ChainID, preserving build order within each
-// chain.
-func (d *Dataset) Chains() map[string][]*Series {
-	out := make(map[string][]*Series)
-	for _, s := range d.Series {
-		out[s.ChainID] = append(out[s.ChainID], s)
-	}
-	return out
-}
-
 // Example is one supervised instance assembled from a series.
 type Example struct {
 	Env       envmeta.Environment

@@ -48,15 +48,6 @@ func (l Layer) String() string {
 // step (1).
 type Record map[string]string
 
-// Clone returns a deep copy of the record.
-func (r Record) Clone() Record {
-	c := make(Record, len(r))
-	for k, v := range r {
-		c[k] = v
-	}
-	return c
-}
-
 // String renders the record deterministically (sorted by field).
 func (r Record) String() string {
 	keys := make([]string, 0, len(r))
@@ -158,15 +149,6 @@ func (v *Vocabulary) Lookup(val string) int {
 		return id
 	}
 	return UnknownID
-}
-
-// Value returns the string for a known id, or "<unk>" for UnknownID and
-// out-of-range ids.
-func (v *Vocabulary) Value(id int) string {
-	if id <= 0 || id > len(v.values) {
-		return "<unk>"
-	}
-	return v.values[id-1]
 }
 
 // Size returns the number of known values (excluding <unk>).

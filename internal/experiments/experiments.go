@@ -10,7 +10,6 @@ package experiments
 import (
 	"fmt"
 	"math"
-	"sort"
 	"strings"
 
 	"env2vec/internal/dataset"
@@ -153,14 +152,4 @@ func fmtF(v float64) string {
 		return "N/A"
 	}
 	return fmt.Sprintf("%.3f", v)
-}
-
-// sortedKeys returns map keys in sorted order (generic over string keys).
-func sortedKeys[V any](m map[string]V) []string {
-	out := make([]string, 0, len(m))
-	for k := range m {
-		out = append(out, k)
-	}
-	sort.Strings(out)
-	return out
 }

@@ -84,16 +84,16 @@ func TestMethodScoreString(t *testing.T) {
 
 func TestConcatBatches(t *testing.T) {
 	a := &nn.Batch{
-		X:      tensor.FromRows([][]float64{{1, 2}}),
-		Window: tensor.FromRows([][]float64{{9}}),
+		X:      &tensor.Matrix{Rows: 1, Cols: 2, Data: []float64{1, 2}},
+		Window: &tensor.Matrix{Rows: 1, Cols: 1, Data: []float64{9}},
 		EnvIDs: [][]int{{1}, {2}, {3}, {4}},
-		Y:      tensor.FromRows([][]float64{{0.5}}),
+		Y:      &tensor.Matrix{Rows: 1, Cols: 1, Data: []float64{0.5}},
 	}
 	b := &nn.Batch{
-		X:      tensor.FromRows([][]float64{{3, 4}, {5, 6}}),
-		Window: tensor.FromRows([][]float64{{8}, {7}}),
+		X:      &tensor.Matrix{Rows: 2, Cols: 2, Data: []float64{3, 4, 5, 6}},
+		Window: &tensor.Matrix{Rows: 2, Cols: 1, Data: []float64{8, 7}},
 		EnvIDs: [][]int{{5, 6}, {7, 8}, {9, 10}, {11, 12}},
-		Y:      tensor.FromRows([][]float64{{0.6}, {0.7}}),
+		Y:      &tensor.Matrix{Rows: 2, Cols: 1, Data: []float64{0.6, 0.7}},
 	}
 	c := concatBatches(a, b)
 	if c.Len() != 3 || c.X.At(2, 1) != 6 || c.Window.At(1, 0) != 8 {

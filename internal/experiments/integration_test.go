@@ -2,6 +2,7 @@ package experiments
 
 import (
 	"fmt"
+	"sort"
 	"testing"
 )
 
@@ -53,4 +54,14 @@ func TestIntegrationTelecomDefaultScale(t *testing.T) {
 		t.Fatal(err)
 	}
 	fmt.Printf("fig6 separation %.2f\n", f6.SeparationRatio)
+}
+
+// sortedKeys returns map keys in sorted order (generic over string keys).
+func sortedKeys[V any](m map[string]V) []string {
+	out := make([]string, 0, len(m))
+	for k := range m {
+		out = append(out, k)
+	}
+	sort.Strings(out)
+	return out
 }

@@ -198,20 +198,9 @@ func (d *Detector) Step(v float64) float64 {
 	if g.Sigma < 1e-6 {
 		g.Sigma = 1e-6
 	}
-	z := g.Zscore(stats.Mean(short))
 	// One-sided Gaussian tail → likelihood that the recent raw scores are
 	// anomalously high.
-	return 0.5 * (1 + math.Erf(z/math.Sqrt2))
-}
-
-// Detect runs the detector over a whole series, returning one likelihood
-// per timestep.
-func (d *Detector) Detect(series []float64) []float64 {
-	out := make([]float64, len(series))
-	for i, v := range series {
-		out[i] = d.Step(v)
-	}
-	return out
+	return g.CDF(stats.Mean(short))
 }
 
 // Threshold is the default alarm threshold. The paper alarms only on the

@@ -63,14 +63,10 @@ func TestDetectLengthAndDeterminism(t *testing.T) {
 	for i := range series {
 		series[i] = math.Sin(float64(i)/5) + rng.NormFloat64()*0.05
 	}
-	a := New(Config{}).Detect(series)
-	b := New(Config{}).Detect(series)
-	if len(a) != len(series) {
-		t.Fatalf("Detect length %d", len(a))
-	}
-	for i := range a {
-		if a[i] != b[i] {
-			t.Fatalf("detector must be deterministic")
+	a, b := New(Config{}), New(Config{})
+	for i, v := range series {
+		if a.Step(v) != b.Step(v) {
+			t.Fatalf("step %d: detector must be deterministic", i)
 		}
 	}
 }

@@ -268,22 +268,6 @@ type Handler struct {
 	Registry *Registry
 	Now      func() int64
 	ReadOnly bool
-
-	m struct {
-		publishes, fetches, notModified, versionPolls *obs.Counter // nil (no-op) unless Instrument was called
-	}
-}
-
-// Instrument registers the handler's counters in reg and returns the
-// handler for chaining: publishes, full snapshot downloads, 304
-// short-circuits (the cheap path the ETag protocol exists for), and
-// GET /versions polls.
-func (h *Handler) Instrument(reg *obs.Registry) *Handler {
-	h.m.publishes = reg.Counter("modelserver_publishes_total", "Snapshot versions published.", nil)
-	h.m.fetches = reg.Counter("modelserver_fetches_total", "Full snapshot downloads served.", nil)
-	h.m.notModified = reg.Counter("modelserver_not_modified_total", "Fetches short-circuited with 304 via ETag.", nil)
-	h.m.versionPolls = reg.Counter("modelserver_vector_polls_total", "GET /versions polls served (any status).", nil)
-	return h
 }
 
 // ServeHTTP implements http.Handler.
@@ -327,7 +311,6 @@ func (h *Handler) ServeHTTP(w http.ResponseWriter, r *http.Request) {
 			http.Error(w, err.Error(), http.StatusInternalServerError)
 			return
 		}
-		h.m.publishes.Inc()
 		w.WriteHeader(http.StatusCreated)
 		fmt.Fprintf(w, "%d", n)
 	case r.Method == http.MethodGet && len(parts) == 3:
@@ -376,11 +359,9 @@ func (h *Handler) ServeHTTP(w http.ResponseWriter, r *http.Request) {
 		// as If-None-Match so an unchanged model costs a header exchange, not
 		// a snapshot download.
 		if r.Header.Get("If-None-Match") == etag {
-			h.m.notModified.Inc()
 			w.WriteHeader(http.StatusNotModified)
 			return
 		}
-		h.m.fetches.Inc()
 		w.Header().Set("Content-Type", "application/octet-stream")
 		_, _ = w.Write(v.Data)
 	default:
@@ -420,7 +401,6 @@ func parseWait(r *http.Request) time.Duration {
 // new versions in O(RTT), not O(interval)), answering 304 only when the
 // wait expires with nothing new.
 func (h *Handler) serveVersions(w http.ResponseWriter, r *http.Request) {
-	h.m.versionPolls.Inc()
 	deadline := time.Now().Add(parseWait(r))
 	inm := r.Header.Get("If-None-Match")
 	for {

@@ -4,10 +4,10 @@ import (
 	"math/rand"
 	"net/http"
 	"net/http/httptest"
+	"slices"
 	"testing"
 
 	"env2vec/internal/nn"
-	"env2vec/internal/tensor"
 )
 
 func demoSnapshot(seed int64) *nn.Snapshot {
@@ -72,7 +72,7 @@ func TestHTTPPublishFetchRoundTrip(t *testing.T) {
 	if err := snap.Restore([]*nn.Param{orig}); err != nil {
 		t.Fatal(err)
 	}
-	if !tensor.Equal(p.Value, orig.Value, 0) {
+	if !p.Value.SameShape(orig.Value) || !slices.Equal(p.Value.Data, orig.Value.Data) {
 		t.Fatalf("weights differ after HTTP round trip")
 	}
 }

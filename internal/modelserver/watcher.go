@@ -60,13 +60,6 @@ func (w *Watcher) Instrument(reg *obs.Registry) *Watcher {
 	return w
 }
 
-// Version returns the last version delivered to OnUpdate (0 before any).
-func (w *Watcher) Version() int {
-	w.mu.Lock()
-	defer w.mu.Unlock()
-	return w.version
-}
-
 // Poll performs one registry check, invoking OnUpdate when a version newer
 // than the last delivered one is available. It reports whether an update was
 // delivered. A registry with no versions of the model yet is an error (the

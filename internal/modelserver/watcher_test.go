@@ -53,8 +53,8 @@ func TestWatcherNoVersionsIsError(t *testing.T) {
 	if changed || updates != 0 {
 		t.Fatalf("no update should be delivered on error: changed=%v updates=%d", changed, updates)
 	}
-	if w.Version() != 0 {
-		t.Fatalf("version advanced on error: %d", w.Version())
+	if w.version != 0 {
+		t.Fatalf("version advanced on error: %d", w.version)
 	}
 }
 
@@ -99,8 +99,8 @@ func TestWatcherUnchangedVersionShortCircuits(t *testing.T) {
 	if err != nil || !changed {
 		t.Fatalf("poll after republish: changed=%v err=%v", changed, err)
 	}
-	if w.Version() != 2 || len(got) != 2 || got[1] != 2 {
-		t.Fatalf("v2 not delivered: version=%d updates=%v", w.Version(), got)
+	if w.version != 2 || len(got) != 2 || got[1] != 2 {
+		t.Fatalf("v2 not delivered: version=%d updates=%v", w.version, got)
 	}
 }
 

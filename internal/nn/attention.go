@@ -4,7 +4,6 @@ import (
 	"math/rand"
 
 	"env2vec/internal/autodiff"
-	"env2vec/internal/tensor"
 )
 
 // Attention implements the additive-attention extension the paper proposes
@@ -66,34 +65,6 @@ func (a *Attention) Forward(t *autodiff.Tape, states []*autodiff.Node) *autodiff
 		} else {
 			out = t.Add(out, weighted)
 		}
-	}
-	return out
-}
-
-// Weights returns the softmax attention weights per step for a window
-// (inference-time introspection; no gradients).
-func (a *Attention) Weights(states []*tensor.Matrix) []*tensor.Matrix {
-	t := autodiff.NewTape()
-	nodes := make([]*autodiff.Node, len(states))
-	for i, s := range states {
-		nodes[i] = t.Constant(s)
-	}
-	w, b, v := t.Constant(a.W.Value), t.Constant(a.B.Value), t.Constant(a.V.Value)
-	exps := make([]*autodiff.Node, len(states))
-	var total *autodiff.Node
-	for i, h := range nodes {
-		score := t.MatMul(t.Tanh(t.AddRowBroadcast(t.MatMul(h, w), b)), v)
-		exps[i] = t.Exp(score)
-		if total == nil {
-			total = exps[i]
-		} else {
-			total = t.Add(total, exps[i])
-		}
-	}
-	inv := t.Reciprocal(total)
-	out := make([]*tensor.Matrix, len(states))
-	for i := range states {
-		out[i] = t.Mul(exps[i], inv).Value
 	}
 	return out
 }

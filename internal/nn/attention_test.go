@@ -9,30 +9,38 @@ import (
 	"env2vec/internal/tensor"
 )
 
+// TestAttentionWeightsSumToOne reads the softmax weights off Forward: a
+// column that every state shares comes back unchanged (the weights of a row
+// sum to one), and every other column stays within the states' range (none
+// is negative).
 func TestAttentionWeightsSumToOne(t *testing.T) {
 	rng := rand.New(rand.NewSource(1))
 	a := NewAttention("a", 4, 4, rng)
-	states := []*tensor.Matrix{}
+	tape := autodiff.NewTape()
+	var raw []*tensor.Matrix
+	var states []*autodiff.Node
 	for i := 0; i < 3; i++ {
 		m := tensor.New(5, 4)
 		m.RandNormal(rng, 1)
-		states = append(states, m)
-	}
-	ws := a.Weights(states)
-	if len(ws) != 3 {
-		t.Fatalf("expected one weight matrix per step")
-	}
-	for row := 0; row < 5; row++ {
-		sum := 0.0
-		for _, w := range ws {
-			v := w.At(row, 0)
-			if v < 0 || v > 1 {
-				t.Fatalf("weight out of [0,1]: %v", v)
-			}
-			sum += v
+		for row := 0; row < 5; row++ {
+			m.Data[row*4] = 2.5
 		}
-		if math.Abs(sum-1) > 1e-9 {
-			t.Fatalf("row %d weights sum to %v", row, sum)
+		raw = append(raw, m)
+		states = append(states, tape.Constant(m))
+	}
+	out := a.Forward(tape, states).Value
+	for row := 0; row < 5; row++ {
+		if v := out.At(row, 0); math.Abs(v-2.5) > 1e-9 {
+			t.Fatalf("row %d: the shared column comes back as %v, so the weights sum to %v", row, v, v/2.5)
+		}
+		for c := 1; c < 4; c++ {
+			lo, hi := math.Inf(1), math.Inf(-1)
+			for _, m := range raw {
+				lo, hi = math.Min(lo, m.At(row, c)), math.Max(hi, m.At(row, c))
+			}
+			if v := out.At(row, c); v < lo-1e-9 || v > hi+1e-9 {
+				t.Fatalf("row %d col %d: %v outside the states' [%v, %v]", row, c, v, lo, hi)
+			}
 		}
 	}
 }
@@ -41,8 +49,8 @@ func TestAttentionForwardIsConvexMixture(t *testing.T) {
 	rng := rand.New(rand.NewSource(2))
 	a := NewAttention("a", 3, 3, rng)
 	tape := autodiff.NewTape()
-	s1 := tensor.FromRows([][]float64{{1, 1, 1}})
-	s2 := tensor.FromRows([][]float64{{3, 3, 3}})
+	s1 := &tensor.Matrix{Rows: 1, Cols: 3, Data: []float64{1, 1, 1}}
+	s2 := &tensor.Matrix{Rows: 1, Cols: 3, Data: []float64{3, 3, 3}}
 	out := a.Forward(tape, []*autodiff.Node{tape.Constant(s1), tape.Constant(s2)})
 	for _, v := range out.Value.Data {
 		if v < 1-1e-9 || v > 3+1e-9 {
@@ -55,9 +63,9 @@ func TestAttentionSingleStateIsIdentity(t *testing.T) {
 	rng := rand.New(rand.NewSource(3))
 	a := NewAttention("a", 3, 2, rng)
 	tape := autodiff.NewTape()
-	s := tensor.FromRows([][]float64{{0.5, -1, 2}, {1, 2, 3}})
+	s := &tensor.Matrix{Rows: 2, Cols: 3, Data: []float64{0.5, -1, 2, 1, 2, 3}}
 	out := a.Forward(tape, []*autodiff.Node{tape.Constant(s)})
-	if !tensor.Equal(out.Value, s, 1e-12) {
+	if !equal(out.Value, s, 1e-12) {
 		t.Fatalf("single-state attention must return the state")
 	}
 }
@@ -138,7 +146,7 @@ func TestGRUForwardWindowAllConsistentWithFinal(t *testing.T) {
 	if len(all) != 4 {
 		t.Fatalf("expected one state per step")
 	}
-	if !tensor.Equal(all[len(all)-1].Value, final.Value, 1e-12) {
+	if !equal(all[len(all)-1].Value, final.Value, 1e-12) {
 		t.Fatalf("last state must match ForwardWindow")
 	}
 }
@@ -156,7 +164,7 @@ func TestGRUForwardWindowAllPanics(t *testing.T) {
 
 func TestBroadcastColWidths(t *testing.T) {
 	tape := autodiff.NewTape()
-	col := tape.Constant(tensor.FromRows([][]float64{{2}, {3}}))
+	col := tape.Constant(&tensor.Matrix{Rows: 2, Cols: 1, Data: []float64{2, 3}})
 	for _, width := range []int{1, 2, 3, 5, 8} {
 		out := broadcastCol(tape, col, width)
 		if out.Value.Cols != width && width != 1 {

@@ -15,9 +15,9 @@ import (
 func TestDenseForwardMatchesManual(t *testing.T) {
 	rng := rand.New(rand.NewSource(1))
 	d := NewDense("d", 2, 3, Sigmoid, rng)
-	d.W.Value = tensor.FromRows([][]float64{{1, 0, -1}, {0.5, 2, 1}})
-	d.B.Value = tensor.FromRows([][]float64{{0.1, -0.2, 0.3}})
-	x := tensor.FromRows([][]float64{{1, 2}})
+	d.W.Value = &tensor.Matrix{Rows: 2, Cols: 3, Data: []float64{1, 0, -1, 0.5, 2, 1}}
+	d.B.Value = &tensor.Matrix{Rows: 1, Cols: 3, Data: []float64{0.1, -0.2, 0.3}}
+	x := &tensor.Matrix{Rows: 1, Cols: 2, Data: []float64{1, 2}}
 	tape := autodiff.NewTape()
 	out := d.Forward(tape, tape.Constant(x))
 	sig := func(v float64) float64 { return 1 / (1 + math.Exp(-v)) }
@@ -35,7 +35,12 @@ func TestGRUForwardMatchesManual(t *testing.T) {
 	rng := rand.New(rand.NewSource(2))
 	g := NewGRU("g", 2, rng)
 	g.CandidateAct = Tanh
-	set := func(p *Param, rows [][]float64) { p.Value = tensor.FromRows(rows) }
+	set := func(p *Param, rows [][]float64) {
+		p.Value = tensor.New(len(rows), len(rows[0]))
+		for i, r := range rows {
+			copy(p.Value.Row(i), r)
+		}
+	}
 	set(g.Wz, [][]float64{{0.5, -0.5}})
 	set(g.Uz, [][]float64{{0, 0}, {0, 0}})
 	set(g.Bz, [][]float64{{0.1, 0.1}})
@@ -48,7 +53,7 @@ func TestGRUForwardMatchesManual(t *testing.T) {
 
 	x := 0.3
 	tape := autodiff.NewTape()
-	out := g.ForwardWindow(tape, tape.Constant(tensor.FromRows([][]float64{{x}})))
+	out := g.ForwardWindow(tape, tape.Constant(&tensor.Matrix{Rows: 1, Cols: 1, Data: []float64{x}}))
 
 	sig := func(v float64) float64 { return 1 / (1 + math.Exp(-v)) }
 	// h0 = 0, so r has no effect and h1 = (1-z)*tanh(Wh*x) + z*0.
@@ -128,8 +133,11 @@ func TestEarlyStoppingTriggersAndRestoresBest(t *testing.T) {
 	for i := 0; i < n; i++ {
 		y.Set(i, 0, x.At(i, 0))
 	}
-	train := &Batch{X: x.SliceRows(0, 40), Y: y.SliceRows(0, 40)}
-	val := &Batch{X: x.SliceRows(40, 60), Y: y.SliceRows(40, 60)}
+	rows := func(m *tensor.Matrix, from, to int) *tensor.Matrix {
+		return &tensor.Matrix{Rows: to - from, Cols: m.Cols, Data: m.Data[from*m.Cols : to*m.Cols]}
+	}
+	train := &Batch{X: rows(x, 0, 40), Y: rows(y, 0, 40)}
+	val := &Batch{X: rows(x, 40, 60), Y: rows(y, 40, 60)}
 	m := NewMLP("m", 2, 4, Tanh, 0, rng)
 	res := Train(m, NewAdam(0.05), train, val, TrainConfig{
 		Epochs: 500, BatchSize: 16, Patience: 5, MinDelta: 1e-9, Seed: 3,
@@ -198,10 +206,10 @@ func TestDropoutMaskPanicsOnRateOne(t *testing.T) {
 
 func TestBatchSubset(t *testing.T) {
 	b := &Batch{
-		X:      tensor.FromRows([][]float64{{1}, {2}, {3}}),
-		Window: tensor.FromRows([][]float64{{10}, {20}, {30}}),
+		X:      &tensor.Matrix{Rows: 3, Cols: 1, Data: []float64{1, 2, 3}},
+		Window: &tensor.Matrix{Rows: 3, Cols: 1, Data: []float64{10, 20, 30}},
 		EnvIDs: [][]int{{7, 8, 9}},
-		Y:      tensor.FromRows([][]float64{{0.1}, {0.2}, {0.3}}),
+		Y:      &tensor.Matrix{Rows: 3, Cols: 1, Data: []float64{0.1, 0.2, 0.3}},
 	}
 	s := b.subset([]int{2, 0}, tensor.New)
 	if s.Len() != 2 || s.X.At(0, 0) != 3 || s.X.At(1, 0) != 1 {
@@ -235,7 +243,7 @@ func TestSnapshotRoundTrip(t *testing.T) {
 		t.Fatal(err)
 	}
 	for i, p := range m.Params() {
-		if !tensor.Equal(p.Value, m2.Params()[i].Value, 0) {
+		if !equal(p.Value, m2.Params()[i].Value, 0) {
 			t.Fatalf("param %s not restored", p.Name)
 		}
 	}
@@ -315,7 +323,7 @@ func TestSnapshotRoundTripProperty(t *testing.T) {
 		if err := dec.Restore([]*Param{q}); err != nil {
 			return false
 		}
-		return tensor.Equal(p.Value, q.Value, 0)
+		return equal(p.Value, q.Value, 0)
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 25}); err != nil {
 		t.Fatal(err)
@@ -323,3 +331,17 @@ func TestSnapshotRoundTripProperty(t *testing.T) {
 }
 
 func bytesReader(b []byte) io.Reader { return bytes.NewReader(b) }
+
+// equal reports whether a and b have the same shape and all elements within
+// tol of each other.
+func equal(a, b *tensor.Matrix, tol float64) bool {
+	if !a.SameShape(b) {
+		return false
+	}
+	for i, v := range a.Data {
+		if math.Abs(v-b.Data[i]) > tol {
+			return false
+		}
+	}
+	return true
+}

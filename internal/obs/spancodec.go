@@ -18,12 +18,11 @@ import (
 // spans as (trace id, section) groups, each group the trace id as a string
 // followed by one section.
 
-// Span section limits. A section from a peer (SpanSectionLen,
-// DecodeSpanSection) has every length checked against them and against the
-// bytes left, so a hostile section costs at most its own size. They bound
-// what a peer may send, not what a trace may hold: the stored form is this
-// process's own encoding of whatever it kept, and DecodeSpans checks it
-// against the bytes left only.
+// Span section limits. A section from a peer (SpanSectionLen) has every
+// length checked against them and against the bytes left, so a hostile
+// section costs at most its own size. They bound what a peer may send, not
+// what a trace may hold: the stored form is this process's own encoding of
+// whatever it kept, and DecodeSpans checks it against the bytes left only.
 const (
 	MaxSectionSpans = 1024
 	MaxSpanAttrs    = 64
@@ -100,8 +99,7 @@ func AppendSpans(dst []byte, spans []Span) []byte {
 }
 
 // SpanSectionLen checks the span section at the head of p and returns its
-// length in bytes and its span count. It allocates nothing; what it accepts,
-// DecodeSpanSection decodes.
+// length in bytes and its span count. It allocates nothing.
 func SpanSectionLen(p []byte) (n, spans int, err error) {
 	r := spanReader[[]byte]{b: p}
 	_, spans = r.section(nil, nil, false)
@@ -109,14 +107,6 @@ func SpanSectionLen(p []byte) (n, spans int, err error) {
 		return 0, 0, r.err
 	}
 	return len(p) - len(r.b), spans, nil
-}
-
-// DecodeSpanSection decodes a section that is exactly section, each span
-// under traceID. The spans' strings sub-slice section.
-func DecodeSpanSection(section, traceID string) ([]Span, error) {
-	r := spanReader[string]{b: section}
-	spans, _ := r.section(nil, traceID, true)
-	return spans, r.finish()
 }
 
 // DecodeSpans decodes spans in stored form (AppendSpans, AppendSpanGroup),

@@ -202,18 +202,6 @@ func Hash64[T bytestring](s T) uint64 {
 	return h
 }
 
-// Add offers a completed trace to the store: Sample, then Store if kept.
-func (ts *TraceStore) Add(t Trace) {
-	sum := TraceSummary{
-		TraceID: t.TraceID, Root: t.Root, Outcome: t.Outcome, Retried: t.Retried,
-		StartUnixUS: t.StartUnixUS, DurationMS: t.DurationMS,
-	}
-	if ts.Sample(&sum) {
-		sum.Spans = len(t.Spans)
-		ts.Store(sum, AppendSpans(nil, t.Spans))
-	}
-}
-
 // Sample is the tail-sampling decision for a completed trace, counted as
 // completed and as kept or dropped. It happens at completion, when the
 // outcome and duration are known, which is what lets the slow and failed

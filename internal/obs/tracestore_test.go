@@ -356,3 +356,16 @@ func TestTraceStoreNilSafe(t *testing.T) {
 		t.Fatal("nil store listed traces")
 	}
 }
+
+// Add offers a completed trace to the store: Sample, then Store if kept,
+// as the daemons do with the spans they render only once a trace is kept.
+func (ts *TraceStore) Add(t Trace) {
+	sum := TraceSummary{
+		TraceID: t.TraceID, Root: t.Root, Outcome: t.Outcome, Retried: t.Retried,
+		StartUnixUS: t.StartUnixUS, DurationMS: t.DurationMS,
+	}
+	if ts.Sample(&sum) {
+		sum.Spans = len(t.Spans)
+		ts.Store(sum, AppendSpans(nil, t.Spans))
+	}
+}

@@ -205,7 +205,7 @@ func TestShortExecutionScoresNothing(t *testing.T) {
 	full := chain[len(chain)-1]
 	for _, steps := range []int{0, 1, cfg.Model.Window} {
 		short := *full
-		short.CF = tensor.FromSlice(steps, full.CF.Cols, full.CF.Data[:steps*full.CF.Cols])
+		short.CF = &tensor.Matrix{Rows: steps, Cols: full.CF.Cols, Data: full.CF.Data[:steps*full.CF.Cols]}
 		short.RU, short.Times, short.Anomalous = full.RU[:steps], full.Times[:steps], full.Anomalous[:steps]
 		if alarms := wf.ProcessExecution("env2vec", &short); len(alarms) != 0 {
 			t.Fatalf("%d steps: %d alarms", steps, len(alarms))
@@ -220,7 +220,7 @@ func TestShortExecutionScoresNothing(t *testing.T) {
 	wf.CalibrateChain(id, history)
 	want, _ := wf.ErrorModel(id)
 	short := *history[0]
-	short.CF = tensor.FromSlice(1, full.CF.Cols, history[0].CF.Data[:full.CF.Cols])
+	short.CF = &tensor.Matrix{Rows: 1, Cols: full.CF.Cols, Data: history[0].CF.Data[:full.CF.Cols]}
 	short.RU, short.Times, short.Anomalous = history[0].RU[:1], history[0].Times[:1], history[0].Anomalous[:1]
 	wf.CalibrateChain(id, append([]*dataset.Series{&short}, history...))
 	if got, _ := wf.ErrorModel(id); got != want {

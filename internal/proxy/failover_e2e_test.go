@@ -89,7 +89,7 @@ func TestHeadSamplingAgreesAcrossHops(t *testing.T) {
 		name := resp.Header.Get("X-Backend")
 		served[name]++
 		var be *e2eBackend
-		for k, b := range p.Backends() {
+		for k, b := range p.backends {
 			if b.name == name {
 				be = backends[k]
 			}
@@ -97,8 +97,10 @@ func TestHeadSamplingAgreesAcrossHops(t *testing.T) {
 		if be == nil {
 			t.Fatalf("request %d served by unknown backend %q", i, name)
 		}
-		_, atProxy := p.Traces().Get(id)
-		_, atBackend := be.s.Traces().Get(id)
+		_, atProxy := p.traces.Get(id)
+		rec := httptest.NewRecorder()
+		be.s.ServeHTTP(rec, httptest.NewRequest(http.MethodGet, "/traces/"+id, nil))
+		atBackend := rec.Code == http.StatusOK
 		if atProxy != atBackend {
 			t.Fatalf("request %s: the proxy kept its trace %v, the backend %s %v", id, atProxy, name, atBackend)
 		}
@@ -287,10 +289,10 @@ func TestE2EKillBackendFailover(t *testing.T) {
 			t.Fatalf("post-kill: build %s served by %q, want survivor %q", r.build, r.backend, survivor)
 		}
 	}
-	if !p.Backends()[1].Alive() {
+	if !p.backends[1].Alive() {
 		t.Fatal("survivor marked dead")
 	}
-	if p.Backends()[0].Alive() {
+	if p.backends[0].Alive() {
 		t.Fatal("killed backend still marked alive after failed forwards")
 	}
 	// Re-homing is stable: replaying any build hits the same survivor.
@@ -301,7 +303,7 @@ func TestE2EKillBackendFailover(t *testing.T) {
 			if !b.Alive() {
 				return true
 			}
-			got = b.Name()
+			got = b.name
 			return false
 		})
 		if got != survivor {
@@ -313,7 +315,7 @@ func TestE2EKillBackendFailover(t *testing.T) {
 	// trace carries the failed attempt against the dead backend and the
 	// failover attempt that served it, stitched to the survivor's own
 	// stage spans — and the store stays within its capacity bound.
-	ts := p.Traces()
+	ts := p.traces
 	if got := ts.Len(); got > 32 {
 		t.Fatalf("trace store holds %d traces, capacity is 32", got)
 	}

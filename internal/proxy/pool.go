@@ -39,9 +39,6 @@ type Backend struct {
 	served, failed, probes *obs.Counter
 }
 
-// Name returns the backend's metric label (host:port of its URL).
-func (b *Backend) Name() string { return b.name }
-
 // Alive reports whether the health checker currently considers the
 // backend routable.
 func (b *Backend) Alive() bool { return b.alive.Load() }

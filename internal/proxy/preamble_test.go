@@ -126,7 +126,7 @@ func TestWireSubscribeFailsOver(t *testing.T) {
 	w1, ws1 := attachWire(t, b1)
 	p, addr := serveProxyWire(t, []string{b0.srv.URL, b1.srv.URL}, []string{w0, w1})
 	home := p.home(envHash(testEnv()))
-	if home == p.Backends()[0] {
+	if home == p.backends[0] {
 		ws0.Close()
 	} else {
 		ws1.Close()

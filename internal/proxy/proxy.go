@@ -300,24 +300,6 @@ func (p *Proxy) Close() {
 	})
 }
 
-// Backends exposes the pool (read-only by convention).
-func (p *Proxy) Backends() []*Backend { return p.backends }
-
-// Metrics returns the proxy's own metrics registry.
-func (p *Proxy) Metrics() *obs.Registry { return p.reg }
-
-// Traces returns the proxy's tail-sampled trace store.
-func (p *Proxy) Traces() *obs.TraceStore { return p.traces }
-
-// home returns the ring-home backend for a ring position — the
-// deterministic owner when every backend is alive. Only tests ask; the
-// request path walks the ring directly.
-func (p *Proxy) home(h uint64) *Backend {
-	var owner *Backend
-	p.ring.walk(h, func(b *Backend) bool { owner = b; return false })
-	return owner
-}
-
 // route appends to dst the preference-ordered live candidates for the ring
 // position h, at most 1+Retries of them: the position's home first
 // (bounded-load permitting), then its deterministic failover order. A

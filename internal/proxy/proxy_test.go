@@ -163,7 +163,7 @@ func TestFailoverOnDeadBackend(t *testing.T) {
 	var build string
 	for i := 0; ; i++ {
 		build = fmt.Sprintf("B%d", i)
-		if p.home(envKey(build)) == p.Backends()[0] {
+		if p.home(envKey(build)) == p.backends[0] {
 			break
 		}
 	}
@@ -173,14 +173,14 @@ func TestFailoverOnDeadBackend(t *testing.T) {
 	if w.Code != http.StatusOK {
 		t.Fatalf("failover predict: status %d: %s", w.Code, w.Body.String())
 	}
-	if got := w.Header().Get("X-Backend"); got != p.Backends()[1].Name() {
-		t.Fatalf("served by %s, want survivor %s", got, p.Backends()[1].Name())
+	if got := w.Header().Get("X-Backend"); got != p.backends[1].name {
+		t.Fatalf("served by %s, want survivor %s", got, p.backends[1].name)
 	}
 	if got := p.failovers.Value(); got < 1 {
 		t.Fatalf("failovers counter = %d, want >= 1", got)
 	}
 	// The transport error marked a dead (FailAfter=1): next request skips it.
-	if p.Backends()[0].Alive() {
+	if p.backends[0].Alive() {
 		t.Fatal("dead backend still marked alive after a failed forward")
 	}
 	w = doPredict(t, p, build, nil)
@@ -195,7 +195,7 @@ func TestRetryableStatusFailsOver(t *testing.T) {
 	var build string
 	for i := 0; ; i++ {
 		build = fmt.Sprintf("B%d", i)
-		if p.home(envKey(build)) == p.Backends()[0] {
+		if p.home(envKey(build)) == p.backends[0] {
 			break
 		}
 	}
@@ -206,8 +206,8 @@ func TestRetryableStatusFailsOver(t *testing.T) {
 	if w.Code != http.StatusOK {
 		t.Fatalf("status %d, want 200 via failover past the 503", w.Code)
 	}
-	if got := w.Header().Get("X-Backend"); got != p.Backends()[1].Name() {
-		t.Fatalf("served by %s, want failover target %s", got, p.Backends()[1].Name())
+	if got := w.Header().Get("X-Backend"); got != p.backends[1].name {
+		t.Fatalf("served by %s, want failover target %s", got, p.backends[1].name)
 	}
 }
 
@@ -320,10 +320,10 @@ func TestHealthProbeReadsReadyzOnly(t *testing.T) {
 	b.mu.Unlock()
 	p := newTestProxy(t, Config{Backends: []string{a.URL}}, b)
 	p.health.probe(context.Background())
-	if p.Backends()[0].Alive() {
+	if p.backends[0].Alive() {
 		t.Fatal("backend answering 404 on /readyz should leave rotation")
 	}
-	if p.Backends()[1].Alive() {
+	if p.backends[1].Alive() {
 		t.Fatal("backend reporting 503 on /readyz should leave rotation")
 	}
 	// Readiness recovers -> rejoin on the next probe pass.
@@ -331,7 +331,7 @@ func TestHealthProbeReadsReadyzOnly(t *testing.T) {
 	b.notReady = false
 	b.mu.Unlock()
 	p.health.probe(context.Background())
-	if !p.Backends()[1].Alive() {
+	if !p.backends[1].Alive() {
 		t.Fatal("recovered backend did not rejoin")
 	}
 }

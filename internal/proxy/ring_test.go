@@ -18,6 +18,15 @@ func makeBackends(urls ...string) []*Backend {
 	return bs
 }
 
+// home returns the ring-home backend for a ring position — the
+// deterministic owner when every backend is alive. The request path walks
+// the ring directly.
+func (p *Proxy) home(h uint64) *Backend {
+	var owner *Backend
+	p.ring.walk(h, func(b *Backend) bool { owner = b; return false })
+	return owner
+}
+
 func TestRingDeterministic(t *testing.T) {
 	bs := makeBackends("http://a:1", "http://b:1", "http://c:1")
 	r1 := newRing(bs, 64)
@@ -157,7 +166,7 @@ func TestRingPlacementPinned(t *testing.T) {
 		{envmeta.Environment{Testbed: "tb06", SUT: "SUT_C", Testcase: "volume", Build: "T07"}, 1},
 		{envmeta.Environment{Testbed: "tb07", SUT: "SUT_B", Testcase: "surge", Build: "R05"}, 1},
 	} {
-		if got, want := bench.home(envHash(c.env)), bench.Backends()[c.home]; got != want {
+		if got, want := bench.home(envHash(c.env)), bench.backends[c.home]; got != want {
 			t.Errorf("%v homes on %s, was %s", c.env, got.URL, want.URL)
 		}
 	}
@@ -176,7 +185,7 @@ func TestRingPlacementPinned(t *testing.T) {
 		{envmeta.Environment{Testbed: "<tb>", SUT: "S&P", Testcase: `"q"`, Build: "\x00\x1f"}, 0, "abc"},
 		{envmeta.Environment{Testbed: "tbé", SUT: "SUT—Ω", Testcase: "load\u2028", Build: "\xff\xfe"}, 1, "abc"},
 	} {
-		if got, want := bench.home(envHash(c.env)), bench.Backends()[c.benchHome]; got != want {
+		if got, want := bench.home(envHash(c.env)), bench.backends[c.benchHome]; got != want {
 			t.Errorf("%q homes on %s, was %s", c.env.String(), got.URL, want.URL)
 		}
 		order := ""

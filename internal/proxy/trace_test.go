@@ -65,7 +65,7 @@ func TestProxyTraceStitchesBackendSpans(t *testing.T) {
 	if w.Code != http.StatusOK {
 		t.Fatalf("predict: status %d: %s", w.Code, w.Body.String())
 	}
-	tr, ok := p.Traces().Get(reqID)
+	tr, ok := p.traces.Get(reqID)
 	if !ok {
 		t.Fatal("proxied request left no trace in the store")
 	}
@@ -164,7 +164,7 @@ func TestProxyKeepsOversizedJSONTrace(t *testing.T) {
 				len(tr.Spans[2].Attrs), len(tr.Spans[3].Attrs["long"]))
 		}
 		listed := -1
-		for _, l := range p.Traces().List(0, "", 0) {
+		for _, l := range p.traces.List(0, "", 0) {
 			if l.TraceID == tc.id {
 				listed = l.Spans
 			}
@@ -188,7 +188,7 @@ func TestProxyFailoverTraceSpans(t *testing.T) {
 	var build string
 	for i := 0; ; i++ {
 		build = fmt.Sprintf("B%d", i)
-		if p.home(envKey(build)) == p.Backends()[0] {
+		if p.home(envKey(build)) == p.backends[0] {
 			break
 		}
 	}
@@ -197,7 +197,7 @@ func TestProxyFailoverTraceSpans(t *testing.T) {
 	if w.Code != http.StatusOK {
 		t.Fatalf("failover predict: status %d", w.Code)
 	}
-	tr, ok := p.Traces().Get(reqID)
+	tr, ok := p.traces.Get(reqID)
 	if !ok {
 		t.Fatal("failover request left no trace")
 	}
@@ -249,7 +249,7 @@ func TestProxyShedTraceRetained(t *testing.T) {
 	if w.Code != http.StatusTooManyRequests {
 		t.Fatalf("status %d, want 429", w.Code)
 	}
-	tr, ok := p.Traces().Get(reqID)
+	tr, ok := p.traces.Get(reqID)
 	if !ok {
 		t.Fatal("shed request left no trace")
 	}

@@ -137,7 +137,7 @@ func TestFrontsEmitSameFamiliesAndSpans(t *testing.T) {
 		}},
 		{name: "no live backend", home: serving, other: serving,
 			prepare: func(p *Proxy) {
-				for _, b := range p.Backends() {
+				for _, b := range p.backends {
 					b.alive.Store(false)
 				}
 			},
@@ -187,7 +187,7 @@ func TestFrontsEmitSameFamiliesAndSpans(t *testing.T) {
 func histCounts(t *testing.T, p *Proxy) map[string]uint64 {
 	t.Helper()
 	var page strings.Builder
-	if _, err := p.Metrics().WriteTo(&page); err != nil {
+	if _, err := p.reg.WriteTo(&page); err != nil {
 		t.Fatal(err)
 	}
 	out := map[string]uint64{}
@@ -259,10 +259,10 @@ func driveVerdict(t *testing.T, front string, home, other backendKind, prepare f
 		count[`env2vec_proxy_request_latency_ms_count{outcome="shed"}`], count[`env2vec_proxy_request_latency_ms_count{outcome="failed"}`]
 	v.Retries, v.Failovers, v.Backoffs = p.retries.Value(), p.failovers.Value(), count["env2vec_proxy_backoff_wait_ms_count"]
 	v.AttemptOK, v.AttemptErr = count[`env2vec_proxy_attempt_latency_ms_count{outcome="ok"}`], count[`env2vec_proxy_attempt_latency_ms_count{outcome="error"}`]
-	for i, b := range p.Backends() {
+	for i, b := range p.backends {
 		v.BackendServed[i], v.BackendFailed[i] = b.served.Value(), b.failed.Value()
 	}
-	tr, ok := p.Traces().Get(verdictID)
+	tr, ok := p.traces.Get(verdictID)
 	v.Stored, v.Outcome, v.Retried = ok, tr.Outcome, tr.Retried
 	seen := map[string]bool{}
 	for i, sp := range tr.Spans {
@@ -283,7 +283,7 @@ func driveVerdict(t *testing.T, front string, home, other backendKind, prepare f
 	sort.Strings(v.spans)
 
 	var page bytes.Buffer
-	if _, err := p.Metrics().WriteTo(&page); err != nil {
+	if _, err := p.reg.WriteTo(&page); err != nil {
 		t.Fatal(err)
 	}
 	moved := map[string]bool{}
@@ -360,11 +360,11 @@ func TestJSONDroppedTraceMaterialisesNoSpans(t *testing.T) {
 		return testing.AllocsPerRun(requests, run), p
 	}
 	dropped, p := perRequest(obs.TraceStoreConfig{SampleRate: -1, SlowMS: -1})
-	if n := p.Traces().Len(); n != 0 {
+	if n := p.traces.Len(); n != 0 {
 		t.Fatalf("sampling off, yet %d traces stored", n)
 	}
 	kept, p := perRequest(keepAllTraces())
-	if tr, ok := p.Traces().Get(verdictID); !ok || len(tr.Spans) != 2+spans {
+	if tr, ok := p.traces.Get(verdictID); !ok || len(tr.Spans) != 2+spans {
 		t.Fatalf("sampling at 1: stored %v with %d spans, want %d", ok, len(tr.Spans), 2+spans)
 	}
 	if kept-dropped < spans {

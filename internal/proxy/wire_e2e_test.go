@@ -214,10 +214,10 @@ func TestE2EWireMixedProtocolFailover(t *testing.T) {
 
 	runMixed("post-kill")
 
-	if p.Backends()[0].Alive() {
+	if p.backends[0].Alive() {
 		t.Fatal("killed backend still marked alive after wire failovers")
 	}
-	if !p.Backends()[1].Alive() {
+	if !p.backends[1].Alive() {
 		t.Fatal("survivor marked dead")
 	}
 

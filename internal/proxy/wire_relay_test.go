@@ -158,7 +158,7 @@ func buildsHomedOn(t *testing.T, p *Proxy) [2]string {
 	var builds [2]string
 	for i := 0; i < 256 && (builds[0] == "" || builds[1] == ""); i++ {
 		build := fmt.Sprintf("B%d", i)
-		for k, b := range p.Backends() {
+		for k, b := range p.backends {
 			if builds[k] == "" && p.home(envKey(build)) == b {
 				builds[k] = build
 			}
@@ -212,13 +212,13 @@ func TestWireFanOutConcurrent(t *testing.T) {
 	}
 	// One trace per group, keyed by the group's first request.
 	for g := 0; g < 2; g++ {
-		tr, ok := p.Traces().Get(reqs[g].RequestID)
+		tr, ok := p.traces.Get(reqs[g].RequestID)
 		if !ok {
 			t.Fatalf("group %d: no trace stored under %s", g, reqs[g].RequestID)
 		}
 		by := spansByName(tr)
 		root, att := by["proxy.request"], by["proxy.attempt"]
-		if root.Attrs["batch_size"] != "4" || att.ParentID != root.SpanID || att.Attrs["backend"] != p.Backends()[g].name {
+		if root.Attrs["batch_size"] != "4" || att.ParentID != root.SpanID || att.Attrs["backend"] != p.backends[g].name {
 			t.Fatalf("group %d: proxy tree broken: root=%+v attempt=%+v", g, root, att)
 		}
 		backend := 0
@@ -259,8 +259,8 @@ func TestWireFanOutSurvivesBackendDeath(t *testing.T) {
 			t.Fatalf("reply %d (group %d): %+v", i, i%2, rep)
 		}
 	}
-	if p.Backends()[1].Alive() || !p.Backends()[0].Alive() {
-		t.Fatalf("liveness after the kill: backend0 %v backend1 %v, want true false", p.Backends()[0].Alive(), p.Backends()[1].Alive())
+	if p.backends[1].Alive() || !p.backends[0].Alive() {
+		t.Fatalf("liveness after the kill: backend0 %v backend1 %v, want true false", p.backends[0].Alive(), p.backends[1].Alive())
 	}
 }
 
@@ -289,7 +289,7 @@ func TestProxyWireTraceStitchesBackendSpans(t *testing.T) {
 	if err != nil || replies[0].Status != http.StatusOK || replies[1].Status != http.StatusOK {
 		t.Fatalf("predict: %v %+v", err, replies)
 	}
-	tr, ok := p.Traces().Get("0123456789abcdef")
+	tr, ok := p.traces.Get("0123456789abcdef")
 	if !ok {
 		t.Fatal("no trace stored for the frame")
 	}
@@ -392,11 +392,11 @@ func TestWireDroppedTraceMaterialisesNoSpans(t *testing.T) {
 	var costs []float64
 	for _, windows := range []int{8, 32, 64} {
 		dropped, p := perFrame(windows, obs.TraceStoreConfig{SampleRate: -1, SlowMS: -1})
-		if n := p.Traces().Len(); n != 0 {
+		if n := p.traces.Len(); n != 0 {
 			t.Fatalf("sampling off, yet %d traces stored", n)
 		}
 		kept, p := perFrame(windows, keepAllTraces())
-		if n := p.Traces().Len(); n != 1 { // one trace id, stored over and over
+		if n := p.traces.Len(); n != 1 { // one trace id, stored over and over
 			t.Fatalf("sampling at 1, yet %d traces stored", n)
 		}
 		t.Logf("%d windows: a kept frame allocates %.1f, a dropped one %.1f", windows, kept, dropped)
@@ -413,8 +413,8 @@ func TestWireDroppedTraceMaterialisesNoSpans(t *testing.T) {
 			if got := keptFrameJSON(t, p, "0000000000000000"); string(got) != string(golden) {
 				t.Errorf("GET /traces/{id} for the kept frame serves\n%s\nthe golden is\n%s", got, golden)
 			}
-			tr, _ := p.Traces().Get("0000000000000000")
-			for _, l := range p.Traces().List(0, "", 0) {
+			tr, _ := p.traces.Get("0000000000000000")
+			for _, l := range p.traces.List(0, "", 0) {
 				if l.TraceID == tr.TraceID && l.Spans != len(tr.Spans) {
 					t.Errorf("GET /traces counts %d spans in the kept frame's trace of %d", l.Spans, len(tr.Spans))
 				}
@@ -432,7 +432,7 @@ func TestWireDroppedTraceMaterialisesNoSpans(t *testing.T) {
 func keptFrameJSON(t *testing.T, p *Proxy, id string) []byte {
 	t.Helper()
 	rec := httptest.NewRecorder()
-	p.Traces().ServeHTTP(rec, httptest.NewRequest("GET", "/traces/"+id, nil))
+	p.traces.ServeHTTP(rec, httptest.NewRequest("GET", "/traces/"+id, nil))
 	var tr obs.Trace
 	if err := json.Unmarshal(rec.Body.Bytes(), &tr); err != nil || rec.Code != http.StatusOK {
 		t.Fatalf("GET /traces/%s: status %d, err %v", id, rec.Code, err)
@@ -593,7 +593,7 @@ func TestWireStickyIDsDoNotPinFrames(t *testing.T) {
 	const windows, frames = 32, 600
 	p, c := newWireProxy(t, obs.TraceStoreConfig{SampleRate: -1, SlowMS: -1}, newFakeWire(t, 0))
 	for i := 0; i < p.cfg.PendingCap; i++ { // fill the map to its bound
-		p.sticky.Put(obs.NewRequestID(), p.Backends()[0])
+		p.sticky.Put(obs.NewRequestID(), p.backends[0])
 	}
 	reqs := make([]*serve.Request, windows)
 	heap := func() uint64 {

@@ -481,6 +481,3 @@ func (m *Monitor) Snapshot() Snapshot {
 	}
 	return out
 }
-
-// AlarmsEmitted returns how many drift alarms the monitor has raised.
-func (m *Monitor) AlarmsEmitted() uint64 { return m.alarms.Value() }

@@ -149,7 +149,7 @@ func TestDriftExceedRateRaisesAttributedAlarm(t *testing.T) {
 	if math.Abs(a.PeakDev-20) > 1e-9 {
 		t.Fatalf("peak deviation %v, want 20", a.PeakDev)
 	}
-	if got := m.AlarmsEmitted(); got != 1 {
+	if got := m.Snapshot().AlarmsEmitted; got != 1 {
 		t.Fatalf("alarms emitted %d, want 1", got)
 	}
 

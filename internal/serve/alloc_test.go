@@ -120,11 +120,11 @@ func TestBackendDroppedTraceMaterialisesNoSpans(t *testing.T) {
 		return testing.AllocsPerRun(50, frame), s
 	}
 	dropped, s := perFrame(noTraces)
-	if n := s.Traces().Len(); n != 0 {
+	if n := s.traces.Len(); n != 0 {
 		t.Fatalf("sampling off, yet %d traces stored", n)
 	}
 	kept, s := perFrame(obs.TraceStoreConfig{Capacity: 64, SampleRate: 1})
-	if n := s.Traces().Len(); n != windows {
+	if n := s.traces.Len(); n != windows {
 		t.Fatalf("sampling at 1, yet %d traces stored, want %d", n, windows)
 	}
 	t.Logf("a frame of %d: %.0f allocs with every trace kept, %.0f with every trace dropped", windows, kept, dropped)
@@ -137,7 +137,7 @@ func TestBackendDroppedTraceMaterialisesNoSpans(t *testing.T) {
 			kept, dropped)
 	}
 	for _, r := range s.DoBatch(reqs[:1]) {
-		tr, ok := s.Traces().Get(reqs[0].RequestID)
+		tr, ok := s.traces.Get(reqs[0].RequestID)
 		if want := recordTree(&r.Resp.Record, reqs[0].RequestID, reqs[0].TraceParent).Spans; !ok || len(tr.Spans) != stageSpans || !reflect.DeepEqual(tr.Spans, want) {
 			t.Fatalf("the stored trace is %+v\nthe record's tree is %+v", tr.Spans, want)
 		}
@@ -202,8 +202,8 @@ func TestBundlePredictIntoMatchesScalePredictUnscale(t *testing.T) {
 		want := directPredict(b, req) // Scale → Predict → Unscale chain
 
 		batch := &nn.Batch{
-			X:      tensor.FromSlice(1, len(req.CF), append([]float64(nil), req.CF...)),
-			Window: tensor.FromSlice(1, len(req.Window), append([]float64(nil), req.Window...)),
+			X:      &tensor.Matrix{Rows: 1, Cols: len(req.CF), Data: append([]float64(nil), req.CF...)},
+			Window: &tensor.Matrix{Rows: 1, Cols: len(req.Window), Data: append([]float64(nil), req.Window...)},
 			EnvIDs: make([][]int, envmeta.NumFeatures),
 		}
 		ids := b.Schema.Encode(envmeta.Environment{Testbed: req.Testbed, SUT: req.SUT, Testcase: req.Testcase, Build: req.Build})

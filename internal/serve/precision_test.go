@@ -41,8 +41,8 @@ func TestParsePrecision(t *testing.T) {
 // Bundle.PredictInto directly (which consumes the batch).
 func requestBatch(b *Bundle, req *Request) *nn.Batch {
 	batch := &nn.Batch{
-		X:      tensor.FromSlice(1, len(req.CF), append([]float64(nil), req.CF...)),
-		Window: tensor.FromSlice(1, len(req.Window), append([]float64(nil), req.Window...)),
+		X:      &tensor.Matrix{Rows: 1, Cols: len(req.CF), Data: append([]float64(nil), req.CF...)},
+		Window: &tensor.Matrix{Rows: 1, Cols: len(req.Window), Data: append([]float64(nil), req.Window...)},
 		Y:      tensor.New(1, 1),
 		EnvIDs: make([][]int, envmeta.NumFeatures),
 	}

@@ -85,7 +85,7 @@ func TestQualityLoopInlineActuals(t *testing.T) {
 	if !out.Quality.Drift || out.Quality.DriftReason != "exceed-rate" {
 		t.Fatalf("sustained exceedance not reported as drift: %+v", out.Quality)
 	}
-	if got := s.Quality().AlarmsEmitted(); got < 1 {
+	if got := s.monitor.Snapshot().AlarmsEmitted; got < 1 {
 		t.Fatalf("no alarm emitted after sustained drift")
 	}
 

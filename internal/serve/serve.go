@@ -393,20 +393,9 @@ func (s *Server) SetBundle(b *Bundle) {
 	}
 }
 
-// Quality returns the model-quality monitor (nil when Config.Quality was
-// nil), so the embedding daemon can snapshot it directly.
-func (s *Server) Quality() *quality.Monitor { return s.monitor }
-
 // Bundle returns the currently served model bundle (nil before the first
 // SetBundle).
 func (s *Server) Bundle() *Bundle { return s.bundle.Load() }
-
-// Metrics returns the registry the server instruments itself into, so the
-// embedding daemon can add its own metrics to the same /metrics page.
-func (s *Server) Metrics() *obs.Registry { return s.reg }
-
-// Traces returns the tail-sampled trace store behind GET /traces.
-func (s *Server) Traces() *obs.TraceStore { return s.traces }
 
 // Close stops admission, drains every queued request through the workers,
 // and waits for them to finish. Safe to call once.

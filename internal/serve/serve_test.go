@@ -62,8 +62,8 @@ func randomRequest(rng *rand.Rand) *Request {
 // machinery — the reference the micro-batched path must match exactly.
 func directPredict(b *Bundle, req *Request) float64 {
 	batch := &nn.Batch{
-		X:      tensor.FromSlice(1, len(req.CF), append([]float64(nil), req.CF...)),
-		Window: tensor.FromSlice(1, len(req.Window), append([]float64(nil), req.Window...)),
+		X:      &tensor.Matrix{Rows: 1, Cols: len(req.CF), Data: append([]float64(nil), req.CF...)},
+		Window: &tensor.Matrix{Rows: 1, Cols: len(req.Window), Data: append([]float64(nil), req.Window...)},
 		Y:      tensor.New(1, 1),
 		EnvIDs: make([][]int, envmeta.NumFeatures),
 	}

@@ -85,7 +85,7 @@ func TestPredictSpansParentOntoTraceparent(t *testing.T) {
 	}
 
 	// The completed tree is retrievable after the response was read.
-	stored, ok := s.Traces().Get(reqID)
+	stored, ok := s.traces.Get(reqID)
 	if !ok {
 		t.Fatal("trace not retained in the store")
 	}
@@ -148,7 +148,7 @@ func TestShedRequestTraceRetained(t *testing.T) {
 			t.Fatal("no request shed despite a stalled worker")
 		}
 	}
-	tr, ok := s.Traces().Get(shedID)
+	tr, ok := s.traces.Get(shedID)
 	if !ok {
 		t.Fatalf("shed request %s has no trace in the store", shedID)
 	}

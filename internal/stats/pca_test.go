@@ -152,7 +152,7 @@ func TestPCATransformDimPanics(t *testing.T) {
 
 func TestJacobiEigenOnKnownMatrix(t *testing.T) {
 	// Symmetric matrix [[2,1],[1,2]] has eigenvalues 3 and 1.
-	m := tensor.FromRows([][]float64{{2, 1}, {1, 2}})
+	m := &tensor.Matrix{Rows: 2, Cols: 2, Data: []float64{2, 1, 1, 2}}
 	vals, vecs := jacobiEigen(m)
 	got := append([]float64(nil), vals...)
 	if got[0] > got[1] {

@@ -78,7 +78,7 @@ func (g Gaussian) CDF(x float64) float64 {
 		}
 		return 1
 	}
-	return 0.5 * (1 + math.Erf((x-g.Mu)/(g.Sigma*math.Sqrt2)))
+	return 0.5 * (1 + math.Erf(g.Zscore(x)/math.Sqrt2))
 }
 
 // Quantile returns the q-th empirical quantile (0 ≤ q ≤ 1) using linear
@@ -114,15 +114,6 @@ func NewECDF(xs []float64) *ECDF {
 	s := append([]float64(nil), xs...)
 	sort.Float64s(s)
 	return &ECDF{sorted: s}
-}
-
-// At returns the fraction of samples ≤ x.
-func (e *ECDF) At(x float64) float64 {
-	if len(e.sorted) == 0 {
-		return 0
-	}
-	i := sort.SearchFloat64s(e.sorted, math.Nextafter(x, math.Inf(1)))
-	return float64(i) / float64(len(e.sorted))
 }
 
 // Points returns the step points (x_i, F(x_i)) of the ECDF, suitable for

@@ -3,6 +3,7 @@ package stats
 import (
 	"math"
 	"math/rand"
+	"sort"
 	"testing"
 	"testing/quick"
 )
@@ -200,4 +201,13 @@ func TestStudentTAgainstKnownValues(t *testing.T) {
 	if !almost(p, 0.05, 0.003) {
 		t.Fatalf("studentTSF(12.706,1): p=%v", p)
 	}
+}
+
+// At returns the fraction of samples ≤ x.
+func (e *ECDF) At(x float64) float64 {
+	if len(e.sorted) == 0 {
+		return 0
+	}
+	i := sort.SearchFloat64s(e.sorted, math.Nextafter(x, math.Inf(1)))
+	return float64(i) / float64(len(e.sorted))
 }

@@ -60,16 +60,6 @@ package tensor
 
 import "fmt"
 
-// MatMul returns a × b, where a is r×k and b is k×c.
-func MatMul(a, b *Matrix) *Matrix {
-	if a.Cols != b.Rows {
-		panic(fmt.Sprintf("tensor: MatMul inner dims %dx%d × %dx%d", a.Rows, a.Cols, b.Rows, b.Cols))
-	}
-	out := New(a.Rows, b.Cols)
-	MatMulBlockedInto(out, a, b)
-	return out
-}
-
 // MatMulBlockedInto computes a × b into out with the register-blocked
 // kernel. out must be preallocated a.Rows×b.Cols and must not alias either
 // operand: the callers hand it arena-recycled scratch, where silent aliasing

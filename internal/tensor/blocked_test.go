@@ -111,7 +111,7 @@ func TestBlockedMatchesNaive(t *testing.T) {
 					t.Fatalf("element %d: blocked %v vs naive %v", i, got.Data[i], want.Data[i])
 				}
 			}
-			if conv := MatMul(a, b); !Equal(conv, want, 0) {
+			if conv := mul(a, b); !equal(conv, want, 0) {
 				t.Fatalf("MatMul convenience form diverges")
 			}
 		})
@@ -215,7 +215,7 @@ func TestF64TileMatchesScalar(t *testing.T) {
 				a, b := edgeMat(rng, m, k), edgeMat(rng, k, n)
 				naive := matMulNaive(a, b)
 				acc := edgeMat(rng, m, n)
-				sum := FromSlice(m, n, append([]float64(nil), acc.Data...))
+				sum := fromSlice(m, n, append([]float64(nil), acc.Data...))
 				sum.AddInPlace(naive)
 				for _, asm := range []bool{false, true} {
 					if asm && !hasAsm {
@@ -227,12 +227,12 @@ func TestF64TileMatchesScalar(t *testing.T) {
 					for i := range got {
 						got[i] = math.NaN() // any element the kernel misses survives as NaN
 					}
-					MatMulBlockedInto(FromSlice(m, n, got), a, b)
+					MatMulBlockedInto(fromSlice(m, n, got), a, b)
 					sameF64Bits(t, what, got, naive.Data)
 					check(t, what)
 
 					copy(got, acc.Data)
-					MatMulAddInto(FromSlice(m, n, got), a, b)
+					MatMulAddInto(fromSlice(m, n, got), a, b)
 					sameF64Bits(t, "add "+what, got, sum.Data)
 					check(t, "add "+what)
 				}
@@ -285,7 +285,7 @@ func FuzzF64Kernels(f *testing.F) {
 			}
 			return out
 		}
-		a, b := FromSlice(m, k, vals(m*k)), FromSlice(k, n, vals(k*n))
+		a, b := fromSlice(m, k, vals(m*k)), fromSlice(k, n, vals(k*n))
 		acc, x, y, zr := vals(m*n), vals(m*n), vals(m*n), vals(2*m*n)
 
 		defer func(old bool) { useAsm = old }(useAsm)
@@ -294,9 +294,9 @@ func FuzzF64Kernels(f *testing.F) {
 			useAsm = asm
 			var r [5][]float64
 			r[0] = make([]float64, m*n)
-			MatMulBlockedInto(FromSlice(m, n, r[0]), a, b)
+			MatMulBlockedInto(fromSlice(m, n, r[0]), a, b)
 			r[1] = append([]float64(nil), acc...)
-			MatMulAddInto(FromSlice(m, n, r[1]), a, b)
+			MatMulAddInto(fromSlice(m, n, r[1]), a, b)
 			r[2] = make([]float64, m*n)
 			AddReLU(r[2], x, y)
 			r[3] = make([]float64, m*n)
@@ -461,8 +461,8 @@ func TestBlockedAliasPanics(t *testing.T) {
 	expectPanic("add out==b", func() { MatMulAddInto(sq, New(4, 4), sq) })
 	backing := make([]float64, 32)
 	expectPanic("partial overlap", func() {
-		out := FromSlice(4, 4, backing[8:24])
-		a := FromSlice(4, 4, backing[:16])
+		out := fromSlice(4, 4, backing[8:24])
+		a := fromSlice(4, 4, backing[:16])
 		MatMulBlockedInto(out, a, New(4, 4))
 	})
 	sq32 := New32(4, 4)

@@ -56,31 +56,6 @@ func newMat[T Float](rows, cols int) *Mat[T] {
 	return &Mat[T]{Rows: rows, Cols: cols, Data: make([]T, rows*cols)}
 }
 
-// FromSlice wraps data (row-major) in a Matrix. The slice is used directly,
-// not copied; len(data) must equal rows*cols.
-func FromSlice(rows, cols int, data []float64) *Matrix {
-	if len(data) != rows*cols {
-		panic(fmt.Sprintf("tensor: FromSlice got %d values for %dx%d", len(data), rows, cols))
-	}
-	return &Matrix{Rows: rows, Cols: cols, Data: data}
-}
-
-// FromRows builds a matrix from a slice of equal-length rows, copying them.
-func FromRows(rows [][]float64) *Matrix {
-	if len(rows) == 0 {
-		return New(0, 0)
-	}
-	cols := len(rows[0])
-	m := New(len(rows), cols)
-	for i, r := range rows {
-		if len(r) != cols {
-			panic(fmt.Sprintf("tensor: FromRows ragged row %d: %d != %d", i, len(r), cols))
-		}
-		copy(m.Data[i*cols:(i+1)*cols], r)
-	}
-	return m
-}
-
 // At returns the element at row i, column j.
 func (m *Mat[T]) At(i, j int) T { return m.Data[i*m.Cols+j] }
 
@@ -251,16 +226,6 @@ func ConcatColsInto(out, a, b *Matrix) {
 	}
 }
 
-// SliceCols returns the column range [from, to) of m as a new matrix.
-func (m *Mat[T]) SliceCols(from, to int) *Mat[T] {
-	if from < 0 || to > m.Cols || from > to {
-		panic(fmt.Sprintf("tensor: SliceCols [%d,%d) of %d cols", from, to, m.Cols))
-	}
-	out := newMat[T](m.Rows, to-from)
-	m.SliceColsInto(out, from, to)
-	return out
-}
-
 // SliceColsInto copies the column range [from, to) of m into out, which
 // must be m.Rows×(to−from).
 func (m *Mat[T]) SliceColsInto(out *Mat[T], from, to int) {
@@ -270,16 +235,6 @@ func (m *Mat[T]) SliceColsInto(out *Mat[T], from, to int) {
 	for i := 0; i < m.Rows; i++ {
 		copy(out.Row(i), m.Row(i)[from:to])
 	}
-}
-
-// SliceRows returns the row range [from, to) of m as a new matrix.
-func (m *Mat[T]) SliceRows(from, to int) *Mat[T] {
-	if from < 0 || to > m.Rows || from > to {
-		panic(fmt.Sprintf("tensor: SliceRows [%d,%d) of %d rows", from, to, m.Rows))
-	}
-	out := newMat[T](to-from, m.Cols)
-	copy(out.Data, m.Data[from*m.Cols:to*m.Cols])
-	return out
 }
 
 // GatherRowsInto copies m.Row(idx[i]) into row i of out, which must be
@@ -315,18 +270,4 @@ func (m *Mat[T]) RandNormal(rng *rand.Rand, std float64) {
 func (m *Mat[T]) GlorotUniform(rng *rand.Rand) {
 	limit := math.Sqrt(6.0 / float64(m.Rows+m.Cols))
 	m.RandUniform(rng, limit)
-}
-
-// Equal reports whether a and b have the same shape and all elements within
-// tol of each other.
-func Equal(a, b *Matrix, tol float64) bool {
-	if !a.SameShape(b) {
-		return false
-	}
-	for i, v := range a.Data {
-		if math.Abs(v-b.Data[i]) > tol {
-			return false
-		}
-	}
-	return true
 }

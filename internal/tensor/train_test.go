@@ -280,7 +280,7 @@ func TestMatMulTAddMatchesTransposed(t *testing.T) {
 		for _, n := range []int{1, 3, 4, 7, 8, 9, 16, 17, 32, 40} {
 			for _, k := range []int{0, 1, 2, 5, 32, 33} {
 				a, b, acc := edgeMat(rng, k, m), edgeMat(rng, k, n), edgeMat(rng, m, n)
-				want := FromSlice(m, n, append([]float64(nil), acc.Data...))
+				want := fromSlice(m, n, append([]float64(nil), acc.Data...))
 				at := New(m, k)
 				a.TransposeInto(at)
 				MatMulAddInto(want, at, b)
@@ -291,7 +291,7 @@ func TestMatMulTAddMatchesTransposed(t *testing.T) {
 					useAsm = asm
 					what := fmt.Sprintf("%dx%dx%d asm=%v", m, k, n, asm)
 					got, check := guarded(acc.Data)
-					MatMulTAddInto(FromSlice(m, n, got), a, b)
+					MatMulTAddInto(fromSlice(m, n, got), a, b)
 					sameF64Bits(t, what, got, want.Data)
 					check(t, what)
 				}
@@ -371,7 +371,7 @@ func FuzzTrainKernels(f *testing.F) {
 		x, dh, hp, c, pre, dhp0, zr := vals(sz), vals(sz), vals(sz), vals(sz), vals(sz), vals(sz), vals(2*sz)
 		cf := vals(9)
 		coef := &AdamCoef{cf[0], cf[1], cf[2], cf[3], cf[4], cf[5], cf[6], cf[7], cf[8]}
-		a, b := FromSlice(k, n, vals(k*n)), FromSlice(k, width, vals(k*width))
+		a, b := fromSlice(k, n, vals(k*n)), fromSlice(k, width, vals(k*width))
 
 		defer func(old bool) { useAsm = old }(useAsm)
 		hasAsm := useAsm
@@ -400,8 +400,8 @@ func FuzzTrainKernels(f *testing.F) {
 			pm, mm, vm := append([]float64(nil), x...), append([]float64(nil), dh...), append([]float64(nil), hp...)
 			AdamStep(pm, c, mm, vm, coef)
 			out := append([]float64(nil), pre[:n*width]...)
-			MatMulTAddInto(FromSlice(n, width, out), a, b)
-			want := FromSlice(n, width, append([]float64(nil), pre[:n*width]...))
+			MatMulTAddInto(fromSlice(n, width, out), a, b)
+			want := fromSlice(n, width, append([]float64(nil), pre[:n*width]...))
 			at := New(n, k)
 			a.TransposeInto(at)
 			MatMulAddInto(want, at, b)

@@ -4,7 +4,6 @@ import (
 	"bufio"
 	"fmt"
 	"net"
-	"net/http"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -88,9 +87,6 @@ func NewClient(conn net.Conn, cfg ClientConfig) (*Client, error) {
 	return c, nil
 }
 
-// Features returns the server's advertised feature bits.
-func (c *Client) Features() uint64 { return c.features }
-
 // Close severs the connection.
 func (c *Client) Close() error { return c.conn.Close() }
 
@@ -148,7 +144,7 @@ func (c *Client) expect(want byte) ([]byte, error) {
 // Predict sends one batch of requests and waits for the batched replies,
 // in request order. The zero-JSON round trip: requests are framed binary,
 // replies decode straight into prediction values, their stage spans kept
-// encoded until Reply.Spans is called.
+// as the encoded span section.
 func (c *Client) Predict(reqs []*serve.Request) ([]Reply, error) {
 	c.mu.Lock()
 	defer c.mu.Unlock()
@@ -235,12 +231,3 @@ func (st *Stream) Recv() (Prediction, error) {
 
 // Close severs the underlying connection.
 func (st *Stream) Close() error { return st.c.Close() }
-
-// Err maps a non-200 wire status onto an error for callers that want
-// Go-error semantics; 200 maps to nil.
-func (p Prediction) Err() error {
-	if p.Status == http.StatusOK {
-		return nil
-	}
-	return &RemoteError{Code: p.Status, Message: p.Error}
-}

@@ -233,7 +233,7 @@ func checkReplyScan(t *testing.T, p []byte) error {
 		if v.Spans == nil {
 			continue
 		}
-		spans, err := obs.DecodeSpanSection(string(v.Spans), string(v.ID))
+		spans, err := obs.DecodeSpans(string(obs.AppendSpanGroup(nil, v.ID)) + string(v.Spans))
 		ref, rerr := refSpans(string(v.Spans), string(v.ID))
 		if err != nil || rerr != nil || !sameSpans(spans, ref) || !sameSpans(spans, rep.Spans()) || v.SpanCount != len(spans) {
 			t.Fatalf("reply %d: the section decodes to\n %+v (%v)\nthe reference walk to\n %+v (%v)\nReply.Spans to\n %+v\nthe scan counts %d", i, spans, err, ref, rerr, rep.Spans(), v.SpanCount)
@@ -247,7 +247,8 @@ func checkReplyScan(t *testing.T, p []byte) error {
 
 // refSpans is the span-section walk the reply decoder ran before obs owned
 // the codec (binary.Uvarint and friends over the section): the reference
-// obs.DecodeSpanSection is held to. It wants the section consumed exactly.
+// obs.DecodeSpans is held to on a section that the scan accepted. It wants
+// the section consumed exactly.
 func refSpans(section, traceID string) ([]obs.Span, error) {
 	b := []byte(section)
 	bad := errors.New("reference: corrupt")

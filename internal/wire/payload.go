@@ -4,7 +4,6 @@ import (
 	"encoding/binary"
 	"fmt"
 	"math"
-	"strings"
 
 	"env2vec/internal/envmeta"
 	"env2vec/internal/obs"
@@ -419,19 +418,6 @@ type Reply struct {
 	spans string // validated span section, count included; "" = no spans
 }
 
-// Spans materialises the reply's span tree, the trace id restored from the
-// request id. The result owns its memory (it does not keep the decoded
-// frame alive), so a caller may retain it.
-func (rep *Reply) Spans() []obs.Span {
-	if rep.spans == "" {
-		return nil
-	}
-	// Copies off the frame: the spans' strings sub-slice one, and the trace
-	// id, which a caller may keep alone, is the other.
-	spans, _ := obs.DecodeSpanSection(strings.Clone(rep.spans), strings.Clone(rep.RequestID)) // cannot fail: validated at decode
-	return spans
-}
-
 // replyFromResult converts one serve outcome into a wire reply, without
 // its spans: AppendResults renders those from the response's stage record
 // straight into the frame rather than through a Reply.
@@ -522,7 +508,7 @@ func AppendResults(dst []byte, reqs []*serve.Request, results []serve.BatchResul
 
 // DecodePredictReplies parses a FramePredictReply payload into per-frame
 // slabs like DecodePredictBatch. Span sections are bounds-checked here, by
-// obs's codec, whose decoder Reply.Spans later runs, and kept as bytes.
+// obs's codec (obs.SpanSectionLen), and kept as bytes.
 func DecodePredictReplies(p []byte) ([]Reply, error) {
 	r := reader{b: p}
 	n := r.replyCount()

@@ -236,8 +236,8 @@ func TestClientServerBatch(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer c.Close()
-	if c.Features()&FeatureBatch == 0 || c.Features()&FeatureSubscribe == 0 {
-		t.Fatalf("server features = %b, want batch|subscribe", c.Features())
+	if c.features&FeatureBatch == 0 || c.features&FeatureSubscribe == 0 {
+		t.Fatalf("server features = %b, want batch|subscribe", c.features)
 	}
 
 	rng := rand.New(rand.NewSource(7))
@@ -361,8 +361,8 @@ func TestClientServerStream(t *testing.T) {
 		t.Fatalf("received %d predictions, want %d", len(got), n)
 	}
 	for seq, p := range got {
-		if err := p.Err(); err != nil {
-			t.Fatalf("seq %d: %v", seq, err)
+		if p.Status != http.StatusOK {
+			t.Fatalf("seq %d: status %d: %s", seq, p.Status, p.Error)
 		}
 		if math.Abs(p.Value-want[seq]) > 1e-12 {
 			t.Fatalf("seq %d: %v, want %v", seq, p.Value, want[seq])
@@ -650,7 +650,7 @@ func TestNonFinitePredictionIsTypedError(t *testing.T) {
 				if st.Failed != wantFailed {
 					t.Fatalf("failed = %d, want %d", st.Failed, wantFailed)
 				}
-				if got := s.Quality().Snapshot().Observations; got != observed {
+				if got := getJSON[quality.Snapshot](t, s, "/quality").Observations; got != observed {
 					t.Fatalf("quality monitor observed %d predictions, want %d", got, observed)
 				}
 				if !wantServed {

@@ -82,15 +82,6 @@ func (a *AR1) Next(rng *rand.Rand) float64 {
 	return a.state
 }
 
-// Series generates n consecutive AR(1) samples.
-func (a *AR1) Series(rng *rand.Rand, n int) []float64 {
-	out := make([]float64, n)
-	for i := range out {
-		out[i] = a.Next(rng)
-	}
-	return out
-}
-
 // TrafficModel names the test-case traffic shapes from Table 1.
 type TrafficModel int
 

@@ -195,3 +195,12 @@ func TestSelfSimilarProperty(t *testing.T) {
 		t.Fatal(err)
 	}
 }
+
+// Series generates n consecutive AR(1) samples.
+func (a *AR1) Series(rng *rand.Rand, n int) []float64 {
+	out := make([]float64, n)
+	for i := range out {
+		out[i] = a.Next(rng)
+	}
+	return out
+}

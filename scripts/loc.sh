@@ -1,8 +1,9 @@
 #!/usr/bin/env bash
 # loc.sh [<git-ref>]
 #
-# Non-test source lines (.go and .s) per package of internal/, cmd/ and the
-# root: raw, and code (non-blank, not starting with //). With a ref, the same
+# Non-test source lines (.go and .s) per package of internal/, cmd/,
+# scripts/ (its Go tools, testdata excluded) and the root: raw, and code
+# (non-blank, not starting with //). With a ref, the same
 # count at that ref beside the working tree's, and the delta of each.
 # Every PR reports this (ROADMAP aim 2): scripts/loc.sh HEAD~1
 set -euo pipefail
@@ -10,7 +11,7 @@ cd "$(dirname "${BASH_SOURCE[0]}")/.."
 ref="${1:-}"
 count() { # <ref or ""> -> "package raw code", one line per package
     if [ -n "$1" ]; then git ls-tree -r --name-only "$1"; else git ls-files -co --exclude-standard; fi |
-        grep -E '^((internal|cmd)/.+/)?[^/]+\.(go|s)$' | grep -v '_test\.go$' | sort -u |
+        grep -E '^((internal|cmd|scripts)/.+/)?[^/]+\.(go|s)$' | grep -v -e '_test\.go$' -e '/testdata/' | sort -u |
         while read -r f; do
             if [ -n "$1" ]; then git show "$1:$f"; elif [ -f "$f" ]; then cat "$f"; fi |
                 awk -v pkg="$(dirname "$f")" '{ raw++ } !/^[ \t]*($|\/\/)/ { code++ } END { print pkg, raw + 0, code + 0 }'
